@@ -34,7 +34,7 @@ func main() {
 		seed    = flag.Uint64("seed", 1, "random seed for data generation and model init")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		outDir  = flag.String("out", "", "also write each experiment's output to <out>/<exp>[_<dataset>]_<scale>.txt")
-		bench   = flag.String("benchjson", "BENCH_sparse.json", "path for the sparsebench experiment's JSON rows (\"\" disables)")
+		bench   = flag.String("benchjson", "", "also write the JSON rows of the selected benchmark experiment (sparsebench, telbench or figelastic) to this path, e.g. results/BENCH_sparse.json")
 		telAddr = flag.String("telemetry-addr", "", "serve /metrics (Go runtime gauges) and /debug/pprof on this address while the suite runs")
 		ver     = flag.Bool("version", false, "print version and exit")
 	)
@@ -102,6 +102,9 @@ func main() {
 	}
 
 	if *exp == "all" {
+		if *bench != "" {
+			fatal(errors.New("-benchjson names one file: select the experiment it archives with -exp"))
+		}
 		for _, e := range experiments.All() {
 			run(e)
 		}

@@ -4,21 +4,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
+	"sync"
 	"time"
 
-	"heterosgd/internal/data"
-	"heterosgd/internal/elastic"
-	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
-	"heterosgd/internal/opt"
-	"heterosgd/internal/telemetry"
 	"heterosgd/internal/transport"
 )
 
-// This file implements the networked training engine: the same coordinator
-// (Algorithm 1/2 scheduling, health tracking, divergence guards) as RunReal,
-// but speaking transport.Transport to workers that live in other processes.
+// This file implements the networked training engine: the same wall-clock
+// coordinator as RunReal (wallclock.go), behind an executor whose workers
+// live in other processes.
 // The engine is a parameter server — each dispatch carries the serialized
 // global model, each completion carries the worker's parameter delta, and
 // the coordinator (the model's single writer) applies deltas sequentially.
@@ -50,7 +45,7 @@ func (o *ClusterOptions) defaults() {
 }
 
 // linkStatser is implemented by transports that track delivery statistics
-// (transport.TCP); the engine folds them into the TransportReport events.
+// (transport.TCP); the engine folds them into the Result's queue counters.
 type linkStatser interface {
 	Stats() transport.Stats
 }
@@ -107,762 +102,151 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Algorithm == AlgSVRG {
-		return nil, fmt.Errorf("core: AlgSVRG is implemented on the simulated engine only (use RunSim)")
-	}
-	if cfg.Algorithm == AlgLocalSGD {
-		return nil, fmt.Errorf("core: AlgLocalSGD is not implemented on the cluster engine (its round barrier needs replica transfer, not deltas; use RunSim or RunReal)")
-	}
-	if cfg.Algorithm == AlgDCASGD {
-		return nil, fmt.Errorf("core: AlgDCASGD is not implemented on the cluster engine (delay compensation needs the dispatch-time params retained worker-side; use RunSim or RunReal)")
-	}
-	if cfg.Optimizer != opt.KindSGD {
-		return nil, fmt.Errorf("core: RunCluster supports plain SGD only (optimizer state is not replicated to workers)")
-	}
-	if cfg.Resume != nil && cfg.Resume.Membership == nil {
-		return nil, fmt.Errorf("core: RunCluster resume requires a membership-bearing checkpoint (written by a cluster run); this one has no membership section")
-	}
-	if cfg.Elastic != nil || cfg.ElasticPolicy != nil {
-		return nil, fmt.Errorf("core: RunCluster membership is transport-driven (workers join and leave on the wire); scripted plans and autoscale policies apply to RunSim and RunReal — set MaxWorkers above the initial count to admit live joiners")
+	if err := cfg.supportedOn(engineCluster); err != nil {
+		return nil, err
 	}
 	if trans == nil {
 		return nil, fmt.Errorf("core: RunCluster needs a transport")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	opts.defaults()
-
-	rng := cfg.newRNG()
-	net := cfg.Net
-	ds := cfg.Dataset
-	global := net.NewParams(nn.InitXavier, rng)
-	if cfg.InitialParams != nil {
-		global.CopyFrom(cfg.InitialParams)
+	r, err := newRun(&cfg)
+	if err != nil {
+		return nil, err
 	}
-	coord := newCoordinator(&cfg)
-	tel := cfg.Tracer
-	rm := newRunMetrics(cfg.Metrics)
-	coordRing := cfg.coordRing()
-	raw := metrics.NewUpdateCounter()
-	raw.Mirror(rm.updates)
-	trace := &metrics.Trace{Name: cfg.Algorithm.String()}
-	events := metrics.NewEventLog()
-	health := newHealthTracker(&cfg, events)
-	coord.tracker = health
-	stale := newStaleTracker(&cfg, health, &rm)
-	guard := newGuardState(cfg.Guards, global)
-	tr := &TransportReport{}
-	health.report.Transport = tr
-
-	// Elastic membership: the cluster engine grows its per-worker state when
-	// a fresh worker completes the Join handshake (LinkJoin event) and drains
-	// a leaver when it announces departure (LinkLeave). MaxWorkers above the
-	// initial count is the opt-in; the transport's link table enforces the
-	// same cap, so event IDs always land in [0, Capacity).
-	initialWorkers := len(cfg.Workers)
-	var resumeMS *MembershipState
 	if cfg.Resume != nil {
-		resumeMS = cfg.Resume.Membership
 		// The checkpoint's event history continues into this incarnation's
 		// log, so a drill's final output audits the whole trajectory.
 		for _, e := range cfg.Resume.Events {
-			events.AddEvent(e)
+			r.events.AddEvent(e)
 		}
 	}
-	// Widen the per-worker tables to the checkpoint's mid-churn set before
-	// restoreRun copies counters into them; departed slots come back benched.
-	growForMembership(&cfg, coord, health, stale)
-	var mem *elastic.Membership
-	switch {
-	case resumeMS != nil && (cfg.elasticEnabled() || len(resumeMS.States) > initialWorkers || resumeMS.ActiveCount() < len(resumeMS.States)):
-		var err error
-		mem, err = restoredMembership(resumeMS)
-		if err != nil {
-			return nil, err
-		}
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-	case cfg.elasticEnabled():
-		var err error
-		mem, err = elastic.New(len(cfg.Workers), cfg.MinWorkers, cfg.Capacity())
-		if err != nil {
-			return nil, err
-		}
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-	}
-	if err := restoreRun(&cfg, coord, global, guard); err != nil {
+	l, err := newWallCoord(ctx, r, trans, budget)
+	if err != nil {
 		return nil, err
 	}
-	if resumeMS != nil {
-		// Transport accounting continues across the restart — the
-		// exactly-once audit covers the whole trajectory.
-		tr.Duplicates, tr.Abandoned = resumeMS.Duplicates, resumeMS.Abandoned
-		tr.Partitions, tr.Reconnects = resumeMS.Partitions, resumeMS.Reconnects
-		tr.AppliedExamples = resumeMS.AppliedExamples
-	}
+	r.health.report.Transport = l.tr
+	l.exec = &clusterExec{l: l, opts: opts}
+	return l.loop()
+}
 
-	start := time.Now()
-	gemmWorkers := runtime.GOMAXPROCS(0)
+// clusterExec is RunCluster's executor: workers are remote processes behind
+// the transport. Every dispatch carries the serialized model and every
+// completion a parameter delta the coordinator — the model's single writer —
+// applies, so the model needs no lock.
+type clusterExec struct {
+	l    *wallCoord
+	opts ClusterOptions
+}
 
-	evalN := ds.N()
-	if cfg.EvalSubset > 0 && cfg.EvalSubset < evalN {
-		evalN = cfg.EvalSubset
-	}
-	evalWS := net.NewWorkspace(evalN)
-	evalLoss := func() float64 {
-		v := ds.View(0, evalN)
-		return net.LossX(global, evalWS, v.Input(), v.Y, gemmWorkers)
-	}
-
-	lastSnap := start
-	publishSnap := func(force bool) {
-		if cfg.SnapshotSink == nil {
-			return
-		}
-		if !force && (cfg.SnapshotEvery <= 0 || time.Since(lastSnap) < cfg.SnapshotEvery) {
-			return
-		}
-		lastSnap = time.Now()
-		snapT0 := time.Since(start)
-		cfg.SnapshotSink.PublishParams(global.Clone())
-		tel.Span(coordRing, telemetry.KindSnapshot, snapT0, time.Since(start)-snapT0, global.SizeBytes())
-		rm.snapshots.Inc()
-	}
-
-	outstanding := 0
-	converged := false
-	interrupted := false
-	overBudget := func() bool { return converged || interrupted || time.Since(start) >= budget }
-
-	// Dispatch state lives up here so writeCkpt can serialize it: seq
-	// continues above the checkpoint's floor, and checkpointed in-flight
-	// batches re-enter through the pending queue (their examples already
-	// count in ExamplesDone, so re-applying them is what rebalances the
-	// exactly-once accounting).
-	flight := make(map[uint64]*inflightDispatch)
-	var seq uint64
-	var completed int64
-	busy := make([]bool, len(cfg.Workers))
-	feed := make([][]data.Batch, len(cfg.Workers))
-	var pending []data.Batch
-	lastBatch := make([]int, len(cfg.Workers))
-	var batchTrace []BatchEvent
-	if resumeMS != nil {
-		seq = resumeMS.SeqFloor
-		completed = resumeMS.Dispatches
-		for _, f := range resumeMS.Flight {
-			if f.Hi > ds.N() {
-				return nil, fmt.Errorf("core: resume flight entry [%d,%d) outside dataset of %d", f.Lo, f.Hi, ds.N())
-			}
-			pending = append(pending, ds.View(f.Lo, f.Hi))
-		}
-		if len(resumeMS.Flight) > 0 {
-			events.Add(0, "", "resume", fmt.Sprintf("%d in-flight batches from the checkpoint re-queued", len(resumeMS.Flight)))
-		}
-	}
-
-	lastCkpt := start
-	writeCkpt := func(force bool) {
-		if cfg.CheckpointSink == nil {
-			return
-		}
-		if !force && (cfg.CheckpointEvery <= 0 || time.Since(lastCkpt) < cfg.CheckpointEvery) {
-			return
-		}
-		lastCkpt = time.Now()
-		ckptT0 := time.Since(start)
-		st, err := coord.exportState()
-		if err == nil {
-			st.TotalUpdates = raw.Total()
-			st.GuardLRScale = guard.scale()
-			st.GuardRetries = guard.retryCount()
-			st.Interrupted = interrupted
-			st.At = time.Since(start)
-			st.Events = events.Events()
-			// The membership section makes the checkpoint cluster-resumable:
-			// worker states, clocks, the seq floor, transport accounting, and
-			// every dispatched-but-unapplied batch (live flights plus queued
-			// recovery batches; abandoned flights are excluded because their
-			// ranges were already re-queued).
-			ms := captureMembership(mem, stale, len(cfg.Workers), completed)
-			ms.SeqFloor = seq
-			ms.Duplicates, ms.Abandoned = tr.Duplicates, tr.Abandoned
-			ms.Partitions, ms.Reconnects = tr.Partitions, tr.Reconnects
-			ms.AppliedExamples = tr.AppliedExamples
-			for s, fl := range flight {
-				if fl.abandoned {
-					continue
-				}
-				ms.Flight = append(ms.Flight, FlightEntry{Seq: s, Worker: fl.worker, Lo: fl.batch.Lo, Hi: fl.batch.Hi, Epoch: coord.epoch})
-			}
-			for _, b := range pending {
-				ms.Flight = append(ms.Flight, FlightEntry{Worker: -1, Lo: b.Lo, Hi: b.Hi, Epoch: coord.epoch})
-			}
-			for id := range feed {
-				for _, b := range feed[id] {
-					ms.Flight = append(ms.Flight, FlightEntry{Worker: id, Lo: b.Lo, Hi: b.Hi, Epoch: coord.epoch})
-				}
-			}
-			st.Membership = ms
-			st.Params = global.Clone()
-			err = cfg.CheckpointSink.WriteState(st)
-		}
-		if err != nil {
-			events.Add(time.Since(start), "", "ckpt-error", err.Error())
-			return
-		}
-		tel.Span(coordRing, telemetry.KindCheckpoint, ckptT0, time.Since(start)-ckptT0, raw.Total())
-		rm.checkpoints.Inc()
-	}
-
-	stopCancelWatch := context.AfterFunc(ctx, func() {
-		trans.Wake()
-	})
-	defer stopCancelWatch()
-
-	// ---- Attach phase: every live worker must link up before training
-	// starts, so epoch-zero dispatches are never silently dropped on dead
-	// links. A resumed run waits only for the restored active set — its
-	// departed slots will never dial in again.
-	connected := make([]bool, len(cfg.Workers))
-	needAttach := 0
-	for i := range cfg.Workers {
-		if health.ok(i) {
-			needAttach++
-		}
-	}
-	var pendingJoins []int
-	attached := 0
-	attachDeadline := time.Now().Add(opts.AttachTimeout)
-	for attached < needAttach {
+// attach waits until every live worker has linked up, so epoch-zero
+// dispatches are never silently dropped on dead links. A resumed run waits
+// only for the restored active set — its departed slots will never dial in
+// again.
+func (x *clusterExec) attach(ctx context.Context) (joined []int, err error) {
+	l := x.l
+	connected := make([]bool, len(l.cfg.Workers))
+	need := l.health.healthyCount()
+	deadline := time.Now().Add(x.opts.AttachTimeout)
+	for attached := 0; attached < need; {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		remaining := time.Until(attachDeadline)
+		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return nil, fmt.Errorf("core: only %d of %d workers attached within %v", attached, needAttach, opts.AttachTimeout)
+			return nil, fmt.Errorf("core: only %d of %d workers attached within %v", attached, need, x.opts.AttachTimeout)
 		}
-		m, st := trans.Recv(remaining)
+		m, st := l.trans.Recv(remaining)
 		if st == transport.RecvClosed {
 			return nil, fmt.Errorf("core: transport closed during attach")
 		}
 		if st != transport.RecvOK || m.Event == nil {
 			continue
 		}
-		switch m.Event.Kind {
+		switch id := m.Event.Worker; m.Event.Kind {
 		case transport.LinkUp:
-			if !connected[m.Event.Worker] && health.ok(m.Event.Worker) {
-				connected[m.Event.Worker] = true
+			if !connected[id] && l.health.ok(id) {
+				connected[id] = true
 				attached++
-				events.Add(time.Since(start), health.report.Workers[m.Event.Worker].Worker, "attach", "worker linked up")
+				l.events.Add(l.now(), l.name(id), "attach", "worker linked up")
 			}
 		case transport.LinkJoin:
-			// An elastic joiner beat an initial worker to the door; admit it
-			// once the per-worker state exists, in arrival order.
-			pendingJoins = append(pendingJoins, m.Event.Worker)
+			// An elastic joiner beat an initial worker to the door; the loop
+			// admits it before the first dispatch, in arrival order.
+			joined = append(joined, id)
 		}
 	}
+	return joined, nil
+}
 
-	{
-		loss := evalLoss()
-		trace.Add(0, coord.epochFrac(), loss)
-		rm.loss.Set(loss)
-		rm.epochs.Set(coord.epochFrac())
+// decorate ships the current model with the dispatch, plus the epoch whose
+// shuffle the [Lo,Hi) range refers to.
+func (x *clusterExec) decorate(w transport.Work) transport.Work {
+	blob, err := encodeParams(x.l.global)
+	if err != nil {
+		// Serialization of an in-memory model cannot fail in practice;
+		// treat it as fatal rather than silently training nothing.
+		panic(fmt.Sprintf("core: serializing global params: %v", err))
 	}
+	w.Params = blob
+	if x.l.cfg.Shuffle {
+		w.Epoch = uint32(x.l.coord.epoch)
+	}
+	return w
+}
 
-	workerName := func(id int) string { return health.report.Workers[id].Worker }
+// deadline is flat: the device cost model does not describe remote
+// processes.
+func (x *clusterExec) deadline(int, int) time.Duration { return x.opts.DispatchTimeout }
 
-	var redispatch func(batch data.Batch, from int)
-	var dispatch func(id int) bool
+// accept folds a live completion's delta into the global model. A straggler
+// whose dispatch was given up on is discarded instead — its batch was
+// re-dispatched elsewhere, and applying it would double-count.
+func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
+	l := x.l
+	if fl.abandoned {
+		l.tr.Abandoned++
+		l.events.Add(l.now(), l.name(msg.Worker), "abandoned", fmt.Sprintf("stale completion for seq %d discarded", msg.Seq))
+		return
+	}
+	l.account(msg)
+	l.raw.Add(l.name(msg.Worker), int64(msg.Updates))
+	if msg.Updates == 0 || len(msg.Delta) == 0 {
+		return
+	}
+	delta, err := nn.ReadParams(bytes.NewReader(msg.Delta), l.net)
+	switch {
+	case err != nil:
+		// A corrupt delta is dropped like a non-finite gradient: the
+		// examples still count as processed, the update does not land.
+		l.drop(msg.Worker, int64(msg.Updates), l.now(), "delta-error", err.Error())
+	case l.cfg.Guards != nil && !delta.AllFinite():
+		l.drop(msg.Worker, int64(msg.Updates), l.now(), "drop", "non-finite delta discarded")
+	default:
+		l.global.AddScaled(1, delta)
+	}
+}
 
-	// benchWorker takes a worker out of rotation on a link failure: its
-	// in-flight dispatch is abandoned (the eventual completion becomes the
-	// readmission probe and its delta is discarded) and the batch re-routed.
-	benchWorker := func(id int, kind, detail string) {
-		if !health.quarantineKind(id, time.Since(start), kind, detail) {
-			return
-		}
-		for _, fl := range flight {
-			if fl.worker != id || fl.abandoned {
-				continue
-			}
-			fl.abandoned = true
-			busy[id] = false
-			outstanding--
-			redispatch(fl.batch, id)
-		}
-	}
+// spawn has nothing to start: a joiner's process is already running, and
+// the current model rides its first dispatch.
+func (x *clusterExec) spawn(int) {}
 
-	send := func(id int, batch data.Batch) {
-		blob, err := encodeParams(global)
-		if err != nil {
-			// Serialization of an in-memory model cannot fail in practice;
-			// treat it as fatal rather than silently training nothing.
-			panic(fmt.Sprintf("core: serializing global params: %v", err))
-		}
-		seq++
-		fl := &inflightDispatch{worker: id, batch: batch, staleness: -1}
-		if opts.DispatchTimeout > 0 {
-			fl.deadline = time.Now().Add(opts.DispatchTimeout)
-		}
-		flight[seq] = fl
-		lr := cfg.ScheduledLR(batch.Size(), coord.epochFrac()) * coord.lrScale(id) * guard.scale()
-		sent := time.Since(start)
-		tel.Span(coordRing, telemetry.KindSchedule, sent, 0, int64(batch.Size()))
-		rm.examples.Add(int64(batch.Size()))
-		epoch := 0
-		if cfg.Shuffle {
-			epoch = coord.epoch
-		}
-		err = trans.Send(id, transport.Work{
-			Seq:    seq,
-			Epoch:  uint32(epoch),
-			Lo:     batch.Lo,
-			Hi:     batch.Hi,
-			LR:     lr,
-			SentNS: int64(sent),
-			Params: blob,
-		})
-		busy[id] = true
-		outstanding++
-		if err != nil {
-			// The link died between the last event and this send; bench the
-			// worker now instead of waiting for the LinkDown event, so the
-			// batch is back in rotation immediately.
-			benchWorker(id, "partition", fmt.Sprintf("send failed: %v", err))
-		}
+// drain says Goodbye on the departed worker's link; it accepts no reconnect.
+func (x *clusterExec) drain(id int) []transport.Work {
+	if r, ok := x.l.trans.(linkRetirer); ok {
+		r.Retire(id)
 	}
-	dispatch = func(id int) bool {
-		if !health.ok(id) || busy[id] {
-			return false
-		}
-		if mem != nil && !mem.Active(id) {
-			// Draining and departed workers get no work at all — not even
-			// recovery batches; anything parked in their feed is re-routed
-			// at retirement.
-			return false
-		}
-		if interrupted {
-			return false
-		}
-		if len(feed[id]) == 0 && len(pending) > 0 {
-			b := pending[0]
-			pending = pending[1:]
-			health.report.Redispatches++
-			rm.redispatch.Inc()
-			events.Add(time.Since(start), workerName(id), "redispatch",
-				fmt.Sprintf("%d examples from pending queue", b.Size()))
-			feed[id] = append(feed[id], splitBatch(b, cfg.Workers[id].MaxBatch)...)
-		}
-		if len(feed[id]) > 0 {
-			b := feed[id][0]
-			feed[id] = feed[id][1:]
-			send(id, b)
-			return true
-		}
-		if overBudget() {
-			return false
-		}
-		if !stale.allow(id) {
-			// SSP gate: fresh work only — recovery batches above bypass it,
-			// or their examples could strand with every laggard partitioned
-			// and the exactly-once accounting would never balance.
-			stale.block(id)
-			return false
-		}
-		stale.pass(id)
-		batch, ok := coord.scheduleWork(id)
-		if !ok {
-			return false
-		}
-		if coord.batch[id] != lastBatch[id] {
-			lastBatch[id] = coord.batch[id]
-			batchTrace = append(batchTrace, BatchEvent{At: time.Since(start), Worker: workerName(id), Size: coord.batch[id]})
-		}
-		sAt := stale.staleness(id)
-		send(id, batch)
-		if fl := flight[seq]; fl != nil {
-			fl.staleness = sAt
-		}
-		return true
-	}
-	redispatch = func(batch data.Batch, from int) {
-		target := health.pickHealthy(from)
-		if target < 0 {
-			pending = append(pending, batch)
-			return
-		}
-		health.report.Redispatches++
-		rm.redispatch.Inc()
-		events.Add(time.Since(start), workerName(target), "redispatch",
-			fmt.Sprintf("%d examples from %s", batch.Size(), workerName(from)))
-		feed[target] = append(feed[target], splitBatch(batch, cfg.Workers[target].MaxBatch)...)
-		dispatch(target)
-	}
-	// wakeGated re-dispatches workers the SSP gate would now admit; called
-	// whenever the minimum healthy clock may have moved (any applied
-	// completion, partition, quarantine, or readmission).
-	wakeGated := func() {
-		for _, id := range stale.wake() {
-			dispatch(id)
-		}
-	}
-	queuedWork := func() bool {
-		if len(pending) > 0 {
-			return true
-		}
-		for i := range feed {
-			if len(feed[i]) > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	// --- Elastic membership (networked engine) ---
-	// maybeRetire completes a graceful leave once the drain is settled: the
-	// worker is draining and holds nothing in flight (its last completion
-	// already applied, so AppliedExamples == ExamplesProcessed survives the
-	// departure). The link gets a Goodbye and accepts no reconnect.
-	retirer, _ := trans.(linkRetirer)
-	maybeRetire := func(id int) {
-		if mem == nil || !mem.Draining(id) || busy[id] || !mem.Retire(id) {
-			return
-		}
-		health.markDeparted(id, time.Since(start), "graceful leave drained")
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-		if retirer != nil {
-			retirer.Retire(id)
-		}
-		stranded := feed[id]
-		feed[id] = nil
-		for _, b := range stranded {
-			redispatch(b, id)
-		}
-		wakeGated()
-	}
-	// handleJoin admits the fresh worker behind a LinkJoin event: grow every
-	// per-worker table in lockstep (config, health, scheduler, SSP clock,
-	// busy/feed), rebalance the adaptive comparators, and dispatch — the
-	// current model rides the joiner's first Work frame, and its SSP clock
-	// enters at the healthy minimum. The transport assigns IDs sequentially
-	// under the same cap, so the event ID always equals the next slot.
-	handleJoin := func(id int) {
-		if mem == nil || id != mem.Len() {
-			events.Add(time.Since(start), "", "join-refused",
-				fmt.Sprintf("unexpected join for slot %d (have %d, elastic %v)", id, len(busy), mem != nil))
-			return
-		}
-		if _, err := mem.Join(); err != nil {
-			events.Add(time.Since(start), "", "join-refused", err.Error())
-			return
-		}
-		wc := cfg.Workers[id%initialWorkers]
-		cfg.Workers = append(cfg.Workers, wc)
-		name := fmt.Sprintf("%s+%d", wc.Device.Name(), id)
-		health.addWorker(name, time.Since(start))
-		coord.addWorker()
-		stale.addWorker()
-		busy = append(busy, false)
-		feed = append(feed, nil)
-		lastBatch = append(lastBatch, 0)
-		coord.rebalance()
-		mem.RecordRebalance()
-		rm.elasticJoins.Inc()
-		rm.elasticRebalances.Inc()
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-		dispatch(id)
-	}
-	// handleLeave starts a graceful departure announced on the wire: no new
-	// dispatches, the in-flight completion drains through the flight map,
-	// then maybeRetire closes the link.
-	handleLeave := func(id int) {
-		if mem == nil {
-			return
-		}
-		if err := mem.Leave(id); err != nil {
-			events.Add(time.Since(start), "", "leave-refused", err.Error())
-			return
-		}
-		events.Add(time.Since(start), workerName(id), "leave", "graceful departure announced")
-		rm.elasticLeaves.Inc()
-		coord.rebalance()
-		mem.RecordRebalance()
-		rm.elasticRebalances.Inc()
-		maybeRetire(id)
-		wakeGated()
-	}
-	expireOverdue := func() {
-		now := time.Now()
-		for _, fl := range flight {
-			if fl.abandoned || fl.deadline.IsZero() || now.Before(fl.deadline) {
-				continue
-			}
-			health.quarantine(fl.worker, time.Since(start),
-				fmt.Sprintf("dispatch of %d examples overdue", fl.batch.Size()))
-			fl.abandoned = true
-			busy[fl.worker] = false
-			outstanding--
-			redispatch(fl.batch, fl.worker)
-		}
-		wakeGated()
-	}
-	popWait := func() time.Duration {
-		var wait time.Duration = -1
-		for _, fl := range flight {
-			if fl.abandoned || fl.deadline.IsZero() {
-				continue
-			}
-			if d := time.Until(fl.deadline); wait < 0 || d < wait {
-				wait = d
-			}
-		}
-		if wait < 0 {
-			wait = budget - time.Since(start)
-		}
-		// Unlike the in-process engines a networked run never blocks
-		// unboundedly: completions can be in flight through a partition, so
-		// the loop must wake to notice budget expiry and link deadlines.
-		if wait < 10*time.Millisecond {
-			wait = 10 * time.Millisecond
-		}
-		if wait > time.Second {
-			wait = time.Second
-		}
-		return wait
-	}
-	handleFailure := func(msg transport.Done) error {
-		fl := flight[msg.Seq]
-		delete(flight, msg.Seq)
-		if fl != nil && !fl.abandoned {
-			outstanding--
-		}
-		busy[msg.Worker] = false
-		health.markCrashed(msg.Worker, time.Since(start), msg.Err)
-		if fl != nil {
-			redispatch(fl.batch, msg.Worker)
-		}
-		stranded := feed[msg.Worker]
-		feed[msg.Worker] = nil
-		for _, b := range stranded {
-			redispatch(b, msg.Worker)
-		}
-		if health.aliveCount() == 0 {
-			return fmt.Errorf("core: all %d workers failed — cannot continue training: %s", len(cfg.Workers), msg.Err)
-		}
-		return nil
-	}
-	// applyDelta folds one accepted completion into the global model.
-	applyDelta := func(msg transport.Done, batch data.Batch) {
-		coord.reportUpdates(msg.Worker, int64(msg.Updates))
-		raw.Add(workerName(msg.Worker), int64(msg.Updates))
-		if msg.Dropped > 0 {
-			health.report.DroppedUpdates += int64(msg.Dropped)
-			rm.dropped.Add(int64(msg.Dropped))
-			events.Add(time.Since(start), workerName(msg.Worker), "drop",
-				fmt.Sprintf("%d non-finite updates discarded", msg.Dropped))
-		}
-		tr.AppliedExamples += int64(batch.Size())
-		if msg.Updates == 0 || len(msg.Delta) == 0 {
-			return
-		}
-		delta, err := nn.ReadParams(bytes.NewReader(msg.Delta), net)
-		if err != nil {
-			// A corrupt delta is dropped like a non-finite gradient: the
-			// examples still count as processed, the update does not land.
-			health.report.DroppedUpdates += int64(msg.Updates)
-			rm.dropped.Add(int64(msg.Updates))
-			events.Add(time.Since(start), workerName(msg.Worker), "delta-error", err.Error())
-			return
-		}
-		if cfg.Guards != nil && !delta.AllFinite() {
-			health.report.DroppedUpdates += int64(msg.Updates)
-			rm.dropped.Add(int64(msg.Updates))
-			events.Add(time.Since(start), workerName(msg.Worker), "drop", "non-finite delta discarded")
-			return
-		}
-		global.AddScaled(1, delta)
-	}
+	return nil
+}
 
-	if ctx.Err() != nil {
-		interrupted = true
-	}
-	for _, id := range pendingJoins {
-		handleJoin(id)
-	}
-	for i := range cfg.Workers {
-		dispatch(i)
-	}
-	// An elastic run stays receptive while the budget lasts even when churn
-	// momentarily leaves no dispatchable worker and nothing in flight: a
-	// live joiner or a healed link can pick the remaining pool back up.
-	elasticAlive := func() bool {
-		return mem != nil && !overBudget() && (queuedWork() || !coord.poolEmpty())
-	}
-	for outstanding > 0 || (queuedWork() && health.aliveCount() > 0 && !overBudget()) || elasticAlive() {
-		m, st := trans.Recv(popWait())
-		if opts.DispatchTimeout > 0 {
-			expireOverdue()
-		}
-		if ctx.Err() != nil && !interrupted {
-			interrupted = true
-			events.Add(time.Since(start), "", "interrupt", "context cancelled; draining in-flight work")
-		}
-		if st == transport.RecvTimeout {
-			continue
-		}
-		if st == transport.RecvClosed {
-			break
-		}
-		if m.Event != nil {
-			id := m.Event.Worker
-			switch m.Event.Kind {
-			case transport.LinkDown:
-				tr.Partitions++
-				benchWorker(id, "partition", m.Event.Reason)
-				wakeGated()
-			case transport.LinkUp:
-				tr.Reconnects++
-				if health.readmitWith(id, time.Since(start), "link healed") {
-					stale.catchUp(id)
-					dispatch(id)
-					wakeGated()
-				}
-			case transport.LinkJoin:
-				handleJoin(id)
-			case transport.LinkLeave:
-				handleLeave(id)
-			}
-			continue
-		}
-		if m.Done == nil {
-			continue // wakeup
-		}
-		msg := *m.Done
-		publishSnap(false)
-		writeCkpt(false)
-		if msg.Failed {
-			if err := handleFailure(msg); err != nil {
-				trans.Close()
-				return nil, err
-			}
-			wakeGated()
-			continue
-		}
-		fl := flight[msg.Seq]
-		if fl == nil {
-			// Already settled: a retransmission of an acked completion, or
-			// a fault-injected duplicate frame. The delta was applied on
-			// first receipt; discarding here is what makes the at-least-once
-			// transport exactly-once at the model.
-			tr.Duplicates++
-			events.Add(time.Since(start), workerName(msg.Worker), "duplicate",
-				fmt.Sprintf("completion for settled seq %d discarded", msg.Seq))
-			continue
-		}
-		delete(flight, msg.Seq)
-		if fl.abandoned {
-			// The dispatch was given up on (partition or deadline) and its
-			// batch re-dispatched elsewhere; the straggler's delta must be
-			// discarded — applying it would double-count the batch.
-			tr.Abandoned++
-			events.Add(time.Since(start), workerName(msg.Worker), "abandoned",
-				fmt.Sprintf("stale completion for seq %d discarded", msg.Seq))
-			stale.advance(msg.Worker)
-			completed++
-			if health.readmit(msg.Worker, time.Since(start)) {
-				stale.catchUp(msg.Worker)
-				dispatch(msg.Worker)
-			}
-			maybeRetire(msg.Worker)
-			wakeGated()
-			continue
-		}
-		applyDelta(msg, fl.batch)
-		stale.observe(fl.staleness)
-		stale.advance(msg.Worker)
-		completed++
-		busy[msg.Worker] = false
-		outstanding--
-		maybeRetire(msg.Worker)
-		dispatch(msg.Worker)
-		wakeGated()
-		if outstanding == 0 && !overBudget() && coord.poolEmpty() {
-			evalT0 := time.Since(start)
-			loss := evalLoss()
-			tel.Span(coordRing, telemetry.KindEval, evalT0, time.Since(start)-evalT0, int64(evalN))
-			trace.Add(time.Since(start), coord.epochFrac(), loss)
-			rm.loss.Set(loss)
-			rm.epochs.Set(coord.epochFrac())
-			publishSnap(true)
-			if cfg.TargetLoss > 0 && isFinite(loss) && loss <= cfg.TargetLoss {
-				converged = true
-				break
-			}
-			if _, diverged := guard.onEval(loss, global, health.report, events, time.Since(start)); diverged {
-				break
-			}
-			writeCkpt(true)
-			coord.refill()
-			for i := range cfg.Workers {
-				dispatch(i)
-			}
-		}
-	}
-	if ls, ok := trans.(linkStatser); ok {
+func (x *clusterExec) modelLock(bool) sync.Locker { return nopLocker{} }
+
+func (x *clusterExec) cloneModel() *nn.Params { return x.l.global.Clone() }
+
+func (x *clusterExec) shutdown() {
+	if ls, ok := x.l.trans.(linkStatser); ok {
 		s := ls.Stats()
-		qs := &health.report.Queue
+		qs := &x.l.health.report.Queue
 		qs.Pushed, qs.Popped = s.Dispatched, s.Completed
 	}
-	trans.Close()
-	if ctx.Err() != nil {
-		interrupted = true
-	}
-
-	elapsed := time.Since(start)
-	overshoot := elapsed - budget
-	if overshoot < 0 {
-		overshoot = 0
-	}
-	finalT0 := time.Since(start)
-	final := evalLoss()
-	tel.Span(coordRing, telemetry.KindEval, finalT0, time.Since(start)-finalT0, int64(evalN))
-	publishSnap(true)
-	writeCkpt(true)
-	stamp := elapsed
-	if stamp > budget {
-		stamp = budget
-	}
-	if n := len(trace.Points); n > 0 && trace.Points[n-1].Time > stamp {
-		stamp = trace.Points[n-1].Time
-	}
-	trace.Add(stamp, coord.epochFrac(), final)
-	rm.loss.Set(final)
-	rm.epochs.Set(coord.epochFrac())
-	if cfg.TargetLoss > 0 && isFinite(final) && final <= cfg.TargetLoss {
-		converged = true
-	}
-
-	return &Result{
-		Algorithm:         cfg.Algorithm,
-		Trace:             trace,
-		Updates:           raw,
-		Utilization:       metrics.NewUtilizationTrace(),
-		Epochs:            coord.epochFrac(),
-		Duration:          elapsed,
-		Overshoot:         overshoot,
-		FinalLoss:         final,
-		MinLoss:           trace.MinLoss(),
-		ExamplesProcessed: coord.examplesDone,
-		FinalBatch:        append([]int(nil), coord.batch...),
-		Resizes:           append([]int(nil), coord.resizes...),
-		BatchTrace:        batchTrace,
-		Converged:         converged,
-		Params:            global,
-		Health:            health.report,
-		Events:            events,
-		Checkpoint:        guard.snapshot(),
-		Interrupted:       interrupted,
-		Staleness:         stale.rep,
-		Elastic:           elasticReport(mem),
-	}, nil
+	x.l.trans.Close()
 }

@@ -17,7 +17,7 @@ import (
 // loopback TCP, every worker dialing through a partition-injection proxy
 // driven by plan. Each participant builds its own copy of the dataset (as
 // separate processes would), exercising the shuffle-replay contract.
-func clusterHarness(t *testing.T, alg Algorithm, plan *faults.LinkPlan, budget time.Duration) *Result {
+func clusterHarness(t *testing.T, alg Algorithm, plan *faults.LinkPlan, budget time.Duration, tweak ...func(id int, o *ClusterWorkerOptions)) *Result {
 	t.Helper()
 	spec := tinySpec()
 	ds := data.Generate(spec, 42)
@@ -52,7 +52,7 @@ func clusterHarness(t *testing.T, alg Algorithm, plan *faults.LinkPlan, budget t
 			wspec := tinySpec()
 			wds := data.Generate(wspec, 42)
 			wnet := nn.MustNetwork(wspec.Arch())
-			err := RunClusterWorker(ctx, proxy.Addr(), id, wnet, wds, ClusterWorkerOptions{
+			opts := ClusterWorkerOptions{
 				Client: transport.ClientOptions{
 					Seed:        1,
 					BackoffBase: 5 * time.Millisecond,
@@ -60,7 +60,11 @@ func clusterHarness(t *testing.T, alg Algorithm, plan *faults.LinkPlan, budget t
 				},
 				Threads: 2,
 				Guards:  true,
-			})
+			}
+			for _, f := range tweak {
+				f(id, &opts)
+			}
+			err := RunClusterWorker(ctx, proxy.Addr(), id, wnet, wds, opts)
 			if err != nil && ctx.Err() == nil {
 				t.Errorf("worker %d: %v", id, err)
 			}
@@ -123,6 +127,38 @@ func TestClusterExactlyOnceInvariant(t *testing.T) {
 	}
 	if res.Updates.Total() == 0 {
 		t.Fatal("no updates recorded")
+	}
+}
+
+// TestClusterDuplicatedFailureCrashesOnce: worker 1 fails its third dispatch
+// on a link that duplicates every completion frame, so the coordinator
+// receives the failure report twice. Duplicates are settled before failure
+// handling: one crash, one "crash" event, one re-route of the failed batch —
+// the retransmitted report is just another discarded duplicate.
+func TestClusterDuplicatedFailureCrashesOnce(t *testing.T) {
+	plan := faults.NewLinkPlan(7, faults.DupFrames(1, 1.0))
+	res := clusterHarness(t, AlgCPUGPUHogbatch, plan, 800*time.Millisecond, func(id int, o *ClusterWorkerOptions) {
+		if id == 1 {
+			o.OnDispatch = func(n int) {
+				if n == 3 {
+					panic("injected dispatch failure")
+				}
+			}
+		}
+	})
+	w1 := res.Health.Workers[1]
+	if w1.State != WorkerCrashed || w1.Crashes != 1 {
+		t.Fatalf("worker 1 must crash exactly once, got %+v\n%s", w1, res.Events)
+	}
+	if n := res.Events.Count("crash"); n != 1 {
+		t.Fatalf("%d crash events, want 1\n%s", n, res.Events)
+	}
+	tr := res.Health.Transport
+	if tr.Duplicates == 0 {
+		t.Fatal("dup-injecting proxy produced no duplicate completions")
+	}
+	if tr.AppliedExamples != res.ExamplesProcessed {
+		t.Fatalf("exactly-once violated: applied %d examples, scheduled %d", tr.AppliedExamples, res.ExamplesProcessed)
 	}
 }
 

@@ -106,8 +106,8 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 
 	base := net.NewParams(nn.InitZero, nil)
 	replica := net.NewParams(nn.InitZero, nil)
-	grad := net.NewParams(nn.InitZero, nil)
-	var ws *nn.Workspace
+	ln := lane{grad: net.NewParams(nn.InitZero, nil)}
+	step := laneStep{net: net, decay: opts.WeightDecay, guard: opts.Guards, mode: tensor.UpdateRacy}
 	wsCap := 0
 
 	compute := func(wk transport.Work) transport.Done {
@@ -135,33 +135,19 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 		base.CopyFrom(p)
 		replica.CopyFrom(p)
 		batch := ds.View(wk.Lo, wk.Hi)
-		size := batch.Size()
-		t := threads
-		if t > size {
-			t = size
-		}
+		t := min(threads, batch.Size())
 		var updates, dropped int
 		for i := 0; i < t; i++ {
-			lo := i * size / t
-			hi := (i + 1) * size / t
-			if hi <= lo {
-				continue
-			}
-			sub := batch.Sub(lo, hi)
+			sub := laneSub(batch, i, t)
 			if n := sub.Size(); n > wsCap {
-				ws = net.NewWorkspace(n)
+				ln.ws = net.NewWorkspace(n)
 				wsCap = n
 			}
-			net.GradientX(replica, ws, sub.Input(), sub.Y, grad, gemm)
-			if opts.WeightDecay > 0 {
-				grad.AddDecay(opts.WeightDecay, replica)
-			}
-			if opts.Guards && !grad.AllFinite() {
+			if step.run(&ln, replica, replica, sub, wk.LR, gemm, false) {
+				updates++
+			} else {
 				dropped++
-				continue
 			}
-			replica.ApplyUpdate(tensor.UpdateRacy, -wk.LR, grad)
-			updates++
 		}
 		out := transport.Done{Updates: updates, Dropped: dropped}
 		if updates > 0 {

@@ -4,7 +4,8 @@
 // static CPU+GPU Hogbatch (§VI-B), and Adaptive Hogbatch (Algorithm 2) —
 // plus single-device mini-batch and Hogwild baselines.
 //
-// Two interchangeable execution engines run the same coordinator logic:
+// Three execution engines run the same coordinator logic over the same run
+// state (run.go) and the same per-lane update (step.go):
 //
 //   - RunSim: a discrete-event engine on a virtual clock driven by the
 //     device cost models (internal/device). Every gradient is computed for
@@ -13,6 +14,8 @@
 //   - RunReal: goroutines and wall-clock time, with the coordinator and
 //     workers as concurrent threads communicating over internal/msgq —
 //     the live system, structured exactly like the paper's pthreads code.
+//   - RunCluster: the same wall-clock coordinator loop as RunReal
+//     (wallclock.go) with workers in other processes, over TCP.
 package core
 
 import (

@@ -3,68 +3,26 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"heterosgd/internal/data"
 	"heterosgd/internal/device"
-	"heterosgd/internal/elastic"
 	"heterosgd/internal/faults"
-	"heterosgd/internal/metrics"
 	"heterosgd/internal/msgq"
 	"heterosgd/internal/nn"
-	"heterosgd/internal/opt"
 	"heterosgd/internal/telemetry"
 	"heterosgd/internal/tensor"
 	"heterosgd/internal/transport"
 )
 
-// The coordinator↔worker messages are transport.Work (ExecuteWork: the
-// batch as an absolute [Lo,Hi) range, the learning rate, and the dispatch
-// sequence number the completion must echo) and transport.Done
-// (ScheduleWork: updates applied, divergence-guard drops, and failure
-// reports from recovered worker panics). RunReal speaks them over
-// transport.Local — the same msgq queues as always, behind the interface
-// RunCluster drives over TCP.
-
-// inflightDispatch is the coordinator's record of one outstanding dispatch:
-// who has it, what it carries, and when the watchdog gives up on it.
-// abandoned marks dispatches whose worker was quarantined — the batch was
-// re-dispatched elsewhere and the eventual completion only serves as the
-// readmission probe.
-type inflightDispatch struct {
-	worker    int
-	batch     data.Batch
-	deadline  time.Time
-	abandoned bool
-	// staleness is the dispatch-time staleness the histogram records when
-	// the completion applies; -1 marks gate-exempt recovery work.
-	staleness int64
-	// sent and modeled feed the autoscale policy's load sample: measured
-	// span minus the modeled iteration time approximates queueing delay.
-	sent    time.Duration
-	modeled time.Duration
-}
-
-// realWorker bundles a worker goroutine's private state.
-type realWorker struct {
-	id      int
-	name    string
-	wc      WorkerConfig
-	inj     *faults.Injector
-	ws      []*nn.Workspace // one per CPU sub-batch thread (GPU uses ws[0])
-	grads   []*nn.Params
-	optims  []opt.Optimizer // per-lane optimizer state (nil for plain SGD)
-	deltas  []*nn.Params
-	replica *nn.Params // deep-copy buffer (GPU workers)
-}
-
 // RunReal trains cfg's model for a wall-clock budget using live goroutines:
 // one coordinator (this goroutine) and one goroutine per worker, exchanging
 // ScheduleWork/ExecuteWork messages over unbounded async queues — the
-// paper's pthreads architecture (§V, Figure 3) mapped onto Go.
+// paper's pthreads architecture (§V, Figure 3) mapped onto Go. The
+// coordinator is the wall-clock loop shared with RunCluster (wallclock.go),
+// speaking transport.Local — the msgq queues behind the Transport interface.
 //
 // CPU workers split each batch into Threads concurrently-running
 // sub-batches whose gradients are applied straight to the shared model
@@ -73,9 +31,6 @@ type realWorker struct {
 // asynchronously (deep replicas). Note the Hogwild read path is
 // unsynchronized by design; run with tensor.UpdateLocked for a fully
 // race-detector-clean execution (gradients then read under an RWMutex).
-//
-// Loss is sampled at epoch barriers (every worker idle) and at the end of
-// the run, when no concurrent writers exist.
 //
 // The engine is fault tolerant. A worker panic is recovered, the worker
 // marked crashed, and its in-flight batch re-dispatched to a survivor;
@@ -97,134 +52,15 @@ func RunReal(ctx context.Context, cfg Config, budget time.Duration) (*Result, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Algorithm == AlgSVRG {
-		return nil, fmt.Errorf("core: AlgSVRG is implemented on the simulated engine only (use RunSim)")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rng := cfg.newRNG()
-	net := cfg.Net
-	ds := cfg.Dataset
-	global := net.NewParams(nn.InitXavier, rng)
-	if cfg.InitialParams != nil {
-		global.CopyFrom(cfg.InitialParams)
-	}
-	modelBytes := global.SizeBytes()
-	coord := newCoordinator(&cfg)
-	// Telemetry: worker rings are written only by their owning goroutines
-	// (queue wait, gradient, apply); the coordinator ring (schedule, eval,
-	// checkpoint, snapshot) only by this goroutine — the tracer's
-	// single-writer-per-ring contract. Spans use wall time from the run
-	// origin.
-	tel := cfg.Tracer
-	rm := newRunMetrics(cfg.Metrics)
-	coordRing := cfg.coordRing()
-	raw := metrics.NewUpdateCounter()
-	raw.Mirror(rm.updates)
-	util := metrics.NewUtilizationTrace()
-	trace := &metrics.Trace{Name: cfg.Algorithm.String()}
-	events := metrics.NewEventLog()
-	health := newHealthTracker(&cfg, events)
-	coord.tracker = health
-	stale := newStaleTracker(&cfg, health, &rm)
-	guard := newGuardState(cfg.Guards, global)
-	// A membership-bearing checkpoint restores the worker set before the
-	// model: per-worker tables grow to the checkpoint's slot count, departed
-	// slots come back departed, and ids are never reused across the restart.
-	initialWorkers := len(cfg.Workers)
-	var resumeMS *MembershipState
-	if cfg.Resume != nil {
-		resumeMS = cfg.Resume.Membership
-	}
-	growForMembership(&cfg, coord, health, stale)
-	if err := restoreRun(&cfg, coord, global, guard); err != nil {
+	if err := cfg.supportedOn(engineReal); err != nil {
 		return nil, err
 	}
-
-	// modelMu guards the shared model only in UpdateLocked mode.
-	var modelMu sync.RWMutex
-	locked := cfg.UpdateMode == tensor.UpdateLocked
-
-	// buildRealWorker constructs one worker's goroutine state; elastic
-	// joiners take the same path as the initial set. Nothing here draws from
-	// rng (zero-inits and clones only), so a join never perturbs the
-	// deterministic init or shuffle streams.
-	buildRealWorker := func(id int, wc WorkerConfig, name string) *realWorker {
-		w := &realWorker{id: id, name: name, wc: wc, inj: cfg.Faults.ForWorker(id)}
-		lanes := 1
-		if wc.Device.Kind() == device.KindCPU && wc.Threads > 1 {
-			lanes = wc.Threads
-		}
-		if cfg.Algorithm == AlgLocalSGD {
-			// Local steps run sequentially on the private replica, so every
-			// worker uses a single lane sized for one step's sub-batch.
-			lanes = 1
-		}
-		maxPerLane := (wc.MaxBatch + lanes - 1) / lanes
-		for l := 0; l < lanes; l++ {
-			w.ws = append(w.ws, net.NewWorkspace(min(maxPerLane, ds.N())))
-			w.grads = append(w.grads, net.NewParams(nn.InitZero, rng))
-			if cfg.Optimizer != opt.KindSGD {
-				w.optims = append(w.optims, opt.New(cfg.Optimizer, global, cfg.OptimizerHP))
-				w.deltas = append(w.deltas, net.NewParams(nn.InitZero, rng))
-			} else {
-				w.optims = append(w.optims, nil)
-				w.deltas = append(w.deltas, nil)
-			}
-		}
-		if wc.DeepReplica || cfg.Algorithm == AlgLocalSGD {
-			w.replica = global.Clone()
-		}
-		return w
+	r, err := newRun(&cfg)
+	if err != nil {
+		return nil, err
 	}
-	workers := make([]*realWorker, len(cfg.Workers))
-	for i, wc := range cfg.Workers {
-		workers[i] = buildRealWorker(i, wc, wc.Device.Name())
-	}
-	var lsgd *localRoundState
-	if cfg.Algorithm == AlgLocalSGD {
-		lsgd = &localRoundState{sum: net.NewParams(nn.InitZero, rng)}
-	}
-	// Elastic membership: the inbox table is sized to Capacity up front so a
-	// joiner's fresh id maps straight to an unused inbox.
-	var mem *elastic.Membership
-	var planCur *elastic.Cursor
-	// Dispatches completed across every incarnation of the run; scripted
-	// churn triggers and membership captures count against this total, so it
-	// resumes from the checkpoint rather than zero.
-	var completedDispatches int64
-	switch {
-	case resumeMS != nil && (cfg.elasticEnabled() || len(resumeMS.States) > initialWorkers || resumeMS.ActiveCount() < len(resumeMS.States)):
-		// The checkpoint was captured mid-churn (or the restarted config is
-		// itself elastic): rebuild the manager from the serialized states so
-		// joins continue from the next unused id and the churn report
-		// accumulates across the restart.
-		var err error
-		mem, err = restoredMembership(resumeMS)
-		if err != nil {
-			return nil, err
-		}
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-	case cfg.elasticEnabled():
-		var err error
-		mem, err = elastic.New(len(cfg.Workers), cfg.MinWorkers, cfg.Capacity())
-		if err != nil {
-			return nil, err
-		}
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-	}
-	if cfg.elasticEnabled() {
-		planCur = cfg.Elastic.Begin()
-	}
-	if resumeMS != nil {
-		completedDispatches = resumeMS.Dispatches
-		// Scripted events triggered before the capture already mutated the
-		// restored membership; burn them off the cursor so they cannot fire
-		// twice.
-		planCur.Fire(completedDispatches)
-	}
-
+	// The inbox table is sized to Capacity up front so an elastic joiner's
+	// fresh id maps straight to an unused inbox.
 	trans := transport.NewLocal(cfg.Capacity())
 	if cfg.Metrics != nil {
 		// One shared instrument set aggregates traffic across the
@@ -238,903 +74,172 @@ func RunReal(ctx context.Context, cfg Config, budget time.Duration) (*Result, er
 			Wait:    cfg.Metrics.Histogram("msgq_wait_seconds"),
 		})
 	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	gemmWorkers := runtime.GOMAXPROCS(0)
-
-	// runIteration executes one dispatched batch on the worker's own
-	// goroutine, injecting scheduled faults and converting any panic —
-	// injected or genuine — into a failure message instead of killing the
-	// process.
-	runIteration := func(w *realWorker, batch data.Batch, lr float64) (out transport.Done) {
-		out = transport.Done{Worker: w.id}
-		defer func() {
-			if r := recover(); r != nil {
-				out.Failed = true
-				out.Err = fmt.Sprintf("core: worker %s panicked: %v", w.name, r)
-			}
-		}()
-		step := w.inj.Begin()
-		if step.Crash {
-			panic(faults.CrashError{Worker: w.id, Iteration: w.inj.Iterations() - 1})
-		}
-		if step.Hang > 0 {
-			time.Sleep(step.Hang)
-		}
-		t0 := time.Since(start)
-		var n, dropped int64
-		if cfg.Algorithm == AlgLocalSGD {
-			n, dropped = realLocalRound(net, global, w, batch, lr, &cfg, &modelMu, locked)
-		} else if w.wc.Device.Kind() == device.KindCPU {
-			n, dropped = realCPUIteration(net, global, w, batch, lr, &cfg, &modelMu, locked, step.Corrupt)
-		} else {
-			n, dropped = realGPUIteration(net, global, w, batch, lr, &cfg, &modelMu, locked, gemmWorkers, step.Corrupt)
-		}
-		t1 := time.Since(start)
-		tel.Span(w.id, telemetry.KindGradient, t0, t1-t0, int64(batch.Size()))
-		tel.Span(w.id, telemetry.KindApply, t1, 0, n)
-		util.AddBusy(w.name, t0, t1, w.wc.Device.Utilization(net.Arch, batch.Size()))
-		raw.Add(w.name, n)
-		out.Updates = int(n)
-		out.Dropped = int(dropped)
-		return out
+	l, err := newWallCoord(ctx, r, trans, budget)
+	if err != nil {
+		return nil, err
 	}
-
-	// startWorker launches one worker's goroutine; elastic joiners come
-	// through the same path mid-run, consuming the pre-sized inbox their
-	// fresh id maps to. The goroutine exits when its inbox closes (retire,
-	// evict, or shutdown) or on a recovered panic.
-	startWorker := func(w *realWorker) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				msg, ok := trans.NextWork(w.id)
-				if !ok {
-					return
-				}
-				// Both sides view the same in-memory dataset, so the wire
-				// message is just the range; this is the identical batch
-				// the coordinator scheduled.
-				batch := ds.View(msg.Lo, msg.Hi)
-				if tel != nil {
-					now := time.Since(start)
-					sent := time.Duration(msg.SentNS)
-					tel.Span(w.id, telemetry.KindQueueWait, sent, now-sent, int64(batch.Size()))
-				}
-				out := runIteration(w, batch, msg.LR)
-				out.Seq = msg.Seq
-				trans.Complete(out)
-				if out.Failed {
-					// The worker is dead; the coordinator drains and
-					// re-dispatches anything left in its inbox.
-					return
-				}
-			}
-		}()
+	x := &localExec{l: l, trans: trans}
+	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, shared: r.global}
+	if cfg.UpdateMode == tensor.UpdateLocked {
+		x.step.mu = &x.mu
 	}
-	for _, w := range workers {
-		startWorker(w)
+	if cfg.Algorithm == AlgDCASGD {
+		x.step.dc = cfg.DCLambda
 	}
-
-	evalN := ds.N()
-	if cfg.EvalSubset > 0 && cfg.EvalSubset < evalN {
-		evalN = cfg.EvalSubset
+	for id := range cfg.Workers {
+		x.build(id)
 	}
-	evalWS := net.NewWorkspace(evalN)
-	evalLoss := func() float64 {
-		// Quarantined workers may still be mid-iteration at epoch
-		// barriers, so in locked mode the evaluation takes the read lock.
-		if locked {
-			modelMu.RLock()
-			defer modelMu.RUnlock()
-		}
-		v := ds.View(0, evalN)
-		return net.LossX(global, evalWS, v.Input(), v.Y, gemmWorkers)
-	}
-	guardEval := func(loss float64) (rolledBack, diverged bool) {
-		if guard == nil {
-			return false, false
-		}
-		if locked {
-			modelMu.Lock()
-			defer modelMu.Unlock()
-		}
-		return guard.onEval(loss, global, health.report, events, time.Since(start))
-	}
-
-	// Snapshot publishing (the serving subsystem's attach point) runs on
-	// the coordinator goroutine, so it never blocks a worker: against
-	// UpdateAtomic writers the copy uses per-element atomic loads, in
-	// locked mode it takes the read lock (the same discipline gradient
-	// reads use), and in racy mode it reads plainly — as unsynchronized as
-	// the training it observes.
-	snapClone := func() *nn.Params {
-		if locked {
-			modelMu.RLock()
-			defer modelMu.RUnlock()
-			return global.Clone()
-		}
-		if cfg.UpdateMode == tensor.UpdateAtomic {
-			return global.CloneAtomic()
-		}
-		return global.Clone()
-	}
-	lastSnap := start
-	publishSnap := func(force bool) {
-		if cfg.SnapshotSink == nil {
-			return
-		}
-		if !force && (cfg.SnapshotEvery <= 0 || time.Since(lastSnap) < cfg.SnapshotEvery) {
-			return
-		}
-		lastSnap = time.Now()
-		snapT0 := time.Since(start)
-		cfg.SnapshotSink.PublishParams(snapClone())
-		tel.Span(coordRing, telemetry.KindSnapshot, snapT0, time.Since(start)-snapT0, int64(modelBytes))
-		rm.snapshots.Inc()
-	}
-
-	// The coordinator loop: sequential message processing, exactly like
-	// the paper's coordinator thread, extended with the recovery state
-	// machine (healthy → quarantined → readmitted, healthy → crashed).
-	outstanding := 0
-	converged := false
-	interrupted := false
-	overBudget := func() bool { return converged || interrupted || time.Since(start) >= budget }
-
-	// writeCkpt captures a RunState and hands it to the checkpoint sink.
-	// Mid-epoch periodic captures record the coordinator's live cursor, which
-	// over-counts by the in-flight batches whose updates have not landed yet
-	// — acceptable for the wall-clock engine (resume skips at most a few
-	// batches of that epoch); barrier and drain captures are exact. Sink
-	// errors are logged as "ckpt-error" events and never stop training.
-	lastCkpt := start
-	writeCkpt := func(force bool) {
-		if cfg.CheckpointSink == nil {
-			return
-		}
-		if !force && (cfg.CheckpointEvery <= 0 || time.Since(lastCkpt) < cfg.CheckpointEvery) {
-			return
-		}
-		lastCkpt = time.Now()
-		ckptT0 := time.Since(start)
-		st, err := coord.exportState()
-		if err == nil {
-			st.TotalUpdates = raw.Total()
-			st.GuardLRScale = guard.scale()
-			st.GuardRetries = guard.retryCount()
-			st.Interrupted = interrupted
-			st.At = time.Since(start)
-			st.Events = events.Events()
-			if mem != nil {
-				// Elastic runs capture the worker set alongside the model:
-				// resume must reconstruct who was active, draining, or gone,
-				// not just what the parameters were.
-				st.Membership = captureMembership(mem, stale, len(cfg.Workers), completedDispatches)
-			}
-			st.Params = snapClone()
-			err = cfg.CheckpointSink.WriteState(st)
-		}
-		if err != nil {
-			events.Add(time.Since(start), "", "ckpt-error", err.Error())
-			return
-		}
-		tel.Span(coordRing, telemetry.KindCheckpoint, ckptT0, time.Since(start)-ckptT0, raw.Total())
-		rm.checkpoints.Inc()
-	}
-
-	// Cancellation wakes the (possibly blocked) coordinator with an empty
-	// wakeup message; the loop then stops scheduling, drains in-flight
-	// work, and exits. stopCancelWatch prevents a late wakeup from counting
-	// as a queue drop after shutdown.
-	stopCancelWatch := context.AfterFunc(ctx, func() {
-		trans.Wake()
-	})
-
-	{
-		loss := evalLoss()
-		trace.Add(0, coord.epochFrac(), loss)
-		rm.loss.Set(loss)
-		rm.epochs.Set(coord.epochFrac())
-	}
-	flight := make(map[uint64]*inflightDispatch)
-	var seq uint64
-	// Each worker holds at most ONE outstanding dispatch (busy), so a
-	// dispatch's watchdog deadline starts ticking only when the worker can
-	// actually start it. Re-dispatched batches queue in the worker's feed
-	// (split to its batch ceiling) and are sent one at a time; pending
-	// holds batches with no healthy worker to run them.
-	busy := make([]bool, len(workers))
-	feed := make([][]data.Batch, len(workers))
-	var pending []data.Batch
-	lastBatch := make([]int, len(workers))
-	var batchTrace []BatchEvent
-
-	send := func(id int, batch data.Batch) {
-		seq++
-		fl := &inflightDispatch{worker: id, batch: batch, staleness: -1}
-		if cfg.Watchdog != nil {
-			fl.deadline = time.Now().Add(watchdogDeadline(cfg.Watchdog, &cfg.Workers[id], net.Arch, batch.Size(), modelBytes))
-		}
-		flight[seq] = fl
-		lrB := batch.Size()
-		if cfg.Algorithm == AlgLocalSGD && cfg.LocalSteps > 1 {
-			// The wire batch is a merged round share; the LR schedule sees
-			// one local step's sub-batch, as the sim engine does.
-			lrB = (lrB + cfg.LocalSteps - 1) / cfg.LocalSteps
-		}
-		lr := cfg.ScheduledLR(lrB, coord.epochFrac()) * coord.lrScale(id) * guard.scale()
-		sent := time.Since(start)
-		fl.sent = sent
-		if cfg.ElasticPolicy != nil {
-			fl.modeled = cfg.Workers[id].Device.IterTime(net.Arch, batch.Size(), modelBytes)
-		}
-		tel.Span(coordRing, telemetry.KindSchedule, sent, 0, int64(batch.Size()))
-		rm.examples.Add(int64(batch.Size()))
-		trans.Send(id, transport.Work{Seq: seq, Lo: batch.Lo, Hi: batch.Hi, LR: lr, SentNS: int64(sent)})
-		busy[id] = true
-		outstanding++
-	}
-	dispatch := func(id int) bool {
-		if !health.ok(id) || busy[id] {
-			return false
-		}
-		if mem != nil && !mem.Active(id) {
-			// Draining and departed workers get no work at all — not even
-			// recovery batches; anything parked in their feed is re-routed
-			// at retirement.
-			return false
-		}
-		if interrupted {
-			// A cancelled run schedules nothing — not even re-dispatched
-			// batches; the drain loop below only collects completions.
-			return false
-		}
-		if len(feed[id]) == 0 && len(pending) > 0 {
-			b := pending[0]
-			pending = pending[1:]
-			health.report.Redispatches++
-			rm.redispatch.Inc()
-			events.Add(time.Since(start), workers[id].name, "redispatch",
-				fmt.Sprintf("%d examples from pending queue", b.Size()))
-			feed[id] = append(feed[id], splitBatch(b, cfg.Workers[id].MaxBatch)...)
-		}
-		if len(feed[id]) > 0 {
-			b := feed[id][0]
-			feed[id] = feed[id][1:]
-			send(id, b)
-			return true
-		}
-		if overBudget() {
-			return false
-		}
-		if !stale.allow(id) {
-			// SSP gate: fresh work only — recovery batches above bypass it,
-			// or their examples could strand with every laggard quarantined.
-			stale.block(id)
-			return false
-		}
-		stale.pass(id)
-		batch, ok := coord.scheduleWork(id)
-		if !ok {
-			return false
-		}
-		if coord.batch[id] != lastBatch[id] {
-			lastBatch[id] = coord.batch[id]
-			batchTrace = append(batchTrace, BatchEvent{At: time.Since(start), Worker: workers[id].name, Size: coord.batch[id]})
-		}
-		if cfg.Algorithm == AlgLocalSGD {
-			// One dispatch per round share: merge up to LocalSteps contiguous
-			// pool batches; the worker re-splits them into local steps.
-			for k := 1; k < cfg.LocalSteps; k++ {
-				nb, more := coord.scheduleWork(id)
-				if !more {
-					break
-				}
-				batch = ds.View(batch.Lo, nb.Hi)
-			}
-		}
-		send(id, batch)
-		if fl := flight[seq]; fl != nil {
-			fl.staleness = stale.staleness(id)
-		}
-		return true
-	}
-	// redispatch re-routes a batch whose worker crashed or timed out to
-	// the next healthy worker's feed, split to the target's batch ceiling;
-	// with no healthy worker it waits in pending for a readmission.
-	var redispatch func(batch data.Batch, from int)
-	redispatch = func(batch data.Batch, from int) {
-		target := health.pickHealthy(from)
-		if target < 0 {
-			pending = append(pending, batch)
-			return
-		}
-		health.report.Redispatches++
-		rm.redispatch.Inc()
-		events.Add(time.Since(start), workers[target].name, "redispatch",
-			fmt.Sprintf("%d examples from %s", batch.Size(), workers[from].name))
-		feed[target] = append(feed[target], splitBatch(batch, cfg.Workers[target].MaxBatch)...)
-		dispatch(target)
-	}
-	// wakeGated re-dispatches workers the SSP gate would now admit; called
-	// whenever the minimum healthy clock may have moved (any completion,
-	// crash, quarantine, or readmission).
-	wakeGated := func() {
-		for _, id := range stale.wake() {
-			dispatch(id)
-		}
-	}
-	// queuedWork reports whether any re-dispatched batch still awaits a
-	// worker (the loop must not exit while one could be served).
-	queuedWork := func() bool {
-		if len(pending) > 0 {
-			return true
-		}
-		for i := range feed {
-			if len(feed[i]) > 0 {
-				return true
-			}
-		}
-		return false
-	}
-	// --- Elastic membership (live-goroutine engine) ---
-	// Triggers are completed-dispatch counts — protocol events, never wall
-	// time — so a scripted plan replays identically across runs; the
-	// autoscale policy is consulted only at epoch barriers. A graceful leave
-	// stops fresh dispatches and retires the worker once its in-flight
-	// completion lands; an evict abandons the in-flight batch and re-routes
-	// it immediately, like a crash but without the fault accounting.
-	var elWait, elCompute time.Duration
-	var elCount int64
-	var applyEvent func(e elastic.Event)
-	var decideScale func()
-	// drainInbox closes a departing worker's inbox (ending its goroutine)
-	// and re-routes everything stranded there to the survivors.
-	drainInbox := func(id int) {
-		for _, m := range trans.CloseWorker(id) {
-			b := ds.View(m.Lo, m.Hi)
-			if q := flight[m.Seq]; q != nil {
-				b = q.batch
-				delete(flight, m.Seq)
-				if !q.abandoned {
-					outstanding--
-				}
-			}
-			redispatch(b, id)
-		}
-		stranded := feed[id]
-		feed[id] = nil
-		for _, b := range stranded {
-			redispatch(b, id)
-		}
-	}
-	// maybeRetire completes a graceful leave once the drain is done: the
-	// worker is draining and holds nothing in flight.
-	maybeRetire := func(id int) {
-		if mem == nil || !mem.Draining(id) || busy[id] || !mem.Retire(id) {
-			return
-		}
-		health.markDeparted(id, time.Since(start), "graceful leave drained")
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-		drainInbox(id)
-		wakeGated()
-	}
-	// joinWorker admits a fresh elastic worker: grow every per-worker table
-	// in lockstep (config, health, scheduler, clock, busy/feed), rebalance
-	// the adaptive comparators over the new set, then spawn its goroutine
-	// live and dispatch it. The joiner's device clones the initial mix
-	// round-robin, and its SSP clock enters at the healthy minimum.
-	joinWorker := func(reason string) {
-		id, err := mem.Join()
-		if err != nil {
-			events.Add(time.Since(start), "", "join-refused", fmt.Sprintf("%s: %v", reason, err))
-			return
-		}
-		wc := cfg.Workers[id%initialWorkers]
-		cfg.Workers = append(cfg.Workers, wc)
-		name := fmt.Sprintf("%s+%d", wc.Device.Name(), id)
-		health.addWorker(name, time.Since(start))
-		coord.addWorker()
-		stale.addWorker()
-		w := buildRealWorker(id, wc, name)
-		workers = append(workers, w)
-		busy = append(busy, false)
-		feed = append(feed, nil)
-		lastBatch = append(lastBatch, 0)
-		coord.rebalance()
-		mem.RecordRebalance()
-		rm.elasticJoins.Inc()
-		rm.elasticRebalances.Inc()
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-		startWorker(w)
-		dispatch(id)
-	}
-	applyEvent = func(e elastic.Event) {
-		switch e.Kind {
-		case elastic.EventJoin:
-			joinWorker("scripted join")
-		case elastic.EventLeave:
-			if err := mem.Leave(e.Worker); err != nil {
-				events.Add(time.Since(start), "", "leave-refused", err.Error())
-				return
-			}
-			events.Add(time.Since(start), workers[e.Worker].name, "leave", "graceful departure started")
-			rm.elasticLeaves.Inc()
-			coord.rebalance()
-			mem.RecordRebalance()
-			rm.elasticRebalances.Inc()
-			// An idle leaver retires on the spot; a busy one departs when its
-			// in-flight completion arrives.
-			maybeRetire(e.Worker)
-			wakeGated()
-		case elastic.EventEvict:
-			if err := mem.Evict(e.Worker); err != nil {
-				events.Add(time.Since(start), "", "evict-refused", err.Error())
-				return
-			}
-			id := e.Worker
-			rm.elasticEvictions.Inc()
-			health.markDeparted(id, time.Since(start), "evicted")
-			drainInbox(id)
-			// Abandon the in-flight dispatch (if any) and re-route its batch;
-			// the evicted goroutine's eventual completion is processed like a
-			// quarantined straggler's — its updates already landed in the
-			// shared model (documented at-least-once under forced removal).
-			for _, fl := range flight {
-				if fl.worker == id && !fl.abandoned {
-					fl.abandoned = true
-					outstanding--
-					redispatch(fl.batch, id)
-				}
-			}
-			busy[id] = false
-			coord.rebalance()
-			mem.RecordRebalance()
-			rm.elasticRebalances.Inc()
-			rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-			wakeGated()
-		}
-	}
-	fireMembership := func() {
-		if mem == nil {
-			return
-		}
-		for _, e := range planCur.Fire(completedDispatches) {
-			applyEvent(e)
-		}
-	}
-	if mem != nil && cfg.ElasticPolicy != nil {
-		decideScale = func() {
-			s := elastic.Sample{Active: mem.ActiveCount(), Min: mem.Min(), Max: mem.Max(), Dispatches: completedDispatches}
-			if elCount > 0 {
-				// Measured load since the last barrier: queue wait is the
-				// span beyond each dispatch's modeled iteration time — the
-				// portion attributable to contention rather than compute.
-				s.QueueWait = elWait / time.Duration(elCount)
-				s.Compute = elCompute / time.Duration(elCount)
-			}
-			var worst time.Duration
-			for _, w := range workers {
-				if !mem.Active(w.id) || !health.ok(w.id) {
-					continue
-				}
-				if it := w.wc.Device.IterTime(net.Arch, coord.batch[w.id], modelBytes); it > worst {
-					worst = it
-				}
-			}
-			s.MarginalCost = worst
-			elWait, elCompute, elCount = 0, 0, 0
-			switch cfg.ElasticPolicy.Decide(s) {
-			case elastic.Grow:
-				joinWorker("policy grow")
-			case elastic.Shrink:
-				// Retire the costliest active worker (ties to highest id).
-				victim, vc := -1, time.Duration(0)
-				for _, w := range workers {
-					if !mem.Active(w.id) || !health.ok(w.id) {
-						continue
-					}
-					if it := w.wc.Device.IterTime(net.Arch, coord.batch[w.id], modelBytes); victim < 0 || it >= vc {
-						victim, vc = w.id, it
-					}
-				}
-				if victim >= 0 {
-					applyEvent(elastic.LeaveAt(victim, completedDispatches))
-				}
-			}
-		}
-	}
-
-	// expireOverdue quarantines every worker holding a dispatch past its
-	// deadline and re-dispatches the overdue batches.
-	expireOverdue := func() {
-		now := time.Now()
-		for _, fl := range flight {
-			if fl.abandoned || fl.deadline.IsZero() || now.Before(fl.deadline) {
-				continue
-			}
-			health.quarantine(fl.worker, time.Since(start),
-				fmt.Sprintf("dispatch of %d examples overdue", fl.batch.Size()))
-			fl.abandoned = true
-			busy[fl.worker] = false
-			outstanding--
-			redispatch(fl.batch, fl.worker)
-		}
-		wakeGated()
-	}
-	// popWait bounds the coordinator's blocking wait by the earliest
-	// in-flight deadline (or the remaining budget while batches wait in
-	// the pending queue for a readmission).
-	popWait := func() time.Duration {
-		var wait time.Duration = -1
-		for _, fl := range flight {
-			if fl.abandoned || fl.deadline.IsZero() {
-				continue
-			}
-			if d := time.Until(fl.deadline); wait < 0 || d < wait {
-				wait = d
-			}
-		}
-		if wait < 0 {
-			wait = budget - time.Since(start)
-		}
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		return wait
-	}
-	shutdown := func() {
-		stopCancelWatch()
-		trans.CloseInboxes()
-		if health.report.Survivors() == len(workers) {
-			wg.Wait()
-		} else {
-			// A quarantined worker may be hung far beyond the budget;
-			// bound the wait and let stragglers drain on their own —
-			// every shared structure they touch afterwards is
-			// synchronized or closed.
-			done := make(chan struct{})
-			go func() { wg.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(200 * time.Millisecond):
-			}
-		}
-		trans.Close()
-	}
-	// handleFailure processes a recovered worker panic: mark the worker
-	// crashed, then re-route its in-flight batch and everything still
-	// queued for it (inbox and feed) to the survivors.
-	handleFailure := func(msg transport.Done) error {
-		fl := flight[msg.Seq]
-		delete(flight, msg.Seq)
-		if fl != nil && !fl.abandoned {
-			outstanding--
-		}
-		busy[msg.Worker] = false
-		health.markCrashed(msg.Worker, time.Since(start), msg.Err)
-		for _, m := range trans.CloseWorker(msg.Worker) {
-			b := ds.View(m.Lo, m.Hi)
-			if q := flight[m.Seq]; q != nil {
-				b = q.batch
-				delete(flight, m.Seq)
-				if !q.abandoned {
-					outstanding--
-				}
-			}
-			redispatch(b, msg.Worker)
-		}
-		if fl != nil {
-			redispatch(fl.batch, msg.Worker)
-		}
-		stranded := feed[msg.Worker]
-		feed[msg.Worker] = nil
-		for _, b := range stranded {
-			redispatch(b, msg.Worker)
-		}
-		if health.aliveCount() == 0 {
-			return fmt.Errorf("core: all %d workers failed — cannot continue training: %s", len(workers), msg.Err)
-		}
-		return nil
-	}
-
-	// lsgdApply is the LocalSGD round barrier: the global model becomes the
-	// average of the returned replicas. The replica reads are ordered after
-	// the workers' writes by the completion messages just received.
-	lsgdApply := func() {
-		if len(lsgd.done) == 0 {
-			return
-		}
-		if locked {
-			modelMu.Lock()
-		}
-		if len(lsgd.done) == 1 {
-			global.CopyFrom(workers[lsgd.done[0]].replica)
-		} else {
-			lsgd.sum.Zero()
-			inv := 1.0 / float64(len(lsgd.done))
-			for _, id := range lsgd.done {
-				lsgd.sum.AddScaled(inv, workers[id].replica)
-			}
-			global.CopyFrom(lsgd.sum)
-		}
-		if locked {
-			modelMu.Unlock()
-		}
-		lsgd.done = lsgd.done[:0]
-	}
-
-	if ctx.Err() != nil {
-		interrupted = true
-	}
-	for i := range workers {
-		dispatch(i)
-	}
-	for outstanding > 0 || (queuedWork() && health.aliveCount() > 0 && !overBudget()) {
-		wait := time.Duration(-1) // block like Pop
-		if cfg.Watchdog != nil {
-			wait = popWait()
-		}
-		m, st := trans.Recv(wait)
-		if cfg.Watchdog != nil {
-			// Sweep for overdue dispatches on every wake-up, not just on
-			// timeout: a chatty healthy worker would otherwise keep the
-			// coordinator from ever noticing a hung one.
-			expireOverdue()
-		}
-		if st == transport.RecvTimeout {
-			continue
-		}
-		if st == transport.RecvClosed {
-			break
-		}
-		if m.Done == nil {
-			// Wakeup (cancellation): stop scheduling and fall through to
-			// drain the remaining in-flight completions. Local transports
-			// emit no link events, so any event message is just a wakeup
-			// here too.
-			if ctx.Err() != nil && !interrupted {
-				interrupted = true
-				events.Add(time.Since(start), "", "interrupt", "context cancelled; draining in-flight work")
-			}
-			continue
-		}
-		msg := *m.Done
-		publishSnap(false)
-		writeCkpt(false)
-		if msg.Failed {
-			if err := handleFailure(msg); err != nil {
-				shutdown()
-				return nil, err
-			}
-			wakeGated()
-			continue
-		}
-		fl := flight[msg.Seq]
-		delete(flight, msg.Seq)
-		coord.reportUpdates(msg.Worker, int64(msg.Updates))
-		if msg.Dropped > 0 {
-			health.report.DroppedUpdates += int64(msg.Dropped)
-			rm.dropped.Add(int64(msg.Dropped))
-			events.Add(time.Since(start), workers[msg.Worker].name, "drop",
-				fmt.Sprintf("%d non-finite updates discarded", msg.Dropped))
-		}
-		if fl != nil && fl.abandoned {
-			// The quarantined worker's overdue completion arrived: the
-			// readmission probe succeeded. Its updates already landed in
-			// the shared model and are counted; the batch was also
-			// processed by the re-dispatch target (documented
-			// at-least-once semantics under timeouts).
-			stale.advance(msg.Worker)
-			health.readmit(msg.Worker, time.Since(start))
-			stale.catchUp(msg.Worker)
-			wakeGated()
-			dispatch(msg.Worker)
-			completedDispatches++
-			maybeRetire(msg.Worker)
-			fireMembership()
-			continue
-		}
-		busy[msg.Worker] = false
-		outstanding--
-		if fl != nil {
-			stale.observe(fl.staleness)
-			if cfg.ElasticPolicy != nil {
-				if span := time.Since(start) - fl.sent; span > fl.modeled {
-					elWait += span - fl.modeled
-				}
-				elCompute += fl.modeled
-				elCount++
-			}
-		}
-		stale.advance(msg.Worker)
-		completedDispatches++
-		maybeRetire(msg.Worker)
-		fireMembership()
-		if lsgd != nil {
-			lsgd.done = append(lsgd.done, msg.Worker)
-			if outstanding > 0 {
-				continue
-			}
-			// LocalSGD round barrier: every participant is back; average
-			// their replicas into the global model and start the next round.
-			lsgdApply()
-			for i := range workers {
-				dispatch(i)
-			}
-		} else {
-			dispatch(msg.Worker)
-			wakeGated()
-		}
-		if outstanding == 0 && !overBudget() && coord.poolEmpty() {
-			// Epoch barrier: all workers idle, pool drained — evaluate
-			// loss (quarantined stragglers are fenced by the model lock
-			// in locked mode) and start the next epoch.
-			evalT0 := time.Since(start)
-			loss := evalLoss()
-			tel.Span(coordRing, telemetry.KindEval, evalT0, time.Since(start)-evalT0, int64(evalN))
-			trace.Add(time.Since(start), coord.epochFrac(), loss)
-			rm.loss.Set(loss)
-			rm.epochs.Set(coord.epochFrac())
-			publishSnap(true)
-			if cfg.TargetLoss > 0 && isFinite(loss) && loss <= cfg.TargetLoss {
-				converged = true
-				break
-			}
-			if _, diverged := guardEval(loss); diverged {
-				break
-			}
-			// Checkpoint after the guard verdict so a rollback's restored
-			// model and backed-off LR scale are what a resume would load.
-			writeCkpt(true)
-			if decideScale != nil {
-				decideScale()
-			}
-			coord.refill()
-			for i := range workers {
-				dispatch(i)
-			}
-		}
-	}
-	shutdown()
-	if ctx.Err() != nil {
-		interrupted = true
-	}
-	// Aggregate queue counters across the coordinator queue and every worker
-	// inbox (the underlying stats are mutex-protected, so straggler pushes
-	// are safe).
-	qs := &health.report.Queue
-	qs.Pushed, qs.Popped, qs.Dropped = trans.QueueStats()
-
-	elapsed := time.Since(start)
-	overshoot := elapsed - budget
-	if overshoot < 0 {
-		overshoot = 0
-	}
-	finalT0 := time.Since(start)
-	final := evalLoss()
-	tel.Span(coordRing, telemetry.KindEval, finalT0, time.Since(start)-finalT0, int64(evalN))
-	publishSnap(true)
-	// The drain checkpoint: always emitted, so an interrupted run's last
-	// checkpoint reflects everything it completed.
-	writeCkpt(true)
-	// The final trace point is clamped to the budget boundary so one
-	// in-flight large batch cannot stretch the loss curve past the
-	// configured horizon; the true overrun is reported separately.
-	stamp := elapsed
-	if stamp > budget {
-		stamp = budget
-	}
-	if n := len(trace.Points); n > 0 && trace.Points[n-1].Time > stamp {
-		stamp = trace.Points[n-1].Time
-	}
-	trace.Add(stamp, coord.epochFrac(), final)
-	rm.loss.Set(final)
-	rm.epochs.Set(coord.epochFrac())
-	if cfg.TargetLoss > 0 && isFinite(final) && final <= cfg.TargetLoss {
-		converged = true
-	}
-
-	return &Result{
-		Algorithm:         cfg.Algorithm,
-		Trace:             trace,
-		Updates:           raw,
-		Utilization:       util,
-		Epochs:            coord.epochFrac(),
-		Duration:          elapsed,
-		Overshoot:         overshoot,
-		FinalLoss:         final,
-		MinLoss:           trace.MinLoss(),
-		ExamplesProcessed: coord.examplesDone,
-		FinalBatch:        append([]int(nil), coord.batch...),
-		Resizes:           append([]int(nil), coord.resizes...),
-		BatchTrace:        batchTrace,
-		Converged:         converged,
-		Params:            global,
-		Health:            health.report,
-		Events:            events,
-		Checkpoint:        guard.snapshot(),
-		Interrupted:       interrupted,
-		Staleness:         stale.rep,
-		Elastic:           elasticReport(mem),
-	}, nil
+	l.exec = x
+	return l.loop()
 }
 
-// realLocalRound performs one LocalSGD round share on w's private replica:
-// copy the global model, then re-split the merged wire batch into LocalSteps
-// sub-batches and take one plain-SGD step per sub-batch. Only the round
-// barrier on the coordinator writes the global model, so the replica copy
-// races with nothing in atomic/racy modes; locked mode still takes the read
-// lock for the race detector's benefit.
-func realLocalRound(net *nn.Network, global *nn.Params, w *realWorker, batch data.Batch, lr float64, cfg *Config, mu *sync.RWMutex, locked bool) (int64, int64) {
-	if locked {
-		mu.RLock()
+// realWorker bundles a worker goroutine's private state.
+type realWorker struct {
+	id      int
+	name    string
+	wc      WorkerConfig
+	inj     *faults.Injector
+	lanes   []lane       // one per CPU sub-batch thread (one otherwise)
+	replica *nn.Params   // deep-copy buffer (GPU and LocalSGD workers)
+	steps   []data.Batch // LocalSGD: the round share re-split into local steps
+}
+
+// localExec is RunReal's executor: one goroutine per worker consuming a
+// transport.Local inbox and writing the shared model in memory, so a
+// completion's updates have already landed when the coordinator sees it.
+// Telemetry: worker rings are written only by their owning goroutines
+// (queue wait, gradient, apply), the coordinator ring only by the loop —
+// the tracer's single-writer-per-ring contract.
+type localExec struct {
+	l       *wallCoord
+	trans   *transport.Local
+	workers []*realWorker
+	step    laneStep
+	// mu guards the shared model in UpdateLocked mode only; step.mu points
+	// at it then and is nil otherwise.
+	mu sync.RWMutex
+	wg sync.WaitGroup
+}
+
+// build constructs worker id's goroutine state; elastic joiners take the
+// same path as the initial set.
+func (x *localExec) build(id int) *realWorker {
+	cfg := x.l.cfg
+	wc := cfg.Workers[id]
+	w := &realWorker{id: id, name: x.l.name(id), wc: wc, inj: cfg.Faults.ForWorker(id)}
+	// LocalSGD steps run sequentially on the private replica, so every
+	// worker uses a single lane sized for one step's sub-batch.
+	lanes := 1
+	if wc.Device.Kind() == device.KindCPU && cfg.Algorithm != AlgLocalSGD {
+		lanes = max(wc.Threads, 1)
 	}
-	w.replica.CopyFrom(global)
-	if locked {
-		mu.RUnlock()
+	rows := min((wc.MaxBatch+lanes-1)/lanes, x.l.ds.N())
+	for i := 0; i < lanes; i++ {
+		w.lanes = append(w.lanes, newLane(cfg, x.l.global, rows))
 	}
-	size := batch.Size()
-	steps := cfg.LocalSteps
-	if steps < 1 {
-		steps = 1
+	if wc.DeepReplica || cfg.Algorithm == AlgLocalSGD {
+		w.replica = x.l.global.Clone()
 	}
-	if steps > size {
-		steps = size
+	x.workers = append(x.workers, w)
+	return w
+}
+
+// start launches w's goroutine. It exits when its inbox closes (retire,
+// evict, or shutdown) or on a recovered panic.
+func (x *localExec) start(w *realWorker) {
+	l := x.l
+	x.wg.Add(1)
+	go func() {
+		defer x.wg.Done()
+		for {
+			msg, ok := x.trans.NextWork(w.id)
+			if !ok {
+				return
+			}
+			// Both sides view the same in-memory dataset, so the wire
+			// message is just the range; this is the identical batch the
+			// coordinator scheduled.
+			batch := l.ds.View(msg.Lo, msg.Hi)
+			if l.tel != nil {
+				sent := time.Duration(msg.SentNS)
+				l.tel.Span(w.id, telemetry.KindQueueWait, sent, l.now()-sent, int64(batch.Size()))
+			}
+			out := x.iterate(w, batch, msg.LR)
+			out.Seq = msg.Seq
+			x.trans.Complete(out)
+			if out.Failed {
+				// The worker is dead; the coordinator re-dispatches its batch.
+				return
+			}
+		}
+	}()
+}
+
+// iterate executes one dispatched batch on the worker's own goroutine,
+// injecting scheduled faults and converting any panic — injected or
+// genuine — into a failure message instead of killing the process.
+func (x *localExec) iterate(w *realWorker, batch data.Batch, lr float64) (out transport.Done) {
+	out = transport.Done{Worker: w.id}
+	defer func() {
+		if r := recover(); r != nil {
+			out.Failed = true
+			out.Err = fmt.Sprintf("core: worker %s panicked: %v", w.name, r)
+		}
+	}()
+	step := w.inj.Begin()
+	if step.Crash {
+		panic(faults.CrashError{Worker: w.id, Iteration: w.inj.Iterations() - 1})
 	}
-	var updates, dropped int64
+	if step.Hang > 0 {
+		time.Sleep(step.Hang)
+	}
+	l := x.l
+	t0 := l.now()
+	var n, dropped int64
+	switch {
+	case l.cfg.Algorithm == AlgLocalSGD:
+		n, dropped = x.localRound(w, batch, lr)
+	case w.wc.Device.Kind() == device.KindCPU:
+		n, dropped = x.cpuIteration(w, batch, lr, step.Corrupt)
+	default:
+		n, dropped = x.gpuIteration(w, batch, lr, step.Corrupt)
+	}
+	t1 := l.now()
+	l.tel.Span(w.id, telemetry.KindGradient, t0, t1-t0, int64(batch.Size()))
+	l.tel.Span(w.id, telemetry.KindApply, t1, 0, n)
+	l.util.AddBusy(w.name, t0, t1, w.wc.Device.Utilization(l.net.Arch, batch.Size()))
+	l.raw.Add(w.name, n)
+	out.Updates = int(n)
+	out.Dropped = int(dropped)
+	return out
+}
+
+// localRound re-splits the merged wire batch into LocalSteps sub-batches
+// and runs them as one LocalSGD round share on w's private replica.
+func (x *localExec) localRound(w *realWorker, batch data.Batch, lr float64) (updates, dropped int64) {
+	steps := min(max(x.l.cfg.LocalSteps, 1), batch.Size())
+	w.steps = w.steps[:0]
 	for k := 0; k < steps; k++ {
-		lo := k * size / steps
-		hi := (k + 1) * size / steps
-		if hi <= lo {
-			continue
-		}
-		sub := batch.Sub(lo, hi)
-		net.GradientX(w.replica, w.ws[0], sub.Input(), sub.Y, w.grads[0], 1)
-		if cfg.WeightDecay > 0 {
-			w.grads[0].AddDecay(cfg.WeightDecay, w.replica)
-		}
-		if cfg.Guards != nil && !w.grads[0].AllFinite() {
-			dropped++
-			continue
-		}
-		w.replica.ApplyUpdate(cfg.UpdateMode, -lr, w.grads[0])
-		updates++
+		w.steps = append(w.steps, laneSub(batch, k, steps))
 	}
-	return updates, dropped
+	return x.step.localRound(&w.lanes[0], x.l.global, w.replica, w.steps, lr)
 }
 
-// realCPUIteration runs one CPU Hogbatch iteration with live parallelism:
-// the batch splits into Threads sub-batches processed by concurrent
-// goroutines, each applying its gradient directly to the shared model.
-// With guards enabled, a non-finite sub-batch gradient is discarded before
-// it reaches the model (counted in dropped); corrupt poisons every lane's
-// gradient, exercising exactly that path. A panic on any lane is re-raised
-// on the worker goroutine after the remaining lanes finish, so the
-// engine-level recovery sees it.
-func realCPUIteration(net *nn.Network, global *nn.Params, w *realWorker, batch data.Batch, lr float64, cfg *Config, mu *sync.RWMutex, locked bool, corrupt bool) (int64, int64) {
-	size := batch.Size()
-	t := w.wc.Threads
-	if t < 1 {
-		t = 1
-	}
-	if t > size {
-		t = size
-	}
+// cpuIteration runs one CPU Hogbatch iteration with live parallelism: the
+// batch splits into Threads sub-batches processed by concurrent goroutines,
+// each applying its gradient directly to the shared model. corrupt poisons
+// every lane's gradient, exercising the guard's drop path. A panic on any
+// lane is re-raised on the worker goroutine after the remaining lanes
+// finish, so the engine-level recovery sees it.
+func (x *localExec) cpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (int64, int64) {
+	t := min(len(w.lanes), batch.Size())
 	var updates, dropped atomic.Int64
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
 	var panicVal any
 	for i := 0; i < t; i++ {
-		lo := i * size / t
-		hi := (i + 1) * size / t
-		if hi <= lo {
-			continue
-		}
 		wg.Add(1)
-		go func(lane, lo, hi int) {
+		go func(ln *lane, sub data.Batch) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -1145,33 +250,12 @@ func realCPUIteration(net *nn.Network, global *nn.Params, w *realWorker, batch d
 					panicMu.Unlock()
 				}
 			}()
-			sub := batch.Sub(lo, hi)
-			if locked {
-				mu.RLock()
-			}
-			net.GradientX(global, w.ws[lane], sub.Input(), sub.Y, w.grads[lane], 1)
-			if cfg.WeightDecay > 0 {
-				w.grads[lane].AddDecay(cfg.WeightDecay, global)
-			}
-			if locked {
-				mu.RUnlock()
-			}
-			if corrupt {
-				faults.Poison(w.grads[lane])
-			}
-			if cfg.Guards != nil && !w.grads[lane].AllFinite() {
+			if x.step.run(ln, x.l.global, x.l.global, sub, lr, 1, corrupt) {
+				updates.Add(1)
+			} else {
 				dropped.Add(1)
-				return
 			}
-			if locked {
-				mu.Lock()
-			}
-			applyStep(w.optims[lane], w.grads[lane], w.deltas[lane], global, cfg.UpdateMode, lr)
-			if locked {
-				mu.Unlock()
-			}
-			updates.Add(1)
-		}(i, lo, hi)
+		}(&w.lanes[i], laneSub(batch, i, t))
 	}
 	wg.Wait()
 	if panicVal != nil {
@@ -1180,47 +264,93 @@ func realCPUIteration(net *nn.Network, global *nn.Params, w *realWorker, batch d
 	return updates.Load(), dropped.Load()
 }
 
-// realGPUIteration runs one large-batch iteration through the deep-replica
+// gpuIteration runs one large-batch iteration through the deep-replica
 // path: copy the model, compute the batch gradient against the replica with
 // maximal intra-op parallelism, and push the update to the global model.
-// With guards enabled, a non-finite gradient never reaches the model.
-func realGPUIteration(net *nn.Network, global *nn.Params, w *realWorker, batch data.Batch, lr float64, cfg *Config, mu *sync.RWMutex, locked bool, gemmWorkers int, corrupt bool) (int64, int64) {
-	if locked {
-		mu.RLock()
+func (x *localExec) gpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (int64, int64) {
+	mu := x.modelLock(false)
+	mu.Lock()
+	w.replica.CopyFrom(x.l.global)
+	mu.Unlock()
+	if x.step.run(&w.lanes[0], w.replica, x.l.global, batch, lr, x.l.gemm, corrupt) {
+		return 1, 0
 	}
-	w.replica.CopyFrom(global)
-	if locked {
-		mu.RUnlock()
+	return 0, 1
+}
+
+func (x *localExec) attach(context.Context) ([]int, error) {
+	for _, w := range x.workers {
+		x.start(w)
 	}
-	net.GradientX(w.replica, w.ws[0], batch.Input(), batch.Y, w.grads[0], gemmWorkers)
-	if cfg.WeightDecay > 0 {
-		w.grads[0].AddDecay(cfg.WeightDecay, w.replica)
+	return nil, nil
+}
+
+func (x *localExec) decorate(w transport.Work) transport.Work { return w }
+
+// deadline is the watchdog's: modeled iteration time × slack, floored.
+func (x *localExec) deadline(id, size int) time.Duration {
+	if x.l.cfg.Watchdog == nil {
+		return 0
 	}
-	if corrupt {
-		faults.Poison(w.grads[0])
+	return watchdogDeadline(x.l.cfg.Watchdog, &x.l.cfg.Workers[id], x.l.net.Arch, size, x.l.modelBytes)
+}
+
+// accept: the updates landed in the shared model before the completion was
+// sent, so even a quarantined straggler's count (documented at-least-once
+// semantics under timeouts).
+func (x *localExec) accept(msg *transport.Done, _ *inflightDispatch) { x.l.account(msg) }
+
+func (x *localExec) spawn(id int) { x.start(x.build(id)) }
+
+// drain closes the worker's inbox, which ends its goroutine.
+func (x *localExec) drain(id int) []transport.Work { return x.trans.CloseWorker(id) }
+
+func (x *localExec) replica(id int) *nn.Params { return x.workers[id].replica }
+
+func (x *localExec) modelLock(write bool) sync.Locker {
+	switch {
+	case x.step.mu == nil:
+		return nopLocker{}
+	case write:
+		return &x.mu
+	default:
+		return x.mu.RLocker()
 	}
-	if cfg.Algorithm == AlgDCASGD && cfg.DCLambda != 0 {
-		// DC-ASGD: steer the stale gradient toward its value at the current
-		// model; the replica still holds w_then, the model it was computed
-		// against. The read of the live model follows the same discipline
-		// as the gradient reads (locked mode takes the read lock).
-		if locked {
-			mu.RLock()
+}
+
+// cloneModel copies the live model: against UpdateAtomic writers with
+// per-element atomic loads, in locked mode under the read lock (the same
+// discipline gradient reads use), and in racy mode plainly — as
+// unsynchronized as the training it observes.
+func (x *localExec) cloneModel() *nn.Params {
+	if x.l.cfg.UpdateMode == tensor.UpdateAtomic {
+		return x.l.global.CloneAtomic()
+	}
+	mu := x.modelLock(false)
+	mu.Lock()
+	defer mu.Unlock()
+	return x.l.global.Clone()
+}
+
+func (x *localExec) shutdown() {
+	x.trans.CloseInboxes()
+	if x.l.health.report.Survivors() == len(x.workers) {
+		x.wg.Wait()
+	} else {
+		// A quarantined worker may be hung far beyond the budget; bound the
+		// wait and let stragglers drain on their own — every shared
+		// structure they touch afterwards is synchronized or closed.
+		done := make(chan struct{})
+		go func() { x.wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(200 * time.Millisecond):
 		}
-		w.grads[0].DelayCompensate(cfg.DCLambda, global, w.replica)
-		if locked {
-			mu.RUnlock()
-		}
 	}
-	if cfg.Guards != nil && !w.grads[0].AllFinite() {
-		return 0, 1
-	}
-	if locked {
-		mu.Lock()
-	}
-	applyStep(w.optims[0], w.grads[0], w.deltas[0], global, cfg.UpdateMode, lr)
-	if locked {
-		mu.Unlock()
-	}
-	return 1, 0
+	x.trans.Close()
+	// Aggregate queue counters across the coordinator queue and every
+	// worker inbox (the underlying stats are mutex-protected, so straggler
+	// pushes are safe).
+	qs := &x.l.health.report.Queue
+	qs.Pushed, qs.Popped, qs.Dropped = x.trans.QueueStats()
 }

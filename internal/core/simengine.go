@@ -9,12 +9,9 @@ import (
 	"heterosgd/internal/device"
 	"heterosgd/internal/elastic"
 	"heterosgd/internal/faults"
-	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
-	"heterosgd/internal/opt"
 	"heterosgd/internal/simclock"
 	"heterosgd/internal/telemetry"
-	"heterosgd/internal/tensor"
 )
 
 // simWorker is one worker's state inside the discrete-event engine.
@@ -22,18 +19,14 @@ type simWorker struct {
 	id   int
 	name string
 	wc   WorkerConfig
-	ws   *nn.Workspace
-	grad *nn.Params
+	// lane holds the workspace, gradient, and optimizer state; the
+	// event-driven engine runs a worker's sub-batches one after another, so
+	// one lane serves them all.
+	lane
 	// replica is the deep-copy buffer for workers with DeepReplica set
 	// (always GPU workers; optionally CPU workers, as an ablation of the
 	// paper's reference-replica design).
 	replica *nn.Params
-	// optim and delta implement the configured update rule; optimizer
-	// state is private to the worker.
-	optim opt.Optimizer
-	delta *nn.Params
-	// scratch holds the ∇f(w̃) term of SVRG's corrected gradient.
-	scratch *nn.Params
 	idle    bool
 	// inj injects this worker's scheduled faults (nil = none).
 	inj *faults.Injector
@@ -65,62 +58,33 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.supportedOn(engineSim); err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rng := cfg.newRNG()
-	net := cfg.Net
-	ds := cfg.Dataset
-	global := net.NewParams(nn.InitXavier, rng)
-	if cfg.InitialParams != nil {
-		global.CopyFrom(cfg.InitialParams)
+	r, err := newRun(&cfg)
+	if err != nil {
+		return nil, err
 	}
-	modelBytes := global.SizeBytes()
-	coord := newCoordinator(&cfg)
-	clk := simclock.New()
+	net, ds, global, modelBytes, coord := r.net, r.ds, r.global, r.modelBytes, r.coord
+	health, stale, guard, mem, planCur := r.health, r.stale, r.guard, r.mem, r.planCur
 	// Telemetry: spans are stamped with the virtual clock, so a fixed-seed
 	// run exports a byte-identical Chrome trace. The engine is
 	// single-threaded, so every ring (workers and coordinator alike) obeys
 	// the single-writer contract trivially.
-	tel := cfg.Tracer
-	rm := newRunMetrics(cfg.Metrics)
-	coordRing := cfg.coordRing()
-	raw := metrics.NewUpdateCounter()
-	raw.Mirror(rm.updates)
-	util := metrics.NewUtilizationTrace()
-	trace := &metrics.Trace{Name: cfg.Algorithm.String()}
-	events := metrics.NewEventLog()
-	health := newHealthTracker(&cfg, events)
-	coord.tracker = health
-	stale := newStaleTracker(&cfg, health, &rm)
-	guard := newGuardState(cfg.Guards, global)
-	// A membership-bearing checkpoint (a run captured mid-churn) restores the
-	// worker set before the model state: every per-worker table grows to the
-	// checkpoint's slot count, departed slots come back departed, and ids are
-	// never reused across the restart.
-	initialWorkers := len(cfg.Workers)
-	var resumeMS *MembershipState
-	if cfg.Resume != nil {
-		resumeMS = cfg.Resume.Membership
-	}
-	growForMembership(&cfg, coord, health, stale)
-	if err := restoreRun(&cfg, coord, global, guard); err != nil {
-		return nil, err
-	}
+	tel, rm, coordRing, raw, util, events := r.tel, r.rm, r.coordRing, r.raw, r.util, r.events
+	clk := simclock.New()
+	step := laneStep{net: net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode}
 
 	// buildWorker constructs one worker's engine state; elastic joiners are
-	// built with the same path as the initial set. Nothing here draws from
-	// rng (every init is zero or a clone), so a mid-run join does not
+	// built with the same path as the initial set. Nothing here draws random
+	// numbers (every init is zero or a clone), so a mid-run join does not
 	// perturb the shuffle or init streams — a determinism requirement.
 	buildWorker := func(id int, wc WorkerConfig, name string) *simWorker {
-		w := &simWorker{
-			id:   id,
-			name: name,
-			wc:   wc,
-			ws:   net.NewWorkspace(min(wc.MaxBatch, ds.N())),
-			grad: net.NewParams(nn.InitZero, rng),
-			inj:  cfg.Faults.ForWorker(id),
-		}
+		w := &simWorker{id: id, name: name, wc: wc, inj: cfg.Faults.ForWorker(id)}
+		w.lane = newLane(&cfg, global, min(wc.MaxBatch, ds.N()))
 		if wc.DeepReplica && wc.Device.Kind() == device.KindCPU {
 			w.replica = global.Clone()
 		}
@@ -130,12 +94,8 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			// stale gradient can be delay-compensated at apply time.
 			w.replica = global.Clone()
 		}
-		if cfg.Optimizer != opt.KindSGD {
-			w.optim = opt.New(cfg.Optimizer, global, cfg.OptimizerHP)
-			w.delta = net.NewParams(nn.InitZero, rng)
-		}
 		if cfg.Algorithm == AlgSVRG && wc.Device.Kind() == device.KindCPU {
-			w.scratch = net.NewParams(nn.InitZero, rng)
+			w.scratch = net.NewParams(nn.InitZero, nil)
 		}
 		return w
 	}
@@ -143,63 +103,17 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	for i, wc := range cfg.Workers {
 		workers[i] = buildWorker(i, wc, wc.Device.Name())
 	}
-	// Elastic membership: the manager owns the active set; scripted plan
-	// events fire on completed-dispatch triggers and the autoscale policy is
-	// consulted at epoch barriers.
-	var mem *elastic.Membership
-	var planCur *elastic.Cursor
-	// Dispatches completed across every incarnation of the run; scripted
-	// churn triggers and membership captures count against this total, so it
-	// resumes from the checkpoint rather than zero.
-	var completedDispatches int64
-	switch {
-	case resumeMS != nil && (cfg.elasticEnabled() || len(resumeMS.States) > initialWorkers || resumeMS.ActiveCount() < len(resumeMS.States)):
-		// The checkpoint was captured mid-churn (or the restarted config is
-		// itself elastic): rebuild the manager from the serialized states so
-		// joins continue from the next unused id and the churn report
-		// accumulates across the restart.
-		var err error
-		mem, err = restoredMembership(resumeMS)
-		if err != nil {
-			return nil, err
-		}
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-	case cfg.elasticEnabled():
-		var err error
-		mem, err = elastic.New(len(cfg.Workers), cfg.MinWorkers, cfg.Capacity())
-		if err != nil {
-			return nil, err
-		}
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
-	}
-	if cfg.elasticEnabled() {
-		planCur = cfg.Elastic.Begin()
-	}
-	if resumeMS != nil {
-		completedDispatches = resumeMS.Dispatches
-		// Scripted events triggered before the capture already mutated the
-		// restored membership; burn them off the cursor so they cannot fire
-		// twice.
-		planCur.Fire(completedDispatches)
-	}
 	var svrg *svrgState
 	if cfg.Algorithm == AlgSVRG {
 		svrg = newSVRGState(net)
+		step.svrg = svrg
 	}
 	var lsgd *localRoundState
 	if cfg.Algorithm == AlgLocalSGD {
-		lsgd = &localRoundState{sum: net.NewParams(nn.InitZero, rng)}
+		lsgd = &localRoundState{sum: net.NewParams(nn.InitZero, nil)}
 	}
-
-	evalN := ds.N()
-	if cfg.EvalSubset > 0 && cfg.EvalSubset < evalN {
-		evalN = cfg.EvalSubset
-	}
-	evalWS := net.NewWorkspace(evalN)
-	evalLoss := func() float64 {
-		v := ds.View(0, evalN)
-		return net.LossX(global, evalWS, v.Input(), v.Y, 1)
-	}
+	evalN := r.evalN
+	evalLoss := func() float64 { return r.evalLoss(1) }
 	evalDev := cfg.EvalDevice
 	if evalDev == nil {
 		evalDev = cfg.Workers[0].Device
@@ -217,18 +131,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		if len(lsgd.done) == 0 {
 			return
 		}
-		if len(lsgd.done) == 1 {
-			// Single participant: adopt its replica directly (bitwise the
-			// averaging path's result, and exactly the synchronous baseline).
-			global.CopyFrom(workers[lsgd.done[0]].replica)
-		} else {
-			lsgd.sum.Zero()
-			inv := 1.0 / float64(len(lsgd.done))
-			for _, id := range lsgd.done {
-				lsgd.sum.AddScaled(inv, workers[id].replica)
-			}
-			global.CopyFrom(lsgd.sum)
-		}
+		averageReplicas(global, lsgd.sum, lsgd.done)
 		globalUpdates++
 		lsgd.done = lsgd.done[:0]
 	}
@@ -237,18 +140,15 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	// clamped monotonically: a sample landing inside an excluded eval
 	// window would otherwise appear to travel back in time.
 	var lastStamp time.Duration
-	converged := false
-	addPoint := func(epoch, loss float64) {
+	addPoint := func(loss float64) {
 		at := elapsed()
 		if at < lastStamp {
 			at = lastStamp
 		}
 		lastStamp = at
-		trace.Add(at, epoch, loss)
-		rm.loss.Set(loss)
-		rm.epochs.Set(epoch)
-		if cfg.TargetLoss > 0 && loss <= cfg.TargetLoss && !converged {
-			converged = true
+		r.record(at, loss)
+		if cfg.TargetLoss > 0 && loss <= cfg.TargetLoss && !r.converged {
+			r.converged = true
 			// Shrink the horizon so no further work is dispatched; the
 			// run drains its in-flight iterations and stops.
 			horizon = at
@@ -259,15 +159,14 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	// once cancelled, the horizon shrinks to the current clock so no new
 	// work is dispatched and the already-scheduled events drain — the
 	// discrete-event analogue of RunReal's sentinel-and-drain.
-	interrupted := false
 	checkCancel := func() bool {
-		if interrupted {
+		if r.interrupted {
 			return true
 		}
 		if ctx.Err() == nil {
 			return false
 		}
-		interrupted = true
+		r.interrupted = true
 		events.Add(elapsed(), "", "interrupt", "context cancelled; draining in-flight work")
 		if h := elapsed(); h < horizon {
 			horizon = h
@@ -283,19 +182,13 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		if cfg.CheckpointSink == nil {
 			return
 		}
-		st, err := coord.exportState()
+		st, err := r.captureState(elapsed())
 		if err == nil {
-			st.TotalUpdates = raw.Total()
-			st.GuardLRScale = guard.scale()
-			st.GuardRetries = guard.retryCount()
-			st.Interrupted = interrupted
-			st.At = elapsed()
-			st.Events = events.Events()
 			if mem != nil {
 				// Elastic runs capture the worker set alongside the model:
 				// resume must reconstruct who was active, draining, or gone,
 				// not just what the parameters were.
-				st.Membership = captureMembership(mem, stale, len(cfg.Workers), completedDispatches)
+				st.Membership = captureMembership(mem, stale, len(cfg.Workers), r.completed)
 			}
 			st.Params = global.Clone()
 			err = cfg.CheckpointSink.WriteState(st)
@@ -308,7 +201,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		rm.checkpoints.Inc()
 	}
 
-	addPoint(coord.epochFrac(), evalLoss())
+	addPoint(evalLoss())
 
 	var dispatch func(w *simWorker)
 	var redispatch func(batch data.Batch, from int)
@@ -323,7 +216,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		if mem == nil {
 			return
 		}
-		for _, e := range planCur.Fire(completedDispatches) {
+		for _, e := range planCur.Fire(r.completed) {
 			applyEvent(e)
 		}
 	}
@@ -374,7 +267,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		util.AddBusy(evalDevName(evalDev, &cfg, workers), clk.Now(), clk.Now()+evalDur, 0.95)
 		tel.Span(coordRing, telemetry.KindEval, clk.Now(), evalDur, int64(evalN))
 		loss := evalLoss()
-		addPoint(coord.epochFrac(), loss)
+		addPoint(loss)
 		publishSnap()
 		if _, diverged := guard.onEval(loss, global, health.report, events, elapsed()); diverged {
 			horizon = lastStamp
@@ -423,8 +316,6 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		}
 	}
 
-	lastBatch := make([]int, len(workers))
-	var batchTrace []BatchEvent
 	dispatch = func(w *simWorker) {
 		if !health.ok(w.id) || checkCancel() || elapsed() >= horizon {
 			w.idle = true
@@ -437,8 +328,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			// the health check above catches them.)
 			w.idle = true
 			if mem.Draining(w.id) && mem.Retire(w.id) {
-				health.markDeparted(w.id, elapsed(), "graceful leave drained")
-				rm.elasticWorkers.Set(float64(mem.ActiveCount()))
+				r.retired(w.id, elapsed())
 				wakeGated()
 			}
 			maybeEpochEnd()
@@ -475,11 +365,9 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			rm.examples.Add(total)
 			tel.Span(w.id, telemetry.KindGradient, clk.Now(), dur, total)
 			util.AddBusy(w.name, clk.Now(), clk.Now()+dur, w.wc.Device.Utilization(net.Arch, steps[0].Size()))
-			updates, dropped := localRoundSteps(net, global, w, steps, lr, &cfg)
+			updates, dropped := step.localRound(&w.lane, global, w.replica, steps, lr)
 			if dropped > 0 {
-				health.report.DroppedUpdates += dropped
-				rm.dropped.Add(dropped)
-				events.Add(elapsed(), w.name, "drop", fmt.Sprintf("%d non-finite local steps discarded", dropped))
+				r.drop(w.id, dropped, elapsed(), "drop", fmt.Sprintf("%d non-finite local steps discarded", dropped))
 			}
 			lsgd.outstanding++
 			clk.Schedule(dur, func() {
@@ -488,7 +376,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 				coord.reportUpdates(w.id, updates)
 				stale.observe(stAt)
 				stale.advance(w.id)
-				lsgd.done = append(lsgd.done, w.id)
+				lsgd.done = append(lsgd.done, w.replica)
 				lsgd.outstanding--
 				if lsgd.outstanding > 0 {
 					return
@@ -529,16 +417,13 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 				return
 			}
 			stAt = stale.staleness(w.id)
-			if coord.batch[w.id] != lastBatch[w.id] {
-				lastBatch[w.id] = coord.batch[w.id]
-				batchTrace = append(batchTrace, BatchEvent{At: elapsed(), Worker: w.name, Size: coord.batch[w.id]})
-			}
+			r.noteBatch(w.id, elapsed())
 		}
 		b := batch.Size()
 		tel.Span(coordRing, telemetry.KindSchedule, clk.Now(), 0, int64(b))
 		rm.examples.Add(int64(b))
-		step := w.inj.Begin()
-		if step.Crash {
+		fault := w.inj.Begin()
+		if fault.Crash {
 			// The worker dies before computing anything; its batch moves
 			// to a survivor. The simulated engine reports the injected
 			// crash itself — there is no goroutine to panic.
@@ -554,7 +439,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			maybeEpochEnd()
 			return
 		}
-		dur := w.wc.Device.IterTime(net.Arch, b, modelBytes) + step.Hang
+		dur := w.wc.Device.IterTime(net.Arch, b, modelBytes) + fault.Hang
 		tel.Span(w.id, telemetry.KindGradient, clk.Now(), dur, int64(b))
 		util.AddBusy(w.name, clk.Now(), clk.Now()+dur, w.wc.Device.Utilization(net.Arch, b))
 		lr := cfg.ScheduledLR(b, coord.epochFrac()) * coord.lrScale(w.id) * guard.scale()
@@ -598,7 +483,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 					stale.observe(stAt)
 				}
 				wakeGated()
-				completedDispatches++
+				r.completed++
 				fireMembership()
 				dispatch(w)
 			}
@@ -609,13 +494,11 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			// Threads sub-batches whose gradients update the shared
 			// model one after another — sequentialized Hogwild, the
 			// event-driven equivalent of Algorithm 2's parallel loop.
-			n, dropped := cpuIteration(net, global, w, batch, lr, &cfg, svrg, step.Corrupt)
+			n, dropped := cpuIteration(&step, global, w, batch, lr, fault.Corrupt)
 			globalUpdates += n
 			raw.Add(w.name, n)
 			if dropped > 0 {
-				health.report.DroppedUpdates += dropped
-				rm.dropped.Add(dropped)
-				events.Add(elapsed(), w.name, "drop", fmt.Sprintf("%d non-finite updates discarded", dropped))
+				r.drop(w.id, dropped, elapsed(), "drop", fmt.Sprintf("%d non-finite updates discarded", dropped))
 			}
 			clk.Schedule(dur, finish(func() {
 				tel.Span(w.id, telemetry.KindApply, clk.Now(), 0, n)
@@ -647,7 +530,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		if cfg.WeightDecay > 0 {
 			w.grad.AddDecay(cfg.WeightDecay, global)
 		}
-		if step.Corrupt {
+		if fault.Corrupt {
 			faults.Poison(w.grad)
 		}
 		if cfg.Algorithm == AlgDCASGD && w.replica != nil {
@@ -661,9 +544,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 				w.grad.DelayCompensate(cfg.DCLambda, global, w.replica)
 			}
 			if cfg.Guards != nil && !w.grad.AllFinite() {
-				health.report.DroppedUpdates++
-				rm.dropped.Inc()
-				events.Add(elapsed(), w.name, "drop", "non-finite gradient discarded")
+				r.drop(w.id, 1, elapsed(), "drop", "non-finite gradient discarded")
 				coord.reportUpdates(w.id, 0)
 				return
 			}
@@ -687,25 +568,12 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	// healthy minimum (stale.addWorker) so it is neither gate-parked nor a
 	// drag on the bound.
 	joinWorker := func(reason string) {
-		id, err := mem.Join()
-		if err != nil {
-			events.Add(elapsed(), "", "join-refused", fmt.Sprintf("%s: %v", reason, err))
+		id, ok := r.admit(reason, elapsed())
+		if !ok {
 			return
 		}
-		wc := cfg.Workers[id%initialWorkers]
-		cfg.Workers = append(cfg.Workers, wc)
-		name := fmt.Sprintf("%s+%d", wc.Device.Name(), id)
-		health.addWorker(name, elapsed())
-		coord.addWorker()
-		stale.addWorker()
-		w := buildWorker(id, wc, name)
+		w := buildWorker(id, cfg.Workers[id], r.name(id))
 		workers = append(workers, w)
-		lastBatch = append(lastBatch, 0)
-		coord.rebalance()
-		mem.RecordRebalance()
-		rm.elasticJoins.Inc()
-		rm.elasticRebalances.Inc()
-		rm.elasticWorkers.Set(float64(mem.ActiveCount()))
 		dispatch(w)
 	}
 	applyEvent = func(e elastic.Event) {
@@ -713,38 +581,29 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		case elastic.EventJoin:
 			joinWorker("scripted join")
 		case elastic.EventLeave:
-			if err := mem.Leave(e.Worker); err != nil {
-				events.Add(elapsed(), "", "leave-refused", err.Error())
+			if !r.beginLeave(e.Worker, elapsed()) {
 				return
 			}
 			w := workers[e.Worker]
-			events.Add(elapsed(), w.name, "leave", "graceful departure started")
-			rm.elasticLeaves.Inc()
 			// Hand parked recovery work to the survivors before draining.
 			bl := w.backlog
 			w.backlog = nil
 			for _, b := range bl {
 				redispatch(b, w.id)
 			}
-			coord.rebalance()
-			mem.RecordRebalance()
-			rm.elasticRebalances.Inc()
+			r.rebalanced()
 			// An idle leaver has nothing in flight: retire it on the spot.
 			// Otherwise its next scheduling point completes the departure.
 			if w.idle && mem.Retire(e.Worker) {
-				health.markDeparted(e.Worker, elapsed(), "graceful leave drained")
-				rm.elasticWorkers.Set(float64(mem.ActiveCount()))
+				r.retired(e.Worker, elapsed())
 				wakeGated()
 				maybeEpochEnd()
 			}
 		case elastic.EventEvict:
-			if err := mem.Evict(e.Worker); err != nil {
-				events.Add(elapsed(), "", "evict-refused", err.Error())
+			if !r.beginEvict(e.Worker, elapsed()) {
 				return
 			}
 			w := workers[e.Worker]
-			rm.elasticEvictions.Inc()
-			health.markDeparted(e.Worker, elapsed(), "evicted")
 			// Re-route parked work like a crash would; an in-flight virtual
 			// iteration still completes (the sim cannot abort mid-event) and
 			// its updates land like any straggler completion.
@@ -753,9 +612,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			for _, b := range bl {
 				redispatch(b, w.id)
 			}
-			coord.rebalance()
-			mem.RecordRebalance()
-			rm.elasticRebalances.Inc()
+			r.rebalanced()
 			rm.elasticWorkers.Set(float64(mem.ActiveCount()))
 			wakeGated()
 			maybeEpochEnd()
@@ -763,23 +620,19 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	}
 	if mem != nil && cfg.ElasticPolicy != nil {
 		decideScale = func() {
-			s := elastic.Sample{Active: mem.ActiveCount(), Min: mem.Min(), Max: mem.Max(), Dispatches: completedDispatches}
-			var sum, worst time.Duration
+			s := elastic.Sample{Active: mem.ActiveCount(), Min: mem.Min(), Max: mem.Max(), Dispatches: r.completed}
+			var sum time.Duration
 			n := 0
 			for _, w := range workers {
-				if !mem.Active(w.id) || !health.ok(w.id) {
-					continue
-				}
-				it := w.wc.Device.IterTime(net.Arch, coord.batch[w.id], modelBytes)
-				sum += it
-				n++
-				if it > worst {
-					worst = it
+				if mem.Active(w.id) && health.ok(w.id) {
+					sum += w.wc.Device.IterTime(net.Arch, coord.batch[w.id], modelBytes)
+					n++
 				}
 			}
 			if n > 0 {
 				s.Compute = sum / time.Duration(n)
 			}
+			victim, worst := r.costliest()
 			// The event-driven engine has no queueing, so QueueWait stays
 			// zero: the policy grows only to honor Min and shrinks only when
 			// the marginal worker's modeled cost dominates.
@@ -788,18 +641,8 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			case elastic.Grow:
 				joinWorker("policy grow")
 			case elastic.Shrink:
-				// Retire the costliest active worker (ties to highest id).
-				victim, vc := -1, time.Duration(0)
-				for _, w := range workers {
-					if !mem.Active(w.id) || !health.ok(w.id) {
-						continue
-					}
-					if it := w.wc.Device.IterTime(net.Arch, coord.batch[w.id], modelBytes); victim < 0 || it >= vc {
-						victim, vc = w.id, it
-					}
-				}
 				if victim >= 0 {
-					applyEvent(elastic.LeaveAt(victim, completedDispatches))
+					applyEvent(elastic.LeaveAt(victim, r.completed))
 				}
 			}
 		}
@@ -811,7 +654,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 			if checkCancel() || elapsed() >= horizon {
 				return
 			}
-			addPoint(coord.epochFrac(), evalLoss())
+			addPoint(evalLoss())
 			clk.Schedule(cfg.SampleEvery, sample)
 		}
 		clk.Schedule(cfg.SampleEvery, sample)
@@ -836,7 +679,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 		return nil, fatalErr
 	}
 	if ctx.Err() != nil {
-		interrupted = true
+		r.interrupted = true
 	}
 
 	final := evalLoss()
@@ -844,47 +687,8 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	// The drain checkpoint: always emitted, so an interrupted run's last
 	// checkpoint reflects everything it completed.
 	writeCkpt()
-	if horizon < lastStamp {
-		horizon = lastStamp
-	}
-	trace.Add(horizon, coord.epochFrac(), final)
-	rm.loss.Set(final)
-	rm.epochs.Set(coord.epochFrac())
-	if cfg.TargetLoss > 0 && isFinite(final) && final <= cfg.TargetLoss {
-		converged = true
-	}
-
-	return &Result{
-		Algorithm:         cfg.Algorithm,
-		Trace:             trace,
-		Updates:           raw,
-		Utilization:       util,
-		Epochs:            coord.epochFrac(),
-		Duration:          horizon,
-		FinalLoss:         final,
-		MinLoss:           trace.MinLoss(),
-		ExamplesProcessed: coord.examplesDone,
-		FinalBatch:        append([]int(nil), coord.batch...),
-		Resizes:           append([]int(nil), coord.resizes...),
-		BatchTrace:        batchTrace,
-		Converged:         converged,
-		Params:            global,
-		Health:            health.report,
-		Events:            events,
-		Checkpoint:        guard.snapshot(),
-		Interrupted:       interrupted,
-		Staleness:         stale.rep,
-		Elastic:           elasticReport(mem),
-	}, nil
-}
-
-// elasticReport extracts the churn report from a membership manager, nil
-// when the run had fixed membership.
-func elasticReport(mem *elastic.Membership) *elastic.Report {
-	if mem == nil {
-		return nil
-	}
-	return mem.Report()
+	horizon = max(horizon, lastStamp)
+	return r.result(horizon, 0, horizon, final), nil
 }
 
 // localRoundState tracks one LocalSGD round: how many participants are
@@ -892,27 +696,8 @@ func elasticReport(mem *elastic.Membership) *elastic.Report {
 // scratch buffer the average accumulates into.
 type localRoundState struct {
 	outstanding int
-	done        []int
+	done        []*nn.Params
 	sum         *nn.Params
-}
-
-// localRoundSteps performs one LocalSGD round share on w's private replica:
-// copy the global model, then take one plain-SGD step per pool batch.
-func localRoundSteps(net *nn.Network, global *nn.Params, w *simWorker, steps []data.Batch, lr float64, cfg *Config) (updates, dropped int64) {
-	w.replica.CopyFrom(global)
-	for _, sb := range steps {
-		net.GradientX(w.replica, w.ws, sb.Input(), sb.Y, w.grad, 1)
-		if cfg.WeightDecay > 0 {
-			w.grad.AddDecay(cfg.WeightDecay, w.replica)
-		}
-		if cfg.Guards != nil && !w.grad.AllFinite() {
-			dropped++
-			continue
-		}
-		w.replica.ApplyUpdate(cfg.UpdateMode, -lr, w.grad)
-		updates++
-	}
-	return updates, dropped
 }
 
 // cpuIteration performs one CPU Hogbatch iteration: split the batch into
@@ -927,58 +712,21 @@ func localRoundSteps(net *nn.Network, global *nn.Params, w *simWorker, steps []d
 // corrupt poisons every sub-batch gradient (fault injection); with guards
 // enabled, non-finite gradients are discarded before reaching the model
 // and counted in dropped.
-func cpuIteration(net *nn.Network, global *nn.Params, w *simWorker, batch data.Batch, lr float64, cfg *Config, svrg *svrgState, corrupt bool) (updates, dropped int64) {
-	t := w.wc.Threads
-	if t < 1 {
-		t = 1
-	}
-	if t > batch.Size() {
-		t = batch.Size()
-	}
+func cpuIteration(step *laneStep, global *nn.Params, w *simWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int64) {
+	t := min(max(w.wc.Threads, 1), batch.Size())
 	readModel := global
 	if w.replica != nil {
 		w.replica.CopyFrom(global)
 		readModel = w.replica
 	}
-	size := batch.Size()
 	for i := 0; i < t; i++ {
-		lo := i * size / t
-		hi := (i + 1) * size / t
-		if hi <= lo {
-			continue
-		}
-		sub := batch.Sub(lo, hi)
-		if svrg != nil {
-			svrg.correctedGradient(net, readModel, w.ws, sub, w.grad, w.scratch)
+		if step.run(&w.lane, readModel, global, laneSub(batch, i, t), lr, 1, corrupt) {
+			updates++
 		} else {
-			net.GradientX(readModel, w.ws, sub.Input(), sub.Y, w.grad, 1)
-		}
-		if cfg.WeightDecay > 0 {
-			w.grad.AddDecay(cfg.WeightDecay, readModel)
-		}
-		if corrupt {
-			faults.Poison(w.grad)
-		}
-		if cfg.Guards != nil && !w.grad.AllFinite() {
 			dropped++
-			continue
 		}
-		applyStep(w.optim, w.grad, w.delta, global, cfg.UpdateMode, lr)
-		updates++
 	}
 	return updates, dropped
-}
-
-// applyStep applies one gradient step to the shared model: the plain SGD
-// fast path writes −lr·grad directly; other optimizers first transform the
-// gradient into a delta using their private state.
-func applyStep(o opt.Optimizer, grad, delta, global *nn.Params, mode tensor.UpdateMode, lr float64) {
-	if o == nil {
-		global.ApplyUpdate(mode, -lr, grad)
-		return
-	}
-	o.Step(grad, delta, lr)
-	global.ApplyUpdate(mode, 1, delta)
 }
 
 // evalDevName returns the utilization-trace key for the eval device: when

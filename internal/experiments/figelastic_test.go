@@ -6,13 +6,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"heterosgd/internal/atomicio"
 )
 
 // TestElasticBench runs the figelastic churn scenarios at small scale and
-// archives the rows as results/BENCH_elastic.json. Beyond keeping the
-// artifact fresh, it checks the scenario accounting: the static baseline
+// writes the rows the way results/BENCH_elastic.json stores them, into the
+// test's temp dir (the committed artifact regenerates only through `hogbench
+// -exp figelastic -dataset covtype -scale small -benchjson
+// results/BENCH_elastic.json`). It checks the scenario accounting: the static baseline
 // must report zero churn, every scripted plan must fire all of its events,
 // and churn must not stop the run from converging below its starting loss.
 func TestElasticBench(t *testing.T) {
@@ -57,20 +57,16 @@ func TestElasticBench(t *testing.T) {
 		}
 	}
 
-	buf, err := ElasticBenchJSON(rows)
+	path := filepath.Join(t.TempDir(), "BENCH_elastic.json")
+	if _, err := (Options{BenchOut: path}).archive(out, func() ([]byte, error) { return ElasticBenchJSON(rows) }); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var back []ElasticBenchResult
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatalf("BENCH_elastic.json payload does not round-trip: %v", err)
+	if err := json.Unmarshal(buf, &back); err != nil || len(back) != len(rows) {
+		t.Fatalf("BENCH_elastic.json payload does not round-trip: %d of %d rows, %v", len(back), len(rows), err)
 	}
-	path := filepath.Join(repoRoot(t), "results", "BENCH_elastic.json")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := atomicio.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", path)
 }

@@ -22,9 +22,26 @@ type Options struct {
 	Dataset string
 	// Seed drives data generation and model initialization.
 	Seed uint64
-	// BenchOut, when set, makes the sparsebench experiment also write its
-	// rows as JSON to this path (BENCH_sparse.json).
+	// BenchOut, when set, makes the benchmark experiments (sparsebench,
+	// telbench, figelastic) also write their rows as JSON to this path — the
+	// results/BENCH_*.json artifacts are regenerated this way.
 	BenchOut string
+}
+
+// archive writes an experiment's JSON rows to opts.BenchOut, when set, and
+// notes the path in the rendered output.
+func (o Options) archive(out string, encode func() ([]byte, error)) (string, error) {
+	if o.BenchOut == "" {
+		return out, nil
+	}
+	buf, err := encode()
+	if err != nil {
+		return "", err
+	}
+	if err := atomicio.WriteFile(o.BenchOut, buf, 0o644); err != nil {
+		return "", err
+	}
+	return out + fmt.Sprintf("\n(rows written to %s)\n", o.BenchOut), nil
 }
 
 // ctx returns the invocation context, never nil.
@@ -178,19 +195,21 @@ func All() []Experiment {
 			ID: "figelastic", Title: "Convergence under seeded worker churn: join, leave, evict, and join+leave plans",
 			Run: func(opts Options) (string, error) {
 				var b strings.Builder
+				var all []ElasticBenchResult
 				for _, name := range datasets(opts) {
 					p, err := NewProblem(name, opts.Scale, opts.Seed)
 					if err != nil {
 						return "", err
 					}
-					_, out, err := FigElastic(opts.ctx(), p, opts.Seed)
+					rows, out, err := FigElastic(opts.ctx(), p, opts.Seed)
 					if err != nil {
 						return "", err
 					}
+					all = append(all, rows...)
 					b.WriteString(out)
 					b.WriteString("\n")
 				}
-				return b.String(), nil
+				return opts.archive(b.String(), func() ([]byte, error) { return ElasticBenchJSON(all) })
 			},
 		},
 		{
@@ -238,24 +257,17 @@ func All() []Experiment {
 				if err != nil {
 					return "", err
 				}
-				if opts.BenchOut != "" {
-					buf, err := SparseBenchJSON(rows)
-					if err != nil {
-						return "", err
-					}
-					if err := atomicio.WriteFile(opts.BenchOut, buf, 0o644); err != nil {
-						return "", err
-					}
-					out += fmt.Sprintf("\n(rows written to %s)\n", opts.BenchOut)
-				}
-				return out, nil
+				return opts.archive(out, func() ([]byte, error) { return SparseBenchJSON(rows) })
 			},
 		},
 		{
 			ID: "telbench", Title: "Telemetry overhead: traced+metered sim run vs identical untraced run",
 			Run: func(opts Options) (string, error) {
-				_, out, err := TelemetryBench(opts.Seed, 3)
-				return out, err
+				row, out, err := TelemetryBench(opts.Seed, 3)
+				if err != nil {
+					return "", err
+				}
+				return opts.archive(out, func() ([]byte, error) { return TelemetryBenchJSON(row) })
 			},
 		},
 		{

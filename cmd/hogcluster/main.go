@@ -243,7 +243,6 @@ func main() {
 	cfg.Shuffle = *shuffle
 	cfg.WeightDecay = *decay
 	cfg.StalenessBound = *stale
-	cfg.SampleEvery = *budget / 25
 	if *guards {
 		cfg.Guards = core.DefaultGuards()
 	}

@@ -178,7 +178,6 @@ func main() {
 		cfg.BaseLR = 0.05
 		cfg.Seed = *seed
 		cfg.UpdateMode = tensor.UpdateLocked
-		cfg.SampleEvery = *budget / 25
 		cfg.SnapshotSink = pub
 		cfg.SnapshotEvery = *snapEvery
 		cfg.Metrics = reg
@@ -689,7 +688,6 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	tcfg.BaseLR = 0.05
 	tcfg.Seed = cfg.Seed
 	tcfg.UpdateMode = tensor.UpdateLocked
-	tcfg.SampleEvery = cfg.SoakTime / 10
 	tcfg.SnapshotSink = pub
 	tcfg.SnapshotEvery = 100 * time.Millisecond
 	type trainOut struct {

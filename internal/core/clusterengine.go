@@ -11,9 +11,9 @@ import (
 	"heterosgd/internal/transport"
 )
 
-// This file implements the networked training engine: the same wall-clock
-// coordinator as RunReal (wallclock.go), behind an executor whose workers
-// live in other processes.
+// This file implements the networked training engine: the same coordinator
+// as RunSim and RunReal (loop.go), behind an executor whose workers live in
+// other processes.
 // The engine is a parameter server — each dispatch carries the serialized
 // global model, each completion carries the worker's parameter delta, and
 // the coordinator (the model's single writer) applies deltas sequentially.
@@ -120,12 +120,12 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 			r.events.AddEvent(e)
 		}
 	}
-	l, err := newWallCoord(ctx, r, trans, budget)
+	l, err := newCoordLoop(ctx, r, trans, budget)
 	if err != nil {
 		return nil, err
 	}
 	r.health.report.Transport = l.tr
-	l.exec = &clusterExec{l: l, opts: opts}
+	l.exec = &clusterExec{wallClock: wallClock{time.Now()}, l: l, opts: opts}
 	return l.loop()
 }
 
@@ -134,7 +134,8 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 // completion a parameter delta the coordinator — the model's single writer —
 // applies, so the model needs no lock.
 type clusterExec struct {
-	l    *wallCoord
+	wallClock
+	l    *coordLoop
 	opts ClusterOptions
 }
 
@@ -167,7 +168,7 @@ func (x *clusterExec) attach(ctx context.Context) (joined []int, err error) {
 			if !connected[id] && l.health.ok(id) {
 				connected[id] = true
 				attached++
-				l.events.Add(l.now(), l.name(id), "attach", "worker linked up")
+				l.events.Add(l.elapsed(), l.name(id), "attach", "worker linked up")
 			}
 		case transport.LinkJoin:
 			// An elastic joiner beat an initial worker to the door; the loop
@@ -205,7 +206,7 @@ func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 	l := x.l
 	if fl.abandoned {
 		l.tr.Abandoned++
-		l.events.Add(l.now(), l.name(msg.Worker), "abandoned", fmt.Sprintf("stale completion for seq %d discarded", msg.Seq))
+		l.events.Add(l.elapsed(), l.name(msg.Worker), "abandoned", fmt.Sprintf("stale completion for seq %d discarded", msg.Seq))
 		return
 	}
 	l.account(msg)
@@ -218,9 +219,9 @@ func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 	case err != nil:
 		// A corrupt delta is dropped like a non-finite gradient: the
 		// examples still count as processed, the update does not land.
-		l.drop(msg.Worker, int64(msg.Updates), l.now(), "delta-error", err.Error())
+		l.drop(msg.Worker, int64(msg.Updates), l.elapsed(), "delta-error", err.Error())
 	case l.cfg.Guards != nil && !delta.AllFinite():
-		l.drop(msg.Worker, int64(msg.Updates), l.now(), "drop", "non-finite delta discarded")
+		l.drop(msg.Worker, int64(msg.Updates), l.elapsed(), "drop", "non-finite delta discarded")
 	default:
 		l.global.AddScaled(1, delta)
 	}

@@ -4,8 +4,8 @@
 // static CPU+GPU Hogbatch (§VI-B), and Adaptive Hogbatch (Algorithm 2) —
 // plus single-device mini-batch and Hogwild baselines.
 //
-// Three execution engines run the same coordinator logic over the same run
-// state (run.go) and the same per-lane update (step.go):
+// Three execution engines run the same coordinator loop (loop.go) over the
+// same run state (run.go) and the same per-lane update (step.go):
 //
 //   - RunSim: a discrete-event engine on a virtual clock driven by the
 //     device cost models (internal/device). Every gradient is computed for
@@ -14,8 +14,8 @@
 //   - RunReal: goroutines and wall-clock time, with the coordinator and
 //     workers as concurrent threads communicating over internal/msgq —
 //     the live system, structured exactly like the paper's pthreads code.
-//   - RunCluster: the same wall-clock coordinator loop as RunReal
-//     (wallclock.go) with workers in other processes, over TCP.
+//   - RunCluster: wall-clock time with workers in other processes, over
+//     TCP.
 package core
 
 import (
@@ -208,6 +208,7 @@ type Config struct {
 	UpdateMode tensor.UpdateMode
 	// StaleDamping scales a stale gradient's learning rate by
 	// 1/(1+StaleDamping·staleUpdates), the §VI-B mitigation. 0 disables.
+	// RunSim only: the live engines reject it.
 	StaleDamping float64
 	// StalenessBound is AlgSSP's bound s: the coordinator blocks fresh
 	// dispatch to a worker whose clock (completed dispatches) is more than
@@ -253,6 +254,7 @@ type Config struct {
 	// SampleEvery inserts additional loss samples at this virtual-time
 	// period so slow algorithms produce curves before their first epoch
 	// completes (Figure 5's Hogwild CPU line). 0 samples only at epochs.
+	// RunSim only: the live engines sample at epoch barriers.
 	SampleEvery time.Duration
 	// EvalDevice performs the end-of-epoch loss computation (the paper
 	// always uses the GPU, Figure 7); nil falls back to the first worker.
@@ -309,9 +311,10 @@ type Config struct {
 	// reflects everything it completed. internal/checkpoint.Writer
 	// satisfies it with versioned, checksummed, atomically-replaced files.
 	CheckpointSink CheckpointSink
-	// CheckpointEvery throttles periodic checkpoints (wall time in
-	// RunReal). 0 with a non-nil sink checkpoints at every epoch barrier
-	// and on drain only.
+	// CheckpointEvery throttles periodic checkpoints (wall time; RunSim
+	// ignores it and captures at its exact consistency points only). 0
+	// with a non-nil sink checkpoints at every epoch barrier and on drain
+	// only.
 	CheckpointEvery time.Duration
 	// Resume warm-starts the run from a RunState captured by a previous
 	// run's CheckpointSink (e.g. loaded with checkpoint.Load): model

@@ -19,56 +19,68 @@ func TestAlgorithmEngineMatrix(t *testing.T) {
 	engines := []struct {
 		name string
 		e    engine
-		run  func(t *testing.T, alg Algorithm) (*Result, error)
+		run  func(t *testing.T, cfg Config) (*Result, error)
 	}{
-		{"sim", engineSim, func(t *testing.T, alg Algorithm) (*Result, error) {
+		{"sim", engineSim, func(t *testing.T, cfg Config) (*Result, error) {
 			// A finite loss needs no long horizon, and the single-threaded
 			// engine is slow under the race detector.
-			return RunSim(context.Background(), tinyConfig(t, alg), simHorizon/10)
+			return RunSim(context.Background(), cfg, simHorizon/10)
 		}},
-		{"real", engineReal, func(t *testing.T, alg Algorithm) (*Result, error) {
-			cfg := tinyConfig(t, alg)
+		{"real", engineReal, func(t *testing.T, cfg Config) (*Result, error) {
 			// The default UpdateAtomic reads the model unsynchronized by
 			// design (Hogwild); locked mode keeps the matrix race-clean.
 			cfg.UpdateMode = tensor.UpdateLocked
 			return RunReal(context.Background(), cfg, 100*time.Millisecond)
 		}},
-		{"cluster", engineCluster, func(t *testing.T, alg Algorithm) (*Result, error) {
-			cfg := tinyConfig(t, alg)
+		{"cluster", engineCluster, func(t *testing.T, cfg Config) (*Result, error) {
 			if cfg.supportedOn(engineCluster) != nil {
 				// Rejection precedes the attach phase; no worker needs to dial.
 				return RunCluster(context.Background(), cfg, time.Second, transport.NewLocal(1), ClusterOptions{})
 			}
-			return clusterHarness(t, alg, faults.NewLinkPlan(7), 300*time.Millisecond), nil
+			return clusterHarness(t, cfg.Algorithm, faults.NewLinkPlan(7), 300*time.Millisecond), nil
 		}},
+	}
+	// check runs one configuration on one engine and holds the engine to
+	// its table.
+	check := func(t *testing.T, cfg Config, eng int) {
+		rule := cfg.supportedOn(engines[eng].e)
+		res, err := engines[eng].run(t, cfg)
+		if rule != nil {
+			if err == nil {
+				t.Fatalf("support table rejects the pair (%v) but the engine ran it", rule)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("support table admits the pair but the engine refused: %v", err)
+		}
+		if !isFinite(res.FinalLoss) {
+			t.Fatalf("final loss %v", res.FinalLoss)
+		}
+		if engines[eng].e == engineCluster && res.Health.Transport.AppliedExamples != res.ExamplesProcessed {
+			t.Fatalf("exactly-once violated: applied %d examples, scheduled %d",
+				res.Health.Transport.AppliedExamples, res.ExamplesProcessed)
+		}
 	}
 	for _, name := range AlgorithmNames() {
 		alg, err := ParseAlgorithm(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, eng := range engines {
-			t.Run(name+"/"+eng.name, func(t *testing.T) {
-				cfg := tinyConfig(t, alg)
-				rule := cfg.supportedOn(eng.e)
-				res, err := eng.run(t, alg)
-				if rule != nil {
-					if err == nil {
-						t.Fatalf("support table rejects the pair (%v) but the engine ran it", rule)
-					}
-					return
-				}
-				if err != nil {
-					t.Fatalf("support table admits the pair but the engine refused: %v", err)
-				}
-				if !isFinite(res.FinalLoss) {
-					t.Fatalf("final loss %v", res.FinalLoss)
-				}
-				if eng.e == engineCluster && res.Health.Transport.AppliedExamples != res.ExamplesProcessed {
-					t.Fatalf("exactly-once violated: applied %d examples, scheduled %d",
-						res.Health.Transport.AppliedExamples, res.ExamplesProcessed)
-				}
-			})
+		for i, eng := range engines {
+			t.Run(name+"/"+eng.name, func(t *testing.T) { check(t, tinyConfig(t, alg), i) })
 		}
+	}
+	// A Config field only one engine reads is refused on the others by the
+	// same table, not silently ignored.
+	for i, eng := range engines {
+		t.Run("stale-damping/"+eng.name, func(t *testing.T) {
+			cfg := tinyConfig(t, AlgCPUGPUHogbatch)
+			cfg.StaleDamping = 0.5
+			if rejected := cfg.supportedOn(eng.e) != nil; rejected == (eng.e == engineSim) {
+				t.Fatalf("StaleDamping rejected on %s: %v, want it on the sim only", eng.name, rejected)
+			}
+			check(t, cfg, i)
+		})
 	}
 }

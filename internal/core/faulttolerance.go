@@ -293,17 +293,12 @@ func (h *healthTracker) markCrashed(id int, at time.Duration, detail string) {
 	h.log.Add(at, w.Worker, "crash", detail)
 }
 
-// quarantine moves a healthy worker out of the dispatch rotation after a
-// watchdog timeout; it reports false if the worker was already benched.
-func (h *healthTracker) quarantine(id int, at time.Duration, detail string) bool {
-	return h.quarantineKind(id, at, "timeout", detail)
-}
-
-// quarantineKind is quarantine with an explicit event kind, so the cluster
-// engine can log a severed link as "partition" rather than "timeout" while
-// sharing the same state machine (both count as Timeouts: deadlines missed
-// from the coordinator's point of view).
-func (h *healthTracker) quarantineKind(id int, at time.Duration, kind, detail string) bool {
+// quarantine moves a healthy worker out of the dispatch rotation; it reports
+// false if the worker was already benched. kind is the event logged: a
+// missed watchdog deadline is a "timeout", a severed link a "partition" —
+// one state machine, and both count as Timeouts (deadlines missed from the
+// coordinator's point of view).
+func (h *healthTracker) quarantine(id int, at time.Duration, kind, detail string) bool {
 	w := &h.report.Workers[id]
 	if w.State != WorkerHealthy {
 		return false

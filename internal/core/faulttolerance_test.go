@@ -23,10 +23,10 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	if h.healthyCount() != 2 || h.aliveCount() != 2 {
 		t.Fatalf("fresh tracker: healthy %d alive %d", h.healthyCount(), h.aliveCount())
 	}
-	if !h.quarantine(0, 0, "test") {
+	if !h.quarantine(0, 0, "timeout", "test") {
 		t.Fatal("quarantine of healthy worker refused")
 	}
-	if h.quarantine(0, 0, "again") {
+	if h.quarantine(0, 0, "timeout", "again") {
 		t.Fatal("double quarantine accepted")
 	}
 	if h.ok(0) || !h.ok(1) || h.healthyCount() != 1 || h.aliveCount() != 2 {

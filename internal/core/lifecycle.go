@@ -218,8 +218,9 @@ func (c *Config) validateResume() error {
 // (replayed deterministically from the seed — the shuffle stream is the
 // coordinator RNG's only consumer, so Epoch shuffles reproduce both the
 // permutation and the restored stream position). cfg.Dataset must be in its
-// freshly-loaded, original order, as a new process provides. Returns an
-// error only on a corrupt RNG blob.
+// freshly-loaded, original order, as a new process provides. A barrier
+// capture leaves the pool drained; the loop starts the next epoch before its
+// first dispatch. Returns an error only on a corrupt RNG blob.
 func restoreRun(cfg *Config, coord *coordinator, global *nn.Params, guard *guardState) error {
 	st := cfg.Resume
 	if st == nil {
@@ -237,16 +238,6 @@ func restoreRun(cfg *Config, coord *coordinator, global *nn.Params, guard *guard
 	}
 	if guard != nil {
 		guard.restore(st.GuardLRScale, st.GuardRetries, global)
-	}
-	// A barrier capture leaves the pool drained; start the next epoch now
-	// so the engines' initial dispatch round finds work (this consumes the
-	// next shuffle exactly where the uninterrupted run would). Not when the
-	// checkpoint carries in-flight batches, though: their [Lo,Hi) ranges
-	// denote the captured epoch's permutation, so the epoch must finish
-	// draining them before the next shuffle — the engine's barrier refills
-	// once they land.
-	if coord.poolEmpty() && (st.Membership == nil || len(st.Membership.Flight) == 0) {
-		coord.refill()
 	}
 	return nil
 }

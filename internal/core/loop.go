@@ -14,11 +14,13 @@ import (
 	"heterosgd/internal/transport"
 )
 
-// This file is the wall-clock coordinator: the paper's coordinator thread
-// (§V, Algorithms 1–2) extended with the recovery state machine (healthy →
+// This file is the coordinator: the paper's coordinator thread (§V,
+// Algorithms 1–2) extended with the recovery state machine (healthy →
 // quarantined → readmitted, healthy → crashed), the SSP gate, elastic
-// membership, and the snapshot/checkpoint cadence. RunReal and RunCluster
-// both run it; what differs between them sits behind the executor seam.
+// membership, the LocalSGD round barrier, and the snapshot/checkpoint
+// cadence. RunSim, RunReal and RunCluster all run it; what differs between
+// them — how work reaches a worker, and what the clock means — sits behind
+// the executor seam.
 //
 // The coordinator↔worker messages are transport.Work (ExecuteWork: the batch
 // as an absolute [Lo,Hi) range, the learning rate, and the dispatch sequence
@@ -31,9 +33,11 @@ import (
 // batch was re-dispatched elsewhere and the eventual completion only serves
 // as the readmission probe.
 type inflightDispatch struct {
-	worker    int
-	batch     data.Batch
-	deadline  time.Time
+	seq    uint64
+	worker int
+	batch  data.Batch
+	// deadline is when the watchdog gives up, on the span clock; 0 = never.
+	deadline  time.Duration
 	abandoned bool
 	// staleness is the dispatch-time staleness the histogram records when
 	// the completion applies; -1 marks gate-exempt recovery work.
@@ -44,10 +48,32 @@ type inflightDispatch struct {
 	modeled time.Duration
 }
 
+// clock is the run's time, read two ways. Wall-clock engines read both the
+// same; the simulated engine's differ by the evaluation time §VII-A excludes.
+type clock interface {
+	// now is the span clock — time since the run began. Telemetry spans,
+	// utilisation, dispatch deadlines and cadences live on it.
+	now() time.Duration
+	// elapsed is the convergence clock the budget, trace points, events and
+	// batch-size changes are stamped with.
+	elapsed() time.Duration
+}
+
+// wallClock is the clock of an engine whose workers really run.
+type wallClock struct{ began time.Time }
+
+func (c wallClock) now() time.Duration     { return time.Since(c.began) }
+func (c wallClock) elapsed() time.Duration { return time.Since(c.began) }
+
+// evalTime: the evaluation took what the clock measured.
+func (c wallClock) evalTime(t0 time.Duration) time.Duration { return c.now() - t0 }
+
 // executor is everything that differs between the engines that run the
-// wall-clock coordinator: goroutines sharing the model in memory (RunReal)
-// or remote processes trading parameters for deltas (RunCluster).
+// coordinator: virtual workers on a discrete-event clock (RunSim), goroutines
+// sharing the model in memory (RunReal), or remote processes trading
+// parameters for deltas (RunCluster).
 type executor interface {
+	clock
 	// attach brings the initial workers up before the first dispatch and
 	// returns the elastic joiners that arrived meanwhile, in arrival order.
 	attach(ctx context.Context) (joined []int, err error)
@@ -68,6 +94,9 @@ type executor interface {
 	// read discipline.
 	modelLock(write bool) sync.Locker
 	cloneModel() *nn.Params
+	// evalTime is how long the barrier loss evaluation begun at t0 keeps the
+	// workers waiting: measured, or modeled on the eval device.
+	evalTime(t0 time.Duration) time.Duration
 	// shutdown stops the workers, closes the transport, and records the
 	// transport's traffic counters.
 	shutdown()
@@ -85,16 +114,15 @@ type nopLocker struct{}
 func (nopLocker) Lock()   {}
 func (nopLocker) Unlock() {}
 
-// wallCoord is the wall-clock coordinator loop. Like the paper's coordinator
-// thread it processes messages sequentially on one goroutine, so none of
-// its state needs locking.
-type wallCoord struct {
+// coordLoop is the coordinator loop. Like the paper's coordinator thread it
+// processes messages sequentially on one goroutine, so none of its state
+// needs locking.
+type coordLoop struct {
 	*run
 	exec   executor
 	trans  transport.Transport
 	ctx    context.Context
 	budget time.Duration
-	start  time.Time
 	gemm   int
 
 	// tr is the delivery accounting; RunCluster publishes it in the Result.
@@ -104,8 +132,11 @@ type wallCoord struct {
 	// dispatch's deadline starts ticking only when the worker can actually
 	// start it. Re-dispatched batches queue in the worker's feed (split to
 	// its batch ceiling) and are sent one at a time; pending holds batches
-	// with no healthy worker to run them. outstanding counts live flights.
-	flight      map[uint64]*inflightDispatch
+	// with no healthy worker to run them. flight lists the dispatches not
+	// yet settled in seq order — the order every walk that re-routes work
+	// must take, or a fixed-seed simulation would not repeat; outstanding
+	// counts the live ones.
+	flight      []*inflightDispatch
 	seq         uint64
 	outstanding int
 	busy        []bool
@@ -116,29 +147,33 @@ type wallCoord struct {
 	round    []*nn.Params
 	roundSum *nn.Params
 
-	lastSnap, lastCkpt time.Time
+	// resting holds the next epoch back until the barrier's loss evaluation
+	// has run its course at resumeAt (already past on a wall clock).
+	resting  bool
+	resumeAt time.Duration
+
+	lastSnap, lastCkpt time.Duration
 	// Load measured since the last epoch barrier, for the autoscale policy.
 	elWait, elCompute time.Duration
 	elCount           int64
 }
 
-// newWallCoord builds the coordinator over r. A resumed run continues its
+// newCoordLoop builds the coordinator over r. A resumed run continues its
 // dispatch numbering above the checkpoint's floor and re-queues the
 // checkpoint's in-flight batches: their examples already count in
 // ExamplesDone, so re-applying them is what rebalances the exactly-once
 // accounting.
-func newWallCoord(ctx context.Context, r *run, trans transport.Transport, budget time.Duration) (*wallCoord, error) {
+func newCoordLoop(ctx context.Context, r *run, trans transport.Transport, budget time.Duration) (*coordLoop, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	l := &wallCoord{
+	l := &coordLoop{
 		run:    r,
 		trans:  trans,
 		ctx:    ctx,
 		budget: budget,
 		gemm:   runtime.GOMAXPROCS(0),
 		tr:     &TransportReport{},
-		flight: make(map[uint64]*inflightDispatch),
 		busy:   make([]bool, len(r.cfg.Workers)),
 		feed:   make([][]data.Batch, len(r.cfg.Workers)),
 	}
@@ -149,6 +184,10 @@ func newWallCoord(ctx context.Context, r *run, trans transport.Transport, budget
 		return l, nil
 	}
 	ms := r.cfg.Resume.Membership
+	// Scripted events triggered before the capture already mutated the
+	// restored membership; burn them off the cursor so they cannot fire
+	// twice.
+	r.planCur.Fire(r.completed)
 	l.seq = ms.SeqFloor
 	l.tr.Duplicates, l.tr.Abandoned = ms.Duplicates, ms.Abandoned
 	l.tr.Partitions, l.tr.Reconnects = ms.Partitions, ms.Reconnects
@@ -165,36 +204,62 @@ func newWallCoord(ctx context.Context, r *run, trans transport.Transport, budget
 	return l, nil
 }
 
-func (l *wallCoord) now() time.Duration { return time.Since(l.start) }
+func (l *coordLoop) now() time.Duration     { return l.exec.now() }
+func (l *coordLoop) elapsed() time.Duration { return l.exec.elapsed() }
 
-func (l *wallCoord) overBudget() bool {
-	return l.converged || l.interrupted || l.now() >= l.budget
+// cancelled observes ctx at every scheduling point: once it is cancelled the
+// run schedules nothing more and only collects completions.
+func (l *coordLoop) cancelled() bool {
+	if !l.interrupted && l.ctx.Err() != nil {
+		l.interrupted = true
+		l.events.Add(l.elapsed(), "", "interrupt", "context cancelled; draining in-flight work")
+	}
+	return l.interrupted
 }
 
-// eval evaluates the loss under the model read lock (quarantined stragglers
-// may still be mid-iteration at epoch barriers) and records the eval span.
-func (l *wallCoord) eval() float64 {
-	t0 := l.now()
+func (l *coordLoop) overBudget() bool {
+	return l.converged || l.cancelled() || l.elapsed() >= l.budget
+}
+
+// point records a loss sample; reaching the target loss ends scheduling.
+func (l *coordLoop) point(at time.Duration, loss float64) {
+	l.record(at, loss)
+	if l.cfg.TargetLoss > 0 && isFinite(loss) && loss <= l.cfg.TargetLoss {
+		l.converged = true
+	}
+}
+
+// sample adds a between-barrier loss sample (Config.SampleEvery) and reports
+// whether more may follow.
+func (l *coordLoop) sample() bool {
+	if l.overBudget() {
+		return false
+	}
+	l.point(l.elapsed(), l.lockedLoss())
+	return true
+}
+
+// lockedLoss evaluates the loss under the model read lock (quarantined
+// stragglers may still be mid-iteration).
+func (l *coordLoop) lockedLoss() float64 {
 	mu := l.exec.modelLock(false)
 	mu.Lock()
-	loss := l.evalLoss(l.gemm)
-	mu.Unlock()
-	l.tel.Span(l.coordRing, telemetry.KindEval, t0, l.now()-t0, int64(l.evalN))
-	return loss
+	defer mu.Unlock()
+	return l.evalLoss(l.gemm)
 }
 
 // publishSnap hands the snapshot sink (the serving subsystem's attach point)
 // a copy of the model. It runs on the coordinator, so it never blocks a
 // worker.
-func (l *wallCoord) publishSnap(force bool) {
+func (l *coordLoop) publishSnap(force bool) {
 	if l.cfg.SnapshotSink == nil {
 		return
 	}
-	if !force && (l.cfg.SnapshotEvery <= 0 || time.Since(l.lastSnap) < l.cfg.SnapshotEvery) {
+	t0 := l.now()
+	if !force && (l.cfg.SnapshotEvery <= 0 || t0-l.lastSnap < l.cfg.SnapshotEvery) {
 		return
 	}
-	l.lastSnap = time.Now()
-	t0 := l.now()
+	l.lastSnap = t0
 	l.cfg.SnapshotSink.PublishParams(l.exec.cloneModel())
 	l.tel.Span(l.coordRing, telemetry.KindSnapshot, t0, l.now()-t0, l.modelBytes)
 	l.rm.snapshots.Inc()
@@ -205,21 +270,21 @@ func (l *wallCoord) publishSnap(force bool) {
 // mid-flight: worker states, clocks, the seq floor, delivery accounting,
 // and every dispatched-but-unapplied batch (live flights plus queued
 // recovery batches; abandoned flights are excluded because their ranges
-// were already re-queued). A mid-epoch capture in the shared-memory engine
+// were already re-queued). A mid-epoch capture in a shared-memory engine
 // may already hold part of an in-flight batch's updates — re-running it on
 // resume is the documented at-least-once; barrier and drain captures are
 // exact. Sink errors are logged as "ckpt-error" events and never stop
 // training.
-func (l *wallCoord) writeCkpt(force bool) {
+func (l *coordLoop) writeCkpt(force bool) {
 	if l.cfg.CheckpointSink == nil {
 		return
 	}
-	if !force && (l.cfg.CheckpointEvery <= 0 || time.Since(l.lastCkpt) < l.cfg.CheckpointEvery) {
+	t0 := l.now()
+	if !force && (l.cfg.CheckpointEvery <= 0 || t0-l.lastCkpt < l.cfg.CheckpointEvery) {
 		return
 	}
-	l.lastCkpt = time.Now()
-	t0 := l.now()
-	st, err := l.captureState(t0)
+	l.lastCkpt = t0
+	st, err := l.captureState(l.elapsed())
 	if err == nil {
 		ms := captureMembership(l.mem, l.stale, len(l.cfg.Workers), l.completed)
 		ms.SeqFloor = l.seq
@@ -227,9 +292,9 @@ func (l *wallCoord) writeCkpt(force bool) {
 		ms.Partitions, ms.Reconnects = l.tr.Partitions, l.tr.Reconnects
 		ms.AppliedExamples = l.tr.AppliedExamples
 		epoch := l.coord.epoch
-		for s, fl := range l.flight {
+		for _, fl := range l.flight {
 			if !fl.abandoned {
-				ms.Flight = append(ms.Flight, FlightEntry{Seq: s, Worker: fl.worker, Lo: fl.batch.Lo, Hi: fl.batch.Hi, Epoch: epoch})
+				ms.Flight = append(ms.Flight, FlightEntry{Seq: fl.seq, Worker: fl.worker, Lo: fl.batch.Lo, Hi: fl.batch.Hi, Epoch: epoch})
 			}
 		}
 		for _, b := range l.pending {
@@ -245,7 +310,7 @@ func (l *wallCoord) writeCkpt(force bool) {
 		err = l.cfg.CheckpointSink.WriteState(st)
 	}
 	if err != nil {
-		l.events.Add(l.now(), "", "ckpt-error", err.Error())
+		l.events.Add(l.elapsed(), "", "ckpt-error", err.Error())
 		return
 	}
 	l.tel.Span(l.coordRing, telemetry.KindCheckpoint, t0, l.now()-t0, l.raw.Total())
@@ -253,22 +318,22 @@ func (l *wallCoord) writeCkpt(force bool) {
 }
 
 // send dispatches batch to worker id under a fresh sequence number.
-func (l *wallCoord) send(id int, batch data.Batch, staleness int64) {
+func (l *coordLoop) send(id int, batch data.Batch, staleness int64) {
 	size := batch.Size()
 	l.seq++
-	fl := &inflightDispatch{worker: id, batch: batch, staleness: staleness, sent: l.now()}
+	fl := &inflightDispatch{seq: l.seq, worker: id, batch: batch, staleness: staleness, sent: l.now()}
 	if d := l.exec.deadline(id, size); d > 0 {
-		fl.deadline = time.Now().Add(d)
+		fl.deadline = fl.sent + d
 	}
 	if l.cfg.ElasticPolicy != nil {
 		fl.modeled = l.cfg.Workers[id].Device.IterTime(l.net.Arch, size, l.modelBytes)
 	}
-	l.flight[l.seq] = fl
+	l.flight = append(l.flight, fl)
 	lrB := size
-	if l.cfg.Algorithm == AlgLocalSGD && l.cfg.LocalSteps > 1 {
-		// The wire batch is a merged round share; the LR schedule sees one
-		// local step's sub-batch, as the sim engine does.
-		lrB = (lrB + l.cfg.LocalSteps - 1) / l.cfg.LocalSteps
+	if l.cfg.Algorithm == AlgLocalSGD {
+		// The wire batch is a merged round share; the LR schedule sees its
+		// first local step.
+		lrB = min(lrB, l.coord.batch[id])
 	}
 	lr := l.cfg.ScheduledLR(lrB, l.coord.epochFrac()) * l.coord.lrScale(id) * l.guard.scale()
 	l.tel.Span(l.coordRing, telemetry.KindSchedule, fl.sent, 0, int64(size))
@@ -287,11 +352,11 @@ func (l *wallCoord) send(id int, batch data.Batch, staleness int64) {
 // dispatch gives worker id its next batch if it may take one: recovery work
 // from its feed (or the pending queue) first, then fresh work from the epoch
 // pool, subject to the budget and the SSP gate.
-func (l *wallCoord) dispatch(id int) bool {
+func (l *coordLoop) dispatch(id int) bool {
 	// Draining and departed workers get no work at all — not even recovery
 	// batches; a cancelled run schedules nothing and only collects
 	// completions.
-	if !l.health.ok(id) || l.busy[id] || l.interrupted || (l.mem != nil && !l.mem.Active(id)) {
+	if !l.health.ok(id) || l.busy[id] || l.cancelled() || (l.mem != nil && !l.mem.Active(id)) {
 		return false
 	}
 	if len(l.feed[id]) == 0 && len(l.pending) > 0 {
@@ -320,10 +385,11 @@ func (l *wallCoord) dispatch(id int) bool {
 	if !ok {
 		return false
 	}
-	l.noteBatch(id, l.now())
+	l.noteBatch(id, l.elapsed())
 	if l.cfg.Algorithm == AlgLocalSGD {
-		// One dispatch per round share: merge up to LocalSteps contiguous
-		// pool batches; the worker re-splits them into local steps.
+		// One dispatch per round share: up to LocalSteps contiguous pool
+		// batches, merged; the worker re-splits them into local steps of its
+		// batch size (InitialBatch — LocalSGD never resizes).
 		for k := 1; k < l.cfg.LocalSteps; k++ {
 			nb, more := l.coord.scheduleWork(id)
 			if !more {
@@ -336,7 +402,7 @@ func (l *wallCoord) dispatch(id int) bool {
 	return true
 }
 
-func (l *wallCoord) dispatchAll() {
+func (l *coordLoop) dispatchAll() {
 	for id := range l.busy {
 		l.dispatch(id)
 	}
@@ -344,16 +410,16 @@ func (l *wallCoord) dispatchAll() {
 
 // enqueue parks a recovery batch in target's feed, split to its batch
 // ceiling.
-func (l *wallCoord) enqueue(target int, b data.Batch, from string) {
+func (l *coordLoop) enqueue(target int, b data.Batch, from string) {
 	l.health.report.Redispatches++
 	l.rm.redispatch.Inc()
-	l.events.Add(l.now(), l.name(target), "redispatch", fmt.Sprintf("%d examples from %s", b.Size(), from))
+	l.events.Add(l.elapsed(), l.name(target), "redispatch", fmt.Sprintf("%d examples from %s", b.Size(), from))
 	l.feed[target] = append(l.feed[target], splitBatch(b, l.cfg.Workers[target].MaxBatch)...)
 }
 
 // redispatch re-routes a batch whose worker crashed, timed out, or left to
 // the next healthy worker; with none it waits in pending for a readmission.
-func (l *wallCoord) redispatch(batch data.Batch, from int) {
+func (l *coordLoop) redispatch(batch data.Batch, from int) {
 	target := l.health.pickHealthy(from)
 	if target < 0 {
 		l.pending = append(l.pending, batch)
@@ -364,7 +430,7 @@ func (l *wallCoord) redispatch(batch data.Batch, from int) {
 }
 
 // reroute hands everything parked in a lost worker's feed to the survivors.
-func (l *wallCoord) reroute(id int) {
+func (l *coordLoop) reroute(id int) {
 	stranded := l.feed[id]
 	l.feed[id] = nil
 	for _, b := range stranded {
@@ -372,16 +438,25 @@ func (l *wallCoord) reroute(id int) {
 	}
 }
 
+// settle takes the dispatch numbered seq out of flight; nil when it is not
+// in flight (already settled — a duplicate).
+func (l *coordLoop) settle(seq uint64) *inflightDispatch {
+	for i, fl := range l.flight {
+		if fl.seq == seq {
+			l.flight = append(l.flight[:i], l.flight[i+1:]...)
+			return fl
+		}
+	}
+	return nil
+}
+
 // release drains a departed worker: the executor stops it, and the work it
 // never started plus everything parked in its feed moves to the survivors.
-func (l *wallCoord) release(id int) {
+func (l *coordLoop) release(id int) {
 	for _, m := range l.exec.drain(id) {
-		if fl := l.flight[m.Seq]; fl != nil {
-			delete(l.flight, m.Seq)
-			if !fl.abandoned {
-				l.outstanding--
-				l.redispatch(fl.batch, id)
-			}
+		if fl := l.settle(m.Seq); fl != nil && !fl.abandoned {
+			l.outstanding--
+			l.redispatch(fl.batch, id)
 		}
 	}
 	l.reroute(id)
@@ -390,14 +465,14 @@ func (l *wallCoord) release(id int) {
 // wakeGated re-dispatches workers the SSP gate would now admit; called
 // whenever the minimum healthy clock may have moved (any completion, crash,
 // quarantine, departure, or readmission).
-func (l *wallCoord) wakeGated() {
+func (l *coordLoop) wakeGated() {
 	for _, id := range l.stale.wake() {
 		l.dispatch(id)
 	}
 }
 
 // queuedWork reports whether any re-dispatched batch still awaits a worker.
-func (l *wallCoord) queuedWork() bool {
+func (l *coordLoop) queuedWork() bool {
 	if len(l.pending) > 0 {
 		return true
 	}
@@ -411,7 +486,7 @@ func (l *wallCoord) queuedWork() bool {
 
 // abandon gives up on worker id's live dispatch and re-routes its batch; the
 // eventual completion is the readmission probe.
-func (l *wallCoord) abandon(id int) {
+func (l *coordLoop) abandon(id int) {
 	for _, fl := range l.flight {
 		if fl.worker == id && !fl.abandoned {
 			fl.abandoned = true
@@ -424,8 +499,8 @@ func (l *wallCoord) abandon(id int) {
 
 // bench quarantines worker id — kind "timeout" for a missed deadline,
 // "partition" for a lost link — and abandons its in-flight dispatch.
-func (l *wallCoord) bench(id int, kind, detail string) {
-	if l.health.quarantineKind(id, l.now(), kind, detail) {
+func (l *coordLoop) bench(id int, kind, detail string) {
+	if l.health.quarantine(id, l.elapsed(), kind, detail) {
 		l.abandon(id)
 	}
 }
@@ -433,10 +508,10 @@ func (l *wallCoord) bench(id int, kind, detail string) {
 // expireOverdue benches every worker holding a dispatch past its deadline.
 // It runs on every wake-up, not just on timeout: a chatty healthy worker
 // would otherwise keep the coordinator from ever noticing a hung one.
-func (l *wallCoord) expireOverdue() {
-	now := time.Now()
+func (l *coordLoop) expireOverdue() {
+	now := l.now()
 	for _, fl := range l.flight {
-		if !fl.abandoned && !fl.deadline.IsZero() && !now.Before(fl.deadline) {
+		if !fl.abandoned && fl.deadline > 0 && now >= fl.deadline {
 			l.bench(fl.worker, "timeout", fmt.Sprintf("dispatch of %d examples overdue", fl.batch.Size()))
 		}
 	}
@@ -444,26 +519,27 @@ func (l *wallCoord) expireOverdue() {
 }
 
 // recvWait bounds the coordinator's blocking wait: by the earliest live
-// deadline; else, with nothing in flight (batches parked for a readmission,
-// or an elastic run waiting for a joiner), by the remaining budget; else not
-// at all — only a completion or a link event can change anything.
-func (l *wallCoord) recvWait() time.Duration {
-	wait := time.Duration(-1)
+// deadline or the end of a barrier's rest; else, with nothing in flight
+// (batches parked for a readmission, or an elastic run waiting for a
+// joiner), by the remaining budget; else not at all — only a completion or
+// a link event can change anything.
+func (l *coordLoop) recvWait() time.Duration {
+	due := time.Duration(-1)
+	if l.resting {
+		due = l.resumeAt
+	}
 	for _, fl := range l.flight {
-		if fl.abandoned || fl.deadline.IsZero() {
-			continue
-		}
-		if d := time.Until(fl.deadline); wait < 0 || d < wait {
-			wait = d
+		if !fl.abandoned && fl.deadline > 0 && (due < 0 || fl.deadline < due) {
+			due = fl.deadline
 		}
 	}
-	if wait < 0 {
-		if l.outstanding > 0 {
-			return -1
-		}
-		wait = l.budget - l.now()
+	switch {
+	case due >= 0:
+		return max(due-l.now(), 0)
+	case l.outstanding > 0:
+		return -1
 	}
-	return max(wait, time.Millisecond)
+	return max(l.budget-l.elapsed(), 0)
 }
 
 // --- Elastic membership ---
@@ -476,8 +552,8 @@ func (l *wallCoord) recvWait() time.Duration {
 // the fault accounting.
 
 // join admits a fresh elastic worker, spawns it, and dispatches it.
-func (l *wallCoord) join(reason string) {
-	id, ok := l.admit(reason, l.now())
+func (l *coordLoop) join(reason string) {
+	id, ok := l.admit(reason, l.elapsed())
 	if !ok {
 		return
 	}
@@ -489,8 +565,8 @@ func (l *wallCoord) join(reason string) {
 
 // leave starts a graceful departure: an idle leaver retires on the spot, a
 // busy one when its in-flight completion arrives.
-func (l *wallCoord) leave(id int) {
-	if !l.beginLeave(id, l.now()) {
+func (l *coordLoop) leave(id int) {
+	if !l.beginLeave(id, l.elapsed()) {
 		return
 	}
 	l.rebalanced()
@@ -501,20 +577,20 @@ func (l *wallCoord) leave(id int) {
 // retire completes a graceful leave once the drain is settled: the worker is
 // draining and holds nothing in flight (its last completion already
 // counted, so AppliedExamples == ExamplesProcessed survives the departure).
-func (l *wallCoord) retire(id int) {
+func (l *coordLoop) retire(id int) {
 	if l.mem == nil || !l.mem.Draining(id) || l.busy[id] || !l.mem.Retire(id) {
 		return
 	}
-	l.retired(id, l.now())
+	l.retired(id, l.elapsed())
 	l.release(id)
 	l.wakeGated()
 }
 
 // evict removes a worker at once. Its eventual completion is processed like
-// a quarantined straggler's (under shared memory its updates already landed
-// — documented at-least-once under forced removal).
-func (l *wallCoord) evict(id int) {
-	if !l.beginEvict(id, l.now()) {
+// a quarantined straggler's (where completions carry no delta its updates
+// land anyway — documented at-least-once under forced removal).
+func (l *coordLoop) evict(id int) {
+	if !l.beginEvict(id, l.elapsed()) {
 		return
 	}
 	l.release(id)
@@ -525,7 +601,7 @@ func (l *wallCoord) evict(id int) {
 	l.wakeGated()
 }
 
-func (l *wallCoord) fireMembership() {
+func (l *coordLoop) fireMembership() {
 	if l.mem == nil {
 		return
 	}
@@ -545,7 +621,7 @@ func (l *wallCoord) fireMembership() {
 // the last barrier: queue wait is the span beyond each dispatch's modeled
 // iteration time — the portion attributable to contention rather than
 // compute.
-func (l *wallCoord) decideScale() {
+func (l *coordLoop) decideScale() {
 	if l.mem == nil || l.cfg.ElasticPolicy == nil {
 		return
 	}
@@ -572,7 +648,7 @@ func (l *wallCoord) decideScale() {
 // in-flight batch moves to a survivor and the eventual completion of the
 // abandoned dispatch is discarded; when the link heals the worker is
 // readmitted. In-process transports emit no link events.
-func (l *wallCoord) onLink(ev *transport.Event) {
+func (l *coordLoop) onLink(ev *transport.Event) {
 	id := ev.Worker
 	switch ev.Kind {
 	case transport.LinkDown:
@@ -581,7 +657,7 @@ func (l *wallCoord) onLink(ev *transport.Event) {
 		l.wakeGated()
 	case transport.LinkUp:
 		l.tr.Reconnects++
-		if l.health.readmitWith(id, l.now(), "link healed") {
+		if l.health.readmitWith(id, l.elapsed(), "link healed") {
 			l.stale.catchUp(id)
 			l.dispatch(id)
 			l.wakeGated()
@@ -590,7 +666,7 @@ func (l *wallCoord) onLink(ev *transport.Event) {
 		// The transport assigns ids sequentially under the same cap, so the
 		// event id always equals the next slot.
 		if l.mem == nil || id != l.mem.Len() {
-			l.events.Add(l.now(), "", "join-refused",
+			l.events.Add(l.elapsed(), "", "join-refused",
 				fmt.Sprintf("unexpected join for slot %d (have %d, elastic %v)", id, len(l.busy), l.mem != nil))
 			return
 		}
@@ -603,19 +679,19 @@ func (l *wallCoord) onLink(ev *transport.Event) {
 }
 
 // account credits a completion's updates to the scheduling policy.
-func (l *wallCoord) account(msg *transport.Done) {
+func (l *coordLoop) account(msg *transport.Done) {
 	l.coord.reportUpdates(msg.Worker, int64(msg.Updates))
 	if msg.Dropped > 0 {
-		l.drop(msg.Worker, int64(msg.Dropped), l.now(), "drop", fmt.Sprintf("%d non-finite updates discarded", msg.Dropped))
+		l.drop(msg.Worker, int64(msg.Dropped), l.elapsed(), "drop", fmt.Sprintf("%d non-finite updates discarded", msg.Dropped))
 	}
 }
 
 // fail processes a worker's failure report: mark it crashed, then re-route
 // its batch (unless a quarantine already did) and everything parked in its
 // feed to the survivors.
-func (l *wallCoord) fail(msg *transport.Done, fl *inflightDispatch) error {
+func (l *coordLoop) fail(msg *transport.Done, fl *inflightDispatch) error {
 	l.busy[msg.Worker] = false
-	l.health.markCrashed(msg.Worker, l.now(), msg.Err)
+	l.health.markCrashed(msg.Worker, l.elapsed(), msg.Err)
 	if !fl.abandoned {
 		l.outstanding--
 		l.redispatch(fl.batch, msg.Worker)
@@ -634,50 +710,48 @@ func (l *wallCoord) fail(msg *transport.Done, fl *inflightDispatch) error {
 // counts only if its sequence is still in flight, so duplicates are settled
 // first — before failure handling, or a duplicated failure report would
 // crash the worker twice. stop ends the run (converged or diverged).
-func (l *wallCoord) complete(msg *transport.Done) (stop bool, err error) {
+func (l *coordLoop) complete(msg *transport.Done) (stop bool, err error) {
 	l.publishSnap(false)
 	l.writeCkpt(false)
-	fl := l.flight[msg.Seq]
+	fl := l.settle(msg.Seq)
 	if fl == nil {
 		l.tr.Duplicates++
-		l.events.Add(l.now(), l.name(msg.Worker), "duplicate",
+		l.events.Add(l.elapsed(), l.name(msg.Worker), "duplicate",
 			fmt.Sprintf("completion for settled seq %d discarded", msg.Seq))
 		return false, nil
 	}
-	delete(l.flight, msg.Seq)
 	if msg.Failed {
 		return false, l.fail(msg, fl)
 	}
 	id := msg.Worker
 	l.exec.accept(msg, fl)
 	l.stale.advance(id)
-	l.completed++
 	if fl.abandoned {
 		// The overdue completion of a dispatch given up on: the readmission
 		// probe succeeded. Its batch was already processed elsewhere.
-		if l.health.readmit(id, l.now()) {
+		if l.health.readmit(id, l.elapsed()) {
 			l.stale.catchUp(id)
 		}
-		l.dispatch(id)
-		l.retire(id)
-		l.fireMembership()
-		l.wakeGated()
-		return false, nil
-	}
-	l.busy[id] = false
-	l.outstanding--
-	l.tr.AppliedExamples += int64(fl.batch.Size())
-	l.stale.observe(fl.staleness)
-	if l.cfg.ElasticPolicy != nil {
-		if span := l.now() - fl.sent; span > fl.modeled {
-			l.elWait += span - fl.modeled
+	} else {
+		l.busy[id] = false
+		l.outstanding--
+		l.tr.AppliedExamples += int64(fl.batch.Size())
+		l.stale.observe(fl.staleness)
+		if l.cfg.ElasticPolicy != nil {
+			if span := l.now() - fl.sent; span > fl.modeled {
+				l.elWait += span - fl.modeled
+			}
+			l.elCompute += fl.modeled
+			l.elCount++
 		}
-		l.elCompute += fl.modeled
-		l.elCount++
 	}
-	l.retire(id)
+	// Gated workers go first: under SSP the completion that lets a parked
+	// worker back in hands it the next pool batch, ahead of the completer.
+	l.wakeGated()
+	l.completed++
 	l.fireMembership()
-	if l.cfg.Algorithm == AlgLocalSGD {
+	l.retire(id)
+	if l.cfg.Algorithm == AlgLocalSGD && !fl.abandoned {
 		// LocalSGD round barrier: once every participant is back, average
 		// their replicas into the global model and start the next round. The
 		// replica reads are ordered after the workers' writes by the
@@ -693,28 +767,47 @@ func (l *wallCoord) complete(msg *transport.Done) (stop bool, err error) {
 		}
 	} else {
 		l.dispatch(id)
-		l.wakeGated()
 	}
-	if l.outstanding == 0 && !l.overBudget() && l.coord.poolEmpty() {
+	if l.outstanding == 0 && !l.resting && !l.overBudget() && l.coord.poolEmpty() {
 		return l.epochBarrier(), nil
 	}
 	return false, nil
 }
 
+// averageReplicas is the LocalSGD round barrier: model becomes the mean of
+// the participants' replicas, accumulated in sum. A single participant is
+// adopted directly — bitwise the averaging path's result, and exactly the
+// synchronous baseline.
+func averageReplicas(model, sum *nn.Params, replicas []*nn.Params) {
+	if len(replicas) == 1 {
+		model.CopyFrom(replicas[0])
+		return
+	}
+	sum.Zero()
+	inv := 1.0 / float64(len(replicas))
+	for _, r := range replicas {
+		sum.AddScaled(inv, r)
+	}
+	model.CopyFrom(sum)
+}
+
 // epochBarrier runs with every worker idle and the pool drained: evaluate
-// the loss, let the divergence guard checkpoint or roll back, and start the
-// next epoch. It reports whether the run is over.
-func (l *wallCoord) epochBarrier() (stop bool) {
-	loss := l.eval()
-	l.record(l.now(), loss)
+// the loss (stamped with the instant the model was read), let the divergence
+// guard checkpoint or roll back, and rest until the evaluation is over. It
+// reports whether the run is over.
+func (l *coordLoop) epochBarrier() (stop bool) {
+	at, t0 := l.elapsed(), l.now()
+	loss := l.lockedLoss()
+	dur := l.exec.evalTime(t0)
+	l.tel.Span(l.coordRing, telemetry.KindEval, t0, dur, int64(l.evalN))
+	l.point(at, loss)
 	l.publishSnap(true)
-	if l.cfg.TargetLoss > 0 && isFinite(loss) && loss <= l.cfg.TargetLoss {
-		l.converged = true
+	if l.converged {
 		return true
 	}
 	mu := l.exec.modelLock(true)
 	mu.Lock()
-	_, diverged := l.guard.onEval(loss, l.global, l.health.report, l.events, l.now())
+	_, diverged := l.guard.onEval(loss, l.global, l.health.report, l.events, at)
 	mu.Unlock()
 	if diverged {
 		return true
@@ -722,18 +815,32 @@ func (l *wallCoord) epochBarrier() (stop bool) {
 	// Checkpoint after the guard verdict so a rollback's restored model and
 	// backed-off LR scale are what a resume would load.
 	l.writeCkpt(true)
-	l.decideScale()
-	l.coord.refill()
-	l.dispatchAll()
+	l.resting, l.resumeAt = true, t0+dur
 	return false
 }
 
-// active reports whether the loop must keep receiving: work is in flight,
-// or — while the budget lasts — re-dispatched batches await a worker that
-// may still return, or an elastic run momentarily has no dispatchable
-// worker (a live joiner or a healed link can pick the pool back up).
-func (l *wallCoord) active() bool {
-	if l.outstanding > 0 {
+// nextEpoch ends a barrier's rest: refill the pool and put every worker back
+// to work, unless the run ended meanwhile.
+func (l *coordLoop) nextEpoch() {
+	if !l.resting || l.now() < l.resumeAt {
+		return
+	}
+	l.resting = false
+	if l.overBudget() {
+		return
+	}
+	l.decideScale()
+	l.coord.refill()
+	l.dispatchAll()
+}
+
+// active reports whether the loop must keep receiving: work is in flight or
+// a barrier is resting, or — while the budget lasts — re-dispatched batches
+// await a worker that may still return, or an elastic run momentarily has
+// no dispatchable worker (a live joiner or a healed link can pick the pool
+// back up).
+func (l *coordLoop) active() bool {
+	if l.outstanding > 0 || l.resting {
 		return true
 	}
 	if l.overBudget() {
@@ -751,9 +858,7 @@ func (l *wallCoord) active() bool {
 // drains in-flight work, and returns the partial Result, never an error.
 // Loss is sampled at epoch barriers and at the end of the run, when no
 // concurrent writers exist.
-func (l *wallCoord) loop() (*Result, error) {
-	l.start = time.Now()
-	l.lastSnap, l.lastCkpt = l.start, l.start
+func (l *coordLoop) loop() (*Result, error) {
 	// Stopped before shutdown, so a late wakeup cannot count as a queue drop.
 	stopCancelWatch := context.AfterFunc(l.ctx, l.trans.Wake)
 	defer stopCancelWatch()
@@ -761,19 +866,23 @@ func (l *wallCoord) loop() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.record(0, l.evalLoss(l.gemm))
-	l.interrupted = l.ctx.Err() != nil
+	if l.coord.poolEmpty() && !l.queuedWork() {
+		// Resumed from a barrier capture, which leaves the pool drained:
+		// start the next epoch now (this consumes the next shuffle exactly
+		// where the uninterrupted run would). Not when the checkpoint carried
+		// in-flight batches, though: their [Lo,Hi) ranges denote the captured
+		// epoch's permutation, so the epoch must finish draining them before
+		// the next shuffle — the barrier refills once they land.
+		l.coord.refill()
+	}
+	l.point(0, l.evalLoss(l.gemm))
 	for _, id := range joined {
 		l.onLink(&transport.Event{Worker: id, Kind: transport.LinkJoin})
 	}
 	l.dispatchAll()
 	for stop := false; !stop && l.active(); {
 		m, st := l.trans.Recv(l.recvWait())
-		l.expireOverdue()
-		if l.ctx.Err() != nil && !l.interrupted {
-			l.interrupted = true
-			l.events.Add(l.now(), "", "interrupt", "context cancelled; draining in-flight work")
-		}
+		l.cancelled()
 		switch {
 		case st == transport.RecvClosed:
 			stop = true
@@ -785,17 +894,20 @@ func (l *wallCoord) loop() (*Result, error) {
 				stop = true // every worker failed
 			}
 		}
+		// After the message: a completion arriving on its deadline is on time.
+		l.expireOverdue()
+		l.nextEpoch()
 	}
 	stopCancelWatch()
 	l.exec.shutdown()
 	if err != nil {
 		return nil, err
 	}
-	if l.ctx.Err() != nil {
-		l.interrupted = true
-	}
-	elapsed := l.now()
-	final := l.eval()
+	l.cancelled()
+	// The run's length is read before the final evaluation, which no clock
+	// counts.
+	elapsed := l.elapsed()
+	final := l.lockedLoss()
 	l.publishSnap(true)
 	// The drain checkpoint: always emitted, so an interrupted run's last
 	// checkpoint reflects everything it completed.

@@ -21,7 +21,7 @@ import (
 // one coordinator (this goroutine) and one goroutine per worker, exchanging
 // ScheduleWork/ExecuteWork messages over unbounded async queues — the
 // paper's pthreads architecture (§V, Figure 3) mapped onto Go. The
-// coordinator is the wall-clock loop shared with RunCluster (wallclock.go),
+// coordinator is the loop shared with RunSim and RunCluster (loop.go),
 // speaking transport.Local — the msgq queues behind the Transport interface.
 //
 // CPU workers split each batch into Threads concurrently-running
@@ -74,7 +74,7 @@ func RunReal(ctx context.Context, cfg Config, budget time.Duration) (*Result, er
 			Wait:    cfg.Metrics.Histogram("msgq_wait_seconds"),
 		})
 	}
-	l, err := newWallCoord(ctx, r, trans, budget)
+	l, err := newCoordLoop(ctx, r, trans, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +90,7 @@ func RunReal(ctx context.Context, cfg Config, budget time.Duration) (*Result, er
 		x.build(id)
 	}
 	l.exec = x
+	x.began = time.Now()
 	return l.loop()
 }
 
@@ -99,9 +100,8 @@ type realWorker struct {
 	name    string
 	wc      WorkerConfig
 	inj     *faults.Injector
-	lanes   []lane       // one per CPU sub-batch thread (one otherwise)
-	replica *nn.Params   // deep-copy buffer (GPU and LocalSGD workers)
-	steps   []data.Batch // LocalSGD: the round share re-split into local steps
+	lanes   []lane     // one per CPU sub-batch thread (one otherwise)
+	replica *nn.Params // deep-copy buffer (GPU and LocalSGD workers)
 }
 
 // localExec is RunReal's executor: one goroutine per worker consuming a
@@ -111,7 +111,8 @@ type realWorker struct {
 // (queue wait, gradient, apply), the coordinator ring only by the loop —
 // the tracer's single-writer-per-ring contract.
 type localExec struct {
-	l       *wallCoord
+	wallClock
+	l       *coordLoop
 	trans   *transport.Local
 	workers []*realWorker
 	step    laneStep
@@ -214,15 +215,11 @@ func (x *localExec) iterate(w *realWorker, batch data.Batch, lr float64) (out tr
 	return out
 }
 
-// localRound re-splits the merged wire batch into LocalSteps sub-batches
-// and runs them as one LocalSGD round share on w's private replica.
+// localRound re-splits the merged wire batch into local steps of the
+// worker's batch size and runs them as one LocalSGD round share on w's
+// private replica.
 func (x *localExec) localRound(w *realWorker, batch data.Batch, lr float64) (updates, dropped int64) {
-	steps := min(max(x.l.cfg.LocalSteps, 1), batch.Size())
-	w.steps = w.steps[:0]
-	for k := 0; k < steps; k++ {
-		w.steps = append(w.steps, laneSub(batch, k, steps))
-	}
-	return x.step.localRound(&w.lanes[0], x.l.global, w.replica, w.steps, lr)
+	return x.step.localRound(&w.lanes[0], x.l.global, w.replica, splitBatch(batch, w.wc.InitialBatch), lr)
 }
 
 // cpuIteration runs one CPU Hogbatch iteration with live parallelism: the
@@ -287,13 +284,8 @@ func (x *localExec) attach(context.Context) ([]int, error) {
 
 func (x *localExec) decorate(w transport.Work) transport.Work { return w }
 
-// deadline is the watchdog's: modeled iteration time × slack, floored.
-func (x *localExec) deadline(id, size int) time.Duration {
-	if x.l.cfg.Watchdog == nil {
-		return 0
-	}
-	return watchdogDeadline(x.l.cfg.Watchdog, &x.l.cfg.Workers[id], x.l.net.Arch, size, x.l.modelBytes)
-}
+// deadline is the watchdog's, in wall time.
+func (x *localExec) deadline(id, size int) time.Duration { return x.l.watchdogDeadline(id, size) }
 
 // accept: the updates landed in the shared model before the completion was
 // sent, so even a quarantined straggler's count (documented at-least-once

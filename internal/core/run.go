@@ -36,6 +36,9 @@ var engineRules = []struct {
 	{engineReal | engineCluster,
 		func(c *Config) bool { return c.Algorithm == AlgSVRG },
 		"core: AlgSVRG is implemented on the simulated engine only (use RunSim)"},
+	{engineReal | engineCluster,
+		func(c *Config) bool { return c.StaleDamping != 0 },
+		"core: StaleDamping is implemented on the simulated engine only (live workers do not count the updates their gradient missed; use RunSim)"},
 	{engineCluster,
 		func(c *Config) bool { return c.Algorithm == AlgLocalSGD },
 		"core: AlgLocalSGD is not implemented on the cluster engine (its round barrier needs replica transfer, not deltas; use RunSim or RunReal)"},
@@ -163,10 +166,6 @@ func newRun(cfg *Config) (*run, error) {
 	}
 	if ms != nil {
 		r.completed = ms.Dispatches
-		// Scripted events triggered before the capture already mutated the
-		// restored membership; burn them off the cursor so they cannot fire
-		// twice.
-		r.planCur.Fire(r.completed)
 	}
 
 	r.lastBatch = make([]int, len(cfg.Workers))
@@ -176,6 +175,15 @@ func newRun(cfg *Config) (*run, error) {
 	}
 	r.evalWS = r.net.NewWorkspace(r.evalN)
 	return r, nil
+}
+
+// watchdogDeadline is the watchdog's bound on a dispatch of size examples to
+// worker id — modeled iteration time × slack, floored — or 0 without one.
+func (r *run) watchdogDeadline(id, size int) time.Duration {
+	if r.cfg.Watchdog == nil {
+		return 0
+	}
+	return watchdogDeadline(r.cfg.Watchdog, &r.cfg.Workers[id], r.net.Arch, size, r.modelBytes)
 }
 
 // name returns worker id's display name (device name; "<device>+<id>" for

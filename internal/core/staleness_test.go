@@ -32,7 +32,7 @@ func TestStaleTrackerReadmissionWakesGate(t *testing.T) {
 	stale, health := sspTracker(t, 3, 2)
 
 	// Worker 2 falls over early; 0 and 1 keep completing dispatches.
-	if !health.quarantine(2, time.Millisecond, "test quarantine") {
+	if !health.quarantine(2, time.Millisecond, "timeout", "test quarantine") {
 		t.Fatal("quarantine(2) refused")
 	}
 	for range 10 {

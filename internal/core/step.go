@@ -52,13 +52,17 @@ type laneStep struct {
 	svrg *svrgState
 }
 
-// run performs one update: the gradient of b at read, L2 decay against the
-// same model, injected corruption, delay compensation, the non-finite guard,
-// then the optimizer step into write. It reports whether the update landed;
-// false means the guard dropped it.
+// run performs one update: the gradient half, then the apply half. It
+// reports whether the update landed; false means the guard dropped it.
 func (s *laneStep) run(l *lane, read, write *nn.Params, b data.Batch, lr float64, gemm int, corrupt bool) bool {
+	s.gradient(l, read, b, gemm, corrupt)
+	return s.apply(l, read, write, lr)
+}
+
+// gradient leaves in l.grad the gradient of b at read, with L2 decay against
+// the same model and, when corrupt, the injected poison.
+func (s *laneStep) gradient(l *lane, read *nn.Params, b data.Batch, gemm int, corrupt bool) {
 	lockRead := s.mu != nil && read == s.shared
-	lockWrite := s.mu != nil && write == s.shared
 	if lockRead {
 		s.mu.RLock()
 	}
@@ -76,6 +80,14 @@ func (s *laneStep) run(l *lane, read, write *nn.Params, b data.Batch, lr float64
 	if corrupt {
 		faults.Poison(l.grad)
 	}
+}
+
+// apply lands l.grad — computed against read — in write: delay compensation,
+// the non-finite guard, then the optimizer step at lr (which the caller has
+// already damped for staleness, if it damps). The simulated engine runs it an
+// iteration's virtual time after gradient; that gap is replica staleness.
+func (s *laneStep) apply(l *lane, read, write *nn.Params, lr float64) bool {
+	lockWrite := s.mu != nil && write == s.shared
 	if s.dc != 0 && read != write {
 		// DC-ASGD: steer the stale gradient toward its value at the current
 		// model; read still holds w_then, the model it was computed against.
@@ -139,21 +151,4 @@ func applyStep(o opt.Optimizer, grad, delta, global *nn.Params, mode tensor.Upda
 	}
 	o.Step(grad, delta, lr)
 	global.ApplyUpdate(mode, 1, delta)
-}
-
-// averageReplicas is the LocalSGD round barrier: model becomes the mean of
-// the participants' replicas, accumulated in sum. A single participant is
-// adopted directly — bitwise the averaging path's result, and exactly the
-// synchronous baseline.
-func averageReplicas(model, sum *nn.Params, replicas []*nn.Params) {
-	if len(replicas) == 1 {
-		model.CopyFrom(replicas[0])
-		return
-	}
-	sum.Zero()
-	inv := 1.0 / float64(len(replicas))
-	for _, r := range replicas {
-		sum.AddScaled(inv, r)
-	}
-	model.CopyFrom(sum)
 }

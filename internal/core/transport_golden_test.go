@@ -41,17 +41,22 @@ func transportGoldenSignature(t *testing.T, res *Result) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// deterministicRealRun is a RunReal configuration whose entire update
-// sequence is a pure function of the seed: one CPU worker, one gradient
+// deterministicConfig is a configuration whose entire update sequence is a
+// pure function of the seed on any engine: one CPU worker, one gradient
 // lane (no concurrent float adds), reshuffling on, and a target-loss stop
-// at an epoch barrier so wall time never decides when training ends.
-func deterministicRealRun(t *testing.T) *Result {
+// at an epoch barrier so time never decides when training ends.
+func deterministicConfig(t *testing.T) Config {
 	t.Helper()
 	cfg := tinyConfig(t, AlgHogbatchCPU)
 	cfg.Workers[0].Threads = 1
 	cfg.Shuffle = true
 	cfg.TargetLoss = 0.005
-	res, err := RunReal(context.Background(), cfg, 30*time.Second)
+	return cfg
+}
+
+func deterministicRealRun(t *testing.T) *Result {
+	t.Helper()
+	res, err := RunReal(context.Background(), deterministicConfig(t), 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,5 +78,23 @@ func TestRealLocalTransportGoldenTrace(t *testing.T) {
 	b := transportGoldenSignature(t, deterministicRealRun(t))
 	if a != b {
 		t.Fatalf("deterministic runs diverged:\n%s\n%s", a, b)
+	}
+}
+
+// TestSimMatchesRealUpdateSequence is what makes a sim pass evidence about
+// the live engine: both run the one coordinator loop, so the same Config must
+// produce the same sequence of floating-point updates whether its worker is a
+// goroutine on the wall clock or an entry on the virtual one.
+func TestSimMatchesRealUpdateSequence(t *testing.T) {
+	sim, err := RunSim(context.Background(), deterministicConfig(t), 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sim.Converged {
+		t.Fatalf("simulated run failed to reach target loss (final %v)", sim.FinalLoss)
+	}
+	a, b := transportGoldenSignature(t, deterministicRealRun(t)), transportGoldenSignature(t, sim)
+	if a != b {
+		t.Fatalf("RunReal and RunSim diverged on the same config:\nreal %s\nsim  %s", a, b)
 	}
 }

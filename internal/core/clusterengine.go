@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -44,26 +43,33 @@ func (o *ClusterOptions) defaults() {
 	}
 }
 
-// linkStatser is implemented by transports that track delivery statistics
-// (transport.TCP); the engine folds them into the Result's queue counters.
-type linkStatser interface {
+// clusterLink is what the engine asks of a networked transport beyond
+// Transport. transport.TCP provides it; over any other transport each use is
+// skipped.
+type clusterLink interface {
+	// Stats are the delivery statistics the Result's queue counters report.
 	Stats() transport.Stats
-}
-
-// linkRetirer is implemented by transports that can gracefully close a
-// departed worker's link (transport.TCP): Goodbye frame, no LinkDown, no
-// reconnect. The engine calls it once a graceful leave has drained.
-type linkRetirer interface {
+	// Retire gracefully closes a departed worker's link — Goodbye frame, no
+	// LinkDown, no reconnect — once its graceful leave has drained.
 	Retire(worker int)
+	// Recycle takes back the receive buffer a completion aliases once the
+	// loop has settled it: applied, duplicate or abandoned. A transport that
+	// never gets one back merely allocates the next.
+	Recycle(m transport.Msg)
 }
 
-// encodeParams serializes p with the checksummed nn wire format.
-func encodeParams(p *nn.Params) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := nn.WriteParams(&buf, p); err != nil {
-		return nil, err
+// newWireBuf returns the buffer one end of the cluster wire encodes net's
+// parameters into — the blob every dispatch and every completion carries
+// whole — or an error when no frame can hold that blob. Both ends ask before
+// anything else: past the limit every Send would fail and read as a
+// partition of each worker in turn.
+func newWireBuf(net *nn.Network) ([]byte, error) {
+	n := nn.ParamsWireSize(net)
+	if n > transport.MaxBlob {
+		return nil, fmt.Errorf("core: the model's %d parameters serialize to %d bytes, over the %d a cluster frame carries (transport.MaxPayload); the cluster engine ships the whole model with every dispatch and cannot train this network",
+			net.Arch.NumParameters(), n, transport.MaxBlob)
 	}
-	return buf.Bytes(), nil
+	return make([]byte, 0, n), nil
 }
 
 // RunCluster trains cfg's model for a wall-clock budget over trans: the
@@ -108,6 +114,10 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 	if trans == nil {
 		return nil, fmt.Errorf("core: RunCluster needs a transport")
 	}
+	enc, err := newWireBuf(cfg.Net)
+	if err != nil {
+		return nil, err
+	}
 	opts.defaults()
 	r, err := newRun(&cfg)
 	if err != nil {
@@ -125,7 +135,10 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 		return nil, err
 	}
 	r.health.report.Transport = l.tr
-	l.exec = &clusterExec{wallClock: wallClock{time.Now()}, l: l, opts: opts}
+	l.exec = &clusterExec{
+		wallClock: wallClock{time.Now()}, l: l, opts: opts,
+		enc: enc, delta: r.net.NewParams(nn.InitZero, nil),
+	}
 	return l.loop()
 }
 
@@ -137,6 +150,13 @@ type clusterExec struct {
 	wallClock
 	l    *coordLoop
 	opts ClusterOptions
+	// enc is the one buffer every dispatch's model is encoded into; a Work's
+	// Params aliases it until Send returns. delta is the scratch a
+	// completion's delta is decoded and verified in before it touches the
+	// model. Both are sized when the run is built, so it allocates the same
+	// whether or not it ever dispatches.
+	enc   []byte
+	delta *nn.Params
 }
 
 // attach waits until every live worker has linked up, so epoch-zero
@@ -182,13 +202,8 @@ func (x *clusterExec) attach(ctx context.Context) (joined []int, err error) {
 // decorate ships the current model with the dispatch, plus the epoch whose
 // shuffle the [Lo,Hi) range refers to.
 func (x *clusterExec) decorate(w transport.Work) transport.Work {
-	blob, err := encodeParams(x.l.global)
-	if err != nil {
-		// Serialization of an in-memory model cannot fail in practice;
-		// treat it as fatal rather than silently training nothing.
-		panic(fmt.Sprintf("core: serializing global params: %v", err))
-	}
-	w.Params = blob
+	x.enc = nn.AppendParams(x.enc[:0], x.l.global)
+	w.Params = x.enc
 	if x.l.cfg.Shuffle {
 		w.Epoch = uint32(x.l.coord.epoch)
 	}
@@ -214,16 +229,18 @@ func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 	if msg.Updates == 0 || len(msg.Delta) == 0 {
 		return
 	}
-	delta, err := nn.ReadParams(bytes.NewReader(msg.Delta), l.net)
+	// Decoded and checked whole in scratch first: a corrupt blob never
+	// half-applies.
+	err := nn.ReadParamsInto(x.delta, msg.Delta)
 	switch {
 	case err != nil:
 		// A corrupt delta is dropped like a non-finite gradient: the
 		// examples still count as processed, the update does not land.
 		l.drop(msg.Worker, int64(msg.Updates), l.elapsed(), "delta-error", err.Error())
-	case l.cfg.Guards != nil && !delta.AllFinite():
+	case l.cfg.Guards != nil && !x.delta.AllFinite():
 		l.drop(msg.Worker, int64(msg.Updates), l.elapsed(), "drop", "non-finite delta discarded")
 	default:
-		l.global.AddScaled(1, delta)
+		l.global.AddScaled(1, x.delta)
 	}
 }
 
@@ -233,8 +250,8 @@ func (x *clusterExec) spawn(int) {}
 
 // drain says Goodbye on the departed worker's link; it accepts no reconnect.
 func (x *clusterExec) drain(id int) []transport.Work {
-	if r, ok := x.l.trans.(linkRetirer); ok {
-		r.Retire(id)
+	if link, ok := x.l.trans.(clusterLink); ok {
+		link.Retire(id)
 	}
 	return nil
 }
@@ -244,8 +261,8 @@ func (x *clusterExec) modelLock(bool) sync.Locker { return nopLocker{} }
 func (x *clusterExec) cloneModel() *nn.Params { return x.l.global.Clone() }
 
 func (x *clusterExec) shutdown() {
-	if ls, ok := x.l.trans.(linkStatser); ok {
-		s := ls.Stats()
+	if link, ok := x.l.trans.(clusterLink); ok {
+		s := link.Stats()
 		qs := &x.l.health.report.Queue
 		qs.Pushed, qs.Popped = s.Dispatched, s.Completed
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -453,5 +455,118 @@ func TestClusterRejectsUnsupportedConfigs(t *testing.T) {
 	cfg = tinyConfig(t, AlgHogbatchCPU)
 	if _, err := RunCluster(context.Background(), cfg, time.Second, nil, ClusterOptions{}); err == nil {
 		t.Fatal("nil transport accepted")
+	}
+
+	// A model too large for one frame is refused up front, by name, at both
+	// ends — not discovered as a "partition" of every worker in turn. The
+	// check comes before anything is allocated, listened on or dialled: the
+	// worker's address below answers nobody.
+	cfg = tinyConfig(t, AlgHogbatchCPU)
+	arch := cfg.Net.Arch
+	arch.Hidden = []int{3000, 3000} // 9.0 M parameters, 72 MB serialized
+	cfg.Net = nn.MustNetwork(arch)
+	_, err := RunCluster(context.Background(), cfg, time.Second, transport.NewLocal(1), ClusterOptions{})
+	if err == nil || !strings.Contains(err.Error(), "cluster frame") {
+		t.Fatalf("oversize model on the coordinator: want the frame-limit error, got: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err = RunClusterWorker(ctx, "127.0.0.1:1", 0, cfg.Net, cfg.Dataset, ClusterWorkerOptions{})
+	if err == nil || !strings.Contains(err.Error(), "cluster frame") {
+		t.Fatalf("oversize model on the worker: want the frame-limit error, got: %v", err)
+	}
+}
+
+// TestClusterWireCycleAllocation guards the cluster wire's steady state: once
+// both ends hold their buffers, a full Work → Done → accept cycle over
+// loopback TCP with the benchmark's 54-256x6-2 network (2.7 MB serialized,
+// each way) allocates bookkeeping only. Before the in-place codec and the
+// owned buffers the same cycle allocated about 56 MB.
+func TestClusterWireCycleAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting under the race detector measures the detector")
+	}
+	spec := data.Covtype.Scaled(0.001)
+	spec.HiddenLayers, spec.HiddenUnits = 6, 256
+	ds := data.Generate(spec, 7)
+	net := nn.MustNetwork(spec.Arch())
+	cfg := NewConfig(AlgHogbatchCPU, net, ds, Preset{CPUThreads: 1, CPUMinPerThread: 64, CPUMaxPerThread: 64, GPUMin: 64, GPUMax: 64})
+	cfg.BaseLR = 0.01
+	cfg.EvalSubset = 64
+
+	trans, err := transport.ListenTCP("127.0.0.1:0", 1, ClusterTCPOptions(&cfg, time.Second, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trans.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	defer func() {
+		cancel()
+		<-workerDone
+	}()
+	go func() {
+		defer close(workerDone)
+		RunClusterWorker(ctx, trans.Addr(), 0, nn.MustNetwork(spec.Arch()), data.Generate(spec, 7), ClusterWorkerOptions{Threads: 1})
+	}()
+	if err := trans.WaitForWorkers(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// The coordinator's half, built as RunCluster builds it, driven by hand
+	// so that exactly the cycles are measured.
+	r, err := newRun(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := newCoordLoop(ctx, r, trans, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := newWireBuf(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := &clusterExec{wallClock: wallClock{time.Now()}, l: l, enc: enc, delta: net.NewParams(nn.InitZero, nil)}
+	l.exec = x
+	start := l.global.Clone()
+	cycle := func(seq uint64) {
+		if err := trans.Send(0, x.decorate(transport.Work{Seq: seq, Lo: 0, Hi: 64, LR: 0.01})); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			m, st := trans.Recv(30 * time.Second)
+			if st != transport.RecvOK {
+				t.Fatalf("seq %d: Recv = %v", seq, st)
+			}
+			if m.Done == nil {
+				continue // the attach's LinkUp
+			}
+			if m.Done.Seq != seq || m.Done.Failed || m.Done.Updates == 0 {
+				t.Fatalf("seq %d: completion %+v", seq, m.Done)
+			}
+			x.accept(m.Done, &inflightDispatch{seq: seq})
+			trans.Recycle(m)
+			return
+		}
+	}
+	const warm, measured = 2, 20
+	seq := uint64(0)
+	for ; seq < warm; seq++ {
+		cycle(seq + 1)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for ; seq < warm+measured; seq++ {
+		cycle(seq + 1)
+	}
+	runtime.ReadMemStats(&after)
+	if l.global.MaxAbsDiff(start) == 0 || r.health.report.DroppedUpdates != 0 {
+		t.Fatalf("the cycles did not train: model unchanged or %d updates dropped", r.health.report.DroppedUpdates)
+	}
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / measured
+	t.Logf("%d B allocated per cycle", perCycle)
+	if perCycle >= 64<<10 {
+		t.Fatalf("one Work→Done→accept cycle allocates %d B; the wire is meant to reuse its buffers (limit 64 KB)", perCycle)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -66,8 +65,14 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// enc is the one buffer every delta is encoded into: a Done's Delta
+	// aliases it until the next dispatch, by when the Client holds its own
+	// framed copy.
+	enc, err := newWireBuf(net)
+	if err != nil {
+		return err
+	}
 	var c *transport.Client
-	var err error
 	if id < 0 {
 		c, err = transport.DialJoin(ctx, addr, opts.Client)
 	} else {
@@ -104,11 +109,14 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 		}
 	}
 
+	// base is decoded into straight from the link's read buffer. The lane's
+	// workspace is sized for the largest sub-batch the handshake announces
+	// (it grows by itself should a larger one arrive), so like enc it costs
+	// the same whether or not a dispatch ever comes.
 	base := net.NewParams(nn.InitZero, nil)
 	replica := net.NewParams(nn.InitZero, nil)
-	ln := lane{grad: net.NewParams(nn.InitZero, nil)}
+	ln := lane{ws: net.NewWorkspace(max(1, (welcome.MaxBatch+threads-1)/threads)), grad: net.NewParams(nn.InitZero, nil)}
 	step := laneStep{net: net, decay: opts.WeightDecay, guard: opts.Guards, mode: tensor.UpdateRacy}
-	wsCap := 0
 
 	compute := func(wk transport.Work) transport.Done {
 		if wk.Lo < 0 || wk.Hi > ds.N() {
@@ -128,22 +136,15 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 				shuffled++
 			}
 		}
-		p, err := nn.ReadParams(bytes.NewReader(wk.Params), net)
-		if err != nil {
+		if err := nn.ReadParamsInto(base, wk.Params); err != nil {
 			return transport.Done{Failed: true, Err: fmt.Sprintf("core: decoding dispatched params: %v", err)}
 		}
-		base.CopyFrom(p)
-		replica.CopyFrom(p)
+		replica.CopyFrom(base)
 		batch := ds.View(wk.Lo, wk.Hi)
 		t := min(threads, batch.Size())
 		var updates, dropped int
 		for i := 0; i < t; i++ {
-			sub := laneSub(batch, i, t)
-			if n := sub.Size(); n > wsCap {
-				ln.ws = net.NewWorkspace(n)
-				wsCap = n
-			}
-			if step.run(&ln, replica, replica, sub, wk.LR, gemm, false) {
+			if step.run(&ln, replica, replica, laneSub(batch, i, t), wk.LR, gemm, false) {
 				updates++
 			} else {
 				dropped++
@@ -155,11 +156,8 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 			// exact parameters it started from, so the coordinator can fold
 			// it into a model other workers have meanwhile advanced.
 			replica.AddScaled(-1, base)
-			blob, err := encodeParams(replica)
-			if err != nil {
-				return transport.Done{Failed: true, Err: fmt.Sprintf("core: encoding delta: %v", err)}
-			}
-			out.Delta = blob
+			enc = nn.AppendParams(enc[:0], replica)
+			out.Delta = enc
 		}
 		return out
 	}

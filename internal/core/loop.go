@@ -893,6 +893,9 @@ func (l *coordLoop) loop() (*Result, error) {
 			if stop, err = l.complete(m.Done); err != nil {
 				stop = true // every worker failed
 			}
+			if link, ok := l.trans.(clusterLink); ok {
+				link.Recycle(m)
+			}
 		}
 		// After the message: a completion arriving on its deadline is on time.
 		l.expireOverdue()

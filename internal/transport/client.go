@@ -62,29 +62,46 @@ type Client struct {
 	rng     *rand.Rand
 	welcome Welcome
 
-	conn    net.Conn
-	writeMu sync.Mutex // frames from the run loop and the heartbeat loop interleave
+	conn net.Conn
+	// rhdr and rbuf are the session's read buffers: every incoming frame
+	// lands in them, so a decoded Work's Params is valid only until the next
+	// read — which follows the handler's return.
+	rhdr [headerLen]byte
+	rbuf []byte
 
-	// pending holds sent-but-unacked completions for retransmission,
-	// stamped with their last transmission time.
-	pendingMu sync.Mutex
-	pending   map[uint64]Done
-	sentAt    map[uint64]time.Time
+	// mu serializes frame writes (the run loop's and the heartbeat loop's
+	// interleave) and guards pending and free, so a frame is never recycled
+	// or re-encoded while a retransmit is writing it.
+	mu sync.Mutex
+	// pending holds the sent-but-unacked completions as encoded Done frames —
+	// the Client's own copy, independent of the handler's buffers — stamped
+	// with their last transmission time. An Ack moves the frame to free for
+	// the next completion to encode into.
+	pending map[uint64]pendingDone
+	free    [][]byte
+}
+
+type pendingDone struct {
+	frame  []byte
+	sentAt time.Time
+}
+
+func newClient(addr string, id int, opts ClientOptions, jitterStream uint64) *Client {
+	opts.defaults()
+	return &Client{
+		addr:    addr,
+		id:      id,
+		opts:    opts,
+		rng:     rand.New(rand.NewPCG(opts.Seed, jitterStream)),
+		pending: make(map[uint64]pendingDone),
+	}
 }
 
 // DialWorker connects worker id to the coordinator at addr and completes
 // the Hello/Welcome handshake, retrying with backoff until ctx is done or
 // the attempt budget is spent.
 func DialWorker(ctx context.Context, addr string, id int, opts ClientOptions) (*Client, error) {
-	opts.defaults()
-	c := &Client{
-		addr:    addr,
-		id:      id,
-		opts:    opts,
-		rng:     rand.New(rand.NewPCG(opts.Seed, 0x9e3779b97f4a7c15^uint64(id))),
-		pending: make(map[uint64]Done),
-		sentAt:  make(map[uint64]time.Time),
-	}
+	c := newClient(addr, id, opts, 0x9e3779b97f4a7c15^uint64(id))
 	if err := c.connect(ctx); err != nil {
 		return nil, err
 	}
@@ -98,15 +115,7 @@ func DialWorker(ctx context.Context, addr string, id int, opts ClientOptions) (*
 // like any worker; the current model parameters arrive with its first
 // dispatch. Reconnects after the join use the assigned ID normally.
 func DialJoin(ctx context.Context, addr string, opts ClientOptions) (*Client, error) {
-	opts.defaults()
-	c := &Client{
-		addr:    addr,
-		id:      -1,
-		opts:    opts,
-		rng:     rand.New(rand.NewPCG(opts.Seed, 0x9e3779b97f4a7c15)),
-		pending: make(map[uint64]Done),
-		sentAt:  make(map[uint64]time.Time),
-	}
+	c := newClient(addr, -1, opts, 0x9e3779b97f4a7c15)
 	if err := c.connect(ctx); err != nil {
 		return nil, err
 	}
@@ -163,7 +172,7 @@ func (c *Client) connect(ctx context.Context) error {
 			continue
 		}
 		c.conn = conn
-		if err := c.resendPending(); err != nil {
+		if err := c.retransmit(conn, 0); err != nil {
 			conn.Close()
 			lastErr = err
 			continue
@@ -218,76 +227,72 @@ func (c *Client) attempt(ctx context.Context) (net.Conn, error) {
 		// checkpoint's floor) were either applied before the crash or
 		// reissued under fresh sequence numbers. Retransmitting them would
 		// only inflate the duplicate counters, so drop them here.
-		c.pendingMu.Lock()
+		c.mu.Lock()
 		for seq := range c.pending {
 			if seq <= w.SeqFloor {
 				delete(c.pending, seq)
-				delete(c.sentAt, seq)
 			}
 		}
-		c.pendingMu.Unlock()
+		c.mu.Unlock()
 	}
 	return conn, nil
 }
 
-// send writes one frame on the current connection under the write mutex.
+// write sends one encoded frame on conn. c.mu must be held.
+func (c *Client) write(conn net.Conn, frame []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(c.opts.SendTimeout))
+	_, err := conn.Write(frame)
+	conn.SetWriteDeadline(time.Time{})
+	return err
+}
+
+// send writes one small frame (heartbeat, leave) on conn.
 func (c *Client) send(conn net.Conn, kind Kind, payload []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	conn.SetWriteDeadline(time.Now().Add(c.opts.SendTimeout))
 	err := WriteFrame(conn, kind, payload)
 	conn.SetWriteDeadline(time.Time{})
 	return err
 }
 
-// sendDone transmits d and registers it for retransmission until acked.
+// sendDone encodes d into a frame of the Client's own, registers it for
+// retransmission until acked, and transmits it. d.Delta is not referenced
+// once sendDone returns.
 func (c *Client) sendDone(conn net.Conn, d Done) error {
-	c.pendingMu.Lock()
-	c.pending[d.Seq] = d
-	c.sentAt[d.Seq] = time.Now()
-	c.pendingMu.Unlock()
-	return c.send(conn, KindDone, EncodeDone(d))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var frame []byte
+	if k := len(c.free) - 1; k >= 0 {
+		frame, c.free = c.free[k][:0], c.free[:k]
+	}
+	frame, err := appendDoneFrame(frame, d)
+	if err != nil {
+		return err
+	}
+	c.pending[d.Seq] = pendingDone{frame: frame, sentAt: time.Now()}
+	return c.write(conn, frame)
 }
 
-// resendPending retransmits every unacknowledged completion (after a
-// reconnect). Duplicates are harmless: the coordinator dedupes by Seq.
-func (c *Client) resendPending() error {
-	c.pendingMu.Lock()
-	ds := make([]Done, 0, len(c.pending))
-	for _, d := range c.pending {
-		ds = append(ds, d)
-	}
+// retransmit resends the pending completions last sent at least minAge ago,
+// byte for byte as first sent: all of them after a reconnect, and from the
+// heartbeat loop those older than the ack timeout — the ack (or the whole
+// link) was lost but the read loop hasn't noticed yet. Duplicates are
+// harmless: the coordinator dedupes by Seq.
+func (c *Client) retransmit(conn net.Conn, minAge time.Duration) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := time.Now()
-	for seq := range c.sentAt {
-		c.sentAt[seq] = now
-	}
-	c.pendingMu.Unlock()
-	for _, d := range ds {
-		if err := c.send(c.conn, KindDone, EncodeDone(d)); err != nil {
-			return err
+	for seq, p := range c.pending {
+		if now.Sub(p.sentAt) < minAge {
+			continue
+		}
+		c.pending[seq] = pendingDone{frame: p.frame, sentAt: now}
+		if err := c.write(conn, p.frame); err != nil {
+			return err // the read loop will see the dead link
 		}
 	}
 	return nil
-}
-
-// retransmitStale resends pending completions older than AckTimeout — the
-// ack (or the whole link) was lost but the read loop hasn't noticed yet.
-func (c *Client) retransmitStale(conn net.Conn, ackTimeout time.Duration) {
-	c.pendingMu.Lock()
-	var stale []Done
-	now := time.Now()
-	for seq, at := range c.sentAt {
-		if now.Sub(at) >= ackTimeout {
-			stale = append(stale, c.pending[seq])
-			c.sentAt[seq] = now
-		}
-	}
-	c.pendingMu.Unlock()
-	for _, d := range stale {
-		if c.send(conn, KindDone, EncodeDone(d)) != nil {
-			return // the read loop will see the dead link
-		}
-	}
 }
 
 // errGoodbye marks an orderly Goodbye from the coordinator; Run converts
@@ -352,14 +357,19 @@ func (c *Client) session(ctx context.Context, handler func(Work) Done) error {
 				if c.send(conn, KindHeartbeat, nil) != nil {
 					return
 				}
-				c.retransmitStale(conn, ackTimeout)
+				c.retransmit(conn, ackTimeout)
 			}
 		}
 	}()
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(readDeadline))
-		kind, payload, err := ReadFrame(conn)
+		kind, n, err := readHeader(conn, c.rhdr[:])
+		if err != nil {
+			return err
+		}
+		c.rbuf = sized(c.rbuf, n+4)
+		payload, err := readBody(conn, c.rhdr[:], c.rbuf)
 		if err != nil {
 			return err
 		}
@@ -380,10 +390,12 @@ func (c *Client) session(ctx context.Context, handler func(Work) Done) error {
 			if err != nil {
 				return err
 			}
-			c.pendingMu.Lock()
-			delete(c.pending, a.Seq)
-			delete(c.sentAt, a.Seq)
-			c.pendingMu.Unlock()
+			c.mu.Lock()
+			if p, ok := c.pending[a.Seq]; ok {
+				delete(c.pending, a.Seq)
+				c.free = append(c.free, p.frame)
+			}
+			c.mu.Unlock()
 		case KindHeartbeat:
 			// Pong from the coordinator; reading it already fed the
 			// deadline.

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"slices"
 )
 
 // Kind tags a frame's payload type.
@@ -87,6 +89,9 @@ const (
 	// an over-allocation. Work frames carry serialized model parameters;
 	// the cap matches checkpoint's 64 MiB header bound.
 	MaxPayload = 64 << 20
+	// MaxBlob is the largest Work.Params or Done.Delta a frame can carry:
+	// MaxPayload less the fixed message fields that precede the blob.
+	MaxBlob = MaxPayload - workHeadLen
 )
 
 // Frame-decode errors. ReadFrame never panics: every malformed input maps
@@ -101,24 +106,62 @@ var (
 	ErrShortPayload = errors.New("transport: payload truncated")
 )
 
+// appendHeader appends the frame header for a payload of n bytes.
+func appendHeader(b []byte, kind Kind, n int) []byte {
+	b = appendU32(b, frameMagic)
+	b = append(b, frameVersion, uint8(kind), 0, 0) // flags, reserved
+	return appendU32(b, uint32(n))
+}
+
+func checkPayloadLen(n int) error {
+	if n > MaxPayload {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, n, MaxPayload)
+	}
+	return nil
+}
+
 // WriteFrame encodes one frame to w: header, payload, CRC-32 (IEEE) over
 // header+payload. It performs a single Write so a frame is either fully
 // buffered to the connection or not sent at all.
 func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), MaxPayload)
+	if err := checkPayloadLen(len(payload)); err != nil {
+		return err
 	}
-	buf := make([]byte, headerLen+len(payload)+4)
-	binary.LittleEndian.PutUint32(buf[0:4], frameMagic)
-	buf[4] = frameVersion
-	buf[5] = uint8(kind)
-	binary.LittleEndian.PutUint16(buf[6:8], 0) // flags, reserved
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
-	copy(buf[headerLen:], payload)
-	sum := crc32.ChecksumIEEE(buf[:headerLen+len(payload)])
-	binary.LittleEndian.PutUint32(buf[headerLen+len(payload):], sum)
-	_, err := w.Write(buf)
+	buf := make([]byte, 0, headerLen+len(payload)+4)
+	buf = append(appendHeader(buf, kind, len(payload)), payload...)
+	_, err := w.Write(appendU32(buf, crc32.ChecksumIEEE(buf)))
 	return err
+}
+
+// writeWork writes w's Work frame — the bytes of WriteFrame(EncodeWork(w)) —
+// without copying w.Params: header and fixed fields, the params and the CRC
+// (folded across the parts) leave as one vectored write. On a TCP connection
+// that is a single writev under the connection's write lock, so the frame
+// cannot interleave with the acks and heartbeats its read loop writes.
+func writeWork(conn io.Writer, w Work) error {
+	n := workHeadLen + len(w.Params)
+	if err := checkPayloadLen(n); err != nil {
+		return err
+	}
+	head := appendWorkHead(appendHeader(make([]byte, 0, headerLen+workHeadLen+4), KindWork, n), w)
+	sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, w.Params)
+	bufs := net.Buffers{head, w.Params, appendU32(head[len(head):], sum)}
+	_, err := bufs.WriteTo(conn)
+	return err
+}
+
+// appendDoneFrame appends d's complete Done frame — the bytes of
+// WriteFrame(EncodeDone(d)) — to b. The Client keeps the result until the
+// coordinator acks it, so a retransmit re-sends these bytes as they are.
+func appendDoneFrame(b []byte, d Done) ([]byte, error) {
+	n := doneHeadLen(d) + len(d.Delta)
+	if err := checkPayloadLen(n); err != nil {
+		return b, err
+	}
+	start := len(b)
+	b = slices.Grow(b, headerLen+n+4)
+	b = append(appendDoneHead(appendHeader(b, KindDone, n), d), d.Delta...)
+	return appendU32(b, crc32.ChecksumIEEE(b[start:])), nil
 }
 
 // ReadFrame decodes one frame from r. Truncated, corrupt, or oversized
@@ -127,42 +170,69 @@ func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
 // for a clean EOF before the first header byte; a frame cut short mid-way
 // surfaces as io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) (Kind, []byte, error) {
-	var hdr [headerLen]byte
+	hdr := make([]byte, headerLen)
+	kind, n, err := readHeader(r, hdr)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, err := readBody(r, hdr, make([]byte, n+4))
+	return kind, payload, err
+}
+
+// readHeader reads one frame header into hdr (headerLen bytes), validates
+// it and returns the frame's kind and its bounds-checked payload length.
+// ReadFrame is readHeader then readBody; the link read loops call the two
+// themselves so the body lands in a buffer they reuse.
+func readHeader(r io.Reader, hdr []byte) (Kind, int, error) {
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return 0, nil, err // clean EOF between frames
+		return 0, 0, err // clean EOF between frames
 	}
 	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, err
+		return 0, 0, err
 	}
 	if binary.LittleEndian.Uint32(hdr[0:4]) != frameMagic {
-		return 0, nil, ErrBadMagic
+		return 0, 0, ErrBadMagic
 	}
 	if hdr[4] != frameVersion {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
+		return 0, 0, fmt.Errorf("%w: %d", ErrBadVersion, hdr[4])
 	}
 	kind := Kind(hdr[5])
 	if kind < KindHello || kind > KindLeave {
-		return 0, nil, fmt.Errorf("%w: %d", ErrBadKind, hdr[5])
+		return 0, 0, fmt.Errorf("%w: %d", ErrBadKind, hdr[5])
 	}
 	n := binary.LittleEndian.Uint32(hdr[8:12])
 	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, MaxPayload)
+		return 0, 0, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, MaxPayload)
 	}
-	rest := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	return kind, int(n), nil
+}
+
+// readBody reads the payload and CRC that follow hdr into buf — exactly
+// payload length + 4 bytes — and returns the verified payload, which aliases
+// buf.
+func readBody(r io.Reader, hdr, buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, nil, err
+		return nil, err
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[:])
-	crc.Write(rest[:n])
-	if crc.Sum32() != binary.LittleEndian.Uint32(rest[n:]) {
-		return 0, nil, ErrBadCRC
+	n := len(buf) - 4
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, buf[:n])
+	if sum != binary.LittleEndian.Uint32(buf[n:]) {
+		return nil, ErrBadCRC
 	}
-	return kind, rest[:n:n], nil
+	return buf[:n:n], nil
+}
+
+// sized returns buf resliced to n bytes, reallocating only when its capacity
+// falls short. n comes from readHeader, so it is already bounded.
+func sized(buf []byte, n int) []byte {
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
 }

@@ -62,6 +62,66 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestLinkWritersGoldenBytes pins the two senders that bypass WriteFrame to
+// spare a copy of the model — TCP.Send's vectored Work frame and the Client's
+// kept Done frame — to the bytes WriteFrame(Encode…) puts on the wire: the
+// goldens above for the small messages, and a multi-KB blob against the
+// reference encoder.
+func TestLinkWritersGoldenBytes(t *testing.T) {
+	blob := bytes.Repeat([]byte{0x5a, 0xc3, 0x00, 0xff}, 3<<10)
+	works := []struct {
+		w   Work
+		hex string
+	}{
+		{Work{Seq: 42, Epoch: 3, Lo: 128, Hi: 192, LR: 0.0625, SentNS: 1_500_000_000, Params: []byte{0xde, 0xad, 0xbe, 0xef}},
+			"3146474801030000340000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f68590000000004000000deadbeef21be8114"},
+		{Work{Seq: 7, Lo: 0, Hi: 64, LR: 0.01, Params: blob}, ""},
+		{Work{Seq: 8}, ""},
+	}
+	for _, c := range works {
+		var got bytes.Buffer
+		if err := writeWork(&got, c.w); err != nil {
+			t.Fatal(err)
+		}
+		if want := mustFrame(t, KindWork, EncodeWork(c.w)); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("work seq %d: vectored frame differs from WriteFrame(EncodeWork)", c.w.Seq)
+		}
+		if c.hex != "" && hex.EncodeToString(got.Bytes()) != c.hex {
+			t.Errorf("work seq %d frame bytes changed:\n got %x\nwant %s", c.w.Seq, got.Bytes(), c.hex)
+		}
+	}
+	dones := []struct {
+		d   Done
+		hex string
+	}{
+		{Done{Worker: 1, Seq: 42, Updates: 4, Dropped: 1, Failed: true, Err: "boom", Delta: []byte{1, 2}},
+			"314647480104000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d0200000001029f78d1a8"},
+		{Done{Worker: 1, Seq: 7, Updates: 1, Delta: blob}, ""},
+		{Done{Seq: 8}, ""},
+	}
+	kept := []byte("kept prefix") // appendDoneFrame appends; the CRC covers the frame only
+	for _, c := range dones {
+		out, err := appendDoneFrame(kept, c.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := out[len(kept):]
+		if want := mustFrame(t, KindDone, EncodeDone(c.d)); !bytes.Equal(got, want) {
+			t.Errorf("done seq %d: kept frame differs from WriteFrame(EncodeDone)", c.d.Seq)
+		}
+		if c.hex != "" && hex.EncodeToString(got) != c.hex {
+			t.Errorf("done seq %d frame bytes changed:\n got %x\nwant %s", c.d.Seq, got, c.hex)
+		}
+	}
+	big := make([]byte, MaxPayload) // fits a frame alone, not behind a message head
+	if err := writeWork(io.Discard, Work{Params: big}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized work: err %v, want ErrTooLarge", err)
+	}
+	if _, err := appendDoneFrame(nil, Done{Delta: big}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized done: err %v, want ErrTooLarge", err)
+	}
+}
+
 func TestReadFrameRejectsMalformed(t *testing.T) {
 	good := mustFrame(t, KindDone, EncodeDone(Done{Worker: 0, Seq: 1}))
 

@@ -15,6 +15,9 @@ import (
 // dispatch frame stays small regardless of batch size. Params optionally
 // carries the serialized global model for parameter-server training; it is
 // empty for in-process transports, whose workers share the model in memory.
+// Params is borrowed, never kept: the sender may overwrite it once Send
+// returns, and on the worker it aliases the link's read buffer, valid only
+// inside the handler call.
 type Work struct {
 	Seq    uint64
 	Epoch  uint32
@@ -29,7 +32,11 @@ type Work struct {
 // Done is one completed dispatch. Delta carries the serialized parameter
 // delta for parameter-server training (empty for in-process transports and
 // failed work). A failed dispatch reports Failed with Err, and the
-// coordinator re-dispatches the range elsewhere.
+// coordinator re-dispatches the range elsewhere. Delta is borrowed like
+// Work.Params: a handler may reuse its bytes on its next call (the Client
+// has copied them into the frame it keeps for retransmission), and on the
+// coordinator it aliases a receive buffer the engine may hand back with
+// TCP.Recycle (see Msg) once it is through with the completion.
 type Done struct {
 	Worker  int
 	Seq     uint64
@@ -94,11 +101,6 @@ func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
 // cursor walks a payload with bounds checks; every take reports
 // ErrShortPayload instead of slicing out of range.
 type cursor struct {
@@ -157,17 +159,25 @@ func (c *cursor) done() error {
 	return nil
 }
 
-// EncodeWork serializes w for a Work frame.
-func EncodeWork(w Work) []byte {
-	b := make([]byte, 0, 44+len(w.Params))
+// workHeadLen is the Work payload up to and including the length prefix of
+// Params — everything but the blob itself.
+const workHeadLen = 48
+
+// appendWorkHead appends w's payload short of the Params bytes.
+func appendWorkHead(b []byte, w Work) []byte {
 	b = appendU64(b, w.Seq)
 	b = appendU32(b, w.Epoch)
 	b = appendU64(b, uint64(int64(w.Lo)))
 	b = appendU64(b, uint64(int64(w.Hi)))
 	b = appendU64(b, math.Float64bits(w.LR))
 	b = appendU64(b, uint64(w.SentNS))
-	b = appendBytes(b, w.Params)
-	return b
+	return appendU32(b, uint32(len(w.Params)))
+}
+
+// EncodeWork serializes w for a Work frame.
+func EncodeWork(w Work) []byte {
+	b := make([]byte, 0, workHeadLen+len(w.Params))
+	return append(appendWorkHead(b, w), w.Params...)
 }
 
 // DecodeWork parses a Work frame payload.
@@ -191,9 +201,12 @@ func DecodeWork(p []byte) (Work, error) {
 	return w, nil
 }
 
-// EncodeDone serializes d for a Done frame.
-func EncodeDone(d Done) []byte {
-	b := make([]byte, 0, 40+len(d.Err)+len(d.Delta))
+// doneHeadLen is d's payload length short of the Delta bytes.
+func doneHeadLen(d Done) int { return 32 + len(d.Err) }
+
+// appendDoneHead appends d's payload up to and including the length prefix
+// of Delta.
+func appendDoneHead(b []byte, d Done) []byte {
 	b = appendU32(b, uint32(int32(d.Worker)))
 	b = appendU64(b, d.Seq)
 	b = appendU32(b, uint32(int32(d.Updates)))
@@ -203,9 +216,15 @@ func EncodeDone(d Done) []byte {
 		failed = 1
 	}
 	b = appendU32(b, failed)
-	b = appendBytes(b, []byte(d.Err))
-	b = appendBytes(b, d.Delta)
-	return b
+	b = appendU32(b, uint32(len(d.Err)))
+	b = append(b, d.Err...)
+	return appendU32(b, uint32(len(d.Delta)))
+}
+
+// EncodeDone serializes d for a Done frame.
+func EncodeDone(d Done) []byte {
+	b := make([]byte, 0, doneHeadLen(d)+len(d.Delta))
+	return append(appendDoneHead(b, d), d.Delta...)
 }
 
 // DecodeDone parses a Done frame payload.

@@ -33,6 +33,9 @@ type Proxy struct {
 	// active tracks live relay connections so Close can cut them.
 	active map[net.Conn]struct{}
 	closed bool
+	// severed receives a worker's id once a planned sever has closed both
+	// halves of its link (see Severed).
+	severed chan int
 
 	wg sync.WaitGroup
 }
@@ -50,6 +53,7 @@ func NewProxy(addr, target string, plan *faults.LinkPlan) (*Proxy, error) {
 		plan:      plan,
 		injectors: make(map[int]*faults.LinkInjector),
 		active:    make(map[net.Conn]struct{}),
+		severed:   make(chan int, 16), // a plan severs each link at most once; drills run a handful
 	}
 	p.wg.Add(1)
 	go p.acceptLoop()
@@ -58,6 +62,12 @@ func NewProxy(addr, target string, plan *faults.LinkPlan) (*Proxy, error) {
 
 // Addr returns the proxy's listening address (what workers should dial).
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
+
+// Severed delivers the id of each worker whose link a planned sever has cut,
+// after both halves are closed — what a test waits on to act strictly after
+// the partition began. Signals nobody collects are dropped past a small
+// buffer.
+func (p *Proxy) Severed() <-chan int { return p.severed }
 
 // Close stops accepting and tears down active relays.
 func (p *Proxy) Close() error {
@@ -211,7 +221,12 @@ func (p *Proxy) relay(down net.Conn) {
 				return
 			}
 			if kind == KindWork && inj.Work() {
-				return // sever fired
+				sever()
+				select {
+				case p.severed <- hello.Worker:
+				default:
+				}
+				return
 			}
 		}
 	}()

@@ -124,6 +124,14 @@ type TCP struct {
 	stats   Stats
 	statsMu sync.Mutex
 
+	// free holds the Done receive buffers the engine has handed back
+	// (Recycle) for the read loops to fill again — at most one per link slot,
+	// since a worker has one dispatch outstanding. Recycling only spares the
+	// allocator: a buffer that never comes back is garbage-collected and the
+	// next completion gets a fresh one.
+	freeMu sync.Mutex
+	free   [][]byte
+
 	wg sync.WaitGroup
 }
 
@@ -305,12 +313,57 @@ func (t *TCP) handshake(conn net.Conn) {
 	t.readLoop(id, conn)
 }
 
+// takeBuf returns an n-byte buffer for a Done frame's body, reusing a
+// recycled one when it is large enough. n is readHeader's bounded length.
+func (t *TCP) takeBuf(n int) []byte {
+	t.freeMu.Lock()
+	var buf []byte
+	if k := len(t.free) - 1; k >= 0 {
+		buf, t.free = t.free[k], t.free[:k]
+	}
+	t.freeMu.Unlock()
+	return sized(buf, n)
+}
+
+// Recycle hands back the receive buffer m.Done.Delta aliases once the engine
+// is through with the completion — applied, or discarded as a duplicate or
+// an abandoned straggler. The Delta must not be used afterwards (it is
+// cleared). Calling it is optional; see TCP.free.
+func (t *TCP) Recycle(m Msg) {
+	if m.lease == nil || m.lease.buf == nil {
+		return
+	}
+	buf := m.lease.buf
+	m.lease.buf, m.Done.Delta = nil, nil
+	t.freeMu.Lock()
+	if len(t.free) < t.maxWorkers {
+		t.free = append(t.free, buf)
+	}
+	t.freeMu.Unlock()
+}
+
 // readLoop consumes one connection's frames until error or displacement.
+// A Done's body is read into a pooled buffer that travels with the message;
+// the small frames share one the loop keeps.
 func (t *TCP) readLoop(id int, conn net.Conn) {
 	deadline := t.opts.Heartbeat * time.Duration(t.opts.MissLimit)
+	hdr := make([]byte, headerLen)
+	var small []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(deadline))
-		kind, payload, err := ReadFrame(conn)
+		kind, n, err := readHeader(conn, hdr)
+		if err != nil {
+			t.linkDown(id, conn, err)
+			return
+		}
+		var buf []byte
+		if kind == KindDone {
+			buf = t.takeBuf(n + 4)
+		} else {
+			small = sized(small, n+4)
+			buf = small
+		}
+		payload, err := readBody(conn, hdr, buf)
 		if err != nil {
 			t.linkDown(id, conn, err)
 			return
@@ -336,7 +389,7 @@ func (t *TCP) readLoop(id int, conn net.Conn) {
 			}
 			conn.SetWriteDeadline(time.Time{})
 			t.m.acks.Inc()
-			t.recvQ.Push(Msg{Done: &d})
+			t.recvQ.Push(Msg{Done: &d, lease: &lease{buf}})
 		case KindHeartbeat:
 			t.m.heartbeats.Inc()
 			// Pong: the echo feeds the worker's read deadline.
@@ -429,7 +482,7 @@ func (t *TCP) Send(worker int, w Work) error {
 		return ErrLinkDown
 	}
 	conn.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
-	err := WriteFrame(conn, KindWork, EncodeWork(w))
+	err := writeWork(conn, w)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		t.linkDown(worker, conn, err)

@@ -1,12 +1,35 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"net"
 	"testing"
 	"time"
 
 	"heterosgd/internal/faults"
 )
+
+// deltaLen is the size of the test handlers' Delta: several KB, so a frame
+// spans many reads and a stale or shared buffer cannot pass by luck.
+const deltaLen = 8 << 10
+
+// fillDelta writes seq's byte pattern into buf, the way a worker encodes each
+// dispatch's delta into the one buffer it owns.
+func fillDelta(buf []byte, seq uint64) []byte {
+	for i := range buf {
+		buf[i] = byte(seq)*131 + byte(i)
+	}
+	return buf
+}
+
+// checkDelta fails unless d carries the bytes its own Seq produced.
+func checkDelta(t *testing.T, d *Done) {
+	t.Helper()
+	if want := fillDelta(make([]byte, deltaLen), d.Seq); !bytes.Equal(d.Delta, want) {
+		t.Fatalf("done seq %d carries %d delta bytes that are not its own dispatch's", d.Seq, len(d.Delta))
+	}
+}
 
 // startWorker runs a client worker against addr with an echo-style handler
 // and returns a cleanup-registered done channel.
@@ -33,6 +56,12 @@ func startWorker(t *testing.T, addr string, id int, handler func(Work) Done) <-c
 // recvDone pulls messages until a Done arrives, failing after timeout.
 func recvDone(t *testing.T, tr Transport, timeout time.Duration) Done {
 	t.Helper()
+	return *recvDoneMsg(t, tr, timeout).Done
+}
+
+// recvDoneMsg is recvDone for a caller that hands the message back.
+func recvDoneMsg(t *testing.T, tr Transport, timeout time.Duration) Msg {
+	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		remaining := time.Until(deadline)
@@ -44,7 +73,7 @@ func recvDone(t *testing.T, tr Transport, timeout time.Duration) Done {
 			t.Fatalf("Recv = %v", st)
 		}
 		if m.Done != nil {
-			return *m.Done
+			return m
 		}
 	}
 }
@@ -111,8 +140,19 @@ func TestTCPSeveredLinkRedelivers(t *testing.T) {
 	}
 	defer proxy.Close()
 
+	// Each Done carries its dispatch's pattern in the one buffer the handler
+	// reuses. The dispatch that crosses the sever trigger is held until the
+	// proxy has cut the link, so its completion is always the stranded one —
+	// an instant Done would race the cut and sometimes slip through.
+	delta := make([]byte, deltaLen)
 	startWorker(t, proxy.Addr(), 0, func(w Work) Done {
-		return Done{Updates: 1}
+		if w.Seq == 2 {
+			select {
+			case <-proxy.Severed():
+			case <-time.After(5 * time.Second):
+			}
+		}
+		return Done{Updates: 1, Delta: fillDelta(delta, w.Seq)}
 	})
 	if err := coord.WaitForWorkers(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -145,6 +185,10 @@ func TestTCPSeveredLinkRedelivers(t *testing.T) {
 		case m.Done != nil:
 			dones++
 			lastSeq = m.Done.Seq
+			// The completion redelivered after the heal is its own frame,
+			// whatever the handler's buffer holds by now.
+			checkDelta(t, m.Done)
+			coord.Recycle(m)
 			if dones == 1 {
 				if err := coord.Send(0, Work{Seq: seq, Lo: 0, Hi: 1}); err == nil {
 					seq++
@@ -176,19 +220,102 @@ func TestTCPDuplicatedDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
+	delta := make([]byte, deltaLen)
 	startWorker(t, proxy.Addr(), 0, func(w Work) Done {
-		return Done{Updates: 1}
+		return Done{Updates: 1, Delta: fillDelta(delta, w.Seq)}
 	})
 	if err := coord.WaitForWorkers(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := coord.Send(0, Work{Seq: 77, Lo: 0, Hi: 1}); err != nil {
+	// Two dispatches, each completion delivered twice, every receive buffer
+	// handed straight back: a copy must still carry its own dispatch's bytes
+	// when its buffer last held another's.
+	for _, seq := range []uint64{77, 78} {
+		if err := coord.Send(0, Work{Seq: seq, Lo: 0, Hi: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for copy := 0; copy < 2; copy++ {
+			m := recvDoneMsg(t, coord, 5*time.Second)
+			if m.Done.Seq != seq {
+				t.Fatalf("copy %d of the completion has seq %d, want %d", copy, m.Done.Seq, seq)
+			}
+			checkDelta(t, m.Done)
+			coord.Recycle(m)
+			coord.Recycle(m) // handing a message back twice lends its buffer once
+		}
+	}
+}
+
+// TestClientRetransmitCarriesOwnBytes pins the ownership rule that lets a
+// worker encode every delta into one buffer: the Client retransmits a
+// completion from the frame it kept, not from the handler's bytes. A scripted
+// coordinator withholds the ack of dispatch 1, lets dispatch 2 overwrite the
+// handler's buffer, and the ack-timeout retransmit of 1 must still be 1's.
+func TestClientRetransmitCarriesOwnBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	first := recvDone(t, coord, 5*time.Second)
-	second := recvDone(t, coord, 5*time.Second)
-	if first.Seq != 77 || second.Seq != 77 {
-		t.Fatalf("duplicate seqs = %d, %d, want 77 twice", first.Seq, second.Seq)
+	defer ln.Close()
+	delta := make([]byte, deltaLen)
+	workerErr := startWorker(t, ln.Addr().String(), 0, func(w Work) Done {
+		return Done{Updates: 1, Delta: fillDelta(delta, w.Seq)}
+	})
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if kind, _, err := ReadFrame(conn); err != nil || kind != KindHello {
+		t.Fatalf("handshake: kind %v, err %v", kind, err)
+	}
+	send := func(kind Kind, payload []byte) {
+		t.Helper()
+		if err := WriteFrame(conn, kind, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// nextDone answers heartbeats until a completion arrives.
+	nextDone := func() Done {
+		t.Helper()
+		for {
+			kind, payload, err := ReadFrame(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch kind {
+			case KindHeartbeat:
+				send(KindHeartbeat, nil)
+			case KindDone:
+				d, err := DecodeDone(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+		}
+	}
+	send(KindWelcome, EncodeWelcome(Welcome{HeartbeatNS: int64(10 * time.Millisecond)}))
+	send(KindWork, EncodeWork(Work{Seq: 1, Lo: 0, Hi: 1}))
+	if d := nextDone(); d.Seq != 1 {
+		t.Fatalf("first completion has seq %d, want 1", d.Seq)
+	}
+	send(KindWork, EncodeWork(Work{Seq: 2, Lo: 0, Hi: 1}))
+	for got2 := false; ; {
+		d := nextDone()
+		checkDelta(t, &d)
+		if d.Seq == 2 {
+			got2 = true
+			send(KindAck, EncodeAck(Ack{Seq: 2}))
+		} else if got2 {
+			break // dispatch 1 again, sent after dispatch 2 reused the buffer
+		}
+	}
+	send(KindGoodbye, nil)
+	if err := <-workerErr; err != nil {
+		t.Fatalf("worker after goodbye: %v", err)
 	}
 }
 

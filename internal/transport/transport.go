@@ -84,7 +84,15 @@ type Event struct {
 type Msg struct {
 	Done  *Done
 	Event *Event
+	// lease is the pooled receive buffer Done.Delta aliases, on loan until
+	// TCP.Recycle takes it back. It rides the Msg, not the Done: a Done is
+	// allocated per completion on every engine, and only TCP lends buffers.
+	lease *lease
 }
+
+// lease holds one lent receive buffer; Recycle empties it, so handing the
+// same Msg back twice returns the buffer once.
+type lease struct{ buf []byte }
 
 // ErrLinkDown reports a Send to a worker whose link is currently down. The
 // coordinator treats it like a dispatch timeout: quarantine the worker and

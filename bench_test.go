@@ -159,8 +159,9 @@ func ablationProblem(b *testing.B, alg core.Algorithm) (*experiments.Problem, co
 }
 
 // BenchmarkAblationUpdateMode compares the wall-clock throughput of the
-// shared-model write disciplines on the live engine (atomic CAS vs racy
-// plain stores vs a global RWMutex).
+// shared-model write disciplines on the live engine: atomic (a row at a time
+// under a striped lock table), racy (the paper-exact plain stores) and locked
+// (one RWMutex over the model).
 func BenchmarkAblationUpdateMode(b *testing.B) {
 	for _, mode := range []tensor.UpdateMode{tensor.UpdateAtomic, tensor.UpdateRacy, tensor.UpdateLocked} {
 		b.Run(mode.String(), func(b *testing.B) {

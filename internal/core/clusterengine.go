@@ -105,9 +105,6 @@ func newWireBuf(net *nn.Network) ([]byte, error) {
 // network faults with transport.NewProxy and a faults.LinkPlan, or kill
 // whole processes with a faults.ProcPlan drill (hogcluster -chaos).
 func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans transport.Transport, opts ClusterOptions) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.supportedOn(engineCluster); err != nil {
 		return nil, err
 	}
@@ -257,8 +254,6 @@ func (x *clusterExec) drain(id int) []transport.Work {
 }
 
 func (x *clusterExec) modelLock(bool) sync.Locker { return nopLocker{} }
-
-func (x *clusterExec) cloneModel() *nn.Params { return x.l.global.Clone() }
 
 func (x *clusterExec) shutdown() {
 	if link, ok := x.l.trans.(clusterLink); ok {

@@ -142,15 +142,8 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 		replica.CopyFrom(base)
 		batch := ds.View(wk.Lo, wk.Hi)
 		t := min(threads, batch.Size())
-		var updates, dropped int
-		for i := 0; i < t; i++ {
-			if step.run(&ln, replica, replica, laneSub(batch, i, t), wk.LR, gemm, false) {
-				updates++
-			} else {
-				dropped++
-			}
-		}
-		out := transport.Done{Updates: updates, Dropped: dropped}
+		updates := step.split(&ln, replica, replica, batch, t, wk.LR, gemm, false)
+		out := transport.Done{Updates: updates, Dropped: t - updates}
 		if updates > 0 {
 			// The delta — what this dispatch changed, computed against the
 			// exact parameters it started from, so the coordinator can fold

@@ -294,7 +294,8 @@ type Config struct {
 	// SnapshotSink, when set, receives periodic deep copies of the shared
 	// model while training runs — the serving subsystem's publish hook
 	// (internal/serve.Publisher satisfies it). The engines own the copy
-	// discipline: atomic per-element loads against UpdateAtomic writers,
+	// discipline: row by row under the writers' stripe locks against
+	// UpdateAtomic writers (one row's stripe at a time, never the model),
 	// the model read-lock in UpdateLocked mode, plain reads in UpdateRacy
 	// mode (as unsynchronized as training itself, by design). The sink is
 	// called from the coordinator, never from worker hot paths, and the

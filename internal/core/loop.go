@@ -11,6 +11,7 @@ import (
 	"heterosgd/internal/elastic"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/telemetry"
+	"heterosgd/internal/tensor"
 	"heterosgd/internal/transport"
 )
 
@@ -90,10 +91,8 @@ type executor interface {
 	// drain stops a departed worker and returns the work it never started.
 	drain(id int) []transport.Work
 	// modelLock returns the lock a coordinator-side read or write of the
-	// live model must hold; cloneModel copies the model under the engine's
-	// read discipline.
+	// live model must hold.
 	modelLock(write bool) sync.Locker
-	cloneModel() *nn.Params
 	// evalTime is how long the barrier loss evaluation begun at t0 keeps the
 	// workers waiting: measured, or modeled on the eval device.
 	evalTime(t0 time.Duration) time.Duration
@@ -248,6 +247,20 @@ func (l *coordLoop) lockedLoss() float64 {
 	return l.evalLoss(l.gemm)
 }
 
+// cloneModel copies the live model under the run's read discipline: against
+// UpdateAtomic writers row by row under their stripes, in locked mode under
+// the read lock (as gradient reads are), and in racy mode plainly — as
+// unsynchronized as the training it observes.
+func (l *coordLoop) cloneModel() *nn.Params {
+	if l.cfg.UpdateMode == tensor.UpdateAtomic {
+		return l.global.CloneAtomic()
+	}
+	mu := l.exec.modelLock(false)
+	mu.Lock()
+	defer mu.Unlock()
+	return l.global.Clone()
+}
+
 // publishSnap hands the snapshot sink (the serving subsystem's attach point)
 // a copy of the model. It runs on the coordinator, so it never blocks a
 // worker.
@@ -260,7 +273,7 @@ func (l *coordLoop) publishSnap(force bool) {
 		return
 	}
 	l.lastSnap = t0
-	l.cfg.SnapshotSink.PublishParams(l.exec.cloneModel())
+	l.cfg.SnapshotSink.PublishParams(l.cloneModel())
 	l.tel.Span(l.coordRing, telemetry.KindSnapshot, t0, l.now()-t0, l.modelBytes)
 	l.rm.snapshots.Inc()
 }
@@ -306,7 +319,7 @@ func (l *coordLoop) writeCkpt(force bool) {
 			}
 		}
 		st.Membership = ms
-		st.Params = l.exec.cloneModel()
+		st.Params = l.cloneModel()
 		err = l.cfg.CheckpointSink.WriteState(st)
 	}
 	if err != nil {

@@ -24,13 +24,16 @@ import (
 // coordinator is the loop shared with RunSim and RunCluster (loop.go),
 // speaking transport.Local — the msgq queues behind the Transport interface.
 //
-// CPU workers split each batch into Threads concurrently-running
-// sub-batches whose gradients are applied straight to the shared model
-// (reference replicas); GPU workers copy the model into a private replica,
-// compute one large-batch gradient against it, and push the update back
-// asynchronously (deep replicas). Note the Hogwild read path is
-// unsynchronized by design; run with tensor.UpdateLocked for a fully
-// race-detector-clean execution (gradients then read under an RWMutex).
+// CPU workers split each batch into Threads sub-batches, run concurrently
+// by lane goroutines that live as long as the worker, whose gradients are
+// applied straight to the shared model (reference replicas); GPU workers
+// copy the model into a private replica, compute one large-batch gradient
+// against it, and push the update back asynchronously (deep replicas).
+// Under the default tensor.UpdateAtomic a write takes one row's stripe lock
+// at a time and loses no add, but the Hogwild read path is unsynchronized by
+// design; run with tensor.UpdateLocked for a fully race-detector-clean
+// execution (gradients then read under an RWMutex), or tensor.UpdateRacy for
+// the paper's plain stores.
 //
 // The engine is fault tolerant. A worker panic is recovered, the worker
 // marked crashed, and its in-flight batch re-dispatched to a survivor;
@@ -49,13 +52,20 @@ import (
 // the partial Result with Interrupted set — never an error. A run may also
 // warm-start from cfg.Resume.
 func RunReal(ctx context.Context, cfg Config, budget time.Duration) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	x, err := newLocalExec(ctx, &cfg, budget)
+	if err != nil {
 		return nil, err
 	}
+	return x.l.loop()
+}
+
+// newLocalExec validates cfg and builds RunReal's coordinator loop and
+// executor, every initial worker built and none started.
+func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*localExec, error) {
 	if err := cfg.supportedOn(engineReal); err != nil {
 		return nil, err
 	}
-	r, err := newRun(&cfg)
+	r, err := newRun(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -86,12 +96,12 @@ func RunReal(ctx context.Context, cfg Config, budget time.Duration) (*Result, er
 	if cfg.Algorithm == AlgDCASGD {
 		x.step.dc = cfg.DCLambda
 	}
+	l.exec = x
 	for id := range cfg.Workers {
 		x.build(id)
 	}
-	l.exec = x
 	x.began = time.Now()
-	return l.loop()
+	return x, nil
 }
 
 // realWorker bundles a worker goroutine's private state.
@@ -102,6 +112,22 @@ type realWorker struct {
 	inj     *faults.Injector
 	lanes   []lane     // one per CPU sub-batch thread (one otherwise)
 	replica *nn.Params // deep-copy buffer (GPU and LocalSGD workers)
+	view    data.Views // header of the dispatched batch
+	// A CPU worker's lanes each run on a goroutine of their own for as long
+	// as the worker's does: jobs[i] feeds lane i, busy counts the lanes still
+	// inside the current dispatch, updates the sub-batches that landed, and
+	// panicked keeps the first panic a lane recovered.
+	jobs     []chan laneJob
+	busy     sync.WaitGroup
+	updates  atomic.Int64
+	panicked atomic.Pointer[any]
+}
+
+// laneJob is one lane's share of a CPU dispatch.
+type laneJob struct {
+	sub     data.Batch
+	lr      float64
+	corrupt bool
 }
 
 // localExec is RunReal's executor: one goroutine per worker consuming a
@@ -133,25 +159,39 @@ func (x *localExec) build(id int) *realWorker {
 	lanes := 1
 	if wc.Device.Kind() == device.KindCPU && cfg.Algorithm != AlgLocalSGD {
 		lanes = max(wc.Threads, 1)
+		w.jobs = make([]chan laneJob, lanes)
 	}
 	rows := min((wc.MaxBatch+lanes-1)/lanes, x.l.ds.N())
 	for i := 0; i < lanes; i++ {
 		w.lanes = append(w.lanes, newLane(cfg, x.l.global, rows))
 	}
 	if wc.DeepReplica || cfg.Algorithm == AlgLocalSGD {
-		w.replica = x.l.global.Clone()
+		// Under the read discipline: a joiner is built while workers write.
+		w.replica = x.l.cloneModel()
 	}
 	x.workers = append(x.workers, w)
 	return w
 }
 
-// start launches w's goroutine. It exits when its inbox closes (retire,
-// evict, or shutdown) or on a recovered panic.
+// start launches w's goroutine and, for a CPU worker, one per lane. The
+// worker's exits when its inbox closes (retire, evict, or shutdown) or on a
+// recovered panic, and takes the lanes' with it by closing their channels.
 func (x *localExec) start(w *realWorker) {
 	l := x.l
-	x.wg.Add(1)
+	x.wg.Add(1 + len(w.jobs))
+	for i := range w.jobs {
+		// A lane holds at most one job (cpuIteration waits for all of them
+		// before the next dispatch), so a buffer of one never blocks a send.
+		w.jobs[i] = make(chan laneJob, 1)
+		go x.laneLoop(w, &w.lanes[i], w.jobs[i])
+	}
 	go func() {
 		defer x.wg.Done()
+		defer func() {
+			for _, jobs := range w.jobs {
+				close(jobs)
+			}
+		}()
 		for {
 			msg, ok := x.trans.NextWork(w.id)
 			if !ok {
@@ -160,11 +200,9 @@ func (x *localExec) start(w *realWorker) {
 			// Both sides view the same in-memory dataset, so the wire
 			// message is just the range; this is the identical batch the
 			// coordinator scheduled.
-			batch := l.ds.View(msg.Lo, msg.Hi)
-			if l.tel != nil {
-				sent := time.Duration(msg.SentNS)
-				l.tel.Span(w.id, telemetry.KindQueueWait, sent, l.now()-sent, int64(batch.Size()))
-			}
+			batch := l.ds.ViewInto(&w.view, msg.Lo, msg.Hi)
+			sent := time.Duration(msg.SentNS)
+			l.tel.Span(w.id, telemetry.KindQueueWait, sent, l.now()-sent, int64(batch.Size()))
 			out := x.iterate(w, batch, msg.LR)
 			out.Seq = msg.Seq
 			x.trans.Complete(out)
@@ -191,80 +229,72 @@ func (x *localExec) iterate(w *realWorker, batch data.Batch, lr float64) (out tr
 	if step.Crash {
 		panic(faults.CrashError{Worker: w.id, Iteration: w.inj.Iterations() - 1})
 	}
-	if step.Hang > 0 {
-		time.Sleep(step.Hang)
-	}
+	time.Sleep(step.Hang)
 	l := x.l
 	t0 := l.now()
-	var n, dropped int64
 	switch {
 	case l.cfg.Algorithm == AlgLocalSGD:
-		n, dropped = x.localRound(w, batch, lr)
+		// The merged wire batch re-splits into local steps of the worker's
+		// batch size: one LocalSGD round share on w's private replica.
+		out.Updates, out.Dropped = x.step.localRound(&w.lanes[0], l.global, w.replica, splitBatch(batch, w.wc.InitialBatch), lr)
 	case w.wc.Device.Kind() == device.KindCPU:
-		n, dropped = x.cpuIteration(w, batch, lr, step.Corrupt)
+		out.Updates, out.Dropped = x.cpuIteration(w, batch, lr, step.Corrupt)
 	default:
-		n, dropped = x.gpuIteration(w, batch, lr, step.Corrupt)
+		out.Updates, out.Dropped = x.gpuIteration(w, batch, lr, step.Corrupt)
 	}
 	t1 := l.now()
 	l.tel.Span(w.id, telemetry.KindGradient, t0, t1-t0, int64(batch.Size()))
-	l.tel.Span(w.id, telemetry.KindApply, t1, 0, n)
+	l.tel.Span(w.id, telemetry.KindApply, t1, 0, int64(out.Updates))
 	l.util.AddBusy(w.name, t0, t1, w.wc.Device.Utilization(l.net.Arch, batch.Size()))
-	l.raw.Add(w.name, n)
-	out.Updates = int(n)
-	out.Dropped = int(dropped)
+	l.raw.Add(w.name, int64(out.Updates))
 	return out
 }
 
-// localRound re-splits the merged wire batch into local steps of the
-// worker's batch size and runs them as one LocalSGD round share on w's
-// private replica.
-func (x *localExec) localRound(w *realWorker, batch data.Batch, lr float64) (updates, dropped int64) {
-	return x.step.localRound(&w.lanes[0], x.l.global, w.replica, splitBatch(batch, w.wc.InitialBatch), lr)
+// cpuIteration runs one CPU Hogbatch iteration with live parallelism: the
+// batch splits into Threads sub-batches handed to the worker's lane
+// goroutines, each applying its gradient directly to the shared model.
+// corrupt poisons every lane's gradient, exercising the guard's drop path.
+// Every lane goes through its channel while this goroutine parks in Wait —
+// running one inline leaves the lane it woke stranded behind it on the same
+// P. A panic on any lane is re-raised here after the remaining lanes finish,
+// so the engine-level recovery sees it.
+func (x *localExec) cpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
+	t := min(len(w.lanes), batch.Size())
+	w.updates.Store(0)
+	w.busy.Add(t)
+	for i := 0; i < t; i++ {
+		w.jobs[i] <- laneJob{laneSub(&w.lanes[i], batch, i, t), lr, corrupt}
+	}
+	w.busy.Wait()
+	if p := w.panicked.Swap(nil); p != nil {
+		panic(*p)
+	}
+	updates = int(w.updates.Load())
+	return updates, t - updates
 }
 
-// cpuIteration runs one CPU Hogbatch iteration with live parallelism: the
-// batch splits into Threads sub-batches processed by concurrent goroutines,
-// each applying its gradient directly to the shared model. corrupt poisons
-// every lane's gradient, exercising the guard's drop path. A panic on any
-// lane is re-raised on the worker goroutine after the remaining lanes
-// finish, so the engine-level recovery sees it.
-func (x *localExec) cpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (int64, int64) {
-	t := min(len(w.lanes), batch.Size())
-	var updates, dropped atomic.Int64
-	var wg sync.WaitGroup
-	var panicMu sync.Mutex
-	var panicVal any
-	for i := 0; i < t; i++ {
-		wg.Add(1)
-		go func(ln *lane, sub data.Batch) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			if x.step.run(ln, x.l.global, x.l.global, sub, lr, 1, corrupt) {
-				updates.Add(1)
-			} else {
-				dropped.Add(1)
-			}
-		}(&w.lanes[i], laneSub(batch, i, t))
+// laneLoop is a lane's goroutine: its share of every cpuIteration until the
+// worker closes jobs. A panic ends it — the worker it belongs to is dead.
+func (x *localExec) laneLoop(w *realWorker, ln *lane, jobs <-chan laneJob) {
+	defer x.wg.Done()
+	defer func() {
+		if r := recover(); r != nil {
+			w.panicked.CompareAndSwap(nil, &r)
+			w.busy.Done()
+		}
+	}()
+	for job := range jobs {
+		if x.step.run(ln, x.l.global, x.l.global, job.sub, job.lr, 1, job.corrupt) {
+			w.updates.Add(1)
+		}
+		w.busy.Done()
 	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	return updates.Load(), dropped.Load()
 }
 
 // gpuIteration runs one large-batch iteration through the deep-replica
 // path: copy the model, compute the batch gradient against the replica with
 // maximal intra-op parallelism, and push the update to the global model.
-func (x *localExec) gpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (int64, int64) {
+func (x *localExec) gpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
 	mu := x.modelLock(false)
 	mu.Lock()
 	w.replica.CopyFrom(x.l.global)
@@ -300,28 +330,13 @@ func (x *localExec) drain(id int) []transport.Work { return x.trans.CloseWorker(
 func (x *localExec) replica(id int) *nn.Params { return x.workers[id].replica }
 
 func (x *localExec) modelLock(write bool) sync.Locker {
-	switch {
-	case x.step.mu == nil:
+	if x.step.mu == nil {
 		return nopLocker{}
-	case write:
+	}
+	if write {
 		return &x.mu
-	default:
-		return x.mu.RLocker()
 	}
-}
-
-// cloneModel copies the live model: against UpdateAtomic writers with
-// per-element atomic loads, in locked mode under the read lock (the same
-// discipline gradient reads use), and in racy mode plainly — as
-// unsynchronized as the training it observes.
-func (x *localExec) cloneModel() *nn.Params {
-	if x.l.cfg.UpdateMode == tensor.UpdateAtomic {
-		return x.l.global.CloneAtomic()
-	}
-	mu := x.modelLock(false)
-	mu.Lock()
-	defer mu.Unlock()
-	return x.l.global.Clone()
+	return x.mu.RLocker()
 }
 
 func (x *localExec) shutdown() {

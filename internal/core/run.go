@@ -56,8 +56,12 @@ var engineRules = []struct {
 		"core: RunCluster membership is transport-driven (workers join and leave on the wire); scripted plans and autoscale policies apply to RunSim and RunReal — set MaxWorkers above the initial count to admit live joiners"},
 }
 
-// supportedOn reports why engine e cannot run c, nil when it can.
+// supportedOn reports why engine e cannot run c, nil when it can: an invalid
+// configuration runs nowhere, a valid one wherever no rule names it.
 func (c *Config) supportedOn(e engine) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
 	for _, r := range engineRules {
 		if r.on&e != 0 && r.when(c) {
 			return errors.New(r.msg)

@@ -36,9 +36,6 @@ import (
 // the interrupted one (cfg.Dataset must be freshly loaded, in original
 // order, as a new process provides — restore replays the epoch shuffles).
 func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.supportedOn(engineSim); err != nil {
 		return nil, err
 	}
@@ -208,8 +205,6 @@ func (x *simExec) replica(id int) *nn.Params { return x.workers[id].replica }
 
 func (x *simExec) modelLock(bool) sync.Locker { return nopLocker{} }
 
-func (x *simExec) cloneModel() *nn.Params { return x.l.global.Clone() }
-
 func (x *simExec) shutdown() {}
 
 // Send starts worker id's virtual iteration on m: it draws the iteration's
@@ -240,17 +235,16 @@ func (x *simExec) Send(id int, m transport.Work) error {
 	l.tel.Span(id, telemetry.KindGradient, now, dur, int64(batch.Size()))
 	l.util.AddBusy(w.name, now, now+dur, w.wc.Device.Utilization(l.net.Arch, steps[0].Size()))
 
-	var n, dropped int64
 	switch {
 	case l.cfg.Algorithm == AlgLocalSGD:
 		// One round share: each step is one local SGD step on the private
 		// replica; the round barrier averages the replicas.
-		n, dropped = x.step.localRound(&w.lane, l.global, w.replica, steps, m.LR)
+		w.done.Updates, w.done.Dropped = x.step.localRound(&w.lane, l.global, w.replica, steps, m.LR)
 	case w.wc.Device.Kind() == device.KindCPU:
 		// Reference replica: the sub-batch gradients update the shared model
 		// one after another, now — sequentialized Hogwild, the event-driven
 		// equivalent of Algorithm 2's parallel loop.
-		n, dropped = cpuIteration(&x.step, l.global, w, batch, m.LR, fault.Corrupt)
+		w.done.Updates, w.done.Dropped = cpuIteration(&x.step, l.global, w, batch, m.LR, fault.Corrupt)
 	case x.step.svrg != nil:
 		// SVRG GPU worker: its large batch becomes the anchor sample. w̃ and
 		// μ are computed against the dispatch-time model and become visible
@@ -269,9 +263,8 @@ func (x *simExec) Send(id int, m transport.Work) error {
 		}
 		w.deferred, w.lr, w.seen = true, m.LR, l.raw.Total()
 	}
-	w.done.Updates, w.done.Dropped = int(n), int(dropped)
-	if n > 0 {
-		l.raw.Add(w.name, n)
+	if n := w.done.Updates; n > 0 {
+		l.raw.Add(w.name, int64(n))
 	}
 	x.eng.Schedule(dur, w.deliver)
 	return nil
@@ -346,19 +339,13 @@ func (x *simExec) Close() error { return nil }
 // corrupt poisons every sub-batch gradient (fault injection); with guards
 // enabled, non-finite gradients are discarded before reaching the model
 // and counted in dropped.
-func cpuIteration(step *laneStep, global *nn.Params, w *simWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int64) {
+func cpuIteration(step *laneStep, global *nn.Params, w *simWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
 	t := min(max(w.wc.Threads, 1), batch.Size())
 	readModel := global
 	if w.replica != nil {
 		w.replica.CopyFrom(global)
 		readModel = w.replica
 	}
-	for i := 0; i < t; i++ {
-		if step.run(&w.lane, readModel, global, laneSub(batch, i, t), lr, 1, corrupt) {
-			updates++
-		} else {
-			dropped++
-		}
-	}
-	return updates, dropped
+	updates = step.split(&w.lane, readModel, global, batch, t, lr, 1, corrupt)
+	return updates, t - updates
 }

@@ -21,6 +21,8 @@ type lane struct {
 	delta *nn.Params
 	// scratch holds the ∇f(w̃) term of SVRG's corrected gradient.
 	scratch *nn.Params
+	// views holds the header of the sub-batch the lane is working on.
+	views data.Views
 }
 
 // newLane builds a lane whose workspace holds up to rows examples. Nothing
@@ -62,9 +64,11 @@ func (s *laneStep) run(l *lane, read, write *nn.Params, b data.Batch, lr float64
 // gradient leaves in l.grad the gradient of b at read, with L2 decay against
 // the same model and, when corrupt, the injected poison.
 func (s *laneStep) gradient(l *lane, read *nn.Params, b data.Batch, gemm int, corrupt bool) {
-	lockRead := s.mu != nil && read == s.shared
-	if lockRead {
+	if s.mu != nil && read == s.shared {
+		// Deferred, so a lane that panics mid-gradient does not leave the
+		// survivors' writers waiting on its read lock for ever.
 		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
 	if s.svrg != nil {
 		s.svrg.correctedGradient(s.net, read, l.ws, b, l.grad, l.scratch)
@@ -73,9 +77,6 @@ func (s *laneStep) gradient(l *lane, read *nn.Params, b data.Batch, gemm int, co
 	}
 	if s.decay > 0 {
 		l.grad.AddDecay(s.decay, read)
-	}
-	if lockRead {
-		s.mu.RUnlock()
 	}
 	if corrupt {
 		faults.Poison(l.grad)
@@ -116,7 +117,7 @@ func (s *laneStep) apply(l *lane, read, write *nn.Params, lr float64) bool {
 // the global model, then take one plain-SGD step per batch. Only the round
 // barrier writes the global model, so the copy races with nothing in
 // atomic/racy modes; locked mode still takes the read lock.
-func (s *laneStep) localRound(l *lane, global, replica *nn.Params, steps []data.Batch, lr float64) (updates, dropped int64) {
+func (s *laneStep) localRound(l *lane, global, replica *nn.Params, steps []data.Batch, lr float64) (updates, dropped int) {
 	if s.mu != nil {
 		s.mu.RLock()
 	}
@@ -135,10 +136,23 @@ func (s *laneStep) localRound(l *lane, global, replica *nn.Params, steps []data.
 }
 
 // laneSub returns the i-th of t near-equal consecutive sub-batches of batch
-// (t ≤ batch.Size(), so none is empty).
-func laneSub(batch data.Batch, i, t int) data.Batch {
+// (t ≤ batch.Size(), so none is empty) as a view held in l's storage: valid
+// until l takes its next sub-batch.
+func laneSub(l *lane, batch data.Batch, i, t int) data.Batch {
 	size := batch.Size()
-	return batch.Sub(i*size/t, (i+1)*size/t)
+	return batch.SubInto(&l.views, i*size/t, (i+1)*size/t)
+}
+
+// split runs batch as t consecutive sub-batches on the one lane l — the
+// sequential form of a CPU iteration — and returns how many updates landed;
+// the guard dropped the other t − landed.
+func (s *laneStep) split(l *lane, read, write *nn.Params, batch data.Batch, t int, lr float64, gemm int, corrupt bool) (landed int) {
+	for i := 0; i < t; i++ {
+		if s.run(l, read, write, laneSub(l, batch, i, t), lr, gemm, corrupt) {
+			landed++
+		}
+	}
+	return landed
 }
 
 // applyStep applies one gradient step to a model: the plain SGD fast path

@@ -130,34 +130,50 @@ func (b Batch) Input() nn.Input {
 	return nn.DenseInput(b.X)
 }
 
+// Views is the header storage behind one batch view. View and Sub allocate
+// the header their batch points at; ViewInto and SubInto write it here
+// instead, so a worker that keeps a Views per lane takes its batches without
+// garbage. The returned Batch points into the storage and is valid until the
+// storage is used again.
+type Views struct {
+	x  tensor.Matrix
+	xs tensor.CSR
+}
+
 // Sub returns the sub-batch covering examples [lo, hi) RELATIVE to b —
 // the representation-agnostic way engines split a batch across lanes.
 func (b Batch) Sub(lo, hi int) Batch {
+	if b.XS != nil {
+		return b.subInto(nil, new(tensor.CSR), lo, hi)
+	}
+	return b.subInto(new(tensor.Matrix), nil, lo, hi)
+}
+
+// SubInto is Sub with the feature view's header stored in st.
+func (b Batch) SubInto(st *Views, lo, hi int) Batch { return b.subInto(&st.x, &st.xs, lo, hi) }
+
+// subInto writes the header of the representation b has into x or xs.
+func (b Batch) subInto(x *tensor.Matrix, xs *tensor.CSR, lo, hi int) Batch {
 	if lo < 0 || hi > b.Size() || lo > hi {
 		panic(fmt.Sprintf("data: sub-batch [%d,%d) out of range for %d examples", lo, hi, b.Size()))
 	}
 	out := Batch{Y: b.Y.Slice(lo, hi), Lo: b.Lo + lo, Hi: b.Lo + hi}
 	if b.XS != nil {
-		out.XS = b.XS.RowView(lo, hi-lo)
+		out.XS = b.XS.RowViewInto(xs, lo, hi-lo)
 	} else {
-		out.X = b.X.RowView(lo, hi-lo)
+		out.X = b.X.RowViewInto(x, lo, hi-lo)
 	}
 	return out
 }
 
+// all is the dataset as the batch [0, N), so that a view is a sub-batch.
+func (d *Dataset) all() Batch { return Batch{X: d.X, XS: d.XS, Y: d.Y, Hi: d.N()} }
+
 // View returns the batch covering examples [lo, hi).
-func (d *Dataset) View(lo, hi int) Batch {
-	if lo < 0 || hi > d.N() || lo > hi {
-		panic(fmt.Sprintf("data: view [%d,%d) out of range for %d examples", lo, hi, d.N()))
-	}
-	b := Batch{Y: d.Y.Slice(lo, hi), Lo: lo, Hi: hi}
-	if d.XS != nil {
-		b.XS = d.XS.RowView(lo, hi-lo)
-	} else {
-		b.X = d.X.RowView(lo, hi-lo)
-	}
-	return b
-}
+func (d *Dataset) View(lo, hi int) Batch { return d.all().Sub(lo, hi) }
+
+// ViewInto is View with the feature view's header stored in st.
+func (d *Dataset) ViewInto(st *Views, lo, hi int) Batch { return d.all().SubInto(st, lo, hi) }
 
 // Shuffle permutes examples in place (Fisher-Yates), keeping X and Y aligned.
 // The sparse path consumes the RNG identically to the dense path, so a seed

@@ -3,6 +3,7 @@ package data
 import (
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"heterosgd/internal/nn"
 	"heterosgd/internal/tensor"
@@ -168,4 +169,59 @@ func TestClassCounts(t *testing.T) {
 	if c[0] != 1 || c[1] != 2 || c[2] != 0 {
 		t.Fatalf("multi counts = %v", c)
 	}
+}
+
+// sameSlice reports whether a and b are the same slice header.
+func sameSlice[T any](a, b []T) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)
+}
+
+// sameBatch reports whether a and b are the same view, field for field: same
+// range, same label slices, and feature headers denoting the same storage.
+func sameBatch(a, b Batch) bool {
+	if a.Lo != b.Lo || a.Hi != b.Hi || !sameSlice(a.Y.Class, b.Y.Class) || !sameSlice(a.Y.Multi, b.Y.Multi) {
+		return false
+	}
+	if (a.X == nil) != (b.X == nil) || (a.XS == nil) != (b.XS == nil) {
+		return false
+	}
+	if a.X != nil && (a.X.Rows != b.X.Rows || a.X.Cols != b.X.Cols || a.X.Stride != b.X.Stride || !sameSlice(a.X.Data, b.X.Data)) {
+		return false
+	}
+	return a.XS == nil || a.XS.Rows == b.XS.Rows && a.XS.Cols == b.XS.Cols &&
+		sameSlice(a.XS.RowPtr, b.XS.RowPtr) && sameSlice(a.XS.ColIdx, b.XS.ColIdx) && sameSlice(a.XS.Val, b.XS.Val)
+}
+
+// TestViewIntoSubIntoMatchAndDoNotAllocate: the header-storing views are the
+// allocating ones field for field, in both representations, at zero
+// allocations — what lets a worker take batches without garbage.
+func TestViewIntoSubIntoMatchAndDoNotAllocate(t *testing.T) {
+	spec := RealSim.Scaled(0.002)
+	for name, d := range map[string]*Dataset{"dense": Generate(spec, 3), "csr": GenerateCSR(spec, 3)} {
+		var vs, ss Views
+		for _, r := range [][2]int{{0, d.N()}, {10, 42}, {7, 8}, {5, 5}} {
+			want := d.View(r[0], r[1])
+			got := d.ViewInto(&vs, r[0], r[1])
+			if !sameBatch(got, want) {
+				t.Fatalf("%s: ViewInto[%d,%d) = %+v, View = %+v", name, r[0], r[1], got, want)
+			}
+			n := got.Size()
+			if sub, wantSub := got.SubInto(&ss, n/3, n-n/4), want.Sub(n/3, n-n/4); !sameBatch(sub, wantSub) {
+				t.Fatalf("%s: SubInto = %+v, Sub = %+v", name, sub, wantSub)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			b := d.ViewInto(&vs, 10, 42)
+			b.SubInto(&ss, 4, 20)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: ViewInto+SubInto allocate %.0f times, want 0", name, allocs)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range SubInto did not panic")
+		}
+	}()
+	smallDataset(4).View(0, 4).SubInto(new(Views), 2, 5)
 }

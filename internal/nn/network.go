@@ -193,9 +193,10 @@ type Workspace struct {
 	// holds layer-l activations.
 	acts   []*tensor.Matrix
 	deltas []*tensor.Matrix
-	// actViews caches per-layer row-view headers so the forward path
-	// re-slices instead of allocating one per layer per batch.
-	actViews []tensor.Matrix
+	// actViews and deltaViews cache per-layer row-view headers so the
+	// forward and backward passes re-slice instead of allocating one per
+	// layer per batch.
+	actViews, deltaViews []tensor.Matrix
 	// colMark/colBuf are scratch for collecting a sparse batch's active
 	// feature columns; allocated lazily on the first sparse gradient.
 	colMark []bool
@@ -244,6 +245,7 @@ func (ws *Workspace) grow(batch int) {
 	ws.acts = make([]*tensor.Matrix, len(n.dims))
 	ws.deltas = make([]*tensor.Matrix, len(n.dims))
 	ws.actViews = make([]tensor.Matrix, len(n.dims))
+	ws.deltaViews = make([]tensor.Matrix, len(n.dims))
 	for l := 1; l < len(n.dims); l++ {
 		ws.acts[l] = tensor.NewMatrix(batch, n.dims[l])
 		if !ws.inferOnly {
@@ -257,6 +259,11 @@ func (ws *Workspace) grow(batch int) {
 // allocations per layer would otherwise be the only per-batch garbage).
 func (ws *Workspace) actView(l, b int) *tensor.Matrix {
 	return ws.acts[l].RowViewInto(&ws.actViews[l], 0, b)
+}
+
+// deltaView is actView for layer l's delta buffer (the backward pass).
+func (ws *Workspace) deltaView(l, b int) *tensor.Matrix {
+	return ws.deltas[l].RowViewInto(&ws.deltaViews[l], 0, b)
 }
 
 // ensure prepares the workspace for a batch of b rows and returns batch-sized
@@ -332,7 +339,7 @@ func (n *Network) GradientX(p *Params, ws *Workspace, x Input, y Labels, grad *P
 	b := x.Rows()
 	logits := n.ForwardX(p, ws, x, workers)
 	P := n.Arch.NumLayers()
-	outDelta := ws.deltas[P].RowView(0, b)
+	outDelta := ws.deltaView(P, b)
 	var loss float64
 	if n.Arch.MultiLabel {
 		loss = sigmoidBCEBackward(logits, y, outDelta)
@@ -341,13 +348,13 @@ func (n *Network) GradientX(p *Params, ws *Workspace, x Input, y Labels, grad *P
 	}
 	invB := 1 / float64(b)
 	for l := P - 1; l >= 0; l-- {
-		delta := ws.deltas[l+1].RowView(0, b)
+		delta := ws.deltaView(l+1, b)
 		if l == 0 && x.Sparse != nil {
 			n.sparseInputGrad(ws, x.Sparse, delta, invB, grad, workers)
 		} else {
 			in := x.Dense
 			if l > 0 {
-				in = ws.acts[l].RowView(0, b)
+				in = ws.actView(l, b)
 			}
 			// dW = (1/b) deltaᵀ · in
 			tensor.ParallelGemm(true, false, invB, delta, in, 0, grad.Weights[l], workers)
@@ -360,8 +367,8 @@ func (n *Network) GradientX(p *Params, ws *Workspace, x Input, y Labels, grad *P
 		grad.Biases[l].Scale(invB)
 		if l > 0 {
 			// prevDelta = delta · W, then ⊙ f'(act)
-			in := ws.acts[l].RowView(0, b)
-			prev := ws.deltas[l].RowView(0, b)
+			in := ws.actView(l, b)
+			prev := ws.deltaView(l, b)
 			tensor.ParallelGemm(false, false, 1, delta, p.Weights[l], 0, prev, workers)
 			applyActivationGrad(n.Arch.Activation, in.Data[:b*in.Stride], prev.Data[:b*prev.Stride])
 		}

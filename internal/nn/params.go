@@ -146,8 +146,9 @@ func (p *Params) AddDecay(a float64, model *Params) {
 
 // ApplyUpdate performs p += a·src under the given shared-write discipline.
 // With tensor.UpdateAtomic the write is race-free against concurrent
-// ApplyUpdate calls (lock-free CAS per element); with tensor.UpdateRacy it
-// reproduces the paper's unsynchronized Hogwild update. When src is a sparse
+// ApplyUpdate calls and loses none of them: each row is added under its
+// stripe lock (not lock-free — one row's stripe at a time, never the model);
+// tensor.UpdateRacy is the paper-exact unsynchronized Hogwild update. When src is a sparse
 // gradient (ActiveCols set), the first-layer write touches only the active
 // columns — the partial update that makes sparse Hogbatch CPU-friendly.
 func (p *Params) ApplyUpdate(mode tensor.UpdateMode, a float64, src *Params) {

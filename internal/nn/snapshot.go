@@ -23,12 +23,14 @@ type Snapshot struct {
 	At time.Time
 }
 
-// CloneAtomic returns a deep copy of p taken with per-element atomic loads,
-// race-free against concurrent UpdateAtomic Hogwild writers — the snapshot
-// publisher's read discipline. The copy is per-element consistent (each
-// scalar is a value some writer produced), not a point-in-time image of the
-// whole model; that is exactly the consistency Hogwild gradient reads
-// already tolerate, and SGD's robustness to it is the paper's premise.
+// CloneAtomic returns a deep copy of p taken a row at a time, each row under
+// the stripe lock UpdateAtomic writers take (tensor.AtomicCopy), so it is
+// race-free against concurrent Hogwild writers — the snapshot publisher's
+// read discipline. It holds one row's stripe at a time, never the model: the
+// copy is row-consistent (every row is a value of that row between two
+// writes), not a point-in-time image of the whole model; that is more than
+// the consistency Hogwild gradient reads already tolerate, and SGD's
+// robustness to it is the paper's premise.
 func (p *Params) CloneAtomic() *Params {
 	out := &Params{
 		Weights: make([]*tensor.Matrix, len(p.Weights)),

@@ -1,8 +1,7 @@
 package tensor
 
 import (
-	"math"
-	"sync/atomic"
+	"sync"
 	"unsafe"
 )
 
@@ -10,14 +9,19 @@ import (
 type UpdateMode int
 
 const (
-	// UpdateAtomic applies each element with a compare-and-swap loop. This
-	// is lock-free, never loses a whole write, and is free of data races
-	// under the Go memory model. It is the default.
+	// UpdateAtomic writes the model a row at a time: a writer locks the
+	// row's stripe (one of a fixed table of mutexes, picked by the row's
+	// address), adds into the row with plain stores, and unlocks. No add is
+	// ever lost, writers to different rows rarely meet, and concurrent
+	// writers and AtomicCopy readers are free of data races under the Go
+	// memory model. It is not lock-free — a writer holds one row's stripe at
+	// a time, never the model — and it is the default; DESIGN.md §5.1 has
+	// the measurements that chose it over a compare-and-swap per element.
 	UpdateAtomic UpdateMode = iota
 	// UpdateRacy uses plain stores with no synchronization, exactly like
-	// the paper's Hogwild/Hogbatch C implementation. Concurrent writes may
-	// clobber each other; SGD tolerates this (Niu et al., 2011). It is
-	// faster but is flagged by the race detector.
+	// the paper's Hogwild/Hogbatch C implementation — the paper-exact mode.
+	// Concurrent writes may clobber each other; SGD tolerates this (Niu et
+	// al., 2011). It is faster but is flagged by the race detector.
 	UpdateRacy
 	// UpdateLocked guards the whole model with a mutex at the caller.
 	// Provided for ablation benchmarks only; the tensor kernels treat it
@@ -39,44 +43,72 @@ func (m UpdateMode) String() string {
 	}
 }
 
-// atomicAddFloat64 adds delta to *addr with a CAS loop.
-func atomicAddFloat64(addr *float64, delta float64) {
-	bits := (*uint64)(unsafe.Pointer(addr))
-	for {
-		old := atomic.LoadUint64(bits)
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(bits, old, next) {
-			return
-		}
-	}
+// stripes is the lock table behind UpdateAtomic. A row of a shared matrix
+// (or a whole shared vector) is guarded by the stripe its base address hashes
+// to, so every view of the same storage — the matrix, a RowView of it — meets
+// on the same mutex. Each stripe has a cache line to itself: two lanes writing
+// different rows must not bounce one line between their cores.
+var stripes [256]struct {
+	sync.Mutex
+	_ [64 - unsafe.Sizeof(sync.Mutex{})]byte
 }
 
-// AtomicAddScaled performs dst += a*src element-wise using per-element CAS
-// additions, so concurrent callers never lose updates. Shapes must match.
+// rowStripe returns the stripe guarding row, which must not be empty. The
+// multiplicative hash spreads a matrix's equally spaced rows over the table
+// whatever the stride.
+func rowStripe(row []float64) *sync.Mutex {
+	h := uint64(uintptr(unsafe.Pointer(&row[0]))) * 0x9E3779B97F4A7C15
+	return &stripes[h>>56].Mutex
+}
+
+// addScaledRow performs d += a*s under d's stripe, skipping zero terms: a
+// sparse gradient leaves most of a row untouched, and with one writer the
+// stored floats are exactly the plain loop's.
+func addScaledRow(d []float64, a float64, s []float64) {
+	if len(d) == 0 {
+		return
+	}
+	s = s[:len(d)]
+	mu := rowStripe(d)
+	mu.Lock()
+	for j := range d {
+		if v := a * s[j]; v != 0 {
+			d[j] += v
+		}
+	}
+	mu.Unlock()
+}
+
+// copyRow copies s into d under s's stripe, so the reader sees the row
+// between two writes, never inside one.
+func copyRow(d, s []float64) {
+	if len(s) == 0 {
+		return
+	}
+	mu := rowStripe(s)
+	mu.Lock()
+	copy(d, s)
+	mu.Unlock()
+}
+
+// AtomicAddScaled performs dst += a*src a row at a time, each row under its
+// stripe, so concurrent callers never lose updates. Shapes must match.
 func AtomicAddScaled(dst *Matrix, a float64, src *Matrix) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("tensor: atomicAddScaled shape mismatch")
 	}
 	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for j := range d {
-			if v := a * s[j]; v != 0 {
-				atomicAddFloat64(&d[j], v)
-			}
-		}
+		addScaledRow(dst.Row(i), a, src.Row(i))
 	}
 }
 
-// AtomicAddScaledVec performs dst += a*src on vectors with CAS additions.
+// AtomicAddScaledVec performs dst += a*src on vectors, the whole vector
+// being one row.
 func AtomicAddScaledVec(dst *Vector, a float64, src *Vector) {
 	if dst.Len() != src.Len() {
 		panic("tensor: atomicAddScaledVec length mismatch")
 	}
-	for i := range dst.Data {
-		if v := a * src.Data[i]; v != 0 {
-			atomicAddFloat64(&dst.Data[i], v)
-		}
-	}
+	addScaledRow(dst.Data, a, src.Data)
 }
 
 // ApplyUpdate performs dst += a*src according to mode. UpdateLocked is
@@ -90,19 +122,25 @@ func ApplyUpdate(mode UpdateMode, dst *Matrix, a float64, src *Matrix) {
 }
 
 // AtomicAddScaledCols performs dst += a*src restricted to the given columns,
-// with per-element CAS additions. It is the sparse partial update: a worker
-// whose batch only touched those feature columns writes nothing else.
+// each row under its stripe. It is the sparse partial update: a worker whose
+// batch only touched those feature columns writes nothing else.
 func AtomicAddScaledCols(dst *Matrix, a float64, src *Matrix, cols []int) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("tensor: atomicAddScaledCols shape mismatch")
 	}
+	if dst.Cols == 0 {
+		return
+	}
 	for i := 0; i < dst.Rows; i++ {
 		d, s := dst.Row(i), src.Row(i)
+		mu := rowStripe(d)
+		mu.Lock()
 		for _, j := range cols {
 			if v := a * s[j]; v != 0 {
-				atomicAddFloat64(&d[j], v)
+				d[j] += v
 			}
 		}
+		mu.Unlock()
 	}
 }
 
@@ -124,27 +162,18 @@ func ApplyUpdateVec(mode UpdateMode, dst *Vector, a float64, src *Vector) {
 	dst.AddScaled(a, src)
 }
 
-// atomicLoadFloat64 reads *addr with an atomic load, pairing with the CAS
-// writes of atomicAddFloat64 under the Go memory model.
-func atomicLoadFloat64(addr *float64) float64 {
-	return math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(addr))))
-}
-
-// AtomicCopy copies src into dst reading each element atomically, so the
-// copy is race-free against concurrent AtomicAddScaled writers — the model
-// snapshot read path of the serving subsystem. dst must be private to the
-// caller; its stores are plain. Elements are copied one at a time, so the
-// copy is per-element consistent, not a point-in-time image of the whole
-// matrix — the same consistency Hogwild gradient reads already live with.
+// AtomicCopy copies src into dst a row at a time, each row under its stripe,
+// so the copy is race-free against concurrent AtomicAddScaled writers — the
+// model snapshot read path of the serving subsystem. dst must be private to
+// the caller. Every copied row is whole (no writer was inside it), but rows
+// are copied one after another, so the copy is not a point-in-time image of
+// the matrix — the consistency Hogwild gradient reads already live with.
 func AtomicCopy(dst, src *Matrix) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic("tensor: atomicCopy shape mismatch")
 	}
 	for i := 0; i < dst.Rows; i++ {
-		d, s := dst.Row(i), src.Row(i)
-		for j := range d {
-			d[j] = atomicLoadFloat64(&s[j])
-		}
+		copyRow(dst.Row(i), src.Row(i))
 	}
 }
 
@@ -153,7 +182,5 @@ func AtomicCopyVec(dst, src *Vector) {
 	if dst.Len() != src.Len() {
 		panic("tensor: atomicCopyVec length mismatch")
 	}
-	for i := range dst.Data {
-		dst.Data[i] = atomicLoadFloat64(&src.Data[i])
-	}
+	copyRow(dst.Data, src.Data)
 }

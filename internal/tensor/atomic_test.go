@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -20,7 +22,7 @@ func TestAtomicAddScaledMatchesPlain(t *testing.T) {
 }
 
 func TestAtomicAddScaledConcurrentNoLostUpdates(t *testing.T) {
-	// With CAS adds, G goroutines each adding 1 to every element must
+	// With striped adds, G goroutines each adding 1 to every element must
 	// produce exactly G — the defining property racy Hogwild lacks.
 	const goroutines, iters = 8, 50
 	dst := NewMatrix(4, 4)
@@ -97,16 +99,18 @@ func TestUpdateModeString(t *testing.T) {
 	}
 }
 
-// Property: atomic float add is exact relative to plain float add for any
-// single-threaded sequence of deltas.
+// Property: a single writer's striped add stores exactly the floats the plain
+// add does, for any sequence of deltas.
 func TestQuickAtomicAddEquivalence(t *testing.T) {
 	f := func(deltas []float64) bool {
-		var plain, at float64
-		for _, d := range deltas {
-			plain += d
-			atomicAddFloat64(&at, d)
+		plain, at, d := NewVector(1), NewVector(1), NewVector(1)
+		for _, v := range deltas {
+			d.Data[0] = v
+			plain.AddScaled(1, d)
+			AtomicAddScaledVec(at, 1, d)
 		}
-		return plain == at || (plain != plain && at != at) // NaN == NaN handling
+		p, a := plain.Data[0], at.Data[0]
+		return p == a || (p != p && a != a) // NaN == NaN handling
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -138,4 +142,218 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestAtomicSingleWriterBitEqual: with one writer the striped writes store
+// the very floats AddScaled stores — matrix, column-restricted and vector —
+// which is what keeps every golden trajectory where it is.
+func TestAtomicSingleWriterBitEqual(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 19))
+	src := randomMatrix(rng, 9, 11)
+	src.Row(3)[4] = 0 // the zero-skip must not change a value either
+	cols := []int{0, 4, 10}
+	plain := randomMatrix(rng, 9, 11)
+	striped, plainCols := plain.Clone(), plain.Clone()
+	stripedCols := plain.Clone()
+	for _, a := range []float64{-0.03, 1.7, 0} {
+		plain.AddScaled(a, src)
+		AtomicAddScaled(striped, a, src)
+		AddScaledCols(plainCols, a, src, cols)
+		AtomicAddScaledCols(stripedCols, a, src, cols)
+	}
+	// The vectors alias row 0 of each matrix, so the loop below compares them too.
+	pv, sv := NewVectorFrom(plain.Row(0)), NewVectorFrom(striped.Row(0))
+	pv.AddScaled(0.5, NewVectorFrom(src.Row(1)))
+	AtomicAddScaledVec(sv, 0.5, NewVectorFrom(src.Row(1)))
+	for i := range plain.Data {
+		if math.Float64bits(plain.Data[i]) != math.Float64bits(striped.Data[i]) {
+			t.Fatalf("element %d: AtomicAddScaled stored %v, AddScaled %v", i, striped.Data[i], plain.Data[i])
+		}
+		if math.Float64bits(plainCols.Data[i]) != math.Float64bits(stripedCols.Data[i]) {
+			t.Fatalf("element %d: AtomicAddScaledCols stored %v, AddScaledCols %v", i, stripedCols.Data[i], plainCols.Data[i])
+		}
+	}
+}
+
+// TestAtomicCopySeesWholeRows: writers only ever add the same amount to every
+// element of a row, so a row copied between two writes has all elements equal;
+// a reader that saw the inside of a write would not.
+func TestAtomicCopySeesWholeRows(t *testing.T) {
+	const writers, iters, rows, cols = 4, 200, 6, 96
+	shared := NewMatrix(rows, cols)
+	bias := NewVector(cols)
+	ones := NewMatrix(rows, cols)
+	ones.Fill(1)
+	onesVec := NewVectorFrom(ones.Row(0))
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				AtomicAddScaled(shared, 1, ones)
+				AtomicAddScaledVec(bias, 1, onesVec)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	readerDone := make(chan error, 1)
+	go func() {
+		snap, snapVec := NewMatrix(rows, cols), NewVector(cols)
+		for {
+			AtomicCopy(snap, shared)
+			AtomicCopyVec(snapVec, bias)
+			for i := 0; i <= rows; i++ {
+				row := snapVec.Data
+				if i < rows {
+					row = snap.Row(i)
+				}
+				for _, v := range row {
+					if v != row[0] {
+						readerDone <- fmt.Errorf("row %d copied mid-write: %v next to %v", i, v, row[0])
+						return
+					}
+				}
+			}
+			select {
+			case <-stop:
+				readerDone <- nil
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-readerDone; err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range append(shared.Data, bias.Data...) {
+		if v != writers*iters {
+			t.Fatalf("lost updates: element = %v, want %v", v, writers*iters)
+		}
+	}
+}
+
+// TestAtomicAddScaledColsConcurrent: column-restricted writers lose nothing
+// inside cols and leave every other column bit-untouched.
+func TestAtomicAddScaledColsConcurrent(t *testing.T) {
+	const goroutines, iters = 8, 50
+	rng := rand.New(rand.NewPCG(7, 3))
+	dst := randomMatrix(rng, 5, 12)
+	before := dst.Clone()
+	ones := NewMatrix(5, 12)
+	ones.Fill(1)
+	cols := []int{1, 2, 7, 11}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				AtomicAddScaledCols(dst, 1, ones, cols)
+			}
+		}()
+	}
+	wg.Wait()
+	inCols := map[int]bool{}
+	for _, j := range cols {
+		inCols[j] = true
+	}
+	for i := 0; i < dst.Rows; i++ {
+		for j, v := range dst.Row(i) {
+			want := before.At(i, j)
+			if inCols[j] {
+				// The same 400 unit adds whatever order the writers took.
+				for k := 0; k < goroutines*iters; k++ {
+					want++
+				}
+			}
+			if math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("(%d,%d) = %v, want %v (in cols: %v)", i, j, v, want, inCols[j])
+			}
+		}
+	}
+}
+
+// TestAtomicRowViewSharesStripes: a RowView has the matrix's row addresses,
+// so writers through the view and through the matrix exclude each other.
+func TestAtomicRowViewSharesStripes(t *testing.T) {
+	const iters = 300
+	m := NewMatrix(6, 40)
+	view := m.RowView(2, 3)
+	if rowStripe(view.Row(0)) != rowStripe(m.Row(2)) {
+		t.Fatal("a row and its view hash to different stripes")
+	}
+	onesM, onesV := NewMatrix(6, 40), NewMatrix(3, 40)
+	onesM.Fill(1)
+	onesV.Fill(1)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			AtomicAddScaled(m, 1, onesM)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < iters; i++ {
+			AtomicAddScaled(view, 1, onesV)
+		}
+	}()
+	wg.Wait()
+	for i := 0; i < m.Rows; i++ {
+		want := float64(iters)
+		if i >= 2 && i < 5 {
+			want = 2 * iters
+		}
+		for _, v := range m.Row(i) {
+			if v != want {
+				t.Fatalf("row %d: element = %v, want %v", i, v, want)
+			}
+		}
+	}
+}
+
+// TestAtomicEmptyInputs: zero-row and zero-length operands have no row to
+// lock and nothing to do.
+func TestAtomicEmptyInputs(t *testing.T) {
+	for _, shape := range [][2]int{{0, 0}, {0, 5}, {5, 0}} {
+		a, b := NewMatrix(shape[0], shape[1]), NewMatrix(shape[0], shape[1])
+		AtomicAddScaled(a, 1, b)
+		AtomicAddScaledCols(a, 1, b, nil)
+		AtomicCopy(a, b)
+	}
+	m := NewMatrix(3, 4)
+	AtomicAddScaledCols(m, 1, m.Clone(), nil)
+	AtomicAddScaledVec(NewVector(0), 1, NewVector(0))
+	AtomicCopyVec(NewVector(0), &Vector{})
+}
+
+// BenchmarkAtomicAddScaled times the shared-model write at the hogwild-cpu
+// workload's shape (eight 64×64 layers): one writer, then two writers
+// contending for the same rows.
+func BenchmarkAtomicAddScaled(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 1))
+	var dst, src []*Matrix
+	for l := 0; l < 8; l++ {
+		dst = append(dst, NewMatrix(64, 64))
+		src = append(src, randomMatrix(rng, 64, 64))
+	}
+	write := func(n int) {
+		for i := 0; i < n; i++ {
+			for l := range dst {
+				AtomicAddScaled(dst[l], 1e-9, src[l])
+			}
+		}
+	}
+	b.Run("writers=1", func(b *testing.B) { write(b.N) })
+	b.Run("writers=2", func(b *testing.B) {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); write(b.N) }()
+		write(b.N)
+		wg.Wait()
+	})
 }

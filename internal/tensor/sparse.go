@@ -82,10 +82,17 @@ func (a *CSR) Density() float64 {
 // Only RowPtr is re-sliced; ColIdx and Val alias the parent, so views are
 // as cheap as dense Matrix.RowView.
 func (a *CSR) RowView(i, n int) *CSR {
+	return a.RowViewInto(new(CSR), i, n)
+}
+
+// RowViewInto is RowView writing the view header into dst instead of
+// allocating one, like Matrix.RowViewInto. Returns dst.
+func (a *CSR) RowViewInto(dst *CSR, i, n int) *CSR {
 	if i < 0 || n < 0 || i+n > a.Rows {
 		panic(fmt.Sprintf("tensor: csr row view [%d,%d) out of range for %d rows", i, i+n, a.Rows))
 	}
-	return &CSR{Rows: n, Cols: a.Cols, RowPtr: a.RowPtr[i : i+n+1], ColIdx: a.ColIdx, Val: a.Val}
+	*dst = CSR{Rows: n, Cols: a.Cols, RowPtr: a.RowPtr[i : i+n+1], ColIdx: a.ColIdx, Val: a.Val}
+	return dst
 }
 
 // At returns element (i, j) with a binary search over row i.
@@ -248,6 +255,12 @@ func SpMMT(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix, workers in
 	}
 	if c.Rows != d.Cols || c.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: spmmt output shape %d×%d, need %d×%d", c.Rows, c.Cols, d.Cols, a.Cols))
+	}
+	// Serial short-circuit before building the closure, as in SpMM: a CPU
+	// lane's gradient runs with workers=1 and must stay allocation-free.
+	if workers == 1 {
+		spmmtRange(alpha, a, d, beta, c, 0, c.Rows)
+		return
 	}
 	parallelRows(c.Rows, a.NNZ()*c.Rows, workers, func(j0, j1 int) {
 		spmmtRange(alpha, a, d, beta, c, j0, j1)

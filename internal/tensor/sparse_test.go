@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // randomCSR builds a random rows×cols CSR with the given density and returns
@@ -235,4 +236,37 @@ func TestConcurrentSpMMStress(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
+}
+
+// sameSlice reports whether a and b are the same slice header: same backing
+// position, length and capacity.
+func sameSlice[T any](a, b []T) bool {
+	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)
+}
+
+// TestCSRRowViewIntoMatchesRowView pins the header-storing view against the
+// allocating one, field for field, and at zero allocations.
+func TestCSRRowViewIntoMatchesRowView(t *testing.T) {
+	a, _ := randomCSR(rand.New(rand.NewPCG(4, 4)), 9, 14, 0.3)
+	var dst CSR
+	for _, span := range [][2]int{{0, 9}, {0, 1}, {3, 4}, {8, 1}, {5, 0}, {9, 0}} {
+		want := a.RowView(span[0], span[1])
+		got := a.RowViewInto(&dst, span[0], span[1])
+		if got != &dst {
+			t.Fatal("RowViewInto did not return dst")
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols || !sameSlice(got.RowPtr, want.RowPtr) ||
+			!sameSlice(got.ColIdx, want.ColIdx) || !sameSlice(got.Val, want.Val) {
+			t.Fatalf("view [%d,%d): got %+v, want %+v", span[0], span[0]+span[1], got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { a.RowViewInto(&dst, 2, 5) }); allocs != 0 {
+		t.Fatalf("RowViewInto allocates %.0f times per call, want 0", allocs)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range RowViewInto did not panic")
+		}
+	}()
+	a.RowViewInto(&dst, 5, 5)
 }

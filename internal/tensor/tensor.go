@@ -1,7 +1,8 @@
 // Package tensor provides the dense linear-algebra kernels used by the
 // heterosgd framework: row-major matrices, vectors, cache-blocked and
-// goroutine-parallel GEMM/GEMV, and the lock-free in-place updates that
-// implement Hogwild-style shared-model writes.
+// goroutine-parallel GEMM/GEMV, and the in-place updates that implement
+// Hogwild-style shared-model writes (row-striped locks by default, plain
+// stores in the paper-exact racy mode).
 //
 // Everything operates on float64. The kernels are written in pure Go (the
 // module is dependency-free); they stand in for Intel MKL on the CPU side of
@@ -52,10 +53,7 @@ func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Stride : i*m.Stride+m.
 
 // RowView returns a Matrix view of rows [i, i+n) sharing m's backing array.
 func (m *Matrix) RowView(i, n int) *Matrix {
-	if i < 0 || n < 0 || i+n > m.Rows {
-		panic(fmt.Sprintf("tensor: row view [%d,%d) out of range for %d rows", i, i+n, m.Rows))
-	}
-	return &Matrix{Rows: n, Cols: m.Cols, Stride: m.Stride, Data: m.Data[i*m.Stride : (i+n-1)*m.Stride+m.Cols]}
+	return m.RowViewInto(new(Matrix), i, n)
 }
 
 // RowViewInto is RowView writing the view header into dst instead of

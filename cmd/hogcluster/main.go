@@ -72,7 +72,6 @@ import (
 	"os/exec"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -84,7 +83,6 @@ import (
 	"heterosgd/internal/core"
 	"heterosgd/internal/experiments"
 	"heterosgd/internal/faults"
-	"heterosgd/internal/metrics"
 	"heterosgd/internal/telemetry"
 	"heterosgd/internal/transport"
 )
@@ -94,7 +92,7 @@ func main() {
 		role    = flag.String("role", "coordinator", "process role: coordinator or worker")
 		dsName  = flag.String("dataset", "covtype", "synthetic dataset: covtype, w8a, delicious, real-sim")
 		scale   = flag.String("scale", "small", "synthetic scale: small, medium, full")
-		algName = flag.String("alg", "adaptive", "algorithm: cpu, gpu, cpu+gpu, adaptive, minibatch-cpu, ssp")
+		algName = flag.String("alg", "adaptive", "algorithm: "+strings.Join(core.AlgorithmNames(), ", ")+" (those the cluster engine cannot run are refused with the reason)")
 		seed    = flag.Uint64("seed", 1, "random seed (must match across all processes of a run)")
 		hidden  = flag.Int("hidden", 0, "override hidden-layer width (must match across processes)")
 		lr      = flag.Float64("lr", 0.1, "base learning rate")
@@ -374,34 +372,7 @@ func main() {
 	if res.Interrupted {
 		fmt.Println("interrupted: drained in-flight work")
 	}
-	fmt.Println(res)
-	if res.Health.Faulty() {
-		fmt.Printf("fault report: %s\n", res.Health)
-		fmt.Print(res.Events)
-	} else if res.Elastic.Churned() {
-		// Membership transitions are worth a look even when nothing faulted.
-		fmt.Print(res.Events)
-	}
-	if tr := res.Health.Transport; tr != nil {
-		fmt.Println(tr)
-		if tr.AppliedExamples != res.ExamplesProcessed {
-			fmt.Printf("transport: WARNING applied %d != scheduled %d examples\n", tr.AppliedExamples, res.ExamplesProcessed)
-		}
-	}
-	if res.Staleness != nil && res.Staleness.Count > 0 {
-		fmt.Println(res.Staleness)
-	}
-	fmt.Printf("final batch sizes: %v (resizes %v)\n", res.FinalBatch, res.Resizes)
-	snap := res.Updates.Snapshot()
-	names := make([]string, 0, len(snap))
-	for w := range snap {
-		names = append(names, w)
-	}
-	sort.Strings(names)
-	for _, w := range names {
-		fmt.Printf("  %-6s %10d updates (%.1f%%)\n", w, snap[w], 100*res.Updates.Share(w))
-	}
-	fmt.Print(metrics.ASCIIChart([]*metrics.Trace{res.Trace}, 64, 12, false, "loss vs time"))
+	experiments.WriteRunReport(os.Stdout, res, false)
 }
 
 // killSink SIGKILLs this process right after a checkpoint at or past the

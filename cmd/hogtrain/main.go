@@ -25,7 +25,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -37,17 +37,14 @@ import (
 	"heterosgd/internal/elastic"
 	"heterosgd/internal/experiments"
 	"heterosgd/internal/faults"
-	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
-	"heterosgd/internal/omnivore"
 	"heterosgd/internal/opt"
 	"heterosgd/internal/telemetry"
-	"heterosgd/internal/tfbaseline"
 )
 
 func main() {
 	var (
-		algName   = flag.String("alg", "adaptive", "algorithm: cpu, gpu, cpu+gpu, adaptive, adaptive-lr, minibatch-cpu, ssp, localsgd, dcasgd, tf, omnivore, svrg")
+		algName   = flag.String("alg", "adaptive", "algorithm: "+strings.Join(core.AlgorithmNames(), ", "))
 		dsName    = flag.String("dataset", "covtype", "synthetic dataset: covtype, w8a, delicious, real-sim")
 		libsvm    = flag.String("libsvm", "", "train on a LIBSVM file instead of synthetic data")
 		multi     = flag.Bool("multilabel", false, "parse the LIBSVM file as multi-label")
@@ -93,6 +90,9 @@ func main() {
 	alg, err := core.ParseAlgorithm(*algName)
 	if err != nil {
 		fatal(err)
+	}
+	if *engine != "sim" && *engine != "real" {
+		fatal(fmt.Errorf("unknown engine %q (valid: sim, real)", *engine))
 	}
 	optKind, err := opt.ParseKind(*optName)
 	if err != nil {
@@ -174,116 +174,90 @@ func main() {
 		fmt.Printf("grid-tuned base LR: %g\n", baseLR)
 	}
 
-	if (*ckptPath != "" || *resume != "") && (alg == core.AlgOmnivore || alg == core.AlgTensorFlow) {
-		fatal(fmt.Errorf("-checkpoint/-resume require a core engine algorithm (not %v)", alg))
+	cfg := core.NewConfig(alg, net, ds, sc.Preset)
+	cfg.BaseLR = baseLR
+	cfg.Alpha = *alpha
+	cfg.Beta = *beta
+	cfg.Seed = *seed
+	cfg.Shuffle = *shuffled
+	cfg.Optimizer = optKind
+	cfg.Schedule = sched
+	cfg.StalenessBound = *staleness
+	if *elasticSp == "policy" {
+		cfg.ElasticPolicy = elastic.NewLoadPolicy()
+		fmt.Printf("elastic: autoscale %s\n", cfg.ElasticPolicy)
+	} else if *elasticSp != "" {
+		ep, perr := elastic.Parse(*elasticSp)
+		if perr != nil {
+			fatal(perr)
+		}
+		if ep != nil {
+			ep.Seed = *seed
+			if verr := ep.Validate(len(cfg.Workers)); verr != nil {
+				fatal(verr)
+			}
+		}
+		cfg.Elastic = ep
 	}
-	if (*tracePath != "" || *telAddr != "") && (alg == core.AlgOmnivore || alg == core.AlgTensorFlow) {
-		fatal(fmt.Errorf("-trace/-telemetry-addr require a core engine algorithm (not %v)", alg))
+	cfg.MinWorkers = *minWork
+	cfg.MaxWorkers = *maxWork
+	cfg.LocalSteps = *locSteps
+	cfg.DCLambda = *dcLambda
+	cfg.InitialParams = warmStart
+	cfg.SampleEvery = *budget / 25
+	cfg.Faults = plan
+	// Injected faults auto-enable the full fault-tolerance stack.
+	if *wdSlack > 0 {
+		cfg.Watchdog = &core.WatchdogConfig{Slack: *wdSlack, Floor: *wdFloor}
+	} else if plan != nil {
+		cfg.Watchdog = core.DefaultWatchdog()
+		cfg.Watchdog.Floor = *wdFloor
 	}
-
-	var res *core.Result
-	var tracer *telemetry.Tracer
-	if alg == core.AlgOmnivore {
-		cfg := omnivore.DefaultConfig(net, ds)
-		cfg.RoundBatch = sc.Preset.GPUMax
-		cfg.LR = baseLR
-		cfg.Seed = *seed
-		cfg.SampleEvery = *budget / 25
-		res, err = omnivore.Run(cfg, *budget)
-	} else if alg == core.AlgTensorFlow {
-		cfg := tfbaseline.DefaultConfig(net, ds)
-		cfg.Batch = sc.Preset.GPUMax
-		cfg.LR = baseLR
-		cfg.Seed = *seed
-		cfg.SampleEvery = *budget / 25
-		res, err = tfbaseline.Run(cfg, *budget)
-	} else {
-		cfg := core.NewConfig(alg, net, ds, sc.Preset)
-		cfg.BaseLR = baseLR
-		cfg.Alpha = *alpha
-		cfg.Beta = *beta
-		cfg.Seed = *seed
-		cfg.Shuffle = *shuffled
-		cfg.Optimizer = optKind
-		cfg.Schedule = sched
-		cfg.StalenessBound = *staleness
-		if *elasticSp == "policy" {
-			cfg.ElasticPolicy = elastic.NewLoadPolicy()
-			fmt.Printf("elastic: autoscale %s\n", cfg.ElasticPolicy)
-		} else if *elasticSp != "" {
-			ep, perr := elastic.Parse(*elasticSp)
-			if perr != nil {
-				fatal(perr)
-			}
-			if ep != nil {
-				ep.Seed = *seed
-				if verr := ep.Validate(len(cfg.Workers)); verr != nil {
-					fatal(verr)
-				}
-			}
-			cfg.Elastic = ep
+	if *guards || plan != nil {
+		cfg.Guards = core.DefaultGuards()
+	}
+	if *ckptPath != "" {
+		cfg.CheckpointSink = &checkpoint.Writer{Path: *ckptPath, Keep: *ckptKeep}
+		cfg.CheckpointEvery = *ckptEvr
+	}
+	if *resume != "" {
+		st, rerr := checkpoint.LoadLatest(*resume, *ckptKeep, net)
+		if rerr != nil {
+			fatal(fmt.Errorf("loading resume state: %w", rerr))
 		}
-		cfg.MinWorkers = *minWork
-		cfg.MaxWorkers = *maxWork
-		cfg.LocalSteps = *locSteps
-		cfg.DCLambda = *dcLambda
-		cfg.InitialParams = warmStart
-		cfg.SampleEvery = *budget / 25
-		cfg.Faults = plan
-		// Injected faults auto-enable the full fault-tolerance stack.
-		if *wdSlack > 0 {
-			cfg.Watchdog = &core.WatchdogConfig{Slack: *wdSlack, Floor: *wdFloor}
-		} else if plan != nil {
-			cfg.Watchdog = core.DefaultWatchdog()
-			cfg.Watchdog.Floor = *wdFloor
+		cfg.Resume = st
+		cfg.InitialParams = nil
+		fmt.Printf("resuming from %s: epoch %d, %.2f epochs done, %d updates%s\n",
+			*resume, st.Epoch, float64(st.ExamplesDone)/float64(ds.N()), st.TotalUpdates,
+			map[bool]string{true: " (interrupted run)", false: ""}[st.Interrupted])
+	}
+	if *tracePath != "" {
+		cfg.Tracer = core.NewRunTracer(&cfg, 0)
+	}
+	if *telAddr != "" {
+		reg := telemetry.NewRegistry()
+		telemetry.RegisterRuntimeMetrics(reg)
+		cfg.Metrics = reg
+		addr, serr := telemetry.ServeDebug(*telAddr, reg)
+		if serr != nil {
+			fatal(fmt.Errorf("telemetry server: %w", serr))
 		}
-		if *guards || plan != nil {
-			cfg.Guards = core.DefaultGuards()
-		}
-		if *ckptPath != "" {
-			cfg.CheckpointSink = &checkpoint.Writer{Path: *ckptPath, Keep: *ckptKeep}
-			cfg.CheckpointEvery = *ckptEvr
-		}
-		if *resume != "" {
-			st, rerr := checkpoint.LoadLatest(*resume, *ckptKeep, net)
-			if rerr != nil {
-				fatal(fmt.Errorf("loading resume state: %w", rerr))
-			}
-			cfg.Resume = st
-			cfg.InitialParams = nil
-			fmt.Printf("resuming from %s: epoch %d, %.2f epochs done, %d updates%s\n",
-				*resume, st.Epoch, float64(st.ExamplesDone)/float64(ds.N()), st.TotalUpdates,
-				map[bool]string{true: " (interrupted run)", false: ""}[st.Interrupted])
-		}
-		if *tracePath != "" {
-			cfg.Tracer = core.NewRunTracer(&cfg, 0)
-			tracer = cfg.Tracer
-		}
-		if *telAddr != "" {
-			reg := telemetry.NewRegistry()
-			telemetry.RegisterRuntimeMetrics(reg)
-			cfg.Metrics = reg
-			addr, serr := telemetry.ServeDebug(*telAddr, reg)
-			if serr != nil {
-				fatal(fmt.Errorf("telemetry server: %w", serr))
-			}
-			fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", addr)
-		}
-		for _, w := range cfg.Workers {
-			if err := core.GPUMemoryCheck(net, w); err != nil {
-				fatal(err)
-			}
-		}
-		if *engine == "real" {
-			res, err = core.RunReal(ctx, cfg, *budget)
-		} else {
-			res, err = core.RunSim(ctx, cfg, *budget)
+		fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", addr)
+	}
+	for _, w := range cfg.Workers {
+		if err := core.GPUMemoryCheck(net, w); err != nil {
+			fatal(err)
 		}
 	}
+	run := core.RunSim
+	if *engine == "real" {
+		run = core.RunReal
+	}
+	res, err := run(ctx, cfg, *budget)
 	if err != nil {
 		fatal(err)
 	}
-	if tracer != nil {
+	if tracer := cfg.Tracer; tracer != nil {
 		buf, merr := tracer.MarshalChromeTrace()
 		if merr != nil {
 			fatal(fmt.Errorf("marshal trace: %w", merr))
@@ -311,32 +285,7 @@ func main() {
 		}
 		fmt.Printf("model saved to %s\n", *savePath)
 	}
-	fmt.Println(res)
-	if res.Health.Faulty() {
-		fmt.Printf("fault report: %s\n", res.Health)
-		fmt.Print(res.Events)
-	} else if res.Elastic.Churned() {
-		// Membership transitions are worth a look even when nothing faulted.
-		fmt.Print(res.Events)
-	}
-	if res.Staleness != nil && res.Staleness.Count > 0 {
-		fmt.Println(res.Staleness)
-	}
-	fmt.Printf("final batch sizes: %v (resizes %v)\n", res.FinalBatch, res.Resizes)
-	snap := res.Updates.Snapshot()
-	workers := make([]string, 0, len(snap))
-	for worker := range snap {
-		workers = append(workers, worker)
-	}
-	sort.Strings(workers)
-	for _, worker := range workers {
-		fmt.Printf("  %-6s %10d updates (%.1f%%)\n", worker, snap[worker], 100*res.Updates.Share(worker))
-	}
-	if *csv {
-		fmt.Print(metrics.CSV([]*metrics.Trace{res.Trace}))
-	} else {
-		fmt.Print(metrics.ASCIIChart([]*metrics.Trace{res.Trace}, 64, 12, false, "loss vs time"))
-	}
+	experiments.WriteRunReport(os.Stdout, res, *csv)
 }
 
 func fatal(err error) {

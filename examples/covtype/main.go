@@ -13,7 +13,6 @@ import (
 	"heterosgd/internal/core"
 	"heterosgd/internal/experiments"
 	"heterosgd/internal/metrics"
-	"heterosgd/internal/tfbaseline"
 )
 
 func main() {
@@ -29,7 +28,7 @@ func main() {
 	var traces []*metrics.Trace
 	for _, alg := range []core.Algorithm{
 		core.AlgHogbatchCPU, core.AlgHogbatchGPU,
-		core.AlgCPUGPUHogbatch, core.AlgAdaptiveHogbatch,
+		core.AlgCPUGPUHogbatch, core.AlgAdaptiveHogbatch, core.AlgTensorFlow,
 	} {
 		cfg := core.NewConfig(alg, p.Net, p.Dataset, p.Scale.Preset)
 		cfg.BaseLR = lr
@@ -41,17 +40,6 @@ func main() {
 		fmt.Println(res)
 		traces = append(traces, res.Trace)
 	}
-
-	tfCfg := tfbaseline.DefaultConfig(p.Net, p.Dataset)
-	tfCfg.Batch = p.Scale.Preset.GPUMax
-	tfCfg.LR = lr * float64(tfCfg.Batch) / 56
-	tfCfg.SampleEvery = horizon / 25
-	tfRes, err := tfbaseline.Run(tfCfg, horizon)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(tfRes)
-	traces = append(traces, tfRes.Trace)
 
 	base := metrics.GlobalMinLoss(traces)
 	metrics.Normalize(traces, base)

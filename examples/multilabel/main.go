@@ -12,7 +12,6 @@ import (
 
 	"heterosgd/internal/core"
 	"heterosgd/internal/experiments"
-	"heterosgd/internal/tfbaseline"
 )
 
 func main() {
@@ -44,10 +43,9 @@ func main() {
 	// TensorFlow pays a per-label output cost: with hundreds of labels its
 	// iterations are several times slower, so it completes far fewer
 	// epochs in the same budget — the paper's delicious anomaly.
-	tfCfg := tfbaseline.DefaultConfig(p.Net, p.Dataset)
-	tfCfg.Batch = p.Scale.Preset.GPUMax
-	tfCfg.LR = lr * float64(tfCfg.Batch) / 56
-	tfRes, err := tfbaseline.Run(tfCfg, horizon)
+	tfCfg := core.NewConfig(core.AlgTensorFlow, p.Net, p.Dataset, p.Scale.Preset)
+	tfCfg.BaseLR = lr
+	tfRes, err := core.RunSim(ctx, tfCfg, horizon)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,8 @@
 //   - Adaptive Hogbatch (batch sizes continuously rebalanced from live
 //     per-worker update counts — the paper's Algorithm 2),
 //
-// plus a TensorFlow-style op-graph baseline for comparison.
+// plus the paper's comparators — a TensorFlow-style op-graph device model and
+// Omnivore-style lockstep rounds — as two more algorithms of the same engine.
 //
 // Two engines execute the identical algorithm code: RunReal uses goroutines
 // and the wall clock (the live system), while RunSim runs the same
@@ -42,9 +43,7 @@ import (
 	"heterosgd/internal/data"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/nn"
-	"heterosgd/internal/omnivore"
 	"heterosgd/internal/opt"
-	"heterosgd/internal/tfbaseline"
 )
 
 // Algorithm selection (see core.Algorithm).
@@ -133,27 +132,6 @@ func RunReal(ctx context.Context, cfg Config, budget time.Duration) (*Result, er
 	return core.RunReal(ctx, cfg, budget)
 }
 
-// RunTensorFlowBaseline trains with the op-graph synchronous baseline.
-func RunTensorFlowBaseline(cfg tfbaseline.Config, horizon time.Duration) (*Result, error) {
-	return tfbaseline.Run(cfg, horizon)
-}
-
-// TensorFlowConfig is the baseline's configuration.
-type TensorFlowConfig = tfbaseline.Config
-
-// OmnivoreConfig configures the §II static-proportional baseline.
-type OmnivoreConfig = omnivore.Config
-
-// DefaultOmnivoreConfig returns Omnivore defaults for a problem.
-func DefaultOmnivoreConfig(net *Network, ds *Dataset) OmnivoreConfig {
-	return omnivore.DefaultConfig(net, ds)
-}
-
-// RunOmnivoreBaseline trains with synchronized speed-proportional rounds.
-func RunOmnivoreBaseline(cfg OmnivoreConfig, horizon time.Duration) (*Result, error) {
-	return omnivore.Run(cfg, horizon)
-}
-
 // Optimizer selection for Config.Optimizer.
 type OptimizerKind = opt.Kind
 
@@ -175,11 +153,6 @@ const (
 	ScheduleInvT     = core.ScheduleInvT
 	ScheduleWarmup   = core.ScheduleWarmup
 )
-
-// DefaultTensorFlowConfig returns the baseline defaults for a problem.
-func DefaultTensorFlowConfig(net *Network, ds *Dataset) TensorFlowConfig {
-	return tfbaseline.DefaultConfig(net, ds)
-}
 
 // Generate materializes a synthetic dataset from a shape specification.
 func Generate(spec SynthSpec, seed uint64) *Dataset { return data.Generate(spec, seed) }

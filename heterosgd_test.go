@@ -57,20 +57,27 @@ func TestFacadeEndToEndReal(t *testing.T) {
 	}
 }
 
-func TestFacadeTensorFlowBaseline(t *testing.T) {
+// facadeComparator runs one of the §II/§VII comparators the way every other
+// algorithm runs: a NewConfig on the simulated engine.
+func facadeComparator(t *testing.T, alg Algorithm) {
+	t.Helper()
 	net, ds := facadeProblem(t)
-	cfg := DefaultTensorFlowConfig(net, ds)
-	cfg.Batch = 128
-	cfg.LR = 0.2
+	cfg := NewConfig(alg, net, ds, facadePreset())
+	cfg.BaseLR = 0.1
 	cfg.EvalSubset = 256
-	res, err := RunTensorFlowBaseline(cfg, 20*time.Millisecond)
+	res, err := RunSim(context.Background(), cfg, 20*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != AlgTensorFlow {
-		t.Fatalf("label %v", res.Algorithm)
+	if res.Algorithm != alg || res.Trace.Name != alg.String() {
+		t.Fatalf("labels %v %q", res.Algorithm, res.Trace.Name)
+	}
+	if res.FinalLoss >= res.Trace.Points[0].Loss {
+		t.Fatalf("%v did not learn: %v → %v", alg, res.Trace.Points[0].Loss, res.FinalLoss)
 	}
 }
+
+func TestFacadeTensorFlowBaseline(t *testing.T) { facadeComparator(t, AlgTensorFlow) }
 
 func TestFacadeParseAlgorithm(t *testing.T) {
 	alg, err := ParseAlgorithm("adaptive")
@@ -167,20 +174,7 @@ func TestFacadeSVRGAndMulti(t *testing.T) {
 	}
 }
 
-func TestFacadeOmnivore(t *testing.T) {
-	net, ds := facadeProblem(t)
-	cfg := DefaultOmnivoreConfig(net, ds)
-	cfg.RoundBatch = 128
-	cfg.LR = 0.3
-	cfg.EvalSubset = 256
-	res, err := RunOmnivoreBaseline(cfg, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Algorithm != AlgOmnivore {
-		t.Fatalf("label %v", res.Algorithm)
-	}
-}
+func TestFacadeOmnivore(t *testing.T) { facadeComparator(t, AlgOmnivore) }
 
 func TestFacadeModelIO(t *testing.T) {
 	net, ds := facadeProblem(t)

@@ -32,6 +32,7 @@ import (
 	"heterosgd/internal/opt"
 	"heterosgd/internal/telemetry"
 	"heterosgd/internal/tensor"
+	"heterosgd/internal/tfbaseline"
 )
 
 // Algorithm identifies an SGD variant from the paper's evaluation (§VII-B).
@@ -51,17 +52,18 @@ const (
 	AlgAdaptiveHogbatch
 	// AlgMinibatchCPU is synchronous mini-batch SGD on CPU (baseline).
 	AlgMinibatchCPU
-	// AlgTensorFlow labels results produced by the internal/tfbaseline
-	// op-graph executor; it is not runnable through core's engines.
+	// AlgTensorFlow is the paper's TensorFlow comparator: Hogbatch GPU's
+	// worker on internal/tfbaseline's op-graph device model, so only the
+	// virtual time of an iteration differs. Simulated engine only.
 	AlgTensorFlow
 	// AlgSVRG is the variance-reduced heterogeneous algorithm §II alludes
 	// to: the GPU periodically computes a large-batch anchor gradient μ at
 	// a model snapshot w̃ while the CPU performs Hogwild updates with the
 	// SVRG correction ∇f(w) − ∇f(w̃) + μ. Simulated engine only.
 	AlgSVRG
-	// AlgOmnivore labels results from the internal/omnivore comparator
-	// (static speed-proportional batches with synchronized rounds, §II);
-	// it is not runnable through core's engines.
+	// AlgOmnivore is the §II comparator: static speed-proportional batches
+	// (device.SpeedSplit) in lockstep — one step per synchronous round, the
+	// round lasting as long as its slowest device. Simulated engine only.
 	AlgOmnivore
 	// AlgAdaptiveLR is the related-work comparator from §II's distributed
 	// parameter-server setting [10]: batch sizes stay static (as in
@@ -88,77 +90,58 @@ const (
 	AlgDCASGD
 )
 
+// algorithms is the one name table: the display name the figures and traces
+// use, and the CLI names ParseAlgorithm accepts (canonical first), in the
+// order the -alg help text presents them.
+var algorithms = []struct {
+	alg     Algorithm
+	display string
+	names   []string
+}{
+	{AlgHogbatchCPU, "Hogbatch CPU", []string{"cpu", "hogbatch-cpu", "hogwild"}},
+	{AlgHogbatchGPU, "Hogbatch GPU", []string{"gpu", "hogbatch-gpu", "minibatch-gpu"}},
+	{AlgCPUGPUHogbatch, "CPU+GPU", []string{"cpu+gpu", "cpugpu", "hybrid"}},
+	{AlgAdaptiveHogbatch, "Adaptive", []string{"adaptive"}},
+	{AlgAdaptiveLR, "AdaptiveLR", []string{"adaptive-lr", "adaptivelr"}},
+	{AlgMinibatchCPU, "Minibatch CPU", []string{"minibatch-cpu"}},
+	{AlgSSP, "SSP", []string{"ssp"}},
+	{AlgLocalSGD, "LocalSGD", []string{"localsgd", "local-sgd"}},
+	{AlgDCASGD, "DC-ASGD", []string{"dcasgd", "dc-asgd"}},
+	{AlgTensorFlow, "TensorFlow", []string{"tf", "tensorflow"}},
+	{AlgOmnivore, "Omnivore", []string{"omnivore"}},
+	{AlgSVRG, "SVRG CPU+GPU", []string{"svrg"}},
+}
+
 // String returns the algorithm's display name as used in the figures.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgHogbatchCPU:
-		return "Hogbatch CPU"
-	case AlgHogbatchGPU:
-		return "Hogbatch GPU"
-	case AlgCPUGPUHogbatch:
-		return "CPU+GPU"
-	case AlgAdaptiveHogbatch:
-		return "Adaptive"
-	case AlgMinibatchCPU:
-		return "Minibatch CPU"
-	case AlgTensorFlow:
-		return "TensorFlow"
-	case AlgAdaptiveLR:
-		return "AdaptiveLR"
-	case AlgOmnivore:
-		return "Omnivore"
-	case AlgSVRG:
-		return "SVRG CPU+GPU"
-	case AlgSSP:
-		return "SSP"
-	case AlgLocalSGD:
-		return "LocalSGD"
-	case AlgDCASGD:
-		return "DC-ASGD"
-	default:
-		return "unknown"
+	for _, e := range algorithms {
+		if e.alg == a {
+			return e.display
+		}
 	}
+	return "unknown"
 }
 
 // ParseAlgorithm maps a CLI name to an Algorithm.
 func ParseAlgorithm(name string) (Algorithm, error) {
-	switch name {
-	case "cpu", "hogbatch-cpu", "hogwild":
-		return AlgHogbatchCPU, nil
-	case "gpu", "hogbatch-gpu", "minibatch-gpu":
-		return AlgHogbatchGPU, nil
-	case "cpu+gpu", "cpugpu", "hybrid":
-		return AlgCPUGPUHogbatch, nil
-	case "adaptive":
-		return AlgAdaptiveHogbatch, nil
-	case "minibatch-cpu":
-		return AlgMinibatchCPU, nil
-	case "tensorflow", "tf":
-		return AlgTensorFlow, nil
-	case "adaptive-lr", "adaptivelr":
-		return AlgAdaptiveLR, nil
-	case "omnivore":
-		return AlgOmnivore, nil
-	case "svrg":
-		return AlgSVRG, nil
-	case "ssp":
-		return AlgSSP, nil
-	case "localsgd", "local-sgd":
-		return AlgLocalSGD, nil
-	case "dcasgd", "dc-asgd":
-		return AlgDCASGD, nil
-	default:
-		return 0, fmt.Errorf("core: unknown algorithm %q (valid: %s)", name, strings.Join(AlgorithmNames(), ", "))
+	for _, e := range algorithms {
+		for _, n := range e.names {
+			if n == name {
+				return e.alg, nil
+			}
+		}
 	}
+	return 0, fmt.Errorf("core: unknown algorithm %q (valid: %s)", name, strings.Join(AlgorithmNames(), ", "))
 }
 
 // AlgorithmNames lists the canonical CLI names ParseAlgorithm accepts, in
 // the order the -alg help text presents them.
 func AlgorithmNames() []string {
-	return []string{
-		"cpu", "gpu", "cpu+gpu", "adaptive", "adaptive-lr", "minibatch-cpu",
-		"ssp", "localsgd", "dcasgd", "tf", "omnivore", "svrg",
+	names := make([]string, len(algorithms))
+	for i, e := range algorithms {
+		names[i] = e.names[0]
 	}
+	return names
 }
 
 // WorkerConfig describes one worker thread: its device model, parallelism,
@@ -392,7 +375,7 @@ func (c *Config) Validate() error {
 		return err
 	}
 	if c.elasticEnabled() {
-		if c.Algorithm == AlgLocalSGD || c.Algorithm == AlgSVRG {
+		if c.rounds() || c.svrgAnchor() {
 			return fmt.Errorf("core: elastic membership is not supported for %s (fixed-participant structure)", c.Algorithm)
 		}
 		if c.MinWorkers > len(c.Workers) {
@@ -402,21 +385,21 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: max workers %d below initial %d", c.MaxWorkers, len(c.Workers))
 		}
 	}
-	if c.Algorithm == AlgSSP && c.StalenessBound < 0 {
+	if c.sspGated() && c.StalenessBound < 0 {
 		return fmt.Errorf("core: SSP staleness bound %d must be non-negative", c.StalenessBound)
 	}
 	if c.DCLambda < 0 {
 		return fmt.Errorf("core: DC-ASGD lambda %v must be non-negative", c.DCLambda)
 	}
-	if c.Algorithm == AlgLocalSGD {
-		if c.LocalSteps < 1 {
-			return fmt.Errorf("core: LocalSGD needs LocalSteps ≥ 1, got %d", c.LocalSteps)
+	if c.rounds() {
+		if c.roundSteps() < 1 {
+			return fmt.Errorf("core: %s needs LocalSteps ≥ 1, got %d", c.Algorithm, c.LocalSteps)
 		}
 		if c.Optimizer != opt.KindSGD {
-			return fmt.Errorf("core: LocalSGD supports plain SGD only (replica averaging has no optimizer-state semantics)")
+			return fmt.Errorf("core: %s supports plain SGD only (replica averaging has no optimizer-state semantics)", c.Algorithm)
 		}
 		if c.Faults != nil || c.Watchdog != nil {
-			return fmt.Errorf("core: LocalSGD does not support fault injection or the watchdog (synchronous rounds have no re-dispatch path)")
+			return fmt.Errorf("core: %s does not support fault injection or the watchdog (synchronous rounds have no re-dispatch path)", c.Algorithm)
 		}
 	}
 	if c.SnapshotEvery < 0 {
@@ -464,8 +447,45 @@ func (c *Config) LRFor(b int) float64 {
 	return c.BaseLR * scale
 }
 
-// adaptive reports whether the batch-size policy is active.
+// Which algorithm uses which mechanism is decided here and nowhere else: the
+// coordinator, the engines and the trackers ask these, never c.Algorithm.
+
+// adaptive reports whether the batch-size policy (Algorithm 2) is active.
 func (c *Config) adaptive() bool { return c.Algorithm == AlgAdaptiveHogbatch }
+
+// adaptsLR reports whether the coordinator rebalances per-worker learning
+// rates from the update counts instead.
+func (c *Config) adaptsLR() bool { return c.Algorithm == AlgAdaptiveLR }
+
+// sspGated reports whether StalenessBound arms the dispatch gate.
+func (c *Config) sspGated() bool { return c.Algorithm == AlgSSP }
+
+// delayCompensated reports whether deep-replica applies are steered by
+// DCLambda.
+func (c *Config) delayCompensated() bool { return c.Algorithm == AlgDCASGD }
+
+// svrgAnchor reports whether the GPU computes anchor gradients for the CPU's
+// variance-reduced updates.
+func (c *Config) svrgAnchor() bool { return c.Algorithm == AlgSVRG }
+
+// costModelOnly reports whether the algorithm differs from another only in
+// its devices' virtual time, which only the simulated engine keeps.
+func (c *Config) costModelOnly() bool {
+	return c.Algorithm == AlgTensorFlow || c.Algorithm == AlgOmnivore
+}
+
+// rounds reports whether training proceeds in synchronous rounds: every
+// participant steps a private replica from the same model and the
+// coordinator averages the replicas once all are back.
+func (c *Config) rounds() bool { return c.Algorithm == AlgLocalSGD || c.Algorithm == AlgOmnivore }
+
+// roundSteps is the number of local steps in one round share.
+func (c *Config) roundSteps() int {
+	if c.Algorithm == AlgLocalSGD {
+		return c.LocalSteps
+	}
+	return 1
+}
 
 // elasticEnabled reports whether membership can change during the run: a
 // scripted plan, an autoscale policy, or (for the cluster engine, where
@@ -557,24 +577,21 @@ func NewConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset) Confi
 		cfg.Workers = []WorkerConfig{cpuWorker(p.CPUMinPerThread, false)}
 	case AlgHogbatchGPU:
 		cfg.Workers = []WorkerConfig{gpuWorker(p.GPUMax, false)}
-	case AlgCPUGPUHogbatch:
+	case AlgCPUGPUHogbatch, AlgAdaptiveLR, AlgSVRG, AlgDCASGD:
+		// One device mix, static batches — CPU at Hogwild granularity, GPU at
+		// the upper threshold (so an SVRG anchor gradient is as accurate as
+		// possible). What differs is the mechanism on top: none, learning
+		// rates adapted in place of batch sizes, the GPU's batch as the
+		// variance-reduction anchor, the delay-compensated GPU apply.
 		cfg.Workers = []WorkerConfig{cpuWorker(p.CPUMinPerThread, false), gpuWorker(p.GPUMax, false)}
 	case AlgAdaptiveHogbatch:
 		// Initial sizes per §VII-A: CPU at the lower threshold (Hogwild),
 		// GPU at the upper threshold.
 		cfg.Workers = []WorkerConfig{cpuWorker(p.CPUMinPerThread, true), gpuWorker(p.GPUMax, true)}
-	case AlgAdaptiveLR:
-		// Static batches like CPU+GPU Hogbatch; the adaptation happens on
-		// the learning rates instead.
-		cfg.Workers = []WorkerConfig{cpuWorker(p.CPUMinPerThread, false), gpuWorker(p.GPUMax, false)}
 	case AlgMinibatchCPU:
 		w := cpuWorker(8, false)
 		w.Threads = 1 // single gradient over the whole batch
 		cfg.Workers = []WorkerConfig{w}
-	case AlgSVRG:
-		// CPU at Hogwild granularity; GPU at the upper threshold so each
-		// anchor gradient is as accurate as possible.
-		cfg.Workers = []WorkerConfig{cpuWorker(p.CPUMinPerThread, false), gpuWorker(p.GPUMax, false)}
 	case AlgSSP:
 		// SSP compares worker clocks step for step, so both devices use the
 		// same batch size (the GPU floor); heterogeneity shows up as
@@ -590,10 +607,24 @@ func NewConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset) Confi
 		w := cpuWorker(8, false)
 		w.Threads = 1
 		cfg.Workers = []WorkerConfig{w, gpuWorker(p.GPUMax, false)}
-	case AlgDCASGD:
-		// Same device mix and static batches as CPU+GPU Hogbatch; the only
-		// difference is the delay-compensated GPU apply.
-		cfg.Workers = []WorkerConfig{cpuWorker(p.CPUMinPerThread, false), gpuWorker(p.GPUMax, false)}
+	case AlgTensorFlow:
+		// Hogbatch GPU's worker; the op-graph runtime only costs it time.
+		w := gpuWorker(p.GPUMax, false)
+		w.Device = tfbaseline.NewDevice(gpu, cpu)
+		cfg.Workers = []WorkerConfig{w}
+	case AlgOmnivore:
+		// A round of GPUMax examples split once, by modeled speed. The barrier
+		// takes the uniform mean of the two replicas, each stepped at the
+		// linear rule's LRFor(bᵢ): with the rule's reference at half a round's
+		// and its cap folded in, that mean is one step of the share-weighted
+		// gradient Σ(bᵢ/B)·gᵢ at the rate Hogbatch GPU uses for a batch of B.
+		cb, gb := device.SpeedSplit(net.Arch, p.GPUMax, cpu, gpu, 1)
+		cfg.Workers = []WorkerConfig{
+			{Device: cpu, Threads: 1, InitialBatch: cb, MinBatch: cb, MaxBatch: cb},
+			gpuWorker(gb, false),
+		}
+		cfg.RefBatch = max(p.CPUThreads, int(float64(p.GPUMax)/cfg.LRScalingCap)) / 2
+		cfg.LRScalingCap = 0
 	}
 	return cfg
 }
@@ -604,10 +635,9 @@ func NewConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset) Confi
 const rngStream = 0xda3e39cb94b95bdb
 
 // RunRNG returns the deterministic random source a run with this seed uses
-// for model initialization and shuffling. Exported so comparison baselines
-// (internal/tfbaseline) can start from the identical model, as the paper's
-// methodology requires ("all the algorithms are initialized with the same
-// model", §VII-A).
+// for model initialization and shuffling: every algorithm at one seed starts
+// from the identical model, as the paper's methodology requires ("all the
+// algorithms are initialized with the same model", §VII-A).
 func RunRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, rngStream))
 }

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"heterosgd/internal/data"
@@ -181,5 +186,49 @@ func TestDefaultPresetMatchesPaper(t *testing.T) {
 	cpu := device.NewXeon("c", p.CPUThreads)
 	if cpu.WorkerThreads != 56 {
 		t.Fatal("device threads mismatch")
+	}
+}
+
+// TestMechanismDecisionsLiveInConfig keeps "which algorithm uses which
+// mechanism" in one file: outside config.go no non-test file may compare a
+// .Algorithm with an Alg… constant or switch on one — it asks a Config
+// property (rounds, sspGated, delayCompensated, …) instead, so a new algorithm
+// is a row in config.go, not a branch in the coordinator.
+func TestMechanismDecisionsLiveInConfig(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	isAlgorithm := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Algorithm"
+	}
+	isAlgConst := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && strings.HasPrefix(id.Name, "Alg")
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if name == "config.go" || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if (n.Op == token.EQL || n.Op == token.NEQ) &&
+					(isAlgorithm(n.X) && isAlgConst(n.Y) || isAlgConst(n.X) && isAlgorithm(n.Y)) {
+					t.Errorf("%s compares .Algorithm with a constant; ask a Config property", fset.Position(n.Pos()))
+				}
+			case *ast.SwitchStmt:
+				if n.Tag != nil && isAlgorithm(n.Tag) {
+					t.Errorf("%s switches on .Algorithm; ask a Config property", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }

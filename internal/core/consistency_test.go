@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"heterosgd/internal/data"
 	"heterosgd/internal/faults"
+	"heterosgd/internal/nn"
 	"heterosgd/internal/tensor"
 )
 
@@ -147,6 +149,63 @@ func TestLocalSGDRejectsUnsupportedConfigs(t *testing.T) {
 	cfg.Faults = faults.NewPlan(1, faults.CrashAfter(0, 3))
 	if _, err := RunSim(context.Background(), cfg, simHorizon); err == nil {
 		t.Fatal("fault plan accepted for LocalSGD")
+	}
+}
+
+// TestOmnivoreRoundReference holds the Omnivore comparator to its definition
+// (§II): every round both devices take their static shares from the same
+// model w, and the round is one synchronous step w − LR·Σ(bᵢ/B)·gᵢ of the
+// share-weighted mean gradient, lasting as long as its slower device. Two
+// rounds are recomputed by hand from the seed — at LR = BaseLR·min(B/RefBatch,
+// cap), what Hogbatch GPU uses for a batch of B — and compared at the epoch
+// barrier that follows them.
+func TestOmnivoreRoundReference(t *testing.T) {
+	spec, p := tinySpec(), tinyPreset()
+	spec.N = 2 * p.GPUMax // one epoch is exactly two rounds
+	net, ds := nn.MustNetwork(spec.Arch()), data.Generate(spec, 42)
+	cfg := NewConfig(AlgOmnivore, net, ds, p)
+	cfg.BaseLR = 0.01
+	sink := &memSink{}
+	cfg.CheckpointSink = sink
+
+	total := p.GPUMax
+	cb, gb := cfg.Workers[0].InitialBatch, cfg.Workers[1].InitialBatch
+	if cb < 1 || gb < 1 || cb+gb != total {
+		t.Fatalf("static plan %d+%d must partition a round of %d", cb, gb, total)
+	}
+	w := net.NewParams(nn.InitXavier, RunRNG(cfg.Seed))
+	modelBytes := w.SizeBytes()
+	round := max(cfg.Workers[0].Device.IterTime(net.Arch, cb, modelBytes), cfg.Workers[1].Device.IterTime(net.Arch, gb, modelBytes))
+
+	res, err := RunSim(context.Background(), cfg, 3*round)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at := res.Trace.Points[1].Time; at != 2*round {
+		t.Fatalf("two rounds took %v, want 2·max(device times) = %v", at, 2*round)
+	}
+
+	hog := NewConfig(AlgHogbatchGPU, net, ds, p)
+	hog.BaseLR = cfg.BaseLR
+	lr := hog.LRFor(total)
+	start := w.Clone()
+	grad, ws := net.NewParams(nn.InitZero, nil), net.NewWorkspace(total)
+	for r := 0; r < 2; r++ {
+		step := net.NewParams(nn.InitZero, nil)
+		for _, v := range []data.Batch{ds.View(r*total, r*total+cb), ds.View(r*total+cb, (r+1)*total)} {
+			net.GradientX(w, ws, v.Input(), v.Y, grad, 1)
+			step.AddScaled(float64(v.Size())/float64(total), grad)
+		}
+		w.AddScaled(-lr, step)
+	}
+	got := sink.states[0].Params
+	moved := w.Clone()
+	moved.AddScaled(-1, start)
+	if rel := w.MaxAbsDiff(got) / moved.GradNorm(); rel > 1e-12 {
+		t.Fatalf("two rounds differ from w − LR·Σ(bᵢ/B)·gᵢ by %g of the distance moved", rel)
+	}
+	if res.Updates.Get("cpu0") != res.Updates.Get("gpu0") {
+		t.Fatalf("lockstep violated: %d vs %d steps", res.Updates.Get("cpu0"), res.Updates.Get("gpu0"))
 	}
 }
 

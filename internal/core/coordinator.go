@@ -95,7 +95,7 @@ func (c *coordinator) rebalance() {
 	for i := range c.updates {
 		c.updates[i] = 0
 	}
-	if c.cfg.Algorithm == AlgAdaptiveLR {
+	if c.cfg.adaptsLR() {
 		for i := range c.lrMult {
 			c.lrMult[i] = 1
 		}
@@ -168,7 +168,7 @@ func (c *coordinator) adapt(id int) {
 // leader's learning rate shrinks by α, the laggard's grows, clamped to
 // [1/16, 16]× — rate-based balancing in place of batch-based balancing.
 func (c *coordinator) adaptLR(id int) {
-	if c.cfg.Algorithm != AlgAdaptiveLR || len(c.lrMult) < 2 {
+	if !c.cfg.adaptsLR() || len(c.lrMult) < 2 {
 		return
 	}
 	minU, maxU := int64(0), int64(0)

@@ -161,8 +161,8 @@ func (c *Config) validateResume() error {
 	if st.Params == nil {
 		return fmt.Errorf("core: resume state has no model parameters")
 	}
-	if c.Algorithm == AlgSVRG {
-		return fmt.Errorf("core: resume is not supported for %v (the anchor state is not checkpointed)", AlgSVRG)
+	if c.svrgAnchor() {
+		return fmt.Errorf("core: resume is not supported for %v (the anchor state is not checkpointed)", c.Algorithm)
 	}
 	if st.Algorithm != c.Algorithm {
 		return fmt.Errorf("core: resume state is a %v run, config is %v", st.Algorithm, c.Algorithm)

@@ -46,8 +46,14 @@ func (errSink) WriteState(*RunState) error { return errors.New("disk full") }
 // model parameters, scheduler counters, and RNG stream at every subsequent
 // epoch barrier (and therefore bit-identical epoch losses).
 func TestSimResumeEquivalence(t *testing.T) {
+	for _, alg := range []Algorithm{AlgAdaptiveHogbatch, AlgTensorFlow} {
+		t.Run(alg.String(), func(t *testing.T) { simResumeEquivalence(t, alg) })
+	}
+}
+
+func simResumeEquivalence(t *testing.T, alg Algorithm) {
 	golden := &memSink{}
-	cfg := tinyConfig(t, AlgAdaptiveHogbatch)
+	cfg := tinyConfig(t, alg)
 	cfg.Shuffle = true
 	cfg.CheckpointSink = golden
 	if _, err := RunSim(context.Background(), cfg, simHorizon); err != nil {
@@ -61,7 +67,7 @@ func TestSimResumeEquivalence(t *testing.T) {
 	mid := golden.states[1]
 
 	resumed := &memSink{}
-	cfg2 := tinyConfig(t, AlgAdaptiveHogbatch) // fresh dataset in original order
+	cfg2 := tinyConfig(t, alg) // fresh dataset in original order
 	cfg2.Shuffle = true
 	cfg2.CheckpointSink = resumed
 	cfg2.Resume = mid

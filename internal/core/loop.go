@@ -18,7 +18,7 @@ import (
 // This file is the coordinator: the paper's coordinator thread (§V,
 // Algorithms 1–2) extended with the recovery state machine (healthy →
 // quarantined → readmitted, healthy → crashed), the SSP gate, elastic
-// membership, the LocalSGD round barrier, and the snapshot/checkpoint
+// membership, the synchronous-round barrier, and the snapshot/checkpoint
 // cadence. RunSim, RunReal and RunCluster all run it; what differs between
 // them — how work reaches a worker, and what the clock means — sits behind
 // the executor seam.
@@ -102,7 +102,7 @@ type executor interface {
 }
 
 // replicaHolder is implemented by executors whose workers keep private
-// model replicas the LocalSGD round barrier averages.
+// model replicas the round barrier averages.
 type replicaHolder interface {
 	replica(id int) *nn.Params
 }
@@ -142,7 +142,7 @@ type coordLoop struct {
 	feed        [][]data.Batch
 	pending     []data.Batch
 
-	// round collects the replicas back from the current LocalSGD round.
+	// round collects the replicas back from the current synchronous round.
 	round    []*nn.Params
 	roundSum *nn.Params
 
@@ -176,7 +176,7 @@ func newCoordLoop(ctx context.Context, r *run, trans transport.Transport, budget
 		busy:   make([]bool, len(r.cfg.Workers)),
 		feed:   make([][]data.Batch, len(r.cfg.Workers)),
 	}
-	if r.cfg.Algorithm == AlgLocalSGD {
+	if r.cfg.rounds() {
 		l.roundSum = r.net.NewParams(nn.InitZero, nil)
 	}
 	if r.cfg.Resume == nil || r.cfg.Resume.Membership == nil {
@@ -343,7 +343,7 @@ func (l *coordLoop) send(id int, batch data.Batch, staleness int64) {
 	}
 	l.flight = append(l.flight, fl)
 	lrB := size
-	if l.cfg.Algorithm == AlgLocalSGD {
+	if l.cfg.rounds() {
 		// The wire batch is a merged round share; the LR schedule sees its
 		// first local step.
 		lrB = min(lrB, l.coord.batch[id])
@@ -399,11 +399,11 @@ func (l *coordLoop) dispatch(id int) bool {
 		return false
 	}
 	l.noteBatch(id, l.elapsed())
-	if l.cfg.Algorithm == AlgLocalSGD {
-		// One dispatch per round share: up to LocalSteps contiguous pool
+	if l.cfg.rounds() {
+		// One dispatch per round share: up to roundSteps contiguous pool
 		// batches, merged; the worker re-splits them into local steps of its
-		// batch size (InitialBatch — LocalSGD never resizes).
-		for k := 1; k < l.cfg.LocalSteps; k++ {
+		// batch size (InitialBatch — rounds never resize).
+		for k := 1; k < l.cfg.roundSteps(); k++ {
 			nb, more := l.coord.scheduleWork(id)
 			if !more {
 				break
@@ -764,8 +764,8 @@ func (l *coordLoop) complete(msg *transport.Done) (stop bool, err error) {
 	l.completed++
 	l.fireMembership()
 	l.retire(id)
-	if l.cfg.Algorithm == AlgLocalSGD && !fl.abandoned {
-		// LocalSGD round barrier: once every participant is back, average
+	if l.cfg.rounds() && !fl.abandoned {
+		// The round barrier: once every participant is back, average
 		// their replicas into the global model and start the next round. The
 		// replica reads are ordered after the workers' writes by the
 		// completion messages just received.
@@ -787,7 +787,7 @@ func (l *coordLoop) complete(msg *transport.Done) (stop bool, err error) {
 	return false, nil
 }
 
-// averageReplicas is the LocalSGD round barrier: model becomes the mean of
+// averageReplicas is the round barrier: model becomes the mean of
 // the participants' replicas, accumulated in sum. A single participant is
 // adopted directly — bitwise the averaging path's result, and exactly the
 // synchronous baseline.

@@ -22,7 +22,6 @@ func NewMultiConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset, 
 	if numCPU < 0 || numGPU < 0 || numCPU+numGPU == 0 {
 		return Config{}, fmt.Errorf("core: topology needs at least one worker (got %d CPU + %d GPU)", numCPU, numGPU)
 	}
-	adaptive := alg == AlgAdaptiveHogbatch
 	cfg := Config{
 		Algorithm:    alg,
 		Net:          net,
@@ -36,6 +35,7 @@ func NewMultiConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset, 
 		Seed:         1,
 		EvalSubset:   4096,
 	}
+	adaptive := cfg.adaptive()
 	threadsPer := p.CPUThreads
 	if numCPU > 1 {
 		threadsPer = max(1, p.CPUThreads/numCPU)

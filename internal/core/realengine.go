@@ -93,7 +93,7 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 	if cfg.UpdateMode == tensor.UpdateLocked {
 		x.step.mu = &x.mu
 	}
-	if cfg.Algorithm == AlgDCASGD {
+	if cfg.delayCompensated() {
 		x.step.dc = cfg.DCLambda
 	}
 	l.exec = x
@@ -111,7 +111,7 @@ type realWorker struct {
 	wc      WorkerConfig
 	inj     *faults.Injector
 	lanes   []lane     // one per CPU sub-batch thread (one otherwise)
-	replica *nn.Params // deep-copy buffer (GPU and LocalSGD workers)
+	replica *nn.Params // deep-copy buffer (GPU workers, and every worker of a round)
 	view    data.Views // header of the dispatched batch
 	// A CPU worker's lanes each run on a goroutine of their own for as long
 	// as the worker's does: jobs[i] feeds lane i, busy counts the lanes still
@@ -154,10 +154,10 @@ func (x *localExec) build(id int) *realWorker {
 	cfg := x.l.cfg
 	wc := cfg.Workers[id]
 	w := &realWorker{id: id, name: x.l.name(id), wc: wc, inj: cfg.Faults.ForWorker(id)}
-	// LocalSGD steps run sequentially on the private replica, so every
+	// A round's local steps run sequentially on the private replica, so every
 	// worker uses a single lane sized for one step's sub-batch.
 	lanes := 1
-	if wc.Device.Kind() == device.KindCPU && cfg.Algorithm != AlgLocalSGD {
+	if wc.Device.Kind() == device.KindCPU && !cfg.rounds() {
 		lanes = max(wc.Threads, 1)
 		w.jobs = make([]chan laneJob, lanes)
 	}
@@ -165,7 +165,7 @@ func (x *localExec) build(id int) *realWorker {
 	for i := 0; i < lanes; i++ {
 		w.lanes = append(w.lanes, newLane(cfg, x.l.global, rows))
 	}
-	if wc.DeepReplica || cfg.Algorithm == AlgLocalSGD {
+	if wc.DeepReplica || cfg.rounds() {
 		// Under the read discipline: a joiner is built while workers write.
 		w.replica = x.l.cloneModel()
 	}
@@ -233,9 +233,9 @@ func (x *localExec) iterate(w *realWorker, batch data.Batch, lr float64) (out tr
 	l := x.l
 	t0 := l.now()
 	switch {
-	case l.cfg.Algorithm == AlgLocalSGD:
+	case l.cfg.rounds():
 		// The merged wire batch re-splits into local steps of the worker's
-		// batch size: one LocalSGD round share on w's private replica.
+		// batch size: one round share on w's private replica.
 		out.Updates, out.Dropped = x.step.localRound(&w.lanes[0], l.global, w.replica, splitBatch(batch, w.wc.InitialBatch), lr)
 	case w.wc.Device.Kind() == device.KindCPU:
 		out.Updates, out.Dropped = x.cpuIteration(w, batch, lr, step.Corrupt)

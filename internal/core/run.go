@@ -30,20 +30,20 @@ var engineRules = []struct {
 	when func(c *Config) bool
 	msg  string
 }{
-	{engineSim | engineReal | engineCluster,
-		func(c *Config) bool { return c.Algorithm == AlgTensorFlow || c.Algorithm == AlgOmnivore },
-		"core: AlgTensorFlow and AlgOmnivore label external comparator results and are not runnable through core's engines (use internal/tfbaseline or internal/omnivore)"},
 	{engineReal | engineCluster,
-		func(c *Config) bool { return c.Algorithm == AlgSVRG },
+		(*Config).costModelOnly,
+		"core: AlgTensorFlow and AlgOmnivore are cost-model comparators — the same arithmetic as Hogbatch GPU and a round barrier, at different virtual times — and mean nothing on a wall clock (use RunSim)"},
+	{engineReal | engineCluster,
+		(*Config).svrgAnchor,
 		"core: AlgSVRG is implemented on the simulated engine only (use RunSim)"},
 	{engineReal | engineCluster,
 		func(c *Config) bool { return c.StaleDamping != 0 },
 		"core: StaleDamping is implemented on the simulated engine only (live workers do not count the updates their gradient missed; use RunSim)"},
 	{engineCluster,
-		func(c *Config) bool { return c.Algorithm == AlgLocalSGD },
+		(*Config).rounds,
 		"core: AlgLocalSGD is not implemented on the cluster engine (its round barrier needs replica transfer, not deltas; use RunSim or RunReal)"},
 	{engineCluster,
-		func(c *Config) bool { return c.Algorithm == AlgDCASGD },
+		(*Config).delayCompensated,
 		"core: AlgDCASGD is not implemented on the cluster engine (delay compensation needs the dispatch-time params retained worker-side; use RunSim or RunReal)"},
 	{engineCluster,
 		func(c *Config) bool { return c.Optimizer != opt.KindSGD },

@@ -59,10 +59,10 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	l.gemm = 1
 	l.exec, x.l = x, l
 	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode}
-	switch cfg.Algorithm {
-	case AlgSVRG:
+	if cfg.svrgAnchor() {
 		x.step.svrg = newSVRGState(r.net)
-	case AlgDCASGD:
+	}
+	if cfg.delayCompensated() {
 		x.step.dc = cfg.DCLambda
 	}
 	x.evalDev = cfg.EvalDevice
@@ -89,7 +89,7 @@ type simWorker struct {
 	lane
 	// replica is the deep-copy buffer: a deep-replica CPU worker's read
 	// model (an ablation of the paper's reference-replica design), the
-	// private model LocalSGD's K steps run on, or DC-ASGD's retained
+	// private model a round's local steps run on, or DC-ASGD's retained
 	// dispatch-time model w_then.
 	replica *nn.Params
 	// inj injects this worker's scheduled faults (nil = none).
@@ -178,7 +178,7 @@ func (x *simExec) spawn(id int) {
 	w := &simWorker{id: id, name: x.l.name(id), wc: wc, inj: cfg.Faults.ForWorker(id)}
 	w.lane = newLane(cfg, global, min(wc.MaxBatch, x.l.ds.N()))
 	cpu := wc.Device.Kind() == device.KindCPU
-	if cfg.Algorithm == AlgLocalSGD || (wc.DeepReplica && (cpu || x.step.dc != 0)) {
+	if cfg.rounds() || (wc.DeepReplica && (cpu || x.step.dc != 0)) {
 		w.replica = global.Clone()
 	}
 	if x.step.svrg != nil && cpu {
@@ -224,7 +224,7 @@ func (x *simExec) Send(id int, m transport.Work) error {
 		return nil
 	}
 	steps := []data.Batch{batch}
-	if l.cfg.Algorithm == AlgLocalSGD {
+	if l.cfg.rounds() {
 		steps = splitBatch(batch, w.wc.InitialBatch)
 	}
 	dur := fault.Hang
@@ -236,7 +236,7 @@ func (x *simExec) Send(id int, m transport.Work) error {
 	l.util.AddBusy(w.name, now, now+dur, w.wc.Device.Utilization(l.net.Arch, steps[0].Size()))
 
 	switch {
-	case l.cfg.Algorithm == AlgLocalSGD:
+	case l.cfg.rounds():
 		// One round share: each step is one local SGD step on the private
 		// replica; the round barrier averages the replicas.
 		w.done.Updates, w.done.Dropped = x.step.localRound(&w.lane, l.global, w.replica, steps, m.LR)

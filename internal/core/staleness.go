@@ -102,7 +102,7 @@ type staleTracker struct {
 
 func newStaleTracker(cfg *Config, health *healthTracker, rm *runMetrics) *staleTracker {
 	bound := int64(-1)
-	if cfg.Algorithm == AlgSSP {
+	if cfg.sspGated() {
 		bound = int64(cfg.StalenessBound)
 	}
 	n := len(cfg.Workers)

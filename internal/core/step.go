@@ -113,7 +113,7 @@ func (s *laneStep) apply(l *lane, read, write *nn.Params, lr float64) bool {
 	return true
 }
 
-// localRound performs one LocalSGD round share on a private replica: copy
+// localRound performs one round share on a private replica: copy
 // the global model, then take one plain-SGD step per batch. Only the round
 // barrier writes the global model, so the copy races with nothing in
 // atomic/racy modes; locked mode still takes the read lock.

@@ -316,6 +316,22 @@ func (d *GPUDevice) Transfer(bytes int64) time.Duration {
 	return d.PCIeLatency + secondsToDuration(float64(bytes)/d.PCIeBandwidth)
 }
 
+// SpeedSplit is the static batch plan of an Omnivore-style system (§II): the
+// total examples of one synchronized round divided between cpu and gpu in
+// proportion to the throughput their cost models predict at an even share.
+// gpuSkew is the planner's error — it believes the GPU gpuSkew× as fast as
+// the model says (1 = exact; the paper's critique is that production
+// estimates are not). The shares sum to total and each is at least 1.
+func SpeedSplit(arch nn.Arch, total int, cpu, gpu Device, gpuSkew float64) (cpuBatch, gpuBatch int) {
+	modelBytes := int64(arch.NumParameters()) * 8
+	probe := max(total/2, 1)
+	cpuRate := float64(probe) / cpu.IterTime(arch, probe, modelBytes).Seconds()
+	gpuRate := float64(probe) / gpu.IterTime(arch, probe, modelBytes).Seconds() * gpuSkew
+	cpuBatch = int(cpuRate/(cpuRate+gpuRate)*float64(total) + 0.5)
+	cpuBatch = min(max(cpuBatch, 1), total-1)
+	return cpuBatch, total - cpuBatch
+}
+
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }

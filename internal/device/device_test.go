@@ -208,3 +208,21 @@ func TestThrottledZeroFactorPassesThrough(t *testing.T) {
 		t.Fatal("factor 0 must pass through")
 	}
 }
+
+func TestPlanProportionalToSpeed(t *testing.T) {
+	arch := nn.Arch{InputDim: 10, Hidden: []int{16, 16}, OutputDim: 2, Activation: nn.ActSigmoid}
+	cpu, gpu := NewXeon("cpu0", 56), NewV100("gpu0")
+	const round = 128
+	cb, gb := SpeedSplit(arch, round, cpu, gpu, 1)
+	if cb+gb != round || cb < 1 || gb < 1 {
+		t.Fatalf("plan %d+%d must partition %d", cb, gb, round)
+	}
+	// Believing the GPU is 100× faster shifts work to the GPU.
+	if fcb, _ := SpeedSplit(arch, round, cpu, gpu, 100); fcb >= cb {
+		t.Fatalf("GPU-optimistic plan should give CPU less: %d vs %d", fcb, cb)
+	}
+	// Believing the GPU is 100× slower shifts work to the CPU.
+	if scb, _ := SpeedSplit(arch, round, cpu, gpu, 0.01); scb <= cb {
+		t.Fatalf("GPU-pessimistic plan should give CPU more: %d vs %d", scb, cb)
+	}
+}

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"heterosgd/internal/core"
+	"heterosgd/internal/data"
+	"heterosgd/internal/nn"
 )
 
 func TestScaleByName(t *testing.T) {
@@ -227,6 +231,48 @@ func TestRelatedWorkComparison(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("related-work output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// tinyOmnivore is the Omnivore comparator on a problem small enough that the
+// GPU's fixed per-iteration costs make the CPU a real contender: rounds of
+// 128 examples on a two-layer, 16-unit network.
+func tinyOmnivore(gpuSkew float64) core.Config {
+	spec := data.SynthSpec{
+		Name: "tiny", N: 512, Dim: 10, Classes: 2,
+		Density: 1.0, Separation: 2.5, Noise: 0.5,
+		HiddenLayers: 2, HiddenUnits: 16,
+	}
+	sc := Small()
+	sc.Preset.GPUMax = 128
+	p := &Problem{Spec: spec, Dataset: data.Generate(spec, 42), Net: nn.MustNetwork(spec.Arch()), Scale: sc}
+	return omnivoreConfig(p, 1, gpuSkew)
+}
+
+func TestStallFractionGrowsWithMisestimation(t *testing.T) {
+	exact, skewed := tinyOmnivore(1), tinyOmnivore(20)
+	se, ss := stallFraction(&exact), stallFraction(&skewed)
+	if ss <= se {
+		t.Fatalf("misestimation must increase the barrier stall: %v vs %v", ss, se)
+	}
+	if se < 0 || se >= 1 || ss < 0 || ss >= 1 {
+		t.Fatalf("stall fractions out of range: %v %v", se, ss)
+	}
+}
+
+func TestMisestimationHurtsThroughput(t *testing.T) {
+	// Same time budget: a badly-skewed plan should process fewer examples
+	// (its rounds stall at the barrier) — the paper's critique of static
+	// proportional splitting.
+	run := func(gpuSkew float64) int64 {
+		res, err := core.RunSim(context.Background(), tinyOmnivore(gpuSkew), 20*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ExamplesProcessed
+	}
+	if exact, skewed := run(1), run(50); skewed >= exact {
+		t.Fatalf("skewed plan should be slower: %d vs %d examples", skewed, exact)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"heterosgd/internal/core"
+	"heterosgd/internal/device"
 	"heterosgd/internal/metrics"
-	"heterosgd/internal/omnivore"
 )
 
 // RelatedWork runs the §II comparison the paper argues but never plots:
@@ -23,38 +23,26 @@ func RelatedWork(ctx context.Context, p *Problem, seed uint64) (string, error) {
 
 	type entry struct {
 		name string
+		cfg  core.Config
 		res  *core.Result
 	}
 	var entries []entry
-
 	for _, alg := range []core.Algorithm{core.AlgAdaptiveHogbatch, core.AlgAdaptiveLR, core.AlgCPUGPUHogbatch} {
-		cfg := baseConfig(alg, p, seed)
-		cfg.BaseLR = lr
-		res, err := core.RunSim(ctx, cfg, horizon)
+		entries = append(entries, entry{name: alg.String(), cfg: baseConfig(alg, p, seed)})
+	}
+	exact, skewed := omnivoreConfig(p, seed, 1), omnivoreConfig(p, seed, 10)
+	entries = append(entries, entry{name: "Omnivore (exact)", cfg: exact}, entry{name: "Omnivore (10× mis-est)", cfg: skewed})
+	for i := range entries {
+		e := &entries[i]
+		e.cfg.BaseLR = lr
+		res, err := core.RunSim(ctx, e.cfg, horizon)
 		if err != nil {
 			return "", err
 		}
 		if res.Interrupted {
-			return "", fmt.Errorf("experiments: %s interrupted: %w", alg, ctx.Err())
+			return "", fmt.Errorf("experiments: %s interrupted: %w", e.name, ctx.Err())
 		}
-		entries = append(entries, entry{alg.String(), res})
-	}
-
-	for _, spec := range []struct {
-		name string
-		err  float64
-	}{{"Omnivore (exact)", 1}, {"Omnivore (10× mis-est)", 10}} {
-		cfg := omnivore.DefaultConfig(p.Net, p.Dataset)
-		cfg.RoundBatch = p.Scale.Preset.GPUMax
-		cfg.LR = lrForBatch(lr, p, cfg.RoundBatch)
-		cfg.SpeedError = spec.err
-		cfg.Seed = seed
-		cfg.EvalSubset = min(2048, p.Dataset.N())
-		res, err := omnivore.Run(cfg, horizon)
-		if err != nil {
-			return "", err
-		}
-		entries = append(entries, entry{spec.name, res})
+		e.res = res
 	}
 
 	var traces []*metrics.Trace
@@ -81,19 +69,39 @@ func RelatedWork(ctx context.Context, p *Problem, seed uint64) (string, error) {
 
 	// The structural argument: Omnivore's barrier stalls under
 	// misestimation, quantified.
-	exact := omnivore.DefaultConfig(p.Net, p.Dataset)
-	exact.RoundBatch = p.Scale.Preset.GPUMax
-	skew := exact
-	skew.SpeedError = 10
 	fmt.Fprintf(&b, "\nOmnivore barrier stall: %.0f%% of each round with exact estimates, %.0f%% at 10× misestimation\n",
-		100*omnivore.StallFraction(&exact), 100*omnivore.StallFraction(&skew))
+		100*stallFraction(&exact), 100*stallFraction(&skewed))
 	return b.String(), nil
 }
 
-// lrForBatch maps the tuned per-56-example base LR to a batch size under
-// the linear-scaling rule used by the core configs.
-func lrForBatch(baseLR float64, p *Problem, batch int) float64 {
-	probe := baseConfig(core.AlgHogbatchGPU, p, 1)
-	probe.BaseLR = baseLR
-	return probe.LRFor(batch)
+// omnivoreConfig is the Omnivore comparator whose planner believes the GPU
+// gpuSkew× as fast as its cost model says: the same static split, from a
+// skewed rate (1 = the exact estimate NewConfig plans with).
+func omnivoreConfig(p *Problem, seed uint64, gpuSkew float64) core.Config {
+	cfg := baseConfig(core.AlgOmnivore, p, seed)
+	cpu, gpu := &cfg.Workers[0], &cfg.Workers[1]
+	cb, gb := device.SpeedSplit(p.Net.Arch, p.Scale.Preset.GPUMax, cpu.Device, gpu.Device, gpuSkew)
+	cpu.InitialBatch, cpu.MinBatch, cpu.MaxBatch = cb, cb, cb
+	gpu.InitialBatch, gpu.MinBatch, gpu.MaxBatch = gb, gb, gb
+	return cfg
+}
+
+// stallFraction reports the fraction of a synchronized round the fastest
+// device spends waiting at the barrier for the slowest, at cfg's static batch
+// sizes — the inefficiency Adaptive Hogbatch eliminates.
+func stallFraction(cfg *core.Config) float64 {
+	arch := cfg.Net.Arch
+	modelBytes := int64(arch.NumParameters()) * 8
+	var fast, round time.Duration
+	for i, w := range cfg.Workers {
+		t := w.Device.IterTime(arch, w.InitialBatch, modelBytes)
+		if i == 0 || t < fast {
+			fast = t
+		}
+		round = max(round, t)
+	}
+	if round == 0 {
+		return 0
+	}
+	return 1 - fast.Seconds()/round.Seconds()
 }

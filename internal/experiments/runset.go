@@ -8,7 +8,6 @@ import (
 
 	"heterosgd/internal/core"
 	"heterosgd/internal/metrics"
-	"heterosgd/internal/tfbaseline"
 )
 
 // figureAlgorithms lists the five lines of Figures 5 and 6 in legend order.
@@ -85,7 +84,6 @@ func TuneLR(ctx context.Context, p *Problem, seed uint64) float64 {
 func baseConfig(alg core.Algorithm, p *Problem, seed uint64) core.Config {
 	cfg := core.NewConfig(alg, p.Net, p.Dataset, p.Scale.Preset)
 	cfg.Seed = seed
-	cfg.RefBatch = p.Scale.Preset.CPUThreads
 	cfg.EvalSubset = min(2048, p.Dataset.N())
 	return cfg
 }
@@ -113,26 +111,10 @@ func RunAlgorithms(ctx context.Context, p *Problem, seed uint64, algs []core.Alg
 	}
 	sampleEvery := horizon / 25
 	for _, alg := range algs {
-		var res *core.Result
-		var err error
-		if alg == core.AlgTensorFlow {
-			tfCfg := tfbaseline.DefaultConfig(p.Net, p.Dataset)
-			tfCfg.Batch = p.Scale.Preset.GPUMax
-			tfCfg.Seed = seed
-			tfCfg.EvalSubset = min(2048, p.Dataset.N())
-			tfCfg.SampleEvery = sampleEvery
-			// The paper drives TF with the same tuned LR at the same
-			// batch; core's LR scaling maps it to the GPU batch size.
-			probe := baseConfig(core.AlgHogbatchGPU, p, seed)
-			probe.BaseLR = lr
-			tfCfg.LR = probe.LRFor(tfCfg.Batch)
-			res, err = tfbaseline.Run(tfCfg, horizon)
-		} else {
-			cfg := baseConfig(alg, p, seed)
-			cfg.BaseLR = lr
-			cfg.SampleEvery = sampleEvery
-			res, err = core.RunSim(ctx, cfg, horizon)
-		}
+		cfg := baseConfig(alg, p, seed)
+		cfg.BaseLR = lr
+		cfg.SampleEvery = sampleEvery
+		res, err := core.RunSim(ctx, cfg, horizon)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s on %s: %w", alg, p.Spec.Name, err)
 		}

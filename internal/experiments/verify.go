@@ -135,18 +135,20 @@ func bestOfDur(m map[string]time.Duration, names ...string) (time.Duration, bool
 	return best, ok
 }
 
-// lossAtEpochN returns the algorithm's loss at the epoch-boundary sample
-// closest to exactly n epochs (both engines record one per epoch end), so
-// comparisons across algorithms align on identical training progress.
-func lossAtEpochN(rs *RunSet, name string, n float64) (float64, bool) {
-	res, ok := rs.Results[name]
-	if !ok {
+// lossAtEpochN returns the algorithm's loss at the barrier that ends epoch n,
+// so comparisons across algorithms align on identical training progress. It
+// is the last sample at n epochs: a SampleEvery tick that fires once the pool
+// is drained reads n epochs too, but with the epoch's last batch still in
+// flight.
+func lossAtEpochN(rs *RunSet, name string, n float64) (loss float64, ok bool) {
+	res, have := rs.Results[name]
+	if !have {
 		return 0, false
 	}
 	for _, p := range res.Trace.Points {
 		if p.Epoch > n-0.01 && p.Epoch < n+0.01 {
-			return p.Loss, true
+			loss, ok = p.Loss, true
 		}
 	}
-	return 0, false
+	return loss, ok
 }

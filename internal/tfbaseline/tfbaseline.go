@@ -1,26 +1,24 @@
 // Package tfbaseline reproduces the paper's TensorFlow comparator (§II,
-// §VII): a single synchronous mini-batch SGD instance executed through an
-// op-level dataflow graph whose primitives are individually placed on the
-// CPU or the GPU by estimated execution time, with explicit transfer costs
-// when consecutive ops land on different devices.
+// §VII) as a device cost model: a single synchronous mini-batch SGD instance
+// executed through an op-level dataflow graph whose primitives are
+// individually placed on the CPU or the GPU by estimated execution time, with
+// explicit transfer costs when consecutive ops land on different devices.
 //
 // The paper observes that (a) TensorFlow's convergence mirrors Hogbatch GPU
 // almost identically — both are mini-batch SGD over the same batch stream —
 // and (b) TensorFlow collapses on delicious because its multi-label output
-// path is much slower (983 labels vs 2). This package reproduces both: the
-// arithmetic is plain mini-batch SGD with the same kernels as internal/core,
-// and the virtual clock charges per-op scheduling overhead plus a per-label
-// output cost that only matters when OutputDim is large.
+// path is much slower (983 labels vs 2). Both follow from the construction:
+// core.NewConfig(AlgTensorFlow) is Hogbatch GPU's worker on this package's
+// Device, so the arithmetic is Hogbatch GPU's, and only the virtual clock
+// differs — per-op scheduling overhead plus a per-label output cost that
+// only matters when OutputDim is large.
 package tfbaseline
 
 import (
 	"fmt"
 	"time"
 
-	"heterosgd/internal/core"
-	"heterosgd/internal/data"
 	"heterosgd/internal/device"
-	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
 )
 
@@ -57,18 +55,13 @@ type Op struct {
 	Cost time.Duration
 }
 
-// Config configures a baseline run.
-type Config struct {
-	// Net and Dataset define the problem (same types as internal/core).
-	Net     *nn.Network
-	Dataset *data.Dataset
-	// Batch is the mini-batch size (the paper uses the GPU batch, 8192).
-	Batch int
-	// LR is the learning rate.
-	LR float64
-	// CPU and GPU are the device models used for placement decisions.
+// Device is the V100 as the TensorFlow 1.13 runtime drives it. Everything but
+// the iteration time is the GPU's own: the worker is a GPU worker, and loss
+// evaluation and utilization follow the V100's curves.
+type Device struct {
+	*device.GPUDevice
+	// CPU is the host model the placer weighs each op against.
 	CPU *device.CPUDevice
-	GPU *device.GPUDevice
 	// OpOverhead is the per-op scheduling cost of the dataflow runtime.
 	OpOverhead time.Duration
 	// PerLabelCost is the extra output-path cost per label (per 256
@@ -76,52 +69,13 @@ type Config struct {
 	// (§VII-B). The cost scales with the batch because TF 1.x's
 	// multi-label path touches every (example, label) pair.
 	PerLabelCost time.Duration
-	// Seed initializes the model identically to a core run with the same
-	// seed.
-	Seed uint64
-	// EvalSubset bounds loss-evaluation cost (same semantics as core).
-	EvalSubset int
-	// SampleEvery adds time-based loss samples to the trace.
-	SampleEvery time.Duration
 }
 
-// DefaultConfig returns the baseline with the paper-era TensorFlow 1.13
-// characteristics: 8192 batches, a few microseconds of per-op scheduling
-// overhead, and a per-label output cost that is negligible at 2 labels and
-// dominant at 983 (the delicious anomaly).
-func DefaultConfig(net *nn.Network, ds *data.Dataset) Config {
-	return Config{
-		Net:          net,
-		Dataset:      ds,
-		Batch:        8192,
-		LR:           0.05,
-		CPU:          device.NewXeon("cpu0", 56),
-		GPU:          device.NewV100("gpu0"),
-		OpOverhead:   time.Microsecond,
-		PerLabelCost: 2 * time.Microsecond,
-		Seed:         1,
-		EvalSubset:   4096,
-	}
-}
-
-// Validate checks the configuration.
-func (c *Config) Validate() error {
-	if c.Net == nil || c.Dataset == nil {
-		return fmt.Errorf("tfbaseline: config needs a network and dataset")
-	}
-	if c.Net.Arch.InputDim != c.Dataset.Dim() {
-		return fmt.Errorf("tfbaseline: network input %d ≠ dataset dim %d", c.Net.Arch.InputDim, c.Dataset.Dim())
-	}
-	if c.Batch < 1 {
-		return fmt.Errorf("tfbaseline: batch %d must be positive", c.Batch)
-	}
-	if c.LR <= 0 {
-		return fmt.Errorf("tfbaseline: learning rate %v must be positive", c.LR)
-	}
-	if c.CPU == nil || c.GPU == nil {
-		return fmt.Errorf("tfbaseline: config needs both device models")
-	}
-	return nil
+// NewDevice wraps gpu with the paper-era TensorFlow characteristics: a
+// microsecond of per-op scheduling overhead, and a per-label output cost that
+// is negligible at 2 labels and dominant at 983.
+func NewDevice(gpu *device.GPUDevice, cpu *device.CPUDevice) *Device {
+	return &Device{GPUDevice: gpu, CPU: cpu, OpOverhead: time.Microsecond, PerLabelCost: 2 * time.Microsecond}
 }
 
 // BuildGraph constructs the per-iteration op sequence for the network at
@@ -169,17 +123,17 @@ func BuildGraph(arch nn.Arch, batch int) []*Op {
 // decision on where to perform a primitive depends on the estimated
 // execution time for each device … switching between CPU and GPU introduces
 // time-consuming data transfers".
-func ScheduleGraph(ops []*Op, cfg *Config, batch int) time.Duration {
+func (d *Device) ScheduleGraph(ops []*Op, batch int) time.Duration {
 	total := time.Duration(0)
 	loc := PlaceGPU // batch starts on the GPU after the initial upload
 	var prevBytes int64
 	for _, op := range ops {
-		cpuCost := cfg.CPU.OpTime(op.Flops) + cfg.OpOverhead
-		gpuCost := cfg.GPU.OpTime(op.Flops, batch) + cfg.OpOverhead
+		cpuCost := d.CPU.OpTime(op.Flops) + d.OpOverhead
+		gpuCost := d.OpTime(op.Flops, batch) + d.OpOverhead
 		if loc == PlaceGPU {
-			cpuCost += cfg.GPU.Transfer(prevBytes)
+			cpuCost += d.Transfer(prevBytes)
 		} else {
-			gpuCost += cfg.GPU.Transfer(prevBytes)
+			gpuCost += d.Transfer(prevBytes)
 		}
 		if cpuCost < gpuCost {
 			op.Placement = PlaceCPU
@@ -196,108 +150,18 @@ func ScheduleGraph(ops []*Op, cfg *Config, batch int) time.Duration {
 	return total
 }
 
-// IterTime returns the virtual duration of one synchronous iteration: the
-// batch upload, the scheduled graph, and the multi-label output penalty.
-func IterTime(cfg *Config, batch int) time.Duration {
-	upload := cfg.GPU.Transfer(int64(batch*cfg.Net.Arch.InputDim) * 8)
-	graph := ScheduleGraph(BuildGraph(cfg.Net.Arch, batch), cfg, batch)
+// IterTime implements device.Device: the virtual duration of one synchronous
+// iteration — the batch upload, the scheduled graph, and the multi-label
+// output penalty. The model never crosses PCIe (TensorFlow keeps its
+// variables resident), so modelBytes does not enter.
+func (d *Device) IterTime(arch nn.Arch, batch int, _ int64) time.Duration {
+	upload := d.Transfer(int64(batch*arch.InputDim) * 8)
+	graph := d.ScheduleGraph(BuildGraph(arch, batch), batch)
 	var labelPenalty time.Duration
-	if cfg.Net.Arch.MultiLabel {
-		perBlock := time.Duration(cfg.Net.Arch.OutputDim) * cfg.PerLabelCost
+	if arch.MultiLabel {
+		perBlock := time.Duration(arch.OutputDim) * d.PerLabelCost
 		blocks := float64(batch) / 256
 		labelPenalty = time.Duration(float64(perBlock) * blocks)
 	}
 	return upload + graph + labelPenalty
-}
-
-// Run trains for the virtual-time budget and returns a core.Result labelled
-// AlgTensorFlow. The arithmetic is plain mini-batch SGD with the shared nn
-// kernels, so the loss trajectory per *epoch* is identical to Hogbatch GPU
-// at the same batch size and seed — the paper's overlapped curves.
-func Run(cfg Config, horizon time.Duration) (*core.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	net, ds := cfg.Net, cfg.Dataset
-	rng := core.RunRNG(cfg.Seed)
-	params := net.NewParams(nn.InitXavier, rng)
-	grad := net.NewParams(nn.InitZero, rng)
-	ws := net.NewWorkspace(min(cfg.Batch, ds.N()))
-
-	evalN := ds.N()
-	if cfg.EvalSubset > 0 && cfg.EvalSubset < evalN {
-		evalN = cfg.EvalSubset
-	}
-	evalWS := net.NewWorkspace(evalN)
-	evalLoss := func() float64 {
-		v := ds.View(0, evalN)
-		return net.LossX(params, evalWS, v.Input(), v.Y, 1)
-	}
-
-	trace := &metrics.Trace{Name: "TensorFlow"}
-	raw := metrics.NewUpdateCounter()
-	util := metrics.NewUtilizationTrace()
-
-	iterDur := IterTime(&cfg, cfg.Batch)
-	gpuUtil := cfg.GPU.Utilization(net.Arch, cfg.Batch)
-
-	now := time.Duration(0)
-	var examples int64
-	cursor := 0
-	epoch := 0
-	nextSample := cfg.SampleEvery
-
-	trace.Add(0, 0, evalLoss())
-	for now+iterDur <= horizon {
-		b := cfg.Batch
-		if rem := ds.N() - cursor; b > rem {
-			b = rem
-		}
-		v := ds.View(cursor, cursor+b)
-		net.GradientX(params, ws, v.Input(), v.Y, grad, 1)
-		lr := cfg.LR
-		if b < cfg.Batch {
-			// Trailing partial batch: scale the step like the linear
-			// batch-LR rule the framework applies, so TF's trajectory
-			// stays exactly comparable to Hogbatch GPU's (Fig 6's
-			// overlapped curves).
-			lr = cfg.LR * float64(b) / float64(cfg.Batch)
-		}
-		params.AddScaled(-lr, grad)
-		raw.Add("gpu0", 1)
-		dur := iterDur
-		if b < cfg.Batch {
-			dur = IterTime(&cfg, b)
-		}
-		util.AddBusy("gpu0", now, now+dur, gpuUtil)
-		now += dur
-		cursor += b
-		examples += int64(b)
-		if cursor >= ds.N() {
-			cursor = 0
-			epoch++
-			trace.Add(now, float64(examples)/float64(ds.N()), evalLoss())
-		}
-		if cfg.SampleEvery > 0 && now >= nextSample {
-			trace.Add(now, float64(examples)/float64(ds.N()), evalLoss())
-			nextSample += cfg.SampleEvery
-		}
-	}
-	final := evalLoss()
-	trace.Add(horizon, float64(examples)/float64(ds.N()), final)
-
-	return &core.Result{
-		Algorithm:         core.AlgTensorFlow,
-		Trace:             trace,
-		Updates:           raw,
-		Utilization:       util,
-		Epochs:            float64(examples) / float64(ds.N()),
-		Duration:          horizon,
-		FinalLoss:         final,
-		MinLoss:           trace.MinLoss(),
-		ExamplesProcessed: examples,
-		FinalBatch:        []int{cfg.Batch},
-		Resizes:           []int{0},
-		Params:            params,
-	}, nil
 }

@@ -1,4 +1,6 @@
-package tfbaseline
+// An external test package: core builds its TensorFlow configuration from this
+// package, so the tests that run one import core from outside it.
+package tfbaseline_test
 
 import (
 	"context"
@@ -7,7 +9,9 @@ import (
 
 	"heterosgd/internal/core"
 	"heterosgd/internal/data"
+	"heterosgd/internal/device"
 	"heterosgd/internal/nn"
+	"heterosgd/internal/tfbaseline"
 )
 
 func tinyProblem() (*nn.Network, *data.Dataset) {
@@ -19,38 +23,22 @@ func tinyProblem() (*nn.Network, *data.Dataset) {
 	return nn.MustNetwork(spec.Arch()), data.Generate(spec, 42)
 }
 
-func tinyTFConfig() Config {
-	net, ds := tinyProblem()
-	cfg := DefaultConfig(net, ds)
-	cfg.Batch = 128
-	cfg.LR = 0.2
+var tinyPreset = core.Preset{CPUThreads: 4, CPUMinPerThread: 1, CPUMaxPerThread: 8, GPUMin: 128, GPUMax: 128}
+
+func tinyConfig(alg core.Algorithm, net *nn.Network, ds *data.Dataset) core.Config {
+	cfg := core.NewConfig(alg, net, ds, tinyPreset)
+	cfg.BaseLR = 0.01
 	cfg.EvalSubset = 256
 	return cfg
 }
 
-func TestValidate(t *testing.T) {
-	good := tinyTFConfig()
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for name, f := range map[string]func(*Config){
-		"no net":   func(c *Config) { c.Net = nil },
-		"batch":    func(c *Config) { c.Batch = 0 },
-		"lr":       func(c *Config) { c.LR = 0 },
-		"no gpu":   func(c *Config) { c.GPU = nil },
-		"mismatch": func(c *Config) { c.Net = nn.MustNetwork(nn.Arch{InputDim: 3, OutputDim: 2, Activation: nn.ActSigmoid}) },
-	} {
-		cfg := tinyTFConfig()
-		f(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Fatalf("%s: expected error", name)
-		}
-	}
+func paperDevice() *tfbaseline.Device {
+	return tfbaseline.NewDevice(device.NewV100("gpu0"), device.NewXeon("cpu0", 56))
 }
 
 func TestBuildGraphStructure(t *testing.T) {
 	arch := nn.Arch{InputDim: 10, Hidden: []int{16, 16}, OutputDim: 2, Activation: nn.ActSigmoid}
-	ops := BuildGraph(arch, 64)
+	ops := tfbaseline.BuildGraph(arch, 64)
 	// 3 weight layers: fwd 3 matmul + 3 bias + 2 act; 1 loss; bwd 3 dW +
 	// 3 db + 2 dX + 2 actgrad + 3 apply = 22 ops.
 	if len(ops) != 22 {
@@ -71,9 +59,9 @@ func TestBuildGraphStructure(t *testing.T) {
 }
 
 func TestScheduleGraphAssignsEveryOp(t *testing.T) {
-	cfg := tinyTFConfig()
-	ops := BuildGraph(cfg.Net.Arch, cfg.Batch)
-	total := ScheduleGraph(ops, &cfg, cfg.Batch)
+	net, _ := tinyProblem()
+	ops := tfbaseline.BuildGraph(net.Arch, 128)
+	total := paperDevice().ScheduleGraph(ops, 128)
 	if total <= 0 {
 		t.Fatal("zero iteration time")
 	}
@@ -92,16 +80,11 @@ func TestScheduleGraphAssignsEveryOp(t *testing.T) {
 func TestLargeBatchGraphStaysOnGPU(t *testing.T) {
 	// At the paper's batch 8192 on the full covtype net, every matmul must
 	// land on the GPU — that is why TF ≈ Hogbatch GPU.
-	spec := data.Covtype
-	net := nn.MustNetwork(spec.Arch())
-	ds := data.Generate(spec.Scaled(0.001), 1)
-	_ = ds
-	cfg := DefaultConfig(net, &data.Dataset{})
-	cfg.Net = net
-	ops := BuildGraph(net.Arch, 8192)
-	ScheduleGraph(ops, &cfg, 8192)
+	arch := data.Covtype.Arch()
+	ops := tfbaseline.BuildGraph(arch, 8192)
+	paperDevice().ScheduleGraph(ops, 8192)
 	for _, op := range ops {
-		if len(op.Name) > 9 && op.Name[:9] == "fwd_matmu" && op.Placement != PlaceGPU {
+		if len(op.Name) > 9 && op.Name[:9] == "fwd_matmu" && op.Placement != tfbaseline.PlaceGPU {
 			t.Fatalf("op %s placed on CPU at batch 8192", op.Name)
 		}
 	}
@@ -110,25 +93,46 @@ func TestLargeBatchGraphStaysOnGPU(t *testing.T) {
 func TestMultiLabelPenaltySlowsIterations(t *testing.T) {
 	// delicious-shaped: 983 labels make TF iterations far slower than the
 	// same-sized multiclass net (the paper's anomaly).
-	ml := nn.MustNetwork(nn.Arch{InputDim: 500, Hidden: []int{512}, OutputDim: 983, Activation: nn.ActSigmoid, MultiLabel: true})
-	mc := nn.MustNetwork(nn.Arch{InputDim: 500, Hidden: []int{512}, OutputDim: 983, Activation: nn.ActSigmoid})
-	cfgML := DefaultConfig(ml, &data.Dataset{})
-	cfgMC := DefaultConfig(mc, &data.Dataset{})
-	tML := IterTime(&cfgML, 8192)
-	tMC := IterTime(&cfgMC, 8192)
+	ml := nn.Arch{InputDim: 500, Hidden: []int{512}, OutputDim: 983, Activation: nn.ActSigmoid, MultiLabel: true}
+	mc := ml
+	mc.MultiLabel = false
+	dev := paperDevice()
+	tML, tMC := dev.IterTime(ml, 8192, 0), dev.IterTime(mc, 8192, 0)
 	if float64(tML) < 1.5*float64(tMC) {
 		t.Fatalf("multi-label iteration %v not much slower than multiclass %v", tML, tMC)
 	}
 }
 
+// TestIterTimePinned holds the device to the iteration times the comparator's
+// private training loop charged before it became a device model: the paper's
+// covtype and delicious networks at the GPU batch thresholds.
+func TestIterTimePinned(t *testing.T) {
+	dev := paperDevice()
+	for _, c := range []struct {
+		spec  data.SynthSpec
+		batch int
+		want  time.Duration
+	}{
+		{data.Covtype, 512, 938559},
+		{data.Covtype, 8192, 5608228},
+		{data.Delicious, 512, 5637713},
+		{data.Delicious, 8192, 75460012},
+	} {
+		arch := c.spec.Arch()
+		if got := dev.IterTime(arch, c.batch, int64(arch.NumParameters())*8); got != c.want {
+			t.Errorf("%s at batch %d: IterTime %d ns, want %d", c.spec.Name, c.batch, got, c.want)
+		}
+	}
+}
+
 func TestRunConverges(t *testing.T) {
-	cfg := tinyTFConfig()
-	res, err := Run(cfg, 50*time.Millisecond)
+	net, ds := tinyProblem()
+	res, err := core.RunSim(context.Background(), tinyConfig(core.AlgTensorFlow, net, ds), 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != core.AlgTensorFlow {
-		t.Fatalf("algorithm label %v", res.Algorithm)
+	if res.Algorithm != core.AlgTensorFlow || res.Trace.Name != "TensorFlow" {
+		t.Fatalf("labels %v %q", res.Algorithm, res.Trace.Name)
 	}
 	first := res.Trace.Points[0].Loss
 	if res.FinalLoss >= first*0.8 {
@@ -140,57 +144,48 @@ func TestRunConverges(t *testing.T) {
 }
 
 func TestRunRejectsInvalidConfig(t *testing.T) {
-	cfg := tinyTFConfig()
-	cfg.LR = -1
-	if _, err := Run(cfg, time.Millisecond); err == nil {
+	net, ds := tinyProblem()
+	cfg := tinyConfig(core.AlgTensorFlow, net, ds)
+	cfg.BaseLR = -1
+	if _, err := core.RunSim(context.Background(), cfg, time.Millisecond); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
+// TestTFMatchesHogbatchGPUPerEpoch is the paper's Figure 6: TF and Hogbatch
+// GPU have overlapping statistical-efficiency curves. They are one worker on
+// two devices, so at the same seed the per-epoch losses are the same floats —
+// with LR scaling on and a dataset whose last batch of each epoch is partial,
+// the case two training loops would scale differently — while every TF epoch
+// takes longer.
 func TestTFMatchesHogbatchGPUPerEpoch(t *testing.T) {
-	// The paper's Figure 6: TF and Hogbatch GPU have overlapping
-	// statistical-efficiency curves. Same batch size, LR, and seed must
-	// give the same loss after the same number of epochs.
 	net, ds := tinyProblem()
-	tfCfg := DefaultConfig(net, ds)
-	tfCfg.Batch = 128
-	tfCfg.LR = 0.2
-	tfCfg.EvalSubset = 256
-	tfRes, err := Run(tfCfg, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	ds = ds.Subset(500) // 3 batches of 128 and a tail of 116
+	run := func(alg core.Algorithm) []float64 {
+		cfg := tinyConfig(alg, net, ds)
+		if !cfg.LRScaling || ds.N()%cfg.Workers[0].InitialBatch == 0 {
+			t.Fatal("the comparison needs LR scaling on and a partial tail batch")
+		}
+		res, err := core.RunSim(context.Background(), cfg, 100*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var losses []float64
+		for _, p := range res.Trace.Points[:len(res.Trace.Points)-1] {
+			losses = append(losses, p.Loss)
+		}
+		return losses
 	}
-
-	coreCfg := core.NewConfig(core.AlgHogbatchGPU, net, ds,
-		core.Preset{CPUThreads: 4, CPUMinPerThread: 1, CPUMaxPerThread: 8, GPUMin: 128, GPUMax: 128})
-	coreCfg.BaseLR = 0.2
-	coreCfg.LRScaling = false
-	coreCfg.EvalSubset = 256
-	coreRes, err := core.RunSim(context.Background(), coreCfg, 100*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	tf, gpu := run(core.AlgTensorFlow), run(core.AlgHogbatchGPU)
+	if len(tf) < 3 {
+		t.Fatalf("too few TF epochs to compare: %d", len(tf)-1)
 	}
-
-	// Compare losses at matching epoch counts.
-	epochs := min(int(tfRes.Epochs), int(coreRes.Epochs))
-	if epochs < 2 {
-		t.Fatalf("too few epochs to compare: tf %.1f core %.1f", tfRes.Epochs, coreRes.Epochs)
+	if len(tf) >= len(gpu) {
+		t.Fatalf("TF completed %d epochs in the time Hogbatch GPU completed %d; its iterations must cost more", len(tf)-1, len(gpu)-1)
 	}
-	tfLoss, ok1 := lossAtEpoch(tfRes, float64(epochs))
-	coreLoss, ok2 := lossAtEpoch(coreRes, float64(epochs))
-	if !ok1 || !ok2 {
-		t.Fatal("missing epoch samples")
-	}
-	if rel := tfLoss/coreLoss - 1; rel > 0.02 || rel < -0.02 {
-		t.Fatalf("per-epoch curves diverge: tf %v vs gpu %v at epoch %d", tfLoss, coreLoss, epochs)
-	}
-}
-
-func lossAtEpoch(r *core.Result, epoch float64) (float64, bool) {
-	for _, p := range r.Trace.Points {
-		if p.Epoch >= epoch {
-			return p.Loss, true
+	for e, loss := range tf {
+		if loss != gpu[e] {
+			t.Fatalf("epoch %d: tf loss %v, gpu loss %v — not bit-equal", e, loss, gpu[e])
 		}
 	}
-	return 0, false
 }

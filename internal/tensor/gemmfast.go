@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // fastKernelAvailable is set by platform init when the CPU (and OS) support
 // the AVX2+FMA microkernel. Non-amd64 builds leave it false.
@@ -37,29 +34,12 @@ func FastGemmTB(alpha float64, a, b *Matrix, beta float64, c *Matrix, workers in
 		ParallelGemm(false, true, alpha, a, b, beta, c, workers)
 		return
 	}
-	m := a.Rows
-	if workers > m/4 {
-		workers = m / 4
-	}
-	if workers <= 1 || m*c.Cols < 4096 {
-		fastGemmTBRange(alpha, a, b, beta, c, 0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	// Round the chunk up to a multiple of 4 so only the last goroutine
-	// handles a partial row quad.
-	chunk = (chunk + 3) &^ 3
-	for i0 := 0; i0 < m; i0 += chunk {
-		i1 := min(i0+chunk, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fastGemmTBRange(alpha, a, b, beta, c, lo, hi)
-		}(i0, i1)
-	}
-	wg.Wait()
+	// Chunks are multiples of 4 rows so only the last one handles a partial
+	// row quad.
+	forkJoin(a.Rows, a.Rows*c.Cols*a.Cols/gemmTerms, workers, 4, job{run: runFastGemmTB, alpha: alpha, a: a, b: b, beta: beta, c: c})
 }
+
+func runFastGemmTB(j job) { fastGemmTBRange(j.alpha, j.a, j.b, j.beta, j.c, j.lo, j.hi) }
 
 // fastGemmTBRange computes rows [i0, i1) of C = alpha·A·Bᵀ + beta·C with the
 // 4×2 SIMD tile; row and column remainders run the scalar kernel.

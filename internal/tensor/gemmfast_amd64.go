@@ -6,6 +6,7 @@ package tensor
 
 func init() {
 	fastKernelAvailable = detectAVX2FMA()
+	exactKernels = fastKernelAvailable && !raceEnabled
 }
 
 func detectAVX2FMA() bool {
@@ -34,6 +35,12 @@ func detectAVX2FMA() bool {
 
 //go:noescape
 func fmaDot4x2(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
+
+//go:noescape
+func axpyRowAVX(c *float64, n int, s *float64, off *int, b *float64, cnt int, zero bool)
+
+//go:noescape
+func dotTilesAVX(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, tiles int, alpha float64)
 
 func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
 

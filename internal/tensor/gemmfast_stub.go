@@ -8,3 +8,11 @@ package tensor
 func fmaDot4x2(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64) {
 	panic("tensor: fmaDot4x2 called without SIMD support")
 }
+
+func axpyRowAVX(c *float64, n int, s *float64, off *int, b *float64, cnt int, zero bool) {
+	panic("tensor: axpyRowAVX called without SIMD support")
+}
+
+func dotTilesAVX(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, tiles int, alpha float64) {
+	panic("tensor: dotTilesAVX called without SIMD support")
+}

@@ -1,23 +1,23 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
-
-// blockSize is the cache-blocking tile edge for GEMM. 64×64 float64 tiles
-// (32 KiB per operand pair) fit comfortably in an L1/L2 cache.
-const blockSize = 64
+import "fmt"
 
 // Gemm computes C = alpha * op(A) * op(B) + beta * C, where op(X) is X or
 // Xᵀ according to transA/transB. It panics on shape mismatch.
 //
-// The inner loops are ordered i-k-j so the innermost traversal is unit-stride
-// over both B and C, which is the standard cache-friendly layout for
-// row-major GEMM.
+// Every output element is built by the same operations in the same order on
+// every path — beta·C first, then the terms in ascending inner index p, each
+// a separately rounded multiply and add — so the AVX2 kernels
+// (gemmexact.go) and the Go loops below agree bit for bit.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	m, k := a.Rows, a.Cols
+	m, _ := gemmShape(transA, transB, a, b, c)
+	gemmRange(transA, transB, alpha, a, b, beta, c, 0, m)
+}
+
+// gemmShape returns the output row count and the inner dimension of
+// C = op(A)·op(B), panicking on a shape mismatch.
+func gemmShape(transA, transB bool, a, b, c *Matrix) (m, k int) {
+	m, k = a.Rows, a.Cols
 	if transA {
 		m, k = a.Cols, a.Rows
 	}
@@ -31,42 +31,64 @@ func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 	if c.Rows != m || c.Cols != n {
 		panic(fmt.Sprintf("tensor: gemm output shape %d×%d, need %d×%d", c.Rows, c.Cols, m, n))
 	}
-	gemmRange(transA, transB, alpha, a, b, beta, c, 0, m)
+	return m, k
 }
 
-// gemmRange computes rows [i0, i1) of the GEMM output. It is the unit of
-// work handed to goroutines by ParallelGemm.
+// gemmRange computes rows [i0, i1) of the GEMM output: the unit of work
+// ParallelGemm hands to each goroutine. The platform picks the path — the
+// AVX2 kernels where the CPU has them, the Go loops elsewhere and under the
+// race detector, which cannot see into assembly. Aᵀ·Bᵀ (no caller in nn) and
+// an empty A (nothing to accumulate, only beta to apply) stay in Go too.
 func gemmRange(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
+	switch {
+	case !exactKernels || transA && transB || a.Rows*a.Cols == 0:
+		gemmRangeGo(transA, transB, alpha, a, b, beta, c, i0, i1)
+	case transB:
+		dotRangeAVX(alpha, a, b, beta, c, i0, i1)
+	default:
+		axpyRangeAVX(transA, alpha, a, b, beta, c, i0, i1)
+	}
+}
+
+// scaleRows multiplies the first cols columns of rows [i0, i1) of c by beta;
+// beta == 0 overwrites whatever the rows held, NaN included.
+func scaleRows(c *Matrix, beta float64, i0, i1, cols int) {
+	if beta == 1 {
+		return
+	}
+	for i := i0; i < i1; i++ {
+		row := c.Row(i)[:cols]
+		if beta == 0 {
+			clear(row)
+			continue
+		}
+		for j := range row {
+			row[j] *= beta
+		}
+	}
+}
+
+// gemmRangeGo is gemmRange in portable Go: the reference the AVX2 kernels
+// are tested against, and the path for their row and column remainders.
+func gemmRangeGo(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
 	k := a.Cols
 	if transA {
 		k = a.Rows
 	}
-	// Scale the target rows by beta once, then accumulate.
-	for i := i0; i < i1; i++ {
-		row := c.Row(i)
-		if beta == 0 {
-			clear(row)
-		} else if beta != 1 {
-			for j := range row {
-				row[j] *= beta
-			}
-		}
-	}
+	scaleRows(c, beta, i0, i1, c.Cols)
 	switch {
 	case !transA && !transB:
 		for i := i0; i < i1; i++ {
 			arow, crow := a.Row(i), c.Row(i)
-			for p0 := 0; p0 < k; p0 += blockSize {
-				pEnd := min(p0+blockSize, k)
-				for p := p0; p < pEnd; p++ {
-					s := alpha * arow[p]
-					if s == 0 {
-						continue
-					}
-					brow := b.Row(p)
-					for j, bv := range brow {
-						crow[j] += s * bv
-					}
+			for p, av := range arow {
+				// The skip is part of the order: -0 + (+0·bv) is +0 and
+				// 0·Inf is NaN, so a zero term is not a no-op.
+				s := alpha * av
+				if s == 0 {
+					continue
+				}
+				for j, bv := range b.Row(p) {
+					crow[j] += s * bv
 				}
 			}
 		}
@@ -89,11 +111,9 @@ func gemmRange(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c
 		// C[i][j] += alpha * dot(A row i, B row j). Rows are register-
 		// blocked in fours: each loaded B element feeds four independent
 		// accumulator chains, which amortizes B's memory traffic across
-		// rows and hides FMA latency (a single-row dot product is bound by
+		// rows and hides add latency (a single-row dot product is bound by
 		// its one serial dependency chain). Per-element accumulation order
 		// is unchanged, so results stay bit-identical to the plain loop.
-		// This is why a multi-row batch is cheaper per example than
-		// repeated single-row calls.
 		i := i0
 		for ; i+4 <= i1; i += 4 {
 			a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
@@ -153,109 +173,22 @@ func gemmRange(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c
 	}
 }
 
+// gemmTerms scales a dense GEMM's work estimate for forkJoin: an output
+// element of 256 terms counts as one, so the serial cut-off sits where it
+// always has for a 256-wide layer and a thin inner dimension (a weight
+// gradient over a two-row batch) no longer forks for a few microseconds.
+const gemmTerms = 256
+
 // ParallelGemm is Gemm with the output rows partitioned across at most
-// workers goroutines. workers <= 1 falls back to the serial kernel. It is
-// the stand-in for a multithreaded BLAS (MKL on CPU, cuBLAS in the GPU
-// simulator).
+// workers goroutines (forkJoin). workers <= 1 falls back to the serial
+// kernel. It is the stand-in for a multithreaded BLAS (MKL on CPU, cuBLAS in
+// the GPU simulator).
 func ParallelGemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, workers int) {
-	m := a.Rows
-	if transA {
-		m = a.Cols
-	}
-	// Validate shapes up front (Gemm would panic inside a goroutine otherwise).
-	kb, n := b.Rows, b.Cols
-	if transB {
-		kb, n = b.Cols, b.Rows
-	}
-	k := a.Cols
-	if transA {
-		k = a.Rows
-	}
-	if k != kb {
-		panic(fmt.Sprintf("tensor: gemm inner dimension mismatch %d vs %d", k, kb))
-	}
-	if c.Rows != m || c.Cols != n {
-		panic(fmt.Sprintf("tensor: gemm output shape %d×%d, need %d×%d", c.Rows, c.Cols, m, n))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || m*n < 4096 {
-		gemmRange(transA, transB, alpha, a, b, beta, c, 0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for i0 := 0; i0 < m; i0 += chunk {
-		i1 := min(i0+chunk, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRange(transA, transB, alpha, a, b, beta, c, lo, hi)
-		}(i0, i1)
-	}
-	wg.Wait()
+	m, k := gemmShape(transA, transB, a, b, c)
+	forkJoin(m, m*c.Cols*k/gemmTerms, workers, 4, job{run: runGemm, transA: transA, transB: transB, alpha: alpha, a: a, b: b, beta: beta, c: c})
 }
 
-// Gemv computes y = alpha * op(A) * x + beta * y.
-func Gemv(trans bool, alpha float64, a *Matrix, x *Vector, beta float64, y *Vector) {
-	m, n := a.Rows, a.Cols
-	if trans {
-		m, n = n, m
-	}
-	if x.Len() != n {
-		panic(fmt.Sprintf("tensor: gemv x length %d, need %d", x.Len(), n))
-	}
-	if y.Len() != m {
-		panic(fmt.Sprintf("tensor: gemv y length %d, need %d", y.Len(), m))
-	}
-	if beta == 0 {
-		y.Zero()
-	} else if beta != 1 {
-		y.Scale(beta)
-	}
-	if !trans {
-		for i := 0; i < a.Rows; i++ {
-			row := a.Row(i)
-			sum := 0.0
-			for j, v := range row {
-				sum += v * x.Data[j]
-			}
-			y.Data[i] += alpha * sum
-		}
-		return
-	}
-	for i := 0; i < a.Rows; i++ {
-		s := alpha * x.Data[i]
-		if s == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range row {
-			y.Data[j] += s * v
-		}
-	}
-}
-
-// Ger performs the rank-1 update A += alpha * x * yᵀ.
-func Ger(alpha float64, x, y *Vector, a *Matrix) {
-	if a.Rows != x.Len() || a.Cols != y.Len() {
-		panic(fmt.Sprintf("tensor: ger shape %d×%d, need %d×%d", a.Rows, a.Cols, x.Len(), y.Len()))
-	}
-	for i := 0; i < a.Rows; i++ {
-		s := alpha * x.Data[i]
-		if s == 0 {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range y.Data {
-			row[j] += s * v
-		}
-	}
-}
+func runGemm(j job) { gemmRange(j.transA, j.transB, j.alpha, j.a, j.b, j.beta, j.c, j.lo, j.hi) }
 
 // ColSums accumulates the column sums of m into out (out[j] = Σ_i m[i][j]).
 func ColSums(m *Matrix, out *Vector) {

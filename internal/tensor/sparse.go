@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // CSR is a compressed sparse row matrix. It is the storage format for the
@@ -192,28 +190,16 @@ func SpMM(transB bool, alpha float64, a *CSR, b *Matrix, beta float64, c *Matrix
 	if c.Rows != a.Rows || c.Cols != n {
 		panic(fmt.Sprintf("tensor: spmm output shape %d×%d, need %d×%d", c.Rows, c.Cols, a.Rows, n))
 	}
-	// Serial short-circuit before building the closure: the serving hot
-	// path runs SpMM with workers=1 and must stay allocation-free.
-	if workers == 1 || a.Rows <= 1 {
-		spmmRange(transB, alpha, a, b, beta, c, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, a.NNZ()*n, workers, func(i0, i1 int) {
-		spmmRange(transB, alpha, a, b, beta, c, i0, i1)
-	})
+	forkJoin(a.Rows, a.NNZ()*n, workers, 1, job{run: runSpMM, transB: transB, alpha: alpha, sparse: a, b: b, beta: beta, c: c})
 }
+
+func runSpMM(j job) { spmmRange(j.transB, j.alpha, j.sparse, j.b, j.beta, j.c, j.lo, j.hi) }
 
 // spmmRange computes rows [i0, i1) of the SpMM output.
 func spmmRange(transB bool, alpha float64, a *CSR, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
 	for i := i0; i < i1; i++ {
 		crow := c.Row(i)
-		if beta == 0 {
-			clear(crow)
-		} else if beta != 1 {
-			for j := range crow {
-				crow[j] *= beta
-			}
-		}
+		scaleRows(c, beta, i, i+1, c.Cols)
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
 		if transB {
@@ -256,31 +242,14 @@ func SpMMT(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix, workers in
 	if c.Rows != d.Cols || c.Cols != a.Cols {
 		panic(fmt.Sprintf("tensor: spmmt output shape %d×%d, need %d×%d", c.Rows, c.Cols, d.Cols, a.Cols))
 	}
-	// Serial short-circuit before building the closure, as in SpMM: a CPU
-	// lane's gradient runs with workers=1 and must stay allocation-free.
-	if workers == 1 {
-		spmmtRange(alpha, a, d, beta, c, 0, c.Rows)
-		return
-	}
-	parallelRows(c.Rows, a.NNZ()*c.Rows, workers, func(j0, j1 int) {
-		spmmtRange(alpha, a, d, beta, c, j0, j1)
-	})
+	forkJoin(c.Rows, a.NNZ()*c.Rows, workers, 1, job{run: runSpMMT, alpha: alpha, sparse: a, b: d, beta: beta, c: c})
 }
+
+func runSpMMT(j job) { spmmtRange(j.alpha, j.sparse, j.b, j.beta, j.c, j.lo, j.hi) }
 
 // spmmtRange computes rows [j0, j1) of the SpMMT output.
 func spmmtRange(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix, j0, j1 int) {
-	if beta != 1 {
-		for j := j0; j < j1; j++ {
-			crow := c.Row(j)
-			if beta == 0 {
-				clear(crow)
-			} else {
-				for p := range crow {
-					crow[p] *= beta
-				}
-			}
-		}
-	}
+	scaleRows(c, beta, j0, j1, c.Cols)
 	for i := 0; i < a.Rows; i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		if lo == hi {
@@ -299,33 +268,6 @@ func spmmtRange(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix, j0, j
 			}
 		}
 	}
-}
-
-// parallelRows partitions [0, m) across at most workers goroutines using the
-// same chunking as ParallelGemm, falling back to a serial call when the work
-// estimate is small.
-func parallelRows(m, work, workers int, f func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || work < 4096 {
-		f(0, m)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	for i0 := 0; i0 < m; i0 += chunk {
-		i1 := min(i0+chunk, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(i0, i1)
-	}
-	wg.Wait()
 }
 
 // ZeroCols clears the given columns of m in every row. Together with

@@ -1,12 +1,13 @@
 // Package tensor provides the dense linear-algebra kernels used by the
 // heterosgd framework: row-major matrices, vectors, cache-blocked and
-// goroutine-parallel GEMM/GEMV, and the in-place updates that implement
+// goroutine-parallel GEMM, and the in-place updates that implement
 // Hogwild-style shared-model writes (row-striped locks by default, plain
 // stores in the paper-exact racy mode).
 //
-// Everything operates on float64. The kernels are written in pure Go (the
-// module is dependency-free); they stand in for Intel MKL on the CPU side of
-// the paper's framework and for cuBLAS inside the GPU simulator.
+// Everything operates on float64. The kernels are Go loops with AVX2
+// assembly twins on amd64 that produce the same bits (the module is
+// dependency-free); they stand in for Intel MKL on the CPU side of the
+// paper's framework and for cuBLAS inside the GPU simulator.
 package tensor
 
 import (

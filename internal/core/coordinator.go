@@ -61,6 +61,11 @@ func newCoordinator(cfg *Config) *coordinator {
 		updates: make([]int64, len(cfg.Workers)),
 		resizes: make([]int, len(cfg.Workers)),
 	}
+	if cfg.Shuffle {
+		// Every epoch barrier's shuffle, the first included, then allocates
+		// nothing.
+		cfg.Dataset.ReserveShuffle()
+	}
 	c.lrMult = make([]float64, len(cfg.Workers))
 	for i, w := range cfg.Workers {
 		c.batch[i] = w.InitialBatch
@@ -113,6 +118,22 @@ func (c *coordinator) epochFrac() float64 {
 	return float64(c.examplesDone) / float64(c.n())
 }
 
+// peerRange returns the smallest and largest update counts of the live
+// workers other than id; ok is false when there are none.
+func (c *coordinator) peerRange(id int) (minU, maxU int64, ok bool) {
+	for i, u := range c.updates {
+		if i == id || !c.peerOK(i) {
+			continue
+		}
+		if !ok {
+			minU, maxU, ok = u, u, true
+			continue
+		}
+		minU, maxU = min(minU, u), max(maxU, u)
+	}
+	return minU, maxU, ok
+}
+
 // adapt applies Algorithm 2's batch-size update for worker id: a worker
 // lagging every other worker's update count gets a smaller batch (more,
 // noisier updates); a worker leading every other gets a larger one. The new
@@ -121,25 +142,8 @@ func (c *coordinator) adapt(id int) {
 	if !c.cfg.adaptive() || len(c.batch) < 2 {
 		return
 	}
-	minU, maxU := int64(0), int64(0)
-	first := true
-	for i, u := range c.updates {
-		if i == id || !c.peerOK(i) {
-			continue
-		}
-		if first {
-			minU, maxU = u, u
-			first = false
-			continue
-		}
-		if u < minU {
-			minU = u
-		}
-		if u > maxU {
-			maxU = u
-		}
-	}
-	if first {
+	minU, maxU, ok := c.peerRange(id)
+	if !ok {
 		// No live peers to compare against (sole survivor).
 		return
 	}
@@ -171,25 +175,8 @@ func (c *coordinator) adaptLR(id int) {
 	if !c.cfg.adaptsLR() || len(c.lrMult) < 2 {
 		return
 	}
-	minU, maxU := int64(0), int64(0)
-	first := true
-	for i, u := range c.updates {
-		if i == id || !c.peerOK(i) {
-			continue
-		}
-		if first {
-			minU, maxU = u, u
-			first = false
-			continue
-		}
-		if u < minU {
-			minU = u
-		}
-		if u > maxU {
-			maxU = u
-		}
-	}
-	if first {
+	minU, maxU, ok := c.peerRange(id)
+	if !ok {
 		return
 	}
 	const clamp = 16

@@ -31,6 +31,25 @@ type Dataset struct {
 	NumClasses int
 	// MultiLabel marks per-example label *sets* (delicious).
 	MultiLabel bool
+
+	// shuf is Shuffle's scratch, sized by ReserveShuffle.
+	shuf shuffleScratch
+}
+
+// shuffleScratch holds the buffers one Shuffle fills and drains: a dense
+// row, or the CSR permutation, row pointers and entry copies.
+type shuffleScratch struct {
+	row, val        []float64
+	perm, ptr, cols []int
+}
+
+// grow returns s resized to n, reallocating only when its capacity is short.
+// The contents are not preserved.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // N returns the number of examples.
@@ -179,12 +198,13 @@ func (d *Dataset) ViewInto(st *Views, lo, hi int) Batch { return d.all().SubInto
 // The sparse path consumes the RNG identically to the dense path, so a seed
 // yields the same example order in either representation.
 func (d *Dataset) Shuffle(rng *rand.Rand) {
+	d.ReserveShuffle()
 	n := d.N()
 	if d.XS != nil {
 		d.shuffleSparse(rng, n)
 		return
 	}
-	rowBuf := make([]float64, d.Dim())
+	rowBuf := d.shuf.row
 	for i := n - 1; i > 0; i-- {
 		j := rng.IntN(i + 1)
 		if i == j {
@@ -196,6 +216,22 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 		copy(rj, rowBuf)
 		d.swapLabels(i, j)
 	}
+}
+
+// ReserveShuffle sizes the scratch Shuffle works in, which d keeps between
+// calls: one row for dense features; the permutation, row pointers and a
+// copy of the entries for CSR. It reallocates only what is too short, so
+// after it Shuffle allocates nothing. Shuffle calls it itself; an engine calls
+// it when a shuffling run starts, so that the first epoch barrier costs what
+// every other one does.
+func (d *Dataset) ReserveShuffle() {
+	s := &d.shuf
+	if d.XS == nil {
+		s.row = grow(s.row, d.Dim())
+		return
+	}
+	n, total := d.N(), d.XS.NNZ()
+	s.perm, s.ptr, s.cols, s.val = grow(s.perm, n), grow(s.ptr, n+1), grow(s.cols, total), grow(s.val, total)
 }
 
 func (d *Dataset) swapLabels(i, j int) {
@@ -213,7 +249,7 @@ func (d *Dataset) swapLabels(i, j int) {
 // endpoints unchanged, so parents/siblings sharing the backing arrays (e.g.
 // a test split) stay coherent — mirroring the dense in-place row swaps.
 func (d *Dataset) shuffleSparse(rng *rand.Rand, n int) {
-	perm := make([]int, n)
+	perm, newPtr, colScratch, valScratch := d.shuf.perm, d.shuf.ptr, d.shuf.cols, d.shuf.val
 	for i := range perm {
 		perm[i] = i
 	}
@@ -226,9 +262,6 @@ func (d *Dataset) shuffleSparse(rng *rand.Rand, n int) {
 		d.swapLabels(i, j)
 	}
 	base, total := d.XS.RowPtr[0], d.XS.NNZ()
-	colScratch := make([]int, total)
-	valScratch := make([]float64, total)
-	newPtr := make([]int, n+1)
 	pos := 0
 	for i, src := range perm {
 		lo, hi := d.XS.RowPtr[src], d.XS.RowPtr[src+1]

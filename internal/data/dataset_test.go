@@ -111,6 +111,49 @@ func TestShuffleKeepsAlignmentAndIsPermutation(t *testing.T) {
 	}
 }
 
+// TestShuffleOrderGoldenAndReusesScratch pins the example order a fixed seed
+// gives over two consecutive shuffles, in both representations, and checks
+// that once ReserveShuffle has sized the dataset's scratch, Shuffle
+// allocates nothing, the first call included: a training window pays the
+// same whether or not it crosses an epoch barrier.
+func TestShuffleOrderGoldenAndReusesScratch(t *testing.T) {
+	golden := [][]int{
+		{8, 2, 0, 1, 4, 7, 11, 5, 3, 6, 9, 10},
+		{2, 7, 0, 8, 1, 6, 3, 4, 9, 10, 11, 5},
+	}
+	dense := smallDataset(12)
+	csr := smallDataset(12)
+	csr.X, csr.XS = nil, tensor.CSRFromDense(csr.X)
+	for name, d := range map[string]*Dataset{"dense": dense, "csr": csr} {
+		rng := rand.New(rand.NewPCG(28, 1))
+		d.ReserveShuffle()
+		reserved := d.shuf
+		for call, want := range golden {
+			d.Shuffle(rng)
+			for i, orig := range want {
+				// Row i holds 10·orig+j at column j; column 1 is never zero.
+				var got int
+				if d.XS != nil {
+					got = int(d.XS.At(i, 1)) / 10
+				} else {
+					got = int(d.X.At(i, 1)) / 10
+				}
+				if got != orig || d.Y.Class[i] != orig%2 {
+					t.Fatalf("%s shuffle %d: row %d came from %d (label %d), want %d", name, call+1, i, got, d.Y.Class[i], orig)
+				}
+			}
+		}
+		s := d.shuf
+		if !sameSlice(s.row, reserved.row) || !sameSlice(s.val, reserved.val) || !sameSlice(s.perm, reserved.perm) ||
+			!sameSlice(s.ptr, reserved.ptr) || !sameSlice(s.cols, reserved.cols) {
+			t.Errorf("%s: Shuffle replaced the scratch ReserveShuffle sized", name)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { d.Shuffle(rng) }); allocs != 0 {
+			t.Errorf("%s: Shuffle allocates %v times per call", name, allocs)
+		}
+	}
+}
+
 func TestShuffleMultiLabelAlignment(t *testing.T) {
 	n := 32
 	x := tensor.NewMatrix(n, 1)

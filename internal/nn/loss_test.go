@@ -128,21 +128,31 @@ func TestQuickSoftmaxGradientRowSum(t *testing.T) {
 	}
 }
 
-// Property: BCE delta entries lie in (−1, 1): σ(z) ∈ (0,1) and labels are 0/1.
+// Property: BCE delta entries are finite and lie in [−1, 1]: σ(z) ∈ [0, 1]
+// and labels are 0/1. The interval is closed because σ(z) rounds to exactly
+// 1 for z ≥ 36.8 (and 1 − σ(z) to exactly 1 for z ≤ −36.8), so ±1 is the
+// correct float64 delta of a saturated logit.
 func TestQuickBCEDeltaRange(t *testing.T) {
+	inRange := func(logits *tensor.Matrix, label int32) bool {
+		delta := tensor.NewMatrix(1, logits.Cols)
+		sigmoidBCEBackward(logits, Labels{Multi: [][]int32{{label}}}, delta)
+		for _, v := range delta.Row(0) {
+			if math.IsNaN(v) || v < -1 || v > 1 {
+				return false
+			}
+		}
+		return true
+	}
+	// The boundary, every run: σ(40) − 0 is 1 and σ(−40) − 1 is −1.
+	if !inRange(tensor.NewMatrixFrom(1, 2, []float64{40, -40}), 1) {
+		t.Fatal("saturated logits ±40 give a delta outside [−1, 1]")
+	}
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 5))
 		k := 2 + r.IntN(6)
 		logits := tensor.NewMatrix(1, k)
 		logits.Randomize(r, 10)
-		delta := tensor.NewMatrix(1, k)
-		sigmoidBCEBackward(logits, Labels{Multi: [][]int32{{int32(r.IntN(k))}}}, delta)
-		for _, v := range delta.Row(0) {
-			if v <= -1 || v >= 1 {
-				return false
-			}
-		}
-		return true
+		return inRange(logits, int32(r.IntN(k)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -148,14 +148,7 @@ func MustNetwork(arch Arch) *Network {
 // whose maximum slope is ¼ — without the gain, gradients vanish through the
 // paper's 6–8 sigmoid layers and nothing trains).
 func (n *Network) NewParams(mode InitMode, rng *rand.Rand) *Params {
-	p := &Params{
-		Weights: make([]*tensor.Matrix, n.Arch.NumLayers()),
-		Biases:  make([]*tensor.Vector, n.Arch.NumLayers()),
-	}
-	for l := 0; l+1 < len(n.dims); l++ {
-		p.Weights[l] = tensor.NewMatrix(n.dims[l+1], n.dims[l])
-		p.Biases[l] = tensor.NewVector(n.dims[l+1])
-	}
+	p := newParams(n.dims)
 	p.init(mode, rng, activationGain(n.Arch.Activation), n.Arch.Activation == ActSigmoid)
 	return p
 }

@@ -38,10 +38,17 @@ func (m InitMode) String() string {
 	}
 }
 
-// Params holds the model W = {W¹ … Wᴾ} plus biases. Weights[l] has shape
-// d_{l+1}×d_l, matching the paper's Wˡ ∈ ℝ^{d_{l+1}×d_l}: row r holds the
-// incoming weights of unit r in layer l+1.
+// Params holds the model W = {W¹ … Wᴾ} plus biases as one flat vector.
+// Weights[l] has shape d_{l+1}×d_l, matching the paper's Wˡ ∈ ℝ^{d_{l+1}×d_l}:
+// row r holds the incoming weights of unit r in layer l+1.
+//
+// Data is the whole model in wire order — W¹ row-major, b¹, W², b², … — and
+// Weights[l] and Biases[l] are views of their spans of it, capacity-capped so
+// an append never runs into the next layer. A whole-model operation is one
+// loop over Data; only ApplyUpdate and CloneAtomic walk the views, a row at
+// a time, because a row is the unit the shared-model stripe lock guards.
 type Params struct {
+	Data    []float64
 	Weights []*tensor.Matrix
 	Biases  []*tensor.Vector
 	// ActiveCols, when non-nil, marks p as a sparse first-layer gradient:
@@ -54,28 +61,49 @@ type Params struct {
 	ActiveCols []int
 }
 
+// newParams allocates a zeroed model for the layer widths dims (d₁…d_{P+1})
+// and carves its views. Every Params is built here.
+func newParams(dims []int) *Params {
+	n := 0
+	for l := 1; l < len(dims); l++ {
+		n += dims[l]*dims[l-1] + dims[l]
+	}
+	p := &Params{
+		Data:    make([]float64, n),
+		Weights: make([]*tensor.Matrix, len(dims)-1),
+		Biases:  make([]*tensor.Vector, len(dims)-1),
+	}
+	off := 0
+	carve := func(k int) []float64 {
+		off += k
+		return p.Data[off-k : off : off]
+	}
+	for l := range p.Weights {
+		p.Weights[l] = tensor.NewMatrixFrom(dims[l+1], dims[l], carve(dims[l+1]*dims[l]))
+		p.Biases[l] = tensor.NewVectorFrom(carve(dims[l+1]))
+	}
+	return p
+}
+
+// dims returns the layer widths d₁…d_{P+1} p is shaped for.
+func (p *Params) dims() []int {
+	dims := []int{p.Weights[0].Cols}
+	for _, w := range p.Weights {
+		dims = append(dims, w.Rows)
+	}
+	return dims
+}
+
 // NumLayers returns the number of weight layers P.
 func (p *Params) NumLayers() int { return len(p.Weights) }
 
 // NumParameters returns the total scalar parameter count.
-func (p *Params) NumParameters() int {
-	n := 0
-	for i, w := range p.Weights {
-		n += w.Rows*w.Cols + p.Biases[i].Len()
-	}
-	return n
-}
+func (p *Params) NumParameters() int { return len(p.Data) }
 
 // Clone returns a deep copy (the paper's "deep replica" used by GPU workers).
 func (p *Params) Clone() *Params {
-	out := &Params{
-		Weights: make([]*tensor.Matrix, len(p.Weights)),
-		Biases:  make([]*tensor.Vector, len(p.Biases)),
-	}
-	for i, w := range p.Weights {
-		out.Weights[i] = w.Clone()
-		out.Biases[i] = p.Biases[i].Clone()
-	}
+	out := newParams(p.dims())
+	copy(out.Data, p.Data)
 	if p.ActiveCols != nil {
 		out.ActiveCols = append([]int(nil), p.ActiveCols...)
 	}
@@ -84,13 +112,10 @@ func (p *Params) Clone() *Params {
 
 // CopyFrom copies src's values into p. Shapes must match.
 func (p *Params) CopyFrom(src *Params) {
-	if len(p.Weights) != len(src.Weights) {
-		panic(fmt.Sprintf("nn: params layer count mismatch %d vs %d", len(p.Weights), len(src.Weights)))
+	if !p.sameShape(src) {
+		panic(fmt.Sprintf("nn: params shape mismatch %v vs %v", p.dims(), src.dims()))
 	}
-	for i := range p.Weights {
-		p.Weights[i].CopyFrom(src.Weights[i])
-		p.Biases[i].CopyFrom(src.Biases[i])
-	}
+	copy(p.Data, src.Data)
 	if src.ActiveCols == nil {
 		p.ActiveCols = nil
 	} else {
@@ -98,31 +123,45 @@ func (p *Params) CopyFrom(src *Params) {
 	}
 }
 
+// sameShape reports whether p and q have the same layer shapes.
+func (p *Params) sameShape(q *Params) bool {
+	if len(p.Weights) != len(q.Weights) {
+		return false
+	}
+	for l, w := range p.Weights {
+		if w.Rows != q.Weights[l].Rows || w.Cols != q.Weights[l].Cols {
+			return false
+		}
+	}
+	return true
+}
+
 // Zero clears all parameters (useful for gradient accumulators).
 func (p *Params) Zero() {
-	for i := range p.Weights {
-		p.Weights[i].Zero()
-		p.Biases[i].Zero()
-	}
+	clear(p.Data)
 	p.ActiveCols = nil
 }
 
 // Scale multiplies every parameter by a.
 func (p *Params) Scale(a float64) {
-	for i := range p.Weights {
-		p.Weights[i].Scale(a)
-		p.Biases[i].Scale(a)
+	for i := range p.Data {
+		p.Data[i] *= a
 	}
 }
 
 // AddScaled performs p += a·src with plain (unsynchronized) writes. It may
 // densify Weights[0], so p's ActiveCols hint is conservatively dropped.
 func (p *Params) AddScaled(a float64, src *Params) {
-	for i := range p.Weights {
-		p.Weights[i].AddScaled(a, src.Weights[i])
-		p.Biases[i].AddScaled(a, src.Biases[i])
-	}
+	addScaled(p.Data, a, src.Data)
 	p.ActiveCols = nil
+}
+
+// addScaled performs dst += a·src element-wise.
+func addScaled(dst []float64, a float64, src []float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += a * src[i]
+	}
 }
 
 // AddDecay adds a·model into p (the weight-decay term of the gradient),
@@ -134,14 +173,12 @@ func (p *Params) AddDecay(a float64, model *Params) {
 	if a == 0 {
 		return
 	}
-	for i := range p.Weights {
-		if i == 0 && p.ActiveCols != nil {
-			tensor.AddScaledCols(p.Weights[0], a, model.Weights[0], p.ActiveCols)
-		} else {
-			p.Weights[i].AddScaled(a, model.Weights[i])
-		}
-		p.Biases[i].AddScaled(a, model.Biases[i])
+	dense := 0 // where the dense part of Data starts
+	if p.ActiveCols != nil {
+		tensor.AddScaledCols(p.Weights[0], a, model.Weights[0], p.ActiveCols)
+		dense = len(p.Weights[0].Data)
 	}
+	addScaled(p.Data[dense:], a, model.Data[dense:])
 }
 
 // ApplyUpdate performs p += a·src under the given shared-write discipline.
@@ -174,15 +211,9 @@ func (p *Params) DelayCompensate(lambda float64, now, then *Params) {
 	if lambda == 0 {
 		return
 	}
-	for i := range p.Weights {
-		g, nw, tw := p.Weights[i].Data, now.Weights[i].Data, then.Weights[i].Data
-		for j, gv := range g {
-			g[j] = gv + lambda*gv*gv*(nw[j]-tw[j])
-		}
-		gb, nb, tb := p.Biases[i].Data, now.Biases[i].Data, then.Biases[i].Data
-		for j, gv := range gb {
-			gb[j] = gv + lambda*gv*gv*(nb[j]-tb[j])
-		}
+	g, nw, tw := p.Data, now.Data[:len(p.Data)], then.Data[:len(p.Data)]
+	for i, gv := range g {
+		g[i] = gv + lambda*gv*gv*(nw[i]-tw[i])
 	}
 }
 
@@ -190,18 +221,10 @@ func (p *Params) DelayCompensate(lambda float64, now, then *Params) {
 // p and other (diagnostic; used to measure replica staleness).
 func (p *Params) MaxAbsDiff(other *Params) float64 {
 	max := 0.0
-	for i := range p.Weights {
-		a, b := p.Weights[i], other.Weights[i]
-		for j := range a.Data {
-			if d := math.Abs(a.Data[j] - b.Data[j]); d > max {
-				max = d
-			}
-		}
-		av, bv := p.Biases[i], other.Biases[i]
-		for j := range av.Data {
-			if d := math.Abs(av.Data[j] - bv.Data[j]); d > max {
-				max = d
-			}
+	b := other.Data[:len(p.Data)]
+	for i, a := range p.Data {
+		if d := math.Abs(a - b[i]); d > max {
+			max = d
 		}
 	}
 	return max
@@ -211,16 +234,9 @@ func (p *Params) MaxAbsDiff(other *Params) float64 {
 // the divergence-guard predicate applied to gradients before they reach
 // the shared model.
 func (p *Params) AllFinite() bool {
-	for i := range p.Weights {
-		for _, v := range p.Weights[i].Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-		}
-		for _, v := range p.Biases[i].Data {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
+	for _, v := range p.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
 		}
 	}
 	return true
@@ -229,13 +245,8 @@ func (p *Params) AllFinite() bool {
 // GradNorm returns the Euclidean norm over all parameters.
 func (p *Params) GradNorm() float64 {
 	sum := 0.0
-	for i := range p.Weights {
-		for _, v := range p.Weights[i].Data {
-			sum += v * v
-		}
-		for _, v := range p.Biases[i].Data {
-			sum += v * v
-		}
+	for _, v := range p.Data {
+		sum += v * v
 	}
 	return math.Sqrt(sum)
 }
@@ -246,19 +257,19 @@ func (p *Params) SizeBytes() int64 {
 	return int64(p.NumParameters()) * 8
 }
 
+// init draws the weights of a freshly allocated (zeroed) p per mode.
 func (p *Params) init(mode InitMode, rng *rand.Rand, gain float64, centerBias bool) {
+	if mode == InitZero {
+		return
+	}
 	for i, w := range p.Weights {
-		switch mode {
-		case InitZero:
-			w.Zero()
-		case InitPaper:
+		if mode == InitPaper {
 			// σ scaled by the unit count of the current (input) layer.
 			w.Randomize(rng, 1/float64(w.Cols))
-		default: // InitXavier (scaled by the activation gain)
+		} else { // InitXavier (scaled by the activation gain)
 			w.Randomize(rng, gain/math.Sqrt(float64(w.Cols)))
 		}
-		p.Biases[i].Zero()
-		if centerBias && i > 0 && mode != InitZero {
+		if centerBias && i > 0 {
 			// Sigmoid activations have mean ≈ ½, not 0; without
 			// compensation the pre-activation mean performs a random
 			// walk that saturates deep sigmoid stacks. Initialize each

@@ -56,7 +56,7 @@ func AppendParams(dst []byte, p *Params) []byte {
 	for l, wm := range p.Weights {
 		dst = le.AppendUint32(dst, uint32(wm.Rows))
 		dst = le.AppendUint32(dst, uint32(wm.Cols))
-		dst = appendFloats(dst, wm.Data[:wm.Rows*wm.Cols])
+		dst = appendFloats(dst, wm.Data)
 		dst = appendFloats(dst, p.Biases[l].Data)
 	}
 	return le.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
@@ -105,7 +105,7 @@ func ReadParamsInto(dst *Params, blob []byte) error {
 			return fmt.Errorf("nn: layer %d is %d×%d, network needs %d×%d", l, rows, cols, wm.Rows, wm.Cols)
 		}
 		off += paramsShapeLen
-		n := 8 * (wm.Rows*wm.Cols + len(dst.Biases[l].Data))
+		n := 8 * (len(wm.Data) + len(dst.Biases[l].Data))
 		if len(blob)-off < n {
 			return fmt.Errorf("nn: reading layer %d values: %w", l, io.ErrUnexpectedEOF)
 		}
@@ -125,7 +125,7 @@ func ReadParamsInto(dst *Params, blob []byte) error {
 	}
 	off = paramsHeaderLen
 	for l, wm := range dst.Weights {
-		off = decodeFloats(wm.Data[:wm.Rows*wm.Cols], blob, off+paramsShapeLen)
+		off = decodeFloats(wm.Data, blob, off+paramsShapeLen)
 		off = decodeFloats(dst.Biases[l].Data, blob, off)
 	}
 	dst.ActiveCols = nil // Weights[0] is dense now

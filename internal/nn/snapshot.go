@@ -32,14 +32,9 @@ type Snapshot struct {
 // the consistency Hogwild gradient reads already tolerate, and SGD's
 // robustness to it is the paper's premise.
 func (p *Params) CloneAtomic() *Params {
-	out := &Params{
-		Weights: make([]*tensor.Matrix, len(p.Weights)),
-		Biases:  make([]*tensor.Vector, len(p.Biases)),
-	}
+	out := newParams(p.dims())
 	for i, w := range p.Weights {
-		out.Weights[i] = tensor.NewMatrix(w.Rows, w.Cols)
 		tensor.AtomicCopy(out.Weights[i], w)
-		out.Biases[i] = tensor.NewVector(p.Biases[i].Len())
 		tensor.AtomicCopyVec(out.Biases[i], p.Biases[i])
 	}
 	return out

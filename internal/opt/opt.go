@@ -16,7 +16,6 @@ import (
 	"math"
 
 	"heterosgd/internal/nn"
-	"heterosgd/internal/tensor"
 )
 
 // Kind names an update rule.
@@ -80,15 +79,16 @@ type Optimizer interface {
 
 // New builds an optimizer of the given kind with state shaped like proto.
 func New(kind Kind, proto *nn.Params, cfg HyperParams) Optimizer {
+	n := proto.NumParameters()
 	switch kind {
 	case KindMomentum:
-		return &momentum{mu: cfg.momentumOrDefault(), velocity: zeroLike(proto)}
+		return &momentum{mu: cfg.momentumOrDefault(), velocity: make([]float64, n)}
 	case KindAdaGrad:
-		return &adagrad{eps: cfg.epsOrDefault(), accum: zeroLike(proto)}
+		return &adagrad{eps: cfg.epsOrDefault(), accum: make([]float64, n)}
 	case KindAdam:
 		return &adam{
 			beta1: cfg.beta1OrDefault(), beta2: cfg.beta2OrDefault(), eps: cfg.epsOrDefault(),
-			m: zeroLike(proto), v: zeroLike(proto),
+			m: make([]float64, n), v: make([]float64, n),
 		}
 	default:
 		return sgd{}
@@ -134,12 +134,6 @@ func (h HyperParams) epsOrDefault() float64 {
 	return h.Eps
 }
 
-func zeroLike(proto *nn.Params) *nn.Params {
-	p := proto.Clone()
-	p.Zero()
-	return p
-}
-
 // sgd is the stateless plain-SGD rule: delta = −lr·grad.
 type sgd struct{}
 
@@ -155,43 +149,49 @@ func (sgd) Reset() {}
 // momentum is heavy-ball SGD: v ← µv + grad; delta = −lr·v.
 type momentum struct {
 	mu       float64
-	velocity *nn.Params
+	velocity []float64
 }
 
 func (m *momentum) Name() string { return "momentum" }
 
+// Step writes delta as 0 + (−lr·v), not −lr·v: the two differ where −lr·v
+// is −0, and the pinned trajectories were made with the former. The
+// conversion rounds µv on its own, so no port fuses it into the add.
 func (m *momentum) Step(grad, delta *nn.Params, lr float64) {
-	m.velocity.Scale(m.mu)
-	m.velocity.AddScaled(1, grad)
-	delta.Zero()
-	delta.AddScaled(-lr, m.velocity)
+	v, d := m.velocity, delta.Data[:len(m.velocity)]
+	for i, g := range grad.Data[:len(v)] {
+		v[i] = float64(v[i]*m.mu) + g
+		d[i] = 0 + -lr*v[i]
+	}
+	delta.ActiveCols = nil
 }
 
-func (m *momentum) Reset() { m.velocity.Zero() }
+func (m *momentum) Reset() { clear(m.velocity) }
 
 // adagrad scales coordinates by accumulated squared gradients.
 type adagrad struct {
 	eps   float64
-	accum *nn.Params
+	accum []float64
 }
 
 func (a *adagrad) Name() string { return "adagrad" }
 
 func (a *adagrad) Step(grad, delta *nn.Params, lr float64) {
-	forEach(grad, a.accum, delta, func(g, acc, d *float64) {
-		*acc += g2(*g)
-		*d = -lr * *g / (math.Sqrt(*acc) + a.eps)
-	})
+	acc, d := a.accum, delta.Data[:len(a.accum)]
+	for i, g := range grad.Data[:len(acc)] {
+		acc[i] += g * g
+		d[i] = -lr * g / (math.Sqrt(acc[i]) + a.eps)
+	}
 }
 
-func (a *adagrad) Reset() { a.accum.Zero() }
+func (a *adagrad) Reset() { clear(a.accum) }
 
 // adam keeps exponential first and second gradient moments with bias
 // correction.
 type adam struct {
 	beta1, beta2, eps float64
 	t                 int
-	m, v              *nn.Params
+	m, v              []float64
 }
 
 func (a *adam) Name() string { return "adam" }
@@ -201,45 +201,18 @@ func (a *adam) Step(grad, delta *nn.Params, lr float64) {
 	c1 := 1 - math.Pow(a.beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.beta2, float64(a.t))
 	b1, b2 := a.beta1, a.beta2
-	// Walk m and v alongside grad/delta.
-	for i := range grad.Weights {
-		stepAdamSlice(grad.Weights[i].Data, a.m.Weights[i].Data, a.v.Weights[i].Data,
-			delta.Weights[i].Data, lr, b1, b2, c1, c2, a.eps)
-		stepAdamSlice(grad.Biases[i].Data, a.m.Biases[i].Data, a.v.Biases[i].Data,
-			delta.Biases[i].Data, lr, b1, b2, c1, c2, a.eps)
+	m, v, d := a.m, a.v, delta.Data[:len(a.m)]
+	for i, gi := range grad.Data[:len(m)] {
+		m[i] = b1*m[i] + (1-b1)*gi
+		v[i] = b2*v[i] + (1-b2)*gi*gi
+		mHat := m[i] / c1
+		vHat := v[i] / c2
+		d[i] = -lr * mHat / (math.Sqrt(vHat) + a.eps)
 	}
 }
 
 func (a *adam) Reset() {
 	a.t = 0
-	a.m.Zero()
-	a.v.Zero()
-}
-
-func stepAdamSlice(g, m, v, d []float64, lr, b1, b2, c1, c2, eps float64) {
-	for i, gi := range g {
-		m[i] = b1*m[i] + (1-b1)*gi
-		v[i] = b2*v[i] + (1-b2)*gi*gi
-		mHat := m[i] / c1
-		vHat := v[i] / c2
-		d[i] = -lr * mHat / (math.Sqrt(vHat) + eps)
-	}
-}
-
-func g2(x float64) float64 { return x * x }
-
-// forEach walks three same-shaped Params element-wise.
-func forEach(a, b, c *nn.Params, f func(x, y, z *float64)) {
-	visit := func(am, bm, cm *tensor.Matrix) {
-		for i := range am.Data {
-			f(&am.Data[i], &bm.Data[i], &cm.Data[i])
-		}
-	}
-	for i := range a.Weights {
-		visit(a.Weights[i], b.Weights[i], c.Weights[i])
-		av, bv, cv := a.Biases[i], b.Biases[i], c.Biases[i]
-		for j := range av.Data {
-			f(&av.Data[j], &bv.Data[j], &cv.Data[j])
-		}
-	}
+	clear(a.m)
+	clear(a.v)
 }

@@ -49,8 +49,8 @@ func TestAtomicAddScaledConcurrentNoLostUpdates(t *testing.T) {
 
 func TestAtomicAddScaledVecConcurrent(t *testing.T) {
 	const goroutines, iters = 8, 50
-	dst := NewVector(16)
-	ones := NewVector(16)
+	dst := newVector(16)
+	ones := newVector(16)
 	for i := range ones.Data {
 		ones.Data[i] = 1
 	}
@@ -81,7 +81,7 @@ func TestApplyUpdateModes(t *testing.T) {
 		if dst.At(0, 0) != -2 {
 			t.Fatalf("mode %v: got %v, want -2", mode, dst.At(0, 0))
 		}
-		dv := NewVector(2)
+		dv := newVector(2)
 		sv := NewVectorFrom([]float64{1, 1})
 		ApplyUpdateVec(mode, dv, 3, sv)
 		if dv.At(1) != 3 {
@@ -103,7 +103,7 @@ func TestUpdateModeString(t *testing.T) {
 // add does, for any sequence of deltas.
 func TestQuickAtomicAddEquivalence(t *testing.T) {
 	f := func(deltas []float64) bool {
-		plain, at, d := NewVector(1), NewVector(1), NewVector(1)
+		plain, at, d := newVector(1), newVector(1), newVector(1)
 		for _, v := range deltas {
 			d.Data[0] = v
 			plain.AddScaled(1, d)
@@ -181,7 +181,7 @@ func TestAtomicSingleWriterBitEqual(t *testing.T) {
 func TestAtomicCopySeesWholeRows(t *testing.T) {
 	const writers, iters, rows, cols = 4, 200, 6, 96
 	shared := NewMatrix(rows, cols)
-	bias := NewVector(cols)
+	bias := newVector(cols)
 	ones := NewMatrix(rows, cols)
 	ones.Fill(1)
 	onesVec := NewVectorFrom(ones.Row(0))
@@ -199,7 +199,7 @@ func TestAtomicCopySeesWholeRows(t *testing.T) {
 	stop := make(chan struct{})
 	readerDone := make(chan error, 1)
 	go func() {
-		snap, snapVec := NewMatrix(rows, cols), NewVector(cols)
+		snap, snapVec := NewMatrix(rows, cols), newVector(cols)
 		for {
 			AtomicCopy(snap, shared)
 			AtomicCopyVec(snapVec, bias)
@@ -327,8 +327,8 @@ func TestAtomicEmptyInputs(t *testing.T) {
 	}
 	m := NewMatrix(3, 4)
 	AtomicAddScaledCols(m, 1, m.Clone(), nil)
-	AtomicAddScaledVec(NewVector(0), 1, NewVector(0))
-	AtomicCopyVec(NewVector(0), &Vector{})
+	AtomicAddScaledVec(newVector(0), 1, newVector(0))
+	AtomicCopyVec(newVector(0), &Vector{})
 }
 
 // BenchmarkAtomicAddScaled times the shared-model write at the hogwild-cpu

@@ -276,7 +276,7 @@ func TestParallelGemmTransposedLarge(t *testing.T) {
 
 func TestColSums(t *testing.T) {
 	m := NewMatrixFrom(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	out := NewVector(3)
+	out := newVector(3)
 	ColSums(m, out)
 	want := []float64{5, 7, 9}
 	for j, w := range want {

@@ -112,16 +112,6 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
-// Scale multiplies every element by a.
-func (m *Matrix) Scale(a float64) {
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] *= a
-		}
-	}
-}
-
 // AddScaled performs m += a*src element-wise. Shapes must match.
 func (m *Matrix) AddScaled(a float64, src *Matrix) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
@@ -210,14 +200,6 @@ type Vector struct {
 	Data []float64
 }
 
-// NewVector returns a zeroed vector of length n.
-func NewVector(n int) *Vector {
-	if n < 0 {
-		panic(fmt.Sprintf("tensor: invalid vector length %d", n))
-	}
-	return &Vector{Data: make([]float64, n)}
-}
-
 // NewVectorFrom wraps data (not copied) as a Vector.
 func NewVectorFrom(data []float64) *Vector { return &Vector{Data: data} }
 
@@ -229,21 +211,6 @@ func (v *Vector) At(i int) float64 { return v.Data[i] }
 
 // Set assigns element i.
 func (v *Vector) Set(i int, x float64) { v.Data[i] = x }
-
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	out := NewVector(v.Len())
-	copy(out.Data, v.Data)
-	return out
-}
-
-// CopyFrom copies src into v. Lengths must match.
-func (v *Vector) CopyFrom(src *Vector) {
-	if v.Len() != src.Len() {
-		panic(fmt.Sprintf("tensor: vector copy length mismatch %d vs %d", v.Len(), src.Len()))
-	}
-	copy(v.Data, src.Data)
-}
 
 // Zero sets every element to 0.
 func (v *Vector) Zero() { clear(v.Data) }

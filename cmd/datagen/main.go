@@ -11,9 +11,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
-	"heterosgd/internal/buildinfo"
+	"heterosgd/internal/cli"
 	"heterosgd/internal/data"
 )
 
@@ -24,17 +23,12 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "generator seed")
 		out    = flag.String("o", "", "output path (default <dataset>.libsvm)")
 		info   = flag.Bool("info", false, "print dataset characteristics instead of generating")
-		ver    = flag.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
-	if *ver {
-		fmt.Println(buildinfo.Version())
-		return
-	}
+	cli.Parse()
 
 	spec, err := data.SpecByName(*dsName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if *info {
 		for _, s := range data.AllSpecs() {
@@ -51,12 +45,7 @@ func main() {
 		path = spec.Name + ".libsvm"
 	}
 	if err := data.WriteLIBSVMFile(path, ds); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	fmt.Printf("wrote %s: %s\n", path, ds)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "datagen:", err)
-	os.Exit(1)
 }

@@ -10,20 +10,16 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 	"time"
 
 	"heterosgd/internal/atomicio"
-	"heterosgd/internal/buildinfo"
+	"heterosgd/internal/cli"
 	"heterosgd/internal/experiments"
-	"heterosgd/internal/telemetry"
 )
 
 func main() {
@@ -35,14 +31,10 @@ func main() {
 		list    = flag.Bool("list", false, "list experiments and exit")
 		outDir  = flag.String("out", "", "also write each experiment's output to <out>/<exp>[_<dataset>]_<scale>.txt")
 		bench   = flag.String("benchjson", "", "also write the JSON rows of the selected benchmark experiment (sparsebench, telbench or figelastic) to this path, e.g. results/BENCH_sparse.json")
-		telAddr = flag.String("telemetry-addr", "", "serve /metrics (Go runtime gauges) and /debug/pprof on this address while the suite runs")
-		ver     = flag.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
-	if *ver {
-		fmt.Println(buildinfo.Version())
-		return
-	}
+	var tel cli.Telemetry
+	tel.Bind(flag.CommandLine)
+	cli.Parse()
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -51,24 +43,18 @@ func main() {
 		return
 	}
 
-	if *telAddr != "" {
-		reg := telemetry.NewRegistry()
-		telemetry.RegisterRuntimeMetrics(reg)
-		addr, err := telemetry.ServeDebug(*telAddr, reg)
-		if err != nil {
-			fatal(fmt.Errorf("telemetry server: %w", err))
-		}
-		fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", addr)
+	if _, err := tel.Serve(); err != nil {
+		cli.Fatal(err)
 	}
 
 	sc, err := experiments.ScaleByName(*scale)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	// SIGINT/SIGTERM cancel the suite: the current run drains, the
 	// experiment in flight is abandoned (partial figures would mislead),
 	// and the process exits 0.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := cli.SignalContext()
 	defer stopSignals()
 	opts := experiments.Options{Scale: sc, Dataset: *dataset, Seed: *seed, BenchOut: *bench, Ctx: ctx}
 
@@ -81,7 +67,7 @@ func main() {
 				fmt.Printf("interrupted during %s; stopping\n", e.ID)
 				os.Exit(0)
 			}
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Println(out)
 		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
@@ -92,10 +78,10 @@ func main() {
 			}
 			path := filepath.Join(*outDir, name+"_"+*scale+".txt")
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			if err := atomicio.WriteFile(path, []byte(out), 0o644); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			fmt.Printf("(written to %s)\n", path)
 		}
@@ -103,7 +89,7 @@ func main() {
 
 	if *exp == "all" {
 		if *bench != "" {
-			fatal(errors.New("-benchjson names one file: select the experiment it archives with -exp"))
+			cli.Fatal(errors.New("-benchjson names one file: select the experiment it archives with -exp"))
 		}
 		for _, e := range experiments.All() {
 			run(e)
@@ -112,12 +98,7 @@ func main() {
 	}
 	e, err := experiments.ByID(*exp)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	run(e)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hogbench:", err)
-	os.Exit(1)
 }

@@ -70,41 +70,37 @@ import (
 	"net"
 	"os"
 	"os/exec"
-	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"heterosgd/internal/buildinfo"
-	"heterosgd/internal/checkpoint"
+	"heterosgd/internal/cli"
 	"heterosgd/internal/core"
 	"heterosgd/internal/experiments"
 	"heterosgd/internal/faults"
-	"heterosgd/internal/telemetry"
 	"heterosgd/internal/transport"
 )
 
 func main() {
+	prob := cli.DefaultProblem()
+	prob.Bind(flag.CommandLine)
+	prob.BindHidden(flag.CommandLine)
+	run := cli.DefaultRun()
+	run.LR, run.Time, run.Shuffle, run.Guards = 0.1, 2*time.Second, true, true
+	run.Bind(flag.CommandLine, core.ClusterAlgorithmNames())
+	var tel cli.Telemetry
+	tel.Bind(flag.CommandLine)
 	var (
-		role    = flag.String("role", "coordinator", "process role: coordinator or worker")
-		dsName  = flag.String("dataset", "covtype", "synthetic dataset: covtype, w8a, delicious, real-sim")
-		scale   = flag.String("scale", "small", "synthetic scale: small, medium, full")
-		algName = flag.String("alg", "adaptive", "algorithm: "+strings.Join(core.AlgorithmNames(), ", ")+" (those the cluster engine cannot run are refused with the reason)")
-		seed    = flag.Uint64("seed", 1, "random seed (must match across all processes of a run)")
-		hidden  = flag.Int("hidden", 0, "override hidden-layer width (must match across processes)")
-		lr      = flag.Float64("lr", 0.1, "base learning rate")
-		shuffle = flag.Bool("shuffle", true, "reshuffle between epochs (workers replay the shuffles)")
-		guards  = flag.Bool("guards", true, "enable divergence guards on both sides")
-		decay   = flag.Float64("weight-decay", 0, "L2 weight decay (must match across processes)")
-		stale   = flag.Int("staleness", 4, "SSP staleness bound s (-alg ssp): max dispatch-time steps ahead of the slowest worker")
+		role  = flag.String("role", "coordinator", "process role: coordinator or worker")
+		decay = flag.Float64("weight-decay", 0, "L2 weight decay (must match across processes)")
 
 		// Coordinator flags.
 		listen    = flag.String("listen", "127.0.0.1:0", "coordinator listen address")
 		workers   = flag.Int("workers", 2, "number of remote workers")
-		budget    = flag.Duration("time", 2*time.Second, "wall-clock training budget")
 		heartbeat = flag.Duration("heartbeat", 250*time.Millisecond, "link heartbeat period")
 		hbMisses  = flag.Int("heartbeat-misses", 3, "missed heartbeats before a link is declared down")
 		attach    = flag.Duration("attach-timeout", 30*time.Second, "how long to wait for all workers to connect")
@@ -113,12 +109,6 @@ func main() {
 		linkStr   = flag.String("linkfaults", "", "partition plan routed through an in-process proxy: drop:W:RATE,dup:W:RATE,delay:W:EVERY:DUR,sever:W:AFTER:REFUSE (implies -spawn routing)")
 		killID    = flag.Int("kill-worker", -1, "with -spawn: kill this worker's process mid-run")
 		killAfter = flag.Duration("kill-after", 500*time.Millisecond, "with -kill-worker: how far into the run to kill it")
-		telAddr   = flag.String("telemetry-addr", "", "serve /metrics and /debug/pprof on this address during the run")
-		maxWork   = flag.Int("max-workers", 0, "worker slots beyond -workers reserved for live-attaching elastic joiners (0 = membership fixed)")
-		ckptPath  = flag.String("checkpoint", "", "write run-state checkpoints (model + scheduler + membership) to this path")
-		ckptEvr   = flag.Duration("checkpoint-every", 0, "also checkpoint on this wall-clock period (0 = epoch barriers and drain only)")
-		ckptKeep  = flag.Int("checkpoint-keep", 3, "run-state generations to retain (path, path.1, ...)")
-		resume    = flag.String("resume", "", "resume a coordinator from a run-state checkpoint (same alg/seed/arch; falls back through rotated generations)")
 		dieEpoch  = flag.Int("die-at-epoch", 0, "chaos: coordinator SIGKILLs itself right after its checkpoint at this epoch lands (requires -checkpoint)")
 		chaosStr  = flag.String("chaos", "", "process chaos drill: kill-worker:W:FRAMES,kill-coord:EPOCH,restart:DUR — spawn, kill, restart, and resume real processes, then assert invariants")
 
@@ -129,57 +119,51 @@ func main() {
 		join     = flag.Bool("join", false, "attach to a running coordinator as a fresh elastic worker (ignores -id; needs coordinator -max-workers headroom)")
 		leaveAft = flag.Int("leave-after", 0, "announce a graceful departure after this many handled dispatches (0 = serve until goodbye)")
 		dieAfter = flag.Int("die-after", 0, "chaos: SIGKILL this worker process on its n-th received dispatch")
-
-		showVer = flag.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
-	if *showVer {
-		fmt.Println(buildinfo.Version())
-		return
-	}
+	cli.Parse()
 	if *heartbeat <= 0 {
-		fatal(fmt.Errorf("-heartbeat must be positive, got %v", *heartbeat))
+		cli.Fatal(fmt.Errorf("-heartbeat must be positive, got %v", *heartbeat))
 	}
 	if *hbMisses < 1 {
-		fatal(fmt.Errorf("-heartbeat-misses must be at least 1, got %d", *hbMisses))
+		cli.Fatal(fmt.Errorf("-heartbeat-misses must be at least 1, got %d", *hbMisses))
 	}
 
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := cli.SignalContext()
 	defer stopSignals()
 
+	// Every process of a run trains the same problem: a spawned worker gets
+	// the problem binding plus the two flags its gradient step reads.
+	workerShape := append(prob.Args(), forward("weight-decay", "guards")...)
 	if *chaosStr != "" {
 		if *role != "coordinator" {
-			fatal(fmt.Errorf("-chaos runs the drill from the coordinator role"))
+			cli.Fatal(fmt.Errorf("-chaos runs the drill from the coordinator role"))
 		}
 		plan, err := faults.ParseProcPlan(*chaosStr)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if err := plan.Validate(*workers); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		if err := runChaosDrill(ctx, plan, *ckptPath, *workers, flag.CommandLine); err != nil {
-			fatal(fmt.Errorf("chaos drill: %w", err))
+		// A drill coordinator also gets the whole run binding and the
+		// cluster's shape; listen/checkpoint/resume wiring is the drill's own.
+		coordShape := slices.Concat(prob.Args(), run.Args(),
+			forward("weight-decay", "workers", "heartbeat", "heartbeat-misses", "attach-timeout", "dispatch-timeout"))
+		if err := runChaosDrill(ctx, plan, run.Checkpoint, *workers, run.Time, coordShape, workerShape); err != nil {
+			cli.Fatal(fmt.Errorf("chaos drill: %w", err))
 		}
 		fmt.Println("chaos drill: PASS")
 		return
 	}
 
-	sc, err := experiments.ScaleByName(*scale)
+	p, err := prob.Build()
 	if err != nil {
-		fatal(err)
-	}
-	if *hidden != 0 {
-		sc.HiddenUnits = *hidden
-	}
-	prob, err := experiments.NewProblem(*dsName, sc, *seed)
-	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 
 	if *role == "worker" {
 		if *connect == "" {
-			fatal(fmt.Errorf("-role worker requires -connect"))
+			cli.Fatal(fmt.Errorf("-role worker requires -connect"))
 		}
 		wid := *id
 		if *join {
@@ -188,10 +172,10 @@ func main() {
 			wid = -1
 		}
 		opts := core.ClusterWorkerOptions{
-			Client:      transport.ClientOptions{Seed: *seed},
+			Client:      transport.ClientOptions{Seed: prob.Seed},
 			Threads:     *threads,
 			WeightDecay: *decay,
-			Guards:      *guards,
+			Guards:      run.Guards,
 			LeaveAfter:  *leaveAft,
 		}
 		if n := *dieAfter; n > 0 {
@@ -202,12 +186,12 @@ func main() {
 				}
 			}
 		}
-		err := core.RunClusterWorker(ctx, *connect, wid, prob.Net, prob.Dataset, opts)
+		err := core.RunClusterWorker(ctx, *connect, wid, p.Net, p.Dataset, opts)
 		if err != nil && ctx.Err() == nil {
 			if *join {
-				fatal(fmt.Errorf("elastic joiner: %w", err))
+				cli.Fatal(fmt.Errorf("elastic joiner: %w", err))
 			}
-			fatal(fmt.Errorf("worker %d: %w", *id, err))
+			cli.Fatal(fmt.Errorf("worker %d: %w", *id, err))
 		}
 		if *join {
 			fmt.Println("worker (elastic join): done")
@@ -217,101 +201,58 @@ func main() {
 		return
 	}
 	if *role != "coordinator" {
-		fatal(fmt.Errorf("unknown -role %q (coordinator or worker)", *role))
+		cli.Fatal(fmt.Errorf("unknown -role %q (coordinator or worker)", *role))
 	}
 
-	alg, err := core.ParseAlgorithm(*algName)
-	if err != nil {
-		fatal(err)
-	}
 	linkPlan, err := faults.ParseLinks(*linkStr)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if linkPlan != nil {
-		linkPlan.Seed = *seed
+		linkPlan.Seed = prob.Seed
 		if err := linkPlan.Validate(*workers); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
-
-	cfg := core.NewConfig(alg, prob.Net, prob.Dataset, sc.Preset)
-	cfg.BaseLR = *lr
-	cfg.Seed = *seed
-	cfg.Shuffle = *shuffle
-	cfg.WeightDecay = *decay
-	cfg.StalenessBound = *stale
-	if *guards {
-		cfg.Guards = core.DefaultGuards()
+	if run.MaxWorkers > 0 && run.MaxWorkers < *workers {
+		cli.Fatal(fmt.Errorf("-max-workers %d is below -workers %d", run.MaxWorkers, *workers))
 	}
+
+	cfg, err := run.Config(&prob, p.Net, p.Dataset)
+	if err != nil {
+		cli.Fatal(err)
+	}
+	cfg.WeightDecay = *decay
 	// The Config's worker list sizes the scheduler (batch windows, adaptive
 	// thresholds); the processes filling those slots are remote. Pad or trim
 	// to the requested cluster size by cycling the algorithm's device mix.
+	// Slots above -workers, up to -max-workers, are headroom that sizes the
+	// link table and scheduler arrays for `-role worker -join` processes.
 	orig := len(cfg.Workers)
 	for len(cfg.Workers) < *workers {
 		cfg.Workers = append(cfg.Workers, cfg.Workers[len(cfg.Workers)%orig])
 	}
 	cfg.Workers = cfg.Workers[:*workers]
-	if *maxWork > 0 {
-		if *maxWork < *workers {
-			fatal(fmt.Errorf("-max-workers %d is below -workers %d", *maxWork, *workers))
-		}
-		// Headroom above the initial set sizes the link table and scheduler
-		// arrays so `hogcluster -role worker -join` processes can live-attach.
-		cfg.MaxWorkers = *maxWork
-	}
-	if *ckptPath != "" {
-		cfg.CheckpointSink = &checkpoint.Writer{Path: *ckptPath, Keep: *ckptKeep}
-		cfg.CheckpointEvery = *ckptEvr
-	}
 	if *dieEpoch > 0 {
-		if *ckptPath == "" {
-			fatal(fmt.Errorf("-die-at-epoch requires -checkpoint (the kill fires after a durable capture)"))
+		if run.Checkpoint == "" {
+			cli.Fatal(fmt.Errorf("-die-at-epoch requires -checkpoint (the kill fires after a durable capture)"))
 		}
 		cfg.CheckpointSink = &killSink{inner: cfg.CheckpointSink, epoch: *dieEpoch}
 	}
-	if *resume != "" {
-		st, lrep, rerr := checkpoint.LoadLatestReport(*resume, *ckptKeep, prob.Net)
-		if rerr != nil {
-			fatal(fmt.Errorf("loading resume state: %w", rerr))
-		}
-		// A fallback past a rejected newer generation goes into the run's
-		// event log, not just stderr: the Result's audit trail must show
-		// which history this incarnation actually continued.
-		if e, ok := lrep.Event(); ok {
-			st.Events = append(st.Events, e)
-			fmt.Fprintf(os.Stderr, "hogcluster: checkpoint fallback: %s\n", e.Detail)
-		}
-		cfg.Resume = st
-		active := *workers
-		if st.Membership != nil {
-			active = st.Membership.ActiveCount()
-		}
-		fmt.Printf("resuming from %s: epoch %d, %.2f epochs of examples, %d updates, %d active workers\n",
-			lrep.Path, st.Epoch, float64(st.ExamplesDone)/float64(prob.Dataset.N()), st.TotalUpdates, active)
-	}
-
-	if *telAddr != "" {
-		reg := telemetry.NewRegistry()
-		telemetry.RegisterRuntimeMetrics(reg)
-		cfg.Metrics = reg
-		addr, serr := telemetry.ServeDebug(*telAddr, reg)
-		if serr != nil {
-			fatal(fmt.Errorf("telemetry server: %w", serr))
-		}
-		fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", addr)
+	if cfg.Metrics, err = tel.Serve(); err != nil {
+		cli.Fatal(err)
 	}
 
 	trans, err := transport.ListenTCP(*listen, core.ClusterListenSlots(&cfg), core.ClusterTCPOptions(&cfg, *heartbeat, *hbMisses))
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	dialAddr := trans.Addr()
 	var proxy *transport.Proxy
 	if linkPlan != nil {
 		proxy, err = transport.NewProxy("127.0.0.1:0", trans.Addr(), linkPlan)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		defer proxy.Close()
 		dialAddr = proxy.Addr()
@@ -324,24 +265,14 @@ func main() {
 	if *spawn {
 		self, err := os.Executable()
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		for i := 0; i < *workers; i++ {
-			cmd := exec.Command(self,
-				"-role", "worker",
-				"-id", strconv.Itoa(i),
-				"-connect", dialAddr,
-				"-dataset", *dsName,
-				"-scale", *scale,
-				"-seed", strconv.FormatUint(*seed, 10),
-				"-hidden", strconv.Itoa(*hidden),
-				"-weight-decay", strconv.FormatFloat(*decay, 'g', -1, 64),
-				"-guards="+strconv.FormatBool(*guards),
-			)
+			cmd := exec.Command(self, workerArgs(i, dialAddr, workerShape)...)
 			cmd.Stdout = os.Stdout
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
-				fatal(fmt.Errorf("spawning worker %d: %w", i, err))
+				cli.Fatal(fmt.Errorf("spawning worker %d: %w", i, err))
 			}
 			fmt.Printf("spawned worker %d (pid %d)\n", i, cmd.Process.Pid)
 			spawned = append(spawned, cmd)
@@ -357,15 +288,15 @@ func main() {
 			})
 		}
 	} else if *killID >= 0 {
-		fatal(fmt.Errorf("-kill-worker requires -spawn (the coordinator only owns processes it spawned)"))
+		cli.Fatal(fmt.Errorf("-kill-worker requires -spawn (the coordinator only owns processes it spawned)"))
 	}
 
-	res, err := core.RunCluster(ctx, cfg, *budget, trans, core.ClusterOptions{
+	res, err := core.RunCluster(ctx, cfg, run.Time, trans, core.ClusterOptions{
 		AttachTimeout:   *attach,
 		DispatchTimeout: *dispatchT,
 	})
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	spawnWG.Wait()
 
@@ -373,6 +304,21 @@ func main() {
 		fmt.Println("interrupted: drained in-flight work")
 	}
 	experiments.WriteRunReport(os.Stdout, res, false)
+}
+
+// forward renders this process's named flags for a child, each as one
+// -name=value token: a boolean flag rejects a detached value.
+func forward(names ...string) []string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = "-" + n + "=" + flag.Lookup(n).Value.String()
+	}
+	return out
+}
+
+// workerArgs is the command line of worker id dialing addr.
+func workerArgs(id int, addr string, shape []string) []string {
+	return append([]string{"-role=worker", "-id=" + strconv.Itoa(id), "-connect=" + addr}, shape...)
 }
 
 // killSink SIGKILLs this process right after a checkpoint at or past the
@@ -457,7 +403,10 @@ func (p *proc) wait(d time.Duration) (error, bool) {
 // coordinator and worker fleet, SIGKILL them per the plan, restart the
 // coordinator with -resume plus fresh workers, and assert the resumed run
 // exits cleanly with exactly-once transport accounting.
-func runChaosDrill(ctx context.Context, plan *faults.ProcPlan, ckpt string, nWorkers int, fs *flag.FlagSet) error {
+//
+// coordShape and workerShape are the flags every coordinator and worker
+// incarnation shares; budget is the run's -time.
+func runChaosDrill(ctx context.Context, plan *faults.ProcPlan, ckpt string, nWorkers int, budget time.Duration, coordShape, workerShape []string) error {
 	self, err := os.Executable()
 	if err != nil {
 		return err
@@ -471,28 +420,17 @@ func runChaosDrill(ctx context.Context, plan *faults.ProcPlan, ckpt string, nWor
 		ckpt = filepath.Join(dir, "run.ckpt")
 	}
 
-	// Forward the run-shape flags verbatim so every child trains the same
-	// problem; listen/connect/checkpoint wiring is the drill's own.
-	// Single-token -name=value form: boolean flags reject a detached value,
-	// and a stray "true" operand would end the child's flag parsing.
-	fwd := func(names ...string) []string {
-		var args []string
-		for _, n := range names {
-			args = append(args, fmt.Sprintf("-%s=%s", n, fs.Lookup(n).Value.String()))
-		}
-		return args
-	}
-	coordShape := fwd("dataset", "scale", "alg", "seed", "hidden", "lr", "shuffle", "guards",
-		"weight-decay", "staleness", "workers", "time", "heartbeat", "heartbeat-misses",
-		"attach-timeout", "dispatch-timeout", "checkpoint-every", "checkpoint-keep")
-	workerShape := fwd("dataset", "scale", "seed", "hidden", "weight-decay", "guards")
-	budget, _ := time.ParseDuration(fs.Lookup("time").Value.String())
 	waitBudget := 4*budget + 30*time.Second
+	// The drill's own wiring follows the shape, so it overrides the shape's
+	// -checkpoint and -resume (the last occurrence of a flag wins).
+	coordArgs := func(addr, resume string) []string {
+		return append(slices.Clone(coordShape), "-role=coordinator", "-listen="+addr, "-checkpoint="+ckpt, "-resume="+resume)
+	}
 
 	spawnWorkers := func(addr string, phase int) ([]*proc, error) {
 		var ws []*proc
 		for i := 0; i < nWorkers; i++ {
-			args := append([]string{"-role", "worker", "-id", strconv.Itoa(i), "-connect", addr}, workerShape...)
+			args := workerArgs(i, addr, workerShape)
 			if phase == 1 {
 				for _, k := range plan.KillWorkers {
 					if k.Worker == i {
@@ -522,12 +460,12 @@ func runChaosDrill(ctx context.Context, plan *faults.ProcPlan, ckpt string, nWor
 	if err != nil {
 		return err
 	}
-	coordArgs := append([]string{"-role", "coordinator", "-listen", addr1, "-checkpoint", ckpt}, coordShape...)
+	args1 := coordArgs(addr1, "")
 	if plan.KillCoordinator != nil {
-		coordArgs = append(coordArgs, "-die-at-epoch", strconv.Itoa(plan.KillCoordinator.AtEpoch))
+		args1 = append(args1, "-die-at-epoch", strconv.Itoa(plan.KillCoordinator.AtEpoch))
 	}
 	fmt.Printf("chaos: phase 1 — plan %q, checkpoints at %s\n", plan, ckpt)
-	coord1, err := startProc(self, "phase-1 coordinator", coordArgs)
+	coord1, err := startProc(self, "phase-1 coordinator", args1)
 	if err != nil {
 		return err
 	}
@@ -562,9 +500,8 @@ func runChaosDrill(ctx context.Context, plan *faults.ProcPlan, ckpt string, nWor
 	if err != nil {
 		return err
 	}
-	coordArgs = append([]string{"-role", "coordinator", "-listen", addr2, "-checkpoint", ckpt, "-resume", ckpt}, coordShape...)
 	fmt.Println("chaos: phase 2 — resuming from checkpoint with a fresh fleet")
-	coord2, err := startProc(self, "phase-2 coordinator", coordArgs)
+	coord2, err := startProc(self, "phase-2 coordinator", coordArgs(addr2, ckpt))
 	if err != nil {
 		return err
 	}
@@ -625,9 +562,4 @@ func coordVerdict(plan *faults.ProcPlan, err1 error) string {
 		return "ran to budget"
 	}
 	return "died (" + err1.Error() + ")"
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hogcluster:", err)
-	os.Exit(1)
 }

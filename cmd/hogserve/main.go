@@ -46,11 +46,10 @@ import (
 	"time"
 
 	"heterosgd/internal/atomicio"
-	"heterosgd/internal/buildinfo"
+	"heterosgd/internal/cli"
 	"heterosgd/internal/core"
 	"heterosgd/internal/data"
 	"heterosgd/internal/device"
-	"heterosgd/internal/experiments"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/serve"
 	"heterosgd/internal/telemetry"
@@ -58,16 +57,16 @@ import (
 )
 
 func main() {
+	prob := cli.DefaultProblem()
+	prob.Bind(flag.CommandLine)
+	prob.BindHidden(flag.CommandLine)
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
 		modelPath = flag.String("model", "", "serve this serialized model checkpoint")
 		train     = flag.Bool("train", false, "attach to a live training run (serve while training)")
-		dsName    = flag.String("dataset", "covtype", "dataset shape defining the MLP: covtype, w8a, delicious, real-sim")
-		scale     = flag.String("scale", "small", "scale: small, medium, full")
 		budget    = flag.Duration("time", 30*time.Second, "training budget for -train")
 		algName   = flag.String("alg", "cpu+gpu", "training algorithm for -train")
 		snapEvery = flag.Duration("snapshot-every", 250*time.Millisecond, "snapshot publish period for -train")
-		seed      = flag.Uint64("seed", 1, "random seed")
 		maxBatch  = flag.Int("max-batch", 0, "micro-batch ceiling (0 = auto from the device cost model)")
 		maxWait   = flag.Duration("max-wait", 500*time.Microsecond, "max time the first request of a batch waits for company")
 		queueCap  = flag.Int("queue-cap", 0, "admission queue capacity (0 = 4×max-batch)")
@@ -75,76 +74,57 @@ func main() {
 		poolSize  = flag.Int("serve-workers", 1, "inference pool workers, each with a private pre-allocated workspace")
 		adaptive  = flag.Bool("adaptive-batch", false, "adapt the micro-batch ceiling from telemetry instead of the static -max-batch")
 		exact     = flag.Bool("exact-kernel", false, "force the scalar forward kernels (bit-identical to training, no SIMD)")
-		hidden    = flag.Int("hidden", 0, "override hidden-layer width (bench; 0 = scale default)")
 		bench     = flag.Bool("bench", false, "run the load generator instead of serving")
 		clients   = flag.Int("clients", 64, "concurrent closed-loop clients for -bench and -soak")
 		benchTime = flag.Duration("bench-time", 2*time.Second, "measurement window per micro-batch size for -bench")
 		benchOut  = flag.String("bench-out", filepath.Join("results", "BENCH_serve.json"), "output path for -bench/-soak JSON")
 		soak      = flag.Bool("soak", false, "run the sustained-load soak: live training + SIGHUP reloads + traffic")
 		soakTime  = flag.Duration("soak-time", 20*time.Second, "soak duration")
-		ver       = flag.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
-	if *ver {
-		fmt.Println(buildinfo.Version())
-		return
-	}
+	cli.Parse()
 
 	if *bench || *soak {
-		sc, err := experiments.ScaleByName(*scale)
-		if err != nil {
-			fatal(err)
-		}
-		if *hidden > 0 {
-			sc.HiddenUnits = *hidden
-		}
 		cfg := benchConfig{
 			Out:       *benchOut,
-			Dataset:   *dsName,
-			Scale:     sc,
+			Problem:   prob,
 			Clients:   *clients,
 			Window:    *benchTime,
 			Workers:   *workers,
 			Pool:      *poolSize,
 			MaxBatch:  *maxBatch,
-			Seed:      *seed,
 			Sweep:     *bench,
 			Soak:      *soak,
 			SoakTime:  *soakTime,
 			Algorithm: *algName,
 		}
 		if err := runBench(cfg); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		return
 	}
 
 	if *modelPath == "" && !*train {
-		fatal(fmt.Errorf("nothing to serve: pass -model <path> or -train"))
+		cli.Fatal(fmt.Errorf("nothing to serve: pass -model <path> or -train"))
 	}
 
-	sc, err := experiments.ScaleByName(*scale)
+	p, err := prob.Build()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	prob, err := experiments.NewProblem(*dsName, sc, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	net := prob.Net
+	net := p.Net
 	pub := serve.NewPublisher(net)
 
 	if *modelPath != "" {
 		params, err := nn.LoadParamsFile(*modelPath, net)
 		if err != nil {
-			fatal(fmt.Errorf("checkpoint does not match the %s/%s network: %w", *dsName, *scale, err))
+			cli.Fatal(fmt.Errorf("checkpoint does not match the %s/%s network: %w", prob.Dataset, prob.Scale, err))
 		}
 		pub.PublishParams(params)
 		fmt.Printf("serving checkpoint %s (model version %d)\n", *modelPath, pub.Version())
 	}
 
 	// SIGINT/SIGTERM start the graceful drain; SIGHUP hot-reloads -model.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := cli.SignalContext()
 	defer stopSignals()
 
 	// One shared registry backs the serving stats, the attached training
@@ -172,11 +152,16 @@ func main() {
 	if *train {
 		alg, err := core.ParseAlgorithm(*algName)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
-		cfg := core.NewConfig(alg, net, prob.Dataset, sc.Preset)
+		// The scale's own batch thresholds, not the problem's clamped ones.
+		sc, err := prob.Fidelity()
+		if err != nil {
+			cli.Fatal(err)
+		}
+		cfg := core.NewConfig(alg, net, p.Dataset, sc.Preset)
 		cfg.BaseLR = 0.05
-		cfg.Seed = *seed
+		cfg.Seed = prob.Seed
 		cfg.UpdateMode = tensor.UpdateLocked
 		cfg.SnapshotSink = pub
 		cfg.SnapshotEvery = *snapEvery
@@ -185,7 +170,7 @@ func main() {
 			defer close(trainDone)
 			res, err := core.RunReal(ctx, cfg, *budget)
 			if err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 			trainRes.Store(res)
 			fmt.Println(res)
@@ -230,7 +215,7 @@ func main() {
 				"interrupted": res.Interrupted,
 			}
 		})
-		fmt.Printf("training %s on %s for %v, snapshot every %v\n", alg, prob.Dataset.Name, *budget, *snapEvery)
+		fmt.Printf("training %s on %s for %v, snapshot every %v\n", alg, p.Dataset.Name, *budget, *snapEvery)
 	} else {
 		close(trainDone)
 	}
@@ -261,7 +246,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		fatal(err)
+		cli.Fatal(err)
 	case <-ctx.Done():
 		fmt.Println("signal received; draining")
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -279,14 +264,12 @@ func main() {
 // benchConfig carries the shared knobs for -bench and -soak.
 type benchConfig struct {
 	Out       string
-	Dataset   string
-	Scale     experiments.Scale
+	Problem   cli.Problem
 	Clients   int
 	Window    time.Duration
 	Workers   int
 	Pool      int
 	MaxBatch  int
-	Seed      uint64
 	Sweep     bool
 	Soak      bool
 	SoakTime  time.Duration
@@ -392,7 +375,11 @@ type benchDoc struct {
 // JSON document is written before soak assertions are evaluated, so a
 // failing soak still leaves the artifact for inspection.
 func runBench(cfg benchConfig) error {
-	spec, err := data.SpecByName(cfg.Dataset)
+	sc, err := cfg.Problem.Fidelity()
+	if err != nil {
+		return err
+	}
+	spec, err := data.SpecByName(cfg.Problem.Dataset)
 	if err != nil {
 		return err
 	}
@@ -400,10 +387,10 @@ func runBench(cfg benchConfig) error {
 	// `hogtrain -scale <s>` trains), with only enough generated rows to
 	// draw requests from.
 	spec = spec.Scaled(4096.0 / float64(spec.N))
-	spec.HiddenUnits = cfg.Scale.HiddenUnits
-	ds := data.Generate(spec, cfg.Seed)
+	spec.HiddenUnits = sc.HiddenUnits
+	ds := data.Generate(spec, cfg.Problem.Seed)
 	net := nn.MustNetwork(spec.Arch())
-	params := net.NewParams(nn.InitXavier, rand.New(rand.NewPCG(cfg.Seed, 17)))
+	params := net.NewParams(nn.InitXavier, rand.New(rand.NewPCG(cfg.Problem.Seed, 17)))
 	pub := serve.NewPublisher(net)
 	pub.PublishParams(params)
 
@@ -652,14 +639,14 @@ func benchOne(pub *serve.Publisher, ds *data.Dataset, clients int, window time.D
 // scenario is seeded end to end (dataset, initialization, client strides);
 // only wall-clock throughput varies run to run.
 func runSoak(cfg benchConfig) (*soakReport, error) {
-	prob, err := experiments.NewProblem(cfg.Dataset, cfg.Scale, cfg.Seed)
+	prob, err := cfg.Problem.Build()
 	if err != nil {
 		return nil, err
 	}
 	net := prob.Net
 	ds := prob.Dataset
 	pub := serve.NewPublisher(net)
-	params := net.NewParams(nn.InitXavier, rand.New(rand.NewPCG(cfg.Seed, 23)))
+	params := net.NewParams(nn.InitXavier, rand.New(rand.NewPCG(cfg.Problem.Seed, 23)))
 	pub.PublishParams(params.Clone())
 
 	// The checkpoint the SIGHUP handler reloads, exactly like `-model`.
@@ -686,7 +673,7 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	defer cancel()
 	tcfg := core.NewConfig(alg, net, ds, prob.Scale.Preset)
 	tcfg.BaseLR = 0.05
-	tcfg.Seed = cfg.Seed
+	tcfg.Seed = cfg.Problem.Seed
 	tcfg.UpdateMode = tensor.UpdateLocked
 	tcfg.SnapshotSink = pub
 	tcfg.SnapshotEvery = 100 * time.Millisecond
@@ -874,9 +861,4 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 		return report, fmt.Errorf("soak invariants violated: %s", strings.Join(violations, "; "))
 	}
 	return report, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hogserve:", err)
-	os.Exit(1)
 }

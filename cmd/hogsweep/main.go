@@ -11,90 +11,63 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
-	"heterosgd/internal/buildinfo"
+	"heterosgd/internal/cli"
 	"heterosgd/internal/core"
 	"heterosgd/internal/experiments"
-	"heterosgd/internal/telemetry"
 )
 
 func main() {
+	prob := cli.DefaultProblem()
+	prob.Bind(flag.CommandLine)
+	var tel cli.Telemetry
+	tel.Bind(flag.CommandLine)
 	var (
-		dsName  = flag.String("dataset", "covtype", "dataset: covtype, w8a, delicious, real-sim")
-		scale   = flag.String("scale", "small", "scale: small, medium, full")
 		algName = flag.String("alg", "adaptive", "algorithm to sweep")
 		sweep   = flag.String("sweep", "lr", "what to sweep: lr, alphabeta, thresholds")
-		seed    = flag.Uint64("seed", 1, "random seed")
 		target  = flag.Float64("target", 1.25, "normalized loss target for time-to-target")
-		telAddr = flag.String("telemetry-addr", "", "serve /metrics (Go runtime gauges) and /debug/pprof on this address while the sweep runs")
-		ver     = flag.Bool("version", false, "print version and exit")
 	)
-	flag.Parse()
-	if *ver {
-		fmt.Println(buildinfo.Version())
-		return
-	}
+	cli.Parse()
 
-	if *telAddr != "" {
-		reg := telemetry.NewRegistry()
-		telemetry.RegisterRuntimeMetrics(reg)
-		addr, err := telemetry.ServeDebug(*telAddr, reg)
-		if err != nil {
-			fatal(fmt.Errorf("telemetry server: %w", err))
-		}
-		fmt.Printf("telemetry: serving /metrics and /debug/pprof on http://%s\n", addr)
-	}
-
-	sc, err := experiments.ScaleByName(*scale)
-	if err != nil {
-		fatal(err)
+	if _, err := tel.Serve(); err != nil {
+		cli.Fatal(err)
 	}
 	alg, err := core.ParseAlgorithm(*algName)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
-	p, err := experiments.NewProblem(*dsName, sc, *seed)
+	p, err := prob.Build()
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
+	seed := prob.Seed
 	// SIGINT/SIGTERM cancel the sweep: the current run drains and the rows
 	// completed so far are reported before exiting 0.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := cli.SignalContext()
 	defer stopSignals()
 	horizon := p.Horizon()
-	fmt.Printf("%s (%s scale) — %s, horizon %v\n\n", p.Spec.Name, sc.Name, alg, horizon.Round(time.Microsecond))
+	fmt.Printf("%s (%s scale) — %s, horizon %v\n\n", p.Spec.Name, p.Scale.Name, alg, horizon.Round(time.Microsecond))
 
 	type row struct {
 		label string
 		cfg   core.Config
 	}
 	var rows []row
-	mk := func(label string) core.Config {
-		cfg := core.NewConfig(alg, p.Net, p.Dataset, p.Scale.Preset)
-		cfg.Seed = *seed
-		cfg.EvalSubset = min(2048, p.Dataset.N())
-		_ = label
-		return cfg
-	}
 	switch *sweep {
 	case "lr":
 		for _, lr := range []float64{3, 1, 0.3, 0.1, 0.03, 0.01, 0.003} {
-			cfg := mk("")
+			cfg := experiments.BaseConfig(alg, p, seed)
 			cfg.BaseLR = lr
 			rows = append(rows, row{fmt.Sprintf("lr=%g", lr), cfg})
 		}
 	case "alphabeta":
-		lr := experiments.TuneLR(ctx, p, *seed)
+		lr := experiments.TuneLR(ctx, p, seed)
 		for _, alpha := range []float64{1.25, 1.5, 2, 3, 4} {
 			for _, beta := range []float64{0.25, 0.5, 1} {
-				cfg := mk("")
+				cfg := experiments.BaseConfig(alg, p, seed)
 				cfg.BaseLR = lr
 				cfg.Alpha = alpha
 				cfg.Beta = beta
@@ -102,13 +75,13 @@ func main() {
 			}
 		}
 	case "thresholds":
-		lr := experiments.TuneLR(ctx, p, *seed)
+		lr := experiments.TuneLR(ctx, p, seed)
 		gpuMax := p.Scale.Preset.GPUMax
 		for _, gpuMin := range []int{gpuMax / 16, gpuMax / 8, gpuMax / 4, gpuMax / 2} {
 			if gpuMin < 32 {
 				continue
 			}
-			cfg := mk("")
+			cfg := experiments.BaseConfig(alg, p, seed)
 			cfg.BaseLR = lr
 			for i := range cfg.Workers {
 				if cfg.Workers[i].DeepReplica {
@@ -118,7 +91,7 @@ func main() {
 			rows = append(rows, row{fmt.Sprintf("gpuMin=%d", gpuMin), cfg})
 		}
 	default:
-		fatal(fmt.Errorf("unknown sweep %q (lr, alphabeta, thresholds)", *sweep))
+		cli.Fatal(fmt.Errorf("unknown sweep %q (lr, alphabeta, thresholds)", *sweep))
 	}
 
 	fmt.Printf("%-16s %12s %12s %10s %12s %10s\n", "config", "final", "min", "epochs", "to target", "CPU %")
@@ -129,7 +102,7 @@ func main() {
 	for _, r := range rows {
 		res, err := core.RunSim(ctx, r.cfg, horizon)
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if res.Interrupted {
 			interrupted = true
@@ -156,9 +129,4 @@ func main() {
 	if len(results) > 0 {
 		fmt.Printf("\nbest minimum loss: %s (%.4f); time-to-target uses %.2f× that minimum\n", best, bestLoss, *target)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hogsweep:", err)
-	os.Exit(1)
 }

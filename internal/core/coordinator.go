@@ -279,21 +279,3 @@ func (c *coordinator) restore(st *RunState) error {
 	}
 	return nil
 }
-
-// updateGap returns the difference between the largest and smallest
-// per-worker update counts — the quantity Algorithm 2 keeps bounded.
-func (c *coordinator) updateGap() int64 {
-	if len(c.updates) == 0 {
-		return 0
-	}
-	minU, maxU := c.updates[0], c.updates[0]
-	for _, u := range c.updates[1:] {
-		if u < minU {
-			minU = u
-		}
-		if u > maxU {
-			maxU = u
-		}
-	}
-	return maxU - minU
-}

@@ -137,19 +137,6 @@ func TestBetaWeightsCPUUpdates(t *testing.T) {
 	}
 }
 
-func TestUpdateGap(t *testing.T) {
-	cfg := tinyConfig(t, AlgAdaptiveHogbatch)
-	c := newCoordinator(&cfg)
-	if c.updateGap() != 0 {
-		t.Fatal("fresh coordinator gap must be 0")
-	}
-	c.reportUpdates(0, 30)
-	c.reportUpdates(1, 12)
-	if c.updateGap() != 18 {
-		t.Fatalf("gap = %d", c.updateGap())
-	}
-}
-
 func TestEpochFracAccumulates(t *testing.T) {
 	cfg := tinyConfig(t, AlgHogbatchGPU)
 	c := newCoordinator(&cfg)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -82,5 +83,22 @@ func TestAlgorithmEngineMatrix(t *testing.T) {
 			}
 			check(t, cfg, i)
 		})
+	}
+}
+
+// TestClusterAlgorithmNames: the cluster's -alg list is exactly the
+// algorithms its support table admits on their NewConfig.
+func TestClusterAlgorithmNames(t *testing.T) {
+	listed := ClusterAlgorithmNames()
+	for _, name := range AlgorithmNames() {
+		alg, err := ParseAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := tinyConfig(t, alg)
+		err = cfg.supportedOn(engineCluster)
+		if in := slices.Contains(listed, name); in != (err == nil) {
+			t.Errorf("%s: listed=%v but the cluster support check says %v", name, in, err)
+		}
 	}
 }

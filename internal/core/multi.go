@@ -13,7 +13,8 @@ import (
 // paper's Figures 2–3 and its stated future work ("we plan to scale these
 // algorithms to multi-GPU architectures"). Worker devices are named
 // cpu0…cpuN, gpu0…gpuM. The scheduling, adaptive policy, and both engines
-// are worker-count agnostic, so everything from NewConfig carries over.
+// are worker-count agnostic, so everything from NewConfig carries over: the
+// result is NewConfig's with only Workers and EvalDevice replaced.
 //
 // CPU threads are divided evenly across the socket workers (the paper's
 // single 56-thread worker becomes e.g. 2×28) so total CPU parallelism is
@@ -22,19 +23,8 @@ func NewMultiConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset, 
 	if numCPU < 0 || numGPU < 0 || numCPU+numGPU == 0 {
 		return Config{}, fmt.Errorf("core: topology needs at least one worker (got %d CPU + %d GPU)", numCPU, numGPU)
 	}
-	cfg := Config{
-		Algorithm:    alg,
-		Net:          net,
-		Dataset:      ds,
-		BaseLR:       0.05,
-		RefBatch:     p.CPUThreads,
-		LRScaling:    true,
-		LRScalingCap: 16,
-		Alpha:        2,
-		Beta:         1,
-		Seed:         1,
-		EvalSubset:   4096,
-	}
+	cfg := NewConfig(alg, net, ds, p)
+	cfg.Workers, cfg.EvalDevice = nil, nil
 	adaptive := cfg.adaptive()
 	threadsPer := p.CPUThreads
 	if numCPU > 1 {

@@ -34,6 +34,39 @@ func TestNewMultiConfigTopologies(t *testing.T) {
 	}
 }
 
+// TestNewMultiConfigKeepsNewConfigDefaults: a multi-device topology differs
+// from NewConfig's only in its workers, so every algorithm validates on one
+// CPU and one GPU with the consistency-mode defaults intact, and the
+// evaluation device is the GPU worker's own.
+func TestNewMultiConfigKeepsNewConfigDefaults(t *testing.T) {
+	base := tinyConfig(t, AlgAdaptiveHogbatch)
+	for _, name := range AlgorithmNames() {
+		alg, err := ParseAlgorithm(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewConfig(alg, base.Net, base.Dataset, tinyPreset())
+		got, err := NewMultiConfig(alg, base.Net, base.Dataset, tinyPreset(), 1, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.StalenessBound != want.StalenessBound || got.LocalSteps != want.LocalSteps ||
+			got.DCLambda != want.DCLambda || got.BaseLR != want.BaseLR || got.EvalSubset != want.EvalSubset {
+			t.Fatalf("%s: multi config %+v drifted from NewConfig's defaults %+v", name, got, want)
+		}
+		if got.EvalDevice == nil || got.EvalDevice != got.Workers[1].Device {
+			t.Fatalf("%s: eval device %v is not the GPU worker's", name, got.EvalDevice)
+		}
+	}
+	cpuOnly, err := NewMultiConfig(AlgHogbatchCPU, base.Net, base.Dataset, tinyPreset(), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cpuOnly.EvalDevice != nil {
+		t.Fatalf("CPU-only topology has eval device %v", cpuOnly.EvalDevice)
+	}
+}
+
 func TestMultiConfigSplitsCPUThreads(t *testing.T) {
 	base := tinyConfig(t, AlgAdaptiveHogbatch)
 	cfg, err := NewMultiConfig(AlgCPUGPUHogbatch, base.Net, base.Dataset, tinyPreset(), 2, 1)

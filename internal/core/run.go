@@ -62,12 +62,30 @@ func (c *Config) supportedOn(e engine) error {
 	if err := c.Validate(); err != nil {
 		return err
 	}
+	return c.refusedBy(e)
+}
+
+// refusedBy returns the first engineRules refusal of c on engine e, nil when
+// none applies.
+func (c *Config) refusedBy(e engine) error {
 	for _, r := range engineRules {
 		if r.on&e != 0 && r.when(c) {
 			return errors.New(r.msg)
 		}
 	}
 	return nil
+}
+
+// ClusterAlgorithmNames lists the AlgorithmNames entries RunCluster runs:
+// those no engineRules row refuses on the cluster at NewConfig's defaults.
+func ClusterAlgorithmNames() []string {
+	var names []string
+	for _, e := range algorithms {
+		if (&Config{Algorithm: e.alg}).refusedBy(engineCluster) == nil {
+			names = append(names, e.names[0])
+		}
+	}
+	return names
 }
 
 // run is the state all three engines build the same way before their first

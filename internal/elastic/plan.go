@@ -3,8 +3,8 @@ package elastic
 import (
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
+
+	"heterosgd/internal/spec"
 )
 
 // EventKind identifies a scripted membership change.
@@ -132,14 +132,10 @@ func (p *Plan) Validate(initialWorkers int) error {
 
 // String renders the plan in Parse syntax.
 func (p *Plan) String() string {
-	if p == nil || len(p.Events) == 0 {
+	if p == nil {
 		return ""
 	}
-	parts := make([]string, len(p.Events))
-	for i, e := range p.Events {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ",")
+	return spec.Join(p.Events)
 }
 
 // Parse reads a comma-separated membership schedule:
@@ -149,46 +145,23 @@ func (p *Plan) String() string {
 //	evict:WORKER:AFTER   WORKER is forced out after AFTER completed dispatches
 //
 // e.g. "join:25,leave:1:60". An empty spec returns a nil plan.
-func Parse(spec string) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	p := &Plan{Seed: 1}
-	for _, entry := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(entry), ":")
-		switch fields[0] {
+func Parse(s string) (*Plan, error) {
+	return spec.Parse("elastic", s, &Plan{Seed: 1}, func(p *Plan, e *spec.Entry) error {
+		switch e.Kind {
 		case "join":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("elastic: join wants join:AFTER, got %q", entry)
-			}
-			after, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("elastic: bad trigger in %q: %w", entry, err)
-			}
-			p.Events = append(p.Events, JoinAt(after))
-		case "leave", "evict":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("elastic: %s wants %s:WORKER:AFTER, got %q", fields[0], fields[0], entry)
-			}
-			worker, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("elastic: bad worker in %q: %w", entry, err)
-			}
-			after, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("elastic: bad trigger in %q: %w", entry, err)
-			}
-			if fields[0] == "leave" {
-				p.Events = append(p.Events, LeaveAt(worker, after))
-			} else {
-				p.Events = append(p.Events, EvictAt(worker, after))
-			}
+			e.Want("join:AFTER")
+			p.Events = append(p.Events, JoinAt(e.Int64(1, "trigger")))
+		case "leave":
+			e.Want("leave:WORKER:AFTER")
+			p.Events = append(p.Events, LeaveAt(e.Int(1, "worker"), e.Int64(2, "trigger")))
+		case "evict":
+			e.Want("evict:WORKER:AFTER")
+			p.Events = append(p.Events, EvictAt(e.Int(1, "worker"), e.Int64(2, "trigger")))
 		default:
-			return nil, fmt.Errorf("elastic: unknown membership event %q in %q", fields[0], entry)
+			return e.Unknown("membership event")
 		}
-	}
-	return p, nil
+		return nil
+	})
 }
 
 // Cursor walks a plan's events in trigger order as the run's completed

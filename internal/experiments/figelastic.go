@@ -76,7 +76,7 @@ func FigElastic(ctx context.Context, p *Problem, seed uint64) ([]ElasticBenchRes
 	}
 	var rows []row
 	for _, sc := range elasticScenarios(seed) {
-		cfg := baseConfig(core.AlgAdaptiveHogbatch, p, seed)
+		cfg := BaseConfig(core.AlgAdaptiveHogbatch, p, seed)
 		cfg.BaseLR = lr
 		cfg.SampleEvery = sampleEvery
 		cfg.Elastic = sc.plan

@@ -41,7 +41,7 @@ func FigStale(ctx context.Context, p *Problem, seed uint64) (string, error) {
 	}
 	var rows []row
 	for _, s := range staleBounds {
-		cfg := baseConfig(core.AlgSSP, p, seed)
+		cfg := BaseConfig(core.AlgSSP, p, seed)
 		cfg.BaseLR = lr
 		cfg.StalenessBound = s
 		cfg.SampleEvery = sampleEvery

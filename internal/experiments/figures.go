@@ -121,7 +121,7 @@ func Fig7(ctx context.Context, p *Problem, seed uint64) (string, error) {
 	fmt.Fprintf(&b, "Fig 7 (%s): CPU and GPU utilization over ~3 epochs\n", p.Spec.Name)
 	lr := TuneLR(ctx, p, seed)
 	for _, alg := range fig7Algorithms {
-		cfg := baseConfig(alg, p, seed)
+		cfg := BaseConfig(alg, p, seed)
 		cfg.BaseLR = lr
 		horizon := time.Duration(3.4 * float64(estimateEpochTime(&cfg, p)))
 		res, err := core.RunSim(ctx, cfg, horizon)
@@ -254,7 +254,7 @@ func sortedNames[V any](m map[string]V) []string {
 // continuously evolving size based on the relative speed of CPU and GPU",
 // abstract). Not a paper figure; a diagnostic the framework makes cheap.
 func BatchEvolution(ctx context.Context, p *Problem, seed uint64) (string, error) {
-	cfg := baseConfig(core.AlgAdaptiveHogbatch, p, seed)
+	cfg := BaseConfig(core.AlgAdaptiveHogbatch, p, seed)
 	cfg.BaseLR = TuneLR(ctx, p, seed)
 	horizon := p.Horizon()
 	res, err := core.RunSim(ctx, cfg, horizon)

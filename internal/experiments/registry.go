@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"heterosgd/internal/atomicio"
-	"heterosgd/internal/core"
 )
 
 // Options parameterizes an experiment invocation.
@@ -67,34 +66,46 @@ type Experiment struct {
 	Run func(Options) (string, error)
 }
 
-// datasets resolves the dataset list an option selects.
-func datasets(opts Options) []string {
-	if opts.Dataset != "" {
-		return []string{opts.Dataset}
+// perDataset runs f on the problem of every dataset opts selects (all four
+// when opts.Dataset is empty) and concatenates its outputs, each followed by
+// a blank line.
+func perDataset(f func(context.Context, *Problem, uint64) (string, error)) func(Options) (string, error) {
+	return func(opts Options) (string, error) {
+		names := []string{"covtype", "w8a", "delicious", "real-sim"}
+		if opts.Dataset != "" {
+			names = []string{opts.Dataset}
+		}
+		var b strings.Builder
+		for _, name := range names {
+			p, err := NewProblem(name, opts.Scale, opts.Seed)
+			if err != nil {
+				return "", err
+			}
+			out, err := f(opts.ctx(), p, opts.Seed)
+			if err != nil {
+				return "", err
+			}
+			b.WriteString(out)
+			b.WriteString("\n")
+		}
+		return b.String(), nil
 	}
-	return []string{"covtype", "w8a", "delicious", "real-sim"}
 }
 
-// runSets builds one RunSet per selected dataset (shared by fig5/6/8).
-// With no explicit algorithms it runs the five figure algorithms; passing a
-// set restricts every dataset's RunSet to exactly those algorithms.
-func runSets(opts Options, algs ...core.Algorithm) ([]*RunSet, error) {
-	if len(algs) == 0 {
-		algs = figureAlgorithms
-	}
-	var out []*RunSet
-	for _, name := range datasets(opts) {
-		p, err := NewProblem(name, opts.Scale, opts.Seed)
+// runSetFigures renders figs, blank-line separated, from one RunAll per
+// problem — Figures 5, 6 and 8 share their runs.
+func runSetFigures(figs ...func(*RunSet) string) func(context.Context, *Problem, uint64) (string, error) {
+	return func(ctx context.Context, p *Problem, seed uint64) (string, error) {
+		rs, err := RunAll(ctx, p, seed)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
-		rs, err := RunAlgorithms(opts.ctx(), p, opts.Seed, algs)
-		if err != nil {
-			return nil, err
+		out := make([]string, len(figs))
+		for i, fig := range figs {
+			out[i] = fig(rs)
 		}
-		out = append(out, rs)
+		return strings.Join(out, "\n"), nil
 	}
-	return out, nil
 }
 
 // All returns the registry in paper order.
@@ -110,106 +121,37 @@ func All() []Experiment {
 		},
 		{
 			ID: "fig5", Title: "Figure 5: normalized loss vs time (convergence speed)",
-			Run: func(opts Options) (string, error) {
-				sets, err := runSets(opts)
-				if err != nil {
-					return "", err
-				}
-				var b strings.Builder
-				for _, rs := range sets {
-					b.WriteString(Fig5(rs))
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(runSetFigures(Fig5)),
 		},
 		{
 			ID: "fig6", Title: "Figure 6: normalized loss vs epochs (statistical efficiency)",
-			Run: func(opts Options) (string, error) {
-				sets, err := runSets(opts)
-				if err != nil {
-					return "", err
-				}
-				var b strings.Builder
-				for _, rs := range sets {
-					b.WriteString(Fig6(rs))
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(runSetFigures(Fig6)),
 		},
 		{
 			ID: "fig7", Title: "Figure 7: CPU and GPU utilization over three epochs",
-			Run: func(opts Options) (string, error) {
-				var b strings.Builder
-				for _, name := range datasets(opts) {
-					p, err := NewProblem(name, opts.Scale, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					out, err := Fig7(opts.ctx(), p, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					b.WriteString(out)
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(Fig7),
 		},
 		{
 			ID: "fig8", Title: "Figure 8: model-update distribution CPU vs GPU",
-			Run: func(opts Options) (string, error) {
-				sets, err := runSets(opts)
-				if err != nil {
-					return "", err
-				}
-				var b strings.Builder
-				for _, rs := range sets {
-					b.WriteString(Fig8(rs))
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(runSetFigures(Fig8)),
 		},
 		{
 			ID: "figstale", Title: "Convergence vs SSP staleness bound, with LocalSGD and DC-ASGD references",
-			Run: func(opts Options) (string, error) {
-				var b strings.Builder
-				for _, name := range datasets(opts) {
-					p, err := NewProblem(name, opts.Scale, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					out, err := FigStale(opts.ctx(), p, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					b.WriteString(out)
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(FigStale),
 		},
 		{
 			ID: "figelastic", Title: "Convergence under seeded worker churn: join, leave, evict, and join+leave plans",
 			Run: func(opts Options) (string, error) {
-				var b strings.Builder
 				var all []ElasticBenchResult
-				for _, name := range datasets(opts) {
-					p, err := NewProblem(name, opts.Scale, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					rows, out, err := FigElastic(opts.ctx(), p, opts.Seed)
-					if err != nil {
-						return "", err
-					}
+				out, err := perDataset(func(ctx context.Context, p *Problem, seed uint64) (string, error) {
+					rows, out, err := FigElastic(ctx, p, seed)
 					all = append(all, rows...)
-					b.WriteString(out)
-					b.WriteString("\n")
+					return out, err
+				})(opts)
+				if err != nil {
+					return "", err
 				}
-				return opts.archive(b.String(), func() ([]byte, error) { return ElasticBenchJSON(all) })
+				return opts.archive(out, func() ([]byte, error) { return ElasticBenchJSON(all) })
 			},
 		},
 		{
@@ -233,22 +175,7 @@ func All() []Experiment {
 		},
 		{
 			ID: "batchtrace", Title: "Algorithm 2 diagnostic: batch-size evolution over time",
-			Run: func(opts Options) (string, error) {
-				var b strings.Builder
-				for _, name := range datasets(opts) {
-					p, err := NewProblem(name, opts.Scale, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					out, err := BatchEvolution(opts.ctx(), p, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					b.WriteString(out)
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(BatchEvolution),
 		},
 		{
 			ID: "sparsebench", Title: "Dense vs sparse (CSR) gradient throughput on Table II's sparse shapes",
@@ -272,41 +199,11 @@ func All() []Experiment {
 		},
 		{
 			ID: "related", Title: "§II: Adaptive Hogbatch vs Omnivore vs adaptive learning rates",
-			Run: func(opts Options) (string, error) {
-				var b strings.Builder
-				for _, name := range datasets(opts) {
-					p, err := NewProblem(name, opts.Scale, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					out, err := RelatedWork(opts.ctx(), p, opts.Seed)
-					if err != nil {
-						return "", err
-					}
-					b.WriteString(out)
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(RelatedWork),
 		},
 		{
 			ID: "figs", Title: "Figures 5, 6 and 8 from one set of runs per dataset",
-			Run: func(opts Options) (string, error) {
-				sets, err := runSets(opts)
-				if err != nil {
-					return "", err
-				}
-				var b strings.Builder
-				for _, rs := range sets {
-					b.WriteString(Fig5(rs))
-					b.WriteString("\n")
-					b.WriteString(Fig6(rs))
-					b.WriteString("\n")
-					b.WriteString(Fig8(rs))
-					b.WriteString("\n")
-				}
-				return b.String(), nil
-			},
+			Run: perDataset(runSetFigures(Fig5, Fig6, Fig8)),
 		},
 	}
 }

@@ -28,7 +28,7 @@ func RelatedWork(ctx context.Context, p *Problem, seed uint64) (string, error) {
 	}
 	var entries []entry
 	for _, alg := range []core.Algorithm{core.AlgAdaptiveHogbatch, core.AlgAdaptiveLR, core.AlgCPUGPUHogbatch} {
-		entries = append(entries, entry{name: alg.String(), cfg: baseConfig(alg, p, seed)})
+		entries = append(entries, entry{name: alg.String(), cfg: BaseConfig(alg, p, seed)})
 	}
 	exact, skewed := omnivoreConfig(p, seed, 1), omnivoreConfig(p, seed, 10)
 	entries = append(entries, entry{name: "Omnivore (exact)", cfg: exact}, entry{name: "Omnivore (10× mis-est)", cfg: skewed})
@@ -78,7 +78,7 @@ func RelatedWork(ctx context.Context, p *Problem, seed uint64) (string, error) {
 // gpuSkew× as fast as its cost model says: the same static split, from a
 // skewed rate (1 = the exact estimate NewConfig plans with).
 func omnivoreConfig(p *Problem, seed uint64, gpuSkew float64) core.Config {
-	cfg := baseConfig(core.AlgOmnivore, p, seed)
+	cfg := BaseConfig(core.AlgOmnivore, p, seed)
 	cpu, gpu := &cfg.Workers[0], &cfg.Workers[1]
 	cb, gb := device.SpeedSplit(p.Net.Arch, p.Scale.Preset.GPUMax, cpu.Device, gpu.Device, gpuSkew)
 	cpu.InitialBatch, cpu.MinBatch, cpu.MaxBatch = cb, cb, cb

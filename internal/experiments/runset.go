@@ -59,7 +59,7 @@ func TuneLR(ctx context.Context, p *Problem, seed uint64) float64 {
 		if ctx.Err() != nil {
 			return best
 		}
-		cfg := baseConfig(core.AlgHogbatchGPU, p, seed)
+		cfg := BaseConfig(core.AlgHogbatchGPU, p, seed)
 		cfg.BaseLR = lr
 		res, err := core.RunSim(ctx, cfg, horizon)
 		if err != nil {
@@ -80,8 +80,10 @@ func TuneLR(ctx context.Context, p *Problem, seed uint64) float64 {
 	return best
 }
 
-// baseConfig builds the shared configuration for one algorithm on a problem.
-func baseConfig(alg core.Algorithm, p *Problem, seed uint64) core.Config {
+// BaseConfig builds the configuration every experiment and sweep starts
+// from for one algorithm on a problem: NewConfig at the seed, evaluated on
+// at most 2048 examples.
+func BaseConfig(alg core.Algorithm, p *Problem, seed uint64) core.Config {
 	cfg := core.NewConfig(alg, p.Net, p.Dataset, p.Scale.Preset)
 	cfg.Seed = seed
 	cfg.EvalSubset = min(2048, p.Dataset.N())
@@ -111,7 +113,7 @@ func RunAlgorithms(ctx context.Context, p *Problem, seed uint64, algs []core.Alg
 	}
 	sampleEvery := horizon / 25
 	for _, alg := range algs {
-		cfg := baseConfig(alg, p, seed)
+		cfg := BaseConfig(alg, p, seed)
 		cfg.BaseLR = lr
 		cfg.SampleEvery = sampleEvery
 		res, err := core.RunSim(ctx, cfg, horizon)

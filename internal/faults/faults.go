@@ -19,11 +19,10 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"heterosgd/internal/nn"
+	"heterosgd/internal/spec"
 )
 
 // Kind identifies a fault class.
@@ -147,14 +146,10 @@ func (p *Plan) Validate(numWorkers int) error {
 
 // String renders the plan in Parse syntax.
 func (p *Plan) String() string {
-	if p == nil || len(p.Faults) == 0 {
+	if p == nil {
 		return ""
 	}
-	parts := make([]string, len(p.Faults))
-	for i, f := range p.Faults {
-		parts[i] = f.String()
-	}
-	return strings.Join(parts, ",")
+	return spec.Join(p.Faults)
 }
 
 // Parse reads a comma-separated fault list:
@@ -165,58 +160,23 @@ func (p *Plan) String() string {
 //
 // e.g. "crash:1:20,hang:0:10:50ms,corrupt:0:0.05". An empty spec returns a
 // nil plan.
-func Parse(spec string) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	p := &Plan{Seed: 1}
-	for _, entry := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(entry), ":")
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("faults: malformed entry %q", entry)
-		}
-		worker, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("faults: bad worker in %q: %w", entry, err)
-		}
-		switch fields[0] {
+func Parse(s string) (*Plan, error) {
+	return spec.Parse("faults", s, &Plan{Seed: 1}, func(p *Plan, e *spec.Entry) error {
+		switch e.Kind {
 		case "crash":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("faults: crash wants crash:WORKER:AFTER, got %q", entry)
-			}
-			after, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad trigger in %q: %w", entry, err)
-			}
-			p.Faults = append(p.Faults, CrashAfter(worker, after))
+			e.Want("crash:WORKER:AFTER")
+			p.Faults = append(p.Faults, CrashAfter(e.Int(1, "worker"), e.Int64(2, "trigger")))
 		case "hang":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("faults: hang wants hang:WORKER:AFTER:DURATION, got %q", entry)
-			}
-			after, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad trigger in %q: %w", entry, err)
-			}
-			d, err := time.ParseDuration(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad duration in %q: %w", entry, err)
-			}
-			p.Faults = append(p.Faults, HangAfter(worker, after, d))
+			e.Want("hang:WORKER:AFTER:DURATION")
+			p.Faults = append(p.Faults, HangAfter(e.Int(1, "worker"), e.Int64(2, "trigger"), e.Duration(3, "duration")))
 		case "corrupt":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("faults: corrupt wants corrupt:WORKER:RATE, got %q", entry)
-			}
-			rate, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad rate in %q: %w", entry, err)
-			}
-			p.Faults = append(p.Faults, CorruptGradient(worker, rate))
+			e.Want("corrupt:WORKER:RATE")
+			p.Faults = append(p.Faults, CorruptGradient(e.Int(1, "worker"), e.Float(2, "rate")))
 		default:
-			return nil, fmt.Errorf("faults: unknown fault kind %q in %q", fields[0], entry)
+			return e.Unknown("fault kind")
 		}
-	}
-	return p, nil
+		return nil
+	})
 }
 
 // Step is the injector's verdict for one dispatched iteration, resolved

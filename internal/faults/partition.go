@@ -12,10 +12,10 @@ package faults
 import (
 	"fmt"
 	"math/rand/v2"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
+
+	"heterosgd/internal/spec"
 )
 
 // LinkKind identifies a network fault class.
@@ -163,14 +163,10 @@ func (p *LinkPlan) Validate(numWorkers int) error {
 
 // String renders the plan in ParseLinks syntax.
 func (p *LinkPlan) String() string {
-	if p == nil || len(p.Faults) == 0 {
+	if p == nil {
 		return ""
 	}
-	parts := make([]string, len(p.Faults))
-	for i, f := range p.Faults {
-		parts[i] = f.String()
-	}
-	return strings.Join(parts, ",")
+	return spec.Join(p.Faults)
 }
 
 // ParseLinks reads a comma-separated link-fault list:
@@ -181,66 +177,26 @@ func (p *LinkPlan) String() string {
 //	sever:WORKER:AFTER:REFUSE     link severed after AFTER dispatches; next REFUSE redials refused
 //
 // e.g. "sever:1:20:2,drop:0:0.05". An empty spec returns a nil plan.
-func ParseLinks(spec string) (*LinkPlan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	p := &LinkPlan{Seed: 1}
-	for _, entry := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(entry), ":")
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("faults: malformed link entry %q", entry)
-		}
-		worker, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("faults: bad worker in %q: %w", entry, err)
-		}
-		switch fields[0] {
-		case "drop", "dup":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("faults: %s wants %s:WORKER:RATE, got %q", fields[0], fields[0], entry)
-			}
-			rate, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad rate in %q: %w", entry, err)
-			}
-			if fields[0] == "drop" {
-				p.Faults = append(p.Faults, DropFrames(worker, rate))
-			} else {
-				p.Faults = append(p.Faults, DupFrames(worker, rate))
-			}
+func ParseLinks(s string) (*LinkPlan, error) {
+	return spec.Parse("faults", s, &LinkPlan{Seed: 1}, func(p *LinkPlan, e *spec.Entry) error {
+		switch e.Kind {
+		case "drop":
+			e.Want("drop:WORKER:RATE")
+			p.Faults = append(p.Faults, DropFrames(e.Int(1, "worker"), e.Float(2, "rate")))
+		case "dup":
+			e.Want("dup:WORKER:RATE")
+			p.Faults = append(p.Faults, DupFrames(e.Int(1, "worker"), e.Float(2, "rate")))
 		case "delay":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("faults: delay wants delay:WORKER:EVERY:DURATION, got %q", entry)
-			}
-			every, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad period in %q: %w", entry, err)
-			}
-			d, err := time.ParseDuration(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad duration in %q: %w", entry, err)
-			}
-			p.Faults = append(p.Faults, DelayFrames(worker, every, d))
+			e.Want("delay:WORKER:EVERY:DURATION")
+			p.Faults = append(p.Faults, DelayFrames(e.Int(1, "worker"), e.Int64(2, "period"), e.Duration(3, "duration")))
 		case "sever":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("faults: sever wants sever:WORKER:AFTER:REFUSE, got %q", entry)
-			}
-			after, err := strconv.ParseInt(fields[2], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad trigger in %q: %w", entry, err)
-			}
-			refuse, err := strconv.Atoi(fields[3])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad refuse count in %q: %w", entry, err)
-			}
-			p.Faults = append(p.Faults, SeverLink(worker, after, refuse))
+			e.Want("sever:WORKER:AFTER:REFUSE")
+			p.Faults = append(p.Faults, SeverLink(e.Int(1, "worker"), e.Int64(2, "trigger"), e.Int(3, "refuse count")))
 		default:
-			return nil, fmt.Errorf("faults: unknown link fault kind %q in %q", fields[0], entry)
+			return e.Unknown("link fault kind")
 		}
-	}
-	return p, nil
+		return nil
+	})
 }
 
 // LinkVerdict is the injector's decision for one completion frame.

@@ -2,9 +2,10 @@ package faults
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
+
+	"heterosgd/internal/spec"
 )
 
 // ProcPlan scripts process-level failures for a chaos drill: real worker
@@ -94,55 +95,27 @@ func (p *ProcPlan) String() string {
 //
 // e.g. "kill-worker:1:30,kill-coord:2,restart:300ms". An empty spec returns
 // a nil plan; at most one kill-coord and one restart entry are allowed.
-func ParseProcPlan(spec string) (*ProcPlan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	p := &ProcPlan{}
-	for _, entry := range strings.Split(spec, ",") {
-		fields := strings.Split(strings.TrimSpace(entry), ":")
-		switch fields[0] {
+func ParseProcPlan(s string) (*ProcPlan, error) {
+	return spec.Parse("faults", s, &ProcPlan{}, func(p *ProcPlan, e *spec.Entry) error {
+		switch e.Kind {
 		case "kill-worker":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("faults: kill-worker wants kill-worker:WORKER:FRAMES, got %q", entry)
-			}
-			worker, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad worker in %q: %w", entry, err)
-			}
-			frames, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad trigger in %q: %w", entry, err)
-			}
-			p.KillWorkers = append(p.KillWorkers, KillWorker{Worker: worker, AfterFrames: frames})
+			e.Want("kill-worker:WORKER:FRAMES")
+			p.KillWorkers = append(p.KillWorkers, KillWorker{Worker: e.Int(1, "worker"), AfterFrames: e.Int(2, "trigger")})
 		case "kill-coord":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("faults: kill-coord wants kill-coord:EPOCH, got %q", entry)
-			}
 			if p.KillCoordinator != nil {
-				return nil, fmt.Errorf("faults: duplicate kill-coord in %q", spec)
+				return fmt.Errorf("faults: duplicate kill-coord in %q", s)
 			}
-			epoch, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad epoch in %q: %w", entry, err)
-			}
-			p.KillCoordinator = &KillCoordinator{AtEpoch: epoch}
+			e.Want("kill-coord:EPOCH")
+			p.KillCoordinator = &KillCoordinator{AtEpoch: e.Int(1, "epoch")}
 		case "restart":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("faults: restart wants restart:DURATION, got %q", entry)
-			}
 			if p.RestartDelay > 0 {
-				return nil, fmt.Errorf("faults: duplicate restart in %q", spec)
+				return fmt.Errorf("faults: duplicate restart in %q", s)
 			}
-			d, err := time.ParseDuration(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("faults: bad duration in %q: %w", entry, err)
-			}
-			p.RestartDelay = d
+			e.Want("restart:DURATION")
+			p.RestartDelay = e.Duration(1, "duration")
 		default:
-			return nil, fmt.Errorf("faults: unknown proc fault kind %q in %q", fields[0], entry)
+			return e.Unknown("proc fault kind")
 		}
-	}
-	return p, nil
+		return nil
+	})
 }

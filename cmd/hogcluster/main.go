@@ -115,7 +115,7 @@ func main() {
 		// Worker flags.
 		id       = flag.Int("id", 0, "worker id (0-based, unique per run)")
 		connect  = flag.String("connect", "", "coordinator (or fault proxy) address to dial")
-		threads  = flag.Int("threads", 0, "sequential gradient lanes per dispatch (0 = from handshake)")
+		threads  = flag.Int("threads", 0, "sequential gradient lanes per dispatch (0 = the coordinator's lane count for the dispatch)")
 		join     = flag.Bool("join", false, "attach to a running coordinator as a fresh elastic worker (ignores -id; needs coordinator -max-workers headroom)")
 		leaveAft = flag.Int("leave-after", 0, "announce a graceful departure after this many handled dispatches (0 = serve until goodbye)")
 		dieAfter = flag.Int("die-after", 0, "chaos: SIGKILL this worker process on its n-th received dispatch")

@@ -196,11 +196,14 @@ func (x *clusterExec) attach(ctx context.Context) (joined []int, err error) {
 	return joined, nil
 }
 
-// decorate ships the current model with the dispatch, plus the epoch whose
-// shuffle the [Lo,Hi) range refers to.
-func (x *clusterExec) decorate(w transport.Work) transport.Work {
+// decorate ships the current model with the dispatch, the epoch whose
+// shuffle the [Lo,Hi) range refers to, and the dispatch's lane count — a
+// CPU's Threads, one for any other device — which the worker process cannot
+// work out, having no device model.
+func (x *clusterExec) decorate(id int, w transport.Work) transport.Work {
 	x.enc = nn.AppendParams(x.enc[:0], x.l.global)
 	w.Params = x.enc
+	w.Lanes = max(cpuThreads(x.l.cfg.Workers[id]), 1)
 	if x.l.cfg.Shuffle {
 		w.Epoch = uint32(x.l.coord.epoch)
 	}

@@ -21,10 +21,14 @@ import (
 // separate processes would), exercising the shuffle-replay contract.
 func clusterHarness(t *testing.T, alg Algorithm, plan *faults.LinkPlan, budget time.Duration, tweak ...func(id int, o *ClusterWorkerOptions)) *Result {
 	t.Helper()
+	return clusterRun(t, clusterConfig(alg), plan, budget, tweak...)
+}
+
+// clusterConfig is the configuration clusterHarness trains: the tiny
+// problem, reshuffled, with guards.
+func clusterConfig(alg Algorithm) Config {
 	spec := tinySpec()
-	ds := data.Generate(spec, 42)
-	net := nn.MustNetwork(spec.Arch())
-	cfg := NewConfig(alg, net, ds, tinyPreset())
+	cfg := NewConfig(alg, nn.MustNetwork(spec.Arch()), data.Generate(spec, 42), tinyPreset())
 	cfg.BaseLR = 0.1
 	cfg.RefBatch = 4
 	cfg.EvalSubset = 256
@@ -33,7 +37,12 @@ func clusterHarness(t *testing.T, alg Algorithm, plan *faults.LinkPlan, budget t
 	if alg == AlgSSP {
 		cfg.StalenessBound = 2
 	}
+	return cfg
+}
 
+// clusterRun is clusterHarness on a clusterConfig the caller has adjusted.
+func clusterRun(t *testing.T, cfg Config, plan *faults.LinkPlan, budget time.Duration, tweak ...func(id int, o *ClusterWorkerOptions)) *Result {
+	t.Helper()
 	trans, err := transport.ListenTCP("127.0.0.1:0", len(cfg.Workers), ClusterTCPOptions(&cfg, 100*time.Millisecond, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +540,7 @@ func TestClusterWireCycleAllocation(t *testing.T) {
 	l.exec = x
 	start := l.global.Clone()
 	cycle := func(seq uint64) {
-		if err := trans.Send(0, x.decorate(transport.Work{Seq: seq, Lo: 0, Hi: 64, LR: 0.01})); err != nil {
+		if err := trans.Send(0, x.decorate(0, transport.Work{Seq: seq, Lo: 0, Hi: 64, LR: 0.01})); err != nil {
 			t.Fatal(err)
 		}
 		for {

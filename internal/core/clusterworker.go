@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"time"
 
@@ -21,7 +22,7 @@ type ClusterWorkerOptions struct {
 	Client transport.ClientOptions
 	// Threads is the number of sequential gradient lanes per dispatch
 	// (the batch splits into Threads sub-batches applied one after
-	// another). Zero falls back to the handshake's Welcome.Threads, then 1.
+	// another). 0 = the coordinator's lane count for the dispatch.
 	Threads int
 	// WeightDecay mirrors the coordinator's Config.WeightDecay; both sides
 	// of a run must agree.
@@ -81,19 +82,7 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 	if err != nil {
 		return err
 	}
-	id = c.ID()
 	welcome := c.Welcome()
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = welcome.Threads
-	}
-	if threads <= 0 {
-		threads = 1
-	}
-	gemm := 1
-	if threads == 1 {
-		gemm = runtime.GOMAXPROCS(0)
-	}
 
 	// The shuffle replay stream: the same (seed, stream) pair the
 	// coordinator's epoch reshuffles consume, fresh from epoch zero. A
@@ -103,69 +92,60 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 	replay := RunRNG(welcome.Seed)
 	shuffled := uint32(0)
 	if welcome.Shuffle && welcome.Resume {
-		for shuffled < welcome.ResumeEpoch {
-			ds.Shuffle(replay)
-			shuffled++
-		}
+		replayTo(ds, replay, &shuffled, welcome.ResumeEpoch)
 	}
 
-	// base is decoded into straight from the link's read buffer. The lane's
-	// workspace is sized for the largest sub-batch the handshake announces
-	// (it grows by itself should a larger one arrive), so like enc it costs
-	// the same whether or not a dispatch ever comes.
+	// base is decoded into straight from the link's read buffer, and model
+	// — the replica the dispatch trains — starts from it. The lane's
+	// workspace is sized for the largest sub-batch a lane can take: the
+	// handshake's LaneRows under the coordinator's lane counts, or the
+	// largest batch cut into opts.Threads. So like enc it costs the same
+	// whether or not a dispatch ever comes.
 	base := net.NewParams(nn.InitZero, nil)
-	replica := net.NewParams(nn.InitZero, nil)
-	ln := lane{ws: net.NewWorkspace(max(1, (welcome.MaxBatch+threads-1)/threads)), grad: net.NewParams(nn.InitZero, nil)}
-	step := laneStep{net: net, decay: opts.WeightDecay, guard: opts.Guards, mode: tensor.UpdateRacy}
-
-	compute := func(wk transport.Work) transport.Done {
-		if wk.Lo < 0 || wk.Hi > ds.N() {
-			return transport.Done{Failed: true, Err: fmt.Sprintf("core: dispatched range [%d,%d) outside dataset of %d", wk.Lo, wk.Hi, ds.N())}
-		}
-		// Catch up on epoch shuffles so the dispatched range denotes the
-		// coordinator's examples. Epochs only advance, so replay is
-		// incremental; a dispatch from an epoch this worker has already
-		// shuffled past would silently train on the wrong permutation, so
-		// it fails loudly and the coordinator re-dispatches it elsewhere.
-		if welcome.Shuffle {
-			if wk.Epoch < shuffled {
-				return transport.Done{Failed: true, Err: fmt.Sprintf("core: stale shuffle state: dispatch from epoch %d, worker already at %d", wk.Epoch, shuffled)}
-			}
-			for shuffled < wk.Epoch {
-				ds.Shuffle(replay)
-				shuffled++
-			}
-		}
-		if err := nn.ReadParamsInto(base, wk.Params); err != nil {
-			return transport.Done{Failed: true, Err: fmt.Sprintf("core: decoding dispatched params: %v", err)}
-		}
-		replica.CopyFrom(base)
-		batch := ds.View(wk.Lo, wk.Hi)
-		t := min(threads, batch.Size())
-		updates := step.split(&ln, replica, replica, batch, t, wk.LR, gemm, false)
-		out := transport.Done{Updates: updates, Dropped: t - updates}
-		if updates > 0 {
-			// The delta — what this dispatch changed, computed against the
-			// exact parameters it started from, so the coordinator can fold
-			// it into a model other workers have meanwhile advanced.
-			replica.AddScaled(-1, base)
-			enc = nn.AppendParams(enc[:0], replica)
-			out.Delta = enc
-		}
-		return out
+	model := net.NewParams(nn.InitZero, nil)
+	rows := welcome.LaneRows
+	if opts.Threads > 0 {
+		rows = (welcome.MaxBatch + opts.Threads - 1) / opts.Threads
 	}
+	w := newWorker(&Config{Net: net}, c.ID(), fmt.Sprint(c.ID()), WorkerConfig{}, 1, max(rows, 1))
+	step := laneStep{net: net, decay: opts.WeightDecay, guard: opts.Guards, mode: tensor.UpdateRacy, gemm: runtime.GOMAXPROCS(0)}
 
 	handled := 0
 	handler := func(wk transport.Work) (out transport.Done) {
-		defer func() {
-			if r := recover(); r != nil {
-				out = transport.Done{Failed: true, Err: fmt.Sprintf("core: cluster worker %d panicked: %v", id, r)}
-			}
-		}()
+		defer w.recoverInto(&out)
 		if opts.OnDispatch != nil {
 			opts.OnDispatch(handled + 1)
 		}
-		out = compute(wk)
+		var err error
+		switch {
+		case wk.Lo < 0 || wk.Hi > ds.N():
+			err = fmt.Errorf("core: dispatched range [%d,%d) outside dataset of %d", wk.Lo, wk.Hi, ds.N())
+		case welcome.Shuffle:
+			err = replayTo(ds, replay, &shuffled, wk.Epoch)
+		}
+		if err == nil {
+			if err = nn.ReadParamsInto(base, wk.Params); err != nil {
+				err = fmt.Errorf("core: decoding dispatched params: %w", err)
+			}
+		}
+		if err != nil {
+			out = transport.Done{Failed: true, Err: err.Error()}
+		} else {
+			model.CopyFrom(base)
+			w.threads = opts.Threads
+			if w.threads <= 0 {
+				w.threads = max(wk.Lanes, 1)
+			}
+			out.Updates, out.Dropped = step.iterate(w, model, ds.ViewInto(&w.view, wk.Lo, wk.Hi), wk.LR, false)
+		}
+		if out.Updates > 0 {
+			// The delta — what this dispatch changed, computed against the
+			// exact parameters it started from, so the coordinator can fold
+			// it into a model other workers have meanwhile advanced.
+			model.AddScaled(-1, base)
+			enc = nn.AppendParams(enc[:0], model)
+			out.Delta = enc
+		}
 		handled++
 		if opts.LeaveAfter > 0 && handled == opts.LeaveAfter {
 			// The Leave frame precedes this dispatch's Done on the wire, so
@@ -176,6 +156,21 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 		return out
 	}
 	return c.Run(ctx, handler)
+}
+
+// replayTo brings ds's epoch shuffles from *shuffled up to epoch, replaying
+// the coordinator's shuffle stream. Epochs only advance, so replay is
+// incremental; a dispatch from an epoch this worker has already shuffled
+// past would silently train on the wrong permutation, so it is an error,
+// and the coordinator re-dispatches the batch elsewhere.
+func replayTo(ds *data.Dataset, replay *rand.Rand, shuffled *uint32, epoch uint32) error {
+	if epoch < *shuffled {
+		return fmt.Errorf("core: stale shuffle state: dispatch from epoch %d, worker already at %d", epoch, *shuffled)
+	}
+	for ; *shuffled < epoch; *shuffled++ {
+		ds.Shuffle(replay)
+	}
+	return nil
 }
 
 // ClusterListenSlots returns the link-table size to pass to ListenTCP for
@@ -200,14 +195,11 @@ func ClusterListenSlots(cfg *Config) int {
 // drained/evicted slots start departed, so a zombie from the previous
 // incarnation cannot re-claim a retired id.
 func ClusterTCPOptions(cfg *Config, heartbeat time.Duration, missLimit int) transport.TCPOptions {
-	maxBatch, threads := 0, 1
+	maxBatch, laneRows := 0, 0
 	for _, w := range cfg.Workers {
-		if w.MaxBatch > maxBatch {
-			maxBatch = w.MaxBatch
-		}
-		if w.Threads > threads {
-			threads = w.Threads
-		}
+		lanes := max(cpuThreads(w), 1) // the Work.Lanes decorate puts on w's dispatches
+		maxBatch = max(maxBatch, w.MaxBatch)
+		laneRows = max(laneRows, (w.MaxBatch+lanes-1)/lanes)
 	}
 	opts := transport.TCPOptions{
 		Heartbeat: heartbeat,
@@ -218,7 +210,7 @@ func ClusterTCPOptions(cfg *Config, heartbeat time.Duration, missLimit int) tran
 		Welcome: transport.Welcome{
 			Seed:     cfg.Seed,
 			Shuffle:  cfg.Shuffle,
-			Threads:  threads,
+			LaneRows: laneRows,
 			MaxBatch: maxBatch,
 		},
 		Metrics: cfg.Metrics,

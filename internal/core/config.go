@@ -158,8 +158,10 @@ type WorkerConfig struct {
 	// (Algorithm 2's min_b/max_b thresholds). For static algorithms
 	// MinBatch == InitialBatch == MaxBatch.
 	InitialBatch, MinBatch, MaxBatch int
-	// DeepReplica forces a deep model copy per iteration (always true
-	// for GPU workers — the replica is the PCIe transfer buffer).
+	// DeepReplica makes a CPU worker's lanes read a copy of the model
+	// taken at dispatch instead of the live model (an ablation of the
+	// paper's reference replicas). Every other device steps on a private
+	// copy whatever it says — the replica is the PCIe transfer buffer.
 	DeepReplica bool
 }
 

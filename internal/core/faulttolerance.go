@@ -452,8 +452,9 @@ func splitBatch(batch data.Batch, maxSize int) []data.Batch {
 		return []data.Batch{batch}
 	}
 	out := make([]data.Batch, 0, (size+maxSize-1)/maxSize)
-	for lo := 0; lo < size; lo += maxSize {
-		out = append(out, batch.Sub(lo, min(lo+maxSize, size)))
+	for lo, hi := 0, 0; lo < size; lo = hi {
+		hi = pieceEnd(lo, size, maxSize)
+		out = append(out, batch.Sub(lo, hi))
 	}
 	return out
 }

@@ -78,8 +78,8 @@ type executor interface {
 	// attach brings the initial workers up before the first dispatch and
 	// returns the elastic joiners that arrived meanwhile, in arrival order.
 	attach(ctx context.Context) (joined []int, err error)
-	// decorate adds what the engine's workers need beyond the batch range.
-	decorate(w transport.Work) transport.Work
+	// decorate adds what worker id needs beyond the batch range.
+	decorate(id int, w transport.Work) transport.Work
 	// deadline bounds a dispatch of size examples to worker id; 0 = none.
 	deadline(id, size int) time.Duration
 	// accept settles a completion whose dispatch was in flight (fl.abandoned
@@ -353,7 +353,7 @@ func (l *coordLoop) send(id int, batch data.Batch, staleness int64) {
 	l.rm.examples.Add(int64(size))
 	l.busy[id] = true
 	l.outstanding++
-	err := l.trans.Send(id, l.exec.decorate(transport.Work{Seq: l.seq, Lo: batch.Lo, Hi: batch.Hi, LR: lr, SentNS: int64(fl.sent)}))
+	err := l.trans.Send(id, l.exec.decorate(id, transport.Work{Seq: l.seq, Lo: batch.Lo, Hi: batch.Hi, LR: lr, SentNS: int64(fl.sent)}))
 	if err != nil {
 		// The link died between the last event and this send; bench the
 		// worker now instead of waiting for the LinkDown event, so the batch

@@ -2,13 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"heterosgd/internal/data"
-	"heterosgd/internal/device"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/msgq"
 	"heterosgd/internal/nn"
@@ -26,9 +23,10 @@ import (
 //
 // CPU workers split each batch into Threads sub-batches, run concurrently
 // by lane goroutines that live as long as the worker, whose gradients are
-// applied straight to the shared model (reference replicas); GPU workers
-// copy the model into a private replica, compute one large-batch gradient
-// against it, and push the update back asynchronously (deep replicas).
+// applied straight to the shared model (reference replicas, or with
+// DeepReplica a copy taken at dispatch); GPU workers copy the model into a
+// private replica, compute one large-batch gradient against it, and push the
+// update back asynchronously (deep replicas).
 // Under the default tensor.UpdateAtomic a write takes one row's stripe lock
 // at a time and loses no add, but the Hogwild read path is unsynchronized by
 // design; run with tensor.UpdateLocked for a fully race-detector-clean
@@ -89,7 +87,7 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 		return nil, err
 	}
 	x := &localExec{l: l, trans: trans}
-	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, shared: r.global}
+	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds(), shared: r.global}
 	if cfg.UpdateMode == tensor.UpdateLocked {
 		x.step.mu = &x.mu
 	}
@@ -104,30 +102,13 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 	return x, nil
 }
 
-// realWorker bundles a worker goroutine's private state.
-type realWorker struct {
-	id      int
-	name    string
-	wc      WorkerConfig
-	inj     *faults.Injector
-	lanes   []lane     // one per CPU sub-batch thread (one otherwise)
-	replica *nn.Params // deep-copy buffer (GPU workers, and every worker of a round)
-	view    data.Views // header of the dispatched batch
-	// A CPU worker's lanes each run on a goroutine of their own for as long
-	// as the worker's does: jobs[i] feeds lane i, busy counts the lanes still
-	// inside the current dispatch, updates the sub-batches that landed, and
-	// panicked keeps the first panic a lane recovered.
-	jobs     []chan laneJob
-	busy     sync.WaitGroup
-	updates  atomic.Int64
-	panicked atomic.Pointer[any]
-}
-
-// laneJob is one lane's share of a CPU dispatch.
+// laneJob is one lane's share of a CPU dispatch: its sub-batch, and the
+// models its gradient reads and its update writes.
 type laneJob struct {
-	sub     data.Batch
-	lr      float64
-	corrupt bool
+	sub         data.Batch
+	read, write *nn.Params
+	lr          float64
+	corrupt     bool
 }
 
 // localExec is RunReal's executor: one goroutine per worker consuming a
@@ -140,7 +121,7 @@ type localExec struct {
 	wallClock
 	l       *coordLoop
 	trans   *transport.Local
-	workers []*realWorker
+	workers []*worker
 	step    laneStep
 	// mu guards the shared model in UpdateLocked mode only; step.mu points
 	// at it then and is nil otherwise.
@@ -148,24 +129,22 @@ type localExec struct {
 	wg sync.WaitGroup
 }
 
-// build constructs worker id's goroutine state; elastic joiners take the
-// same path as the initial set.
-func (x *localExec) build(id int) *realWorker {
+// build constructs worker id's state; elastic joiners take the same path as
+// the initial set. A CPU worker's lanes each get a goroutine; a round's local
+// steps run in turn, and every other device takes one step, on one lane.
+func (x *localExec) build(id int) *worker {
 	cfg := x.l.cfg
 	wc := cfg.Workers[id]
-	w := &realWorker{id: id, name: x.l.name(id), wc: wc, inj: cfg.Faults.ForWorker(id)}
-	// A round's local steps run sequentially on the private replica, so every
-	// worker uses a single lane sized for one step's sub-batch.
-	lanes := 1
-	if wc.Device.Kind() == device.KindCPU && !cfg.rounds() {
-		lanes = max(wc.Threads, 1)
-		w.jobs = make([]chan laneJob, lanes)
+	fan := !cfg.rounds() && cpuThreads(wc) > 0
+	n := 1
+	if fan {
+		n = cpuThreads(wc)
 	}
-	rows := min((wc.MaxBatch+lanes-1)/lanes, x.l.ds.N())
-	for i := 0; i < lanes; i++ {
-		w.lanes = append(w.lanes, newLane(cfg, x.l.global, rows))
+	w := newWorker(cfg, id, x.l.name(id), wc, n, min((wc.MaxBatch+n-1)/n, x.l.ds.N()))
+	if fan {
+		w.jobs = make([]chan laneJob, n)
 	}
-	if wc.DeepReplica || cfg.rounds() {
+	if x.step.readsCopy(w) {
 		// Under the read discipline: a joiner is built while workers write.
 		w.replica = x.l.cloneModel()
 	}
@@ -176,12 +155,12 @@ func (x *localExec) build(id int) *realWorker {
 // start launches w's goroutine and, for a CPU worker, one per lane. The
 // worker's exits when its inbox closes (retire, evict, or shutdown) or on a
 // recovered panic, and takes the lanes' with it by closing their channels.
-func (x *localExec) start(w *realWorker) {
+func (x *localExec) start(w *worker) {
 	l := x.l
 	x.wg.Add(1 + len(w.jobs))
 	for i := range w.jobs {
-		// A lane holds at most one job (cpuIteration waits for all of them
-		// before the next dispatch), so a buffer of one never blocks a send.
+		// A lane holds at most one job (fan waits for all of them before the
+		// next dispatch), so a buffer of one never blocks a send.
 		w.jobs[i] = make(chan laneJob, 1)
 		go x.laneLoop(w, &w.lanes[i], w.jobs[i])
 	}
@@ -214,17 +193,12 @@ func (x *localExec) start(w *realWorker) {
 	}()
 }
 
-// iterate executes one dispatched batch on the worker's own goroutine,
-// injecting scheduled faults and converting any panic — injected or
-// genuine — into a failure message instead of killing the process.
-func (x *localExec) iterate(w *realWorker, batch data.Batch, lr float64) (out transport.Done) {
+// iterate executes one dispatched batch on the worker's own goroutine:
+// the scheduled fault, then the body. Any panic — injected or genuine —
+// comes back as a failure message instead of killing the process.
+func (x *localExec) iterate(w *worker, batch data.Batch, lr float64) (out transport.Done) {
 	out = transport.Done{Worker: w.id}
-	defer func() {
-		if r := recover(); r != nil {
-			out.Failed = true
-			out.Err = fmt.Sprintf("core: worker %s panicked: %v", w.name, r)
-		}
-	}()
+	defer w.recoverInto(&out)
 	step := w.inj.Begin()
 	if step.Crash {
 		panic(faults.CrashError{Worker: w.id, Iteration: w.inj.Iterations() - 1})
@@ -232,16 +206,7 @@ func (x *localExec) iterate(w *realWorker, batch data.Batch, lr float64) (out tr
 	time.Sleep(step.Hang)
 	l := x.l
 	t0 := l.now()
-	switch {
-	case l.cfg.rounds():
-		// The merged wire batch re-splits into local steps of the worker's
-		// batch size: one round share on w's private replica.
-		out.Updates, out.Dropped = x.step.localRound(&w.lanes[0], l.global, w.replica, splitBatch(batch, w.wc.InitialBatch), lr)
-	case w.wc.Device.Kind() == device.KindCPU:
-		out.Updates, out.Dropped = x.cpuIteration(w, batch, lr, step.Corrupt)
-	default:
-		out.Updates, out.Dropped = x.gpuIteration(w, batch, lr, step.Corrupt)
-	}
+	out.Updates, out.Dropped = x.step.iterate(w, l.global, batch, lr, step.Corrupt)
 	t1 := l.now()
 	l.tel.Span(w.id, telemetry.KindGradient, t0, t1-t0, int64(batch.Size()))
 	l.tel.Span(w.id, telemetry.KindApply, t1, 0, int64(out.Updates))
@@ -250,32 +215,28 @@ func (x *localExec) iterate(w *realWorker, batch data.Batch, lr float64) (out tr
 	return out
 }
 
-// cpuIteration runs one CPU Hogbatch iteration with live parallelism: the
-// batch splits into Threads sub-batches handed to the worker's lane
-// goroutines, each applying its gradient directly to the shared model.
-// corrupt poisons every lane's gradient, exercising the guard's drop path.
-// Every lane goes through its channel while this goroutine parks in Wait —
-// running one inline leaves the lane it woke stranded behind it on the same
-// P. A panic on any lane is re-raised here after the remaining lanes finish,
-// so the engine-level recovery sees it.
-func (x *localExec) cpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
-	t := min(len(w.lanes), batch.Size())
+// fan runs a CPU dispatch's t sub-batches on w's lane goroutines, each
+// applying its gradient — computed against read — straight to write, and
+// returns how many landed. Every lane goes through its channel while this
+// goroutine parks in Wait — running one inline leaves the lane it woke
+// stranded behind it on the same P. A panic on any lane is re-raised here
+// after the remaining lanes finish, so the engine-level recovery sees it.
+func (w *worker) fan(read, write *nn.Params, batch data.Batch, t int, lr float64, corrupt bool) int {
 	w.updates.Store(0)
 	w.busy.Add(t)
 	for i := 0; i < t; i++ {
-		w.jobs[i] <- laneJob{laneSub(&w.lanes[i], batch, i, t), lr, corrupt}
+		w.jobs[i] <- laneJob{laneSub(&w.lanes[i], batch, i, t), read, write, lr, corrupt}
 	}
 	w.busy.Wait()
 	if p := w.panicked.Swap(nil); p != nil {
 		panic(*p)
 	}
-	updates = int(w.updates.Load())
-	return updates, t - updates
+	return int(w.updates.Load())
 }
 
-// laneLoop is a lane's goroutine: its share of every cpuIteration until the
-// worker closes jobs. A panic ends it — the worker it belongs to is dead.
-func (x *localExec) laneLoop(w *realWorker, ln *lane, jobs <-chan laneJob) {
+// laneLoop is a lane's goroutine: its share of every fanned dispatch until
+// the worker closes jobs. A panic ends it — the worker it belongs to is dead.
+func (x *localExec) laneLoop(w *worker, ln *lane, jobs <-chan laneJob) {
 	defer x.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
@@ -284,25 +245,11 @@ func (x *localExec) laneLoop(w *realWorker, ln *lane, jobs <-chan laneJob) {
 		}
 	}()
 	for job := range jobs {
-		if x.step.run(ln, x.l.global, x.l.global, job.sub, job.lr, 1, job.corrupt) {
+		if x.step.run(ln, job.read, job.write, job.sub, job.lr, 1, job.corrupt) {
 			w.updates.Add(1)
 		}
 		w.busy.Done()
 	}
-}
-
-// gpuIteration runs one large-batch iteration through the deep-replica
-// path: copy the model, compute the batch gradient against the replica with
-// maximal intra-op parallelism, and push the update to the global model.
-func (x *localExec) gpuIteration(w *realWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
-	mu := x.modelLock(false)
-	mu.Lock()
-	w.replica.CopyFrom(x.l.global)
-	mu.Unlock()
-	if x.step.run(&w.lanes[0], w.replica, x.l.global, batch, lr, x.l.gemm, corrupt) {
-		return 1, 0
-	}
-	return 0, 1
 }
 
 func (x *localExec) attach(context.Context) ([]int, error) {
@@ -312,7 +259,7 @@ func (x *localExec) attach(context.Context) ([]int, error) {
 	return nil, nil
 }
 
-func (x *localExec) decorate(w transport.Work) transport.Work { return w }
+func (x *localExec) decorate(_ int, w transport.Work) transport.Work { return w }
 
 // deadline is the watchdog's, in wall time.
 func (x *localExec) deadline(id, size int) time.Duration { return x.l.watchdogDeadline(id, size) }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"heterosgd/internal/data"
 	"heterosgd/internal/device"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/nn"
@@ -58,7 +57,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	// run exports a byte-identical Chrome trace.
 	l.gemm = 1
 	l.exec, x.l = x, l
-	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode}
+	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds()}
 	if cfg.svrgAnchor() {
 		x.step.svrg = newSVRGState(r.net)
 	}
@@ -75,31 +74,17 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	return l.loop()
 }
 
-// simWorker is one worker's state inside the discrete-event engine. A worker
-// holds at most one virtual iteration at a time (a quarantined or evicted
-// one gets no work until its straggler completes), so everything about the
-// iteration in progress lives here rather than in a per-dispatch record.
-type simWorker struct {
-	id   int
-	name string
-	wc   WorkerConfig
-	// lane holds the workspace, gradient, and optimizer state; the
-	// event-driven engine runs a worker's sub-batches one after another, so
-	// one lane serves them all.
-	lane
-	// replica is the deep-copy buffer: a deep-replica CPU worker's read
-	// model (an ablation of the paper's reference-replica design), the
-	// private model a round's local steps run on, or DC-ASGD's retained
-	// dispatch-time model w_then.
-	replica *nn.Params
-	// inj injects this worker's scheduled faults (nil = none).
-	inj *faults.Injector
-	// done is the completion of the iteration in progress; deliver hands it
-	// to the coordinator when the iteration's virtual time is up.
+// simIter is the virtual iteration a worker has in progress. A worker holds
+// at most one at a time (a quarantined or evicted one gets no work until its
+// straggler completes), so it lives beside the worker rather than in a
+// per-dispatch record.
+type simIter struct {
+	// done is the iteration's completion; deliver hands it to the
+	// coordinator when the iteration's virtual time is up.
 	done    transport.Done
 	deliver func()
-	// deferred marks an iteration whose update lands at completion (deep
-	// replica): lr is its learning rate, seen the run's update count when its
+	// deferred marks an iteration whose update lands at completion (a deep
+	// step): lr is its learning rate, seen the run's update count when its
 	// gradient was taken.
 	deferred bool
 	lr       float64
@@ -112,7 +97,8 @@ type simWorker struct {
 type simExec struct {
 	l       *coordLoop
 	eng     *simclock.Engine
-	workers []*simWorker
+	workers []*worker
+	iters   []simIter // by worker id
 	step    laneStep
 	evalDev device.Device
 	// evalDebt is the evaluation time excluded from the convergence clock so
@@ -171,27 +157,29 @@ func (x *simExec) attach(context.Context) ([]int, error) {
 // spawn builds worker id's state; elastic joiners take the same path as the
 // initial set. Nothing here draws random numbers (every init is zero or a
 // clone), so a mid-run join does not perturb the shuffle or init streams —
-// a determinism requirement.
+// a determinism requirement. The engine runs a worker's sub-batches one
+// after another, so one lane serves them all.
 func (x *simExec) spawn(id int) {
 	cfg, global := x.l.cfg, x.l.global
 	wc := cfg.Workers[id]
-	w := &simWorker{id: id, name: x.l.name(id), wc: wc, inj: cfg.Faults.ForWorker(id)}
-	w.lane = newLane(cfg, global, min(wc.MaxBatch, x.l.ds.N()))
-	cpu := wc.Device.Kind() == device.KindCPU
-	if cfg.rounds() || (wc.DeepReplica && (cpu || x.step.dc != 0)) {
+	w := newWorker(cfg, id, x.l.name(id), wc, 1, min(wc.MaxBatch, x.l.ds.N()))
+	// A deep step's gradient is taken against the live model at Send — the
+	// instant its copy would be taken — so it needs a replica only to keep
+	// DC-ASGD's w_then.
+	if x.step.readsCopy(w) && (!x.step.deepStep(w) || x.step.dc != 0) {
 		w.replica = global.Clone()
 	}
-	if x.step.svrg != nil && cpu {
-		w.scratch = x.l.net.NewParams(nn.InitZero, nil)
-	}
-	w.deliver = func() {
-		x.out = w.done
-		x.msg.Done = &x.out
+	if x.step.svrg != nil && w.threads > 0 {
+		w.lanes[0].scratch = x.l.net.NewParams(nn.InitZero, nil)
 	}
 	x.workers = append(x.workers, w)
+	x.iters = append(x.iters, simIter{deliver: func() {
+		x.out = x.iters[id].done
+		x.msg.Done = &x.out
+	}})
 }
 
-func (x *simExec) decorate(w transport.Work) transport.Work { return w }
+func (x *simExec) decorate(_ int, w transport.Work) transport.Work { return w }
 
 // deadline is the watchdog's, in virtual time: only an injected hang can
 // miss it, since it derives from the cost model that produces the duration.
@@ -211,85 +199,84 @@ func (x *simExec) shutdown() {}
 // fault, books the device for the modeled duration, does the arithmetic that
 // happens at dispatch time, and schedules the completion.
 func (x *simExec) Send(id int, m transport.Work) error {
-	l, w := x.l, x.workers[id]
-	batch := l.ds.View(m.Lo, m.Hi)
-	w.done = transport.Done{Worker: id, Seq: m.Seq}
+	l, w, it := x.l, x.workers[id], &x.iters[id]
+	batch := l.ds.ViewInto(&w.view, m.Lo, m.Hi)
+	it.done = transport.Done{Worker: id, Seq: m.Seq}
 	fault := w.inj.Begin()
 	if fault.Crash {
 		// The worker dies before computing anything. The simulated engine
 		// reports the injected crash itself — there is no goroutine to panic.
-		w.done.Failed = true
-		w.done.Err = faults.CrashError{Worker: id, Iteration: w.inj.Iterations() - 1}.Error()
-		x.eng.Schedule(0, w.deliver)
+		it.done.Failed, it.done.Err = true, faults.CrashError{Worker: id, Iteration: w.inj.Iterations() - 1}.Error()
+		x.eng.Schedule(0, it.deliver)
 		return nil
 	}
-	steps := []data.Batch{batch}
-	if l.cfg.rounds() {
-		steps = splitBatch(batch, w.wc.InitialBatch)
+	// A round share takes one local step per InitialBatch-sized piece, any
+	// other dispatch one of the whole batch.
+	size, step := batch.Size(), 0
+	if x.step.rounds {
+		step = w.wc.InitialBatch
 	}
 	dur := fault.Hang
-	for _, sb := range steps {
-		dur += w.wc.Device.IterTime(l.net.Arch, sb.Size(), l.modelBytes)
+	for lo, hi := 0, 0; lo < size; lo = hi {
+		hi = pieceEnd(lo, size, step)
+		dur += w.wc.Device.IterTime(l.net.Arch, hi-lo, l.modelBytes)
 	}
 	now := x.eng.Now()
-	l.tel.Span(id, telemetry.KindGradient, now, dur, int64(batch.Size()))
-	l.util.AddBusy(w.name, now, now+dur, w.wc.Device.Utilization(l.net.Arch, steps[0].Size()))
+	l.tel.Span(id, telemetry.KindGradient, now, dur, int64(size))
+	l.util.AddBusy(w.name, now, now+dur, w.wc.Device.Utilization(l.net.Arch, pieceEnd(0, size, step)))
 
 	switch {
-	case l.cfg.rounds():
-		// One round share: each step is one local SGD step on the private
-		// replica; the round barrier averages the replicas.
-		w.done.Updates, w.done.Dropped = x.step.localRound(&w.lane, l.global, w.replica, steps, m.LR)
-	case w.wc.Device.Kind() == device.KindCPU:
-		// Reference replica: the sub-batch gradients update the shared model
-		// one after another, now — sequentialized Hogwild, the event-driven
-		// equivalent of Algorithm 2's parallel loop.
-		w.done.Updates, w.done.Dropped = cpuIteration(&x.step, l.global, w, batch, m.LR, fault.Corrupt)
+	case !x.step.deepStep(w):
+		// A round share, or a CPU iteration whose sub-batch gradients update
+		// the shared model one after another, now — sequentialized Hogwild,
+		// the event-driven equivalent of Algorithm 2's parallel loop.
+		it.done.Updates, it.done.Dropped = x.step.iterate(w, l.global, batch, m.LR, fault.Corrupt)
 	case x.step.svrg != nil:
 		// SVRG GPU worker: its large batch becomes the anchor sample. w̃ and
 		// μ are computed against the dispatch-time model and become visible
 		// to CPU workers at completion — the "rare jump using a compass"
 		// (§II) as an explicit anchor refresh.
-		x.step.svrg.beginAnchor(l.net, l.global, w.ws, batch)
-		w.deferred = true
+		x.step.svrg.beginAnchor(l.net, l.global, w.lanes[0].ws, batch)
+		it.deferred = true
 	default:
-		// Deep replica: the gradient is computed against the model as of
-		// dispatch time — the state the replica was copied from — and
+		// Deep step: the gradient is computed against the model as of
+		// dispatch time — the state the replica would be copied from — and
 		// applied when the iteration completes, which is how replica
 		// staleness arises (§VI-B).
-		x.step.gradient(&w.lane, l.global, batch, 1, fault.Corrupt)
-		if x.step.dc != 0 && w.replica != nil {
+		x.step.gradient(&w.lanes[0], l.global, batch, 1, fault.Corrupt)
+		if w.replica != nil {
 			w.replica.CopyFrom(l.global)
 		}
-		w.deferred, w.lr, w.seen = true, m.LR, l.raw.Total()
+		it.deferred, it.lr, it.seen = true, m.LR, l.raw.Total()
 	}
-	if n := w.done.Updates; n > 0 {
+	if n := it.done.Updates; n > 0 {
 		l.raw.Add(w.name, int64(n))
 	}
-	x.eng.Schedule(dur, w.deliver)
+	x.eng.Schedule(dur, it.deliver)
 	return nil
 }
 
-// accept lands a deep-replica iteration's update in the model — it had to
-// wait for the iteration's virtual time to pass — and credits the scheduler.
-// A quarantined or evicted straggler's update lands too: the documented
+// accept lands a deep step's update in the model — it had to wait for the
+// iteration's virtual time to pass — and credits the scheduler. A
+// quarantined or evicted straggler's update lands too: the documented
 // at-least-once of shared memory.
 func (x *simExec) accept(msg *transport.Done, _ *inflightDispatch) {
-	l, w := x.l, x.workers[msg.Worker]
-	if w.deferred {
-		w.deferred = false
-		lr, read := w.lr, l.global
+	l, w, it := x.l, x.workers[msg.Worker], &x.iters[msg.Worker]
+	if it.deferred {
+		it.deferred = false
+		lr, read := it.lr, l.global
 		if d := l.cfg.StaleDamping; d > 0 {
-			lr /= 1 + d*float64(l.raw.Total()-w.seen)
+			lr /= 1 + d*float64(l.raw.Total()-it.seen)
 		}
-		if x.step.dc != 0 && w.replica != nil {
+		if w.replica != nil {
+			// DC-ASGD: the gradient was taken at w_then.
 			read = w.replica
 		}
 		switch {
 		case x.step.svrg != nil:
 			x.step.svrg.publishAnchor()
 			msg.Updates = 1
-		case x.step.apply(&w.lane, read, l.global, lr):
+		case x.step.apply(&w.lanes[0], read, l.global, lr):
 			msg.Updates = 1
 		default:
 			msg.Dropped = 1
@@ -326,26 +313,3 @@ func (x *simExec) Recv(wait time.Duration) (transport.Msg, transport.RecvStatus)
 // at the next scheduling point. Close has nothing to close.
 func (x *simExec) Wake()        {}
 func (x *simExec) Close() error { return nil }
-
-// cpuIteration performs one CPU Hogbatch iteration: split the batch into
-// the worker's Threads sub-batches and apply each sub-batch gradient to the
-// shared model in turn. Returns the number of model updates performed.
-//
-// With a reference replica (the default, §V) each sub-batch gradient is
-// computed against the live shared model; with a deep replica (ablation)
-// all gradients are computed against a snapshot taken at dispatch, so
-// intra-batch updates do not see each other.
-//
-// corrupt poisons every sub-batch gradient (fault injection); with guards
-// enabled, non-finite gradients are discarded before reaching the model
-// and counted in dropped.
-func cpuIteration(step *laneStep, global *nn.Params, w *simWorker, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
-	t := min(max(w.wc.Threads, 1), batch.Size())
-	readModel := global
-	if w.replica != nil {
-		w.replica.CopyFrom(global)
-		readModel = w.replica
-	}
-	updates = step.split(&w.lane, readModel, global, batch, t, lr, 1, corrupt)
-	return updates, t - updates
-}

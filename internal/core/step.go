@@ -1,18 +1,22 @@
 package core
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"heterosgd/internal/data"
+	"heterosgd/internal/device"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/opt"
 	"heterosgd/internal/tensor"
+	"heterosgd/internal/transport"
 )
 
 // lane is the private state of one gradient lane: a workspace, a gradient
 // buffer, and — for non-SGD update rules — the optimizer with its delta
-// buffer. A CPU worker owns one lane per sub-batch thread; every other
+// buffer. A live CPU worker owns one lane per sub-batch thread; every other
 // worker owns one.
 type lane struct {
 	ws    *nn.Workspace
@@ -25,16 +29,73 @@ type lane struct {
 	views data.Views
 }
 
-// newLane builds a lane whose workspace holds up to rows examples. Nothing
-// here draws random numbers (zero-inits only), so building a lane for an
-// elastic joiner never perturbs the deterministic init or shuffle streams.
-func newLane(cfg *Config, global *nn.Params, rows int) lane {
-	l := lane{ws: cfg.Net.NewWorkspace(rows), grad: cfg.Net.NewParams(nn.InitZero, nil)}
-	if cfg.Optimizer != opt.KindSGD {
-		l.optim = opt.New(cfg.Optimizer, global, cfg.OptimizerHP)
-		l.delta = cfg.Net.NewParams(nn.InitZero, nil)
+// worker is one worker's state on every engine — the paper's worker thread
+// (§V). RunSim, RunReal and RunClusterWorker build it with newWorker and run
+// each dispatch through laneStep.iterate.
+type worker struct {
+	id   int
+	name string
+	wc   WorkerConfig
+	// threads is how many sub-batches a dispatch splits into: the CPU's
+	// Threads, or 0 for any other device, whose dispatch is one step on a
+	// private copy of the model. A cluster worker process, which has no
+	// device model, takes it from each dispatch.
+	threads int
+	inj     *faults.Injector // this worker's scheduled faults (nil = none)
+	// lanes holds one lane per thread of a live CPU worker and one
+	// otherwise: the other engines run a dispatch's sub-batches in turn.
+	lanes []lane
+	// replica is the deep-copy buffer: the dispatch-time model a deep step
+	// or a deep-replica CPU reads, the private model a round's local steps
+	// run on, or DC-ASGD's retained w_then. Nil when nothing reads one.
+	replica *nn.Params
+	view    data.Views // header of the dispatched batch
+	// A live CPU worker's lanes each run on a goroutine of their own for as
+	// long as the worker's does: jobs[i] feeds lane i, busy counts the lanes
+	// still inside the current dispatch, updates the sub-batches that landed,
+	// and panicked keeps the first panic a lane recovered. Nil jobs: the
+	// lanes run in turn on the worker's goroutine.
+	jobs     []chan laneJob
+	busy     sync.WaitGroup
+	updates  atomic.Int64
+	panicked atomic.Pointer[any]
+}
+
+// cpuThreads is how many sub-batches a dispatch of wc's splits into: the
+// CPU's Threads, at least one; 0 for any other device, and for a worker with
+// no device model.
+func cpuThreads(wc WorkerConfig) int {
+	if wc.Device == nil || wc.Device.Kind() != device.KindCPU {
+		return 0
 	}
-	return l
+	return max(wc.Threads, 1)
+}
+
+// newWorker builds worker id's state the same way on every engine: n lanes
+// whose workspaces hold rows examples each, with the optimizer state of a
+// non-SGD rule. The engine adds the replica its dispatches read (see
+// readsCopy) and, on the live engine, the lane goroutines. Nothing here
+// draws random numbers (zero-inits only), so building an elastic joiner
+// never perturbs the deterministic init or shuffle streams.
+func newWorker(cfg *Config, id int, name string, wc WorkerConfig, n, rows int) *worker {
+	w := &worker{id: id, name: name, wc: wc, threads: cpuThreads(wc), inj: cfg.Faults.ForWorker(id), lanes: make([]lane, n)}
+	for i := range w.lanes {
+		l := &w.lanes[i]
+		l.ws, l.grad = cfg.Net.NewWorkspace(rows), cfg.Net.NewParams(nn.InitZero, nil)
+		if cfg.Optimizer != opt.KindSGD {
+			l.optim, l.delta = opt.New(cfg.Optimizer, l.grad, cfg.OptimizerHP), cfg.Net.NewParams(nn.InitZero, nil)
+		}
+	}
+	return w
+}
+
+// recoverInto is deferred around a dispatch on the live engines: a panic —
+// an injected crash or a genuine fault — becomes the Done{Failed} the
+// coordinator re-dispatches on, instead of killing the process.
+func (w *worker) recoverInto(out *transport.Done) {
+	if r := recover(); r != nil {
+		*out = transport.Done{Worker: out.Worker, Seq: out.Seq, Failed: true, Err: fmt.Sprintf("core: worker %s panicked: %v", w.name, r)}
+	}
 }
 
 // laneStep is the per-lane update rule of a run: the one sequence every
@@ -45,6 +106,11 @@ type laneStep struct {
 	decay float64 // Config.WeightDecay
 	guard bool    // drop non-finite gradients before they reach the model
 	mode  tensor.UpdateMode
+	// gemm is the GEMM parallelism of a step the worker's own goroutine
+	// takes; lane goroutines, running side by side, take theirs on one.
+	gemm int
+	// rounds makes every dispatch a round share (Config.rounds()).
+	rounds bool
 	// mu guards shared — the live model — in UpdateLocked mode; nil when the
 	// engine needs no lock. Private replicas are never locked.
 	mu     *sync.RWMutex
@@ -52,6 +118,61 @@ type laneStep struct {
 	// dc is DC-ASGD's λ, applied to gradients computed against a replica.
 	dc   float64
 	svrg *svrgState
+}
+
+// deepStep reports whether a dispatch of w's is one step on a copy of the
+// model: any device but a CPU, outside a round.
+func (s *laneStep) deepStep(w *worker) bool { return !s.rounds && w.threads == 0 }
+
+// readsCopy reports whether w's dispatches read a private copy of the model,
+// which w.replica holds: a round share, a deep step, or a deep-replica CPU.
+func (s *laneStep) readsCopy(w *worker) bool {
+	return s.rounds || w.threads == 0 || w.wc.DeepReplica
+}
+
+// iterate runs one dispatch of batch on w against model — the live model of
+// an in-process engine, or a cluster worker's decoded copy — and returns how
+// many updates landed and how many the guard dropped. It is the one place a
+// dispatch's shape is decided. In a round it is one round share on w's
+// private replica. Otherwise it is t sub-batch steps, each writing the model:
+// a CPU's min(threads, size), reading the model itself — or, with
+// DeepReplica, the copy taken now — on w's lane goroutines when it has them,
+// in turn otherwise; any other device's one, reading the copy taken now.
+func (s *laneStep) iterate(w *worker, model *nn.Params, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
+	if s.rounds {
+		return s.localRound(&w.lanes[0], model, w.replica, batch, w.wc.InitialBatch, lr)
+	}
+	t, read := min(max(w.threads, 1), batch.Size()), model
+	if s.readsCopy(w) {
+		s.snapshot(w.replica, model)
+		read = w.replica
+	}
+	if w.jobs != nil {
+		updates = w.fan(read, model, batch, t, lr, corrupt)
+	} else {
+		// A lone step takes the GEMM parallelism s.gemm; sub-batches in turn
+		// take one each, like lanes running side by side.
+		gemm := s.gemm
+		if t > 1 {
+			gemm = 1
+		}
+		for i := 0; i < t; i++ {
+			if s.run(&w.lanes[0], read, model, laneSub(&w.lanes[0], batch, i, t), lr, gemm, corrupt) {
+				updates++
+			}
+		}
+	}
+	return updates, t - updates
+}
+
+// snapshot copies model into dst under the read discipline: the read lock
+// in locked mode, plainly otherwise — as unsynchronized as Hogwild's reads.
+func (s *laneStep) snapshot(dst, model *nn.Params) {
+	if s.mu != nil {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	dst.CopyFrom(model)
 }
 
 // run performs one update: the gradient half, then the apply half. It
@@ -113,20 +234,17 @@ func (s *laneStep) apply(l *lane, read, write *nn.Params, lr float64) bool {
 	return true
 }
 
-// localRound performs one round share on a private replica: copy
-// the global model, then take one plain-SGD step per batch. Only the round
-// barrier writes the global model, so the copy races with nothing in
-// atomic/racy modes; locked mode still takes the read lock.
-func (s *laneStep) localRound(l *lane, global, replica *nn.Params, steps []data.Batch, lr float64) (updates, dropped int) {
-	if s.mu != nil {
-		s.mu.RLock()
-	}
-	replica.CopyFrom(global)
-	if s.mu != nil {
-		s.mu.RUnlock()
-	}
-	for _, sb := range steps {
-		if s.run(l, replica, replica, sb, lr, 1, false) {
+// localRound performs one round share on a private replica: copy the global
+// model, then take one plain-SGD step per step-sized piece of batch (see
+// pieceEnd). Only the round barrier writes the global model, so the copy
+// races with nothing in atomic/racy modes; locked mode still takes the read
+// lock.
+func (s *laneStep) localRound(l *lane, global, replica *nn.Params, batch data.Batch, step int, lr float64) (updates, dropped int) {
+	s.snapshot(replica, global)
+	size := batch.Size()
+	for lo, hi := 0, 0; lo < size; lo = hi {
+		hi = pieceEnd(lo, size, step)
+		if s.run(l, replica, replica, batch.SubInto(&l.views, lo, hi), lr, 1, false) {
 			updates++
 		} else {
 			dropped++
@@ -135,24 +253,23 @@ func (s *laneStep) localRound(l *lane, global, replica *nn.Params, steps []data.
 	return updates, dropped
 }
 
+// pieceEnd is the end of the piece starting at row lo when a size-row batch
+// is cut into consecutive pieces of maxSize rows, the last shorter; a
+// maxSize ≤ 0 leaves the batch whole. It is the one rule for a round's local
+// steps, their simulated duration, and splitBatch.
+func pieceEnd(lo, size, maxSize int) int {
+	if maxSize <= 0 {
+		return size
+	}
+	return min(lo+maxSize, size)
+}
+
 // laneSub returns the i-th of t near-equal consecutive sub-batches of batch
 // (t ≤ batch.Size(), so none is empty) as a view held in l's storage: valid
 // until l takes its next sub-batch.
 func laneSub(l *lane, batch data.Batch, i, t int) data.Batch {
 	size := batch.Size()
 	return batch.SubInto(&l.views, i*size/t, (i+1)*size/t)
-}
-
-// split runs batch as t consecutive sub-batches on the one lane l — the
-// sequential form of a CPU iteration — and returns how many updates landed;
-// the guard dropped the other t − landed.
-func (s *laneStep) split(l *lane, read, write *nn.Params, batch data.Batch, t int, lr float64, gemm int, corrupt bool) (landed int) {
-	for i := 0; i < t; i++ {
-		if s.run(l, read, write, laneSub(l, batch, i, t), lr, gemm, corrupt) {
-			landed++
-		}
-	}
-	return landed
 }
 
 // applyStep applies one gradient step to a model: the plain SGD fast path

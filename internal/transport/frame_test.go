@@ -44,15 +44,15 @@ func TestFrameGoldenBytes(t *testing.T) {
 	}{
 		{
 			"work", KindWork,
-			EncodeWork(Work{Seq: 42, Epoch: 3, Lo: 128, Hi: 192, LR: 0.0625, SentNS: 1_500_000_000, Params: []byte{0xde, 0xad, 0xbe, 0xef}}),
-			"3146474801030000340000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f68590000000004000000deadbeef21be8114",
+			EncodeWork(Work{Seq: 42, Epoch: 3, Lo: 128, Hi: 192, LR: 0.0625, SentNS: 1_500_000_000, Lanes: 4, Params: []byte{0xde, 0xad, 0xbe, 0xef}}),
+			"3146474802030000380000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f6859000000000400000004000000deadbeef6012de9f",
 		},
 		{
 			"done", KindDone,
 			EncodeDone(Done{Worker: 1, Seq: 42, Updates: 4, Dropped: 1, Failed: true, Err: "boom", Delta: []byte{1, 2}}),
-			"314647480104000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d0200000001029f78d1a8",
+			"314647480204000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d0200000001022ad48b28",
 		},
-		{"heartbeat", KindHeartbeat, nil, "314647480106000000000000cae7f27c"},
+		{"heartbeat", KindHeartbeat, nil, "31464748020600000000000029e07df2"},
 	}
 	for _, c := range cases {
 		got := hex.EncodeToString(mustFrame(t, c.kind, c.pay))
@@ -73,8 +73,8 @@ func TestLinkWritersGoldenBytes(t *testing.T) {
 		w   Work
 		hex string
 	}{
-		{Work{Seq: 42, Epoch: 3, Lo: 128, Hi: 192, LR: 0.0625, SentNS: 1_500_000_000, Params: []byte{0xde, 0xad, 0xbe, 0xef}},
-			"3146474801030000340000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f68590000000004000000deadbeef21be8114"},
+		{Work{Seq: 42, Epoch: 3, Lo: 128, Hi: 192, LR: 0.0625, SentNS: 1_500_000_000, Lanes: 4, Params: []byte{0xde, 0xad, 0xbe, 0xef}},
+			"3146474802030000380000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f6859000000000400000004000000deadbeef6012de9f"},
 		{Work{Seq: 7, Lo: 0, Hi: 64, LR: 0.01, Params: blob}, ""},
 		{Work{Seq: 8}, ""},
 	}
@@ -95,7 +95,7 @@ func TestLinkWritersGoldenBytes(t *testing.T) {
 		hex string
 	}{
 		{Done{Worker: 1, Seq: 42, Updates: 4, Dropped: 1, Failed: true, Err: "boom", Delta: []byte{1, 2}},
-			"314647480104000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d0200000001029f78d1a8"},
+			"314647480204000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d0200000001022ad48b28"},
 		{Done{Worker: 1, Seq: 7, Updates: 1, Delta: blob}, ""},
 		{Done{Seq: 8}, ""},
 	}
@@ -235,7 +235,7 @@ func mustFrameBytes(kind Kind, payload []byte) []byte {
 func FuzzDecodeMessages(f *testing.F) {
 	f.Add(EncodeWork(Work{Seq: 1, Lo: 2, Hi: 3, Params: []byte{9}}))
 	f.Add(EncodeDone(Done{Worker: 1, Seq: 2, Err: "e", Delta: []byte{1}}))
-	f.Add(EncodeWelcome(Welcome{Seed: 3, Threads: 2}))
+	f.Add(EncodeWelcome(Welcome{Seed: 3, LaneRows: 2}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		DecodeWork(raw)
@@ -247,13 +247,13 @@ func FuzzDecodeMessages(f *testing.F) {
 }
 
 func TestMessageRoundTrips(t *testing.T) {
-	w := Work{Seq: 99, Epoch: 2, Lo: 10, Hi: 74, LR: 0.125, SentNS: 12345, Params: []byte{1, 2, 3}}
+	w := Work{Seq: 99, Epoch: 2, Lo: 10, Hi: 74, LR: 0.125, SentNS: 12345, Lanes: 56, Params: []byte{1, 2, 3}}
 	gotW, err := DecodeWork(EncodeWork(w))
 	if err != nil {
 		t.Fatalf("work: %v", err)
 	}
 	if gotW.Seq != w.Seq || gotW.Epoch != w.Epoch || gotW.Lo != w.Lo || gotW.Hi != w.Hi ||
-		gotW.LR != w.LR || gotW.SentNS != w.SentNS || !bytes.Equal(gotW.Params, w.Params) {
+		gotW.LR != w.LR || gotW.SentNS != w.SentNS || gotW.Lanes != w.Lanes || !bytes.Equal(gotW.Params, w.Params) {
 		t.Fatalf("work round trip: %+v != %+v", gotW, w)
 	}
 	d := Done{Worker: 3, Seq: 99, Updates: 7, Dropped: 2, Failed: true, Err: "kaput", Delta: []byte{4, 5}}
@@ -265,7 +265,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		gotD.Dropped != d.Dropped || gotD.Failed != d.Failed || gotD.Err != d.Err || !bytes.Equal(gotD.Delta, d.Delta) {
 		t.Fatalf("done round trip: %+v != %+v", gotD, d)
 	}
-	wl := Welcome{Seed: 11, HeartbeatNS: 5e8, Shuffle: true, Threads: 4, MaxBatch: 256, Worker: 7}
+	wl := Welcome{Seed: 11, HeartbeatNS: 5e8, Shuffle: true, LaneRows: 4, MaxBatch: 256, Worker: 7}
 	gotWl, err := DecodeWelcome(EncodeWelcome(wl))
 	if err != nil || gotWl != wl {
 		t.Fatalf("welcome round trip: %+v != %+v (%v)", gotWl, wl, err)

@@ -26,6 +26,10 @@ type Work struct {
 	// SentNS is the coordinator's dispatch timestamp (engine clock,
 	// nanoseconds) for queue-wait accounting.
 	SentNS int64
+	// Lanes is how many sub-batches the worker splits the batch into: a CPU
+	// worker's Threads, 1 for any other device. The coordinator fills it for
+	// worker processes, which have no device model of their own.
+	Lanes  int
 	Params []byte
 }
 
@@ -69,7 +73,10 @@ type Welcome struct {
 	Seed        uint64
 	HeartbeatNS int64
 	Shuffle     bool
-	Threads     int
+	// LaneRows is the largest sub-batch one lane takes under the lane
+	// counts the coordinator puts on its dispatches; MaxBatch the largest
+	// batch. A worker sizes its workspace from them before any dispatch.
+	LaneRows    int
 	MaxBatch    int
 	Worker      int
 	Resume      bool
@@ -161,7 +168,7 @@ func (c *cursor) done() error {
 
 // workHeadLen is the Work payload up to and including the length prefix of
 // Params — everything but the blob itself.
-const workHeadLen = 48
+const workHeadLen = 52
 
 // appendWorkHead appends w's payload short of the Params bytes.
 func appendWorkHead(b []byte, w Work) []byte {
@@ -171,6 +178,7 @@ func appendWorkHead(b []byte, w Work) []byte {
 	b = appendU64(b, uint64(int64(w.Hi)))
 	b = appendU64(b, math.Float64bits(w.LR))
 	b = appendU64(b, uint64(w.SentNS))
+	b = appendU32(b, uint32(int32(w.Lanes)))
 	return appendU32(b, uint32(len(w.Params)))
 }
 
@@ -191,6 +199,7 @@ func DecodeWork(p []byte) (Work, error) {
 	}
 	w.LR = math.Float64frombits(c.u64())
 	w.SentNS = int64(c.u64())
+	w.Lanes = int(int32(c.u32()))
 	w.Params = c.bytes()
 	if err := c.done(); err != nil {
 		return Work{}, fmt.Errorf("work: %w", err)
@@ -276,7 +285,7 @@ func EncodeWelcome(w Welcome) []byte {
 		shuffle = 1
 	}
 	b = appendU32(b, shuffle)
-	b = appendU32(b, uint32(int32(w.Threads)))
+	b = appendU32(b, uint32(int32(w.LaneRows)))
 	b = appendU32(b, uint32(int32(w.MaxBatch)))
 	b = appendU32(b, uint32(int32(w.Worker)))
 	var resume uint32
@@ -297,7 +306,7 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 		HeartbeatNS: int64(c.u64()),
 	}
 	w.Shuffle = c.u32() != 0
-	w.Threads = int(int32(c.u32()))
+	w.LaneRows = int(int32(c.u32()))
 	w.MaxBatch = int(int32(c.u32()))
 	w.Worker = int(int32(c.u32()))
 	w.Resume = c.u32() != 0

@@ -81,7 +81,7 @@ func recvDoneMsg(t *testing.T, tr Transport, timeout time.Duration) Msg {
 func TestTCPDispatchComplete(t *testing.T) {
 	coord, err := ListenTCP("127.0.0.1:0", 1, TCPOptions{
 		Heartbeat: 50 * time.Millisecond,
-		Welcome:   Welcome{Seed: 9, Shuffle: true, Threads: 2},
+		Welcome:   Welcome{Seed: 9, Shuffle: true, LaneRows: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -134,57 +134,40 @@ func (c *coordinator) peerRange(id int) (minU, maxU int64, ok bool) {
 	return minU, maxU, ok
 }
 
-// adapt applies Algorithm 2's batch-size update for worker id: a worker
-// lagging every other worker's update count gets a smaller batch (more,
-// noisier updates); a worker leading every other gets a larger one. The new
-// size is clamped to the worker's [MinBatch, MaxBatch] thresholds.
+// adapt applies the update-count policy for worker id: a worker lagging
+// every other worker's update count gets a smaller batch under Algorithm 2
+// (more, noisier updates) or a larger learning rate under AdaptiveLR; a
+// worker leading every other gets the reverse. The batch is clamped to the
+// worker's [MinBatch, MaxBatch] thresholds, the multiplier to [1/16, 16]×.
 func (c *coordinator) adapt(id int) {
-	if !c.cfg.adaptive() || len(c.batch) < 2 {
+	if !c.cfg.adaptive() && !c.cfg.adaptsLR() || len(c.batch) < 2 {
 		return
 	}
 	minU, maxU, ok := c.peerRange(id)
-	if !ok {
-		// No live peers to compare against (sole survivor).
+	lag := c.updates[id] < minU
+	if !ok || !lag && c.updates[id] <= maxU {
+		// No live peers to compare against (sole survivor), or neither
+		// lagging nor leading.
 		return
 	}
-	w := c.cfg.Workers[id]
-	old := c.batch[id]
-	switch {
-	case c.updates[id] < minU:
-		b := int(float64(c.batch[id]) / c.cfg.Alpha)
-		if b < w.MinBatch {
-			b = w.MinBatch
+	if c.cfg.adaptsLR() {
+		const clamp = 16
+		if lag {
+			c.lrMult[id] = min(c.lrMult[id]*c.cfg.Alpha, clamp)
+		} else {
+			c.lrMult[id] = max(c.lrMult[id]/c.cfg.Alpha, 1.0/clamp)
 		}
-		c.batch[id] = b
-	case c.updates[id] > maxU:
-		b := int(float64(c.batch[id]) * c.cfg.Alpha)
-		if b > w.MaxBatch {
-			b = w.MaxBatch
-		}
-		c.batch[id] = b
+		return
 	}
-	if c.batch[id] != old {
+	w, b := c.cfg.Workers[id], c.batch[id]
+	if lag {
+		b = max(int(float64(b)/c.cfg.Alpha), w.MinBatch)
+	} else {
+		b = min(int(float64(b)*c.cfg.Alpha), w.MaxBatch)
+	}
+	if b != c.batch[id] {
+		c.batch[id] = b
 		c.resizes[id]++
-	}
-}
-
-// adaptLR applies the AdaptiveLR comparator's policy: the update-count
-// leader's learning rate shrinks by α, the laggard's grows, clamped to
-// [1/16, 16]× — rate-based balancing in place of batch-based balancing.
-func (c *coordinator) adaptLR(id int) {
-	if !c.cfg.adaptsLR() || len(c.lrMult) < 2 {
-		return
-	}
-	minU, maxU, ok := c.peerRange(id)
-	if !ok {
-		return
-	}
-	const clamp = 16
-	switch {
-	case c.updates[id] < minU:
-		c.lrMult[id] = min(c.lrMult[id]*c.cfg.Alpha, clamp)
-	case c.updates[id] > maxU:
-		c.lrMult[id] = max(c.lrMult[id]/c.cfg.Alpha, 1.0/clamp)
 	}
 }
 
@@ -192,18 +175,22 @@ func (c *coordinator) adaptLR(id int) {
 func (c *coordinator) lrScale(id int) float64 { return c.lrMult[id] }
 
 // scheduleWork handles worker id's ScheduleWork request: apply the adaptive
-// policy, then extract the next batch from the epoch pool. ok is false when
-// the pool is exhausted (the worker must wait for the epoch to end).
-// A trailing fragment smaller than b^E is still assigned, so no example is
-// left behind.
+// policy, then extract the next batch from the epoch pool — in a round, a
+// whole round share of roundSteps batches, which the worker re-splits into
+// local steps of its batch size (rounds never resize). ok is false when the
+// pool is exhausted (the worker must wait for the epoch to end). A trailing
+// fragment smaller than that is still assigned, so no example is left
+// behind.
 func (c *coordinator) scheduleWork(id int) (data.Batch, bool) {
 	c.adapt(id)
-	c.adaptLR(id)
 	remaining := c.n() - c.cursor
 	if remaining <= 0 {
 		return data.Batch{}, false
 	}
 	b := c.batch[id]
+	if c.cfg.rounds() {
+		b *= c.cfg.roundSteps()
+	}
 	if b > remaining {
 		b = remaining
 	}

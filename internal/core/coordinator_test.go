@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -30,19 +31,30 @@ func TestScheduleWorkDrainsEpochExactly(t *testing.T) {
 }
 
 func TestScheduleWorkPartialFinalBatch(t *testing.T) {
-	cfg := tinyConfig(t, AlgHogbatchGPU) // batch 128, N=512 → exact; shrink N
-	cfg.Dataset = cfg.Dataset.Subset(300)
-	c := newCoordinator(&cfg)
-	sizes := []int{}
-	for {
-		b, ok := c.scheduleWork(0)
-		if !ok {
-			break
+	for _, row := range []struct {
+		alg  Algorithm
+		n    int
+		want []int
+	}{
+		// Batch 128 over N=300: the trailing fragment is still assigned.
+		{AlgHogbatchGPU, 300, []int{128, 128, 44}},
+		// A round share is LocalSteps·b = 4·32 rows, the last one clamped.
+		{AlgLocalSGD, 200, []int{128, 72}},
+	} {
+		cfg := tinyConfig(t, row.alg)
+		cfg.Dataset = cfg.Dataset.Subset(row.n)
+		c := newCoordinator(&cfg)
+		sizes := []int{}
+		for {
+			b, ok := c.scheduleWork(0)
+			if !ok {
+				break
+			}
+			sizes = append(sizes, b.Size())
 		}
-		sizes = append(sizes, b.Size())
-	}
-	if len(sizes) != 3 || sizes[2] != 44 {
-		t.Fatalf("batch sizes %v, want [128 128 44]", sizes)
+		if !slices.Equal(sizes, row.want) {
+			t.Fatalf("%s: batch sizes %v, want %v", row.alg, sizes, row.want)
+		}
 	}
 }
 

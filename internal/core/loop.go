@@ -101,12 +101,6 @@ type executor interface {
 	shutdown()
 }
 
-// replicaHolder is implemented by executors whose workers keep private
-// model replicas the round barrier averages.
-type replicaHolder interface {
-	replica(id int) *nn.Params
-}
-
 // nopLocker is the model lock of an engine whose model needs none.
 type nopLocker struct{}
 
@@ -123,6 +117,11 @@ type coordLoop struct {
 	ctx    context.Context
 	budget time.Duration
 	gemm   int
+	// step is the run's per-lane update rule; workers holds, by id, the
+	// in-process workers it runs on (a cluster run's live in other
+	// processes).
+	step    laneStep
+	workers []*worker
 
 	// tr is the delivery accounting; RunCluster publishes it in the Result.
 	tr *TransportReport
@@ -175,6 +174,13 @@ func newCoordLoop(ctx context.Context, r *run, trans transport.Transport, budget
 		tr:     &TransportReport{},
 		busy:   make([]bool, len(r.cfg.Workers)),
 		feed:   make([][]data.Batch, len(r.cfg.Workers)),
+	}
+	l.step = laneStep{net: r.net, decay: r.cfg.WeightDecay, guard: r.cfg.Guards != nil, mode: r.cfg.UpdateMode, gemm: l.gemm, rounds: r.cfg.rounds()}
+	if r.cfg.svrgAnchor() {
+		l.step.svrg = newSVRGState(r.net)
+	}
+	if r.cfg.delayCompensated() {
+		l.step.dc = r.cfg.DCLambda
 	}
 	if r.cfg.rounds() {
 		l.roundSum = r.net.NewParams(nn.InitZero, nil)
@@ -261,6 +267,19 @@ func (l *coordLoop) cloneModel() *nn.Params {
 	return l.global.Clone()
 }
 
+// enlist builds worker id with n lanes of rows examples each, gives it the
+// replica its dispatches read (see readsCopy), and adds it to the workers
+// table.
+func (l *coordLoop) enlist(id, n, rows int) *worker {
+	w := newWorker(l.cfg, id, l.name(id), l.cfg.Workers[id], n, rows)
+	if l.step.readsCopy(w) {
+		// Under the read discipline: a live joiner is built while workers write.
+		w.replica = l.cloneModel()
+	}
+	l.workers = append(l.workers, w)
+	return w
+}
+
 // publishSnap hands the snapshot sink (the serving subsystem's attach point)
 // a copy of the model. It runs on the coordinator, so it never blocks a
 // worker.
@@ -344,7 +363,7 @@ func (l *coordLoop) send(id int, batch data.Batch, staleness int64) {
 	l.flight = append(l.flight, fl)
 	lrB := size
 	if l.cfg.rounds() {
-		// The wire batch is a merged round share; the LR schedule sees its
+		// The wire batch is a whole round share; the LR schedule sees its
 		// first local step.
 		lrB = min(lrB, l.coord.batch[id])
 	}
@@ -399,18 +418,6 @@ func (l *coordLoop) dispatch(id int) bool {
 		return false
 	}
 	l.noteBatch(id, l.elapsed())
-	if l.cfg.rounds() {
-		// One dispatch per round share: up to roundSteps contiguous pool
-		// batches, merged; the worker re-splits them into local steps of its
-		// batch size (InitialBatch — rounds never resize).
-		for k := 1; k < l.cfg.roundSteps(); k++ {
-			nb, more := l.coord.scheduleWork(id)
-			if !more {
-				break
-			}
-			batch = l.ds.View(batch.Lo, nb.Hi)
-		}
-	}
 	l.send(id, batch, l.stale.staleness(id))
 	return true
 }
@@ -769,7 +776,7 @@ func (l *coordLoop) complete(msg *transport.Done) (stop bool, err error) {
 		// their replicas into the global model and start the next round. The
 		// replica reads are ordered after the workers' writes by the
 		// completion messages just received.
-		l.round = append(l.round, l.exec.(replicaHolder).replica(id))
+		l.round = append(l.round, l.workers[id].replica)
 		if l.outstanding == 0 {
 			mu := l.exec.modelLock(true)
 			mu.Lock()

@@ -87,12 +87,9 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 		return nil, err
 	}
 	x := &localExec{l: l, trans: trans}
-	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds(), shared: r.global}
+	l.step.shared = r.global
 	if cfg.UpdateMode == tensor.UpdateLocked {
-		x.step.mu = &x.mu
-	}
-	if cfg.delayCompensated() {
-		x.step.dc = cfg.DCLambda
+		l.step.mu = &x.mu
 	}
 	l.exec = x
 	for id := range cfg.Workers {
@@ -119,11 +116,9 @@ type laneJob struct {
 // the tracer's single-writer-per-ring contract.
 type localExec struct {
 	wallClock
-	l       *coordLoop
-	trans   *transport.Local
-	workers []*worker
-	step    laneStep
-	// mu guards the shared model in UpdateLocked mode only; step.mu points
+	l     *coordLoop
+	trans *transport.Local
+	// mu guards the shared model in UpdateLocked mode only; l.step.mu points
 	// at it then and is nil otherwise.
 	mu sync.RWMutex
 	wg sync.WaitGroup
@@ -133,22 +128,16 @@ type localExec struct {
 // the initial set. A CPU worker's lanes each get a goroutine; a round's local
 // steps run in turn, and every other device takes one step, on one lane.
 func (x *localExec) build(id int) *worker {
-	cfg := x.l.cfg
-	wc := cfg.Workers[id]
-	fan := !cfg.rounds() && cpuThreads(wc) > 0
+	wc := x.l.cfg.Workers[id]
+	fan := !x.l.step.rounds && cpuThreads(wc) > 0
 	n := 1
 	if fan {
 		n = cpuThreads(wc)
 	}
-	w := newWorker(cfg, id, x.l.name(id), wc, n, min((wc.MaxBatch+n-1)/n, x.l.ds.N()))
+	w := x.l.enlist(id, n, min((wc.MaxBatch+n-1)/n, x.l.ds.N()))
 	if fan {
 		w.jobs = make([]chan laneJob, n)
 	}
-	if x.step.readsCopy(w) {
-		// Under the read discipline: a joiner is built while workers write.
-		w.replica = x.l.cloneModel()
-	}
-	x.workers = append(x.workers, w)
 	return w
 }
 
@@ -206,7 +195,7 @@ func (x *localExec) iterate(w *worker, batch data.Batch, lr float64) (out transp
 	time.Sleep(step.Hang)
 	l := x.l
 	t0 := l.now()
-	out.Updates, out.Dropped = x.step.iterate(w, l.global, batch, lr, step.Corrupt)
+	out.Updates, out.Dropped = l.step.iterate(w, l.global, batch, lr, step.Corrupt)
 	t1 := l.now()
 	l.tel.Span(w.id, telemetry.KindGradient, t0, t1-t0, int64(batch.Size()))
 	l.tel.Span(w.id, telemetry.KindApply, t1, 0, int64(out.Updates))
@@ -245,7 +234,7 @@ func (x *localExec) laneLoop(w *worker, ln *lane, jobs <-chan laneJob) {
 		}
 	}()
 	for job := range jobs {
-		if x.step.run(ln, job.read, job.write, job.sub, job.lr, 1, job.corrupt) {
+		if x.l.step.run(ln, job.read, job.write, job.sub, job.lr, 1, job.corrupt) {
 			w.updates.Add(1)
 		}
 		w.busy.Done()
@@ -253,7 +242,7 @@ func (x *localExec) laneLoop(w *worker, ln *lane, jobs <-chan laneJob) {
 }
 
 func (x *localExec) attach(context.Context) ([]int, error) {
-	for _, w := range x.workers {
+	for _, w := range x.l.workers {
 		x.start(w)
 	}
 	return nil, nil
@@ -274,10 +263,8 @@ func (x *localExec) spawn(id int) { x.start(x.build(id)) }
 // drain closes the worker's inbox, which ends its goroutine.
 func (x *localExec) drain(id int) []transport.Work { return x.trans.CloseWorker(id) }
 
-func (x *localExec) replica(id int) *nn.Params { return x.workers[id].replica }
-
 func (x *localExec) modelLock(write bool) sync.Locker {
-	if x.step.mu == nil {
+	if x.l.step.mu == nil {
 		return nopLocker{}
 	}
 	if write {
@@ -288,7 +275,7 @@ func (x *localExec) modelLock(write bool) sync.Locker {
 
 func (x *localExec) shutdown() {
 	x.trans.CloseInboxes()
-	if x.l.health.report.Survivors() == len(x.workers) {
+	if x.l.health.report.Survivors() == len(x.l.workers) {
 		x.wg.Wait()
 	} else {
 		// A quarantined worker may be hung far beyond the budget; bound the

@@ -214,7 +214,7 @@ func TestRealLanePanicIsWorkerFailure(t *testing.T) {
 	}
 	// Lane 1 of the CPU worker has no gradient buffer to write: a nil
 	// dereference inside GradientX, on that lane's goroutine.
-	x.workers[0].lanes[1].grad = nil
+	x.l.workers[0].lanes[1].grad = nil
 	res, err := x.l.loop()
 	if err != nil {
 		t.Fatal(err)

@@ -159,6 +159,10 @@ func TestAdaptiveLRAlgorithm(t *testing.T) {
 
 func TestAdaptiveLRCoordinatorPolicy(t *testing.T) {
 	cfg := tinyConfig(t, AlgAdaptiveLR)
+	for i := range cfg.Workers {
+		// Room to resize, so a policy that moved batches would show.
+		cfg.Workers[i].MinBatch, cfg.Workers[i].MaxBatch = 1, 1024
+	}
 	c := newCoordinator(&cfg)
 	if c.lrScale(0) != 1 || c.lrScale(1) != 1 {
 		t.Fatal("multipliers must start at 1")
@@ -174,14 +178,22 @@ func TestAdaptiveLRCoordinatorPolicy(t *testing.T) {
 	if c.lrScale(1) <= 1 {
 		t.Fatalf("laggard multiplier %v should grow", c.lrScale(1))
 	}
-	// Clamps at 16×.
+	// Clamps at 16× for the laggard and 1/16× for the leader, and never
+	// touches batch sizes: AdaptiveLR moves rates in place of batches.
 	for i := 0; i < 30; i++ {
-		if _, ok := c.scheduleWork(1); !ok {
-			c.refill()
+		for id := range 2 {
+			if _, ok := c.scheduleWork(id); !ok {
+				c.refill()
+			}
 		}
 	}
-	if c.lrScale(1) > 16 {
-		t.Fatalf("multiplier %v exceeds clamp", c.lrScale(1))
+	if c.lrScale(1) != 16 || c.lrScale(0) != 1.0/16 {
+		t.Fatalf("multipliers %v, %v; want the clamps 1/16 and 16", c.lrScale(0), c.lrScale(1))
+	}
+	for i, w := range cfg.Workers {
+		if c.batch[i] != w.InitialBatch || c.resizes[i] != 0 {
+			t.Fatalf("worker %d: batch %d after %d resizes; AdaptiveLR must keep %d", i, c.batch[i], c.resizes[i], w.InitialBatch)
+		}
 	}
 	// Non-AdaptiveLR configs never move multipliers.
 	cfg2 := tinyConfig(t, AlgAdaptiveHogbatch)

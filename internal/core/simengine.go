@@ -5,9 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"heterosgd/internal/data"
 	"heterosgd/internal/device"
 	"heterosgd/internal/faults"
-	"heterosgd/internal/nn"
 	"heterosgd/internal/simclock"
 	"heterosgd/internal/telemetry"
 	"heterosgd/internal/transport"
@@ -35,6 +35,16 @@ import (
 // the interrupted one (cfg.Dataset must be freshly loaded, in original
 // order, as a new process provides — restore replays the epoch shuffles).
 func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, error) {
+	x, err := newSimExec(ctx, &cfg, horizon)
+	if err != nil {
+		return nil, err
+	}
+	return x.l.loop()
+}
+
+// newSimExec validates cfg and builds RunSim's coordinator loop and
+// executor, every initial worker built.
+func newSimExec(ctx context.Context, cfg *Config, horizon time.Duration) (*simExec, error) {
 	if err := cfg.supportedOn(engineSim); err != nil {
 		return nil, err
 	}
@@ -42,7 +52,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	// both exact consistency points, which is what makes a resumed
 	// deterministic run continue the identical trajectory.
 	cfg.CheckpointEvery = 0
-	r, err := newRun(&cfg)
+	r, err := newRun(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -55,15 +65,8 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	// (workers and coordinator alike) obeys the single-writer contract
 	// trivially. Spans are stamped with the virtual clock, so a fixed-seed
 	// run exports a byte-identical Chrome trace.
-	l.gemm = 1
+	l.gemm, l.step.gemm = 1, 1
 	l.exec, x.l = x, l
-	x.step = laneStep{net: r.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds()}
-	if cfg.svrgAnchor() {
-		x.step.svrg = newSVRGState(r.net)
-	}
-	if cfg.delayCompensated() {
-		x.step.dc = cfg.DCLambda
-	}
 	x.evalDev = cfg.EvalDevice
 	if x.evalDev == nil {
 		x.evalDev = cfg.Workers[0].Device
@@ -71,7 +74,7 @@ func RunSim(ctx context.Context, cfg Config, horizon time.Duration) (*Result, er
 	for id := range cfg.Workers {
 		x.spawn(id)
 	}
-	return l.loop()
+	return x, nil
 }
 
 // simIter is the virtual iteration a worker has in progress. A worker holds
@@ -83,12 +86,14 @@ type simIter struct {
 	// coordinator when the iteration's virtual time is up.
 	done    transport.Done
 	deliver func()
-	// deferred marks an iteration whose update lands at completion (a deep
-	// step): lr is its learning rate, seen the run's update count when its
-	// gradient was taken.
+	// deferred marks a deep step, which copies the model at Send and steps
+	// at completion: batch, lr and corrupt are its dispatch's, seen the
+	// run's update count at the copy.
 	deferred bool
+	batch    data.Batch
 	lr       float64
 	seen     int64
+	corrupt  bool
 }
 
 // simExec is RunSim's executor, transport and clock in one: Send runs a
@@ -97,9 +102,7 @@ type simIter struct {
 type simExec struct {
 	l       *coordLoop
 	eng     *simclock.Engine
-	workers []*worker
 	iters   []simIter // by worker id
-	step    laneStep
 	evalDev device.Device
 	// evalDebt is the evaluation time excluded from the convergence clock so
 	// far (the running evaluation included); evalEnd is when it is over.
@@ -132,7 +135,7 @@ func (x *simExec) evalTime(t0 time.Duration) time.Duration {
 // the eval device is also a worker, reuse that worker's name so the busy
 // interval lands on the right series.
 func (x *simExec) evalDevName() string {
-	for _, w := range x.workers {
+	for _, w := range x.l.workers {
 		if w.wc.Device == x.evalDev {
 			return w.name
 		}
@@ -160,19 +163,7 @@ func (x *simExec) attach(context.Context) ([]int, error) {
 // a determinism requirement. The engine runs a worker's sub-batches one
 // after another, so one lane serves them all.
 func (x *simExec) spawn(id int) {
-	cfg, global := x.l.cfg, x.l.global
-	wc := cfg.Workers[id]
-	w := newWorker(cfg, id, x.l.name(id), wc, 1, min(wc.MaxBatch, x.l.ds.N()))
-	// A deep step's gradient is taken against the live model at Send — the
-	// instant its copy would be taken — so it needs a replica only to keep
-	// DC-ASGD's w_then.
-	if x.step.readsCopy(w) && (!x.step.deepStep(w) || x.step.dc != 0) {
-		w.replica = global.Clone()
-	}
-	if x.step.svrg != nil && w.threads > 0 {
-		w.lanes[0].scratch = x.l.net.NewParams(nn.InitZero, nil)
-	}
-	x.workers = append(x.workers, w)
+	x.l.enlist(id, 1, min(x.l.cfg.Workers[id].MaxBatch, x.l.ds.N()))
 	x.iters = append(x.iters, simIter{deliver: func() {
 		x.out = x.iters[id].done
 		x.msg.Done = &x.out
@@ -189,17 +180,15 @@ func (x *simExec) deadline(id, size int) time.Duration { return x.l.watchdogDead
 // completion is settled like any straggler's.
 func (x *simExec) drain(int) []transport.Work { return nil }
 
-func (x *simExec) replica(id int) *nn.Params { return x.workers[id].replica }
-
 func (x *simExec) modelLock(bool) sync.Locker { return nopLocker{} }
 
 func (x *simExec) shutdown() {}
 
 // Send starts worker id's virtual iteration on m: it draws the iteration's
-// fault, books the device for the modeled duration, does the arithmetic that
-// happens at dispatch time, and schedules the completion.
+// fault, books the device for the modeled duration, does what happens at
+// dispatch time, and schedules the completion.
 func (x *simExec) Send(id int, m transport.Work) error {
-	l, w, it := x.l, x.workers[id], &x.iters[id]
+	l, w, it := x.l, x.l.workers[id], &x.iters[id]
 	batch := l.ds.ViewInto(&w.view, m.Lo, m.Hi)
 	it.done = transport.Done{Worker: id, Seq: m.Seq}
 	fault := w.inj.Begin()
@@ -213,7 +202,7 @@ func (x *simExec) Send(id int, m transport.Work) error {
 	// A round share takes one local step per InitialBatch-sized piece, any
 	// other dispatch one of the whole batch.
 	size, step := batch.Size(), 0
-	if x.step.rounds {
+	if l.step.rounds {
 		step = w.wc.InitialBatch
 	}
 	dur := fault.Hang
@@ -225,64 +214,40 @@ func (x *simExec) Send(id int, m transport.Work) error {
 	l.tel.Span(id, telemetry.KindGradient, now, dur, int64(size))
 	l.util.AddBusy(w.name, now, now+dur, w.wc.Device.Utilization(l.net.Arch, pieceEnd(0, size, step)))
 
-	switch {
-	case !x.step.deepStep(w):
+	if l.step.deepStep(w) {
+		// A deep step copies the model now and steps the copy's gradient into
+		// the model when the iteration completes, in accept: that gap is
+		// replica staleness (§VI-B).
+		l.step.read(w, l.global)
+		it.deferred, it.batch, it.lr, it.seen, it.corrupt = true, batch, m.LR, l.raw.Total(), fault.Corrupt
+	} else {
 		// A round share, or a CPU iteration whose sub-batch gradients update
 		// the shared model one after another, now — sequentialized Hogwild,
 		// the event-driven equivalent of Algorithm 2's parallel loop.
-		it.done.Updates, it.done.Dropped = x.step.iterate(w, l.global, batch, m.LR, fault.Corrupt)
-	case x.step.svrg != nil:
-		// SVRG GPU worker: its large batch becomes the anchor sample. w̃ and
-		// μ are computed against the dispatch-time model and become visible
-		// to CPU workers at completion — the "rare jump using a compass"
-		// (§II) as an explicit anchor refresh.
-		x.step.svrg.beginAnchor(l.net, l.global, w.lanes[0].ws, batch)
-		it.deferred = true
-	default:
-		// Deep step: the gradient is computed against the model as of
-		// dispatch time — the state the replica would be copied from — and
-		// applied when the iteration completes, which is how replica
-		// staleness arises (§VI-B).
-		x.step.gradient(&w.lanes[0], l.global, batch, 1, fault.Corrupt)
-		if w.replica != nil {
-			w.replica.CopyFrom(l.global)
+		it.done.Updates, it.done.Dropped = l.step.iterate(w, l.global, batch, m.LR, fault.Corrupt)
+		if n := it.done.Updates; n > 0 {
+			l.raw.Add(w.name, int64(n))
 		}
-		it.deferred, it.lr, it.seen = true, m.LR, l.raw.Total()
-	}
-	if n := it.done.Updates; n > 0 {
-		l.raw.Add(w.name, int64(n))
 	}
 	x.eng.Schedule(dur, it.deliver)
 	return nil
 }
 
-// accept lands a deep step's update in the model — it had to wait for the
-// iteration's virtual time to pass — and credits the scheduler. A
-// quarantined or evicted straggler's update lands too: the documented
-// at-least-once of shared memory.
+// accept runs a deep step's steps — it had to wait for the iteration's
+// virtual time to pass — and credits the scheduler. A quarantined or evicted
+// straggler's update lands too: the documented at-least-once of shared
+// memory.
 func (x *simExec) accept(msg *transport.Done, _ *inflightDispatch) {
-	l, w, it := x.l, x.workers[msg.Worker], &x.iters[msg.Worker]
+	l, w, it := x.l, x.l.workers[msg.Worker], &x.iters[msg.Worker]
 	if it.deferred {
 		it.deferred = false
-		lr, read := it.lr, l.global
+		lr := it.lr
 		if d := l.cfg.StaleDamping; d > 0 {
 			lr /= 1 + d*float64(l.raw.Total()-it.seen)
 		}
-		if w.replica != nil {
-			// DC-ASGD: the gradient was taken at w_then.
-			read = w.replica
-		}
-		switch {
-		case x.step.svrg != nil:
-			x.step.svrg.publishAnchor()
-			msg.Updates = 1
-		case x.step.apply(&w.lanes[0], read, l.global, lr):
-			msg.Updates = 1
-		default:
-			msg.Dropped = 1
-		}
+		msg.Updates, msg.Dropped = l.step.steps(w, w.replica, l.global, it.batch, lr, it.corrupt)
 		if msg.Updates > 0 {
-			l.raw.Add(w.name, 1)
+			l.raw.Add(w.name, int64(msg.Updates))
 		}
 	}
 	l.tel.Span(w.id, telemetry.KindApply, x.eng.Now(), 0, int64(msg.Updates))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -116,34 +117,27 @@ func newStaleTracker(cfg *Config, health *healthTracker, rm *runMetrics) *staleT
 	}
 }
 
-// minClock returns the slowest healthy worker's clock. If every worker is
-// unhealthy (all crashed or quarantined) it falls back to the global
-// minimum so staleness stays well-defined for the drain path.
-func (t *staleTracker) minClock() int64 {
-	min, any := int64(0), false
+// minClock returns the slowest healthy clock among the workers other than
+// except (-1 excludes none); ok is false when there is none, and m is then
+// the slowest clock of all, so staleness stays well-defined for the drain
+// path. It is the one healthy minimum: the SSP gate, joiners and readmitted
+// workers all measure against it.
+func (t *staleTracker) minClock(except int) (m int64, ok bool) {
+	m = slices.Min(t.clock)
 	for id, c := range t.clock {
-		if !t.health.ok(id) {
-			continue
-		}
-		if !any || c < min {
-			min, any = c, true
+		if id != except && t.health.ok(id) && (!ok || c < m) {
+			m, ok = c, true
 		}
 	}
-	if !any {
-		for _, c := range t.clock {
-			if !any || c < min {
-				min, any = c, true
-			}
-		}
-	}
-	return min
+	return m, ok
 }
 
 // staleness returns how many steps ahead of the slowest healthy worker id's
 // clock currently is. The slowest healthy worker itself is always at 0, so
 // an armed gate can never park the whole fleet.
 func (t *staleTracker) staleness(id int) int64 {
-	if s := t.clock[id] - t.minClock(); s > 0 {
+	m, _ := t.minClock(-1)
+	if s := t.clock[id] - m; s > 0 {
 		return s
 	}
 	return 0
@@ -204,7 +198,8 @@ func (t *staleTracker) advance(id int) { t.clock[id]++ }
 // parks the fleet while it grinds up from a stale zero. Call it after the
 // health tracker has grown, so minClock sees a consistent worker set.
 func (t *staleTracker) addWorker() {
-	t.clock = append(t.clock, t.minClock())
+	m, _ := t.minClock(-1)
+	t.clock = append(t.clock, m)
 	t.gated = append(t.gated, false)
 }
 
@@ -215,16 +210,7 @@ func (t *staleTracker) addWorker() {
 // engines readmit before catching up, and a just-readmitted laggard would
 // otherwise be its own minimum and never catch up.
 func (t *staleTracker) catchUp(id int) {
-	min, any := int64(0), false
-	for w, c := range t.clock {
-		if w == id || !t.health.ok(w) {
-			continue
-		}
-		if !any || c < min {
-			min, any = c, true
-		}
-	}
-	if any && t.clock[id] < min {
-		t.clock[id] = min
+	if m, ok := t.minClock(id); ok && t.clock[id] < m {
+		t.clock[id] = m
 	}
 }

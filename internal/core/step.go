@@ -31,7 +31,8 @@ type lane struct {
 
 // worker is one worker's state on every engine — the paper's worker thread
 // (§V). RunSim, RunReal and RunClusterWorker build it with newWorker and run
-// each dispatch through laneStep.iterate.
+// each dispatch through laneStep.iterate — the simulated engine's deep step
+// through iterate's two halves, read at Send and steps at completion.
 type worker struct {
 	id   int
 	name string
@@ -73,10 +74,10 @@ func cpuThreads(wc WorkerConfig) int {
 
 // newWorker builds worker id's state the same way on every engine: n lanes
 // whose workspaces hold rows examples each, with the optimizer state of a
-// non-SGD rule. The engine adds the replica its dispatches read (see
-// readsCopy) and, on the live engine, the lane goroutines. Nothing here
-// draws random numbers (zero-inits only), so building an elastic joiner
-// never perturbs the deterministic init or shuffle streams.
+// non-SGD rule and a CPU's SVRG scratch. enlist adds the replica its
+// dispatches read (see readsCopy) and the live engine the lane goroutines.
+// Nothing here draws random numbers (zero-inits only), so building an
+// elastic joiner never perturbs the deterministic init or shuffle streams.
 func newWorker(cfg *Config, id int, name string, wc WorkerConfig, n, rows int) *worker {
 	w := &worker{id: id, name: name, wc: wc, threads: cpuThreads(wc), inj: cfg.Faults.ForWorker(id), lanes: make([]lane, n)}
 	for i := range w.lanes {
@@ -84,6 +85,9 @@ func newWorker(cfg *Config, id int, name string, wc WorkerConfig, n, rows int) *
 		l.ws, l.grad = cfg.Net.NewWorkspace(rows), cfg.Net.NewParams(nn.InitZero, nil)
 		if cfg.Optimizer != opt.KindSGD {
 			l.optim, l.delta = opt.New(cfg.Optimizer, l.grad, cfg.OptimizerHP), cfg.Net.NewParams(nn.InitZero, nil)
+		}
+		if cfg.svrgAnchor() && w.threads > 0 {
+			l.scratch = cfg.Net.NewParams(nn.InitZero, nil)
 		}
 	}
 	return w
@@ -99,8 +103,10 @@ func (w *worker) recoverInto(out *transport.Done) {
 }
 
 // laneStep is the per-lane update rule of a run: the one sequence every
-// engine and the cluster worker perform for each (sub-)batch. It is
-// immutable once built, so worker goroutines share it freely.
+// engine and the cluster worker perform for each (sub-)batch. The
+// coordinator loop builds the in-process engines' one (newCoordLoop), the
+// live engine adds shared and mu, and from the first dispatch on it is
+// immutable, so worker goroutines share it freely.
 type laneStep struct {
 	net   *nn.Network
 	decay float64 // Config.WeightDecay
@@ -116,7 +122,9 @@ type laneStep struct {
 	mu     *sync.RWMutex
 	shared *nn.Params
 	// dc is DC-ASGD's λ, applied to gradients computed against a replica.
-	dc   float64
+	dc float64
+	// svrg is AlgSVRG's anchor: the GPU's step refreshes it, and it corrects
+	// every CPU gradient.
 	svrg *svrgState
 }
 
@@ -132,21 +140,40 @@ func (s *laneStep) readsCopy(w *worker) bool {
 
 // iterate runs one dispatch of batch on w against model — the live model of
 // an in-process engine, or a cluster worker's decoded copy — and returns how
-// many updates landed and how many the guard dropped. It is the one place a
-// dispatch's shape is decided. In a round it is one round share on w's
-// private replica. Otherwise it is t sub-batch steps, each writing the model:
-// a CPU's min(threads, size), reading the model itself — or, with
-// DeepReplica, the copy taken now — on w's lane goroutines when it has them,
-// in turn otherwise; any other device's one, reading the copy taken now.
+// many updates landed and how many the guard dropped. In a round it is one
+// round share on w's private replica; otherwise it is the copy readsCopy
+// calls for, taken now, then steps.
 func (s *laneStep) iterate(w *worker, model *nn.Params, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
 	if s.rounds {
 		return s.localRound(&w.lanes[0], model, w.replica, batch, w.wc.InitialBatch, lr)
 	}
-	t, read := min(max(w.threads, 1), batch.Size()), model
-	if s.readsCopy(w) {
-		s.snapshot(w.replica, model)
-		read = w.replica
+	return s.steps(w, s.read(w, model), model, batch, lr, corrupt)
+}
+
+// read returns the model w's dispatch reads: the copy of model it takes now
+// into w.replica when readsCopy says so, model itself otherwise.
+func (s *laneStep) read(w *worker, model *nn.Params) *nn.Params {
+	if !s.readsCopy(w) {
+		return model
 	}
+	s.snapshot(w.replica, model)
+	return w.replica
+}
+
+// steps runs a dispatch's steps on w — their gradients taken at read, their
+// updates written to model — and returns how many landed and how many the
+// guard dropped. It is the one place a dispatch's shape is decided: a CPU
+// takes min(threads, size) sub-batch steps, on w's lane goroutines when it
+// has them, in turn otherwise; any other device takes one. SVRG's GPU step
+// refreshes the anchor instead of writing model. The live engines call it
+// straight after the copy; the simulated engine an iteration's virtual time
+// later, and that gap is replica staleness (§VI-B).
+func (s *laneStep) steps(w *worker, read, model *nn.Params, batch data.Batch, lr float64, corrupt bool) (updates, dropped int) {
+	if s.svrg != nil && s.deepStep(w) {
+		s.svrg.refresh(s.net, read, w.lanes[0].ws, batch)
+		return 1, 0
+	}
+	t := min(max(w.threads, 1), batch.Size())
 	if w.jobs != nil {
 		updates = w.fan(read, model, batch, t, lr, corrupt)
 	} else {
@@ -206,8 +233,7 @@ func (s *laneStep) gradient(l *lane, read *nn.Params, b data.Batch, gemm int, co
 
 // apply lands l.grad — computed against read — in write: delay compensation,
 // the non-finite guard, then the optimizer step at lr (which the caller has
-// already damped for staleness, if it damps). The simulated engine runs it an
-// iteration's virtual time after gradient; that gap is replica staleness.
+// already damped for staleness, if it damps).
 func (s *laneStep) apply(l *lane, read, write *nn.Params, lr float64) bool {
 	lockWrite := s.mu != nil && write == s.shared
 	if s.dc != 0 && read != write {

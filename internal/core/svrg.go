@@ -6,8 +6,10 @@ import (
 )
 
 // svrgState is the shared variance-reduction state of AlgSVRG: the anchor
-// model w̃ and its large-sample gradient μ, refreshed by the GPU worker and
-// consumed read-only by the CPU worker's corrected updates.
+// model w̃ and its large-sample gradient μ, which the GPU worker's step
+// refreshes and the CPU worker's corrected updates read. On the simulated
+// engine the refresh runs when the GPU's iteration completes, so CPU updates
+// dispatched while it is in flight still use the previous anchor.
 //
 // §II motivates the paper's heterogeneous mixture through exactly this
 // structure: "we can think of the CPU updates as many small steps in a
@@ -31,22 +33,18 @@ func newSVRGState(net *nn.Network) *svrgState {
 	}
 }
 
-// beginAnchor snapshots the current model as w̃ and computes μ over the
-// anchor batch. Called by the GPU worker at dispatch (the math runs against
-// the dispatch-time model, like every deep-replica gradient).
-func (st *svrgState) beginAnchor(net *nn.Network, global *nn.Params, ws *nn.Workspace, batch data.Batch) {
-	st.anchor.CopyFrom(global)
+// refresh makes model — the GPU's dispatch-time copy — the anchor w̃ and μ
+// its gradient over the anchor batch, and publishes both to the CPU workers.
+func (st *svrgState) refresh(net *nn.Network, model *nn.Params, ws *nn.Workspace, batch data.Batch) {
+	st.anchor.CopyFrom(model)
 	net.GradientX(st.anchor, ws, batch.Input(), batch.Y, st.mu, 1)
+	st.ready = true
 }
-
-// publishAnchor marks the freshly-computed anchor visible to CPU workers
-// (called at the GPU iteration's completion event).
-func (st *svrgState) publishAnchor() { st.ready = true }
 
 // correctedGradient computes the variance-reduced gradient for a sub-batch
 // into grad: ∇f_B(w) − ∇f_B(w̃) + μ, using scratch for the w̃ term. Before
-// the first anchor is published it computes the plain gradient (warm-up
-// phase). Returns the sub-batch loss at w.
+// the first refresh it computes the plain gradient (warm-up phase). Returns
+// the sub-batch loss at w.
 func (st *svrgState) correctedGradient(net *nn.Network, global *nn.Params, ws *nn.Workspace,
 	batch data.Batch, grad, scratch *nn.Params) float64 {
 	loss := net.GradientX(global, ws, batch.Input(), batch.Y, grad, 1)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heterosgd/internal/nn"
+	"heterosgd/internal/transport"
 )
 
 func TestSVRGConverges(t *testing.T) {
@@ -41,8 +42,7 @@ func TestSVRGCorrectionIsExactAtAnchor(t *testing.T) {
 	st := newSVRGState(net)
 	ws := net.NewWorkspace(64)
 	batch := cfg.Dataset.View(0, 64)
-	st.beginAnchor(net, global, ws, batch)
-	st.publishAnchor()
+	st.refresh(net, global, ws, batch)
 
 	grad := net.NewParams(nn.InitZero, nil)
 	scratch := net.NewParams(nn.InitZero, nil)
@@ -57,7 +57,7 @@ func TestSVRGWarmupUsesPlainGradient(t *testing.T) {
 	net := cfg.Net
 	rng := RunRNG(9)
 	global := net.NewParams(nn.InitXavier, rng)
-	st := newSVRGState(net) // never published
+	st := newSVRGState(net) // never refreshed
 	ws := net.NewWorkspace(16)
 	batch := cfg.Dataset.View(0, 16)
 
@@ -82,8 +82,7 @@ func TestSVRGVarianceReduction(t *testing.T) {
 	global := net.NewParams(nn.InitXavier, rng)
 	st := newSVRGState(net)
 	ws := net.NewWorkspace(cfg.Dataset.N())
-	st.beginAnchor(net, global, ws, cfg.Dataset.View(0, cfg.Dataset.N()))
-	st.publishAnchor()
+	st.refresh(net, global, ws, cfg.Dataset.View(0, cfg.Dataset.N()))
 
 	grad := net.NewParams(nn.InitZero, nil)
 	scratch := net.NewParams(nn.InitZero, nil)
@@ -106,5 +105,58 @@ func TestSVRGVarianceReduction(t *testing.T) {
 	}
 	if plainVar == 0 {
 		t.Fatal("plain gradients cannot all be zero")
+	}
+}
+
+// TestSVRGAnchorVisibleAtGPUCompletion drives the simulated executor through
+// a CPU dispatch sent while the GPU's anchor iteration is in flight: the CPU
+// update must use the previous anchor, because a refresh becomes visible
+// only when the GPU's iteration completes.
+func TestSVRGAnchorVisibleAtGPUCompletion(t *testing.T) {
+	cfg := tinyConfig(t, AlgSVRG)
+	x, err := newSimExec(context.Background(), &cfg, simHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := x.l
+	const cpu, gpu, lr = 0, 1, 0.05
+	gb, cb := cfg.Workers[gpu].InitialBatch, cfg.Workers[cpu].InitialBatch
+	seq := uint64(0)
+	send := func(id, lo, hi int) {
+		seq++
+		if err := x.Send(id, transport.Work{Seq: seq, Lo: lo, Hi: hi, LR: lr}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	complete := func() {
+		m, st := x.Recv(-1)
+		if st != transport.RecvOK || m.Done == nil {
+			t.Fatalf("Recv = %v, %+v", st, m.Done)
+		}
+		x.accept(m.Done, nil)
+	}
+	// The first anchor, then a CPU step that moves the model off it.
+	send(gpu, 0, gb)
+	complete()
+	st := l.step.svrg
+	prev := &svrgState{anchor: st.anchor.Clone(), mu: st.mu.Clone(), ready: st.ready}
+	send(cpu, gb, gb+cb)
+	complete()
+
+	// The next anchor is in flight when the CPU takes its next dispatch.
+	send(gpu, 0, gb)
+	want := l.global.Clone()
+	send(cpu, gb+cb, gb+2*cb)
+	ref := l.step
+	ref.svrg = prev
+	ref.iterate(newWorker(&cfg, cpu, "ref", cfg.Workers[cpu], 1, cb), want, cfg.Dataset.View(gb+cb, gb+2*cb), lr, false)
+	if d := want.MaxAbsDiff(l.global); d != 0 {
+		t.Fatalf("the CPU update sent during the GPU's anchor iteration used the unfinished anchor (max |Δ| %v)", d)
+	}
+	for range 2 {
+		complete()
+	}
+	if st.anchor.MaxAbsDiff(prev.anchor) == 0 {
+		t.Fatal("the second anchor equals the first: the check above proves nothing")
 	}
 }

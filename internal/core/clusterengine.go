@@ -116,25 +116,14 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 		return nil, err
 	}
 	opts.defaults()
-	r, err := newRun(&cfg)
+	l, err := newCoordLoop(ctx, &cfg, trans, budget)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Resume != nil {
-		// The checkpoint's event history continues into this incarnation's
-		// log, so a drill's final output audits the whole trajectory.
-		for _, e := range cfg.Resume.Events {
-			r.events.AddEvent(e)
-		}
-	}
-	l, err := newCoordLoop(ctx, r, trans, budget)
-	if err != nil {
-		return nil, err
-	}
-	r.health.report.Transport = l.tr
+	l.health.report.Transport = l.tr
 	l.exec = &clusterExec{
 		wallClock: wallClock{time.Now()}, l: l, opts: opts,
-		enc: enc, delta: r.net.NewParams(nn.InitZero, nil),
+		enc: enc, delta: l.net.NewParams(nn.InitZero, nil),
 	}
 	return l.loop()
 }
@@ -236,9 +225,9 @@ func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 	case err != nil:
 		// A corrupt delta is dropped like a non-finite gradient: the
 		// examples still count as processed, the update does not land.
-		l.drop(msg.Worker, int64(msg.Updates), l.elapsed(), "delta-error", err.Error())
+		l.drop(msg.Worker, int64(msg.Updates), "delta-error", err.Error())
 	case l.cfg.Guards != nil && !x.delta.AllFinite():
-		l.drop(msg.Worker, int64(msg.Updates), l.elapsed(), "drop", "non-finite delta discarded")
+		l.drop(msg.Worker, int64(msg.Updates), "drop", "non-finite delta discarded")
 	default:
 		l.global.AddScaled(1, x.delta)
 	}

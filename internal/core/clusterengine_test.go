@@ -524,11 +524,7 @@ func TestClusterWireCycleAllocation(t *testing.T) {
 
 	// The coordinator's half, built as RunCluster builds it, driven by hand
 	// so that exactly the cycles are measured.
-	r, err := newRun(&cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := newCoordLoop(ctx, r, trans, time.Minute)
+	l, err := newCoordLoop(ctx, &cfg, trans, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,8 +566,8 @@ func TestClusterWireCycleAllocation(t *testing.T) {
 		cycle(seq + 1)
 	}
 	runtime.ReadMemStats(&after)
-	if l.global.MaxAbsDiff(start) == 0 || r.health.report.DroppedUpdates != 0 {
-		t.Fatalf("the cycles did not train: model unchanged or %d updates dropped", r.health.report.DroppedUpdates)
+	if l.global.MaxAbsDiff(start) == 0 || l.health.report.DroppedUpdates != 0 {
+		t.Fatalf("the cycles did not train: model unchanged or %d updates dropped", l.health.report.DroppedUpdates)
 	}
 	perCycle := (after.TotalAlloc - before.TotalAlloc) / measured
 	t.Logf("%d B allocated per cycle", perCycle)

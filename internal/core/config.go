@@ -4,8 +4,9 @@
 // static CPU+GPU Hogbatch (§VI-B), and Adaptive Hogbatch (Algorithm 2) —
 // plus single-device mini-batch and Hogwild baselines.
 //
-// Three execution engines run the same coordinator loop (loop.go) over the
-// same run state (run.go) and the same per-lane update (step.go):
+// Three execution engines run the same coordinator object (loop.go), which
+// owns the run state, its resume and its capture, and the same per-lane
+// update (step.go):
 //
 //   - RunSim: a discrete-event engine on a virtual clock driven by the
 //     device cost models (internal/device). Every gradient is computed for

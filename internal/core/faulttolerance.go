@@ -309,15 +309,10 @@ func (h *healthTracker) quarantine(id int, at time.Duration, kind, detail string
 	return true
 }
 
-// readmit returns a quarantined worker to the rotation (its overdue
-// completion arrived — the probe succeeded).
-func (h *healthTracker) readmit(id int, at time.Duration) bool {
-	return h.readmitWith(id, at, "overdue completion arrived")
-}
-
-// readmitWith is readmit with an explicit event detail (the cluster engine
-// readmits on link recovery, not only on overdue completions).
-func (h *healthTracker) readmitWith(id int, at time.Duration, detail string) bool {
+// readmit returns a quarantined worker to the rotation: its overdue
+// completion arrived (the probe succeeded) or, on the cluster, its link
+// healed. detail is the event logged.
+func (h *healthTracker) readmit(id int, at time.Duration, detail string) bool {
 	w := &h.report.Workers[id]
 	if w.State != WorkerQuarantined {
 		return false

@@ -32,7 +32,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	if h.ok(0) || !h.ok(1) || h.healthyCount() != 1 || h.aliveCount() != 2 {
 		t.Fatal("quarantine bookkeeping wrong")
 	}
-	if !h.readmit(0, 0) || !h.ok(0) {
+	if !h.readmit(0, 0, "probe") || !h.ok(0) {
 		t.Fatal("readmit failed")
 	}
 	if h.report.Workers[0].Timeouts != 1 || h.report.Workers[0].Readmissions != 1 {
@@ -42,7 +42,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	if h.ok(1) || h.aliveCount() != 1 {
 		t.Fatal("crash bookkeeping wrong")
 	}
-	if h.readmit(1, 0) {
+	if h.readmit(1, 0, "probe") {
 		t.Fatal("crashed worker must not be readmittable")
 	}
 	if got := h.pickHealthy(1); got != 0 {

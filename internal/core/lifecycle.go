@@ -213,110 +213,158 @@ func (c *Config) validateResume() error {
 	return nil
 }
 
-// restoreRun applies a RunState to a freshly-constructed run: model
-// parameters, coordinator counters, RNG stream, and the dataset permutation
-// (replayed deterministically from the seed — the shuffle stream is the
-// coordinator RNG's only consumer, so Epoch shuffles reproduce both the
-// permutation and the restored stream position). cfg.Dataset must be in its
-// freshly-loaded, original order, as a new process provides. A barrier
-// capture leaves the pool drained; the loop starts the next epoch before its
-// first dispatch. Returns an error only on a corrupt RNG blob.
-func restoreRun(cfg *Config, coord *coordinator, global *nn.Params, guard *guardState) error {
-	st := cfg.Resume
+// resume applies cfg.Resume to a freshly built coordinator. The
+// checkpoint's event history continues into this incarnation's log, so a
+// resumed run's report and next checkpoint audit the whole trajectory. The
+// model is replayed onto a dataset in its freshly-loaded, original order,
+// as a new process provides: the shuffle stream is the coordinator RNG's
+// only consumer, so Epoch shuffles from the seed reproduce both the
+// permutation and the restored stream position. A barrier capture leaves
+// the pool drained; the loop starts the next epoch before its first
+// dispatch.
+func (l *coordLoop) resume() error {
+	st := l.cfg.Resume
 	if st == nil {
 		return nil
 	}
-	global.CopyFrom(st.Params)
-	if err := coord.restore(st); err != nil {
-		return err
+	for _, e := range st.Events {
+		l.events.AddEvent(e)
 	}
-	if cfg.Shuffle && st.Epoch > 0 {
-		replay := rand.New(rand.NewPCG(cfg.Seed, rngStream))
-		for i := 0; i < st.Epoch; i++ {
-			cfg.Dataset.Shuffle(replay)
+	// A membership-bearing checkpoint restores the worker set before the
+	// model, whose scheduler counters need tables at checkpoint width: each
+	// slot beyond the seed set is a joiner grown as a live join grows it,
+	// and draining or departed slots come back departed, so they never
+	// receive dispatches.
+	ms := st.Membership
+	if ms != nil {
+		for id := l.initialWorkers; id < len(ms.States); id++ {
+			l.addSlot(id, 0)
+		}
+		for id, s := range ms.States {
+			if elastic.State(s) != elastic.Active {
+				l.health.markDeparted(id, 0, fmt.Sprintf("restored as %s from checkpoint", elastic.State(s)))
+			}
+		}
+		if len(ms.Clocks) == len(l.stale.clock) {
+			copy(l.stale.clock, ms.Clocks)
 		}
 	}
-	if guard != nil {
-		guard.restore(st.GuardLRScale, st.GuardRetries, global)
+	l.global.CopyFrom(st.Params)
+	if err := l.coord.restore(st); err != nil {
+		return err
+	}
+	if l.cfg.Shuffle && st.Epoch > 0 {
+		replay := rand.New(rand.NewPCG(l.cfg.Seed, rngStream))
+		for i := 0; i < st.Epoch; i++ {
+			l.ds.Shuffle(replay)
+		}
+	}
+	l.guard.restore(st.GuardLRScale, st.GuardRetries, l.global)
+	if ms == nil {
+		return nil
+	}
+	// Captured mid-churn (or the restarted config is itself elastic): the
+	// membership manager comes back from the serialized states, so joins
+	// continue from the next unused id and the churn report accumulates
+	// across the restart. A draining slot comes back departed: its former
+	// process is gone and its in-flight work rides the Flight list instead.
+	if l.cfg.elasticEnabled() || len(ms.States) > l.initialWorkers || ms.ActiveCount() < len(ms.States) {
+		states := make([]elastic.State, len(ms.States))
+		for i, s := range ms.States {
+			if states[i] = elastic.State(s); states[i] == elastic.Draining {
+				states[i] = elastic.Departed
+			}
+		}
+		var err error
+		l.mem, err = elastic.Restore(states, ms.Min, ms.Max, elastic.Report{
+			Joins: ms.Joins, Leaves: ms.Leaves, Evictions: ms.Evictions, Rebalances: ms.Rebalances, Peak: ms.Peak,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	// Scripted events triggered before the capture already mutated the
+	// restored membership; burn them off the cursor so they cannot fire
+	// twice. Dispatch numbering continues above the checkpoint's floor, and
+	// its in-flight batches are re-queued: their examples already count in
+	// ExamplesDone, so re-applying them is what rebalances the exactly-once
+	// accounting.
+	l.completed = ms.Dispatches
+	l.planCur.Fire(l.completed)
+	l.seq = ms.SeqFloor
+	l.tr.Duplicates, l.tr.Abandoned = ms.Duplicates, ms.Abandoned
+	l.tr.Partitions, l.tr.Reconnects = ms.Partitions, ms.Reconnects
+	l.tr.AppliedExamples = ms.AppliedExamples
+	for _, f := range ms.Flight {
+		if f.Hi > l.ds.N() {
+			return fmt.Errorf("core: resume flight entry [%d,%d) outside dataset of %d", f.Lo, f.Hi, l.ds.N())
+		}
+		l.pending = append(l.pending, l.ds.View(f.Lo, f.Hi))
+	}
+	if len(ms.Flight) > 0 {
+		l.events.Add(0, "", "resume", fmt.Sprintf("%d in-flight batches from the checkpoint re-queued", len(ms.Flight)))
 	}
 	return nil
 }
 
-// growForMembership widens a freshly-constructed run's per-worker tables to
-// the checkpoint's mid-churn worker set: each slot beyond the config's seed
-// set is an elastic joiner whose WorkerConfig is re-derived the same way the
-// live join path derives it (cycling the seed device mix), and draining or
-// departed slots are benched in the health tracker so they never receive
-// dispatches. Must run after the health and stale trackers are built and
-// before restoreRun, whose coordinator restore copies counters into tables
-// that must already be at checkpoint width.
-func growForMembership(cfg *Config, coord *coordinator, health *healthTracker, stale *staleTracker) {
-	st := cfg.Resume
-	if st == nil || st.Membership == nil {
-		return
+// capture snapshots the run into a RunState. The membership section makes
+// the checkpoint resumable mid-churn and mid-flight: worker states (every
+// configured worker active in a fixed-size run), clocks, the seq floor,
+// delivery accounting, and every dispatched-but-unapplied batch (live
+// flights plus queued recovery batches; abandoned flights are excluded
+// because their ranges were already re-queued). A mid-epoch capture in a
+// shared-memory engine may already hold part of an in-flight batch's
+// updates — re-running it on resume is the documented at-least-once;
+// barrier and drain captures are exact.
+func (l *coordLoop) capture() (*RunState, error) {
+	st, err := l.coord.exportState()
+	if err != nil {
+		return nil, err
 	}
-	ms := st.Membership
-	initial := len(cfg.Workers)
-	for id := initial; id < len(ms.States); id++ {
-		wc := cfg.Workers[id%initial]
-		cfg.Workers = append(cfg.Workers, wc)
-		health.addWorker(fmt.Sprintf("%s+%d", wc.Device.Name(), id), 0)
-		coord.addWorker()
-		stale.addWorker()
-	}
-	for id, s := range ms.States {
-		if elastic.State(s) != elastic.Active {
-			health.markDeparted(id, 0, fmt.Sprintf("restored as %s from checkpoint", elastic.State(s)))
-		}
-	}
-	if len(ms.Clocks) == len(stale.clock) {
-		copy(stale.clock, ms.Clocks)
-	}
-}
-
-// restoredMembership reconstructs the elastic membership manager from a
-// checkpoint's membership section, preserving churn accounting and bounds.
-// A restored draining slot comes back as departed: its former process is
-// gone and its in-flight work rides the Flight list instead.
-func restoredMembership(ms *MembershipState) (*elastic.Membership, error) {
-	states := make([]elastic.State, len(ms.States))
-	for i, s := range ms.States {
-		st := elastic.State(s)
-		if st == elastic.Draining {
-			st = elastic.Departed
-		}
-		states[i] = st
-	}
-	return elastic.Restore(states, ms.Min, ms.Max, elastic.Report{
-		Joins:      ms.Joins,
-		Leaves:     ms.Leaves,
-		Evictions:  ms.Evictions,
-		Rebalances: ms.Rebalances,
-		Peak:       ms.Peak,
-	})
-}
-
-// captureMembership snapshots the live worker set into a MembershipState.
-// mem may be nil (a fixed-size run), in which case every configured worker
-// is recorded active; callers with a transport or flight map fill those
-// fields afterwards.
-func captureMembership(mem *elastic.Membership, stale *staleTracker, workers int, dispatches int64) *MembershipState {
+	st.TotalUpdates = l.raw.Total()
+	st.GuardLRScale = l.guard.scale()
+	st.GuardRetries = l.guard.retryCount()
+	st.Interrupted = l.interrupted
+	st.At = l.elapsed()
+	st.Events = l.events.Events()
 	ms := &MembershipState{
-		Clocks:     append([]int64(nil), stale.clock...),
-		Dispatches: dispatches,
+		Clocks:          append([]int64(nil), l.stale.clock...),
+		SeqFloor:        l.seq,
+		Dispatches:      l.completed,
+		Duplicates:      l.tr.Duplicates,
+		Abandoned:       l.tr.Abandoned,
+		Partitions:      l.tr.Partitions,
+		Reconnects:      l.tr.Reconnects,
+		AppliedExamples: l.tr.AppliedExamples,
 	}
-	if mem == nil {
-		ms.States = make([]int, workers)
-		ms.Min, ms.Max, ms.Peak = 1, workers, workers
-		return ms
+	if l.mem == nil {
+		ms.States = make([]int, len(l.cfg.Workers))
+		ms.Min, ms.Max, ms.Peak = 1, len(l.cfg.Workers), len(l.cfg.Workers)
+	} else {
+		ms.States = make([]int, l.mem.Len())
+		for i := range ms.States {
+			ms.States[i] = int(l.mem.State(i))
+		}
+		ms.Min, ms.Max = l.mem.Min(), l.mem.Max()
+		r := l.mem.Report()
+		ms.Joins, ms.Leaves, ms.Evictions = r.Joins, r.Leaves, r.Evictions
+		ms.Rebalances, ms.Peak = r.Rebalances, r.Peak
 	}
-	ms.States = make([]int, mem.Len())
-	for i := range ms.States {
-		ms.States[i] = int(mem.State(i))
+	epoch := l.coord.epoch
+	for _, fl := range l.flight {
+		if !fl.abandoned {
+			ms.Flight = append(ms.Flight, FlightEntry{Seq: fl.seq, Worker: fl.worker, Lo: fl.batch.Lo, Hi: fl.batch.Hi, Epoch: epoch})
+		}
 	}
-	ms.Min, ms.Max = mem.Min(), mem.Max()
-	r := mem.Report()
-	ms.Joins, ms.Leaves, ms.Evictions = r.Joins, r.Leaves, r.Evictions
-	ms.Rebalances, ms.Peak = r.Rebalances, r.Peak
-	return ms
+	for _, b := range l.pending {
+		ms.Flight = append(ms.Flight, FlightEntry{Worker: -1, Lo: b.Lo, Hi: b.Hi, Epoch: epoch})
+	}
+	for id := range l.feed {
+		for _, b := range l.feed[id] {
+			ms.Flight = append(ms.Flight, FlightEntry{Worker: id, Lo: b.Lo, Hi: b.Hi, Epoch: epoch})
+		}
+	}
+	st.Membership = ms
+	st.Params = l.cloneModel()
+	return st, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,17 +45,33 @@ func (errSink) WriteState(*RunState) error { return errors.New("disk full") }
 // between-epoch shuffling on, a run resumed from a mid-run checkpoint must
 // continue the exact trajectory of the uninterrupted run — bit-identical
 // model parameters, scheduler counters, and RNG stream at every subsequent
-// epoch barrier (and therefore bit-identical epoch losses).
+// epoch barrier (and therefore bit-identical epoch losses) — and carry the
+// checkpoint's event history. The churn row resumes mid-churn, from a
+// capture whose worker set outgrew the config's seed set: the joiner's slot
+// is grown on resume the way a live join grows it.
 func TestSimResumeEquivalence(t *testing.T) {
-	for _, alg := range []Algorithm{AlgAdaptiveHogbatch, AlgTensorFlow} {
-		t.Run(alg.String(), func(t *testing.T) { simResumeEquivalence(t, alg) })
+	rows := []struct {
+		name  string
+		cfg   func(t *testing.T) Config
+		slots []int
+	}{
+		{AlgAdaptiveHogbatch.String(), func(t *testing.T) Config { return shuffled(tinyConfig(t, AlgAdaptiveHogbatch)) }, nil},
+		{AlgTensorFlow.String(), func(t *testing.T) Config { return shuffled(tinyConfig(t, AlgTensorFlow)) }, nil},
+		{"churn", func(t *testing.T) Config { return churnConfig(t, AlgCPUGPUHogbatch) }, []int{0, 2, 0}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { simResumeEquivalence(t, row.cfg, row.slots) })
 	}
 }
 
-func simResumeEquivalence(t *testing.T, alg Algorithm) {
-	golden := &memSink{}
-	cfg := tinyConfig(t, alg)
+func shuffled(cfg Config) Config {
 	cfg.Shuffle = true
+	return cfg
+}
+
+func simResumeEquivalence(t *testing.T, build func(t *testing.T) Config, slots []int) {
+	golden := &memSink{}
+	cfg := build(t)
 	cfg.CheckpointSink = golden
 	if _, err := RunSim(context.Background(), cfg, simHorizon); err != nil {
 		t.Fatal(err)
@@ -65,14 +82,20 @@ func simResumeEquivalence(t *testing.T, alg Algorithm) {
 		t.Fatalf("need ≥4 epoch captures to test resume, got %d", len(golden.states))
 	}
 	mid := golden.states[1]
+	if slots != nil && !slices.Equal(mid.Membership.States, slots) {
+		t.Fatalf("resume point has slots %v, want %v", mid.Membership.States, slots)
+	}
 
 	resumed := &memSink{}
-	cfg2 := tinyConfig(t, alg) // fresh dataset in original order
-	cfg2.Shuffle = true
+	cfg2 := build(t) // fresh dataset in original order
 	cfg2.CheckpointSink = resumed
 	cfg2.Resume = mid
-	if _, err := RunSim(context.Background(), cfg2, simHorizon); err != nil {
+	res, err := RunSim(context.Background(), cfg2, simHorizon)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if evs := res.Events.Events(); len(evs) < len(mid.Events) || !slices.Equal(evs[:len(mid.Events)], mid.Events) {
+		t.Fatalf("resumed run's events do not begin with the checkpoint's %d: %v", len(mid.Events), evs)
 	}
 
 	byEpoch := func(states []*RunState, epoch int) *RunState {
@@ -109,6 +132,7 @@ func simResumeEquivalence(t *testing.T, alg Algorithm) {
 	if compared < 2 {
 		t.Fatalf("only %d common epochs compared; want ≥2", compared)
 	}
+	t.Logf("resumed from epoch %d with %d events; %d later barriers compared", mid.Epoch, len(mid.Events), compared)
 }
 
 // TestSimCancelMidRun cancels the context from inside the first epoch-barrier

@@ -9,6 +9,7 @@ import (
 
 	"heterosgd/internal/data"
 	"heterosgd/internal/elastic"
+	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/telemetry"
 	"heterosgd/internal/tensor"
@@ -107,11 +108,45 @@ type nopLocker struct{}
 func (nopLocker) Lock()   {}
 func (nopLocker) Unlock() {}
 
-// coordLoop is the coordinator loop. Like the paper's coordinator thread it
+// coordLoop is the coordinator loop and everything it owns: the model, the
+// scheduling coordinator, the health/staleness/guard trackers, the elastic
+// membership, and the instruments. Like the paper's coordinator thread it
 // processes messages sequentially on one goroutine, so none of its state
-// needs locking.
+// needs locking. The engines differ in how work reaches a worker and in what
+// their clock means (the executor), not in any of this.
 type coordLoop struct {
-	*run
+	cfg        *Config
+	net        *nn.Network
+	ds         *data.Dataset
+	global     *nn.Params
+	modelBytes int64
+	coord      *coordinator
+	tel        *telemetry.Tracer
+	rm         runMetrics
+	coordRing  int
+	raw        *metrics.UpdateCounter
+	util       *metrics.UtilizationTrace
+	trace      *metrics.Trace
+	events     *metrics.EventLog
+	health     *healthTracker
+	stale      *staleTracker
+	guard      *guardState
+	evalN      int
+	evalWS     *nn.Workspace
+
+	// mem is nil for fixed-membership runs; planCur walks the scripted plan.
+	mem            *elastic.Membership
+	planCur        *elastic.Cursor
+	initialWorkers int
+	// completed counts dispatches completed across every incarnation of the
+	// run; scripted churn triggers and membership captures count against
+	// it, so it resumes from the checkpoint rather than zero.
+	completed int64
+
+	lastBatch              []int
+	batchTrace             []BatchEvent
+	converged, interrupted bool
+
 	exec   executor
 	trans  transport.Transport
 	ctx    context.Context
@@ -156,55 +191,75 @@ type coordLoop struct {
 	elCount           int64
 }
 
-// newCoordLoop builds the coordinator over r. A resumed run continues its
-// dispatch numbering above the checkpoint's floor and re-queues the
-// checkpoint's in-flight batches: their examples already count in
-// ExamplesDone, so re-applying them is what rebalances the exactly-once
-// accounting.
-func newCoordLoop(ctx context.Context, r *run, trans transport.Transport, budget time.Duration) (*coordLoop, error) {
+// newCoordLoop builds the coordinator for a validated cfg, restoring
+// cfg.Resume when set. cfg is the engine's private copy: elastic joins
+// append to its Workers.
+func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, budget time.Duration) (*coordLoop, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	n := len(cfg.Workers)
 	l := &coordLoop{
-		run:    r,
-		trans:  trans,
-		ctx:    ctx,
-		budget: budget,
-		gemm:   runtime.GOMAXPROCS(0),
-		tr:     &TransportReport{},
-		busy:   make([]bool, len(r.cfg.Workers)),
-		feed:   make([][]data.Batch, len(r.cfg.Workers)),
+		cfg:            cfg,
+		net:            cfg.Net,
+		ds:             cfg.Dataset,
+		global:         cfg.Net.NewParams(nn.InitXavier, cfg.newRNG()),
+		coord:          newCoordinator(cfg),
+		tel:            cfg.Tracer,
+		rm:             newRunMetrics(cfg.Metrics),
+		coordRing:      cfg.coordRing(),
+		raw:            metrics.NewUpdateCounter(),
+		util:           metrics.NewUtilizationTrace(),
+		trace:          &metrics.Trace{Name: cfg.Algorithm.String()},
+		events:         metrics.NewEventLog(),
+		initialWorkers: n,
+		lastBatch:      make([]int, n),
+		trans:          trans,
+		ctx:            ctx,
+		budget:         budget,
+		gemm:           runtime.GOMAXPROCS(0),
+		tr:             &TransportReport{},
+		busy:           make([]bool, n),
+		feed:           make([][]data.Batch, n),
 	}
-	l.step = laneStep{net: r.net, decay: r.cfg.WeightDecay, guard: r.cfg.Guards != nil, mode: r.cfg.UpdateMode, gemm: l.gemm, rounds: r.cfg.rounds()}
-	if r.cfg.svrgAnchor() {
-		l.step.svrg = newSVRGState(r.net)
+	if cfg.InitialParams != nil {
+		l.global.CopyFrom(cfg.InitialParams)
 	}
-	if r.cfg.delayCompensated() {
-		l.step.dc = r.cfg.DCLambda
+	l.modelBytes = l.global.SizeBytes()
+	l.raw.Mirror(l.rm.updates)
+	l.health = newHealthTracker(cfg, l.events)
+	l.coord.tracker = l.health
+	l.stale = newStaleTracker(cfg, l.health, &l.rm)
+	l.guard = newGuardState(cfg.Guards, l.global)
+	l.evalN = l.ds.N()
+	if cfg.EvalSubset > 0 && cfg.EvalSubset < l.evalN {
+		l.evalN = cfg.EvalSubset
 	}
-	if r.cfg.rounds() {
-		l.roundSum = r.net.NewParams(nn.InitZero, nil)
+	l.evalWS = l.net.NewWorkspace(l.evalN)
+	l.step = laneStep{net: l.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds()}
+	if cfg.svrgAnchor() {
+		l.step.svrg = newSVRGState(l.net)
 	}
-	if r.cfg.Resume == nil || r.cfg.Resume.Membership == nil {
-		return l, nil
+	if cfg.delayCompensated() {
+		l.step.dc = cfg.DCLambda
 	}
-	ms := r.cfg.Resume.Membership
-	// Scripted events triggered before the capture already mutated the
-	// restored membership; burn them off the cursor so they cannot fire
-	// twice.
-	r.planCur.Fire(r.completed)
-	l.seq = ms.SeqFloor
-	l.tr.Duplicates, l.tr.Abandoned = ms.Duplicates, ms.Abandoned
-	l.tr.Partitions, l.tr.Reconnects = ms.Partitions, ms.Reconnects
-	l.tr.AppliedExamples = ms.AppliedExamples
-	for _, f := range ms.Flight {
-		if f.Hi > r.ds.N() {
-			return nil, fmt.Errorf("core: resume flight entry [%d,%d) outside dataset of %d", f.Lo, f.Hi, r.ds.N())
+	if cfg.rounds() {
+		l.roundSum = l.net.NewParams(nn.InitZero, nil)
+	}
+	if cfg.elasticEnabled() {
+		l.planCur = cfg.Elastic.Begin()
+	}
+	if err := l.resume(); err != nil {
+		return nil, err
+	}
+	if cfg.elasticEnabled() && l.mem == nil {
+		var err error
+		if l.mem, err = elastic.New(n, cfg.MinWorkers, cfg.Capacity()); err != nil {
+			return nil, err
 		}
-		l.pending = append(l.pending, r.ds.View(f.Lo, f.Hi))
 	}
-	if len(ms.Flight) > 0 {
-		r.events.Add(0, "", "resume", fmt.Sprintf("%d in-flight batches from the checkpoint re-queued", len(ms.Flight)))
+	if l.mem != nil {
+		l.rm.elasticWorkers.Set(float64(l.mem.ActiveCount()))
 	}
 	return l, nil
 }
@@ -226,9 +281,13 @@ func (l *coordLoop) overBudget() bool {
 	return l.converged || l.cancelled() || l.elapsed() >= l.budget
 }
 
-// point records a loss sample; reaching the target loss ends scheduling.
+// point adds a loss sample to the trace and the live gauges; reaching the
+// target loss ends scheduling.
 func (l *coordLoop) point(at time.Duration, loss float64) {
-	l.record(at, loss)
+	epoch := l.coord.epochFrac()
+	l.trace.Add(at, epoch, loss)
+	l.rm.loss.Set(loss)
+	l.rm.epochs.Set(epoch)
 	if l.cfg.TargetLoss > 0 && isFinite(loss) && loss <= l.cfg.TargetLoss {
 		l.converged = true
 	}
@@ -250,7 +309,7 @@ func (l *coordLoop) lockedLoss() float64 {
 	mu := l.exec.modelLock(false)
 	mu.Lock()
 	defer mu.Unlock()
-	return l.evalLoss(l.gemm)
+	return l.evalLoss()
 }
 
 // cloneModel copies the live model under the run's read discipline: against
@@ -297,16 +356,8 @@ func (l *coordLoop) publishSnap(force bool) {
 	l.rm.snapshots.Inc()
 }
 
-// writeCkpt captures a RunState and hands it to the checkpoint sink. The
-// membership section makes the checkpoint resumable mid-churn and
-// mid-flight: worker states, clocks, the seq floor, delivery accounting,
-// and every dispatched-but-unapplied batch (live flights plus queued
-// recovery batches; abandoned flights are excluded because their ranges
-// were already re-queued). A mid-epoch capture in a shared-memory engine
-// may already hold part of an in-flight batch's updates — re-running it on
-// resume is the documented at-least-once; barrier and drain captures are
-// exact. Sink errors are logged as "ckpt-error" events and never stop
-// training.
+// writeCkpt captures a RunState and hands it to the checkpoint sink. Sink
+// errors are logged as "ckpt-error" events and never stop training.
 func (l *coordLoop) writeCkpt(force bool) {
 	if l.cfg.CheckpointSink == nil {
 		return
@@ -316,29 +367,8 @@ func (l *coordLoop) writeCkpt(force bool) {
 		return
 	}
 	l.lastCkpt = t0
-	st, err := l.captureState(l.elapsed())
+	st, err := l.capture()
 	if err == nil {
-		ms := captureMembership(l.mem, l.stale, len(l.cfg.Workers), l.completed)
-		ms.SeqFloor = l.seq
-		ms.Duplicates, ms.Abandoned = l.tr.Duplicates, l.tr.Abandoned
-		ms.Partitions, ms.Reconnects = l.tr.Partitions, l.tr.Reconnects
-		ms.AppliedExamples = l.tr.AppliedExamples
-		epoch := l.coord.epoch
-		for _, fl := range l.flight {
-			if !fl.abandoned {
-				ms.Flight = append(ms.Flight, FlightEntry{Seq: fl.seq, Worker: fl.worker, Lo: fl.batch.Lo, Hi: fl.batch.Hi, Epoch: epoch})
-			}
-		}
-		for _, b := range l.pending {
-			ms.Flight = append(ms.Flight, FlightEntry{Worker: -1, Lo: b.Lo, Hi: b.Hi, Epoch: epoch})
-		}
-		for id := range l.feed {
-			for _, b := range l.feed[id] {
-				ms.Flight = append(ms.Flight, FlightEntry{Worker: id, Lo: b.Lo, Hi: b.Hi, Epoch: epoch})
-			}
-		}
-		st.Membership = ms
-		st.Params = l.cloneModel()
 		err = l.cfg.CheckpointSink.WriteState(st)
 	}
 	if err != nil {
@@ -417,7 +447,7 @@ func (l *coordLoop) dispatch(id int) bool {
 	if !ok {
 		return false
 	}
-	l.noteBatch(id, l.elapsed())
+	l.noteBatch(id)
 	l.send(id, batch, l.stale.staleness(id))
 	return true
 }
@@ -571,24 +601,32 @@ func (l *coordLoop) recvWait() time.Duration {
 // in-flight batch and re-routes it immediately, like a crash but without
 // the fault accounting.
 
-// join admits a fresh elastic worker, spawns it, and dispatches it.
+// join allocates the next membership slot for an elastic joiner, grows
+// every per-worker table to it, rebalances the adaptive comparators over the
+// new set, and spawns and dispatches the joiner.
 func (l *coordLoop) join(reason string) {
-	id, ok := l.admit(reason, l.elapsed())
-	if !ok {
+	id, err := l.mem.Join()
+	if err != nil {
+		l.events.Add(l.elapsed(), "", "join-refused", fmt.Sprintf("%s: %v", reason, err))
 		return
 	}
-	l.busy = append(l.busy, false)
-	l.feed = append(l.feed, nil)
+	l.addSlot(id, l.elapsed())
+	l.rebalanced()
+	l.rm.elasticJoins.Inc()
+	l.rm.elasticWorkers.Set(float64(l.mem.ActiveCount()))
 	l.exec.spawn(id)
 	l.dispatch(id)
 }
 
-// leave starts a graceful departure: an idle leaver retires on the spot, a
-// busy one when its in-flight completion arrives.
+// leave starts a graceful departure (no fresh dispatches): an idle leaver
+// retires on the spot, a busy one when its in-flight completion arrives.
 func (l *coordLoop) leave(id int) {
-	if !l.beginLeave(id, l.elapsed()) {
+	if err := l.mem.Leave(id); err != nil {
+		l.events.Add(l.elapsed(), "", "leave-refused", err.Error())
 		return
 	}
+	l.events.Add(l.elapsed(), l.name(id), "leave", "graceful departure started")
+	l.rm.elasticLeaves.Inc()
 	l.rebalanced()
 	l.retire(id)
 	l.wakeGated()
@@ -601,18 +639,23 @@ func (l *coordLoop) retire(id int) {
 	if l.mem == nil || !l.mem.Draining(id) || l.busy[id] || !l.mem.Retire(id) {
 		return
 	}
-	l.retired(id, l.elapsed())
+	l.health.markDeparted(id, l.elapsed(), "graceful leave drained")
+	l.rm.elasticWorkers.Set(float64(l.mem.ActiveCount()))
 	l.release(id)
 	l.wakeGated()
 }
 
-// evict removes a worker at once. Its eventual completion is processed like
-// a quarantined straggler's (where completions carry no delta its updates
-// land anyway — documented at-least-once under forced removal).
+// evict removes a worker from the membership at once — a departure, not a
+// fault. Its eventual completion is processed like a quarantined
+// straggler's (where completions carry no delta its updates land anyway —
+// documented at-least-once under forced removal).
 func (l *coordLoop) evict(id int) {
-	if !l.beginEvict(id, l.elapsed()) {
+	if err := l.mem.Evict(id); err != nil {
+		l.events.Add(l.elapsed(), "", "evict-refused", err.Error())
 		return
 	}
+	l.rm.elasticEvictions.Inc()
+	l.health.markDeparted(id, l.elapsed(), "evicted")
 	l.release(id)
 	l.abandon(id)
 	l.busy[id] = false
@@ -677,7 +720,7 @@ func (l *coordLoop) onLink(ev *transport.Event) {
 		l.wakeGated()
 	case transport.LinkUp:
 		l.tr.Reconnects++
-		if l.health.readmitWith(id, l.elapsed(), "link healed") {
+		if l.health.readmit(id, l.elapsed(), "link healed") {
 			l.stale.catchUp(id)
 			l.dispatch(id)
 			l.wakeGated()
@@ -702,7 +745,7 @@ func (l *coordLoop) onLink(ev *transport.Event) {
 func (l *coordLoop) account(msg *transport.Done) {
 	l.coord.reportUpdates(msg.Worker, int64(msg.Updates))
 	if msg.Dropped > 0 {
-		l.drop(msg.Worker, int64(msg.Dropped), l.elapsed(), "drop", fmt.Sprintf("%d non-finite updates discarded", msg.Dropped))
+		l.drop(msg.Worker, int64(msg.Dropped), "drop", fmt.Sprintf("%d non-finite updates discarded", msg.Dropped))
 	}
 }
 
@@ -749,7 +792,7 @@ func (l *coordLoop) complete(msg *transport.Done) (stop bool, err error) {
 	if fl.abandoned {
 		// The overdue completion of a dispatch given up on: the readmission
 		// probe succeeded. Its batch was already processed elsewhere.
-		if l.health.readmit(id, l.elapsed()) {
+		if l.health.readmit(id, l.elapsed(), "overdue completion arrived") {
 			l.stale.catchUp(id)
 		}
 	} else {
@@ -895,7 +938,7 @@ func (l *coordLoop) loop() (*Result, error) {
 		// the next shuffle — the barrier refills once they land.
 		l.coord.refill()
 	}
-	l.point(0, l.evalLoss(l.gemm))
+	l.point(0, l.evalLoss())
 	for _, id := range joined {
 		l.onLink(&transport.Event{Worker: id, Kind: transport.LinkJoin})
 	}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"heterosgd/internal/data"
 	"heterosgd/internal/device"
 	"heterosgd/internal/nn"
+	"heterosgd/internal/tfbaseline"
 )
 
 // NewMultiConfig assembles a heterogeneous configuration with numCPU CPU
@@ -14,46 +16,44 @@ import (
 // algorithms to multi-GPU architectures"). Worker devices are named
 // cpu0…cpuN, gpu0…gpuM. The scheduling, adaptive policy, and both engines
 // are worker-count agnostic, so everything from NewConfig carries over: the
-// result is NewConfig's with only Workers and EvalDevice replaced.
+// result is NewConfig's with only Workers and EvalDevice replaced. Each
+// device's worker is NewConfig's worker of that kind — batches, threads,
+// device model — or CPU+GPU Hogbatch's when the algorithm has none.
 //
 // CPU threads are divided evenly across the socket workers (the paper's
-// single 56-thread worker becomes e.g. 2×28) so total CPU parallelism is
-// held constant while the update streams multiply.
+// single 56-thread worker becomes e.g. 2×28), and the CPU batches with them,
+// so total CPU parallelism is held constant while the update streams
+// multiply.
 func NewMultiConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset, numCPU, numGPU int) (Config, error) {
 	if numCPU < 0 || numGPU < 0 || numCPU+numGPU == 0 {
 		return Config{}, fmt.Errorf("core: topology needs at least one worker (got %d CPU + %d GPU)", numCPU, numGPU)
 	}
 	cfg := NewConfig(alg, net, ds, p)
-	cfg.Workers, cfg.EvalDevice = nil, nil
-	adaptive := cfg.adaptive()
-	threadsPer := p.CPUThreads
-	if numCPU > 1 {
-		threadsPer = max(1, p.CPUThreads/numCPU)
+	kinds := slices.Concat(cfg.Workers, NewConfig(AlgCPUGPUHogbatch, net, ds, p).Workers)
+	like := func(k device.Kind) WorkerConfig {
+		return kinds[slices.IndexFunc(kinds, func(w WorkerConfig) bool { return w.Device.Kind() == k })]
 	}
+	cfg.Workers, cfg.EvalDevice = nil, nil
 	for i := 0; i < numCPU; i++ {
-		dev := device.NewXeon(fmt.Sprintf("cpu%d", i), threadsPer)
-		minB, maxB := threadsPer*p.CPUMinPerThread, threadsPer*p.CPUMaxPerThread
-		initB := minB
-		if !adaptive {
-			maxB = minB
-		}
-		cfg.Workers = append(cfg.Workers, WorkerConfig{
-			Device: dev, Threads: threadsPer,
-			InitialBatch: initB, MinBatch: minB, MaxBatch: maxB,
-		})
+		threadsPer := max(1, p.CPUThreads/numCPU)
+		split := func(b int) int { return max(1, b*threadsPer/p.CPUThreads) }
+		w := like(device.KindCPU)
+		w.Device = device.NewXeon(fmt.Sprintf("cpu%d", i), threadsPer)
+		w.Threads = max(1, w.Threads/numCPU)
+		w.InitialBatch, w.MinBatch, w.MaxBatch = split(w.InitialBatch), split(w.MinBatch), split(w.MaxBatch)
+		cfg.Workers = append(cfg.Workers, w)
 	}
 	for i := 0; i < numGPU; i++ {
-		dev := device.NewV100(fmt.Sprintf("gpu%d", i))
-		minB, maxB := p.GPUMin, p.GPUMax
-		if !adaptive {
-			minB = p.GPUMax
+		w := like(device.KindGPU)
+		gpu := device.NewV100(fmt.Sprintf("gpu%d", i))
+		if tf, ok := w.Device.(*tfbaseline.Device); ok {
+			w.Device = tfbaseline.NewDevice(gpu, tf.CPU)
+		} else {
+			w.Device = gpu
 		}
-		cfg.Workers = append(cfg.Workers, WorkerConfig{
-			Device: dev, InitialBatch: p.GPUMax, MinBatch: minB, MaxBatch: maxB,
-			DeepReplica: true,
-		})
+		cfg.Workers = append(cfg.Workers, w)
 		if cfg.EvalDevice == nil {
-			cfg.EvalDevice = dev
+			cfg.EvalDevice = w.Device
 		}
 	}
 	if err := cfg.Validate(); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"heterosgd/internal/device"
@@ -37,7 +38,9 @@ func TestNewMultiConfigTopologies(t *testing.T) {
 // TestNewMultiConfigKeepsNewConfigDefaults: a multi-device topology differs
 // from NewConfig's only in its workers, so every algorithm validates on one
 // CPU and one GPU with the consistency-mode defaults intact, and the
-// evaluation device is the GPU worker's own.
+// evaluation device is the GPU worker's own. Where NewConfig itself builds
+// one CPU and one GPU worker, the topology's workers are NewConfig's; and a
+// comparator's device model carries over to every GPU.
 func TestNewMultiConfigKeepsNewConfigDefaults(t *testing.T) {
 	base := tinyConfig(t, AlgAdaptiveHogbatch)
 	for _, name := range AlgorithmNames() {
@@ -56,6 +59,20 @@ func TestNewMultiConfigKeepsNewConfigDefaults(t *testing.T) {
 		}
 		if got.EvalDevice == nil || got.EvalDevice != got.Workers[1].Device {
 			t.Fatalf("%s: eval device %v is not the GPU worker's", name, got.EvalDevice)
+		}
+		if len(want.Workers) == 2 && !reflect.DeepEqual(got.Workers, want.Workers) {
+			t.Fatalf("%s: multi workers %+v, NewConfig's %+v", name, got.Workers, want.Workers)
+		}
+	}
+	tf := NewConfig(AlgTensorFlow, base.Net, base.Dataset, tinyPreset())
+	twoTF, err := NewMultiConfig(AlgTensorFlow, base.Net, base.Dataset, tinyPreset(), 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tf.Workers[0].Device.IterTime(base.Net.Arch, 128, 0)
+	for _, w := range twoTF.Workers {
+		if got := w.Device.IterTime(base.Net.Arch, 128, 0); got != want {
+			t.Fatalf("tf at (0,2): %s takes %v per 128-row iteration, the comparator %v", w.Device.Name(), got, want)
 		}
 	}
 	cpuOnly, err := NewMultiConfig(AlgHogbatchCPU, base.Net, base.Dataset, tinyPreset(), 2, 0)

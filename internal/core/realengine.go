@@ -63,10 +63,6 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 	if err := cfg.supportedOn(engineReal); err != nil {
 		return nil, err
 	}
-	r, err := newRun(cfg)
-	if err != nil {
-		return nil, err
-	}
 	// The inbox table is sized to Capacity up front so an elastic joiner's
 	// fresh id maps straight to an unused inbox.
 	trans := transport.NewLocal(cfg.Capacity())
@@ -82,12 +78,12 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 			Wait:    cfg.Metrics.Histogram("msgq_wait_seconds"),
 		})
 	}
-	l, err := newCoordLoop(ctx, r, trans, budget)
+	l, err := newCoordLoop(ctx, cfg, trans, budget)
 	if err != nil {
 		return nil, err
 	}
 	x := &localExec{l: l, trans: trans}
-	l.step.shared = r.global
+	l.step.shared = l.global
 	if cfg.UpdateMode == tensor.UpdateLocked {
 		l.step.mu = &x.mu
 	}

@@ -52,12 +52,8 @@ func newSimExec(ctx context.Context, cfg *Config, horizon time.Duration) (*simEx
 	// both exact consistency points, which is what makes a resumed
 	// deterministic run continue the identical trajectory.
 	cfg.CheckpointEvery = 0
-	r, err := newRun(cfg)
-	if err != nil {
-		return nil, err
-	}
 	x := &simExec{eng: simclock.New()}
-	l, err := newCoordLoop(ctx, r, x, horizon)
+	l, err := newCoordLoop(ctx, cfg, x, horizon)
 	if err != nil {
 		return nil, err
 	}

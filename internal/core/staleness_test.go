@@ -64,7 +64,7 @@ func TestStaleTrackerReadmissionWakesGate(t *testing.T) {
 	// Without the catch-up, worker 2's clock 0 would drag the minimum to 0
 	// and staleness(0) to 13 — parking worker 0 for the laggard's entire
 	// gap. With it, worker 2 rejoins at the back of the pack (clock 10).
-	if !health.readmit(2, 2*time.Millisecond) {
+	if !health.readmit(2, 2*time.Millisecond, "probe") {
 		t.Fatal("readmit(2) refused")
 	}
 	stale.catchUp(2)

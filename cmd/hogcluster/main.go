@@ -96,7 +96,7 @@ func main() {
 	tel.Bind(flag.CommandLine)
 	var (
 		role  = flag.String("role", "coordinator", "process role: coordinator or worker")
-		decay = flag.Float64("weight-decay", 0, "L2 weight decay (must match across processes)")
+		decay = flag.Float64("weight-decay", 0, "L2 weight decay (the coordinator's; workers take it from the handshake)")
 
 		// Coordinator flags.
 		listen    = flag.String("listen", "127.0.0.1:0", "coordinator listen address")
@@ -104,7 +104,7 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", 250*time.Millisecond, "link heartbeat period")
 		hbMisses  = flag.Int("heartbeat-misses", 3, "missed heartbeats before a link is declared down")
 		attach    = flag.Duration("attach-timeout", 30*time.Second, "how long to wait for all workers to connect")
-		dispatchT = flag.Duration("dispatch-timeout", 0, "flat per-dispatch deadline (0 = partitions detected by heartbeat only)")
+		dispatchT = flag.Duration("dispatch-timeout", 0, "per-dispatch deadline: the watchdog floor, with no cost-model slack (0 = partitions detected by heartbeat only)")
 		spawn     = flag.Bool("spawn", false, "also spawn the worker processes (this binary, -role worker) on loopback")
 		linkStr   = flag.String("linkfaults", "", "partition plan routed through an in-process proxy: drop:W:RATE,dup:W:RATE,delay:W:EVERY:DUR,sever:W:AFTER:REFUSE (implies -spawn routing)")
 		killID    = flag.Int("kill-worker", -1, "with -spawn: kill this worker's process mid-run")
@@ -132,8 +132,9 @@ func main() {
 	defer stopSignals()
 
 	// Every process of a run trains the same problem: a spawned worker gets
-	// the problem binding plus the two flags its gradient step reads.
-	workerShape := append(prob.Args(), forward("weight-decay", "guards")...)
+	// the problem binding, and the rest of its gradient step (weight decay,
+	// guards) from the handshake.
+	workerShape := prob.Args()
 	if *chaosStr != "" {
 		if *role != "coordinator" {
 			cli.Fatal(fmt.Errorf("-chaos runs the drill from the coordinator role"))
@@ -172,11 +173,9 @@ func main() {
 			wid = -1
 		}
 		opts := core.ClusterWorkerOptions{
-			Client:      transport.ClientOptions{Seed: prob.Seed},
-			Threads:     *threads,
-			WeightDecay: *decay,
-			Guards:      run.Guards,
-			LeaveAfter:  *leaveAft,
+			Client:     transport.ClientOptions{Seed: prob.Seed},
+			Threads:    *threads,
+			LeaveAfter: *leaveAft,
 		}
 		if n := *dieAfter; n > 0 {
 			opts.OnDispatch = func(h int) {
@@ -223,6 +222,9 @@ func main() {
 		cli.Fatal(err)
 	}
 	cfg.WeightDecay = *decay
+	if *dispatchT > 0 {
+		cfg.Watchdog = &core.WatchdogConfig{Floor: *dispatchT}
+	}
 	// The Config's worker list sizes the scheduler (batch windows, adaptive
 	// thresholds); the processes filling those slots are remote. Pad or trim
 	// to the requested cluster size by cycling the algorithm's device mix.
@@ -291,10 +293,7 @@ func main() {
 		cli.Fatal(fmt.Errorf("-kill-worker requires -spawn (the coordinator only owns processes it spawned)"))
 	}
 
-	res, err := core.RunCluster(ctx, cfg, run.Time, trans, core.ClusterOptions{
-		AttachTimeout:   *attach,
-		DispatchTimeout: *dispatchT,
-	})
+	res, err := core.RunCluster(ctx, cfg, run.Time, trans, core.ClusterOptions{AttachTimeout: *attach})
 	if err != nil {
 		cli.Fatal(err)
 	}

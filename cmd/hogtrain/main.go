@@ -146,9 +146,7 @@ func main() {
 		cfg.Watchdog = core.DefaultWatchdog()
 		cfg.Watchdog.Floor = *wdFloor
 	}
-	if plan != nil && cfg.Guards == nil {
-		cfg.Guards = core.DefaultGuards()
-	}
+	cfg.Guards = cfg.Guards || plan != nil
 	if *tracePath != "" {
 		cfg.Tracer = core.NewRunTracer(&cfg, 0)
 	}

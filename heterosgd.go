@@ -195,8 +195,6 @@ type (
 	Fault = faults.Fault
 	// WatchdogConfig sets per-dispatch deadlines (Config.Watchdog).
 	WatchdogConfig = core.WatchdogConfig
-	// GuardConfig sets the divergence-guard policy (Config.Guards).
-	GuardConfig = core.GuardConfig
 	// FaultReport summarizes a run's fault-tolerance events (Result.Health).
 	FaultReport = core.FaultReport
 	// WorkerHealth is one worker's record inside a FaultReport.
@@ -228,9 +226,6 @@ func CorruptGradient(worker int, rate float64) Fault { return faults.CorruptGrad
 
 // DefaultWatchdog returns the permissive wall-clock watchdog policy.
 func DefaultWatchdog() *WatchdogConfig { return core.DefaultWatchdog() }
-
-// DefaultGuards returns the default divergence-guard policy.
-func DefaultGuards() *GuardConfig { return core.DefaultGuards() }
 
 // SaveModel writes trained parameters to a checkpoint file.
 func SaveModel(path string, p *Params) error { return nn.SaveParamsFile(path, p) }

@@ -5,23 +5,23 @@
 // File layout (little-endian):
 //
 //	magic   uint32  "HGC1"
-//	version uint32  1, or 2 when a membership section follows the header
+//	version uint32  2
 //	hdrLen  uint32  length of the JSON header
 //	header  []byte  JSON: every RunState field except Membership and Params
 //	hdrCRC  uint32  CRC-32 (IEEE) of the four preceding fields
-//	memLen  uint32  (version ≥ 2) length of the membership JSON
-//	member  []byte  (version ≥ 2) JSON core.MembershipState
-//	memCRC  uint32  (version ≥ 2) CRC-32 (IEEE) of memLen + member
+//	memLen  uint32  length of the membership JSON
+//	member  []byte  JSON core.MembershipState
+//	memCRC  uint32  CRC-32 (IEEE) of memLen + member
 //	params  []byte  the model, in nn.WriteParams format (self-checksummed)
 //
 // The header, membership, and model sections carry independent checksums,
 // so truncation or corruption anywhere in the file yields a descriptive
 // error instead of a silently wrong resume — a flipped byte in the
-// membership block must never resurrect the wrong worker set. States
-// without membership still serialize as version 1, byte-identical to the
-// pre-membership format. Files are written via atomicio (temp file +
-// rename), so a kill mid-write never leaves a torn checkpoint: readers see
-// either the previous complete generation or the new one.
+// membership block must never resurrect the wrong worker set. Version 1,
+// the pre-membership layout, is refused by name. Files are written via
+// atomicio (temp file + rename), so a kill mid-write never leaves a torn
+// checkpoint: readers see either the previous complete generation or the
+// new one.
 package checkpoint
 
 import (
@@ -43,9 +43,8 @@ import (
 
 const (
 	fileMagic = 0x48474331 // "HGC1"
-	// fileVersion 2 adds the optional CRC-guarded membership section;
-	// version-1 files (no membership) remain readable and are still what
-	// Write emits for states without one.
+	// fileVersion 2 added the CRC-guarded membership section every state
+	// carries; version 1 had none and is no longer read.
 	fileVersion = 2
 )
 
@@ -75,6 +74,9 @@ func Write(w io.Writer, st *core.RunState) error {
 	if st.Params == nil {
 		return fmt.Errorf("checkpoint: run state has no model parameters")
 	}
+	if st.Membership == nil {
+		return fmt.Errorf("checkpoint: run state has no membership section")
+	}
 	hdr, err := json.Marshal(header{
 		Algorithm:    int(st.Algorithm),
 		Seed:         st.Seed,
@@ -95,18 +97,14 @@ func Write(w io.Writer, st *core.RunState) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding header: %w", err)
 	}
-	version := uint32(1)
-	var mem []byte
-	if st.Membership != nil {
-		version = fileVersion
-		if mem, err = json.Marshal(st.Membership); err != nil {
-			return fmt.Errorf("checkpoint: encoding membership: %w", err)
-		}
+	mem, err := json.Marshal(st.Membership)
+	if err != nil {
+		return fmt.Errorf("checkpoint: encoding membership: %w", err)
 	}
 	bw := bufio.NewWriter(w)
 	crc := crc32.NewIEEE()
 	mw := io.MultiWriter(bw, crc)
-	for _, v := range []uint32{fileMagic, version, uint32(len(hdr))} {
+	for _, v := range []uint32{fileMagic, fileVersion, uint32(len(hdr))} {
 		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
 			return fmt.Errorf("checkpoint: writing header: %w", err)
 		}
@@ -117,18 +115,16 @@ func Write(w io.Writer, st *core.RunState) error {
 	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
 		return fmt.Errorf("checkpoint: writing header checksum: %w", err)
 	}
-	if st.Membership != nil {
-		mcrc := crc32.NewIEEE()
-		mmw := io.MultiWriter(bw, mcrc)
-		if err := binary.Write(mmw, binary.LittleEndian, uint32(len(mem))); err != nil {
-			return fmt.Errorf("checkpoint: writing membership: %w", err)
-		}
-		if _, err := mmw.Write(mem); err != nil {
-			return fmt.Errorf("checkpoint: writing membership: %w", err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, mcrc.Sum32()); err != nil {
-			return fmt.Errorf("checkpoint: writing membership checksum: %w", err)
-		}
+	mcrc := crc32.NewIEEE()
+	mmw := io.MultiWriter(bw, mcrc)
+	if err := binary.Write(mmw, binary.LittleEndian, uint32(len(mem))); err != nil {
+		return fmt.Errorf("checkpoint: writing membership: %w", err)
+	}
+	if _, err := mmw.Write(mem); err != nil {
+		return fmt.Errorf("checkpoint: writing membership: %w", err)
+	}
+	if err := binary.Write(bw, binary.LittleEndian, mcrc.Sum32()); err != nil {
+		return fmt.Errorf("checkpoint: writing membership checksum: %w", err)
 	}
 	if err := bw.Flush(); err != nil {
 		return err
@@ -150,7 +146,10 @@ func Read(r io.Reader, net *nn.Network) (*core.RunState, error) {
 	if magic != fileMagic {
 		return nil, fmt.Errorf("checkpoint: bad magic %#x (not a run-state checkpoint)", magic)
 	}
-	if version < 1 || version > fileVersion {
+	if version == 1 {
+		return nil, fmt.Errorf("checkpoint: version 1 (pre-membership) checkpoints are no longer supported; it carries no worker set to resume")
+	}
+	if version != fileVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", version)
 	}
 	const maxHeader = 64 << 20
@@ -173,33 +172,30 @@ func Read(r io.Reader, net *nn.Network) (*core.RunState, error) {
 	if err := json.Unmarshal(hdr, &h); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding header: %w", err)
 	}
-	var membership *core.MembershipState
-	if version >= 2 {
-		mcrc := crc32.NewIEEE()
-		mtr := io.TeeReader(r, mcrc)
-		var memLen uint32
-		if err := binary.Read(mtr, binary.LittleEndian, &memLen); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading membership length (truncated file?): %w", err)
-		}
-		if memLen > maxHeader {
-			return nil, fmt.Errorf("checkpoint: implausible membership length %d (corrupt file?)", memLen)
-		}
-		mem := make([]byte, memLen)
-		if _, err := io.ReadFull(mtr, mem); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading membership (truncated file?): %w", err)
-		}
-		mwant := mcrc.Sum32()
-		var mgot uint32
-		if err := binary.Read(r, binary.LittleEndian, &mgot); err != nil {
-			return nil, fmt.Errorf("checkpoint: reading membership checksum (truncated file?): %w", err)
-		}
-		if mgot != mwant {
-			return nil, fmt.Errorf("checkpoint: membership checksum mismatch (stored %#x, computed %#x): refusing to resume an unverifiable worker set", mgot, mwant)
-		}
-		membership = &core.MembershipState{}
-		if err := json.Unmarshal(mem, membership); err != nil {
-			return nil, fmt.Errorf("checkpoint: decoding membership: %w", err)
-		}
+	mcrc := crc32.NewIEEE()
+	mtr := io.TeeReader(r, mcrc)
+	var memLen uint32
+	if err := binary.Read(mtr, binary.LittleEndian, &memLen); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading membership length (truncated file?): %w", err)
+	}
+	if memLen > maxHeader {
+		return nil, fmt.Errorf("checkpoint: implausible membership length %d (corrupt file?)", memLen)
+	}
+	mem := make([]byte, memLen)
+	if _, err := io.ReadFull(mtr, mem); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading membership (truncated file?): %w", err)
+	}
+	mwant := mcrc.Sum32()
+	var mgot uint32
+	if err := binary.Read(r, binary.LittleEndian, &mgot); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading membership checksum (truncated file?): %w", err)
+	}
+	if mgot != mwant {
+		return nil, fmt.Errorf("checkpoint: membership checksum mismatch (stored %#x, computed %#x): refusing to resume an unverifiable worker set", mgot, mwant)
+	}
+	membership := &core.MembershipState{}
+	if err := json.Unmarshal(mem, membership); err != nil {
+		return nil, fmt.Errorf("checkpoint: decoding membership: %w", err)
 	}
 	params, err := nn.ReadParams(r, net)
 	if err != nil {

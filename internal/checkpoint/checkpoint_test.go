@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -44,7 +45,8 @@ func testState(t *testing.T, net *nn.Network) *core.RunState {
 		Events: []metrics.Event{
 			{At: time.Second, Worker: "cpu", Kind: "interrupt", Detail: "test"},
 		},
-		Params: net.NewParams(nn.InitXavier, rng),
+		Membership: &core.MembershipState{States: []int{0, 0}, Min: 1, Max: 2, Peak: 2},
+		Params:     net.NewParams(nn.InitXavier, rng),
 	}
 }
 
@@ -223,6 +225,11 @@ func TestWriteRejectsMissingParams(t *testing.T) {
 	if err := Write(&bytes.Buffer{}, st); err == nil {
 		t.Fatal("expected error for missing params")
 	}
+	st = testState(t, testNet(t))
+	st.Membership = nil
+	if err := Write(&bytes.Buffer{}, st); err == nil || !strings.Contains(err.Error(), "membership") {
+		t.Fatalf("state without membership: want a membership error, got %v", err)
+	}
 }
 
 // memberState returns a run state carrying a mid-churn membership section:
@@ -259,9 +266,9 @@ func memberState(t *testing.T, net *nn.Network) *core.RunState {
 	return st
 }
 
-// TestMembershipRoundTrip: a membership-bearing state serializes as format
-// version 2 and comes back field-for-field; a plain state keeps writing the
-// v1 layout old readers understand.
+// TestMembershipRoundTrip: a state serializes as format version 2 and comes
+// back field-for-field, membership included; a version-1 file — the
+// pre-membership layout, which carries no worker set — is refused by name.
 func TestMembershipRoundTrip(t *testing.T) {
 	net := testNet(t)
 	st := memberState(t, net)
@@ -271,7 +278,7 @@ func TestMembershipRoundTrip(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	if v := binary.LittleEndian.Uint32(raw[4:8]); v != 2 {
-		t.Fatalf("membership-bearing checkpoint has version %d, want 2", v)
+		t.Fatalf("checkpoint has version %d, want 2", v)
 	}
 	back, err := Read(bytes.NewReader(raw), net)
 	if err != nil {
@@ -285,17 +292,18 @@ func TestMembershipRoundTrip(t *testing.T) {
 		t.Fatalf("membership changed:\n got %+v\nwant %+v", back.Membership, st.Membership)
 	}
 
-	// Without a membership section the writer emits version 1 — byte-for-byte
-	// what pre-membership builds wrote and read.
-	var v1 bytes.Buffer
-	if err := Write(&v1, testState(t, net)); err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(v1.Bytes()[4:8]); v != 1 {
-		t.Fatalf("plain checkpoint has version %d, want 1", v)
-	}
-	if back, err := Read(bytes.NewReader(v1.Bytes()), net); err != nil || back.Membership != nil {
-		t.Fatalf("v1 read = (%+v, %v), want nil membership", back.Membership, err)
+	// The version-1 layout: the same header under version 1 with its own
+	// checksum, no membership section, then the model.
+	hdrLen := binary.LittleEndian.Uint32(raw[8:12])
+	hdrEnd := 12 + int(hdrLen)
+	memLen := binary.LittleEndian.Uint32(raw[hdrEnd+4:])
+	v1 := binary.LittleEndian.AppendUint32(nil, 0x48474331)
+	v1 = binary.LittleEndian.AppendUint32(v1, 1)
+	v1 = append(v1, raw[8:hdrEnd]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	v1 = append(v1, raw[hdrEnd+4+4+int(memLen)+4:]...)
+	if _, err := Read(bytes.NewReader(v1), net); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("v1 read: want a refusal naming version 1, got %v", err)
 	}
 }
 

@@ -200,9 +200,7 @@ func (r *Run) Config(prob *Problem, net *nn.Network, ds *data.Dataset) (core.Con
 	cfg.Shuffle = r.Shuffle
 	cfg.StalenessBound = r.Staleness
 	cfg.MaxWorkers = r.MaxWorkers
-	if r.Guards {
-		cfg.Guards = core.DefaultGuards()
-	}
+	cfg.Guards = r.Guards
 	if r.Checkpoint != "" {
 		cfg.CheckpointSink = &checkpoint.Writer{Path: r.Checkpoint, Keep: r.CheckpointKeep}
 		cfg.CheckpointEvery = r.CheckpointEvery
@@ -219,10 +217,7 @@ func (r *Run) Config(prob *Problem, net *nn.Network, ds *data.Dataset) (core.Con
 		fmt.Fprintf(os.Stderr, "%s: checkpoint fallback: %s\n", command(), e.Detail)
 	}
 	cfg.Resume = st
-	var detail string
-	if st.Membership != nil {
-		detail = fmt.Sprintf(", %d active workers", st.Membership.ActiveCount())
-	}
+	detail := fmt.Sprintf(", %d active workers", st.Membership.ActiveCount())
 	if st.Interrupted {
 		detail += " (interrupted run)"
 	}

@@ -55,7 +55,7 @@ func TestBindingRoundTrip(t *testing.T) {
 	}
 	sink, _ := cfg.CheckpointSink.(*checkpoint.Writer)
 	if cfg.Algorithm != core.AlgSSP || cfg.BaseLR != 0.07 || cfg.Seed != 7 || !cfg.Shuffle ||
-		cfg.Guards == nil || cfg.StalenessBound != 2 || cfg.MaxWorkers != 3 || cfg.CheckpointEvery != 5*time.Second ||
+		!cfg.Guards || cfg.StalenessBound != 2 || cfg.MaxWorkers != 3 || cfg.CheckpointEvery != 5*time.Second ||
 		sink == nil || sink.Keep != 2 || sink.Path != filepath.Join(dir, "run.ckpt") || cfg.Resume != nil {
 		t.Fatalf("config does not carry the flag line: %+v", cfg)
 	}
@@ -97,7 +97,8 @@ func TestResumeRecordsFallback(t *testing.T) {
 		st := &core.RunState{
 			Algorithm: core.AlgAdaptiveHogbatch, Seed: 1, Epoch: epoch,
 			Batch: []int{56, 256}, Updates: []int64{0, 0}, LRMult: []float64{1, 1},
-			Params: ep.Net.NewParams(nn.InitXavier, core.RunRNG(1)),
+			Membership: &core.MembershipState{States: []int{0, 0}},
+			Params:     ep.Net.NewParams(nn.InitXavier, core.RunRNG(1)),
 		}
 		if err := w.WriteState(st); err != nil {
 			t.Fatal(err)

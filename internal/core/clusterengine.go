@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"heterosgd/internal/nn"
@@ -29,12 +28,6 @@ type ClusterOptions struct {
 	// AttachTimeout bounds the initial wait for all workers to connect.
 	// Zero defaults to 30 s.
 	AttachTimeout time.Duration
-	// DispatchTimeout, when positive, is a flat per-dispatch deadline:
-	// a dispatch outstanding longer quarantines the worker and re-routes
-	// the batch, exactly like cfg.Watchdog in the in-process engines (whose
-	// device cost model does not describe remote processes). Zero disables
-	// deadlines; partitions are then detected by heartbeat loss alone.
-	DispatchTimeout time.Duration
 }
 
 func (o *ClusterOptions) defaults() {
@@ -87,7 +80,9 @@ func newWireBuf(net *nn.Network) ([]byte, error) {
 // discarded. When the link heals (LinkUp) the worker is readmitted and
 // receives work again. Completions are deduplicated by dispatch sequence,
 // so the at-least-once transport never double-applies an update; see
-// TransportReport for the accounting.
+// TransportReport for the accounting. cfg.Watchdog bounds each dispatch in
+// wall time, as on RunReal; without it a hung worker is detected by
+// heartbeat loss alone.
 //
 // Crash durability: a cluster run checkpoints with a membership section
 // (worker states, SSP clocks, dispatch sequence floor, transport
@@ -97,8 +92,7 @@ func newWireBuf(net *nn.Network) ([]byte, error) {
 // Welcome (restored epoch + sequence floor), checkpointed in-flight batches
 // are re-queued for dispatch, and completions from the previous incarnation
 // are discarded as duplicates, so AppliedExamples == ExamplesProcessed
-// holds across the restart. Resume requires a membership-bearing (v2)
-// checkpoint, i.e. one written by a cluster run.
+// holds across the restart.
 //
 // Restrictions relative to RunReal: plain SGD only (optimizer state lives
 // worker-side and is not replicated), and cfg.Faults is ignored — inject
@@ -199,10 +193,6 @@ func (x *clusterExec) decorate(id int, w transport.Work) transport.Work {
 	return w
 }
 
-// deadline is flat: the device cost model does not describe remote
-// processes.
-func (x *clusterExec) deadline(int, int) time.Duration { return x.opts.DispatchTimeout }
-
 // accept folds a live completion's delta into the global model. A straggler
 // whose dispatch was given up on is discarded instead — its batch was
 // re-dispatched elsewhere, and applying it would double-count.
@@ -226,7 +216,7 @@ func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 		// A corrupt delta is dropped like a non-finite gradient: the
 		// examples still count as processed, the update does not land.
 		l.drop(msg.Worker, int64(msg.Updates), "delta-error", err.Error())
-	case l.cfg.Guards != nil && !x.delta.AllFinite():
+	case l.cfg.Guards && !x.delta.AllFinite():
 		l.drop(msg.Worker, int64(msg.Updates), "drop", "non-finite delta discarded")
 	default:
 		l.global.AddScaled(1, x.delta)
@@ -244,8 +234,6 @@ func (x *clusterExec) drain(id int) []transport.Work {
 	}
 	return nil
 }
-
-func (x *clusterExec) modelLock(bool) sync.Locker { return nopLocker{} }
 
 func (x *clusterExec) shutdown() {
 	if link, ok := x.l.trans.(clusterLink); ok {

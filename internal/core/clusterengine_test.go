@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"heterosgd/internal/elastic"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/nn"
+	"heterosgd/internal/tensor"
 	"heterosgd/internal/transport"
 )
 
@@ -33,7 +35,7 @@ func clusterConfig(alg Algorithm) Config {
 	cfg.RefBatch = 4
 	cfg.EvalSubset = 256
 	cfg.Shuffle = true
-	cfg.Guards = DefaultGuards()
+	cfg.Guards = true
 	if alg == AlgSSP {
 		cfg.StalenessBound = 2
 	}
@@ -70,7 +72,6 @@ func clusterRun(t *testing.T, cfg Config, plan *faults.LinkPlan, budget time.Dur
 					BackoffMax:  50 * time.Millisecond,
 				},
 				Threads: 2,
-				Guards:  true,
 			}
 			for _, f := range tweak {
 				f(id, &opts)
@@ -305,7 +306,7 @@ func TestClusterResumeEquivalence(t *testing.T) {
 		cfg.RefBatch = 4
 		cfg.EvalSubset = 256
 		cfg.Shuffle = true
-		cfg.Guards = DefaultGuards()
+		cfg.Guards = true
 		cfg.MaxWorkers = 3 // membership may change (arms the elastic manager)
 		cfg.CheckpointSink = sink
 		return cfg
@@ -322,7 +323,6 @@ func TestClusterResumeEquivalence(t *testing.T) {
 		return RunClusterWorker(ctx, addr, id, wnet, wds, ClusterWorkerOptions{
 			Client:     clientOpts,
 			Threads:    2,
-			Guards:     true,
 			LeaveAfter: leaveAfter,
 		})
 	}
@@ -573,5 +573,111 @@ func TestClusterWireCycleAllocation(t *testing.T) {
 	t.Logf("%d B allocated per cycle", perCycle)
 	if perCycle >= 64<<10 {
 		t.Fatalf("one Work→Done→accept cycle allocates %d B; the wire is meant to reuse its buffers (limit 64 KB)", perCycle)
+	}
+}
+
+// TestClusterWatchdogQuarantinesHungWorker: RunCluster applies cfg.Watchdog
+// as RunSim and RunReal do. With Slack 0 the deadline is exactly Floor, so a
+// worker that stalls one dispatch well past it is quarantined with a
+// "timeout" event, its batch re-dispatched, and its overdue completion
+// discarded — exactly-once accounting still holds.
+func TestClusterWatchdogQuarantinesHungWorker(t *testing.T) {
+	cfg := clusterConfig(AlgCPUGPUHogbatch)
+	cfg.Watchdog = &WatchdogConfig{Floor: 50 * time.Millisecond}
+	res := clusterRun(t, cfg, faults.NewLinkPlan(7), 900*time.Millisecond, func(id int, o *ClusterWorkerOptions) {
+		if id == 1 {
+			o.OnDispatch = func(n int) {
+				if n == 3 {
+					time.Sleep(300 * time.Millisecond)
+				}
+			}
+		}
+	})
+	if w1 := res.Health.Workers[1]; w1.Timeouts == 0 {
+		t.Fatalf("worker 1 stalled past the watchdog floor but was never quarantined: %+v\n%s", w1, res.Events)
+	}
+	if res.Events.Count("timeout") == 0 {
+		t.Fatalf("no timeout event\n%s", res.Events)
+	}
+	if res.Health.Redispatches == 0 {
+		t.Fatal("the overdue batch was never re-dispatched")
+	}
+	if tr := res.Health.Transport; tr.AppliedExamples != res.ExamplesProcessed {
+		t.Fatalf("exactly-once violated: applied %d examples, scheduled %d (abandoned %d)",
+			tr.AppliedExamples, res.ExamplesProcessed, tr.Abandoned)
+	}
+}
+
+// TestClusterWorkerTakesStepFromWelcome: a worker started with zero options
+// trains with the coordinator's weight decay and guards, which reach it in
+// the handshake. Its first delta equals, bit for bit, a reference laneStep
+// with that decay; a dispatch of non-finite parameters then comes back with
+// every lane's gradient dropped, as the coordinator's guards would.
+func TestClusterWorkerTakesStepFromWelcome(t *testing.T) {
+	cfg := clusterConfig(AlgCPUGPUHogbatch)
+	cfg.Shuffle = false
+	cfg.WeightDecay = 0.05
+	trans, err := transport.ListenTCP("127.0.0.1:0", 1, ClusterTCPOptions(&cfg, time.Second, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trans.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	defer func() {
+		cancel()
+		<-workerDone
+	}()
+	go func() {
+		defer close(workerDone)
+		spec := tinySpec()
+		RunClusterWorker(ctx, trans.Addr(), 0, nn.MustNetwork(spec.Arch()), data.Generate(spec, 42), ClusterWorkerOptions{})
+	}()
+	if err := trans.WaitForWorkers(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(seq uint64, params *nn.Params, lanes int) *transport.Done {
+		t.Helper()
+		w := transport.Work{Seq: seq, Lo: 0, Hi: 32, LR: 0.1, Lanes: lanes, Params: nn.AppendParams(nil, params)}
+		if err := trans.Send(0, w); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			m, st := trans.Recv(30 * time.Second)
+			if st != transport.RecvOK {
+				t.Fatalf("seq %d: Recv = %v", seq, st)
+			}
+			if m.Done != nil {
+				return m.Done
+			}
+		}
+	}
+
+	const lanes = 4
+	global := cfg.Net.NewParams(nn.InitXavier, cfg.newRNG())
+	done := roundTrip(1, global, lanes)
+	if done.Failed || done.Updates != lanes {
+		t.Fatalf("first completion %+v, want %d updates", done, lanes)
+	}
+	got := cfg.Net.NewParams(nn.InitZero, nil)
+	if err := nn.ReadParamsInto(got, done.Delta); err != nil {
+		t.Fatal(err)
+	}
+	ref := laneStep{net: cfg.Net, decay: cfg.WeightDecay, guard: true, mode: tensor.UpdateRacy, gemm: runtime.GOMAXPROCS(0)}
+	w := newWorker(&Config{Net: cfg.Net}, 0, "ref", WorkerConfig{}, 1, 32)
+	w.threads = lanes
+	want := global.Clone()
+	ref.iterate(w, want, cfg.Dataset.View(0, 32), 0.1, false)
+	want.AddScaled(-1, global)
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("delta[%d] = %v, the reference step with decay %v gives %v", i, got.Data[i], cfg.WeightDecay, v)
+		}
+	}
+
+	poisoned := global.Clone()
+	poisoned.Data[0] = math.NaN()
+	if done := roundTrip(2, poisoned, lanes); done.Updates != 0 || done.Dropped != lanes {
+		t.Fatalf("non-finite dispatch: %d updates, %d dropped; the guards should drop all %d lanes", done.Updates, done.Dropped, lanes)
 	}
 }

@@ -16,20 +16,13 @@ import (
 
 // ClusterWorkerOptions configures one remote worker process.
 type ClusterWorkerOptions struct {
-	// Client tunes the transport link (dial/send deadlines, reconnect
-	// backoff, ack timeouts). Client.Seed should be the run seed so
-	// reconnect jitter replays deterministically.
+	// Client tunes the transport link's reconnect backoff. Client.Seed
+	// should be the run seed so reconnect jitter replays deterministically.
 	Client transport.ClientOptions
 	// Threads is the number of sequential gradient lanes per dispatch
 	// (the batch splits into Threads sub-batches applied one after
 	// another). 0 = the coordinator's lane count for the dispatch.
 	Threads int
-	// WeightDecay mirrors the coordinator's Config.WeightDecay; both sides
-	// of a run must agree.
-	WeightDecay float64
-	// Guards drops non-finite lane gradients before they reach the local
-	// replica, mirroring Config.Guards on the coordinator.
-	Guards bool
 	// LeaveAfter, when positive, announces a graceful departure after that
 	// many handled dispatches: the coordinator stops dispatching, drains
 	// this worker's last completion, and says Goodbye (RunClusterWorker
@@ -55,10 +48,12 @@ type ClusterWorkerOptions struct {
 // coordinator's epoch shuffles from the handshake seed, so the [Lo,Hi)
 // ranges in dispatched work denote the same examples in both processes.
 // Each dispatch carries the serialized global parameters; the worker runs
-// its gradient lanes sequentially against a local replica and returns the
-// replica's delta, which the coordinator applies exactly once (completions
-// are retransmitted until acked, and deduplicated by sequence number on the
-// other side — a severed-and-healed link loses nothing).
+// its gradient lanes sequentially against a local replica — with the weight
+// decay and divergence guards the Welcome carries from the coordinator's
+// Config — and returns the replica's delta, which the coordinator applies
+// exactly once (completions are retransmitted until acked, and deduplicated
+// by sequence number on the other side — a severed-and-healed link loses
+// nothing).
 func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network, ds *data.Dataset, opts ClusterWorkerOptions) error {
 	if net == nil || ds == nil {
 		return fmt.Errorf("core: cluster worker needs a network and dataset")
@@ -108,7 +103,7 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 		rows = (welcome.MaxBatch + opts.Threads - 1) / opts.Threads
 	}
 	w := newWorker(&Config{Net: net}, c.ID(), fmt.Sprint(c.ID()), WorkerConfig{}, 1, max(rows, 1))
-	step := laneStep{net: net, decay: opts.WeightDecay, guard: opts.Guards, mode: tensor.UpdateRacy, gemm: runtime.GOMAXPROCS(0)}
+	step := laneStep{net: net, decay: welcome.WeightDecay, guard: welcome.Guards, mode: tensor.UpdateRacy, gemm: runtime.GOMAXPROCS(0)}
 
 	handled := 0
 	handler := func(wk transport.Work) (out transport.Done) {
@@ -178,22 +173,22 @@ func replayTo(ds *data.Dataset, replay *rand.Rand, shuffled *uint32, epoch uint3
 // count — a restored elastic joiner's id must map to a slot before it can
 // re-handshake, and a restored departed slot must exist to be refused.
 func ClusterListenSlots(cfg *Config) int {
-	n := len(cfg.Workers)
-	if st := cfg.Resume; st != nil && st.Membership != nil && len(st.Membership.States) > n {
-		n = len(st.Membership.States)
+	if st := cfg.Resume; st != nil {
+		return max(len(cfg.Workers), len(st.Membership.States))
 	}
-	return n
+	return len(cfg.Workers)
 }
 
 // ClusterTCPOptions derives the coordinator-side transport options for
-// cfg: the handshake carries the run seed, shuffle flag, and scheduling
-// hints, so worker processes can configure themselves from the wire.
-// missLimit ≤ 0 keeps the transport default (3 missed heartbeats).
+// cfg: the handshake carries the run seed, shuffle flag, scheduling hints,
+// weight decay and guard switch, so worker processes configure themselves
+// from the wire. missLimit ≤ 0 keeps the transport default (3 missed
+// heartbeats).
 //
-// When cfg.Resume carries a membership section, the Welcome becomes its
-// RESUME variant (restored epoch + sequence floor) and the checkpoint's
-// drained/evicted slots start departed, so a zombie from the previous
-// incarnation cannot re-claim a retired id.
+// When cfg.Resume is set, the Welcome becomes its RESUME variant (restored
+// epoch + sequence floor) and the checkpoint's drained/evicted slots start
+// departed, so a zombie from the previous incarnation cannot re-claim a
+// retired id.
 func ClusterTCPOptions(cfg *Config, heartbeat time.Duration, missLimit int) transport.TCPOptions {
 	maxBatch, laneRows := 0, 0
 	for _, w := range cfg.Workers {
@@ -208,14 +203,16 @@ func ClusterTCPOptions(cfg *Config, heartbeat time.Duration, missLimit int) tran
 		// tables, so elastic joins are admitted up to cfg.Capacity().
 		MaxWorkers: cfg.Capacity(),
 		Welcome: transport.Welcome{
-			Seed:     cfg.Seed,
-			Shuffle:  cfg.Shuffle,
-			LaneRows: laneRows,
-			MaxBatch: maxBatch,
+			Seed:        cfg.Seed,
+			Shuffle:     cfg.Shuffle,
+			LaneRows:    laneRows,
+			MaxBatch:    maxBatch,
+			WeightDecay: cfg.WeightDecay,
+			Guards:      cfg.Guards,
 		},
 		Metrics: cfg.Metrics,
 	}
-	if st := cfg.Resume; st != nil && st.Membership != nil {
+	if st := cfg.Resume; st != nil {
 		opts.Welcome.Resume = true
 		opts.Welcome.ResumeEpoch = uint32(st.Epoch)
 		opts.Welcome.SeqFloor = st.Membership.SeqFloor

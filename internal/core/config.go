@@ -209,17 +209,12 @@ type Config struct {
 	// g + λ·g⊙g⊙(w_now − w_then); 0 degenerates to plain async apply.
 	DCLambda float64
 	// Optimizer selects the per-worker update rule (plain SGD by default;
-	// momentum/AdaGrad/Adam via internal/opt). Optimizer state is private
-	// to each worker thread.
+	// momentum/AdaGrad/Adam via internal/opt, at its default
+	// hyperparameters). Optimizer state is private to each worker thread.
 	Optimizer opt.Kind
-	// OptimizerHP carries the optimizer's hyperparameters.
-	OptimizerHP opt.HyperParams
-	// Schedule shapes the learning rate over epochs (constant by
-	// default); StepEvery, DecayRate and WarmupEpochs parameterize it.
-	Schedule     LRSchedule
-	StepEvery    float64
-	DecayRate    float64
-	WarmupEpochs float64
+	// Schedule shapes the learning rate over epochs (constant by default;
+	// see schedule.go for the fixed step, decay and warmup constants).
+	Schedule LRSchedule
 	// Seed drives model initialization and shuffling.
 	Seed uint64
 	// WeightDecay adds an L2 penalty: every gradient becomes
@@ -268,15 +263,16 @@ type Config struct {
 	// initial count plus scripted joins (policy-driven growth disabled).
 	MinWorkers int
 	MaxWorkers int
-	// Watchdog enables per-dispatch deadlines: a worker exceeding its
-	// modeled iteration time × Slack is quarantined and its batch
-	// re-dispatched to a healthy worker. nil disables the watchdog.
+	// Watchdog enables per-dispatch deadlines on every engine: a worker
+	// exceeding max(modeled iteration time × Slack, Floor) is quarantined
+	// and its batch re-dispatched to a healthy worker. nil disables the
+	// watchdog.
 	Watchdog *WatchdogConfig
 	// Guards enables divergence protection: non-finite gradients are
 	// dropped before reaching the shared model, and non-finite epoch
-	// losses trigger checkpoint rollback with bounded LR-backoff retries.
-	// nil disables the guards.
-	Guards *GuardConfig
+	// losses trigger checkpoint rollback with bounded LR-backoff retries
+	// (the guard* constants in faulttolerance.go).
+	Guards bool
 	// SnapshotSink, when set, receives periodic deep copies of the shared
 	// model while training runs — the serving subsystem's publish hook
 	// (internal/serve.Publisher satisfies it). The engines own the copy
@@ -417,19 +413,8 @@ func (c *Config) Validate() error {
 	if err := c.validateResume(); err != nil {
 		return err
 	}
-	if c.Watchdog != nil && c.Watchdog.Slack <= 0 {
-		return fmt.Errorf("core: watchdog slack %v must be positive", c.Watchdog.Slack)
-	}
-	if g := c.Guards; g != nil {
-		if g.MaxRetries < 0 {
-			return fmt.Errorf("core: guard retries %d must be non-negative", g.MaxRetries)
-		}
-		if g.LRBackoff <= 0 || g.LRBackoff > 1 {
-			return fmt.Errorf("core: guard LR backoff %v outside (0,1]", g.LRBackoff)
-		}
-		if g.MinLRScale <= 0 || g.MinLRScale > 1 {
-			return fmt.Errorf("core: guard minimum LR scale %v outside (0,1]", g.MinLRScale)
-		}
+	if c.Watchdog != nil && c.Watchdog.Slack < 0 {
+		return fmt.Errorf("core: watchdog slack %v must be non-negative", c.Watchdog.Slack)
 	}
 	return nil
 }

@@ -235,7 +235,7 @@ func TestClusterElasticChurn(t *testing.T) {
 	cfg.RefBatch = 4
 	cfg.EvalSubset = 256
 	cfg.Shuffle = true
-	cfg.Guards = DefaultGuards()
+	cfg.Guards = true
 	cfg.StalenessBound = 2
 	cfg.MaxWorkers = 3 // headroom for one live joiner
 
@@ -264,7 +264,6 @@ func TestClusterElasticChurn(t *testing.T) {
 		return RunClusterWorker(ctx, addr, id, wnet, wds, ClusterWorkerOptions{
 			Client:     clientOpts,
 			Threads:    2,
-			Guards:     true,
 			LeaveAfter: leaveAfter,
 		})
 	}

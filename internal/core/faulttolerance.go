@@ -187,10 +187,11 @@ func (r *FaultReport) String() string {
 // must complete within Device.IterTime(arch, batch, modelBytes) × Slack
 // (but at least Floor); missing the deadline quarantines the worker and
 // re-dispatches its batch. In RunSim the deadline is in virtual time; in
-// RunReal it is wall time, so Floor absorbs the host-speed mismatch
-// between the cost model and real goroutine execution.
+// RunReal and RunCluster it is wall time, so Floor absorbs the host-speed
+// mismatch between the cost model and real execution. Slack 0 makes the
+// deadline exactly Floor, whatever the model says.
 type WatchdogConfig struct {
-	// Slack multiplies the modeled iteration time (must be positive).
+	// Slack multiplies the modeled iteration time (non-negative).
 	Slack float64
 	// Floor is the minimum deadline regardless of the model.
 	Floor time.Duration
@@ -202,26 +203,15 @@ func DefaultWatchdog() *WatchdogConfig {
 	return &WatchdogConfig{Slack: 8, Floor: 100 * time.Millisecond}
 }
 
-// GuardConfig enables the divergence guards: non-finite gradients are
-// dropped at the update boundary, and a non-finite epoch loss rolls the
-// model back to the last checkpoint with the learning rate backed off
-// exponentially, bounded by MaxRetries before the run is declared
-// diverged.
-type GuardConfig struct {
-	// MaxRetries bounds consecutive rollback-retries (a finite epoch loss
-	// resets the count).
-	MaxRetries int
-	// LRBackoff multiplies the run-wide LR scale on each rollback.
-	LRBackoff float64
-	// MinLRScale caps the exponential backoff.
-	MinLRScale float64
-}
-
-// DefaultGuards returns the default guard policy: three retries at halved
-// learning rates, floored at 1/64 of the configured rate.
-func DefaultGuards() *GuardConfig {
-	return &GuardConfig{MaxRetries: 3, LRBackoff: 0.5, MinLRScale: 1.0 / 64}
-}
+// The divergence guards' policy (Config.Guards): a non-finite epoch loss
+// rolls the model back to the last checkpoint and multiplies the run-wide LR
+// scale by guardLRBackoff, floored at guardMinLRScale; more than
+// guardMaxRetries consecutive rollbacks declare the run diverged.
+const (
+	guardMaxRetries = 3
+	guardLRBackoff  = 0.5
+	guardMinLRScale = 1.0 / 64
+)
 
 // healthTracker maintains worker states for one run and accumulates the
 // FaultReport. It is confined to the coordinator (goroutine or simulation
@@ -344,17 +334,16 @@ func (h *healthTracker) pickHealthy(not int) int {
 // and the backed-off learning-rate scale. nil when guards are disabled;
 // all methods are nil-safe.
 type guardState struct {
-	cfg        *GuardConfig
 	checkpoint *nn.Params
 	lrScale    float64
 	retries    int
 }
 
-func newGuardState(cfg *GuardConfig, global *nn.Params) *guardState {
-	if cfg == nil {
+func newGuardState(on bool, global *nn.Params) *guardState {
+	if !on {
 		return nil
 	}
-	return &guardState{cfg: cfg, checkpoint: global.Clone(), lrScale: 1}
+	return &guardState{checkpoint: global.Clone(), lrScale: 1}
 }
 
 // scale returns the current LR multiplier (1 before any rollback).
@@ -415,12 +404,9 @@ func (g *guardState) onEval(loss float64, global *nn.Params, report *FaultReport
 	g.retries++
 	report.Rollbacks++
 	global.CopyFrom(g.checkpoint)
-	g.lrScale *= g.cfg.LRBackoff
-	if g.lrScale < g.cfg.MinLRScale {
-		g.lrScale = g.cfg.MinLRScale
-	}
-	log.Add(at, "", "rollback", fmt.Sprintf("non-finite loss; lr scale %.4g, retry %d/%d", g.lrScale, g.retries, g.cfg.MaxRetries))
-	if g.retries > g.cfg.MaxRetries {
+	g.lrScale = max(g.lrScale*guardLRBackoff, guardMinLRScale)
+	log.Add(at, "", "rollback", fmt.Sprintf("non-finite loss; lr scale %.4g, retry %d/%d", g.lrScale, g.retries, guardMaxRetries))
+	if g.retries > guardMaxRetries {
 		report.Diverged = true
 		log.Add(at, "", "diverged", "retry budget exhausted")
 		return true, true

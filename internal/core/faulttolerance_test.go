@@ -67,7 +67,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 func TestGuardStateRollbackAndDivergence(t *testing.T) {
 	cfg := tinyConfig(t, AlgHogbatchCPU)
 	global := cfg.Net.NewParams(nn.InitXavier, cfg.newRNG())
-	g := newGuardState(&GuardConfig{MaxRetries: 2, LRBackoff: 0.5, MinLRScale: 0.25}, global)
+	g := newGuardState(true, global)
 	report := &FaultReport{}
 	log := metrics.NewEventLog()
 
@@ -86,29 +86,38 @@ func TestGuardStateRollbackAndDivergence(t *testing.T) {
 	if !global.AllFinite() || global.Weights[0].Data[0] != want.Weights[0].Data[0] {
 		t.Fatal("model not restored from checkpoint")
 	}
-	if g.scale() != 0.5 {
-		t.Fatalf("lr scale %v, want 0.5", g.scale())
+	if g.scale() != guardLRBackoff {
+		t.Fatalf("lr scale %v, want %v", g.scale(), guardLRBackoff)
 	}
 	// A finite loss resets the retry budget.
 	g.onEval(0.4, global, report, log, 0)
 	if g.retries != 0 {
 		t.Fatal("retries not reset by finite loss")
 	}
-	// Exhaust the budget: MaxRetries=2 allows two rollbacks, the third
-	// declares divergence; the backoff floor holds at 0.25.
-	for i := 0; i < 2; i++ {
-		if _, dv := g.onEval(math.Inf(1), global, report, log, 0); dv {
-			t.Fatalf("diverged too early at retry %d", i+1)
+	// Two full budgets of guardMaxRetries rollbacks, a finite loss between
+	// them, walk the scale down to its floor, where it holds; one rollback
+	// more than the budget declares divergence.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < guardMaxRetries; i++ {
+			if _, dv := g.onEval(math.Inf(1), global, report, log, 0); dv {
+				t.Fatalf("diverged too early at retry %d", i+1)
+			}
 		}
+		if round == 0 {
+			g.onEval(0.3, global, report, log, 0)
+		}
+	}
+	if g.scale() != guardMinLRScale {
+		t.Fatalf("lr scale %v, want floor %v", g.scale(), guardMinLRScale)
 	}
 	if _, dv := g.onEval(math.Inf(1), global, report, log, 0); !dv {
 		t.Fatal("retry budget exhausted but not diverged")
 	}
-	if g.scale() != 0.25 {
-		t.Fatalf("lr scale %v, want floor 0.25", g.scale())
+	if g.scale() != guardMinLRScale {
+		t.Fatalf("lr scale %v, want floor %v", g.scale(), guardMinLRScale)
 	}
-	if !report.Diverged || report.Rollbacks != 4 || report.Checkpoints != 2 {
-		t.Fatalf("report: %+v", report)
+	if want := 2 + 2*guardMaxRetries; !report.Diverged || report.Rollbacks != want || report.Checkpoints != 3 {
+		t.Fatalf("report: %+v, want %d rollbacks and 3 checkpoints", report, want)
 	}
 
 	// Nil guard is inert.
@@ -235,7 +244,7 @@ func TestSimCorruptGradientGuarded(t *testing.T) {
 	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
 	cfg.Faults = faults.NewPlan(7,
 		faults.CorruptGradient(0, 0.5), faults.CorruptGradient(1, 0.5))
-	cfg.Guards = DefaultGuards()
+	cfg.Guards = true
 	res, err := RunSim(context.Background(), cfg, simHorizon)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +296,7 @@ func TestSimFaultRunsAreDeterministic(t *testing.T) {
 			faults.CorruptGradient(0, 0.3),
 			faults.HangAfter(1, 6, time.Millisecond))
 		cfg.Watchdog = &WatchdogConfig{Slack: 2, Floor: 10 * time.Microsecond}
-		cfg.Guards = DefaultGuards()
+		cfg.Guards = true
 		return cfg
 	}
 	r1, err1 := RunSim(context.Background(), mk(), simHorizon)
@@ -405,7 +414,7 @@ func TestRealCorruptGradientGuarded(t *testing.T) {
 	cfg.UpdateMode = tensor.UpdateLocked
 	cfg.Faults = faults.NewPlan(7,
 		faults.CorruptGradient(0, 0.5), faults.CorruptGradient(1, 0.5))
-	cfg.Guards = DefaultGuards()
+	cfg.Guards = true
 	res, err := RunReal(context.Background(), cfg, realBudget)
 	if err != nil {
 		t.Fatal(err)

@@ -65,11 +65,10 @@ type RunState struct {
 	At time.Duration
 	// Events carries the health/fault event log up to the capture.
 	Events []metrics.Event
-	// Membership, when present, extends the snapshot with the mid-churn
-	// worker set: elastic states, SSP clocks, the dispatch sequence floor,
-	// transport accounting, and the in-flight batch list. A state without it
-	// resumes onto the config's seed-time worker set (the pre-elastic
-	// behavior); internal/checkpoint serializes it as a versioned section
+	// Membership extends the snapshot with the mid-churn worker set:
+	// elastic states, SSP clocks, the dispatch sequence floor, transport
+	// accounting, and the in-flight batch list. capture always sets it and
+	// resume requires it; internal/checkpoint serializes it as a section
 	// with its own CRC.
 	Membership *MembershipState
 	// Params is the model at capture (a private deep copy).
@@ -170,37 +169,37 @@ func (c *Config) validateResume() error {
 	if st.Seed != c.Seed {
 		return fmt.Errorf("core: resume state has seed %d, config has %d — the trajectory would diverge", st.Seed, c.Seed)
 	}
-	// A membership-bearing state describes a (possibly churned) worker set
-	// that may be wider than the config's seed set: extra slots are elastic
-	// joiners the resume reconstructs. Without one, the state must match the
-	// config's worker count exactly (the pre-elastic contract).
-	slots := len(c.Workers)
-	if ms := st.Membership; ms != nil {
-		if len(ms.States) < len(c.Workers) {
-			return fmt.Errorf("core: resume membership has %d slots, config has %d workers — cannot shrink the restored set below the seed set", len(ms.States), len(c.Workers))
-		}
-		active := 0
-		for id, s := range ms.States {
-			if s < int(elastic.Active) || s > int(elastic.Departed) {
-				return fmt.Errorf("core: resume membership slot %d has invalid state %d", id, s)
-			}
-			if elastic.State(s) == elastic.Active {
-				active++
-			}
-		}
-		if active == 0 {
-			return fmt.Errorf("core: resume membership has no active workers")
-		}
-		if len(ms.Clocks) != 0 && len(ms.Clocks) != len(ms.States) {
-			return fmt.Errorf("core: resume membership has %d clocks for %d slots", len(ms.Clocks), len(ms.States))
-		}
-		for _, f := range ms.Flight {
-			if f.Lo < 0 || f.Hi < f.Lo || f.Seq > ms.SeqFloor {
-				return fmt.Errorf("core: resume membership has corrupt flight entry (seq %d, range [%d,%d))", f.Seq, f.Lo, f.Hi)
-			}
-		}
-		slots = len(ms.States)
+	// The membership describes a (possibly churned) worker set that may be
+	// wider than the config's seed set: extra slots are elastic joiners the
+	// resume reconstructs.
+	ms := st.Membership
+	if ms == nil {
+		return fmt.Errorf("core: resume state has no membership section")
 	}
+	if len(ms.States) < len(c.Workers) {
+		return fmt.Errorf("core: resume membership has %d slots, config has %d workers — cannot shrink the restored set below the seed set", len(ms.States), len(c.Workers))
+	}
+	active := 0
+	for id, s := range ms.States {
+		if s < int(elastic.Active) || s > int(elastic.Departed) {
+			return fmt.Errorf("core: resume membership slot %d has invalid state %d", id, s)
+		}
+		if elastic.State(s) == elastic.Active {
+			active++
+		}
+	}
+	if active == 0 {
+		return fmt.Errorf("core: resume membership has no active workers")
+	}
+	if len(ms.Clocks) != 0 && len(ms.Clocks) != len(ms.States) {
+		return fmt.Errorf("core: resume membership has %d clocks for %d slots", len(ms.Clocks), len(ms.States))
+	}
+	for _, f := range ms.Flight {
+		if f.Lo < 0 || f.Hi < f.Lo || f.Seq > ms.SeqFloor {
+			return fmt.Errorf("core: resume membership has corrupt flight entry (seq %d, range [%d,%d))", f.Seq, f.Lo, f.Hi)
+		}
+	}
+	slots := len(ms.States)
 	if len(st.Batch) != slots || len(st.Updates) != slots || len(st.LRMult) != slots {
 		return fmt.Errorf("core: resume state has %d workers, config expects %d", len(st.Batch), slots)
 	}
@@ -230,24 +229,21 @@ func (l *coordLoop) resume() error {
 	for _, e := range st.Events {
 		l.events.AddEvent(e)
 	}
-	// A membership-bearing checkpoint restores the worker set before the
-	// model, whose scheduler counters need tables at checkpoint width: each
-	// slot beyond the seed set is a joiner grown as a live join grows it,
-	// and draining or departed slots come back departed, so they never
-	// receive dispatches.
+	// The worker set is restored before the model, whose scheduler counters
+	// need tables at checkpoint width: each slot beyond the seed set is a
+	// joiner grown as a live join grows it, and draining or departed slots
+	// come back departed, so they never receive dispatches.
 	ms := st.Membership
-	if ms != nil {
-		for id := l.initialWorkers; id < len(ms.States); id++ {
-			l.addSlot(id, 0)
+	for id := l.initialWorkers; id < len(ms.States); id++ {
+		l.addSlot(id, 0)
+	}
+	for id, s := range ms.States {
+		if elastic.State(s) != elastic.Active {
+			l.health.markDeparted(id, 0, fmt.Sprintf("restored as %s from checkpoint", elastic.State(s)))
 		}
-		for id, s := range ms.States {
-			if elastic.State(s) != elastic.Active {
-				l.health.markDeparted(id, 0, fmt.Sprintf("restored as %s from checkpoint", elastic.State(s)))
-			}
-		}
-		if len(ms.Clocks) == len(l.stale.clock) {
-			copy(l.stale.clock, ms.Clocks)
-		}
+	}
+	if len(ms.Clocks) == len(l.stale.clock) {
+		copy(l.stale.clock, ms.Clocks)
 	}
 	l.global.CopyFrom(st.Params)
 	if err := l.coord.restore(st); err != nil {
@@ -260,9 +256,6 @@ func (l *coordLoop) resume() error {
 		}
 	}
 	l.guard.restore(st.GuardLRScale, st.GuardRetries, l.global)
-	if ms == nil {
-		return nil
-	}
 	// Captured mid-churn (or the restarted config is itself elastic): the
 	// membership manager comes back from the serialized states, so joins
 	// continue from the next unused id and the churn report accumulates

@@ -289,7 +289,7 @@ func TestSimCrashCheckpointResume(t *testing.T) {
 	cfg := tinyConfig(t, AlgAdaptiveHogbatch)
 	cfg.Faults = faults.NewPlan(7, faults.CrashAfter(1, 3))
 	cfg.Watchdog = DefaultWatchdog()
-	cfg.Guards = DefaultGuards()
+	cfg.Guards = true
 	cfg.CheckpointSink = sink
 	res, err := RunSim(ctx, cfg, simHorizon)
 	if err != nil {

@@ -81,8 +81,6 @@ type executor interface {
 	attach(ctx context.Context) (joined []int, err error)
 	// decorate adds what worker id needs beyond the batch range.
 	decorate(id int, w transport.Work) transport.Work
-	// deadline bounds a dispatch of size examples to worker id; 0 = none.
-	deadline(id, size int) time.Duration
 	// accept settles a completion whose dispatch was in flight (fl.abandoned
 	// tells a straggler's from a live one): whatever makes its updates count
 	// in the model and the scheduler, or discards them.
@@ -91,9 +89,6 @@ type executor interface {
 	spawn(id int)
 	// drain stops a departed worker and returns the work it never started.
 	drain(id int) []transport.Work
-	// modelLock returns the lock a coordinator-side read or write of the
-	// live model must hold.
-	modelLock(write bool) sync.Locker
 	// evalTime is how long the barrier loss evaluation begun at t0 keeps the
 	// workers waiting: measured, or modeled on the eval device.
 	evalTime(t0 time.Duration) time.Duration
@@ -102,11 +97,25 @@ type executor interface {
 	shutdown()
 }
 
-// nopLocker is the model lock of an engine whose model needs none.
+// nopLocker is the model lock of a run whose model needs none.
 type nopLocker struct{}
 
 func (nopLocker) Lock()   {}
 func (nopLocker) Unlock() {}
+
+// modelLock returns the lock a coordinator-side read or write of the live
+// model must hold: the workers' own lock in UpdateLocked mode (laneStep.mu),
+// none otherwise — the sim and cluster engines write the model from the
+// coordinator alone.
+func (l *coordLoop) modelLock(write bool) sync.Locker {
+	switch {
+	case l.step.mu == nil:
+		return nopLocker{}
+	case write:
+		return l.step.mu
+	}
+	return l.step.mu.RLocker()
+}
 
 // coordLoop is the coordinator loop and everything it owns: the model, the
 // scheduling coordinator, the health/staleness/guard trackers, the elastic
@@ -236,7 +245,7 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 		l.evalN = cfg.EvalSubset
 	}
 	l.evalWS = l.net.NewWorkspace(l.evalN)
-	l.step = laneStep{net: l.net, decay: cfg.WeightDecay, guard: cfg.Guards != nil, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds()}
+	l.step = laneStep{net: l.net, decay: cfg.WeightDecay, guard: cfg.Guards, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds()}
 	if cfg.svrgAnchor() {
 		l.step.svrg = newSVRGState(l.net)
 	}
@@ -306,7 +315,7 @@ func (l *coordLoop) sample() bool {
 // lockedLoss evaluates the loss under the model read lock (quarantined
 // stragglers may still be mid-iteration).
 func (l *coordLoop) lockedLoss() float64 {
-	mu := l.exec.modelLock(false)
+	mu := l.modelLock(false)
 	mu.Lock()
 	defer mu.Unlock()
 	return l.evalLoss()
@@ -320,7 +329,7 @@ func (l *coordLoop) cloneModel() *nn.Params {
 	if l.cfg.UpdateMode == tensor.UpdateAtomic {
 		return l.global.CloneAtomic()
 	}
-	mu := l.exec.modelLock(false)
+	mu := l.modelLock(false)
 	mu.Lock()
 	defer mu.Unlock()
 	return l.global.Clone()
@@ -384,7 +393,7 @@ func (l *coordLoop) send(id int, batch data.Batch, staleness int64) {
 	size := batch.Size()
 	l.seq++
 	fl := &inflightDispatch{seq: l.seq, worker: id, batch: batch, staleness: staleness, sent: l.now()}
-	if d := l.exec.deadline(id, size); d > 0 {
+	if d := l.watchdogDeadline(id, size); d > 0 {
 		fl.deadline = fl.sent + d
 	}
 	if l.cfg.ElasticPolicy != nil {
@@ -821,7 +830,7 @@ func (l *coordLoop) complete(msg *transport.Done) (stop bool, err error) {
 		// completion messages just received.
 		l.round = append(l.round, l.workers[id].replica)
 		if l.outstanding == 0 {
-			mu := l.exec.modelLock(true)
+			mu := l.modelLock(true)
 			mu.Lock()
 			averageReplicas(l.global, l.roundSum, l.round)
 			mu.Unlock()
@@ -868,7 +877,7 @@ func (l *coordLoop) epochBarrier() (stop bool) {
 	if l.converged {
 		return true
 	}
-	mu := l.exec.modelLock(true)
+	mu := l.modelLock(true)
 	mu.Lock()
 	_, diverged := l.guard.onEval(loss, l.global, l.health.report, l.events, at)
 	mu.Unlock()

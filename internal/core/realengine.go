@@ -85,7 +85,7 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 	x := &localExec{l: l, trans: trans}
 	l.step.shared = l.global
 	if cfg.UpdateMode == tensor.UpdateLocked {
-		l.step.mu = &x.mu
+		l.step.mu = new(sync.RWMutex)
 	}
 	l.exec = x
 	for id := range cfg.Workers {
@@ -114,10 +114,7 @@ type localExec struct {
 	wallClock
 	l     *coordLoop
 	trans *transport.Local
-	// mu guards the shared model in UpdateLocked mode only; l.step.mu points
-	// at it then and is nil otherwise.
-	mu sync.RWMutex
-	wg sync.WaitGroup
+	wg    sync.WaitGroup
 }
 
 // build constructs worker id's state; elastic joiners take the same path as
@@ -246,9 +243,6 @@ func (x *localExec) attach(context.Context) ([]int, error) {
 
 func (x *localExec) decorate(_ int, w transport.Work) transport.Work { return w }
 
-// deadline is the watchdog's, in wall time.
-func (x *localExec) deadline(id, size int) time.Duration { return x.l.watchdogDeadline(id, size) }
-
 // accept: the updates landed in the shared model before the completion was
 // sent, so even a quarantined straggler's count (documented at-least-once
 // semantics under timeouts).
@@ -258,16 +252,6 @@ func (x *localExec) spawn(id int) { x.start(x.build(id)) }
 
 // drain closes the worker's inbox, which ends its goroutine.
 func (x *localExec) drain(id int) []transport.Work { return x.trans.CloseWorker(id) }
-
-func (x *localExec) modelLock(write bool) sync.Locker {
-	if x.l.step.mu == nil {
-		return nopLocker{}
-	}
-	if write {
-		return &x.mu
-	}
-	return x.mu.RLocker()
-}
 
 func (x *localExec) shutdown() {
 	x.trans.CloseInboxes()

@@ -45,9 +45,6 @@ var engineRules = []struct {
 		func(c *Config) bool { return c.Optimizer != opt.KindSGD },
 		"core: RunCluster supports plain SGD only (optimizer state is not replicated to workers)"},
 	{engineCluster,
-		func(c *Config) bool { return c.Resume != nil && c.Resume.Membership == nil },
-		"core: RunCluster resume requires a membership-bearing checkpoint (written by a cluster run); this one has no membership section"},
-	{engineCluster,
 		func(c *Config) bool { return c.Elastic != nil || c.ElasticPolicy != nil },
 		"core: RunCluster membership is transport-driven (workers join and leave on the wire); scripted plans and autoscale policies apply to RunSim and RunReal — set MaxWorkers above the initial count to admit live joiners"},
 }

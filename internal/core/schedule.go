@@ -11,12 +11,19 @@ type LRSchedule int
 const (
 	// ScheduleConstant keeps the tuned rate throughout (paper default).
 	ScheduleConstant LRSchedule = iota
-	// ScheduleStep halves the rate every StepEvery epochs.
+	// ScheduleStep halves the rate every stepEvery epochs.
 	ScheduleStep
-	// ScheduleInvT decays the rate as 1/(1+DecayRate·epoch).
+	// ScheduleInvT decays the rate as 1/(1+decayRate·epoch).
 	ScheduleInvT
-	// ScheduleWarmup ramps linearly from 0 over WarmupEpochs, then holds.
+	// ScheduleWarmup ramps linearly from 0 over warmupEpochs, then holds.
 	ScheduleWarmup
+)
+
+// The schedules' shapes, in epochs.
+const (
+	stepEvery    = 5
+	decayRate    = 0.1
+	warmupEpochs = 1
 )
 
 // String returns the schedule name.
@@ -58,26 +65,14 @@ func (c *Config) ScheduledLR(b int, epoch float64) float64 {
 	lr := c.LRFor(b)
 	switch c.Schedule {
 	case ScheduleStep:
-		every := c.StepEvery
-		if every <= 0 {
-			every = 5
-		}
-		for e := every; e <= epoch; e += every {
+		for e := float64(stepEvery); e <= epoch; e += stepEvery {
 			lr *= 0.5
 		}
 	case ScheduleInvT:
-		rate := c.DecayRate
-		if rate <= 0 {
-			rate = 0.1
-		}
-		lr /= 1 + rate*epoch
+		lr /= 1 + decayRate*epoch
 	case ScheduleWarmup:
-		warm := c.WarmupEpochs
-		if warm <= 0 {
-			warm = 1
-		}
-		if epoch < warm {
-			frac := epoch / warm
+		if epoch < warmupEpochs {
+			frac := epoch / warmupEpochs
 			// Never fully zero — the first batch must still move.
 			if frac < 0.05 {
 				frac = 0.05

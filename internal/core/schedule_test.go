@@ -51,31 +51,26 @@ func TestScheduleConstant(t *testing.T) {
 
 func TestScheduleStepHalves(t *testing.T) {
 	cfg := scheduleConfig(t, ScheduleStep)
-	cfg.StepEvery = 2
-	if lr := cfg.ScheduledLR(128, 1.9); lr != 0.1 {
+	// The rate halves every stepEvery = 5 epochs.
+	if lr := cfg.ScheduledLR(128, 4.9); lr != 0.1 {
 		t.Fatalf("before first step: %v", lr)
 	}
-	if lr := cfg.ScheduledLR(128, 2); math.Abs(lr-0.05) > 1e-12 {
+	if lr := cfg.ScheduledLR(128, 5); math.Abs(lr-0.05) > 1e-12 {
 		t.Fatalf("after one step: %v", lr)
 	}
-	if lr := cfg.ScheduledLR(128, 6.5); math.Abs(lr-0.0125) > 1e-12 {
+	if lr := cfg.ScheduledLR(128, 16); math.Abs(lr-0.0125) > 1e-12 {
 		t.Fatalf("after three steps: %v", lr)
-	}
-	// Default StepEvery kicks in when unset.
-	cfg.StepEvery = 0
-	if lr := cfg.ScheduledLR(128, 5); math.Abs(lr-0.05) > 1e-12 {
-		t.Fatalf("default StepEvery: %v", lr)
 	}
 }
 
 func TestScheduleInvT(t *testing.T) {
 	cfg := scheduleConfig(t, ScheduleInvT)
-	cfg.DecayRate = 1
+	// 1/(1 + decayRate·epoch) with decayRate = 0.1.
 	if lr := cfg.ScheduledLR(128, 0); lr != 0.1 {
 		t.Fatalf("epoch 0: %v", lr)
 	}
-	if lr := cfg.ScheduledLR(128, 9); math.Abs(lr-0.01) > 1e-12 {
-		t.Fatalf("epoch 9: %v", lr)
+	if lr := cfg.ScheduledLR(128, 90); math.Abs(lr-0.01) > 1e-12 {
+		t.Fatalf("epoch 90: %v", lr)
 	}
 	prev := math.Inf(1)
 	for e := 0.0; e < 10; e++ {
@@ -89,16 +84,16 @@ func TestScheduleInvT(t *testing.T) {
 
 func TestScheduleWarmup(t *testing.T) {
 	cfg := scheduleConfig(t, ScheduleWarmup)
-	cfg.WarmupEpochs = 4
+	// A linear ramp over warmupEpochs = 1.
 	early := cfg.ScheduledLR(128, 0)
 	if early <= 0 || early >= 0.1 {
 		t.Fatalf("warmup start LR %v must be small but nonzero", early)
 	}
-	mid := cfg.ScheduledLR(128, 2)
+	mid := cfg.ScheduledLR(128, 0.5)
 	if math.Abs(mid-0.05) > 1e-12 {
 		t.Fatalf("half warmup: %v", mid)
 	}
-	if lr := cfg.ScheduledLR(128, 4); lr != 0.1 {
+	if lr := cfg.ScheduledLR(128, 1); lr != 0.1 {
 		t.Fatalf("post warmup: %v", lr)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"heterosgd/internal/data"
@@ -168,15 +167,9 @@ func (x *simExec) spawn(id int) {
 
 func (x *simExec) decorate(_ int, w transport.Work) transport.Work { return w }
 
-// deadline is the watchdog's, in virtual time: only an injected hang can
-// miss it, since it derives from the cost model that produces the duration.
-func (x *simExec) deadline(id, size int) time.Duration { return x.l.watchdogDeadline(id, size) }
-
 // drain has nothing to stop: a virtual iteration cannot be aborted, and its
 // completion is settled like any straggler's.
 func (x *simExec) drain(int) []transport.Work { return nil }
-
-func (x *simExec) modelLock(bool) sync.Locker { return nopLocker{} }
 
 func (x *simExec) shutdown() {}
 

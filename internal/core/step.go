@@ -84,7 +84,7 @@ func newWorker(cfg *Config, id int, name string, wc WorkerConfig, n, rows int) *
 		l := &w.lanes[i]
 		l.ws, l.grad = cfg.Net.NewWorkspace(rows), cfg.Net.NewParams(nn.InitZero, nil)
 		if cfg.Optimizer != opt.KindSGD {
-			l.optim, l.delta = opt.New(cfg.Optimizer, l.grad, cfg.OptimizerHP), cfg.Net.NewParams(nn.InitZero, nil)
+			l.optim, l.delta = opt.New(cfg.Optimizer, l.grad, opt.HyperParams{}), cfg.Net.NewParams(nn.InitZero, nil)
 		}
 		if cfg.svrgAnchor() && w.threads > 0 {
 			l.scratch = cfg.Net.NewParams(nn.InitZero, nil)

@@ -70,34 +70,29 @@ type Policy interface {
 // consecutive samples before acting, so one noisy epoch cannot thrash
 // membership.
 type LoadPolicy struct {
-	// GrowRatio triggers growth when QueueWait/Compute exceeds it.
-	GrowRatio float64
-	// ShrinkRatio permits shrinking only when QueueWait/Compute is below it.
-	ShrinkRatio float64
-	// ShrinkCostFactor permits shrinking only when the marginal worker's
-	// modeled cost exceeds ShrinkCostFactor × the observed mean compute
-	// span — the retiree is a straggler by the cost model's account.
-	ShrinkCostFactor float64
-	// Hysteresis is the number of consecutive identical raw signals
-	// required before Grow or Shrink is returned (≥ 1).
-	Hysteresis int
-
 	last   Decision
 	streak int
 }
 
-// NewLoadPolicy returns the default policy: grow when dispatches wait
-// longer than half their compute time, shrink when waiting is under 5% of
-// compute and the marginal worker is modeled at ≥ 2× the mean span, after
-// 2 consecutive agreeing samples.
-func NewLoadPolicy() *LoadPolicy {
-	return &LoadPolicy{GrowRatio: 0.5, ShrinkRatio: 0.05, ShrinkCostFactor: 2, Hysteresis: 2}
-}
+// LoadPolicy's thresholds: grow when dispatches wait longer than growRatio
+// of their compute time; shrink when waiting is under shrinkRatio of compute
+// and the marginal worker is modeled at ≥ shrinkCostFactor × the observed
+// mean compute span (the retiree is a straggler by the cost model's
+// account); either only after loadHysteresis consecutive agreeing samples.
+const (
+	growRatio        = 0.5
+	shrinkRatio      = 0.05
+	shrinkCostFactor = 2.0
+	loadHysteresis   = 2
+)
+
+// NewLoadPolicy returns the shipped policy.
+func NewLoadPolicy() *LoadPolicy { return &LoadPolicy{} }
 
 // String describes the policy's thresholds.
 func (p *LoadPolicy) String() string {
 	return fmt.Sprintf("load(grow>%.2g, shrink<%.2g, cost×%.2g, hysteresis %d)",
-		p.GrowRatio, p.ShrinkRatio, p.ShrinkCostFactor, p.Hysteresis)
+		growRatio, shrinkRatio, shrinkCostFactor, loadHysteresis)
 }
 
 // Decide implements Policy.
@@ -110,10 +105,10 @@ func (p *LoadPolicy) Decide(s Sample) Decision {
 	if s.Dispatches > 0 && s.Compute > 0 {
 		ratio := float64(s.QueueWait) / float64(s.Compute)
 		switch {
-		case ratio > p.GrowRatio && s.Active < s.Max:
+		case ratio > growRatio && s.Active < s.Max:
 			raw = Grow
-		case ratio < p.ShrinkRatio && s.Active > s.Min &&
-			s.MarginalCost > time.Duration(p.ShrinkCostFactor*float64(s.Compute)):
+		case ratio < shrinkRatio && s.Active > s.Min &&
+			s.MarginalCost > shrinkCostFactor*s.Compute:
 			raw = Shrink
 		}
 	}
@@ -126,11 +121,7 @@ func (p *LoadPolicy) Decide(s Sample) Decision {
 	} else {
 		p.last, p.streak = raw, 1
 	}
-	h := p.Hysteresis
-	if h < 1 {
-		h = 1
-	}
-	if p.streak >= h {
+	if p.streak >= loadHysteresis {
 		p.streak = 0
 		return raw
 	}

@@ -77,9 +77,6 @@ type Options struct {
 	// and p99 telemetry. MaxBatch still sizes the workspaces (it is the
 	// ceiling's upper clamp).
 	Adaptive bool
-	// AdaptiveCadence is the controller's decision window in served
-	// batches. ≤0 defaults to the policy default (16).
-	AdaptiveCadence int
 	// ExactKernel forces the portable scalar forward kernels instead of
 	// the SIMD inference microkernel, making serving outputs bit-identical
 	// to training-side forward passes. Off by default: serving tolerates
@@ -199,11 +196,10 @@ func NewBatcher(pub *Publisher, opts Options) *Batcher {
 		// worker thread unless Options.Workers splits the GEMMs, so batch
 		// saturation is judged per serving thread, not per training fleet.
 		b.policy = NewAdaptivePolicy(PolicyConfig{
-			Min:     1,
-			Max:     opts.MaxBatch,
-			Cadence: opts.AdaptiveCadence,
-			Dev:     device.NewXeon("serve", opts.Workers),
-			Arch:    arch,
+			Min:  1,
+			Max:  opts.MaxBatch,
+			Dev:  device.NewXeon("serve", opts.Workers),
+			Arch: arch,
 		})
 		b.batchCeil.Store(int64(b.policy.Ceiling()))
 	} else {

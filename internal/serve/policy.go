@@ -36,48 +36,12 @@ func (d Decision) String() string {
 	}
 }
 
-// PolicyConfig bounds and tunes an AdaptivePolicy. The zero value of every
-// field selects a sensible default (see withDefaults), so callers typically
-// set only Min, Max, Dev, and Arch.
+// PolicyConfig bounds an AdaptivePolicy and names the cost model it judges
+// a doubling on.
 type PolicyConfig struct {
 	// Min and Max clamp the micro-batch ceiling. Min defaults to 1; Max is
 	// raised to Min when smaller.
 	Min, Max int
-	// Cadence is the number of served batches aggregated into one decision
-	// window. Defaults to 16. The policy is windowed by batch count, not by
-	// wall clock, so it is exactly reproducible from an arrival trace.
-	Cadence int
-	// ShrinkFill is the mean batch-fill fraction (mean batch size / ceiling)
-	// at or below which a window without queue pressure signals shrink.
-	// Growth is driven by backlog, not fill: at some point in the window the
-	// admission queue must have held at least a full ceiling's worth of
-	// waiting requests. Batch fill alone proves nothing in either direction
-	// on a loaded single-core box — at ceiling 1 every batch is trivially
-	// full (growing on that would tax idle traffic with MaxWait coalescing
-	// latency for nothing), and under heavy load scheduling jitter keeps
-	// measured fill well below 1 even while the queue is backed up. A shrink
-	// additionally requires the backlog to have vanished, so the two signals
-	// cannot fire on the same window. Defaults to 0.35.
-	ShrinkFill float64
-	// GainEps is the modeled per-example efficiency gain required of a
-	// doubling before the policy grows: grow only while
-	// cost(b)/cost(2b) ≥ 1+GainEps on the device cost model. This is what
-	// makes the ceiling converge to the cost-model optimum instead of
-	// climbing to Max under any sustained load. Defaults to 0.05.
-	GainEps float64
-	// P99Factor blocks growth when the window's p99 exceeds P99Factor × the
-	// previous window's p99 — batching latency is already deteriorating, so
-	// buying more per-example efficiency with even longer coalescing waits
-	// would trade away the tail the controller exists to protect. The p99
-	// comes from the power-of-two latency histogram, whose adjacent bucket
-	// midpoints differ by exactly 2×, so the factor must exceed 2 or
-	// single-bucket jitter between windows blocks growth forever. The
-	// default 4 tolerates one-bucket moves and blocks on two or more.
-	P99Factor float64
-	// Hysteresis is the number of consecutive windows with the same raw
-	// signal required before the ceiling moves (≥1), exactly the
-	// elastic.LoadPolicy debounce. Defaults to 2.
-	Hysteresis int
 	// Dev and Arch feed the efficiency model (device.Device.IterTime with
 	// zero model bytes, i.e. pure compute cost per batch).
 	Dev  device.Device
@@ -91,23 +55,47 @@ func (c PolicyConfig) withDefaults() PolicyConfig {
 	if c.Max < c.Min {
 		c.Max = c.Min
 	}
-	if c.Cadence < 1 {
-		c.Cadence = 16
-	}
-	if c.ShrinkFill <= 0 {
-		c.ShrinkFill = 0.35
-	}
-	if c.GainEps <= 0 {
-		c.GainEps = 0.05
-	}
-	if c.P99Factor <= 1 {
-		c.P99Factor = 4
-	}
-	if c.Hysteresis < 1 {
-		c.Hysteresis = 2
-	}
 	return c
 }
+
+// The controller's fixed tuning.
+const (
+	// policyCadence is the number of served batches aggregated into one
+	// decision window. The policy is windowed by batch count, not by wall
+	// clock, so it is exactly reproducible from an arrival trace.
+	policyCadence = 16
+	// shrinkFill is the mean batch-fill fraction (mean batch size / ceiling)
+	// at or below which a window without queue pressure signals shrink.
+	// Growth is driven by backlog, not fill: at some point in the window the
+	// admission queue must have held at least a full ceiling's worth of
+	// waiting requests. Batch fill alone proves nothing in either direction
+	// on a loaded single-core box — at ceiling 1 every batch is trivially
+	// full (growing on that would tax idle traffic with MaxWait coalescing
+	// latency for nothing), and under heavy load scheduling jitter keeps
+	// measured fill well below 1 even while the queue is backed up. A shrink
+	// additionally requires the backlog to have vanished, so the two signals
+	// cannot fire on the same window.
+	shrinkFill = 0.35
+	// gainEps is the modeled per-example efficiency gain required of a
+	// doubling before the policy grows: grow only while
+	// cost(b)/cost(2b) ≥ 1+gainEps on the device cost model. This is what
+	// makes the ceiling converge to the cost-model optimum instead of
+	// climbing to Max under any sustained load.
+	gainEps = 0.05
+	// p99Factor blocks growth when the window's p99 exceeds p99Factor × the
+	// previous window's p99 — batching latency is already deteriorating, so
+	// buying more per-example efficiency with even longer coalescing waits
+	// would trade away the tail the controller exists to protect. The p99
+	// comes from the power-of-two latency histogram, whose adjacent bucket
+	// midpoints differ by exactly 2×, so the factor must exceed 2 or
+	// single-bucket jitter between windows blocks growth forever; 4
+	// tolerates one-bucket moves and blocks on two or more.
+	p99Factor = 4
+	// policyHysteresis is the number of consecutive windows with the same
+	// raw signal required before the ceiling moves, exactly the
+	// elastic.LoadPolicy debounce.
+	policyHysteresis = 2
+)
 
 // soloBatchMean is the mean batch size at or below which a window reads as
 // "no coalescing": essentially every batch held a single request. Kept just
@@ -159,7 +147,7 @@ func (p *AdaptivePolicy) Changes() int64 { return p.changes }
 // String describes the policy's configuration and current ceiling.
 func (p *AdaptivePolicy) String() string {
 	return fmt.Sprintf("adaptive(ceil %d in [%d,%d], cadence %d, hysteresis %d)",
-		p.ceil, p.cfg.Min, p.cfg.Max, p.cfg.Cadence, p.cfg.Hysteresis)
+		p.ceil, p.cfg.Min, p.cfg.Max, policyCadence, policyHysteresis)
 }
 
 // Observe folds one served batch into the current decision window and
@@ -171,7 +159,7 @@ func (p *AdaptivePolicy) Observe(batchSize, queueDepth int) bool {
 	if queueDepth >= p.ceil {
 		p.queueHigh = true
 	}
-	return p.batches >= p.cfg.Cadence
+	return p.batches >= policyCadence
 }
 
 // Decide closes the current window and returns the (possibly unchanged)
@@ -192,13 +180,13 @@ func (p *AdaptivePolicy) Decide(windowP99Ms float64) (ceil int, changed bool) {
 	raw := Hold
 	switch {
 	case queueHigh && p.ceil < p.cfg.Max &&
-		modelGain(p.cfg.Dev, p.cfg.Arch, p.ceil) >= 1+p.cfg.GainEps &&
-		(prev == 0 || windowP99Ms == 0 || windowP99Ms <= p.cfg.P99Factor*prev):
+		modelGain(p.cfg.Dev, p.cfg.Arch, p.ceil) >= 1+gainEps &&
+		(prev == 0 || windowP99Ms == 0 || windowP99Ms <= p99Factor*prev):
 		raw = Grow
-	case !queueHigh && (fill <= p.cfg.ShrinkFill || mean <= soloBatchMean) && p.ceil > p.cfg.Min:
+	case !queueHigh && (fill <= shrinkFill || mean <= soloBatchMean) && p.ceil > p.cfg.Min:
 		// No backlog and underfilled, or batches average a lone request —
 		// the latter matters at small ceilings where the minimum
-		// representable fill (1/ceiling) already exceeds ShrinkFill, e.g.
+		// representable fill (1/ceiling) already exceeds shrinkFill, e.g.
 		// fill 0.5 at ceiling 2. No coalescing is happening, so the
 		// ceiling only buys MaxWait latency.
 		raw = Shrink
@@ -212,7 +200,7 @@ func (p *AdaptivePolicy) Decide(windowP99Ms float64) (ceil int, changed bool) {
 	} else {
 		p.last, p.streak = raw, 1
 	}
-	if p.streak < p.cfg.Hysteresis {
+	if p.streak < policyHysteresis {
 		return p.ceil, false
 	}
 	p.streak = 0
@@ -242,13 +230,13 @@ func modelGain(dev device.Device, arch nn.Arch, b int) float64 {
 
 // ModelOptimalBatch returns the ceiling a saturated AdaptivePolicy converges
 // to: the smallest power-of-two multiple of min (clamped to max) whose
-// modeled gain from doubling falls below 1+eps. Exported so tests and the
-// load generator can compute the fixed point independently of the policy's
-// trajectory.
-func ModelOptimalBatch(dev device.Device, arch nn.Arch, minB, maxB int, eps float64) int {
-	cfg := PolicyConfig{Min: minB, Max: maxB, GainEps: eps}.withDefaults()
+// modeled gain from doubling falls below 1+gainEps. Exported so tests and
+// the load generator can compute the fixed point independently of the
+// policy's trajectory.
+func ModelOptimalBatch(dev device.Device, arch nn.Arch, minB, maxB int) int {
+	cfg := PolicyConfig{Min: minB, Max: maxB}.withDefaults()
 	b := cfg.Min
-	for b < cfg.Max && modelGain(dev, arch, b) >= 1+cfg.GainEps {
+	for b < cfg.Max && modelGain(dev, arch, b) >= 1+gainEps {
 		b = min(b*2, cfg.Max)
 	}
 	return b

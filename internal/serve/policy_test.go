@@ -108,7 +108,7 @@ func TestAdaptivePolicyConvergesToModelOptimum(t *testing.T) {
 	dev := device.NewXeon("serve", 1)
 	arch := policyArch()
 	cfg := PolicyConfig{Min: 1, Max: 1024, Dev: dev, Arch: arch}
-	opt := ModelOptimalBatch(dev, arch, 1, 1024, 0)
+	opt := ModelOptimalBatch(dev, arch, 1, 1024)
 	if opt <= cfg.Min || opt >= 1024 {
 		t.Fatalf("model optimum %d is degenerate; pick a different arch", opt)
 	}
@@ -156,7 +156,7 @@ func TestAdaptivePolicyIdleHoldsFloor(t *testing.T) {
 
 func TestAdaptivePolicyP99GuardBlocksGrowth(t *testing.T) {
 	p := NewAdaptivePolicy(PolicyConfig{Min: 1, Max: 64, Dev: device.NewXeon("serve", 0), Arch: policyArch()})
-	// Saturated load, but the tail deteriorates faster than P99Factor every
+	// Saturated load, but the tail deteriorates faster than p99Factor every
 	// window: growth stays blocked even though the queue says grow.
 	p99 := 1.0
 	for w := 0; w < 50; w++ {
@@ -173,14 +173,13 @@ func TestAdaptivePolicyP99GuardBlocksGrowth(t *testing.T) {
 func TestModelOptimalBatchMatchesGainThreshold(t *testing.T) {
 	dev := device.NewXeon("serve", 1)
 	arch := policyArch()
-	cfg := PolicyConfig{Min: 1, Max: 1024, Dev: dev, Arch: arch}.withDefaults()
-	opt := ModelOptimalBatch(dev, arch, 1, 1024, 0)
+	opt := ModelOptimalBatch(dev, arch, 1, 1024)
 	// Just below the optimum the model must still promise a gain; at the
 	// optimum it must not — that is the policy's stopping rule.
-	if opt > 1 && modelGain(dev, arch, opt/2) < 1+cfg.GainEps {
+	if opt > 1 && modelGain(dev, arch, opt/2) < 1+gainEps {
 		t.Fatalf("gain at %d already below threshold, optimum %d too high", opt/2, opt)
 	}
-	if opt < 1024 && modelGain(dev, arch, opt) >= 1+cfg.GainEps {
+	if opt < 1024 && modelGain(dev, arch, opt) >= 1+gainEps {
 		t.Fatalf("gain at optimum %d still above threshold", opt)
 	}
 }

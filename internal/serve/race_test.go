@@ -200,7 +200,7 @@ func TestConcurrentPoolPublishReload(t *testing.T) {
 
 	b := serve.NewBatcher(pub, serve.Options{
 		MaxBatch: 8, MaxWait: 200 * time.Microsecond, QueueCap: 128,
-		PoolWorkers: 4, Adaptive: true, AdaptiveCadence: 4,
+		PoolWorkers: 4, Adaptive: true,
 	})
 	defer b.Close()
 

@@ -12,8 +12,6 @@ import (
 
 // ClientOptions configures a worker's side of the TCP transport.
 type ClientOptions struct {
-	// DialTimeout bounds each connection attempt. Zero defaults to 2 s.
-	DialTimeout time.Duration
 	// BackoffBase is the first reconnect delay; attempts double it up to
 	// BackoffMax, each jittered to [½d, d). Zero defaults to 50 ms / 2 s.
 	BackoffBase time.Duration
@@ -21,20 +19,15 @@ type ClientOptions struct {
 	// MaxAttempts bounds consecutive failed connection attempts before
 	// Run gives up. Zero defaults to 30.
 	MaxAttempts int
-	// AckTimeout is how long an unacknowledged completion waits before the
-	// heartbeat loop retransmits it. Zero defaults to 3 heartbeat periods.
-	AckTimeout time.Duration
-	// SendTimeout bounds each frame write. Zero defaults to 5 s.
-	SendTimeout time.Duration
 	// Seed drives the backoff jitter (mixed with the worker ID), keeping
 	// multi-process runs reproducible under a fixed seed.
 	Seed uint64
 }
 
+// dialTimeout bounds each connection attempt and the wait for its Welcome.
+const dialTimeout = 2 * time.Second
+
 func (o *ClientOptions) defaults() {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 50 * time.Millisecond
 	}
@@ -43,9 +36,6 @@ func (o *ClientOptions) defaults() {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 30
-	}
-	if o.SendTimeout <= 0 {
-		o.SendTimeout = 5 * time.Second
 	}
 }
 
@@ -185,12 +175,12 @@ func (c *Client) connect(ctx context.Context) error {
 // attempt is one dial + handshake: a Join for an elastic worker that has
 // no ID yet, a Hello otherwise (including a joiner's reconnects).
 func (c *Client) attempt(ctx context.Context) (net.Conn, error) {
-	d := net.Dialer{Timeout: c.opts.DialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetWriteDeadline(time.Now().Add(c.opts.SendTimeout))
+	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 	if c.id < 0 {
 		err = WriteFrame(conn, KindJoin, nil)
 	} else {
@@ -201,7 +191,7 @@ func (c *Client) attempt(ctx context.Context) (net.Conn, error) {
 		return nil, err
 	}
 	conn.SetWriteDeadline(time.Time{})
-	conn.SetReadDeadline(time.Now().Add(c.opts.DialTimeout))
+	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	kind, payload, err := ReadFrame(conn)
 	if err != nil {
 		conn.Close()
@@ -240,7 +230,7 @@ func (c *Client) attempt(ctx context.Context) (net.Conn, error) {
 
 // write sends one encoded frame on conn. c.mu must be held.
 func (c *Client) write(conn net.Conn, frame []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(c.opts.SendTimeout))
+	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 	_, err := conn.Write(frame)
 	conn.SetWriteDeadline(time.Time{})
 	return err
@@ -250,7 +240,7 @@ func (c *Client) write(conn net.Conn, frame []byte) error {
 func (c *Client) send(conn net.Conn, kind Kind, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(c.opts.SendTimeout))
+	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 	err := WriteFrame(conn, kind, payload)
 	conn.SetWriteDeadline(time.Time{})
 	return err
@@ -332,11 +322,9 @@ func (c *Client) session(ctx context.Context, handler func(Work) Done) error {
 	if hb <= 0 {
 		hb = time.Second
 	}
-	ackTimeout := c.opts.AckTimeout
-	if ackTimeout <= 0 {
-		ackTimeout = 3 * hb
-	}
-	readDeadline := 3 * hb
+	// An unacknowledged completion is retransmitted after, and a silent
+	// coordinator declared gone after, three heartbeat periods.
+	ackTimeout, readDeadline := 3*hb, 3*hb
 
 	// The heartbeat loop also owns stale-Done retransmission: both are
 	// periodic link maintenance, and folding them keeps the session to two

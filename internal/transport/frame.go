@@ -81,8 +81,9 @@ const (
 	frameMagic = 0x48474631
 	// frameVersion is the protocol version; a peer speaking another version
 	// is rejected at the first frame. Version 2 added Work.Lanes and made
-	// Welcome's lane field the largest per-lane sub-batch.
-	frameVersion = 2
+	// Welcome's lane field the largest per-lane sub-batch; version 3 added
+	// Welcome.WeightDecay and Welcome.Guards.
+	frameVersion = 3
 	// headerLen is magic(4) + version(1) + kind(1) + flags(2) + length(4).
 	headerLen = 12
 	// MaxPayload bounds a frame's payload. Decoders reject larger lengths

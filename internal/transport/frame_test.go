@@ -45,14 +45,19 @@ func TestFrameGoldenBytes(t *testing.T) {
 		{
 			"work", KindWork,
 			EncodeWork(Work{Seq: 42, Epoch: 3, Lo: 128, Hi: 192, LR: 0.0625, SentNS: 1_500_000_000, Lanes: 4, Params: []byte{0xde, 0xad, 0xbe, 0xef}}),
-			"3146474802030000380000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f6859000000000400000004000000deadbeef6012de9f",
+			"3146474803030000380000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f6859000000000400000004000000deadbeeff53feb10",
 		},
 		{
 			"done", KindDone,
 			EncodeDone(Done{Worker: 1, Seq: 42, Updates: 4, Dropped: 1, Failed: true, Err: "boom", Delta: []byte{1, 2}}),
-			"314647480204000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d0200000001022ad48b28",
+			"314647480304000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d020000000102b94f4257",
 		},
-		{"heartbeat", KindHeartbeat, nil, "31464748020600000000000029e07df2"},
+		{
+			"welcome", KindWelcome,
+			EncodeWelcome(Welcome{Seed: 9, HeartbeatNS: 250_000_000, Shuffle: true, LaneRows: 64, MaxBatch: 512, Worker: 2, Resume: true, ResumeEpoch: 4, SeqFloor: 77, WeightDecay: 0.0001, Guards: true}),
+			"31464748030200003c000000090000000000000080b2e60e000000000100000040000000000200000200000001000000040000004d000000000000002d431cebe2361a3f01000000acd63d07",
+		},
+		{"heartbeat", KindHeartbeat, nil, "314647480306000000000000b7e0d73e"},
 	}
 	for _, c := range cases {
 		got := hex.EncodeToString(mustFrame(t, c.kind, c.pay))
@@ -74,7 +79,7 @@ func TestLinkWritersGoldenBytes(t *testing.T) {
 		hex string
 	}{
 		{Work{Seq: 42, Epoch: 3, Lo: 128, Hi: 192, LR: 0.0625, SentNS: 1_500_000_000, Lanes: 4, Params: []byte{0xde, 0xad, 0xbe, 0xef}},
-			"3146474802030000380000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f6859000000000400000004000000deadbeef6012de9f"},
+			"3146474803030000380000002a00000000000000030000008000000000000000c000000000000000000000000000b03f002f6859000000000400000004000000deadbeeff53feb10"},
 		{Work{Seq: 7, Lo: 0, Hi: 64, LR: 0.01, Params: blob}, ""},
 		{Work{Seq: 8}, ""},
 	}
@@ -95,7 +100,7 @@ func TestLinkWritersGoldenBytes(t *testing.T) {
 		hex string
 	}{
 		{Done{Worker: 1, Seq: 42, Updates: 4, Dropped: 1, Failed: true, Err: "boom", Delta: []byte{1, 2}},
-			"314647480204000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d0200000001022ad48b28"},
+			"314647480304000026000000010000002a0000000000000004000000010000000100000004000000626f6f6d020000000102b94f4257"},
 		{Done{Worker: 1, Seq: 7, Updates: 1, Delta: blob}, ""},
 		{Done{Seq: 8}, ""},
 	}
@@ -189,6 +194,7 @@ func TestReadFrameStreamsBackToBack(t *testing.T) {
 func FuzzReadFrame(f *testing.F) {
 	f.Add(mustFrameBytes(KindWork, EncodeWork(Work{Seq: 7, Lo: 0, Hi: 8, LR: 0.5})))
 	f.Add(mustFrameBytes(KindDone, EncodeDone(Done{Worker: 2, Seq: 9, Err: "x"})))
+	f.Add(mustFrameBytes(KindWelcome, EncodeWelcome(Welcome{Seed: 4, LaneRows: 8, WeightDecay: 1e-4, Guards: true})))
 	f.Add(mustFrameBytes(KindHeartbeat, nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x31, 0x46, 0x47, 0x48})
@@ -236,6 +242,7 @@ func FuzzDecodeMessages(f *testing.F) {
 	f.Add(EncodeWork(Work{Seq: 1, Lo: 2, Hi: 3, Params: []byte{9}}))
 	f.Add(EncodeDone(Done{Worker: 1, Seq: 2, Err: "e", Delta: []byte{1}}))
 	f.Add(EncodeWelcome(Welcome{Seed: 3, LaneRows: 2}))
+	f.Add(EncodeWelcome(Welcome{Seed: 3, LaneRows: 2, WeightDecay: 1e-4, Guards: true}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		DecodeWork(raw)
@@ -265,7 +272,8 @@ func TestMessageRoundTrips(t *testing.T) {
 		gotD.Dropped != d.Dropped || gotD.Failed != d.Failed || gotD.Err != d.Err || !bytes.Equal(gotD.Delta, d.Delta) {
 		t.Fatalf("done round trip: %+v != %+v", gotD, d)
 	}
-	wl := Welcome{Seed: 11, HeartbeatNS: 5e8, Shuffle: true, LaneRows: 4, MaxBatch: 256, Worker: 7}
+	wl := Welcome{Seed: 11, HeartbeatNS: 5e8, Shuffle: true, LaneRows: 4, MaxBatch: 256, Worker: 7,
+		Resume: true, ResumeEpoch: 3, SeqFloor: 40, WeightDecay: 1e-3, Guards: true}
 	gotWl, err := DecodeWelcome(EncodeWelcome(wl))
 	if err != nil || gotWl != wl {
 		t.Fatalf("welcome round trip: %+v != %+v (%v)", gotWl, wl, err)

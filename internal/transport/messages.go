@@ -69,6 +69,9 @@ type Hello struct {
 // buffers at or below it belongs to the previous incarnation and must be
 // dropped, since those dispatches were either applied pre-crash or rebuilt
 // into the resumed coordinator's flight map under fresh sequence numbers.
+// WeightDecay and Guards are the coordinator's Config.WeightDecay and
+// Config.Guards: the worker's gradient step applies the same L2 penalty and
+// drops the same non-finite gradients without being told twice.
 type Welcome struct {
 	Seed        uint64
 	HeartbeatNS int64
@@ -82,6 +85,8 @@ type Welcome struct {
 	Resume      bool
 	ResumeEpoch uint32
 	SeqFloor    uint64
+	WeightDecay float64
+	Guards      bool
 }
 
 // Leave is a worker's graceful-departure announcement: stop dispatching to
@@ -220,11 +225,7 @@ func appendDoneHead(b []byte, d Done) []byte {
 	b = appendU64(b, d.Seq)
 	b = appendU32(b, uint32(int32(d.Updates)))
 	b = appendU32(b, uint32(int32(d.Dropped)))
-	var failed uint32
-	if d.Failed {
-		failed = 1
-	}
-	b = appendU32(b, failed)
+	b = appendU32(b, bit32(d.Failed))
 	b = appendU32(b, uint32(len(d.Err)))
 	b = append(b, d.Err...)
 	return appendU32(b, uint32(len(d.Delta)))
@@ -275,27 +276,28 @@ func DecodeHello(p []byte) (Hello, error) {
 	return h, nil
 }
 
+// bit32 encodes a flag as a whole little-endian word.
+func bit32(v bool) uint32 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
 // EncodeWelcome serializes w for a Welcome frame.
 func EncodeWelcome(w Welcome) []byte {
-	b := make([]byte, 0, 52)
+	b := make([]byte, 0, 60)
 	b = appendU64(b, w.Seed)
 	b = appendU64(b, uint64(w.HeartbeatNS))
-	var shuffle uint32
-	if w.Shuffle {
-		shuffle = 1
-	}
-	b = appendU32(b, shuffle)
+	b = appendU32(b, bit32(w.Shuffle))
 	b = appendU32(b, uint32(int32(w.LaneRows)))
 	b = appendU32(b, uint32(int32(w.MaxBatch)))
 	b = appendU32(b, uint32(int32(w.Worker)))
-	var resume uint32
-	if w.Resume {
-		resume = 1
-	}
-	b = appendU32(b, resume)
+	b = appendU32(b, bit32(w.Resume))
 	b = appendU32(b, w.ResumeEpoch)
 	b = appendU64(b, w.SeqFloor)
-	return b
+	b = appendU64(b, math.Float64bits(w.WeightDecay))
+	return appendU32(b, bit32(w.Guards))
 }
 
 // DecodeWelcome parses a Welcome frame payload.
@@ -312,6 +314,8 @@ func DecodeWelcome(p []byte) (Welcome, error) {
 	w.Resume = c.u32() != 0
 	w.ResumeEpoch = c.u32()
 	w.SeqFloor = c.u64()
+	w.WeightDecay = math.Float64frombits(c.u64())
+	w.Guards = c.u32() != 0
 	if err := c.done(); err != nil {
 		return Welcome{}, fmt.Errorf("welcome: %w", err)
 	}

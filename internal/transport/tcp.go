@@ -19,8 +19,6 @@ type TCPOptions struct {
 	// MissLimit is the number of consecutive missed heartbeats tolerated
 	// before the link is declared down. Zero defaults to 3.
 	MissLimit int
-	// SendTimeout bounds each frame write. Zero defaults to 5 s.
-	SendTimeout time.Duration
 	// Welcome is the run configuration handed to each connecting worker
 	// (HeartbeatNS is filled in from Heartbeat; Worker is filled in per
 	// connection).
@@ -46,10 +44,10 @@ func (o *TCPOptions) defaults() {
 	if o.MissLimit <= 0 {
 		o.MissLimit = 3
 	}
-	if o.SendTimeout <= 0 {
-		o.SendTimeout = 5 * time.Second
-	}
 }
+
+// sendTimeout bounds each frame write, on either end of a link.
+const sendTimeout = 5 * time.Second
 
 // tcpMetrics bundles the coordinator-side transport instruments. All
 // counters are nil-safe (a nil registry leaves them nil).
@@ -258,7 +256,7 @@ func (t *TCP) handshake(conn net.Conn) {
 	}
 	welcome := t.opts.Welcome
 	welcome.Worker = id
-	conn.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
+	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 	if err := WriteFrame(conn, KindWelcome, EncodeWelcome(welcome)); err != nil {
 		conn.Close()
 		return
@@ -382,7 +380,7 @@ func (t *TCP) readLoop(id int, conn net.Conn) {
 			t.statsMu.Unlock()
 			// Ack first (best effort): the worker may drop its retransmit
 			// copy as soon as the completion is on the coordinator's queue.
-			conn.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
+			conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 			if err := WriteFrame(conn, KindAck, EncodeAck(Ack{Seq: d.Seq})); err != nil {
 				t.linkDown(id, conn, err)
 				return
@@ -393,7 +391,7 @@ func (t *TCP) readLoop(id int, conn net.Conn) {
 		case KindHeartbeat:
 			t.m.heartbeats.Inc()
 			// Pong: the echo feeds the worker's read deadline.
-			conn.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
+			conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 			if err := WriteFrame(conn, KindHeartbeat, nil); err != nil {
 				t.linkDown(id, conn, err)
 				return
@@ -465,7 +463,7 @@ func (t *TCP) Retire(worker int) {
 	t.links[worker].departed = true
 	t.mu.Unlock()
 	if conn != nil {
-		conn.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
+		conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 		WriteFrame(conn, KindGoodbye, nil) // best effort
 		conn.Close()
 	}
@@ -481,7 +479,7 @@ func (t *TCP) Send(worker int, w Work) error {
 	if conn == nil {
 		return ErrLinkDown
 	}
-	conn.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
+	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 	err := writeWork(conn, w)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
@@ -533,7 +531,7 @@ func (t *TCP) Close() error {
 	}
 	t.mu.Unlock()
 	for _, c := range conns {
-		c.SetWriteDeadline(time.Now().Add(t.opts.SendTimeout))
+		c.SetWriteDeadline(time.Now().Add(sendTimeout))
 		WriteFrame(c, KindGoodbye, nil) // best effort
 		c.Close()
 	}

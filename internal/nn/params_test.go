@@ -97,7 +97,7 @@ func sparsify(p *Params, rng *rand.Rand) {
 
 // refUpdate performs p += a·q a row at a time, the first layer restricted to
 // cols0 when it is non-nil, skipping zero terms when skipZero is set (the
-// striped write).
+// shared-model write of every update mode).
 func refUpdate(p *Params, a float64, q *Params, cols0 []int, skipZero bool) {
 	add := func(d, s []float64, cols []int) {
 		if cols == nil {
@@ -167,7 +167,7 @@ var paramsOps = []struct {
 		refUpdate(p, a, q, q.ActiveCols, true)
 	}},
 	{"ApplyUpdate/racy", func(p, q, _ *Params, a float64) { p.ApplyUpdate(tensor.UpdateRacy, a, q) }, func(p, q, _ *Params, a float64) {
-		refUpdate(p, a, q, q.ActiveCols, false)
+		refUpdate(p, a, q, q.ActiveCols, true) // every mode skips a zero term
 	}},
 	{"DelayCompensate", func(p, q, r *Params, a float64) { p.DelayCompensate(a, q, r) }, func(p, q, r *Params, a float64) {
 		if a != 0 {

@@ -61,22 +61,41 @@ func rowStripe(row []float64) *sync.Mutex {
 	return &stripes[h>>56].Mutex
 }
 
-// addScaledRow performs d += a*s under d's stripe, skipping zero terms: a
-// sparse gradient leaves most of a row untouched, and with one writer the
-// stored floats are exactly the plain loop's.
-func addScaledRow(d []float64, a float64, s []float64) {
+// lockRow locks and returns row's stripe when mode is UpdateAtomic; the other
+// modes take no stripe and get nil.
+func lockRow(mode UpdateMode, row []float64) *sync.Mutex {
+	if mode != UpdateAtomic {
+		return nil
+	}
+	mu := rowStripe(row)
+	mu.Lock()
+	return mu
+}
+
+// addScaledRow performs d += a*s, under d's stripe in UpdateAtomic mode,
+// skipping zero terms: a sparse gradient leaves most of a row untouched, and
+// a ±0 term leaves d's bits alone, so a -0 weight stays -0. Every mode runs
+// this one loop — the AVX2 kernel (addScaledAVX) over whole quads, Go for the
+// rest — so with one writer all three store the same floats.
+func addScaledRow(mode UpdateMode, d []float64, a float64, s []float64) {
 	if len(d) == 0 {
 		return
 	}
 	s = s[:len(d)]
-	mu := rowStripe(d)
-	mu.Lock()
-	for j := range d {
+	mu := lockRow(mode, d)
+	j := 0
+	if exactKernels {
+		j = len(d) &^ 3
+		addScaledAVX(&d[0], a, &s[0], j)
+	}
+	for ; j < len(d); j++ {
 		if v := a * s[j]; v != 0 {
 			d[j] += v
 		}
 	}
-	mu.Unlock()
+	if mu != nil {
+		mu.Unlock()
+	}
 }
 
 // copyRow copies s into d under s's stripe, so the reader sees the row
@@ -91,79 +110,53 @@ func copyRow(d, s []float64) {
 	mu.Unlock()
 }
 
-// AtomicAddScaled performs dst += a*src a row at a time, each row under its
-// stripe, so concurrent callers never lose updates. Shapes must match.
-func AtomicAddScaled(dst *Matrix, a float64, src *Matrix) {
+// ApplyUpdate performs dst += a*src a row at a time (addScaledRow). With
+// UpdateAtomic each row is added under its stripe, so concurrent callers
+// never lose updates; UpdateLocked is applied like UpdateRacy, the caller
+// holding the lock. Shapes must match.
+func ApplyUpdate(mode UpdateMode, dst *Matrix, a float64, src *Matrix) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: atomicAddScaled shape mismatch")
+		panic("tensor: applyUpdate shape mismatch")
 	}
 	for i := 0; i < dst.Rows; i++ {
-		addScaledRow(dst.Row(i), a, src.Row(i))
+		addScaledRow(mode, dst.Row(i), a, src.Row(i))
 	}
 }
 
-// AtomicAddScaledVec performs dst += a*src on vectors, the whole vector
-// being one row.
-func AtomicAddScaledVec(dst *Vector, a float64, src *Vector) {
+// ApplyUpdateVec is ApplyUpdate for vectors, the whole vector being one row.
+func ApplyUpdateVec(mode UpdateMode, dst *Vector, a float64, src *Vector) {
 	if dst.Len() != src.Len() {
-		panic("tensor: atomicAddScaledVec length mismatch")
+		panic("tensor: applyUpdateVec length mismatch")
 	}
-	addScaledRow(dst.Data, a, src.Data)
+	addScaledRow(mode, dst.Data, a, src.Data)
 }
 
-// ApplyUpdate performs dst += a*src according to mode. UpdateLocked is
-// applied as a plain add; the caller is responsible for holding the lock.
-func ApplyUpdate(mode UpdateMode, dst *Matrix, a float64, src *Matrix) {
-	if mode == UpdateAtomic {
-		AtomicAddScaled(dst, a, src)
-		return
-	}
-	dst.AddScaled(a, src)
-}
-
-// AtomicAddScaledCols performs dst += a*src restricted to the given columns,
-// each row under its stripe. It is the sparse partial update: a worker whose
-// batch only touched those feature columns writes nothing else.
-func AtomicAddScaledCols(dst *Matrix, a float64, src *Matrix, cols []int) {
+// ApplyUpdateCols is ApplyUpdate restricted to the given columns: the sparse
+// partial update, where a worker whose batch only touched those feature
+// columns writes nothing else. It skips zero terms as addScaledRow does.
+func ApplyUpdateCols(mode UpdateMode, dst *Matrix, a float64, src *Matrix, cols []int) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic("tensor: atomicAddScaledCols shape mismatch")
+		panic("tensor: applyUpdateCols shape mismatch")
 	}
 	if dst.Cols == 0 {
 		return
 	}
 	for i := 0; i < dst.Rows; i++ {
 		d, s := dst.Row(i), src.Row(i)
-		mu := rowStripe(d)
-		mu.Lock()
+		mu := lockRow(mode, d)
 		for _, j := range cols {
 			if v := a * s[j]; v != 0 {
 				d[j] += v
 			}
 		}
-		mu.Unlock()
+		if mu != nil {
+			mu.Unlock()
+		}
 	}
-}
-
-// ApplyUpdateCols is ApplyUpdate restricted to the given columns.
-func ApplyUpdateCols(mode UpdateMode, dst *Matrix, a float64, src *Matrix, cols []int) {
-	if mode == UpdateAtomic {
-		AtomicAddScaledCols(dst, a, src, cols)
-		return
-	}
-	AddScaledCols(dst, a, src, cols)
-}
-
-// ApplyUpdateVec is ApplyUpdate for vectors.
-func ApplyUpdateVec(mode UpdateMode, dst *Vector, a float64, src *Vector) {
-	if mode == UpdateAtomic {
-		AtomicAddScaledVec(dst, a, src)
-		return
-	}
-	dst.AddScaled(a, src)
 }
 
 // AtomicCopy copies src into dst a row at a time, each row under its stripe,
-// so the copy is race-free against concurrent AtomicAddScaled writers — the
+// so the copy is race-free against concurrent UpdateAtomic writers — the
 // model snapshot read path of the serving subsystem. dst must be private to
 // the caller. Every copied row is whole (no writer was inside it), but rows
 // are copied one after another, so the copy is not a point-in-time image of

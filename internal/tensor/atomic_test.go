@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -15,7 +16,7 @@ func TestAtomicAddScaledMatchesPlain(t *testing.T) {
 	dst2 := dst1.Clone()
 	src := randomMatrix(rng, 13, 7)
 	dst1.AddScaled(0.3, src)
-	AtomicAddScaled(dst2, 0.3, src)
+	ApplyUpdate(UpdateAtomic, dst2, 0.3, src)
 	if !dst1.Equal(dst2, 1e-12) {
 		t.Fatal("atomic add disagrees with plain add")
 	}
@@ -34,7 +35,7 @@ func TestAtomicAddScaledConcurrentNoLostUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				AtomicAddScaled(dst, 1, ones)
+				ApplyUpdate(UpdateAtomic, dst, 1, ones)
 			}
 		}()
 	}
@@ -60,7 +61,7 @@ func TestAtomicAddScaledVecConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				AtomicAddScaledVec(dst, 1, ones)
+				ApplyUpdateVec(UpdateAtomic, dst, 1, ones)
 			}
 		}()
 	}
@@ -107,7 +108,7 @@ func TestQuickAtomicAddEquivalence(t *testing.T) {
 		for _, v := range deltas {
 			d.Data[0] = v
 			plain.AddScaled(1, d)
-			AtomicAddScaledVec(at, 1, d)
+			ApplyUpdateVec(UpdateAtomic, at, 1, d)
 		}
 		p, a := plain.Data[0], at.Data[0]
 		return p == a || (p != p && a != a) // NaN == NaN handling
@@ -144,35 +145,132 @@ func absf(x float64) float64 {
 	return x
 }
 
-// TestAtomicSingleWriterBitEqual: with one writer the striped writes store
-// the very floats AddScaled stores — matrix, column-restricted and vector —
-// which is what keeps every golden trajectory where it is.
+// refAddScaled is the scalar write every mode stores: d += a·s term by term,
+// a zero term skipped.
+func refAddScaled(d []float64, a float64, s []float64) {
+	for j := range d {
+		if v := a * s[j]; v != 0 {
+			d[j] += v
+		}
+	}
+}
+
+// TestAtomicSingleWriterBitEqual: with one writer the three update modes store
+// the very floats the scalar loop stores — matrix, column-restricted and
+// vector — which is what keeps every golden trajectory where it is. A -0
+// weight meeting a zero term stays -0 in every mode.
 func TestAtomicSingleWriterBitEqual(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 19))
 	src := randomMatrix(rng, 9, 11)
 	src.Row(3)[4] = 0 // the zero-skip must not change a value either
 	cols := []int{0, 4, 10}
-	plain := randomMatrix(rng, 9, 11)
-	striped, plainCols := plain.Clone(), plain.Clone()
-	stripedCols := plain.Clone()
+	ref := randomMatrix(rng, 9, 11)
+	ref.Row(3)[4] = math.Copysign(0, -1) // meets 1.7·0 = +0
+	refCols := ref.Clone()
+	modes := []UpdateMode{UpdateAtomic, UpdateRacy, UpdateLocked}
+	var got, gotCols []*Matrix
+	for range modes {
+		got, gotCols = append(got, ref.Clone()), append(gotCols, ref.Clone())
+	}
 	for _, a := range []float64{-0.03, 1.7, 0} {
-		plain.AddScaled(a, src)
-		AtomicAddScaled(striped, a, src)
-		AddScaledCols(plainCols, a, src, cols)
-		AtomicAddScaledCols(stripedCols, a, src, cols)
-	}
-	// The vectors alias row 0 of each matrix, so the loop below compares them too.
-	pv, sv := NewVectorFrom(plain.Row(0)), NewVectorFrom(striped.Row(0))
-	pv.AddScaled(0.5, NewVectorFrom(src.Row(1)))
-	AtomicAddScaledVec(sv, 0.5, NewVectorFrom(src.Row(1)))
-	for i := range plain.Data {
-		if math.Float64bits(plain.Data[i]) != math.Float64bits(striped.Data[i]) {
-			t.Fatalf("element %d: AtomicAddScaled stored %v, AddScaled %v", i, striped.Data[i], plain.Data[i])
+		refAddScaled(ref.Data, a, src.Data)
+		for i := 0; i < ref.Rows; i++ {
+			for _, j := range cols {
+				refAddScaled(refCols.Row(i)[j:j+1], a, src.Row(i)[j:j+1])
+			}
 		}
-		if math.Float64bits(plainCols.Data[i]) != math.Float64bits(stripedCols.Data[i]) {
-			t.Fatalf("element %d: AtomicAddScaledCols stored %v, AddScaledCols %v", i, stripedCols.Data[i], plainCols.Data[i])
+		for m, mode := range modes {
+			ApplyUpdate(mode, got[m], a, src)
+			ApplyUpdateCols(mode, gotCols[m], a, src, cols)
 		}
 	}
+	// The vectors alias row 5 of each matrix, so the loop below compares them
+	// too; their -0 weight meets 0.5·0 = +0.
+	vsrc := NewVectorFrom(append([]float64(nil), src.Row(1)...))
+	vsrc.Data[7] = 0
+	for _, m := range append(got, ref) {
+		m.Row(5)[7] = math.Copysign(0, -1)
+	}
+	refAddScaled(ref.Row(5), 0.5, vsrc.Data)
+	for m, mode := range modes {
+		ApplyUpdateVec(mode, NewVectorFrom(got[m].Row(5)), 0.5, vsrc)
+		for i := range ref.Data {
+			if math.Float64bits(got[m].Data[i]) != math.Float64bits(ref.Data[i]) {
+				t.Fatalf("%v: element %d stored %v, the scalar loop %v", mode, i, got[m].Data[i], ref.Data[i])
+			}
+			if math.Float64bits(gotCols[m].Data[i]) != math.Float64bits(refCols.Data[i]) {
+				t.Fatalf("%v cols: element %d stored %v, the scalar loop %v", mode, i, gotCols[m].Data[i], refCols.Data[i])
+			}
+		}
+	}
+}
+
+// TestAddScaledRowBitExact pins the write kernel to the scalar loop, bit for
+// bit: every length 0..67 (whole quads and every tail) at start offsets 0..3,
+// a ∈ {0, -0, …}, and a palette of ±0, ±Inf, NaN and subnormals, so a·s
+// covers ±0 on a -0 weight (it must stay -0), 0·Inf, NaN terms (they still
+// add) and products that underflow to zero.
+func TestAddScaledRowBitExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(34, 1))
+	negZero := math.Copysign(0, -1)
+	palette := []float64{0, negZero, 1.5, -0.75, 3e-3, math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -2.2e-310, 1e300, -7}
+	dests := []float64{0, negZero, 1.5, -0.75, math.Inf(1), 5e-324, -2.2e-310, 1e300} // no NaN: see sameBits
+	for _, a := range []float64{0, negZero, 1, -0.5, 1e-300, math.Inf(1)} {
+		for n := 0; n <= 67; n++ {
+			for off := 0; off < 4; off++ {
+				// d starts off doubles into a row whose neighbours hold a
+				// sentinel, so a read or write past n shows; s sits at
+				// another offset.
+				row := make([]float64, off+n+4)
+				for i := range row {
+					row[i] = -12345.5
+				}
+				d, s := row[off:off+n], make([]float64, 3-off+n)[3-off:]
+				for j := range d {
+					d[j], s[j] = dests[rng.IntN(len(dests))], palette[rng.IntN(len(palette))]
+				}
+				want := append([]float64(nil), row...)
+				refAddScaled(want[off:off+n], a, s)
+				addScaledRow(UpdateAtomic, d, a, s)
+				for i := range row {
+					if math.Float64bits(row[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("a=%v n=%d off=%d: element %d = %v, the scalar loop %v", a, n, off, i-off, row[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzAddScaledRow: the write kernel and the scalar loop agree on arbitrary
+// bits — raw holds (d, s) pairs of little-endian float64s — at any start
+// offset. A NaN destination may keep either NaN's payload (sameBits).
+func FuzzAddScaledRow(f *testing.F) {
+	pair := func(d, s float64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, math.Float64bits(d)), math.Float64bits(s))
+	}
+	var seed []byte
+	for _, v := range [][2]float64{{math.Copysign(0, -1), 0}, {1, math.Inf(1)}, {2, math.NaN()}, {5e-324, 1}, {-3, 0.5}} {
+		seed = append(seed, pair(v[0], v[1])...)
+	}
+	f.Add(0.0, uint8(0), seed)
+	f.Add(-1.25, uint8(3), append(seed, seed...))
+	f.Fuzz(func(t *testing.T, a float64, off uint8, raw []byte) {
+		n := len(raw) / 16
+		backing := make([]float64, int(off%4)+n)
+		d, s := backing[off%4:], make([]float64, n)
+		for j := range d {
+			d[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*j:]))
+			s[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*j+8:]))
+		}
+		want := append([]float64(nil), d...)
+		refAddScaled(want, a, s)
+		addScaledRow(UpdateRacy, d, a, s)
+		if !sameBits(d, want) {
+			t.Fatalf("a=%v: kernel stored %v, the scalar loop %v", a, d, want)
+		}
+	})
 }
 
 // TestAtomicCopySeesWholeRows: writers only ever add the same amount to every
@@ -191,8 +289,8 @@ func TestAtomicCopySeesWholeRows(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				AtomicAddScaled(shared, 1, ones)
-				AtomicAddScaledVec(bias, 1, onesVec)
+				ApplyUpdate(UpdateAtomic, shared, 1, ones)
+				ApplyUpdateVec(UpdateAtomic, bias, 1, onesVec)
 			}
 		}()
 	}
@@ -251,7 +349,7 @@ func TestAtomicAddScaledColsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				AtomicAddScaledCols(dst, 1, ones, cols)
+				ApplyUpdateCols(UpdateAtomic, dst, 1, ones, cols)
 			}
 		}()
 	}
@@ -293,13 +391,13 @@ func TestAtomicRowViewSharesStripes(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			AtomicAddScaled(m, 1, onesM)
+			ApplyUpdate(UpdateAtomic, m, 1, onesM)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			AtomicAddScaled(view, 1, onesV)
+			ApplyUpdate(UpdateAtomic, view, 1, onesV)
 		}
 	}()
 	wg.Wait()
@@ -321,13 +419,13 @@ func TestAtomicRowViewSharesStripes(t *testing.T) {
 func TestAtomicEmptyInputs(t *testing.T) {
 	for _, shape := range [][2]int{{0, 0}, {0, 5}, {5, 0}} {
 		a, b := NewMatrix(shape[0], shape[1]), NewMatrix(shape[0], shape[1])
-		AtomicAddScaled(a, 1, b)
-		AtomicAddScaledCols(a, 1, b, nil)
+		ApplyUpdate(UpdateAtomic, a, 1, b)
+		ApplyUpdateCols(UpdateAtomic, a, 1, b, nil)
 		AtomicCopy(a, b)
 	}
 	m := NewMatrix(3, 4)
-	AtomicAddScaledCols(m, 1, m.Clone(), nil)
-	AtomicAddScaledVec(newVector(0), 1, newVector(0))
+	ApplyUpdateCols(UpdateAtomic, m, 1, m.Clone(), nil)
+	ApplyUpdateVec(UpdateAtomic, newVector(0), 1, newVector(0))
 	AtomicCopyVec(newVector(0), &Vector{})
 }
 
@@ -344,7 +442,7 @@ func BenchmarkAtomicAddScaled(b *testing.B) {
 	write := func(n int) {
 		for i := 0; i < n; i++ {
 			for l := range dst {
-				AtomicAddScaled(dst[l], 1e-9, src[l])
+				ApplyUpdate(UpdateAtomic, dst[l], 1e-9, src[l])
 			}
 		}
 	}

@@ -1,14 +1,14 @@
 package tensor
 
 // Glue for the order-preserving AVX2 training kernels (gemmexact_amd64.s).
-// Both produce exactly the bits of gemmRangeGo: they vectorise across the
+// They produce exactly the bits of gemmRangeGo: they vectorise across the
 // independent outputs c[i][j], never across the reduction over p, and keep
-// multiply and add as two roundings. Remainders (n mod 4 columns, m mod 4
-// rows and k mod 4 terms of the dot form) run the Go loops.
+// multiply and add as two roundings. Only the n mod 4 columns run the Go
+// loops; the dot form's m mod 4 rows take the one-row kernel.
 
 // exactKernels is set by platform init when the CPU has AVX2 and the build is
 // not a race build: assembly is invisible to the race detector, so under
-// -race every GEMM read and write stays in Go where it can be watched.
+// -race every GEMM and shared-model write stays in Go where it can be watched.
 var exactKernels bool
 
 const (
@@ -74,27 +74,27 @@ func axpyRangeAVX(transA bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 }
 
 // dotRangeAVX computes rows [i0, i1) of C = alpha·A·Bᵀ + beta·C (forward and
-// every loss evaluation) in 4×4 tiles of sixteen dot products. B is walked
-// in panels of rows small enough to stay in L2 while every row quad of A
-// passes over them.
+// every loss evaluation) in 4×4 tiles of sixteen dot products, and the rows
+// that do not come in fours one at a time (dotRowAVX). B is walked in panels
+// of rows small enough to stay in L2 while every row of A passes over them.
 func dotRangeAVX(alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
 	k, n4 := a.Cols, c.Cols&^3
 	i4 := i0 + (i1-i0)&^3
 	scaleRows(c, beta, i0, i1, c.Cols)
 	panel := max(4, dotPanel/k&^3)
 	for j0 := 0; j0 < n4; j0 += panel {
-		tiles := min(panel, n4-j0) / 4
+		cols := min(panel, n4-j0)
 		for i := i0; i < i4; i += 4 {
 			dotTilesAVX(&a.Data[i*a.Stride], a.Stride*8, &b.Data[j0*b.Stride], b.Stride*8, k,
-				&c.Data[i*c.Stride+j0], c.Stride*8, tiles, alpha)
+				&c.Data[i*c.Stride+j0], c.Stride*8, cols/4, alpha)
+		}
+		for i := i4; i < i1; i++ {
+			dotRowAVX(&a.Data[i*a.Stride], &b.Data[j0*b.Stride], b.Stride*8, k, &c.Data[i*c.Stride+j0], cols, alpha)
 		}
 	}
-	if n4 < c.Cols && i4 > i0 {
+	if n4 < c.Cols {
 		bt := Matrix{Rows: c.Cols - n4, Cols: k, Stride: b.Stride, Data: b.Data[n4*b.Stride:]}
 		ct := Matrix{Rows: c.Rows, Cols: c.Cols - n4, Stride: c.Stride, Data: c.Data[n4:]}
-		gemmRangeGo(false, true, alpha, a, &bt, 1, &ct, i0, i4)
-	}
-	if i4 < i1 {
-		gemmRangeGo(false, true, alpha, a, b, 1, c, i4, i1)
+		gemmRangeGo(false, true, alpha, a, &bt, 1, &ct, i0, i1)
 	}
 }

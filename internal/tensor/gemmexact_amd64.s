@@ -1,4 +1,5 @@
-// Order-preserving AVX2 kernels for the training GEMMs (see gemmexact.go).
+// Order-preserving AVX2 kernels for the training GEMMs and the shared-model
+// write (see gemmexact.go and atomic.go).
 //
 // The exactness rule: vectorise across independent outputs, never across the
 // reduction; multiply and add are two separately rounded instructions (no
@@ -291,5 +292,206 @@ scale:
 	ADDQ $32, DI
 	DECQ tiles+56(FP)
 	JNZ  tile
+	VZEROUPPER
+	RET
+
+// func addScaledAVX(d *float64, a float64, s *float64, n int)
+//
+// d[j] += a·s[j] for j < n (n a multiple of 4), skipping the zero terms as
+// the scalar loop's `if v != 0` does: the skip is a blend mask, not a branch.
+// NEQ_UQ counts NaN as nonzero, so a NaN term still adds, and a lane whose
+// term is ±0 keeps d's own bits (a -0 weight stays -0). Multiply and add are
+// two roundings, as in the scalar loop.
+TEXT ·addScaledAVX(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	VBROADCASTSD a+8(FP), Y0
+	MOVQ s+16(FP), SI
+	MOVQ n+24(FP), CX
+	VXORPD Y1, Y1, Y1
+	SHRQ $2, CX
+	JZ   addDone
+addLoop:
+	VMOVUPD (SI), Y2
+	VMULPD Y2, Y0, Y2              // v = a·s
+	VCMPPD $4, Y1, Y2, Y3          // v != 0 (NEQ_UQ)
+	VMOVUPD (DI), Y4
+	VADDPD Y2, Y4, Y5              // d + v
+	VBLENDVPD Y3, Y5, Y4, Y4       // v != 0 ? d + v : d
+	VMOVUPD Y4, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  addLoop
+addDone:
+	VZEROUPPER
+	RET
+
+// BCAST4: Y12..Y15 = broadcast(a[p..p+3]), a row at R8.
+#define BCAST4 \
+	VBROADCASTSD 0(R8), Y12;  \
+	VBROADCASTSD 8(R8), Y13;  \
+	VBROADCASTSD 16(R8), Y14; \
+	VBROADCASTSD 24(R8), Y15
+
+// TRANS4(base): Y4..Y7 = Bᵀ[p..p+3] for the four B rows at base, base+BX,
+// base+2·BX and base+R15 (R15 = 3·BX): lane q of Y4+r is b_q[p+r].
+#define TRANS4(base) \
+	VMOVUPD (base), Y4;             \
+	VMOVUPD (base)(BX*1), Y5;       \
+	VMOVUPD (base)(BX*2), Y6;       \
+	VMOVUPD (base)(R15*1), Y7;      \
+	VUNPCKLPD Y5, Y4, Y8;           \
+	VUNPCKHPD Y5, Y4, Y9;           \
+	VUNPCKLPD Y7, Y6, Y10;          \
+	VUNPCKHPD Y7, Y6, Y11;          \
+	VPERM2F128 $0x20, Y10, Y8, Y4;  \
+	VPERM2F128 $0x20, Y11, Y9, Y5;  \
+	VPERM2F128 $0x31, Y10, Y8, Y6;  \
+	VPERM2F128 $0x31, Y11, Y9, Y7
+
+// MAC4(acc): acc += a[p]·Bᵀ[p], then a[p+1]·Bᵀ[p+1], … — ascending p.
+#define MAC4(acc) \
+	VMULPD Y4, Y12, Y8;  \
+	VADDPD Y8, acc, acc; \
+	VMULPD Y5, Y13, Y9;  \
+	VADDPD Y9, acc, acc; \
+	VMULPD Y6, Y14, Y10; \
+	VADDPD Y10, acc, acc; \
+	VMULPD Y7, Y15, Y11; \
+	VADDPD Y11, acc, acc
+
+// MAC1(base, acc): acc += a[p]·Bᵀ[p] for one p, gathering lane q from the
+// B row at base + q·BX; a[p] is broadcast in Y12.
+#define MAC1(base, acc) \
+	VMOVSD (base), X4;                \
+	VMOVHPD (base)(BX*1), X4, X4;     \
+	VMOVSD (base)(BX*2), X5;          \
+	VMOVHPD (base)(R15*1), X5, X5;    \
+	VINSERTF128 $1, X5, Y4, Y4;       \
+	VMULPD Y4, Y12, Y8;               \
+	VADDPD Y8, acc, acc
+
+// func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)
+//
+// c[j] += alpha · Σ_p a[p]·b_j[p] over p < k for j < n (n a multiple of 4),
+// one row of A against the rows of B at b, b+bStride, … (stride in bytes):
+// the dot form's row that does not come in fours. Columns go sixteen at a
+// time — four accumulators, each fed by a 4×4 block of B transposed in
+// registers as dotTilesAVX does — then four at a time. Each lane is the
+// serial chain the scalar loop builds, from +0, scaled by alpha last.
+TEXT ·dotRowAVX(SB), NOSPLIT, $0-56
+	MOVQ b+8(FP), SI
+	MOVQ bStride+16(FP), BX
+	LEAQ (BX)(BX*2), R15
+	MOVQ c+32(FP), R9
+	MOVQ n+40(FP), R10
+
+row16:
+	CMPQ R10, $16
+	JLT  row4
+	MOVQ a+0(FP), R8
+	MOVQ SI, R12
+	LEAQ (R12)(BX*4), R13
+	LEAQ (R13)(BX*4), R14
+	LEAQ (R14)(BX*4), DX
+	LEAQ (DX)(BX*4), SI             // next tile's first B row
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ k+24(FP), CX
+	SHRQ $2, CX
+	JZ   tail16
+quad16:
+	BCAST4
+	TRANS4(R12)
+	MAC4(Y0)
+	TRANS4(R13)
+	MAC4(Y1)
+	TRANS4(R14)
+	MAC4(Y2)
+	TRANS4(DX)
+	MAC4(Y3)
+	ADDQ $32, R8
+	ADDQ $32, R12
+	ADDQ $32, R13
+	ADDQ $32, R14
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  quad16
+tail16:
+	MOVQ k+24(FP), CX
+	ANDQ $3, CX
+	JZ   store16
+single16:
+	VBROADCASTSD (R8), Y12
+	MAC1(R12, Y0)
+	MAC1(R13, Y1)
+	MAC1(R14, Y2)
+	MAC1(DX, Y3)
+	ADDQ $8, R8
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ $8, R14
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  single16
+store16:
+	VBROADCASTSD alpha+48(FP), Y4
+	VMULPD Y4, Y0, Y0
+	VMULPD Y4, Y1, Y1
+	VMULPD Y4, Y2, Y2
+	VMULPD Y4, Y3, Y3
+	VADDPD 0(R9), Y0, Y0
+	VADDPD 32(R9), Y1, Y1
+	VADDPD 64(R9), Y2, Y2
+	VADDPD 96(R9), Y3, Y3
+	VMOVUPD Y0, 0(R9)
+	VMOVUPD Y1, 32(R9)
+	VMOVUPD Y2, 64(R9)
+	VMOVUPD Y3, 96(R9)
+	ADDQ $128, R9
+	SUBQ $16, R10
+	JMP  row16
+
+row4:
+	CMPQ R10, $4
+	JLT  rowDone
+	MOVQ a+0(FP), R8
+	MOVQ SI, R12
+	LEAQ (R12)(BX*4), SI
+	VXORPD Y0, Y0, Y0
+	MOVQ k+24(FP), CX
+	SHRQ $2, CX
+	JZ   tail4
+quad4:
+	BCAST4
+	TRANS4(R12)
+	MAC4(Y0)
+	ADDQ $32, R8
+	ADDQ $32, R12
+	DECQ CX
+	JNZ  quad4
+tail4:
+	MOVQ k+24(FP), CX
+	ANDQ $3, CX
+	JZ   store4
+single4:
+	VBROADCASTSD (R8), Y12
+	MAC1(R12, Y0)
+	ADDQ $8, R8
+	ADDQ $8, R12
+	DECQ CX
+	JNZ  single4
+store4:
+	VBROADCASTSD alpha+48(FP), Y4
+	VMULPD Y4, Y0, Y0
+	VADDPD 0(R9), Y0, Y0
+	VMOVUPD Y0, 0(R9)
+	ADDQ $32, R9
+	SUBQ $4, R10
+	JMP  row4
+
+rowDone:
 	VZEROUPPER
 	RET

@@ -42,6 +42,12 @@ func axpyRowAVX(c *float64, n int, s *float64, off *int, b *float64, cnt int, ze
 //go:noescape
 func dotTilesAVX(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, tiles int, alpha float64)
 
+//go:noescape
+func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)
+
+//go:noescape
+func addScaledAVX(d *float64, a float64, s *float64, n int)
+
 func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)

@@ -16,3 +16,11 @@ func axpyRowAVX(c *float64, n int, s *float64, off *int, b *float64, cnt int, ze
 func dotTilesAVX(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, tiles int, alpha float64) {
 	panic("tensor: dotTilesAVX called without SIMD support")
 }
+
+func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64) {
+	panic("tensor: dotRowAVX called without SIMD support")
+}
+
+func addScaledAVX(d *float64, a float64, s *float64, n int) {
+	panic("tensor: addScaledAVX called without SIMD support")
+}

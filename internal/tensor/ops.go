@@ -133,20 +133,6 @@ func gemmRangeGo(transA, transB bool, alpha float64, a, b *Matrix, beta float64,
 				c3[j] += alpha * s3
 			}
 		}
-		for ; i+2 <= i1; i += 2 {
-			a0, a1 := a.Row(i), a.Row(i+1)
-			c0, c1 := c.Row(i), c.Row(i+1)
-			for j := 0; j < c.Cols; j++ {
-				brow := b.Row(j)
-				var s0, s1 float64
-				for p, bv := range brow {
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-				}
-				c0[j] += alpha * s0
-				c1[j] += alpha * s1
-			}
-		}
 		for ; i < i1; i++ {
 			arow, crow := a.Row(i), c.Row(i)
 			for j := 0; j < c.Cols; j++ {

@@ -137,7 +137,11 @@ func sameBits(x, y []float64) bool {
 // ParallelGemm, on whichever path the platform picks, equal refGemm bit for
 // bit — over every mod-4 remainder of m, k and n, tiny k, strided views,
 // zeros in A (the skip), -0 in C, and Inf/NaN in B (0·Inf must not appear
-// on the axpy forms, and must propagate on the dot forms).
+// on the axpy forms, and must propagate on the dot forms). The forward's
+// rows that do not come in fours (dotRowAVX) also run at the shapes the
+// workloads use — a batch-1 layer, a two-row batch, a 54-feature input, a
+// two-class head — and with k large enough that B is walked in several
+// panels (dotPanel/k columns each).
 func TestGemmBitExact(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit-exact trajectories are pinned for amd64; other ports may fuse multiply-add")
@@ -149,41 +153,55 @@ func TestGemmBitExact(t *testing.T) {
 		if trial < len(shapes) {
 			m, k, n = shapes[trial][0], shapes[trial][1], shapes[trial][2]
 		}
-		transA, transB := rng.IntN(2) == 0, rng.IntN(2) == 0
-		alpha := []float64{1, 1 / float64(m), -0.5, 0}[rng.IntN(4)]
-		beta := []float64{0, 1, 0.5}[rng.IntN(3)]
-		a, b := stridedMatrix(rng, m, k), stridedMatrix(rng, k, n)
-		if transA {
-			a = stridedMatrix(rng, k, m)
+		checkGemmBits(t, rng, fmt.Sprintf("trial %d", trial), m, k, n, rng.IntN(2) == 0, rng.IntN(2) == 0, trial%3 == 0)
+	}
+	forward := [][3]int{{1, 300, 64}, {2, 64, 64}, {3, 54, 256}, {1, 64, 2}, {5, 300, 17}, {3, 1000, 70}, {7, 2100, 37}}
+	for _, sh := range forward {
+		for r := 0; r < 6; r++ {
+			checkGemmBits(t, rng, fmt.Sprintf("forward round %d", r), sh[0], sh[1], sh[2], false, true, r%2 == 0)
 		}
-		if transB {
-			b = stridedMatrix(rng, n, k)
-		}
-		for i := 0; i < a.Rows; i++ {
-			for j := range a.Row(i) {
-				if r := rng.IntN(8); r < 2 {
-					a.Row(i)[j] = []float64{0, math.Copysign(0, -1)}[r]
-				}
+	}
+}
+
+// checkGemmBits runs one random m×k×n GEMM of the given form on strided
+// operands through Gemm and ParallelGemm and compares both with refGemm bit
+// for bit. A gets zeros and -0s, C a -0 per row, and with specials B gets
+// ±Inf and NaN.
+func checkGemmBits(t *testing.T, rng *rand.Rand, name string, m, k, n int, transA, transB, specials bool) {
+	t.Helper()
+	alpha := []float64{1, 1 / float64(m), -0.5, 0}[rng.IntN(4)]
+	beta := []float64{0, 1, 0.5}[rng.IntN(3)]
+	a, b := stridedMatrix(rng, m, k), stridedMatrix(rng, k, n)
+	if transA {
+		a = stridedMatrix(rng, k, m)
+	}
+	if transB {
+		b = stridedMatrix(rng, n, k)
+	}
+	for i := 0; i < a.Rows; i++ {
+		for j := range a.Row(i) {
+			if r := rng.IntN(8); r < 2 {
+				a.Row(i)[j] = []float64{0, math.Copysign(0, -1)}[r]
 			}
 		}
-		if trial%3 == 0 {
-			for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-				b.Set(rng.IntN(b.Rows), rng.IntN(b.Cols), v)
-			}
+	}
+	if specials {
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			b.Set(rng.IntN(b.Rows), rng.IntN(b.Cols), v)
 		}
-		c := stridedMatrix(rng, m, n)
-		for i := 0; i < m; i++ {
-			c.Set(i, rng.IntN(n), math.Copysign(0, -1))
-		}
-		want := &Matrix{Rows: m, Cols: n, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
-		par := &Matrix{Rows: m, Cols: n, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
-		refGemm(transA, transB, alpha, a, b, beta, want)
-		Gemm(transA, transB, alpha, a, b, beta, c)
-		ParallelGemm(transA, transB, alpha, a, b, beta, par, 3)
-		if !sameBits(c.Data, want.Data) || !sameBits(par.Data, want.Data) {
-			t.Fatalf("trial %d: %d×%d×%d transA=%v transB=%v alpha=%v beta=%v differs from the reference order",
-				trial, m, k, n, transA, transB, alpha, beta)
-		}
+	}
+	c := stridedMatrix(rng, m, n)
+	for i := 0; i < m; i++ {
+		c.Set(i, rng.IntN(n), math.Copysign(0, -1))
+	}
+	want := &Matrix{Rows: m, Cols: n, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
+	par := &Matrix{Rows: m, Cols: n, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
+	refGemm(transA, transB, alpha, a, b, beta, want)
+	Gemm(transA, transB, alpha, a, b, beta, c)
+	ParallelGemm(transA, transB, alpha, a, b, beta, par, 3)
+	if !sameBits(c.Data, want.Data) || !sameBits(par.Data, want.Data) {
+		t.Fatalf("%s: %d×%d×%d transA=%v transB=%v alpha=%v beta=%v differs from the reference order",
+			name, m, k, n, transA, transB, alpha, beta)
 	}
 }
 

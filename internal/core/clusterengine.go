@@ -146,7 +146,7 @@ type clusterExec struct {
 func (x *clusterExec) attach(ctx context.Context) (joined []int, err error) {
 	l := x.l
 	connected := make([]bool, len(l.cfg.Workers))
-	need := l.health.healthyCount()
+	need := l.health.count(WorkerState.dispatchable)
 	deadline := time.Now().Add(x.opts.AttachTimeout)
 	for attached := 0; attached < need; {
 		if ctx.Err() != nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"heterosgd/internal/data"
-	"heterosgd/internal/elastic"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/tensor"
@@ -363,7 +362,7 @@ func TestClusterResumeEquivalence(t *testing.T) {
 	var mid *RunState
 	for _, st := range golden.states {
 		if st.Cursor == n && st.Membership != nil && len(st.Membership.States) == 2 &&
-			elastic.State(st.Membership.States[1]) == elastic.Departed {
+			st.Membership.States[1] == slotDeparted {
 			mid = st
 			break
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"heterosgd/internal/data"
-	"heterosgd/internal/elastic"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/tensor"
 	"heterosgd/internal/transport"
@@ -217,7 +216,7 @@ func ClusterTCPOptions(cfg *Config, heartbeat time.Duration, missLimit int) tran
 		opts.Welcome.ResumeEpoch = uint32(st.Epoch)
 		opts.Welcome.SeqFloor = st.Membership.SeqFloor
 		for id, s := range st.Membership.States {
-			if elastic.State(s) != elastic.Active {
+			if s != slotActive {
 				opts.Departed = append(opts.Departed, id)
 			}
 		}

@@ -80,14 +80,12 @@ func (c *coordinator) n() int { return c.cfg.Dataset.N() }
 // addWorker grows the scheduling state for an elastic joiner. The caller
 // has already appended the joiner's WorkerConfig to cfg.Workers; the fresh
 // id is the new last slot.
-func (c *coordinator) addWorker() int {
-	id := len(c.batch)
-	w := c.cfg.Workers[id]
+func (c *coordinator) addWorker() {
+	w := c.cfg.Workers[len(c.batch)]
 	c.batch = append(c.batch, w.InitialBatch)
 	c.updates = append(c.updates, 0)
 	c.lrMult = append(c.lrMult, 1)
 	c.resizes = append(c.resizes, 0)
-	return id
 }
 
 // rebalance restarts the adaptive comparators after a membership change:

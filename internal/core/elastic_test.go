@@ -376,3 +376,89 @@ func TestElasticConfigValidation(t *testing.T) {
 		t.Fatalf("Capacity = %d, want 6", got)
 	}
 }
+
+// eventsOf returns the log's events of kind for worker.
+func eventsOf(res *Result, worker, kind string) []time.Duration {
+	var at []time.Duration
+	for _, e := range res.Events.Events() {
+		if e.Worker == worker && e.Kind == kind {
+			at = append(at, e.At)
+		}
+	}
+	return at
+}
+
+// TestSimCrashedWorkerFreesElasticSlot: a crashed worker is not active, so
+// it holds no slot under MaxWorkers — the policy's grow admits its
+// replacement, and the final count leaves the dead worker out.
+func TestSimCrashedWorkerFreesElasticSlot(t *testing.T) {
+	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
+	cfg.Faults = faults.NewPlan(7, faults.CrashAfter(1, 2))
+	// The first barrier comes before the crash, at max; the second after.
+	cfg.ElasticPolicy = &stubPolicy{decisions: []elastic.Decision{elastic.Grow, elastic.Grow}}
+	cfg.MaxWorkers = 2
+	res, err := RunSim(context.Background(), cfg, elasticHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Elastic.Joins != 1 {
+		t.Fatalf("replacement for the crashed worker not admitted: %+v\n%s", res.Elastic, res.Events)
+	}
+	if res.Health.Workers[1].State != WorkerCrashed {
+		t.Fatalf("worker 1: %+v", res.Health.Workers[1])
+	}
+	if res.Elastic.Final != 2 || res.Elastic.Peak != 2 {
+		t.Fatalf("final/peak = %d/%d, want 2/2 (the crashed worker is not active)", res.Elastic.Final, res.Elastic.Peak)
+	}
+}
+
+// TestSimRecoveryBatchSkipsLeaver: a draining worker is not dispatchable, so
+// a crashed worker's batch goes to a healthy survivor at once instead of
+// waiting on the leaver and being re-routed again when it departs.
+func TestSimRecoveryBatchSkipsLeaver(t *testing.T) {
+	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
+	cfg.Elastic = elastic.NewPlan(1, elastic.JoinAt(1), elastic.LeaveAt(1, 4))
+	cfg.Faults = faults.NewPlan(7, faults.CrashAfter(0, 3))
+	res, err := RunSim(context.Background(), cfg, elasticHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Health.Workers[0].State != WorkerCrashed || res.Health.Workers[1].State != WorkerDeparted {
+		t.Fatalf("scenario did not play out: %+v\n%s", res.Health.Workers, res.Events)
+	}
+	if res.Health.Redispatches != 1 {
+		t.Fatalf("redispatches = %d for one lost batch, want 1\n%s", res.Health.Redispatches, res.Events)
+	}
+	if at := eventsOf(res, "gpu0", "redispatch"); len(at) != 0 {
+		t.Fatalf("recovery batch parked on the draining gpu0 at %v\n%s", at, res.Events)
+	}
+}
+
+// TestSimLeaverTimeoutDepartsAtOnce: a leaver that misses its deadline
+// departs on the spot — one timeout, no readmission — and exactly-once
+// accounting still balances.
+func TestSimLeaverTimeoutDepartsAtOnce(t *testing.T) {
+	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
+	cfg.Elastic = elastic.NewPlan(1, elastic.LeaveAt(1, 6))
+	cfg.Faults = faults.NewPlan(7, faults.HangAfter(1, 0, time.Millisecond))
+	cfg.Watchdog = &WatchdogConfig{Slack: 2, Floor: 10 * time.Microsecond}
+	x, err := newSimExec(context.Background(), &cfg, elasticHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := x.l.loop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := res.Health.Workers[1]
+	if w1.State != WorkerDeparted || w1.Timeouts != 1 || w1.Readmissions != 0 {
+		t.Fatalf("leaver: %+v, want departed with 1 timeout and 0 readmissions\n%s", w1, res.Events)
+	}
+	timeout, depart := eventsOf(res, "gpu0", "timeout"), eventsOf(res, "gpu0", "depart")
+	if len(timeout) != 1 || len(depart) != 1 || depart[0] != timeout[0] {
+		t.Fatalf("timeout at %v, depart at %v: the leaver must depart at its timeout\n%s", timeout, depart, res.Events)
+	}
+	if got := x.l.tr.AppliedExamples; got != res.ExamplesProcessed {
+		t.Fatalf("applied %d examples, scheduled %d", got, res.ExamplesProcessed)
+	}
+}

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"heterosgd/internal/data"
+	"heterosgd/internal/elastic"
 	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
+	"heterosgd/internal/telemetry"
 )
 
 // This file implements the fault-tolerance layer shared by both engines:
@@ -21,7 +23,10 @@ import (
 // garbage — so training degrades gracefully instead of crashing or
 // silently diverging.
 
-// WorkerState is a worker's health as seen by the coordinator.
+// WorkerState is a worker slot's lifecycle position — its health and its
+// membership in one table. A worker is active while healthy or quarantined:
+// the elastic bounds and the elastic_workers gauge count those. It is
+// dispatchable only while healthy.
 type WorkerState int
 
 const (
@@ -31,29 +36,41 @@ const (
 	// in-flight batch was re-dispatched and they receive no new work
 	// until their overdue completion arrives (the readmission probe).
 	WorkerQuarantined
-	// WorkerCrashed workers panicked or died; they never return.
+	// WorkerCrashed workers panicked or died; they never return and hold
+	// no elastic slot.
 	WorkerCrashed
 	// WorkerDeparted workers left the run through elastic membership (a
 	// drained graceful leave or a forced eviction). Unlike a crash this is
 	// not a fault: a departed worker never counts toward Faulty().
 	WorkerDeparted
+	// WorkerDraining workers are leaving gracefully: no new work, not even
+	// recovery batches, but their in-flight dispatch completes and is
+	// applied, and retires them. A draining worker that misses its deadline
+	// or loses its link departs at once.
+	WorkerDraining
 )
+
+var workerStateNames = [...]string{"healthy", "quarantined", "crashed", "departed", "draining"}
 
 // String returns the state name.
 func (s WorkerState) String() string {
-	switch s {
-	case WorkerHealthy:
-		return "healthy"
-	case WorkerQuarantined:
-		return "quarantined"
-	case WorkerCrashed:
-		return "crashed"
-	case WorkerDeparted:
-		return "departed"
-	default:
+	if s < 0 || int(s) >= len(workerStateNames) {
 		return "unknown"
 	}
+	return workerStateNames[s]
 }
+
+// dispatchable reports whether a worker in state s may receive work.
+func (s WorkerState) dispatchable() bool { return s == WorkerHealthy }
+
+// active reports whether s counts against the elastic bounds.
+func (s WorkerState) active() bool { return s == WorkerHealthy || s == WorkerQuarantined }
+
+// alive reports whether a worker in state s may still produce results.
+func (s WorkerState) alive() bool { return s.active() || s == WorkerDraining }
+
+// faulty reports whether s is a fault's end state.
+func (s WorkerState) faulty() bool { return s == WorkerQuarantined || s == WorkerCrashed }
 
 // WorkerHealth is one worker's fault-tolerance record in a Result.
 type WorkerHealth struct {
@@ -145,22 +162,11 @@ func (r *FaultReport) Faulty() bool {
 		return true
 	}
 	for _, w := range r.Workers {
-		if (w.State != WorkerHealthy && w.State != WorkerDeparted) || w.Crashes > 0 || w.Timeouts > 0 {
+		if w.State.faulty() || w.Crashes > 0 || w.Timeouts > 0 {
 			return true
 		}
 	}
 	return false
-}
-
-// Survivors returns the number of workers healthy at the end of the run.
-func (r *FaultReport) Survivors() int {
-	n := 0
-	for _, w := range r.Workers {
-		if w.State == WorkerHealthy {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders a one-line summary.
@@ -170,7 +176,7 @@ func (r *FaultReport) String() string {
 	}
 	var parts []string
 	for _, w := range r.Workers {
-		if (w.State != WorkerHealthy && w.State != WorkerDeparted) || w.Crashes > 0 || w.Timeouts > 0 {
+		if w.State.faulty() || w.Crashes > 0 || w.Timeouts > 0 {
 			parts = append(parts, fmt.Sprintf("%s %s (crashes %d, timeouts %d, readmits %d)",
 				w.Worker, w.State, w.Crashes, w.Timeouts, w.Readmissions))
 		}
@@ -213,14 +219,28 @@ const (
 	guardMinLRScale = 1.0 / 64
 )
 
-// healthTracker maintains worker states for one run and accumulates the
-// FaultReport. It is confined to the coordinator (goroutine or simulation
-// loop) and needs no locking.
+// healthTracker is the one record of every worker slot: its WorkerState,
+// the bounds on active workers, and the run's fault and churn accounting. A
+// fixed-membership run is the same table, at most len(Workers) active. Slot
+// ids are never reused — a departed slot stays departed and a joiner always
+// gets a fresh id — because ids are baked into flight entries, telemetry
+// rings and wire frames that may still be in flight when a slot empties. It
+// is confined to the coordinator (goroutine or simulation loop) and needs no
+// locking, so every decision is deterministic given a deterministic driver.
 type healthTracker struct {
 	report *FaultReport
 	log    *metrics.EventLog
 	// rr is the round-robin cursor for picking re-dispatch targets.
 	rr int
+	// min and max bound the active workers; slots, when set, caps the slots
+	// the executor can ever hold.
+	min, max, slots int
+	// churn is the membership accounting, its Final the live active count,
+	// which gauge shows; the Result carries churn only when membership may
+	// change (elastic).
+	churn   elastic.Report
+	elastic bool
+	gauge   *telemetry.Gauge
 }
 
 func newHealthTracker(cfg *Config, log *metrics.EventLog) *healthTracker {
@@ -228,74 +248,135 @@ func newHealthTracker(cfg *Config, log *metrics.EventLog) *healthTracker {
 	for i, w := range cfg.Workers {
 		r.Workers[i].Worker = w.Device.Name()
 	}
-	return &healthTracker{report: r, log: log}
+	n := len(r.Workers)
+	return &healthTracker{report: r, log: log, min: max(cfg.MinWorkers, 1), max: cfg.Capacity(), elastic: cfg.elasticEnabled(), churn: elastic.Report{Peak: n, Final: n}}
+}
+
+// state returns worker id's state; an id with no slot reads as "unknown".
+func (h *healthTracker) state(id int) WorkerState {
+	if id < 0 || id >= len(h.report.Workers) {
+		return -1
+	}
+	return h.report.Workers[id].State
 }
 
 // ok reports whether worker id may receive dispatches.
-func (h *healthTracker) ok(id int) bool {
-	return h.report.Workers[id].State == WorkerHealthy
-}
+func (h *healthTracker) ok(id int) bool { return h.state(id).dispatchable() }
 
-// healthyCount returns the number of dispatchable workers.
-func (h *healthTracker) healthyCount() int {
+// count returns the number of workers whose state satisfies in.
+func (h *healthTracker) count(in func(WorkerState) bool) int {
 	n := 0
-	for i := range h.report.Workers {
-		if h.report.Workers[i].State == WorkerHealthy {
+	for _, w := range h.report.Workers {
+		if in(w.State) {
 			n++
 		}
 	}
 	return n
 }
 
-// aliveCount returns workers that may still produce results (healthy or
-// quarantined-but-possibly-returning; crashed and departed never return).
-func (h *healthTracker) aliveCount() int {
-	n := 0
-	for i := range h.report.Workers {
-		if s := h.report.Workers[i].State; s != WorkerCrashed && s != WorkerDeparted {
-			n++
-		}
-	}
-	return n
+// move puts worker id in state to and logs the transition as kind.
+func (h *healthTracker) move(id int, at time.Duration, to WorkerState, kind, detail string) {
+	h.report.Workers[id].State = to
+	h.recount()
+	h.log.Add(at, h.report.Workers[id].Worker, kind, detail)
 }
 
-// addWorker grows the tracker for an elastic joiner and returns its id.
-func (h *healthTracker) addWorker(name string, at time.Duration) int {
-	id := len(h.report.Workers)
+// recount follows the active count with the churn report and the gauge.
+func (h *healthTracker) recount() {
+	n := h.count(WorkerState.active)
+	h.churn.Peak, h.churn.Final = max(h.churn.Peak, n), n
+	h.gauge.Set(float64(n))
+}
+
+// refuse logs a refused membership change ("join-refused", …) and reports
+// false.
+func (h *healthTracker) refuse(at time.Duration, op, format string, args ...any) bool {
+	h.log.Add(at, "", op+"-refused", fmt.Sprintf(format, args...))
+	return false
+}
+
+// join admits one more active worker as id, which must be the next slot,
+// within the max bound and the executor's slots; the caller then grows the
+// slot with addWorker.
+func (h *healthTracker) join(at time.Duration, reason string, id int) bool {
+	if id != len(h.report.Workers) {
+		return h.refuse(at, "join", "unexpected join for slot %d (have %d)", id, len(h.report.Workers))
+	}
+	if h.churn.Final >= h.max {
+		return h.refuse(at, "join", "%s: elastic: join refused: already at max %d active workers", reason, h.max)
+	}
+	if h.slots > 0 && len(h.report.Workers) >= h.slots {
+		return h.refuse(at, "join", "%s: elastic: join refused: all %d worker slots used", reason, h.slots)
+	}
+	h.churn.Joins++
+	return true
+}
+
+// addWorker grows the tracker by one healthy slot.
+func (h *healthTracker) addWorker(name string, at time.Duration) {
+	h.log.Add(at, name, "join", fmt.Sprintf("elastic worker %d admitted", len(h.report.Workers)))
 	h.report.Workers = append(h.report.Workers, WorkerHealth{Worker: name})
-	h.log.Add(at, name, "join", fmt.Sprintf("elastic worker %d admitted", id))
-	return id
+	h.recount()
 }
 
-// markDeparted records an elastic departure (drained leave or eviction).
-// Unlike markCrashed it is not a fault — just a membership change.
-func (h *healthTracker) markDeparted(id int, at time.Duration, detail string) {
-	w := &h.report.Workers[id]
-	w.State = WorkerDeparted
-	h.log.Add(at, w.Worker, "depart", detail)
+// leave starts a graceful departure of an active worker, refused at the min
+// bound.
+func (h *healthTracker) leave(id int, at time.Duration) bool {
+	switch {
+	case !h.state(id).active():
+		return h.refuse(at, "leave", "elastic: leave of %s worker %d", h.state(id), id)
+	case h.churn.Final <= h.min:
+		return h.refuse(at, "leave", "elastic: leave refused: already at min %d active workers", h.min)
+	}
+	h.churn.Leaves++
+	h.move(id, at, WorkerDraining, "leave", "graceful departure started")
+	return true
+}
+
+// retire completes a graceful leave; it reports false if id was not
+// draining.
+func (h *healthTracker) retire(id int, at time.Duration) bool {
+	if h.state(id) != WorkerDraining {
+		return false
+	}
+	h.move(id, at, WorkerDeparted, "depart", "graceful leave drained")
+	return true
+}
+
+// evict forces id out at once, ignoring the min bound: a forced departure
+// cannot be refused. A crashed worker has already gone.
+func (h *healthTracker) evict(id int, at time.Duration) bool {
+	if !h.state(id).alive() {
+		return h.refuse(at, "evict", "elastic: evict of %s worker %d", h.state(id), id)
+	}
+	h.churn.Evictions++
+	h.move(id, at, WorkerDeparted, "depart", "evicted")
+	return true
 }
 
 // markCrashed records a worker death.
 func (h *healthTracker) markCrashed(id int, at time.Duration, detail string) {
-	w := &h.report.Workers[id]
-	w.State = WorkerCrashed
-	w.Crashes++
-	h.log.Add(at, w.Worker, "crash", detail)
+	h.report.Workers[id].Crashes++
+	h.move(id, at, WorkerCrashed, "crash", detail)
 }
 
-// quarantine moves a healthy worker out of the dispatch rotation; it reports
-// false if the worker was already benched. kind is the event logged: a
-// missed watchdog deadline is a "timeout", a severed link a "partition" —
-// one state machine, and both count as Timeouts (deadlines missed from the
-// coordinator's point of view).
+// quarantine moves a healthy worker out of the dispatch rotation until its
+// readmission; a draining one departs at once instead, since readmitting it
+// would only let it depart. It reports false if the worker was already out
+// of the rotation. kind is the event logged: a missed watchdog deadline is a
+// "timeout", a severed link a "partition" — both count as Timeouts
+// (deadlines missed from the coordinator's point of view).
 func (h *healthTracker) quarantine(id int, at time.Duration, kind, detail string) bool {
-	w := &h.report.Workers[id]
-	if w.State != WorkerHealthy {
+	switch h.state(id) {
+	case WorkerHealthy:
+		h.move(id, at, WorkerQuarantined, kind, detail)
+	case WorkerDraining:
+		h.log.Add(at, h.report.Workers[id].Worker, kind, detail)
+		h.move(id, at, WorkerDeparted, "depart", "drain cut short by a "+kind)
+	default:
 		return false
 	}
-	w.State = WorkerQuarantined
-	w.Timeouts++
-	h.log.Add(at, w.Worker, kind, detail)
+	h.report.Workers[id].Timeouts++
 	return true
 }
 
@@ -303,13 +384,11 @@ func (h *healthTracker) quarantine(id int, at time.Duration, kind, detail string
 // completion arrived (the probe succeeded) or, on the cluster, its link
 // healed. detail is the event logged.
 func (h *healthTracker) readmit(id int, at time.Duration, detail string) bool {
-	w := &h.report.Workers[id]
-	if w.State != WorkerQuarantined {
+	if h.state(id) != WorkerQuarantined {
 		return false
 	}
-	w.State = WorkerHealthy
-	w.Readmissions++
-	h.log.Add(at, w.Worker, "readmit", detail)
+	h.report.Workers[id].Readmissions++
+	h.move(id, at, WorkerHealthy, "readmit", detail)
 	return true
 }
 
@@ -319,12 +398,12 @@ func (h *healthTracker) pickHealthy(not int) int {
 	n := len(h.report.Workers)
 	for i := 0; i < n; i++ {
 		id := (h.rr + i) % n
-		if id != not && h.report.Workers[id].State == WorkerHealthy {
+		if id != not && h.ok(id) {
 			h.rr = (id + 1) % n
 			return id
 		}
 	}
-	if not >= 0 && h.report.Workers[not].State == WorkerHealthy {
+	if not >= 0 && h.ok(not) {
 		return not
 	}
 	return -1

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"heterosgd/internal/device"
+	"heterosgd/internal/elastic"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
@@ -20,8 +21,8 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
 	log := metrics.NewEventLog()
 	h := newHealthTracker(&cfg, log)
-	if h.healthyCount() != 2 || h.aliveCount() != 2 {
-		t.Fatalf("fresh tracker: healthy %d alive %d", h.healthyCount(), h.aliveCount())
+	if h.count(WorkerState.dispatchable) != 2 || h.count(WorkerState.alive) != 2 {
+		t.Fatalf("fresh tracker: healthy %d alive %d", h.count(WorkerState.dispatchable), h.count(WorkerState.alive))
 	}
 	if !h.quarantine(0, 0, "timeout", "test") {
 		t.Fatal("quarantine of healthy worker refused")
@@ -29,7 +30,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	if h.quarantine(0, 0, "timeout", "again") {
 		t.Fatal("double quarantine accepted")
 	}
-	if h.ok(0) || !h.ok(1) || h.healthyCount() != 1 || h.aliveCount() != 2 {
+	if h.ok(0) || !h.ok(1) || h.count(WorkerState.dispatchable) != 1 || h.count(WorkerState.alive) != 2 {
 		t.Fatal("quarantine bookkeeping wrong")
 	}
 	if !h.readmit(0, 0, "probe") || !h.ok(0) {
@@ -39,7 +40,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 		t.Fatalf("counts: %+v", h.report.Workers[0])
 	}
 	h.markCrashed(1, 0, "boom")
-	if h.ok(1) || h.aliveCount() != 1 {
+	if h.ok(1) || h.count(WorkerState.alive) != 1 {
 		t.Fatal("crash bookkeeping wrong")
 	}
 	if h.readmit(1, 0, "probe") {
@@ -61,6 +62,142 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	}
 	if log.Count("crash") != 2 || log.Count("timeout") != 1 || log.Count("readmit") != 1 {
 		t.Fatalf("event log counts wrong:\n%s", log)
+	}
+}
+
+// lifeStep is one transition request on the worker table; ok is whether it
+// must be accepted.
+type lifeStep struct {
+	op string // join, leave, retire, evict, crash, quarantine, readmit
+	id int
+	ok bool
+}
+
+func (s lifeStep) apply(h *healthTracker) bool {
+	switch s.op {
+	case "join":
+		if !h.join(0, "test", len(h.report.Workers)) {
+			return false
+		}
+		h.addWorker("joiner", 0)
+		return true
+	case "leave":
+		return h.leave(s.id, 0)
+	case "retire":
+		return h.retire(s.id, 0)
+	case "evict":
+		return h.evict(s.id, 0)
+	case "crash":
+		h.markCrashed(s.id, 0, "test")
+		return true
+	case "quarantine":
+		return h.quarantine(s.id, 0, "timeout", "test")
+	case "readmit":
+		return h.readmit(s.id, 0, "test")
+	}
+	panic("unknown op " + s.op)
+}
+
+// TestWorkerLifecycle drives the one worker table through join, leave,
+// retire and evict against its bounds, and through their interactions with
+// the health states: a crashed worker holds no slot, a quarantined one does,
+// and a draining one is active no more, is never dispatchable, and departs
+// when benched.
+func TestWorkerLifecycle(t *testing.T) {
+	H, Q, C, D, Dr := WorkerHealthy, WorkerQuarantined, WorkerCrashed, WorkerDeparted, WorkerDraining
+	for _, tc := range []struct {
+		name     string
+		min, max int // elastic bounds over the two seed workers
+		steps    []lifeStep
+		states   []WorkerState
+		rep      elastic.Report // Rebalances is the loop's, not the table's
+		timeouts []int
+	}{
+		{name: "join leave retire evict", min: 1, max: 4,
+			steps: []lifeStep{{"join", 0, true}, {"leave", 0, true}, {"retire", 0, true}, {"retire", 0, false},
+				{"leave", 0, false}, {"evict", 1, true}, {"evict", 1, false}, {"leave", 7, false}, {"evict", 7, false}},
+			states: []WorkerState{D, D, H},
+			rep:    elastic.Report{Joins: 1, Leaves: 1, Evictions: 1, Peak: 3, Final: 1}},
+		{name: "bounds refuse, evict ignores min", min: 2, max: 2,
+			steps:  []lifeStep{{"join", 0, false}, {"leave", 0, false}, {"evict", 0, true}},
+			states: []WorkerState{D, H},
+			rep:    elastic.Report{Evictions: 1, Peak: 2, Final: 1}},
+		{name: "crashed worker frees its slot", min: 1, max: 2,
+			steps:  []lifeStep{{"crash", 1, true}, {"join", 0, true}, {"leave", 1, false}, {"evict", 1, false}},
+			states: []WorkerState{H, C, H},
+			rep:    elastic.Report{Joins: 1, Peak: 2, Final: 2}},
+		{name: "quarantined worker holds its slot", min: 1, max: 2,
+			steps:    []lifeStep{{"quarantine", 1, true}, {"join", 0, false}},
+			states:   []WorkerState{H, Q},
+			rep:      elastic.Report{Peak: 2, Final: 2},
+			timeouts: []int{0, 1}},
+		{name: "quarantined worker may leave", min: 1, max: 2,
+			steps:    []lifeStep{{"quarantine", 1, true}, {"leave", 1, true}, {"readmit", 1, false}, {"retire", 1, true}},
+			states:   []WorkerState{H, D},
+			rep:      elastic.Report{Leaves: 1, Peak: 2, Final: 1},
+			timeouts: []int{0, 1}},
+		{name: "draining worker frees its slot", min: 1, max: 2,
+			steps:  []lifeStep{{"leave", 1, true}, {"join", 0, true}, {"leave", 1, false}, {"readmit", 1, false}},
+			states: []WorkerState{H, Dr, H},
+			rep:    elastic.Report{Joins: 1, Leaves: 1, Peak: 2, Final: 2}},
+		{name: "benched leaver departs at once", min: 1, max: 2,
+			steps:    []lifeStep{{"leave", 1, true}, {"quarantine", 1, true}, {"readmit", 1, false}, {"retire", 1, false}, {"quarantine", 1, false}},
+			states:   []WorkerState{H, D},
+			rep:      elastic.Report{Leaves: 1, Peak: 2, Final: 1},
+			timeouts: []int{0, 1}},
+		{name: "evicting a leaver", min: 1, max: 2,
+			steps:  []lifeStep{{"leave", 0, true}, {"evict", 0, true}, {"retire", 0, false}},
+			states: []WorkerState{D, H},
+			rep:    elastic.Report{Leaves: 1, Evictions: 1, Peak: 2, Final: 1}},
+		{name: "readmitted worker", min: 1, max: 2,
+			steps:    []lifeStep{{"quarantine", 0, true}, {"quarantine", 0, false}, {"readmit", 0, true}, {"leave", 0, true}},
+			states:   []WorkerState{Dr, H},
+			rep:      elastic.Report{Leaves: 1, Peak: 2, Final: 1},
+			timeouts: []int{1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tinyConfig(t, AlgCPUGPUHogbatch)
+			cfg.ElasticPolicy = &stubPolicy{}
+			cfg.MinWorkers, cfg.MaxWorkers = tc.min, tc.max
+			h := newHealthTracker(&cfg, metrics.NewEventLog())
+			for i, s := range tc.steps {
+				if got := s.apply(h); got != s.ok {
+					t.Fatalf("step %d %s %d: accepted %v, want %v", i, s.op, s.id, got, s.ok)
+				}
+			}
+			for id, want := range tc.states {
+				if got := h.state(id); got != want {
+					t.Fatalf("worker %d is %v, want %v", id, got, want)
+				}
+				if h.ok(id) != (want == WorkerHealthy) {
+					t.Fatalf("worker %d (%v) dispatchable %v", id, want, h.ok(id))
+				}
+				if tc.timeouts != nil && h.report.Workers[id].Timeouts != tc.timeouts[id] {
+					t.Fatalf("worker %d: %+v, want %d timeouts", id, h.report.Workers[id], tc.timeouts[id])
+				}
+			}
+			if len(h.report.Workers) != len(tc.states) {
+				t.Fatalf("%d slots, want %d", len(h.report.Workers), len(tc.states))
+			}
+			if id := h.pickHealthy(-1); id >= 0 && h.state(id) != WorkerHealthy {
+				t.Fatalf("pickHealthy chose %v worker %d", h.state(id), id)
+			}
+			if h.churn != tc.rep {
+				t.Fatalf("report %+v, want %+v", h.churn, tc.rep)
+			}
+			if h.churn.Churned() != (tc.rep.Joins+tc.rep.Leaves+tc.rep.Evictions > 0) {
+				t.Fatal("Churned disagrees with the counts")
+			}
+		})
+	}
+	// The bounds must admit the seed set; Config.Validate is the one check.
+	for _, b := range [][2]int{{3, 4}, {1, 1}} {
+		cfg := tinyConfig(t, AlgCPUGPUHogbatch)
+		cfg.ElasticPolicy = &stubPolicy{}
+		cfg.MinWorkers, cfg.MaxWorkers = b[0], b[1]
+		if cfg.Validate() == nil {
+			t.Fatalf("bounds [%d, %d] around 2 seed workers accepted", b[0], b[1])
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
 	"time"
@@ -80,8 +81,8 @@ type RunState struct {
 // seed-time set the Config describes. Slots are indexed by worker id; ids
 // are never reused, so the slice length is the high-water worker count.
 type MembershipState struct {
-	// States holds one elastic.State value per slot ever allocated
-	// (0 active, 1 draining, 2 departed).
+	// States holds one slot code per slot ever allocated: slotActive
+	// (healthy, quarantined or crashed), slotDraining or slotDeparted.
 	States []int `json:"states"`
 	// Clocks are the per-worker completed-dispatch clocks behind the SSP
 	// gate; restoring them keeps the bounded-staleness invariant meaningful
@@ -99,7 +100,8 @@ type MembershipState struct {
 	Min int `json:"min"`
 	Max int `json:"max"`
 	// Joins through Peak mirror elastic.Report so churn accounting
-	// survives the restart.
+	// survives the restart (a fixed-membership run of n workers writes
+	// no churn and Peak n).
 	Joins      int `json:"joins"`
 	Leaves     int `json:"leaves"`
 	Evictions  int `json:"evictions"`
@@ -130,15 +132,52 @@ type FlightEntry struct {
 	Epoch  int    `json:"epoch"`
 }
 
+// The slot codes of MembershipState.States, and each WorkerState's code.
+const (
+	slotActive = iota
+	slotDraining
+	slotDeparted
+)
+
+var slotCode = [...]int{WorkerDraining: slotDraining, WorkerDeparted: slotDeparted}
+
 // ActiveCount returns the number of active slots.
 func (m *MembershipState) ActiveCount() int {
 	n := 0
 	for _, s := range m.States {
-		if elastic.State(s) == elastic.Active {
+		if s == slotActive {
 			n++
 		}
 	}
 	return n
+}
+
+// capture writes the worker table into ms: each slot's code, the bounds and
+// the churn accounting.
+func (h *healthTracker) capture(ms *MembershipState) {
+	for _, w := range h.report.Workers {
+		ms.States = append(ms.States, slotCode[w.State])
+	}
+	ms.Min, ms.Max = h.min, h.max
+	ms.Joins, ms.Leaves, ms.Evictions, ms.Rebalances, ms.Peak = h.churn.Joins, h.churn.Leaves, h.churn.Evictions, h.churn.Rebalances, h.churn.Peak
+}
+
+// restore reinstates a captured worker table grown to its width: its bounds,
+// and its churn accounting, so joins continue from the next unused id and
+// the report accumulates across the restart. A draining slot comes back
+// departed, like a departed one: its former process is gone and its
+// in-flight work rides the Flight list. A run captured mid-churn publishes
+// its report like an elastic one.
+func (h *healthTracker) restore(ms *MembershipState, churned bool) {
+	for id, s := range ms.States {
+		if s != slotActive {
+			h.move(id, 0, WorkerDeparted, "depart", fmt.Sprintf("restored as %s from checkpoint", []string{slotDraining: "draining", slotDeparted: "departed"}[s]))
+		}
+	}
+	h.elastic = h.elastic || churned
+	h.min, h.max = max(ms.Min, 1), cmp.Or(ms.Max, len(ms.States))
+	h.churn = elastic.Report{Joins: ms.Joins, Leaves: ms.Leaves, Evictions: ms.Evictions, Rebalances: ms.Rebalances, Peak: ms.Peak}
+	h.recount()
 }
 
 // CheckpointSink receives run-state checkpoints from a running engine.
@@ -179,16 +218,12 @@ func (c *Config) validateResume() error {
 	if len(ms.States) < len(c.Workers) {
 		return fmt.Errorf("core: resume membership has %d slots, config has %d workers — cannot shrink the restored set below the seed set", len(ms.States), len(c.Workers))
 	}
-	active := 0
 	for id, s := range ms.States {
-		if s < int(elastic.Active) || s > int(elastic.Departed) {
+		if s < slotActive || s > slotDeparted {
 			return fmt.Errorf("core: resume membership slot %d has invalid state %d", id, s)
 		}
-		if elastic.State(s) == elastic.Active {
-			active++
-		}
 	}
-	if active == 0 {
+	if ms.ActiveCount() == 0 {
 		return fmt.Errorf("core: resume membership has no active workers")
 	}
 	if len(ms.Clocks) != 0 && len(ms.Clocks) != len(ms.States) {
@@ -231,17 +266,13 @@ func (l *coordLoop) resume() error {
 	}
 	// The worker set is restored before the model, whose scheduler counters
 	// need tables at checkpoint width: each slot beyond the seed set is a
-	// joiner grown as a live join grows it, and draining or departed slots
-	// come back departed, so they never receive dispatches.
+	// joiner grown as a live join grows it, and the tracker takes back the
+	// capture's slot states, bounds and churn accounting.
 	ms := st.Membership
 	for id := l.initialWorkers; id < len(ms.States); id++ {
 		l.addSlot(id, 0)
 	}
-	for id, s := range ms.States {
-		if elastic.State(s) != elastic.Active {
-			l.health.markDeparted(id, 0, fmt.Sprintf("restored as %s from checkpoint", elastic.State(s)))
-		}
-	}
+	l.health.restore(ms, len(ms.States) > l.initialWorkers || ms.ActiveCount() < len(ms.States))
 	if len(ms.Clocks) == len(l.stale.clock) {
 		copy(l.stale.clock, ms.Clocks)
 	}
@@ -256,26 +287,6 @@ func (l *coordLoop) resume() error {
 		}
 	}
 	l.guard.restore(st.GuardLRScale, st.GuardRetries, l.global)
-	// Captured mid-churn (or the restarted config is itself elastic): the
-	// membership manager comes back from the serialized states, so joins
-	// continue from the next unused id and the churn report accumulates
-	// across the restart. A draining slot comes back departed: its former
-	// process is gone and its in-flight work rides the Flight list instead.
-	if l.cfg.elasticEnabled() || len(ms.States) > l.initialWorkers || ms.ActiveCount() < len(ms.States) {
-		states := make([]elastic.State, len(ms.States))
-		for i, s := range ms.States {
-			if states[i] = elastic.State(s); states[i] == elastic.Draining {
-				states[i] = elastic.Departed
-			}
-		}
-		var err error
-		l.mem, err = elastic.Restore(states, ms.Min, ms.Max, elastic.Report{
-			Joins: ms.Joins, Leaves: ms.Leaves, Evictions: ms.Evictions, Rebalances: ms.Rebalances, Peak: ms.Peak,
-		})
-		if err != nil {
-			return err
-		}
-	}
 	// Scripted events triggered before the capture already mutated the
 	// restored membership; burn them off the cursor so they cannot fire
 	// twice. Dispatch numbering continues above the checkpoint's floor, and
@@ -330,19 +341,7 @@ func (l *coordLoop) capture() (*RunState, error) {
 		Reconnects:      l.tr.Reconnects,
 		AppliedExamples: l.tr.AppliedExamples,
 	}
-	if l.mem == nil {
-		ms.States = make([]int, len(l.cfg.Workers))
-		ms.Min, ms.Max, ms.Peak = 1, len(l.cfg.Workers), len(l.cfg.Workers)
-	} else {
-		ms.States = make([]int, l.mem.Len())
-		for i := range ms.States {
-			ms.States[i] = int(l.mem.State(i))
-		}
-		ms.Min, ms.Max = l.mem.Min(), l.mem.Max()
-		r := l.mem.Report()
-		ms.Joins, ms.Leaves, ms.Evictions = r.Joins, r.Leaves, r.Evictions
-		ms.Rebalances, ms.Peak = r.Rebalances, r.Peak
-	}
+	l.health.capture(ms)
 	epoch := l.coord.epoch
 	for _, fl := range l.flight {
 		if !fl.abandoned {

@@ -118,11 +118,12 @@ func (l *coordLoop) modelLock(write bool) sync.Locker {
 }
 
 // coordLoop is the coordinator loop and everything it owns: the model, the
-// scheduling coordinator, the health/staleness/guard trackers, the elastic
-// membership, and the instruments. Like the paper's coordinator thread it
-// processes messages sequentially on one goroutine, so none of its state
-// needs locking. The engines differ in how work reaches a worker and in what
-// their clock means (the executor), not in any of this.
+// scheduling coordinator, the health/staleness/guard trackers (the health
+// tracker is the worker lifecycle, elastic membership included), and the
+// instruments. Like the paper's coordinator thread it processes messages
+// sequentially on one goroutine, so none of its state needs locking. The
+// engines differ in how work reaches a worker and in what their clock means
+// (the executor), not in any of this.
 type coordLoop struct {
 	cfg        *Config
 	net        *nn.Network
@@ -143,8 +144,7 @@ type coordLoop struct {
 	evalN      int
 	evalWS     *nn.Workspace
 
-	// mem is nil for fixed-membership runs; planCur walks the scripted plan.
-	mem            *elastic.Membership
+	// planCur walks the scripted membership plan.
 	planCur        *elastic.Cursor
 	initialWorkers int
 	// completed counts dispatches completed across every incarnation of the
@@ -261,15 +261,8 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 	if err := l.resume(); err != nil {
 		return nil, err
 	}
-	if cfg.elasticEnabled() && l.mem == nil {
-		var err error
-		if l.mem, err = elastic.New(n, cfg.MinWorkers, cfg.Capacity()); err != nil {
-			return nil, err
-		}
-	}
-	if l.mem != nil {
-		l.rm.elasticWorkers.Set(float64(l.mem.ActiveCount()))
-	}
+	l.health.gauge = l.rm.elasticWorkers
+	l.health.recount()
 	return l, nil
 }
 
@@ -424,10 +417,10 @@ func (l *coordLoop) send(id int, batch data.Batch, staleness int64) {
 // from its feed (or the pending queue) first, then fresh work from the epoch
 // pool, subject to the budget and the SSP gate.
 func (l *coordLoop) dispatch(id int) bool {
-	// Draining and departed workers get no work at all — not even recovery
+	// Only a healthy worker takes work — a draining one not even recovery
 	// batches; a cancelled run schedules nothing and only collects
 	// completions.
-	if !l.health.ok(id) || l.busy[id] || l.cancelled() || (l.mem != nil && !l.mem.Active(id)) {
+	if !l.health.ok(id) || l.busy[id] || l.cancelled() {
 		return false
 	}
 	if len(l.feed[id]) == 0 && len(l.pending) > 0 {
@@ -509,18 +502,6 @@ func (l *coordLoop) settle(seq uint64) *inflightDispatch {
 	return nil
 }
 
-// release drains a departed worker: the executor stops it, and the work it
-// never started plus everything parked in its feed moves to the survivors.
-func (l *coordLoop) release(id int) {
-	for _, m := range l.exec.drain(id) {
-		if fl := l.settle(m.Seq); fl != nil && !fl.abandoned {
-			l.outstanding--
-			l.redispatch(fl.batch, id)
-		}
-	}
-	l.reroute(id)
-}
-
 // wakeGated re-dispatches workers the SSP gate would now admit; called
 // whenever the minimum healthy clock may have moved (any completion, crash,
 // quarantine, departure, or readmission).
@@ -557,11 +538,31 @@ func (l *coordLoop) abandon(id int) {
 }
 
 // bench quarantines worker id — kind "timeout" for a missed deadline,
-// "partition" for a lost link — and abandons its in-flight dispatch.
+// "partition" for a lost link — and abandons its in-flight dispatch; a
+// draining worker departs instead.
 func (l *coordLoop) bench(id int, kind, detail string) {
 	if l.health.quarantine(id, l.elapsed(), kind, detail) {
 		l.abandon(id)
+		if l.health.state(id) == WorkerDeparted {
+			l.vacate(id)
+		}
 	}
+}
+
+// vacate empties a departed worker's slot: the executor stops it, the work
+// it never started and everything parked in its feed move to the survivors,
+// and its live dispatch is abandoned, so the eventual completion is
+// processed like a quarantined straggler's.
+func (l *coordLoop) vacate(id int) {
+	for _, m := range l.exec.drain(id) {
+		if fl := l.settle(m.Seq); fl != nil && !fl.abandoned {
+			l.outstanding--
+			l.redispatch(fl.batch, id)
+		}
+	}
+	l.reroute(id)
+	l.abandon(id)
+	l.busy[id] = false
 }
 
 // expireOverdue benches every worker holding a dispatch past its deadline.
@@ -608,21 +609,18 @@ func (l *coordLoop) recvWait() time.Duration {
 // at epoch barriers. A graceful leave stops fresh dispatches and retires the
 // worker once its in-flight completion lands; an evict abandons the
 // in-flight batch and re-routes it immediately, like a crash but without
-// the fault accounting.
+// the fault accounting, and so does a leaver's missed deadline or lost link.
+// Every state change and its bounds are the health tracker's.
 
-// join allocates the next membership slot for an elastic joiner, grows
-// every per-worker table to it, rebalances the adaptive comparators over the
-// new set, and spawns and dispatches the joiner.
-func (l *coordLoop) join(reason string) {
-	id, err := l.mem.Join()
-	if err != nil {
-		l.events.Add(l.elapsed(), "", "join-refused", fmt.Sprintf("%s: %v", reason, err))
+// join admits an elastic joiner as worker id, the next slot: it grows every
+// per-worker table to it, rebalances the adaptive comparators over the new
+// set, and spawns and dispatches the joiner.
+func (l *coordLoop) join(reason string, id int) {
+	if !l.health.join(l.elapsed(), reason, id) {
 		return
 	}
 	l.addSlot(id, l.elapsed())
-	l.rebalanced()
-	l.rm.elasticJoins.Inc()
-	l.rm.elasticWorkers.Set(float64(l.mem.ActiveCount()))
+	l.rebalanced(l.rm.elasticJoins)
 	l.exec.spawn(id)
 	l.dispatch(id)
 }
@@ -630,13 +628,10 @@ func (l *coordLoop) join(reason string) {
 // leave starts a graceful departure (no fresh dispatches): an idle leaver
 // retires on the spot, a busy one when its in-flight completion arrives.
 func (l *coordLoop) leave(id int) {
-	if err := l.mem.Leave(id); err != nil {
-		l.events.Add(l.elapsed(), "", "leave-refused", err.Error())
+	if !l.health.leave(id, l.elapsed()) {
 		return
 	}
-	l.events.Add(l.elapsed(), l.name(id), "leave", "graceful departure started")
-	l.rm.elasticLeaves.Inc()
-	l.rebalanced()
+	l.rebalanced(l.rm.elasticLeaves)
 	l.retire(id)
 	l.wakeGated()
 }
@@ -645,12 +640,10 @@ func (l *coordLoop) leave(id int) {
 // draining and holds nothing in flight (its last completion already
 // counted, so AppliedExamples == ExamplesProcessed survives the departure).
 func (l *coordLoop) retire(id int) {
-	if l.mem == nil || !l.mem.Draining(id) || l.busy[id] || !l.mem.Retire(id) {
+	if l.busy[id] || !l.health.retire(id, l.elapsed()) {
 		return
 	}
-	l.health.markDeparted(id, l.elapsed(), "graceful leave drained")
-	l.rm.elasticWorkers.Set(float64(l.mem.ActiveCount()))
-	l.release(id)
+	l.vacate(id)
 	l.wakeGated()
 }
 
@@ -659,28 +652,19 @@ func (l *coordLoop) retire(id int) {
 // straggler's (where completions carry no delta its updates land anyway —
 // documented at-least-once under forced removal).
 func (l *coordLoop) evict(id int) {
-	if err := l.mem.Evict(id); err != nil {
-		l.events.Add(l.elapsed(), "", "evict-refused", err.Error())
+	if !l.health.evict(id, l.elapsed()) {
 		return
 	}
-	l.rm.elasticEvictions.Inc()
-	l.health.markDeparted(id, l.elapsed(), "evicted")
-	l.release(id)
-	l.abandon(id)
-	l.busy[id] = false
-	l.rebalanced()
-	l.rm.elasticWorkers.Set(float64(l.mem.ActiveCount()))
+	l.vacate(id)
+	l.rebalanced(l.rm.elasticEvictions)
 	l.wakeGated()
 }
 
 func (l *coordLoop) fireMembership() {
-	if l.mem == nil {
-		return
-	}
 	for _, e := range l.planCur.Fire(l.completed) {
 		switch e.Kind {
 		case elastic.EventJoin:
-			l.join("scripted join")
+			l.join("scripted join", len(l.busy))
 		case elastic.EventLeave:
 			l.leave(e.Worker)
 		case elastic.EventEvict:
@@ -694,20 +678,19 @@ func (l *coordLoop) fireMembership() {
 // iteration time — the portion attributable to contention rather than
 // compute.
 func (l *coordLoop) decideScale() {
-	if l.mem == nil || l.cfg.ElasticPolicy == nil {
+	if l.cfg.ElasticPolicy == nil {
 		return
 	}
-	s := elastic.Sample{Active: l.mem.ActiveCount(), Min: l.mem.Min(), Max: l.mem.Max(), Dispatches: l.completed}
+	victim, worst := l.costliest()
+	s := elastic.Sample{Active: l.health.churn.Final, Min: l.health.min, Max: l.health.max, Dispatches: l.completed, MarginalCost: worst}
 	if l.elCount > 0 {
 		s.QueueWait = l.elWait / time.Duration(l.elCount)
 		s.Compute = l.elCompute / time.Duration(l.elCount)
 	}
-	victim, worst := l.costliest()
-	s.MarginalCost = worst
 	l.elWait, l.elCompute, l.elCount = 0, 0, 0
 	switch l.cfg.ElasticPolicy.Decide(s) {
 	case elastic.Grow:
-		l.join("policy grow")
+		l.join("policy grow", len(l.busy))
 	case elastic.Shrink:
 		if victim >= 0 {
 			l.leave(victim)
@@ -736,17 +719,10 @@ func (l *coordLoop) onLink(ev *transport.Event) {
 		}
 	case transport.LinkJoin:
 		// The transport assigns ids sequentially under the same cap, so the
-		// event id always equals the next slot.
-		if l.mem == nil || id != l.mem.Len() {
-			l.events.Add(l.elapsed(), "", "join-refused",
-				fmt.Sprintf("unexpected join for slot %d (have %d, elastic %v)", id, len(l.busy), l.mem != nil))
-			return
-		}
-		l.join("link join")
+		// event id equals the next slot unless a join was refused.
+		l.join("link join", id)
 	case transport.LinkLeave:
-		if l.mem != nil {
-			l.leave(id)
-		}
+		l.leave(id)
 	}
 }
 
@@ -770,7 +746,7 @@ func (l *coordLoop) fail(msg *transport.Done, fl *inflightDispatch) error {
 	}
 	l.reroute(msg.Worker)
 	l.wakeGated()
-	if l.health.aliveCount() == 0 {
+	if l.health.count(WorkerState.alive) == 0 {
 		return fmt.Errorf("core: all %d workers failed — cannot continue training: %s", len(l.busy), msg.Err)
 	}
 	return nil
@@ -919,9 +895,9 @@ func (l *coordLoop) active() bool {
 		return false
 	}
 	if l.queuedWork() {
-		return l.mem != nil || l.health.aliveCount() > 0
+		return l.health.elastic || l.health.count(WorkerState.alive) > 0
 	}
-	return l.mem != nil && !l.coord.poolEmpty()
+	return l.health.elastic && !l.coord.poolEmpty()
 }
 
 // loop trains until the budget expires, the target loss is reached, the

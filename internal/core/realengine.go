@@ -64,8 +64,9 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 		return nil, err
 	}
 	// The inbox table is sized to Capacity up front so an elastic joiner's
-	// fresh id maps straight to an unused inbox.
-	trans := transport.NewLocal(cfg.Capacity())
+	// fresh id maps straight to an unused inbox; joins stop when it is full.
+	slots := cfg.Capacity()
+	trans := transport.NewLocal(slots)
 	if cfg.Metrics != nil {
 		// One shared instrument set aggregates traffic across the
 		// coordinator queue and every worker inbox; the wait histogram
@@ -82,6 +83,7 @@ func newLocalExec(ctx context.Context, cfg *Config, budget time.Duration) (*loca
 	if err != nil {
 		return nil, err
 	}
+	l.health.slots = slots
 	x := &localExec{l: l, trans: trans}
 	l.step.shared = l.global
 	if cfg.UpdateMode == tensor.UpdateLocked {
@@ -255,7 +257,7 @@ func (x *localExec) drain(id int) []transport.Work { return x.trans.CloseWorker(
 
 func (x *localExec) shutdown() {
 	x.trans.CloseInboxes()
-	if x.l.health.report.Survivors() == len(x.l.workers) {
+	if x.l.health.count(WorkerState.dispatchable) == len(x.l.workers) {
 		x.wg.Wait()
 	} else {
 		// A quarantined worker may be hung far beyond the budget; bound the

@@ -7,6 +7,7 @@ import (
 
 	"heterosgd/internal/elastic"
 	"heterosgd/internal/opt"
+	"heterosgd/internal/telemetry"
 )
 
 // engine names an execution engine in the support table.
@@ -116,11 +117,13 @@ func (l *coordLoop) drop(id int, n int64, kind, detail string) {
 	l.events.Add(l.elapsed(), l.name(id), kind, detail)
 }
 
-// rebalanced restarts the adaptive comparators after a membership change.
-func (l *coordLoop) rebalanced() {
+// rebalanced restarts the adaptive comparators after a membership change,
+// which it counts on change.
+func (l *coordLoop) rebalanced(change *telemetry.Counter) {
 	l.coord.rebalance()
-	l.mem.RecordRebalance()
+	l.health.churn.Rebalances++
 	l.rm.elasticRebalances.Inc()
+	change.Inc()
 }
 
 // addSlot grows every per-worker table to worker id, the next slot — config,
@@ -139,13 +142,13 @@ func (l *coordLoop) addSlot(id int, at time.Duration) {
 	l.feed = append(l.feed, nil)
 }
 
-// costliest returns the active healthy worker with the largest modeled
+// costliest returns the healthy worker with the largest modeled
 // iteration time at its current batch size (ties to the highest id) — the
 // autoscale policy's marginal worker — and that time; -1 when none.
 func (l *coordLoop) costliest() (victim int, cost time.Duration) {
 	victim = -1
 	for id := range l.cfg.Workers {
-		if !l.mem.Active(id) || !l.health.ok(id) {
+		if !l.health.ok(id) {
 			continue
 		}
 		if it := l.cfg.Workers[id].Device.IterTime(l.net.Arch, l.coord.batch[id], l.modelBytes); victim < 0 || it >= cost {
@@ -159,8 +162,8 @@ func (l *coordLoop) costliest() (victim int, cost time.Duration) {
 func (l *coordLoop) result(duration, overshoot, stamp time.Duration, final float64) *Result {
 	l.point(stamp, final)
 	var churn *elastic.Report
-	if l.mem != nil {
-		churn = l.mem.Report()
+	if r := l.health.churn; l.health.elastic {
+		churn = &r
 	}
 	return &Result{
 		Algorithm:         l.cfg.Algorithm,

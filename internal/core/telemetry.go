@@ -46,7 +46,7 @@ type runMetrics struct {
 	epochs      *telemetry.Gauge   // fractional epochs completed
 	staleMax    *telemetry.Gauge   // maximum per-update dispatch staleness so far
 
-	elasticWorkers    *telemetry.Gauge   // current active-worker count (elastic runs)
+	elasticWorkers    *telemetry.Gauge   // current active-worker count
 	elasticJoins      *telemetry.Counter // elastic workers admitted mid-run
 	elasticLeaves     *telemetry.Counter // graceful departures started
 	elasticEvictions  *telemetry.Counter // forced membership removals

@@ -5,77 +5,6 @@ import (
 	"time"
 )
 
-func TestMembershipLifecycle(t *testing.T) {
-	m, err := New(2, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.ActiveCount(); got != 2 {
-		t.Fatalf("initial active %d, want 2", got)
-	}
-	id, err := m.Join()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 2 {
-		t.Fatalf("joiner got id %d, want fresh id 2", id)
-	}
-	if err := m.Leave(0); err != nil {
-		t.Fatal(err)
-	}
-	if m.Active(0) || !m.Draining(0) {
-		t.Fatal("left worker should be draining, not active")
-	}
-	if got := m.ActiveCount(); got != 2 {
-		t.Fatalf("active after leave %d, want 2", got)
-	}
-	if !m.Retire(0) {
-		t.Fatal("retire of draining worker refused")
-	}
-	if m.Retire(0) {
-		t.Fatal("double retire accepted")
-	}
-	if err := m.Evict(1); err != nil {
-		t.Fatal(err)
-	}
-	rep := m.Report()
-	if rep.Joins != 1 || rep.Leaves != 1 || rep.Evictions != 1 {
-		t.Fatalf("report %+v, want 1 join / 1 leave / 1 eviction", rep)
-	}
-	if rep.Peak != 3 || rep.Final != 1 {
-		t.Fatalf("report peak %d final %d, want 3 and 1", rep.Peak, rep.Final)
-	}
-	if !rep.Churned() {
-		t.Fatal("churned report claims no churn")
-	}
-}
-
-func TestMembershipBounds(t *testing.T) {
-	m, err := New(2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Join(); err == nil {
-		t.Fatal("join above max accepted")
-	}
-	if err := m.Leave(0); err == nil {
-		t.Fatal("leave below min accepted")
-	}
-	// Forced eviction ignores the min bound.
-	if err := m.Evict(0); err != nil {
-		t.Fatalf("evict refused: %v", err)
-	}
-	if got := m.ActiveCount(); got != 1 {
-		t.Fatalf("active after evict %d, want 1", got)
-	}
-	if _, err := New(2, 3, 4); err == nil {
-		t.Fatal("min > initial accepted")
-	}
-	if _, err := New(3, 1, 2); err == nil {
-		t.Fatal("max < initial accepted")
-	}
-}
-
 func TestPlanParseRoundTrip(t *testing.T) {
 	spec := "join:25,leave:1:60,evict:0:90"
 	p, err := Parse(spec)

@@ -1,3 +1,14 @@
+// Package elastic describes runtime worker-set changes for the training
+// engines: scripted membership plans in the style of internal/faults for
+// deterministic churn tests, a pluggable autoscale policy that decides
+// grow/shrink from load telemetry, and the churn Report a run returns.
+//
+// The paper's Algorithm 2 adapts batch sizes to a fixed heterogeneous
+// worker set; the authors' follow-up (arXiv:2110.07029) adapts the worker
+// set itself. This package is the description half of that extension: the
+// engines' coordinator keeps the one per-worker lifecycle table (core's
+// health tracker) that applies these changes, enforces the bounds, and
+// fills in the Report.
 package elastic
 
 import (
@@ -6,6 +17,37 @@ import (
 
 	"heterosgd/internal/spec"
 )
+
+// Report is the churn accounting for one run.
+type Report struct {
+	// Joins, Leaves, and Evictions count membership transitions: a join
+	// admits a fresh worker, a leave starts a graceful drain, an eviction
+	// forces a worker out without draining.
+	Joins, Leaves, Evictions int
+	// Rebalances counts scheduler rebalance passes triggered by
+	// membership changes (Algorithm-2 counters and LR scaling recomputed
+	// over the new active set).
+	Rebalances int
+	// Peak and Final are the largest and ending active-worker counts.
+	Peak, Final int
+}
+
+// Churned reports whether membership changed at all during the run.
+func (r *Report) Churned() bool {
+	if r == nil {
+		return false
+	}
+	return r.Joins > 0 || r.Leaves > 0 || r.Evictions > 0
+}
+
+// String renders a one-line summary.
+func (r *Report) String() string {
+	if r == nil {
+		return "elastic: disabled"
+	}
+	return fmt.Sprintf("elastic: %d workers at end (peak %d); %d joins, %d leaves, %d evictions, %d rebalances",
+		r.Final, r.Peak, r.Joins, r.Leaves, r.Evictions, r.Rebalances)
+}
 
 // EventKind identifies a scripted membership change.
 type EventKind int

@@ -205,8 +205,9 @@ func checkGemmBits(t *testing.T, rng *rand.Rand, name string, m, k, n int, trans
 	}
 }
 
-// TestForkJoinAllocatesNothing: a parallel GEMM or SpMM call hands its chunks
-// to the persistent helpers by value, so the steady state allocates nothing.
+// TestForkJoinAllocatesNothing: a parallel GEMM, SpMM or SpMMT call hands its
+// chunks to the persistent helpers by value, so the steady state allocates
+// nothing, serial or forked — every form nn's sparse first layer calls.
 func TestForkJoinAllocatesNothing(t *testing.T) {
 	if helpers == 0 {
 		t.Skip("one CPU: every call is serial")
@@ -216,9 +217,17 @@ func TestForkJoinAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { ParallelGemm(false, false, 1, a, b, 0, c, 2) }); n != 0 {
 		t.Errorf("ParallelGemm: %v allocations per call, want 0", n)
 	}
-	sp := CSRFromDense(a)
-	if n := testing.AllocsPerRun(50, func() { SpMM(false, 1, sp, b, 0, c, 2) }); n != 0 {
-		t.Errorf("SpMM: %v allocations per call, want 0", n)
+	sp, bt, grad := CSRFromDense(a), randomMatrix(rng, 96, 256), NewMatrix(96, 256)
+	for _, workers := range []int{1, 2} {
+		if n := testing.AllocsPerRun(50, func() { SpMM(false, 1, sp, b, 0, c, workers) }); n != 0 {
+			t.Errorf("SpMM workers=%d: %v allocations per call, want 0", workers, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { SpMM(true, 1, sp, bt, 0, c, workers) }); n != 0 {
+			t.Errorf("SpMM(transB) workers=%d: %v allocations per call, want 0", workers, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { SpMMT(1, sp, c, 1, grad, workers) }); n != 0 {
+			t.Errorf("SpMMT workers=%d: %v allocations per call, want 0", workers, n)
+		}
 	}
 }
 

@@ -23,16 +23,6 @@ type CSR struct {
 	Val        []float64
 }
 
-// NewCSR wraps the given arrays (not copied) as a CSR matrix. It panics if
-// the invariants are violated; use Check for a non-panicking validation.
-func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) *CSR {
-	a := &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-	if err := a.Check(); err != nil {
-		panic("tensor: " + err.Error())
-	}
-	return a
-}
-
 // Check validates the CSR invariants: RowPtr length and monotonicity, entry
 // bounds, and sorted duplicate-free column indices within each row.
 func (a *CSR) Check() error {
@@ -197,24 +187,30 @@ func runSpMM(j job) { spmmRange(j.transB, j.alpha, j.sparse, j.b, j.beta, j.c, j
 
 // spmmRange computes rows [i0, i1) of the SpMM output.
 func spmmRange(transB bool, alpha float64, a *CSR, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
-	for i := i0; i < i1; i++ {
-		crow := c.Row(i)
-		scaleRows(c, beta, i, i+1, c.Cols)
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
-		if transB {
-			// C[i][j] += alpha * Σ_t vals[t] * B[j][cols[t]] — a gather
-			// over row j of B, contiguous in j like the dense kernel.
-			for j := range crow {
-				brow := b.Row(j)
+	scaleRows(c, beta, i0, i1, c.Cols)
+	if transB {
+		// C[i][j] += alpha * Σ_t vals[t] * B[j][cols[t]] — a gather over
+		// row j of B. Units are outermost so that one row of B stays in
+		// cache while every batch row of the chunk gathers from it; each
+		// C[i][j] still sums its terms from zero in ascending t.
+		for j := 0; j < c.Cols; j++ {
+			brow := b.Row(j)
+			for i := i0; i < i1; i++ {
+				lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+				cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
 				sum := 0.0
 				for t, p := range cols {
 					sum += vals[t] * brow[p]
 				}
-				crow[j] += alpha * sum
+				c.Data[i*c.Stride+j] += alpha * sum
 			}
-			continue
 		}
+		return
+	}
+	for i := i0; i < i1; i++ {
+		crow := c.Row(i)
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
 		// C[i][:] += alpha * vals[t] * B[cols[t]][:] — axpy per nonzero.
 		for t, p := range cols {
 			s := alpha * vals[t]
@@ -247,22 +243,23 @@ func SpMMT(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix, workers in
 
 func runSpMMT(j job) { spmmtRange(j.alpha, j.sparse, j.b, j.beta, j.c, j.lo, j.hi) }
 
-// spmmtRange computes rows [j0, j1) of the SpMMT output.
+// spmmtRange computes rows [j0, j1) of the SpMMT output. Units are
+// outermost so that one gradient row stays in cache while every batch row
+// scatters into it; each C[j][p] still takes its terms in ascending i.
 func spmmtRange(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix, j0, j1 int) {
 	scaleRows(c, beta, j0, j1, c.Cols)
-	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		if lo == hi {
-			continue
-		}
-		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
-		drow := d.Row(i)
-		for j := j0; j < j1; j++ {
-			s := alpha * drow[j]
+	for j := j0; j < j1; j++ {
+		crow := c.Row(j)
+		for i := 0; i < a.Rows; i++ {
+			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+			if lo == hi {
+				continue
+			}
+			s := alpha * d.At(i, j)
 			if s == 0 {
 				continue
 			}
-			crow := c.Row(j)
+			cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
 			for t, p := range cols {
 				crow[p] += s * vals[t]
 			}

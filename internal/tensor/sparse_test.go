@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -269,4 +272,179 @@ func TestCSRRowViewIntoMatchesRowView(t *testing.T) {
 		}
 	}()
 	a.RowViewInto(&dst, 5, 5)
+}
+
+// refSpMM and refSpMMT are the row-major loops the unit-major
+// kernels replaced, kept as the order those kernels must reproduce bit for
+// bit: batch row outermost, scaling each output row just before filling it.
+func refSpMM(alpha float64, a *CSR, b *Matrix, beta float64, c *Matrix) {
+	for i := 0; i < a.Rows; i++ {
+		crow := c.Row(i)
+		scaleRows(c, beta, i, i+1, c.Cols)
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
+		for j := range crow {
+			brow := b.Row(j)
+			sum := 0.0
+			for t, p := range cols {
+				sum += vals[t] * brow[p]
+			}
+			crow[j] += alpha * sum
+		}
+	}
+}
+
+func refSpMMT(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix) {
+	scaleRows(c, beta, 0, c.Rows, c.Cols)
+	for i := 0; i < a.Rows; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		if lo == hi {
+			continue
+		}
+		cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
+		drow := d.Row(i)
+		for j := 0; j < c.Rows; j++ {
+			s := alpha * drow[j]
+			if s == 0 {
+				continue
+			}
+			crow := c.Row(j)
+			for t, p := range cols {
+				crow[p] += s * vals[t]
+			}
+		}
+	}
+}
+
+// specialValue draws a normal value, or now and then one of ±0, NaN and
+// ±Inf, the values whose handling depends on the order of operations.
+func specialValue(rng *rand.Rand) float64 {
+	switch rng.IntN(12) {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return math.NaN()
+	case 3:
+		return math.Inf(1)
+	case 4:
+		return math.Inf(-1)
+	}
+	return rng.NormFloat64()
+}
+
+// stridedSpecial returns a rows×cols matrix with a wider stride whose
+// elements come from specialValue; the padding past each row holds a
+// sentinel that no kernel may write.
+func stridedSpecial(rng *rand.Rand, rows, cols int) *Matrix {
+	stride := cols + rng.IntN(3)
+	m := &Matrix{Rows: rows, Cols: cols, Stride: stride, Data: make([]float64, rows*stride)}
+	for i := range m.Data {
+		if i%stride < cols {
+			m.Data[i] = specialValue(rng)
+		} else {
+			m.Data[i] = 12345
+		}
+	}
+	return m
+}
+
+// handCSR builds a rows×cols CSR entry by entry, with explicit zero values
+// (which CSRFromDense would drop), empty rows, specials in Val, and a junk
+// prefix in ColIdx/Val so that RowPtr[0] is not zero.
+func handCSR(rng *rand.Rand, rows, cols int) *CSR {
+	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for range rng.IntN(4) {
+		a.ColIdx = append(a.ColIdx, rng.IntN(cols))
+		a.Val = append(a.Val, math.NaN())
+	}
+	a.RowPtr[0] = len(a.ColIdx)
+	density := rng.Float64() * 0.5
+	for i := 0; i < rows; i++ {
+		if rng.IntN(4) > 0 {
+			for p := 0; p < cols; p++ {
+				if rng.Float64() < density {
+					a.ColIdx = append(a.ColIdx, p)
+					a.Val = append(a.Val, specialValue(rng))
+				}
+			}
+		}
+		a.RowPtr[i+1] = len(a.ColIdx)
+	}
+	return a
+}
+
+// TestSpMMUnitMajorBitExact pins the unit-major SpMM(transB) and SpMMT
+// against the row-major loops they replaced: every output element, padding
+// included, has the same bits, over ±0, NaN and ±Inf in every operand,
+// explicit zeros, empty rows, RowPtr[0] ≠ 0, strided operands, beta 0, 1 or
+// random, and 1–4 workers. Any NaN matches any NaN: which of two NaN
+// operands an add returns is the compiler's choice, not the loop order's.
+func TestSpMMUnitMajorBitExact(t *testing.T) {
+	rng := rand.New(rand.NewPCG(36, 1))
+	for trial := 0; trial < 300; trial++ {
+		batch, feat, units := rng.IntN(40), 1+rng.IntN(60), 1+rng.IntN(24)
+		a := handCSR(rng, batch, feat)
+		if err := a.Check(); err != nil {
+			t.Fatal(err)
+		}
+		alpha := []float64{1, 0, rng.NormFloat64()}[rng.IntN(3)]
+		beta := []float64{0, 1, rng.NormFloat64()}[trial%3]
+		workers := 1 + rng.IntN(4)
+
+		w := stridedSpecial(rng, units, feat)
+		out := stridedSpecial(rng, batch, units)
+		want := &Matrix{Rows: out.Rows, Cols: out.Cols, Stride: out.Stride, Data: slices.Clone(out.Data)}
+		refSpMM(alpha, a, w, beta, want)
+		SpMM(true, alpha, a, w, beta, out, workers)
+		if !sameBits(out.Data, want.Data) {
+			t.Fatalf("trial %d: SpMM %d×%d·%dᵀ alpha=%v beta=%v workers=%d differs from the row-major order",
+				trial, batch, feat, units, alpha, beta, workers)
+		}
+
+		d := stridedSpecial(rng, batch, units)
+		grad := stridedSpecial(rng, units, feat)
+		want = &Matrix{Rows: grad.Rows, Cols: grad.Cols, Stride: grad.Stride, Data: slices.Clone(grad.Data)}
+		refSpMMT(alpha, a, d, beta, want)
+		SpMMT(alpha, a, d, beta, grad, workers)
+		if !sameBits(grad.Data, want.Data) {
+			t.Fatalf("trial %d: SpMMT %d×%d·%d alpha=%v beta=%v workers=%d differs from the row-major order",
+				trial, batch, units, feat, alpha, beta, workers)
+		}
+	}
+}
+
+// BenchmarkSpMM times the sparse first layer at sparse-hybrid's shape —
+// 20 958 features at 0.25 % density into 128 units — on one worker: the
+// forward SpMM(transB) and the weight gradient SpMMT(beta=1), for a CPU
+// lane's single row and a GPU batch of 1024.
+func BenchmarkSpMM(b *testing.B) {
+	const feat, units, density = 20958, 128, 0.0025
+	rng := rand.New(rand.NewPCG(20958, 128))
+	w := randomMatrix(rng, units, feat)
+	grad := NewMatrix(units, feat)
+	for _, batch := range []int{1, 1024} {
+		a := &CSR{Rows: batch, Cols: feat, RowPtr: make([]int, batch+1)}
+		for i := 0; i < batch; i++ {
+			for p := 0; p < feat; p++ {
+				if rng.Float64() < density {
+					a.ColIdx = append(a.ColIdx, p)
+					a.Val = append(a.Val, rng.NormFloat64())
+				}
+			}
+			a.RowPtr[i+1] = len(a.ColIdx)
+		}
+		out, delta := NewMatrix(batch, units), randomMatrix(rng, batch, units)
+		b.Run(fmt.Sprintf("fwd/b%d", batch), func(b *testing.B) {
+			for range b.N {
+				SpMM(true, 1, a, w, 0, out, 1)
+			}
+		})
+		b.Run(fmt.Sprintf("wgrad/b%d", batch), func(b *testing.B) {
+			for range b.N {
+				SpMMT(1/float64(batch), a, delta, 1, grad, 1)
+			}
+		})
+	}
 }

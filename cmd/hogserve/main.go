@@ -50,6 +50,7 @@ import (
 	"heterosgd/internal/core"
 	"heterosgd/internal/data"
 	"heterosgd/internal/device"
+	"heterosgd/internal/experiments"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/serve"
 	"heterosgd/internal/telemetry"
@@ -73,7 +74,7 @@ func main() {
 		workers   = flag.Int("workers", 1, "intra-forward parallelism")
 		poolSize  = flag.Int("serve-workers", 1, "inference pool workers, each with a private pre-allocated workspace")
 		adaptive  = flag.Bool("adaptive-batch", false, "adapt the micro-batch ceiling from telemetry instead of the static -max-batch")
-		exact     = flag.Bool("exact-kernel", false, "force the scalar forward kernels (bit-identical to training, no SIMD)")
+		exact     = flag.Bool("exact-kernel", false, "force training's exact forward kernels (bit-identical to training, no FMA)")
 		bench     = flag.Bool("bench", false, "run the load generator instead of serving")
 		clients   = flag.Int("clients", 64, "concurrent closed-loop clients for -bench and -soak")
 		benchTime = flag.Duration("bench-time", 2*time.Second, "measurement window per micro-batch size for -bench")
@@ -150,28 +151,18 @@ func main() {
 	var trainRes atomic.Pointer[core.Result]
 	trainDone := make(chan struct{})
 	if *train {
-		alg, err := core.ParseAlgorithm(*algName)
+		cfg, err := trainConfig(prob, p, *algName, pub, *snapEvery, reg)
 		if err != nil {
 			cli.Fatal(err)
 		}
-		// The scale's own batch thresholds, not the problem's clamped ones.
-		sc, err := prob.Fidelity()
-		if err != nil {
-			cli.Fatal(err)
-		}
-		cfg := core.NewConfig(alg, net, p.Dataset, sc.Preset)
-		cfg.BaseLR = 0.05
-		cfg.Seed = prob.Seed
-		cfg.UpdateMode = tensor.UpdateLocked
-		cfg.SnapshotSink = pub
-		cfg.SnapshotEvery = *snapEvery
-		cfg.Metrics = reg
+		runc := startTraining(ctx, cfg, *budget)
 		go func() {
 			defer close(trainDone)
-			res, err := core.RunReal(ctx, cfg, *budget)
-			if err != nil {
-				cli.Fatal(err)
+			run := <-runc
+			if run.err != nil {
+				cli.Fatal(run.err)
 			}
+			res := run.res
 			trainRes.Store(res)
 			fmt.Println(res)
 			if res.Interrupted {
@@ -215,25 +206,13 @@ func main() {
 				"interrupted": res.Interrupted,
 			}
 		})
-		fmt.Printf("training %s on %s for %v, snapshot every %v\n", alg, p.Dataset.Name, *budget, *snapEvery)
+		fmt.Printf("training %s on %s for %v, snapshot every %v\n", cfg.Algorithm, p.Dataset.Name, *budget, *snapEvery)
 	} else {
 		close(trainDone)
 	}
 
 	if *modelPath != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				params, err := nn.LoadParamsFile(*modelPath, net)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "hogserve: SIGHUP reload of %s failed (keeping current model): %v\n", *modelPath, err)
-					continue
-				}
-				pub.PublishParams(params)
-				fmt.Printf("SIGHUP: reloaded %s (model version %d)\n", *modelPath, pub.Version())
-			}
-		}()
+		reloadOnHUP(*modelPath, net, pub)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: server}
@@ -258,6 +237,75 @@ func main() {
 		// exit is clean (bounded by the run's in-flight work).
 		<-trainDone
 		fmt.Println("drained; bye")
+	}
+}
+
+// trainConfig is the run -train attaches to pub, and the one the soak trains:
+// algName on p's model and data, on the scale's own batch thresholds (not
+// the problem's clamped ones), with Hogwild writes under the model lock and
+// a snapshot published every `every`.
+func trainConfig(prob cli.Problem, p *experiments.Problem, algName string, pub *serve.Publisher, every time.Duration, reg *telemetry.Registry) (core.Config, error) {
+	alg, err := core.ParseAlgorithm(algName)
+	if err != nil {
+		return core.Config{}, err
+	}
+	sc, err := prob.Fidelity()
+	if err != nil {
+		return core.Config{}, err
+	}
+	cfg := core.NewConfig(alg, p.Net, p.Dataset, sc.Preset)
+	cfg.BaseLR = 0.05
+	cfg.Seed = prob.Seed
+	cfg.UpdateMode = tensor.UpdateLocked
+	cfg.SnapshotSink = pub
+	cfg.SnapshotEvery = every
+	cfg.Metrics = reg
+	return cfg, nil
+}
+
+// trainRun is an attached training run's outcome.
+type trainRun struct {
+	res *core.Result
+	err error
+}
+
+// startTraining runs cfg for budget on a goroutine of its own; the outcome
+// arrives on the returned channel.
+func startTraining(ctx context.Context, cfg core.Config, budget time.Duration) <-chan trainRun {
+	out := make(chan trainRun, 1)
+	go func() {
+		res, err := core.RunReal(ctx, cfg, budget)
+		out <- trainRun{res, err}
+	}()
+	return out
+}
+
+// reloadOnHUP republishes the checkpoint at path into pub on every SIGHUP —
+// a checkpoint that fails to load keeps the current model — until stop is
+// called. stop returns how many reloads landed.
+func reloadOnHUP(path string, net *nn.Network, pub *serve.Publisher) (stop func() int64) {
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	done := make(chan struct{})
+	var reloads int64
+	go func() {
+		defer close(done)
+		for range hup {
+			params, err := nn.LoadParamsFile(path, net)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "hogserve: SIGHUP reload of %s failed (keeping current model): %v\n", path, err)
+				continue
+			}
+			pub.PublishParams(params)
+			reloads++
+			fmt.Printf("SIGHUP: reloaded %s (model version %d)\n", path, pub.Version())
+		}
+	}()
+	return func() int64 {
+		signal.Stop(hup)
+		close(hup)
+		<-done
+		return reloads
 	}
 }
 
@@ -572,33 +620,41 @@ func measureAllocs(pub *serve.Publisher, ds *data.Dataset, cfg benchConfig) (*al
 	}, nil
 }
 
-// benchOne runs one closed-loop measurement window against a fresh batcher.
-func benchOne(pub *serve.Publisher, ds *data.Dataset, clients int, window time.Duration, opts serve.Options) (serveBenchRow, error) {
-	b := serve.NewBatcher(pub, opts)
-	defer b.Close()
+// load is what a closed-loop window's clients saw.
+type load struct {
+	completed, rejected, regressions int64
+}
 
-	var completed atomic.Int64
-	var failed atomic.Int64
+// closedLoop drives b with clients closed-loop clients for window. Each
+// strides through ds from its own offset instead of drawing random rows,
+// backs off briefly on ErrOverloaded, and counts every time the served model
+// version went back. The deadline is checked before every request —
+// completions after it would otherwise inflate throughput when service times
+// are a sizeable fraction of the window.
+func closedLoop(b *serve.Batcher, ds *data.Dataset, clients int, window time.Duration) (load, error) {
+	var completed, rejected, regressions, failed atomic.Int64
 	deadline := time.Now().Add(window)
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			// Stride through the dataset instead of drawing random rows.
-			// The deadline is checked before every request — completions
-			// after the deadline would otherwise inflate throughput when
-			// service times are a sizeable fraction of the window.
 			i := (c * 67) % ds.N()
+			var lastVersion uint64
 			for time.Now().Before(deadline) {
 				row := ds.X.Row(i)
 				i = (i + 1) % ds.N()
 				r := b.Predict(serve.Instance{Dense: row})
 				switch r.Err {
 				case nil:
+					if r.Version < lastVersion {
+						regressions.Add(1)
+					}
+					lastVersion = r.Version
 					completed.Add(1)
 				case serve.ErrOverloaded:
-					time.Sleep(50 * time.Microsecond) // closed-loop backoff
+					rejected.Add(1)
+					time.Sleep(50 * time.Microsecond)
 				default:
 					failed.Add(1)
 					return
@@ -607,8 +663,19 @@ func benchOne(pub *serve.Publisher, ds *data.Dataset, clients int, window time.D
 		}(c)
 	}
 	wg.Wait()
-	if failed.Load() > 0 {
-		return serveBenchRow{}, fmt.Errorf("bench: %d clients aborted on unexpected errors", failed.Load())
+	if n := failed.Load(); n > 0 {
+		return load{}, fmt.Errorf("%d clients aborted on unexpected errors", n)
+	}
+	return load{completed.Load(), rejected.Load(), regressions.Load()}, nil
+}
+
+// benchOne runs one closed-loop measurement window against a fresh batcher.
+func benchOne(pub *serve.Publisher, ds *data.Dataset, clients int, window time.Duration, opts serve.Options) (serveBenchRow, error) {
+	b := serve.NewBatcher(pub, opts)
+	defer b.Close()
+	ld, err := closedLoop(b, ds, clients, window)
+	if err != nil {
+		return serveBenchRow{}, fmt.Errorf("bench: %w", err)
 	}
 	rep := b.Report()
 	o := b.Options()
@@ -620,12 +687,12 @@ func benchOne(pub *serve.Publisher, ds *data.Dataset, clients int, window time.D
 		Adaptive:      o.Adaptive,
 		ExactKernel:   o.ExactKernel,
 		DurationSec:   window.Seconds(),
-		Requests:      completed.Load(),
+		Requests:      ld.completed,
 		Rejected:      rep.Rejected,
 		MeanBatch:     rep.MeanBatch,
 		BatchCeiling:  rep.BatchCeiling,
 		PolicyChanges: rep.PolicyChanges,
-		ThroughputRPS: float64(completed.Load()) / window.Seconds(),
+		ThroughputRPS: float64(ld.completed) / window.Seconds(),
 		P50Ms:         rep.P50Ms,
 		P90Ms:         rep.P90Ms,
 		P99Ms:         rep.P99Ms,
@@ -665,27 +732,13 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	// single-worker baseline and the pool contend with the same training
 	// load — the throughput floor is apples-to-apples.
 	baseWindow := min(max(cfg.SoakTime/4, time.Second), 3*time.Second)
-	alg, err := core.ParseAlgorithm(cfg.Algorithm)
+	tcfg, err := trainConfig(cfg.Problem, prob, cfg.Algorithm, pub, 100*time.Millisecond, nil)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	tcfg := core.NewConfig(alg, net, ds, prob.Scale.Preset)
-	tcfg.BaseLR = 0.05
-	tcfg.Seed = cfg.Problem.Seed
-	tcfg.UpdateMode = tensor.UpdateLocked
-	tcfg.SnapshotSink = pub
-	tcfg.SnapshotEvery = 100 * time.Millisecond
-	type trainOut struct {
-		res *core.Result
-		err error
-	}
-	trainc := make(chan trainOut, 1)
-	go func() {
-		res, err := core.RunReal(ctx, tcfg, baseWindow+cfg.SoakTime+time.Second)
-		trainc <- trainOut{res, err}
-	}()
+	trainc := startTraining(ctx, tcfg, baseWindow+cfg.SoakTime+time.Second)
 
 	// Before: a single-worker exact-kernel window — the pre-pool serving
 	// path — under the concurrent training load.
@@ -711,26 +764,9 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	})
 	defer b.Close()
 
-	// Real SIGHUP plumbing: the handler below is the serving-path reload
-	// loop, and a ticker sends the process actual SIGHUPs during the soak.
-	var reloads atomic.Int64
-	hup := make(chan os.Signal, 4)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	hupDone := make(chan struct{})
-	go func() {
-		defer close(hupDone)
-		for range hup {
-			p, err := nn.LoadParamsFile(ckpt, net)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "soak: SIGHUP reload failed: %v\n", err)
-				continue
-			}
-			pub.PublishParams(p)
-			reloads.Add(1)
-		}
-	}()
-
+	// Real SIGHUP plumbing: the serving path's reload loop, and a ticker
+	// sending the process actual SIGHUPs during the soak.
+	stopReload := reloadOnHUP(ckpt, net, pub)
 	kicker := time.NewTicker(max(cfg.SoakTime/5, 500*time.Millisecond))
 	kickerDone := make(chan struct{})
 	go func() {
@@ -746,52 +782,19 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	}()
 
 	fmt.Printf("soak: %s %s, %d clients, pool %d adaptive ≤%d, training %s, SIGHUP every %v, %v\n",
-		ds.Name, net.Arch, cfg.Clients, cfg.Pool, maxBatch, alg, max(cfg.SoakTime/5, 500*time.Millisecond), cfg.SoakTime)
+		ds.Name, net.Arch, cfg.Clients, cfg.Pool, maxBatch, tcfg.Algorithm, max(cfg.SoakTime/5, 500*time.Millisecond), cfg.SoakTime)
 
-	var completed, rejected, regressions atomic.Int64
-	var failed atomic.Int64
-	deadline := time.Now().Add(cfg.SoakTime)
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			i := (c * 67) % ds.N()
-			var lastVersion uint64
-			for time.Now().Before(deadline) {
-				row := ds.X.Row(i)
-				i = (i + 1) % ds.N()
-				r := b.Predict(serve.Instance{Dense: row})
-				switch r.Err {
-				case nil:
-					if r.Version < lastVersion {
-						regressions.Add(1)
-					}
-					lastVersion = r.Version
-					completed.Add(1)
-				case serve.ErrOverloaded:
-					rejected.Add(1)
-					time.Sleep(50 * time.Microsecond)
-				default:
-					failed.Add(1)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
+	ld, loadErr := closedLoop(b, ds, cfg.Clients, cfg.SoakTime)
 	cancel() // stops the SIGHUP kicker and interrupts training
 	kicker.Stop()
 	<-kickerDone // no self-SIGHUP can be sent past this point
 	train := <-trainc
-	signal.Stop(hup)
-	close(hup)
-	<-hupDone
+	reloads := stopReload()
 	if train.err != nil {
 		return nil, fmt.Errorf("soak: training failed: %w", train.err)
 	}
-	if failed.Load() > 0 {
-		return nil, fmt.Errorf("soak: %d clients aborted on unexpected errors", failed.Load())
+	if loadErr != nil {
+		return nil, fmt.Errorf("soak: %w", loadErr)
 	}
 
 	// One quiesced probe: with all writers stopped, a fresh request must be
@@ -808,9 +811,9 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 		DurationSec:        cfg.SoakTime.Seconds(),
 		PoolWorkers:        cfg.Pool,
 		Clients:            cfg.Clients,
-		Requests:           completed.Load(),
-		Rejected:           rejected.Load(),
-		ThroughputRPS:      float64(completed.Load()) / cfg.SoakTime.Seconds(),
+		Requests:           ld.completed,
+		Rejected:           ld.rejected,
+		ThroughputRPS:      float64(ld.completed) / cfg.SoakTime.Seconds(),
 		MeanBatch:          rep.MeanBatch,
 		FinalBatchCeiling:  rep.BatchCeiling,
 		PolicyChanges:      rep.PolicyChanges,
@@ -818,8 +821,8 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 		P99Ms:              rep.P99Ms,
 		HistogramBuckets:   len(mids),
 		SnapshotsPublished: pub.Version(),
-		SighupReloads:      reloads.Load(),
-		VersionRegressions: regressions.Load(),
+		SighupReloads:      reloads,
+		VersionRegressions: ld.regressions,
 		FinalVersionLag:    pub.Version() - probe.Version,
 		BaselineRPS:        baseRow.ThroughputRPS,
 		TrainFinalLoss:     train.res.FinalLoss,

@@ -204,7 +204,6 @@ func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 		return
 	}
 	l.account(msg)
-	l.raw.Add(l.name(msg.Worker), int64(msg.Updates))
 	if msg.Updates == 0 || len(msg.Delta) == 0 {
 		return
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -543,6 +545,49 @@ func TestRealHangTriggersWatchdogRedispatch(t *testing.T) {
 	}
 	if res.FinalLoss >= res.Trace.Points[0].Loss*0.9 {
 		t.Fatalf("training stalled: %v → %v", res.Trace.Points[0].Loss, res.FinalLoss)
+	}
+}
+
+// TestRealResultFinalAtReturn: the run report belongs to the coordinator, so
+// a quarantined straggler that wakes after RunReal has returned — past
+// shutdown's bounded wait — changes neither the update counts nor the
+// utilization trace the caller already holds.
+func TestRealResultFinalAtReturn(t *testing.T) {
+	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
+	cfg.UpdateMode = tensor.UpdateLocked
+	const hang = time.Second
+	cfg.Faults = faults.NewPlan(7, faults.HangAfter(1, 3, hang))
+	cfg.Watchdog = &WatchdogConfig{Slack: 4, Floor: 30 * time.Millisecond}
+	before := runtime.NumGoroutine()
+	res, err := RunReal(context.Background(), cfg, realBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w1 := res.Health.Workers[1]; w1.State != WorkerQuarantined {
+		t.Fatalf("worker 1 not quarantined: %+v\n%s", w1, res.Events)
+	}
+	report := func() (map[string]int64, map[string][]float64) {
+		util := map[string][]float64{}
+		for _, d := range res.Utilization.Devices() {
+			util[d] = res.Utilization.Series(d, 2*hang, 4*time.Millisecond)
+		}
+		return res.Updates.Snapshot(), util
+	}
+	updates, util := report()
+	// The straggler's goroutine ends once its iteration is done.
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the run, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	lateUpdates, lateUtil := report()
+	if !reflect.DeepEqual(updates, lateUpdates) {
+		t.Errorf("updates changed after return: %v → %v", updates, lateUpdates)
+	}
+	if !reflect.DeepEqual(util, lateUtil) {
+		t.Error("utilization changed after return")
 	}
 }
 

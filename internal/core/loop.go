@@ -235,7 +235,6 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 		l.global.CopyFrom(cfg.InitialParams)
 	}
 	l.modelBytes = l.global.SizeBytes()
-	l.raw.Mirror(l.rm.updates)
 	l.health = newHealthTracker(cfg, l.events)
 	l.coord.tracker = l.health
 	l.stale = newStaleTracker(cfg, l.health, &l.rm)
@@ -726,8 +725,12 @@ func (l *coordLoop) onLink(ev *transport.Event) {
 	}
 }
 
-// account credits a completion's updates to the scheduling policy.
+// account credits a completion's updates to the run report, the live
+// train_updates_total and the scheduling policy. Every engine's accept comes
+// here, and nothing else writes l.raw: the report has one writer, the loop.
 func (l *coordLoop) account(msg *transport.Done) {
+	l.raw.Add(l.name(msg.Worker), int64(msg.Updates))
+	l.rm.updates.Add(int64(msg.Updates))
 	l.coord.reportUpdates(msg.Worker, int64(msg.Updates))
 	if msg.Dropped > 0 {
 		l.drop(msg.Worker, int64(msg.Dropped), "drop", fmt.Sprintf("%d non-finite updates discarded", msg.Dropped))

@@ -194,8 +194,7 @@ func (x *localExec) iterate(w *worker, batch data.Batch, lr float64) (out transp
 	t1 := l.now()
 	l.tel.Span(w.id, telemetry.KindGradient, t0, t1-t0, int64(batch.Size()))
 	l.tel.Span(w.id, telemetry.KindApply, t1, 0, int64(out.Updates))
-	l.util.AddBusy(w.name, t0, t1, w.wc.Device.Utilization(l.net.Arch, batch.Size()))
-	l.raw.Add(w.name, int64(out.Updates))
+	w.ranFrom, w.ranTo, w.ranEff = t0, t1, w.wc.Device.Utilization(l.net.Arch, batch.Size())
 	return out
 }
 
@@ -245,10 +244,16 @@ func (x *localExec) attach(context.Context) ([]int, error) {
 
 func (x *localExec) decorate(_ int, w transport.Work) transport.Work { return w }
 
-// accept: the updates landed in the shared model before the completion was
-// sent, so even a quarantined straggler's count (documented at-least-once
-// semantics under timeouts).
-func (x *localExec) accept(msg *transport.Done, _ *inflightDispatch) { x.l.account(msg) }
+// accept books the worker's compute interval into the utilization trace and
+// credits its updates. They landed in the shared model before the completion
+// was sent, so even a quarantined straggler's count (documented at-least-once
+// semantics under timeouts) — while the loop runs: one that wakes after
+// RunReal has returned still writes the model, but not the report.
+func (x *localExec) accept(msg *transport.Done, _ *inflightDispatch) {
+	w := x.l.workers[msg.Worker]
+	x.l.util.AddBusy(w.name, w.ranFrom, w.ranTo, w.ranEff)
+	x.l.account(msg)
+}
 
 func (x *localExec) spawn(id int) { x.start(x.build(id)) }
 
@@ -262,7 +267,8 @@ func (x *localExec) shutdown() {
 	} else {
 		// A quarantined worker may be hung far beyond the budget; bound the
 		// wait and let stragglers drain on their own — every shared
-		// structure they touch afterwards is synchronized or closed.
+		// structure they touch afterwards is synchronized or closed, and the
+		// run report is not among them.
 		done := make(chan struct{})
 		go func() { x.wg.Wait(); close(done) }()
 		select {

@@ -19,6 +19,11 @@ type BatchEvent struct {
 }
 
 // Result captures everything the paper measures about one training run.
+// The run's coordinator is the only writer of its report (Trace, Updates,
+// Utilization, Health, Events, Staleness), which is final when the engine
+// returns. Params is the shared model itself: on RunReal a quarantined
+// straggler that wakes after the return still lands its update there, the
+// documented at-least-once of shared memory.
 type Result struct {
 	// Algorithm identifies the run.
 	Algorithm Algorithm

@@ -83,7 +83,7 @@ type simIter struct {
 	deliver func()
 	// deferred marks a deep step, which copies the model at Send and steps
 	// at completion: batch, lr and corrupt are its dispatch's, seen the
-	// run's update count at the copy.
+	// run's credited update count at the copy.
 	deferred bool
 	batch    data.Batch
 	lr       float64
@@ -214,18 +214,16 @@ func (x *simExec) Send(id int, m transport.Work) error {
 		// the shared model one after another, now — sequentialized Hogwild,
 		// the event-driven equivalent of Algorithm 2's parallel loop.
 		it.done.Updates, it.done.Dropped = l.step.iterate(w, l.global, batch, m.LR, fault.Corrupt)
-		if n := it.done.Updates; n > 0 {
-			l.raw.Add(w.name, int64(n))
-		}
 	}
 	x.eng.Schedule(dur, it.deliver)
 	return nil
 }
 
 // accept runs a deep step's steps — it had to wait for the iteration's
-// virtual time to pass — and credits the scheduler. A quarantined or evicted
-// straggler's update lands too: the documented at-least-once of shared
-// memory.
+// virtual time to pass — and credits the completion. StaleDamping counts the
+// updates the step missed as those credited between its dispatch and now.
+// A quarantined or evicted straggler's update lands too: the documented
+// at-least-once of shared memory.
 func (x *simExec) accept(msg *transport.Done, _ *inflightDispatch) {
 	l, w, it := x.l, x.l.workers[msg.Worker], &x.iters[msg.Worker]
 	if it.deferred {
@@ -235,9 +233,6 @@ func (x *simExec) accept(msg *transport.Done, _ *inflightDispatch) {
 			lr /= 1 + d*float64(l.raw.Total()-it.seen)
 		}
 		msg.Updates, msg.Dropped = l.step.steps(w, w.replica, l.global, it.batch, lr, it.corrupt)
-		if msg.Updates > 0 {
-			l.raw.Add(w.name, int64(msg.Updates))
-		}
 	}
 	l.tel.Span(w.id, telemetry.KindApply, x.eng.Now(), 0, int64(msg.Updates))
 	l.account(msg)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"heterosgd/internal/data"
 	"heterosgd/internal/device"
@@ -51,6 +52,11 @@ type worker struct {
 	// run on, or DC-ASGD's retained w_then. Nil when nothing reads one.
 	replica *nn.Params
 	view    data.Views // header of the dispatched batch
+	// ranFrom and ranTo bound a live worker's last compute on the run clock
+	// and ranEff is its modeled efficiency. The worker stores them before its
+	// Done, whose arrival orders localExec.accept's read after the write.
+	ranFrom, ranTo time.Duration
+	ranEff         float64
 	// A live CPU worker's lanes each run on a goroutine of their own for as
 	// long as the worker's does: jobs[i] feeds lane i, busy counts the lanes
 	// still inside the current dispatch, updates the sub-batches that landed,

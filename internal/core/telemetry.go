@@ -35,7 +35,7 @@ func (c *Config) coordRing() int { return c.Capacity() }
 // With a nil registry every instrument is nil, and every record is a no-op
 // behind a single nil check.
 type runMetrics struct {
-	updates     *telemetry.Counter // model updates applied (mirrors UpdateCounter)
+	updates     *telemetry.Counter // model updates applied (credited beside Result.Updates)
 	examples    *telemetry.Counter // examples dispatched to workers
 	redispatch  *telemetry.Counter // batches re-routed after crash/timeout
 	dropped     *telemetry.Counter // non-finite updates discarded by guards

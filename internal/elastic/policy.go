@@ -61,29 +61,59 @@ type Policy interface {
 	String() string
 }
 
+// Debounce is the hysteresis every grow/shrink controller shares: a raw
+// Grow or Shrink takes effect only once DebounceWindows consecutive windows
+// have raised it, and a Hold window resets the streak, so one noisy window
+// cannot thrash what it controls. LoadPolicy debounces membership with it,
+// the serving batch controller its micro-batch ceiling.
+type Debounce struct {
+	last   Decision
+	streak int
+}
+
+// DebounceWindows is how many consecutive agreeing windows a Debounce waits
+// for before it acts.
+const DebounceWindows = 2
+
+// Confirm folds one window's raw signal into the streak and returns it when
+// the streak is complete (starting the next one), Hold otherwise.
+func (d *Debounce) Confirm(raw Decision) Decision {
+	if raw == Hold {
+		d.last, d.streak = Hold, 0
+		return Hold
+	}
+	if raw == d.last {
+		d.streak++
+	} else {
+		d.last, d.streak = raw, 1
+	}
+	if d.streak < DebounceWindows {
+		return Hold
+	}
+	d.streak = 0
+	return raw
+}
+
 // LoadPolicy is the shipped telemetry-driven policy: it compares how long
 // dispatches wait against how long they compute. When queue wait dominates
 // compute, work is starving for workers and the set should grow; when queue
 // wait is negligible and the marginal worker's modeled cost exceeds the
 // observed compute span (it would finish after everyone else anyway), the
-// set should shrink. Hysteresis requires the same raw signal on several
-// consecutive samples before acting, so one noisy epoch cannot thrash
-// membership.
+// set should shrink. A Debounce requires the same raw signal on consecutive
+// samples before acting, so one noisy epoch cannot thrash membership.
 type LoadPolicy struct {
-	last   Decision
-	streak int
+	debounce Debounce
 }
 
 // LoadPolicy's thresholds: grow when dispatches wait longer than growRatio
 // of their compute time; shrink when waiting is under shrinkRatio of compute
 // and the marginal worker is modeled at ≥ shrinkCostFactor × the observed
 // mean compute span (the retiree is a straggler by the cost model's
-// account); either only after loadHysteresis consecutive agreeing samples.
+// account); either only after DebounceWindows consecutive agreeing samples.
 const (
 	growRatio        = 0.5
 	shrinkRatio      = 0.05
 	shrinkCostFactor = 2.0
-	loadHysteresis   = 2
 )
 
 // NewLoadPolicy returns the shipped policy.
@@ -92,7 +122,7 @@ func NewLoadPolicy() *LoadPolicy { return &LoadPolicy{} }
 // String describes the policy's thresholds.
 func (p *LoadPolicy) String() string {
 	return fmt.Sprintf("load(grow>%.2g, shrink<%.2g, cost×%.2g, hysteresis %d)",
-		growRatio, shrinkRatio, shrinkCostFactor, loadHysteresis)
+		growRatio, shrinkRatio, shrinkCostFactor, DebounceWindows)
 }
 
 // Decide implements Policy.
@@ -112,18 +142,5 @@ func (p *LoadPolicy) Decide(s Sample) Decision {
 			raw = Shrink
 		}
 	}
-	if raw == Hold {
-		p.last, p.streak = Hold, 0
-		return Hold
-	}
-	if raw == p.last {
-		p.streak++
-	} else {
-		p.last, p.streak = raw, 1
-	}
-	if p.streak >= loadHysteresis {
-		p.streak = 0
-		return raw
-	}
-	return Hold
+	return p.debounce.Confirm(raw)
 }

@@ -9,7 +9,8 @@ import (
 
 // TestTelemetryOverheadGuard is the telemetry layer's acceptance gate: a
 // fixed-seed sim run with the tracer and metrics registry attached must
-// cost no more than 5% wall clock over the identical untraced run. The row
+// cost no more than 5% wall clock over the identical untraced run, in the
+// median of five interleaved off/on pairs. The row
 // is written the way results/BENCH_telemetry.json stores it, but into the
 // test's temp dir: the committed artifact regenerates only through
 // `hogbench -exp telbench -benchjson results/BENCH_telemetry.json`.

@@ -11,10 +11,7 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
-
-	"heterosgd/internal/telemetry"
 )
 
 // LossPoint is one loss observation, stamped with both the elapsed
@@ -105,11 +102,10 @@ func Normalize(traces []*Trace, base float64) []*Trace {
 }
 
 // UpdateCounter tracks the number of model updates performed by each worker
-// (Figure 8). It is safe for concurrent use.
+// (Figure 8). It is not safe for concurrent use: a run's coordinator is its
+// only writer, and its readers come after the run.
 type UpdateCounter struct {
-	mu     sync.Mutex
 	counts map[string]int64
-	mirror *telemetry.Counter
 }
 
 // NewUpdateCounter returns an empty counter.
@@ -117,34 +113,18 @@ func NewUpdateCounter() *UpdateCounter {
 	return &UpdateCounter{counts: make(map[string]int64)}
 }
 
-// Mirror additionally feeds every Add into t (a live telemetry counter such
-// as train_updates_total), so a /metrics scrape sees update progress without
-// taking this counter's lock. A nil t detaches the mirror.
-func (c *UpdateCounter) Mirror(t *telemetry.Counter) {
-	c.mu.Lock()
-	c.mirror = t
-	c.mu.Unlock()
-}
-
 // Add credits worker with n updates.
 func (c *UpdateCounter) Add(worker string, n int64) {
-	c.mu.Lock()
 	c.counts[worker] += n
-	c.mirror.Add(n)
-	c.mu.Unlock()
 }
 
 // Get returns worker's update count.
 func (c *UpdateCounter) Get(worker string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.counts[worker]
 }
 
 // Total returns the sum over all workers.
 func (c *UpdateCounter) Total() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var sum int64
 	for _, v := range c.counts {
 		sum += v
@@ -154,8 +134,6 @@ func (c *UpdateCounter) Total() int64 {
 
 // Snapshot returns a copy of the per-worker counts.
 func (c *UpdateCounter) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make(map[string]int64, len(c.counts))
 	for k, v := range c.counts {
 		out[k] = v
@@ -165,12 +143,7 @@ func (c *UpdateCounter) Snapshot() map[string]int64 {
 
 // Share returns worker's fraction of all updates (0 when nothing recorded).
 func (c *UpdateCounter) Share(worker string) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var sum int64
-	for _, v := range c.counts {
-		sum += v
-	}
+	sum := c.Total()
 	if sum == 0 {
 		return 0
 	}
@@ -192,11 +165,9 @@ type Event struct {
 	Detail string
 }
 
-// EventLog records fault-tolerance incidents in occurrence order. It is
-// safe for concurrent use; the simulated engine also uses it
-// single-threaded.
+// EventLog records fault-tolerance incidents in occurrence order. Like
+// UpdateCounter it has one writer, the run's coordinator.
 type EventLog struct {
-	mu     sync.Mutex
 	events []Event
 }
 
@@ -205,31 +176,23 @@ func NewEventLog() *EventLog { return &EventLog{} }
 
 // Add appends an incident.
 func (l *EventLog) Add(at time.Duration, worker, kind, detail string) {
-	l.mu.Lock()
 	l.events = append(l.events, Event{At: at, Worker: worker, Kind: kind, Detail: detail})
-	l.mu.Unlock()
 }
 
 // AddEvent appends a pre-built incident — resume seeds the log with the
 // checkpoint's history so a restarted run's audit trail spans every
 // incarnation.
 func (l *EventLog) AddEvent(e Event) {
-	l.mu.Lock()
 	l.events = append(l.events, e)
-	l.mu.Unlock()
 }
 
 // Events returns a copy of the recorded incidents.
 func (l *EventLog) Events() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return append([]Event(nil), l.events...)
 }
 
 // Count returns the number of incidents of the given kind.
 func (l *EventLog) Count(kind string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	n := 0
 	for _, e := range l.events {
 		if e.Kind == kind {
@@ -241,8 +204,6 @@ func (l *EventLog) Count(kind string) int {
 
 // String renders the log one incident per line.
 func (l *EventLog) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var b strings.Builder
 	for _, e := range l.events {
 		fmt.Fprintf(&b, "%12v %-8s %-10s %s\n", e.At.Round(time.Microsecond), e.Worker, e.Kind, e.Detail)
@@ -257,9 +218,9 @@ type busyInterval struct {
 }
 
 // UtilizationTrace records weighted busy intervals per device and bins them
-// into a utilization-versus-time series (Figure 7). Safe for concurrent use.
+// into a utilization-versus-time series (Figure 7). Like UpdateCounter it has
+// one writer, the run's coordinator.
 type UtilizationTrace struct {
-	mu        sync.Mutex
 	intervals map[string][]busyInterval
 }
 
@@ -274,15 +235,11 @@ func (u *UtilizationTrace) AddBusy(device string, from, to time.Duration, effici
 	if to <= from {
 		return
 	}
-	u.mu.Lock()
 	u.intervals[device] = append(u.intervals[device], busyInterval{from, to, efficiency})
-	u.mu.Unlock()
 }
 
 // Devices returns the recorded device names, sorted.
 func (u *UtilizationTrace) Devices() []string {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	names := make([]string, 0, len(u.intervals))
 	for k := range u.intervals {
 		names = append(names, k)
@@ -299,10 +256,7 @@ func (u *UtilizationTrace) Series(device string, horizon, bin time.Duration) []f
 	}
 	n := int((horizon + bin - 1) / bin)
 	out := make([]float64, n)
-	u.mu.Lock()
-	spans := u.intervals[device]
-	u.mu.Unlock()
-	for _, s := range spans {
+	for _, s := range u.intervals[device] {
 		lo, hi := s.from, s.to
 		if hi > horizon {
 			hi = horizon

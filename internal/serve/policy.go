@@ -5,36 +5,10 @@ import (
 	"math"
 
 	"heterosgd/internal/device"
+	"heterosgd/internal/elastic"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/telemetry"
 )
-
-// Decision is the adaptive batch controller's verdict for one decision
-// window, mirroring elastic.Decision.
-type Decision int
-
-const (
-	// Hold keeps the current micro-batch ceiling.
-	Hold Decision = iota
-	// Grow doubles the ceiling (clamped to the configured max).
-	Grow
-	// Shrink halves the ceiling (clamped to the configured min).
-	Shrink
-)
-
-// String returns the decision name.
-func (d Decision) String() string {
-	switch d {
-	case Hold:
-		return "hold"
-	case Grow:
-		return "grow"
-	case Shrink:
-		return "shrink"
-	default:
-		return "unknown"
-	}
-}
 
 // PolicyConfig bounds an AdaptivePolicy and names the cost model it judges
 // a doubling on.
@@ -91,10 +65,6 @@ const (
 	// single-bucket jitter between windows blocks growth forever; 4
 	// tolerates one-bucket moves and blocks on two or more.
 	p99Factor = 4
-	// policyHysteresis is the number of consecutive windows with the same
-	// raw signal required before the ceiling moves, exactly the
-	// elastic.LoadPolicy debounce.
-	policyHysteresis = 2
 )
 
 // soloBatchMean is the mean batch size at or below which a window reads as
@@ -107,8 +77,8 @@ const soloBatchMean = 1.05
 // still promises a per-example win from doubling, and the latency tail is
 // not deteriorating; it shrinks when the backlog is gone and batches run
 // mostly empty (a large ceiling then only adds MaxWait coalescing latency).
-// Hysteresis requires the same raw signal across consecutive windows before
-// acting, so one bursty window cannot thrash the ceiling.
+// An elastic.Debounce requires the same raw signal across consecutive windows
+// before acting, so one bursty window cannot thrash the ceiling.
 //
 // The policy is deterministic and wall-clock free — windows advance by served
 // batch count and every input is an explicit argument — so its behaviour is
@@ -123,9 +93,7 @@ type AdaptivePolicy struct {
 	examples  int64
 	queueHigh bool
 
-	// Hysteresis state (same shape as elastic.LoadPolicy).
-	last   Decision
-	streak int
+	debounce elastic.Debounce
 
 	prevP99 float64
 	changes int64
@@ -147,7 +115,7 @@ func (p *AdaptivePolicy) Changes() int64 { return p.changes }
 // String describes the policy's configuration and current ceiling.
 func (p *AdaptivePolicy) String() string {
 	return fmt.Sprintf("adaptive(ceil %d in [%d,%d], cadence %d, hysteresis %d)",
-		p.ceil, p.cfg.Min, p.cfg.Max, policyCadence, policyHysteresis)
+		p.ceil, p.cfg.Min, p.cfg.Max, policyCadence, elastic.DebounceWindows)
 }
 
 // Observe folds one served batch into the current decision window and
@@ -177,36 +145,26 @@ func (p *AdaptivePolicy) Decide(windowP99Ms float64) (ceil int, changed bool) {
 	prev := p.prevP99
 	p.prevP99 = windowP99Ms
 
-	raw := Hold
+	raw := elastic.Hold
 	switch {
 	case queueHigh && p.ceil < p.cfg.Max &&
 		modelGain(p.cfg.Dev, p.cfg.Arch, p.ceil) >= 1+gainEps &&
 		(prev == 0 || windowP99Ms == 0 || windowP99Ms <= p99Factor*prev):
-		raw = Grow
+		raw = elastic.Grow
 	case !queueHigh && (fill <= shrinkFill || mean <= soloBatchMean) && p.ceil > p.cfg.Min:
 		// No backlog and underfilled, or batches average a lone request —
 		// the latter matters at small ceilings where the minimum
 		// representable fill (1/ceiling) already exceeds shrinkFill, e.g.
 		// fill 0.5 at ceiling 2. No coalescing is happening, so the
 		// ceiling only buys MaxWait latency.
-		raw = Shrink
+		raw = elastic.Shrink
 	}
-	if raw == Hold {
-		p.last, p.streak = Hold, 0
+	switch p.debounce.Confirm(raw) {
+	case elastic.Hold:
 		return p.ceil, false
-	}
-	if raw == p.last {
-		p.streak++
-	} else {
-		p.last, p.streak = raw, 1
-	}
-	if p.streak < policyHysteresis {
-		return p.ceil, false
-	}
-	p.streak = 0
-	if raw == Grow {
+	case elastic.Grow:
 		p.ceil = min(p.ceil*2, p.cfg.Max)
-	} else {
+	default:
 		p.ceil = max(p.ceil/2, p.cfg.Min)
 	}
 	p.changes++

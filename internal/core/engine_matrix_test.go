@@ -29,7 +29,7 @@ func TestAlgorithmEngineMatrix(t *testing.T) {
 		run  func(t *testing.T, cfg Config) (*Result, error)
 	}{
 		{"sim", engineSim, func(t *testing.T, cfg Config) (*Result, error) {
-			// A finite loss needs no long horizon, and the single-threaded
+			// A finite loss needs no long horizon, and the simulated
 			// engine is slow under the race detector.
 			return RunSim(context.Background(), cfg, simHorizon/10)
 		}},

@@ -139,9 +139,11 @@ func runGolden(t *testing.T, name string, cfg Config, recovery bool) goldenTrace
 
 // TestGoldenTraces pins the sim engine's exact training trajectories: every
 // fixed-seed run of the seven algorithms and the recovery scenarios must
-// reproduce the checked-in loss trace (and, for scenarios, the counters). The sim engine is deterministic (virtual clock, single-threaded
-// kernels), so any drift here means a numerical change somewhere in the
-// data→tensor→nn→core stack — intended changes regenerate the file with
+// reproduce the checked-in loss trace (and, for scenarios, the counters).
+// The sim engine is deterministic (virtual clock, one writer, kernels whose
+// bits do not depend on how many cores they fork across), so any drift here
+// means a numerical change somewhere in the data→tensor→nn→core stack —
+// intended changes regenerate the file with
 // `go test ./internal/core/ -run TestGoldenTraces -update-golden`.
 func TestGoldenTraces(t *testing.T) {
 	path := filepath.Join("testdata", "golden_traces.json")

@@ -160,7 +160,6 @@ type coordLoop struct {
 	trans  transport.Transport
 	ctx    context.Context
 	budget time.Duration
-	gemm   int
 	// step is the run's per-lane update rule; workers holds, by id, the
 	// in-process workers it runs on (a cluster run's live in other
 	// processes).
@@ -226,7 +225,6 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 		trans:          trans,
 		ctx:            ctx,
 		budget:         budget,
-		gemm:           runtime.GOMAXPROCS(0),
 		tr:             &TransportReport{},
 		busy:           make([]bool, n),
 		feed:           make([][]data.Batch, n),
@@ -244,7 +242,7 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 		l.evalN = cfg.EvalSubset
 	}
 	l.evalWS = l.net.NewWorkspace(l.evalN)
-	l.step = laneStep{net: l.net, decay: cfg.WeightDecay, guard: cfg.Guards, mode: cfg.UpdateMode, gemm: l.gemm, rounds: cfg.rounds()}
+	l.step = laneStep{net: l.net, decay: cfg.WeightDecay, guard: cfg.Guards, mode: cfg.UpdateMode, gemm: runtime.GOMAXPROCS(0), rounds: cfg.rounds()}
 	if cfg.svrgAnchor() {
 		l.step.svrg = newSVRGState(l.net)
 	}

@@ -98,7 +98,7 @@ func (l *coordLoop) name(id int) string { return l.health.report.Workers[id].Wor
 // evalLoss evaluates the loss on the evaluation subset.
 func (l *coordLoop) evalLoss() float64 {
 	v := l.ds.View(0, l.evalN)
-	return l.net.LossX(l.global, l.evalWS, v.Input(), v.Y, l.gemm)
+	return l.net.LossX(l.global, l.evalWS, v.Input(), v.Y, l.step.gemm)
 }
 
 // noteBatch records worker id's batch size in the batch trace when the

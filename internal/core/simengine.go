@@ -56,11 +56,12 @@ func newSimExec(ctx context.Context, cfg *Config, horizon time.Duration) (*simEx
 	if err != nil {
 		return nil, err
 	}
-	// The engine is single-threaded: one GEMM lane, and every telemetry ring
-	// (workers and coordinator alike) obeys the single-writer contract
-	// trivially. Spans are stamped with the virtual clock, so a fixed-seed
-	// run exports a byte-identical Chrome trace.
-	l.gemm, l.step.gemm = 1, 1
+	// The engine runs on one goroutine, so every telemetry ring (workers and
+	// coordinator alike) obeys the single-writer contract trivially; its GEMMs
+	// and evaluations fork across every core (laneStep.gemm), but the kernels'
+	// helpers write no ring, and forkJoin's row chunks leave every output's
+	// bits as one goroutine makes them. Spans are stamped with the virtual
+	// clock, so a fixed-seed run exports a byte-identical Chrome trace.
 	l.exec, x.l = x, l
 	x.evalDev = cfg.EvalDevice
 	if x.evalDev == nil {

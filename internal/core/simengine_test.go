@@ -1,10 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"heterosgd/internal/data"
+	"heterosgd/internal/nn"
 	"heterosgd/internal/tensor"
 )
 
@@ -193,8 +199,8 @@ func TestSimStaleDampingChangesGPUTrajectory(t *testing.T) {
 }
 
 func TestSimUpdateModesAgreeSingleThreaded(t *testing.T) {
-	// The sim engine is single-threaded, so atomic and racy updates must
-	// produce bit-identical runs.
+	// The sim engine writes the model from one goroutine, so atomic and
+	// racy updates must produce bit-identical runs.
 	a := tinyConfig(t, AlgCPUGPUHogbatch)
 	a.UpdateMode = tensor.UpdateAtomic
 	b := tinyConfig(t, AlgCPUGPUHogbatch)
@@ -246,5 +252,61 @@ func TestSimMinLossLEFinal(t *testing.T) {
 	}
 	if res.MinLoss != res.FinalLoss && res.MinLoss > res.FinalLoss {
 		t.Fatal("MinLoss exceeds FinalLoss")
+	}
+}
+
+// TestSimGemmWidthInvariant pins that the simulated engine's results do not
+// depend on how many cores its GEMMs and evaluations fork across: the same
+// fixed-seed run under GOMAXPROCS 1 and 2 — Adaptive Hogbatch on dense
+// covtype, and on a CSR first layer — gives the same loss-trace bits, update
+// counts, final batch sizes and final-parameter bytes. The shapes are large
+// enough that GPU steps, sub-batches of 64 rows or more and the loss
+// evaluations cross forkJoin's threshold.
+func TestSimGemmWidthInvariant(t *testing.T) {
+	dense := data.Covtype.Scaled(0.002)
+	sparse := data.RealSim.Scaled(0.002)
+	for _, tc := range []struct {
+		name string
+		ds   func(data.SynthSpec) *data.Dataset
+		spec data.SynthSpec
+	}{
+		{"dense covtype", func(s data.SynthSpec) *data.Dataset { return data.Generate(s, 3) }, dense},
+		{"CSR real-sim", func(s data.SynthSpec) *data.Dataset { return data.GenerateCSR(s, 3) }, sparse},
+	} {
+		tc.spec.HiddenLayers, tc.spec.HiddenUnits = 2, 64
+		run := func(procs int) (*Result, []byte) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			// A fresh dataset per run: shuffling reorders it in place.
+			cfg := NewConfig(AlgAdaptiveHogbatch, nn.MustNetwork(tc.spec.Arch()), tc.ds(tc.spec),
+				Preset{CPUThreads: 4, CPUMinPerThread: 1, CPUMaxPerThread: 64, GPUMin: 128, GPUMax: 1024})
+			cfg.Seed, cfg.Shuffle, cfg.BaseLR = 5, true, 0.01
+			cfg.SampleEvery = 200 * time.Microsecond
+			res, err := RunSim(context.Background(), cfg, 2*time.Millisecond)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			var params bytes.Buffer
+			if err := nn.WriteParams(&params, res.Params); err != nil {
+				t.Fatal(err)
+			}
+			return res, params.Bytes()
+		}
+		one, oneParams := run(1)
+		two, twoParams := run(2)
+		if len(one.Trace.Points) != len(two.Trace.Points) {
+			t.Fatalf("%s: %d loss points on one core, %d on two", tc.name, len(one.Trace.Points), len(two.Trace.Points))
+		}
+		for i, p := range one.Trace.Points {
+			if q := two.Trace.Points[i]; math.Float64bits(p.Loss) != math.Float64bits(q.Loss) || p.Time != q.Time {
+				t.Fatalf("%s: point %d is %v at %v on one core, %v at %v on two", tc.name, i, p.Loss, p.Time, q.Loss, q.Time)
+			}
+		}
+		if !reflect.DeepEqual(one.Updates.Snapshot(), two.Updates.Snapshot()) || !reflect.DeepEqual(one.FinalBatch, two.FinalBatch) {
+			t.Fatalf("%s: updates %v / batches %v on one core, %v / %v on two", tc.name,
+				one.Updates.Snapshot(), one.FinalBatch, two.Updates.Snapshot(), two.FinalBatch)
+		}
+		if !bytes.Equal(oneParams, twoParams) {
+			t.Fatalf("%s: the final parameters differ between one core and two", tc.name)
+		}
 	}
 }

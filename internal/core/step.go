@@ -119,7 +119,8 @@ type laneStep struct {
 	guard bool    // drop non-finite gradients before they reach the model
 	mode  tensor.UpdateMode
 	// gemm is the GEMM parallelism of a step the worker's own goroutine
-	// takes; lane goroutines, running side by side, take theirs on one.
+	// takes, one or a sub-batch in turn; lane goroutines, running side by
+	// side, take theirs on one.
 	gemm int
 	// rounds makes every dispatch a round share (Config.rounds()).
 	rounds bool
@@ -183,14 +184,8 @@ func (s *laneStep) steps(w *worker, read, model *nn.Params, batch data.Batch, lr
 	if w.jobs != nil {
 		updates = w.fan(read, model, batch, t, lr, corrupt)
 	} else {
-		// A lone step takes the GEMM parallelism s.gemm; sub-batches in turn
-		// take one each, like lanes running side by side.
-		gemm := s.gemm
-		if t > 1 {
-			gemm = 1
-		}
 		for i := 0; i < t; i++ {
-			if s.run(&w.lanes[0], read, model, laneSub(&w.lanes[0], batch, i, t), lr, gemm, corrupt) {
+			if s.run(&w.lanes[0], read, model, laneSub(&w.lanes[0], batch, i, t), lr, s.gemm, corrupt) {
 				updates++
 			}
 		}

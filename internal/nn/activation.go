@@ -9,6 +9,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"heterosgd/internal/tensor"
 )
 
 // ActKind identifies an element-wise activation function.
@@ -59,23 +61,11 @@ func ParseActKind(name string) (ActKind, error) {
 	}
 }
 
-// Sigmoid returns 1/(1+e^-x) computed in a branch that avoids overflow for
-// large negative inputs.
-func Sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
-}
-
 // applyActivation transforms pre-activations z into activations in place.
 func applyActivation(k ActKind, data []float64) {
 	switch k {
 	case ActSigmoid:
-		for i, v := range data {
-			data[i] = Sigmoid(v)
-		}
+		tensor.SigmoidSlice(data)
 	case ActReLU:
 		for i, v := range data {
 			if v < 0 {

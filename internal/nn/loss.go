@@ -95,21 +95,15 @@ func softmaxCELoss(logits *tensor.Matrix, y Labels) float64 {
 // cross-entropy (summed over labels, averaged over examples — the delicious
 // multi-label objective) and writes dL/dlogits = σ(z) − y into delta.
 func sigmoidBCEBackward(logits *tensor.Matrix, y Labels, delta *tensor.Matrix) float64 {
-	total := 0.0
 	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
 		drow := delta.Row(i)
-		for j, z := range row {
-			// Stable: log(1+e^z) − y·z = max(z,0) − y·z + log(1+e^{−|z|})
-			total += math.Max(z, 0) + math.Log1p(math.Exp(-math.Abs(z)))
-			drow[j] = Sigmoid(z)
-		}
+		copy(drow, logits.Row(i))
+		tensor.SigmoidSlice(drow)
 		for _, lbl := range y.Multi[i] {
-			total -= row[lbl]
 			drow[lbl] -= 1
 		}
 	}
-	return total / float64(logits.Rows)
+	return sigmoidBCELoss(logits, y)
 }
 
 // sigmoidBCELoss is sigmoidBCEBackward without the gradient.
@@ -118,6 +112,7 @@ func sigmoidBCELoss(logits *tensor.Matrix, y Labels) float64 {
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)
 		for _, z := range row {
+			// Stable: log(1+e^z) − y·z = max(z,0) − y·z + log(1+e^{−|z|})
 			total += math.Max(z, 0) + math.Log1p(math.Exp(-math.Abs(z)))
 		}
 		for _, lbl := range y.Multi[i] {

@@ -12,11 +12,11 @@ import (
 func TestSigmoidStable(t *testing.T) {
 	cases := map[float64]float64{0: 0.5, 1000: 1, -1000: 0}
 	for in, want := range cases {
-		if got := Sigmoid(in); math.Abs(got-want) > 1e-12 {
+		if got := tensor.Sigmoid(in); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("Sigmoid(%v) = %v, want %v", in, got, want)
 		}
 	}
-	if got := Sigmoid(2); math.Abs(got-1/(1+math.Exp(-2))) > 1e-15 {
+	if got := tensor.Sigmoid(2); math.Abs(got-1/(1+math.Exp(-2))) > 1e-15 {
 		t.Fatalf("Sigmoid(2) = %v", got)
 	}
 }

@@ -500,9 +500,8 @@ func (w *poolWorker) serveBatch(reqs []*request) {
 		row := logits.Row(i)
 		scores := backing[i*logits.Cols : (i+1)*logits.Cols : (i+1)*logits.Cols]
 		if multiLabel {
-			for j, v := range row {
-				scores[j] = nn.Sigmoid(v)
-			}
+			copy(scores, row)
+			tensor.SigmoidSlice(scores)
 		} else {
 			softmaxInto(row, scores)
 		}

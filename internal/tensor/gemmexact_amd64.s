@@ -495,3 +495,98 @@ store4:
 rowDone:
 	VZEROUPPER
 	RET
+
+// The sigmoid kernel's constants: math.Exp's (exp_amd64.s) as it spells them,
+// then the kernel's own. Each is broadcast to four lanes where it is used.
+DATA sigmoidc<>+0(SB)/8, $1.4426950408889634073599246810018920 // LOG2E
+DATA sigmoidc<>+8(SB)/8, $0.69314718055966295651160180568695068359375 // LN2U
+DATA sigmoidc<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA sigmoidc<>+24(SB)/8, $0.0625
+DATA sigmoidc<>+32(SB)/8, $2.4801587301587301587e-5
+DATA sigmoidc<>+40(SB)/8, $1.9841269841269841270e-4
+DATA sigmoidc<>+48(SB)/8, $1.3888888888888888889e-3
+DATA sigmoidc<>+56(SB)/8, $8.3333333333333333333e-3
+DATA sigmoidc<>+64(SB)/8, $4.1666666666666666667e-2
+DATA sigmoidc<>+72(SB)/8, $1.6666666666666666667e-1
+DATA sigmoidc<>+80(SB)/8, $0.5
+DATA sigmoidc<>+88(SB)/8, $1.0
+DATA sigmoidc<>+96(SB)/8, $2.0
+DATA sigmoidc<>+104(SB)/8, $0x8000000000000000 // sign bit
+DATA sigmoidc<>+112(SB)/8, $-708.0 // the kernel's lower bound on −|x|
+DATA sigmoidc<>+120(SB)/8, $1023 // exponent bias
+GLOBL sigmoidc<>(SB), RODATA, $128
+
+// TAYLOR(off): Y4 = Y1·Y4 + c, c the constant at sigmoidc+off.
+#define TAYLOR(off) \
+	VBROADCASTSD sigmoidc<>+off(SB), Y6; \
+	VFMADD213PD Y6, Y1, Y4
+
+// func sigmoidAVX(d *float64, n int) int
+//
+// d[i] = Sigmoid(d[i]) for i < n (n a multiple of 4), a quad at a time, and
+// returns how many it did: it stops at the first quad with a lane whose −|x|
+// is below −708 or not finite, which the caller gives to the scalar formula.
+// Both of Sigmoid's branches take exp(−|x|) (exp(±0) is 1 either way), and
+// inside the bound that is math.Exp's FMA path (exp_amd64.s, avxfma), lane for
+// lane: the same operations on the same constants, so the same bits. Its FMAs
+// are math.Exp's own, and exactKernels implies math's useFMA. Then
+// (x < 0 ? e : 1) / (1 + e), each one IEEE operation, as Sigmoid has it.
+TEXT ·sigmoidAVX(SB), NOSPLIT, $0-24
+	MOVQ d+0(FP), DI
+	MOVQ n+8(FP), CX
+	XORQ AX, AX
+	VBROADCASTSD sigmoidc<>+0(SB), Y13  // LOG2E
+	VBROADCASTSD sigmoidc<>+8(SB), Y12  // LN2U
+	VBROADCASTSD sigmoidc<>+16(SB), Y11 // LN2L
+	VBROADCASTSD sigmoidc<>+24(SB), Y10 // 1/16
+	VBROADCASTSD sigmoidc<>+96(SB), Y9  // 2
+	VBROADCASTSD sigmoidc<>+88(SB), Y8  // 1
+	VBROADCASTSD sigmoidc<>+104(SB), Y15
+	VBROADCASTSD sigmoidc<>+112(SB), Y14
+	VPBROADCASTQ sigmoidc<>+120(SB), Y7
+sigmoidLoop:
+	CMPQ AX, CX
+	JGE  sigmoidDone
+	VMOVUPD (DI)(AX*8), Y0
+	VORPD Y15, Y0, Y1              // t = −|x|
+	VCMPPD $0x1d, Y14, Y1, Y2      // t ≥ −708 (GE_OQ: false for NaN)
+	VMOVMSKPD Y2, BX
+	CMPQ BX, $15
+	JNE  sigmoidDone
+	VMULPD Y13, Y1, Y2             // t·LOG2E
+	VCVTPD2DQY Y2, X3              // k, rounded to nearest as CVTSD2SL does
+	VCVTDQ2PD X3, Y2
+	VFNMADD231PD Y12, Y2, Y1       // t − k·LN2U
+	VFNMADD231PD Y11, Y2, Y1       // − k·LN2L
+	VMULPD Y10, Y1, Y1             // r = ·/16
+	VBROADCASTSD sigmoidc<>+32(SB), Y4
+	TAYLOR(40)
+	TAYLOR(48)
+	TAYLOR(56)
+	TAYLOR(64)
+	TAYLOR(72)
+	TAYLOR(80)
+	TAYLOR(88)
+	VMULPD Y4, Y1, Y5              // y = r·p
+	VADDPD Y9, Y5, Y4              // y = y·(y+2), three times
+	VMULPD Y4, Y5, Y5
+	VADDPD Y9, Y5, Y4
+	VMULPD Y4, Y5, Y5
+	VADDPD Y9, Y5, Y4
+	VMULPD Y4, Y5, Y5
+	VADDPD Y9, Y5, Y4
+	VFMADD213PD Y8, Y4, Y5         // y = (y+2)·y + 1
+	VPMOVSXDQ X3, Y3               // 2^k: (k + 1023) << 52
+	VPADDQ Y7, Y3, Y3
+	VPSLLQ $52, Y3, Y3
+	VMULPD Y3, Y5, Y5              // e = exp(t)
+	VBLENDVPD Y0, Y5, Y8, Y4       // x < 0 ? e : 1 (x's sign bit)
+	VADDPD Y8, Y5, Y5              // 1 + e
+	VDIVPD Y5, Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ $4, AX
+	JMP  sigmoidLoop
+sigmoidDone:
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET

@@ -48,6 +48,9 @@ func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, al
 //go:noescape
 func addScaledAVX(d *float64, a float64, s *float64, n int)
 
+//go:noescape
+func sigmoidAVX(d *float64, n int) int
+
 func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)

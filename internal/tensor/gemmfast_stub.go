@@ -24,3 +24,7 @@ func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, al
 func addScaledAVX(d *float64, a float64, s *float64, n int) {
 	panic("tensor: addScaledAVX called without SIMD support")
 }
+
+func sigmoidAVX(d *float64, n int) int {
+	panic("tensor: sigmoidAVX called without SIMD support")
+}

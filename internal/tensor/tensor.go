@@ -253,3 +253,27 @@ func (v *Vector) Randomize(rng *rand.Rand, stddev float64) {
 		v.Data[i] = rng.NormFloat64() * stddev
 	}
 }
+
+// Sigmoid returns 1/(1+e^-x) computed in a branch that avoids overflow for
+// large negative inputs.
+func Sigmoid(x float64) float64 {
+	if x >= 0 {
+		return 1 / (1 + math.Exp(-x))
+	}
+	e := math.Exp(x)
+	return e / (1 + e)
+}
+
+// SigmoidSlice sets every d[i] to Sigmoid(d[i]): the AVX2 kernel
+// (sigmoidAVX) over whole quads, bit for bit, and Sigmoid itself for the rest
+// and for any quad the kernel stops at.
+func SigmoidSlice(d []float64) {
+	for i := 0; i < len(d); {
+		if exactKernels {
+			i += sigmoidAVX(&d[i], (len(d)-i)&^3)
+		}
+		for end := min(i+4, len(d)); i < end; i++ {
+			d[i] = Sigmoid(d[i])
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 
 	"heterosgd/internal/core"
 	"heterosgd/internal/experiments"
+	"heterosgd/internal/metrics"
 	"heterosgd/internal/tensor"
 )
 
@@ -175,7 +176,7 @@ func BenchmarkAblationUpdateMode(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				updates += res.Updates.Total()
+				updates += res.TotalUpdates()
 				examples += res.ExamplesProcessed
 			}
 			b.ReportMetric(float64(updates)/float64(b.N), "updates/run")
@@ -257,7 +258,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 				}
 				if i == 0 {
 					b.ReportMetric(res.FinalLoss, "final_loss")
-					b.ReportMetric(100*res.Utilization.MeanUtilization("gpu0", res.Duration), "gpu_util_%")
+					b.ReportMetric(100*metrics.MeanUtilization(res.Utilization["gpu0"], res.Duration), "gpu_util_%")
 				}
 			}
 		})

@@ -199,7 +199,7 @@ func main() {
 				"state":       map[bool]string{true: "interrupted", false: "finished"}[res.Interrupted],
 				"epochs":      res.Epochs,
 				"final_loss":  res.FinalLoss,
-				"updates":     res.Updates.Total(),
+				"updates":     res.TotalUpdates(),
 				"queue":       map[string]uint64{"pushed": q.Pushed, "popped": q.Popped, "dropped": q.Dropped},
 				"queues":      liveQueues(),
 				"faulty":      res.Health.Faulty(),

@@ -42,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var gpuUpdates int64
-		for name, n := range res.Updates.Snapshot() {
+		for name, n := range res.Updates {
 			if name[0] == 'g' {
 				gpuUpdates += n
 			}

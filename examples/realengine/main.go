@@ -18,6 +18,7 @@ import (
 
 	"heterosgd/internal/core"
 	"heterosgd/internal/data"
+	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/tensor"
 )
@@ -76,9 +77,9 @@ func main() {
 		fmt.Println("interrupted — partial result:")
 	}
 	fmt.Println(res)
-	for worker, n := range res.Updates.Snapshot() {
+	for worker, n := range res.Updates {
 		fmt.Printf("  %-6s %8d updates, mean utilization %.0f%%\n",
-			worker, n, 100*res.Utilization.MeanUtilization(worker, res.Duration))
+			worker, n, 100*metrics.MeanUtilization(res.Utilization[worker], res.Duration))
 	}
 
 	ws := net.NewWorkspace(ds.N())

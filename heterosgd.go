@@ -42,6 +42,7 @@ import (
 	"heterosgd/internal/core"
 	"heterosgd/internal/data"
 	"heterosgd/internal/faults"
+	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/opt"
 )
@@ -77,7 +78,20 @@ type (
 	Result = core.Result
 	// StalenessReport summarizes applied-update staleness (Result.Staleness).
 	StalenessReport = core.StalenessReport
+	// Busy is one device-busy interval of Result.Utilization.
+	Busy = metrics.Busy
 )
+
+// UtilizationSeries bins a device's busy intervals (Result.Utilization[device])
+// into per-bin utilization over [0, horizon), Figure 7's series.
+func UtilizationSeries(busy []Busy, horizon, bin time.Duration) []float64 {
+	return metrics.Series(busy, horizon, bin)
+}
+
+// MeanUtilization returns a device's average utilization over [0, horizon).
+func MeanUtilization(busy []Busy, horizon time.Duration) float64 {
+	return metrics.MeanUtilization(busy, horizon)
+}
 
 // Network types.
 type (

@@ -39,6 +39,15 @@ func TestFacadeEndToEndSim(t *testing.T) {
 	if res.FinalLoss >= res.Trace.Points[0].Loss*0.5 {
 		t.Fatalf("facade run failed to learn: %v → %v", res.Trace.Points[0].Loss, res.FinalLoss)
 	}
+	// Figure 7 through the facade: the GPU's busy intervals bin to a
+	// utilization in (0, 1].
+	busy := res.Utilization["gpu0"]
+	if m := MeanUtilization(busy, res.Duration); m <= 0 || m > 1 {
+		t.Fatalf("gpu0 mean utilization %v", m)
+	}
+	if s := UtilizationSeries(busy, res.Duration, res.Duration/4); len(s) != 4 {
+		t.Fatalf("gpu0 series %v, want 4 bins", s)
+	}
 }
 
 func TestFacadeEndToEndReal(t *testing.T) {
@@ -52,7 +61,7 @@ func TestFacadeEndToEndReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Updates.Total() == 0 {
+	if res.TotalUpdates() == 0 {
 		t.Fatal("no updates through the facade real engine")
 	}
 }

@@ -235,6 +235,8 @@ func TestWriteRejectsMissingParams(t *testing.T) {
 // memberState returns a run state carrying a mid-churn membership section:
 // one departed slot, one draining, one active, plus in-flight work and
 // transport counters — everything cluster resume must get back verbatim.
+// (The churn, duplicate and abandoned counts are not among them: a resumed
+// run folds them from the header's events.)
 func memberState(t *testing.T, net *nn.Network) *core.RunState {
 	t.Helper()
 	st := testState(t, net)
@@ -248,13 +250,7 @@ func memberState(t *testing.T, net *nn.Network) *core.RunState {
 		Dispatches:      88,
 		Min:             1,
 		Max:             4,
-		Joins:           1,
-		Leaves:          1,
-		Evictions:       1,
-		Rebalances:      3,
 		Peak:            3,
-		Duplicates:      2,
-		Abandoned:       1,
 		Partitions:      1,
 		Reconnects:      1,
 		AppliedExamples: 9001,
@@ -304,6 +300,40 @@ func TestMembershipRoundTrip(t *testing.T) {
 	v1 = append(v1, raw[hdrEnd+4+4+int(memLen)+4:]...)
 	if _, err := Read(bytes.NewReader(v1), net); err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("v1 read: want a refusal naming version 1, got %v", err)
+	}
+}
+
+// TestMembershipParentFormatLoads: a membership section written before the
+// churn, duplicate and abandoned counts became folds over the events still
+// carries those six mirrors. It loads, the mirrors are ignored, and every
+// field that remains comes back.
+func TestMembershipParentFormatLoads(t *testing.T) {
+	net := testNet(t)
+	st := memberState(t, net)
+	var buf bytes.Buffer
+	if err := Write(&buf, st); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	memOff := 12 + int(binary.LittleEndian.Uint32(raw[8:12])) + 4 // after header JSON + header CRC
+	memEnd := memOff + 4 + int(binary.LittleEndian.Uint32(raw[memOff:])) + 4
+
+	old := []byte(`{"states":[0,1,2],"clocks":[12,9,7],"seq_floor":91,"dispatches":88,"min":1,"max":4,` +
+		`"joins":1,"leaves":1,"evictions":1,"rebalances":3,"peak":3,"duplicates":2,"abandoned":1,` +
+		`"partitions":1,"reconnects":1,"applied_examples":9001,` +
+		`"flight":[{"seq":90,"worker":0,"lo":64,"hi":80,"epoch":3},{"seq":91,"worker":-1,"lo":80,"hi":96,"epoch":3}]}`)
+	section := binary.LittleEndian.AppendUint32(nil, uint32(len(old)))
+	section = append(section, old...)
+	section = binary.LittleEndian.AppendUint32(section, crc32.ChecksumIEEE(section))
+	file := append(append(append([]byte(nil), raw[:memOff]...), section...), raw[memEnd:]...)
+
+	back, err := Read(bytes.NewReader(file), net)
+	if err != nil {
+		t.Fatalf("a parent-format membership section must load: %v", err)
+	}
+	statesEqual(t, st, back)
+	if !reflect.DeepEqual(back.Membership, st.Membership) {
+		t.Fatalf("membership changed:\n got %+v\nwant %+v", back.Membership, st.Membership)
 	}
 }
 

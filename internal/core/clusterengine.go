@@ -168,7 +168,7 @@ func (x *clusterExec) attach(ctx context.Context) (joined []int, err error) {
 			if !connected[id] && l.health.ok(id) {
 				connected[id] = true
 				attached++
-				l.events.Add(l.elapsed(), l.name(id), "attach", "worker linked up")
+				l.rec.log(l.elapsed(), l.name(id), "attach", "worker linked up")
 			}
 		case transport.LinkJoin:
 			// An elastic joiner beat an initial worker to the door; the loop
@@ -199,8 +199,7 @@ func (x *clusterExec) decorate(id int, w transport.Work) transport.Work {
 func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 	l := x.l
 	if fl.abandoned {
-		l.tr.Abandoned++
-		l.events.Add(l.elapsed(), l.name(msg.Worker), "abandoned", fmt.Sprintf("stale completion for seq %d discarded", msg.Seq))
+		l.rec.log(l.elapsed(), l.name(msg.Worker), "abandoned", fmt.Sprintf("stale completion for seq %d discarded", msg.Seq))
 		return
 	}
 	l.account(msg)

@@ -136,7 +136,7 @@ func TestClusterExactlyOnceInvariant(t *testing.T) {
 	if res.FinalLoss >= first {
 		t.Fatalf("cluster run did not learn: loss %v → %v", first, res.FinalLoss)
 	}
-	if res.Updates.Total() == 0 {
+	if res.TotalUpdates() == 0 {
 		t.Fatal("no updates recorded")
 	}
 }
@@ -179,7 +179,7 @@ func TestClusterDuplicatedFailureCrashesOnce(t *testing.T) {
 // they legitimately vary run to run.
 func faultEvents(res *Result) []string {
 	var out []string
-	for _, e := range res.Events.Events() {
+	for _, e := range res.Events {
 		switch e.Kind {
 		case "partition", "readmit", "crash":
 			out = append(out, e.Worker+"/"+e.Kind)
@@ -414,6 +414,9 @@ func TestClusterResumeEquivalence(t *testing.T) {
 	}
 	if res2.Elastic == nil || res2.Elastic.Leaves != 1 {
 		t.Fatalf("restored churn accounting lost the leave: %+v", res2.Elastic)
+	}
+	if got, want := churnCounts(res2.Elastic), churnCounts(res1.Elastic); got != want {
+		t.Fatalf("resumed run reports joins, leaves, evictions, rebalances %v; the uninterrupted run %v", got, want)
 	}
 
 	// Trajectory equivalence from the capture onward.

@@ -43,7 +43,7 @@ func TestSSPStalenessBoundUnderStraggler(t *testing.T) {
 	if res.Staleness.Blocked == 0 {
 		t.Fatalf("straggler run never blocked a dispatch — the gate was not exercised\n%s", res.Staleness)
 	}
-	if res.Epochs <= 0 || res.Updates.Total() == 0 {
+	if res.Epochs <= 0 || res.TotalUpdates() == 0 {
 		t.Fatal("gated run did no work")
 	}
 
@@ -66,7 +66,7 @@ func TestSSPBoundZeroLockstep(t *testing.T) {
 	if res.Staleness.Max != 0 {
 		t.Fatalf("bound 0 run observed staleness %d", res.Staleness.Max)
 	}
-	if res.Updates.Total() == 0 || res.Epochs <= 0 {
+	if res.TotalUpdates() == 0 || res.Epochs <= 0 {
 		t.Fatal("lockstep run made no progress (gate deadlock?)")
 	}
 }
@@ -106,8 +106,8 @@ func TestLocalSGDSyncBaselineEquivalence(t *testing.T) {
 				i, rmb.Trace.Points[i], rls.Trace.Points[i])
 		}
 	}
-	if rmb.Updates.Total() != rls.Updates.Total() {
-		t.Fatalf("update totals differ: %d vs %d", rmb.Updates.Total(), rls.Updates.Total())
+	if rmb.TotalUpdates() != rls.TotalUpdates() {
+		t.Fatalf("update totals differ: %d vs %d", rmb.TotalUpdates(), rls.TotalUpdates())
 	}
 	if d := rmb.Params.MaxAbsDiff(rls.Params); d != 0 {
 		t.Fatalf("final parameters differ by %v — K=1 LocalSGD must be the sync baseline bit for bit", d)
@@ -130,7 +130,7 @@ func TestLocalSGDAveragesAcrossWorkers(t *testing.T) {
 	if res.FinalLoss >= first*0.8 {
 		t.Fatalf("LocalSGD did not learn: %v → %v", first, res.FinalLoss)
 	}
-	snap := res.Updates.Snapshot()
+	snap := res.Updates
 	if len(snap) < 2 {
 		t.Fatalf("expected both workers to contribute local steps, got %v", snap)
 	}
@@ -204,8 +204,8 @@ func TestOmnivoreRoundReference(t *testing.T) {
 	if rel := w.MaxAbsDiff(got) / moved.GradNorm(); rel > 1e-12 {
 		t.Fatalf("two rounds differ from w − LR·Σ(bᵢ/B)·gᵢ by %g of the distance moved", rel)
 	}
-	if res.Updates.Get("cpu0") != res.Updates.Get("gpu0") {
-		t.Fatalf("lockstep violated: %d vs %d steps", res.Updates.Get("cpu0"), res.Updates.Get("gpu0"))
+	if res.Updates["cpu0"] != res.Updates["gpu0"] {
+		t.Fatalf("lockstep violated: %d vs %d steps", res.Updates["cpu0"], res.Updates["gpu0"])
 	}
 }
 
@@ -238,8 +238,8 @@ func TestDCASGDZeroLambdaMatchesAsync(t *testing.T) {
 				i, ra.Trace.Points[i], rd.Trace.Points[i])
 		}
 	}
-	if ra.Updates.Total() != rd.Updates.Total() {
-		t.Fatalf("update totals differ: %d vs %d", ra.Updates.Total(), rd.Updates.Total())
+	if ra.TotalUpdates() != rd.TotalUpdates() {
+		t.Fatalf("update totals differ: %d vs %d", ra.TotalUpdates(), rd.TotalUpdates())
 	}
 
 	comp := tinyConfig(t, AlgDCASGD)
@@ -282,7 +282,7 @@ func TestSSPRealEngineGates(t *testing.T) {
 		t.Fatalf("real engine applied an update with staleness %d > bound 1\n%s",
 			res.Staleness.Max, res.Staleness)
 	}
-	if res.Updates.Total() == 0 {
+	if res.TotalUpdates() == 0 {
 		t.Fatal("gated run did no work")
 	}
 }

@@ -187,7 +187,7 @@ func TestRealElasticChurn(t *testing.T) {
 		t.Fatalf("joiner state = %v, want healthy", st)
 	}
 	// The joiner must have done real work on its live goroutine.
-	snap := res.Updates.Snapshot()
+	snap := res.Updates
 	joiner := res.Health.Workers[2].Worker
 	if snap[joiner] == 0 {
 		t.Fatalf("joiner %q recorded no updates: %v", joiner, snap)
@@ -324,8 +324,8 @@ func TestClusterElasticChurn(t *testing.T) {
 		t.Fatalf("joiner state = %v, want healthy", st)
 	}
 	joiner := res.Health.Workers[2].Worker
-	if res.Updates.Snapshot()[joiner] == 0 {
-		t.Fatalf("joiner %q recorded no updates: %v", joiner, res.Updates.Snapshot())
+	if res.Updates[joiner] == 0 {
+		t.Fatalf("joiner %q recorded no updates: %v", joiner, res.Updates)
 	}
 	if res.FinalLoss >= res.Trace.Points[0].Loss {
 		t.Fatalf("churn cluster run did not learn: %v → %v", res.Trace.Points[0].Loss, res.FinalLoss)
@@ -380,7 +380,7 @@ func TestElasticConfigValidation(t *testing.T) {
 // eventsOf returns the log's events of kind for worker.
 func eventsOf(res *Result, worker, kind string) []time.Duration {
 	var at []time.Duration
-	for _, e := range res.Events.Events() {
+	for _, e := range res.Events {
 		if e.Worker == worker && e.Kind == kind {
 			at = append(at, e.At)
 		}

@@ -166,7 +166,7 @@ func TestDispatchShapeAcrossEngines(t *testing.T) {
 				o.Threads = 0 // the coordinator's lane count for each dispatch
 				o.OnDispatch = func(n int) { received[id].Store(int64(n)) }
 			})
-			updates := res.Updates.Snapshot()
+			updates := res.Updates
 			// Every batch of the tiny problem is a multiple of the CPU's four
 			// lanes, so each dispatch lands exactly per updates; an abandoned
 			// straggler's never count.

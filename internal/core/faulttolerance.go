@@ -8,7 +8,6 @@ import (
 
 	"heterosgd/internal/data"
 	"heterosgd/internal/elastic"
-	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/telemetry"
 )
@@ -93,17 +92,18 @@ type FaultReport struct {
 	// Config.Workers.
 	Workers []WorkerHealth
 	// Redispatches counts batches re-routed from a crashed or quarantined
-	// worker to a healthy one.
+	// worker to a healthy one: the run's "redispatch" incidents.
 	Redispatches int
 	// DroppedUpdates counts non-finite gradient updates discarded by the
 	// divergence guard before they reached the shared model.
 	DroppedUpdates int64
 	// Checkpoints and Rollbacks count divergence-guard checkpoint saves
-	// and restores.
+	// and restores: the run's "checkpoint" and "rollback" incidents.
 	Checkpoints int
 	Rollbacks   int
 	// Diverged reports that the retry budget was exhausted: the run
-	// stopped because loss stayed non-finite through MaxRetries rollbacks.
+	// stopped because loss stayed non-finite through MaxRetries rollbacks
+	// (a "diverged" incident).
 	Diverged bool
 	// Queue aggregates message-queue counters across the run's channels
 	// (coordinator queue plus worker inboxes in RunReal; zero in RunSim,
@@ -122,11 +122,12 @@ type FaultReport struct {
 type TransportReport struct {
 	// Duplicates counts completions whose sequence number was already
 	// settled (retransmissions and fault-injected duplicate frames); their
-	// deltas were discarded.
+	// deltas were discarded. One "duplicate" incident each.
 	Duplicates uint64
 	// Abandoned counts completions for dispatches the coordinator had
 	// given up on (partition or deadline) and re-dispatched elsewhere;
 	// their deltas were discarded and they served as readmission probes.
+	// One "abandoned" incident each.
 	Abandoned uint64
 	// Partitions counts link-down transitions observed by the coordinator.
 	Partitions uint64
@@ -219,8 +220,8 @@ const (
 	guardMinLRScale = 1.0 / 64
 )
 
-// healthTracker is the one record of every worker slot: its WorkerState,
-// the bounds on active workers, and the run's fault and churn accounting. A
+// healthTracker is the one table of every worker slot: its WorkerState, the
+// bounds on active workers, and the per-worker fault counters. A
 // fixed-membership run is the same table, at most len(Workers) active. Slot
 // ids are never reused — a departed slot stays departed and a joiner always
 // gets a fresh id — because ids are baked into flight entries, telemetry
@@ -229,27 +230,27 @@ const (
 // locking, so every decision is deterministic given a deterministic driver.
 type healthTracker struct {
 	report *FaultReport
-	log    *metrics.EventLog
+	rec    *record
 	// rr is the round-robin cursor for picking re-dispatch targets.
 	rr int
 	// min and max bound the active workers; slots, when set, caps the slots
 	// the executor can ever hold.
 	min, max, slots int
-	// churn is the membership accounting, its Final the live active count,
-	// which gauge shows; the Result carries churn only when membership may
-	// change (elastic).
+	// churn holds the Peak and Final active counts, Final the live one,
+	// which gauge shows; the Result carries churn, its transition counts
+	// folded from the record, only when membership may change (elastic).
 	churn   elastic.Report
 	elastic bool
 	gauge   *telemetry.Gauge
 }
 
-func newHealthTracker(cfg *Config, log *metrics.EventLog) *healthTracker {
+func newHealthTracker(cfg *Config, rec *record) *healthTracker {
 	r := &FaultReport{Workers: make([]WorkerHealth, len(cfg.Workers))}
 	for i, w := range cfg.Workers {
 		r.Workers[i].Worker = w.Device.Name()
 	}
 	n := len(r.Workers)
-	return &healthTracker{report: r, log: log, min: max(cfg.MinWorkers, 1), max: cfg.Capacity(), elastic: cfg.elasticEnabled(), churn: elastic.Report{Peak: n, Final: n}}
+	return &healthTracker{report: r, rec: rec, min: max(cfg.MinWorkers, 1), max: cfg.Capacity(), elastic: cfg.elasticEnabled(), churn: elastic.Report{Peak: n, Final: n}}
 }
 
 // state returns worker id's state; an id with no slot reads as "unknown".
@@ -278,7 +279,7 @@ func (h *healthTracker) count(in func(WorkerState) bool) int {
 func (h *healthTracker) move(id int, at time.Duration, to WorkerState, kind, detail string) {
 	h.report.Workers[id].State = to
 	h.recount()
-	h.log.Add(at, h.report.Workers[id].Worker, kind, detail)
+	h.rec.log(at, h.report.Workers[id].Worker, kind, detail)
 }
 
 // recount follows the active count with the churn report and the gauge.
@@ -291,13 +292,13 @@ func (h *healthTracker) recount() {
 // refuse logs a refused membership change ("join-refused", …) and reports
 // false.
 func (h *healthTracker) refuse(at time.Duration, op, format string, args ...any) bool {
-	h.log.Add(at, "", op+"-refused", fmt.Sprintf(format, args...))
+	h.rec.log(at, "", op+"-refused", fmt.Sprintf(format, args...))
 	return false
 }
 
 // join admits one more active worker as id, which must be the next slot,
 // within the max bound and the executor's slots; the caller then grows the
-// slot with addWorker.
+// slot with addWorker and logs the "join".
 func (h *healthTracker) join(at time.Duration, reason string, id int) bool {
 	if id != len(h.report.Workers) {
 		return h.refuse(at, "join", "unexpected join for slot %d (have %d)", id, len(h.report.Workers))
@@ -308,13 +309,11 @@ func (h *healthTracker) join(at time.Duration, reason string, id int) bool {
 	if h.slots > 0 && len(h.report.Workers) >= h.slots {
 		return h.refuse(at, "join", "%s: elastic: join refused: all %d worker slots used", reason, h.slots)
 	}
-	h.churn.Joins++
 	return true
 }
 
 // addWorker grows the tracker by one healthy slot.
-func (h *healthTracker) addWorker(name string, at time.Duration) {
-	h.log.Add(at, name, "join", fmt.Sprintf("elastic worker %d admitted", len(h.report.Workers)))
+func (h *healthTracker) addWorker(name string) {
 	h.report.Workers = append(h.report.Workers, WorkerHealth{Worker: name})
 	h.recount()
 }
@@ -328,7 +327,6 @@ func (h *healthTracker) leave(id int, at time.Duration) bool {
 	case h.churn.Final <= h.min:
 		return h.refuse(at, "leave", "elastic: leave refused: already at min %d active workers", h.min)
 	}
-	h.churn.Leaves++
 	h.move(id, at, WorkerDraining, "leave", "graceful departure started")
 	return true
 }
@@ -349,8 +347,7 @@ func (h *healthTracker) evict(id int, at time.Duration) bool {
 	if !h.state(id).alive() {
 		return h.refuse(at, "evict", "elastic: evict of %s worker %d", h.state(id), id)
 	}
-	h.churn.Evictions++
-	h.move(id, at, WorkerDeparted, "depart", "evicted")
+	h.move(id, at, WorkerDeparted, "evict", "evicted")
 	return true
 }
 
@@ -371,7 +368,7 @@ func (h *healthTracker) quarantine(id int, at time.Duration, kind, detail string
 	case WorkerHealthy:
 		h.move(id, at, WorkerQuarantined, kind, detail)
 	case WorkerDraining:
-		h.log.Add(at, h.report.Workers[id].Worker, kind, detail)
+		h.rec.log(at, h.report.Workers[id].Worker, kind, detail)
 		h.move(id, at, WorkerDeparted, "depart", "drain cut short by a "+kind)
 	default:
 		return false
@@ -468,26 +465,24 @@ func (g *guardState) snapshot() *nn.Params {
 // onEval processes an epoch-barrier loss. A finite loss checkpoints the
 // model and resets the retry budget; a non-finite loss restores the
 // checkpoint and backs the learning rate off. diverged reports that the
-// retry budget is exhausted and the run must stop.
-func (g *guardState) onEval(loss float64, global *nn.Params, report *FaultReport, log *metrics.EventLog, at time.Duration) (rolledBack, diverged bool) {
+// retry budget is exhausted and the run must stop. Each verdict is an
+// incident in rec.
+func (g *guardState) onEval(loss float64, global *nn.Params, rec *record, at time.Duration) (rolledBack, diverged bool) {
 	if g == nil {
 		return false, false
 	}
 	if isFinite(loss) {
 		g.checkpoint.CopyFrom(global)
 		g.retries = 0
-		report.Checkpoints++
-		log.Add(at, "", "checkpoint", fmt.Sprintf("loss %.6g", loss))
+		rec.log(at, "", "checkpoint", fmt.Sprintf("loss %.6g", loss))
 		return false, false
 	}
 	g.retries++
-	report.Rollbacks++
 	global.CopyFrom(g.checkpoint)
 	g.lrScale = max(g.lrScale*guardLRBackoff, guardMinLRScale)
-	log.Add(at, "", "rollback", fmt.Sprintf("non-finite loss; lr scale %.4g, retry %d/%d", g.lrScale, g.retries, guardMaxRetries))
+	rec.log(at, "", "rollback", fmt.Sprintf("non-finite loss; lr scale %.4g, retry %d/%d", g.lrScale, g.retries, guardMaxRetries))
 	if g.retries > guardMaxRetries {
-		report.Diverged = true
-		log.Add(at, "", "diverged", "retry budget exhausted")
+		rec.log(at, "", "diverged", "retry budget exhausted")
 		return true, true
 	}
 	return true, false

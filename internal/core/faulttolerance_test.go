@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -21,8 +22,8 @@ import (
 
 func TestHealthTrackerTransitions(t *testing.T) {
 	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
-	log := metrics.NewEventLog()
-	h := newHealthTracker(&cfg, log)
+	rec := &record{}
+	h := newHealthTracker(&cfg, rec)
 	if h.count(WorkerState.dispatchable) != 2 || h.count(WorkerState.alive) != 2 {
 		t.Fatalf("fresh tracker: healthy %d alive %d", h.count(WorkerState.dispatchable), h.count(WorkerState.alive))
 	}
@@ -62,7 +63,7 @@ func TestHealthTrackerTransitions(t *testing.T) {
 	if !h.report.Faulty() {
 		t.Fatal("report should be faulty")
 	}
-	if log.Count("crash") != 2 || log.Count("timeout") != 1 || log.Count("readmit") != 1 {
+	if log := rec.events; log.Count("crash") != 2 || log.Count("timeout") != 1 || log.Count("readmit") != 1 {
 		t.Fatalf("event log counts wrong:\n%s", log)
 	}
 }
@@ -81,7 +82,8 @@ func (s lifeStep) apply(h *healthTracker) bool {
 		if !h.join(0, "test", len(h.report.Workers)) {
 			return false
 		}
-		h.addWorker("joiner", 0)
+		h.rec.log(0, "joiner", "join", "test") // as coordLoop.addSlot logs it
+		h.addWorker("joiner")
 		return true
 	case "leave":
 		return h.leave(s.id, 0)
@@ -112,7 +114,7 @@ func TestWorkerLifecycle(t *testing.T) {
 		min, max int // elastic bounds over the two seed workers
 		steps    []lifeStep
 		states   []WorkerState
-		rep      elastic.Report // Rebalances is the loop's, not the table's
+		rep      elastic.Report // Rebalances is the loop's fold, not the table's
 		timeouts []int
 	}{
 		{name: "join leave retire evict", min: 1, max: 4,
@@ -161,7 +163,7 @@ func TestWorkerLifecycle(t *testing.T) {
 			cfg := tinyConfig(t, AlgCPUGPUHogbatch)
 			cfg.ElasticPolicy = &stubPolicy{}
 			cfg.MinWorkers, cfg.MaxWorkers = tc.min, tc.max
-			h := newHealthTracker(&cfg, metrics.NewEventLog())
+			h := newHealthTracker(&cfg, &record{})
 			for i, s := range tc.steps {
 				if got := s.apply(h); got != s.ok {
 					t.Fatalf("step %d %s %d: accepted %v, want %v", i, s.op, s.id, got, s.ok)
@@ -184,10 +186,13 @@ func TestWorkerLifecycle(t *testing.T) {
 			if id := h.pickHealthy(-1); id >= 0 && h.state(id) != WorkerHealthy {
 				t.Fatalf("pickHealthy chose %v worker %d", h.state(id), id)
 			}
-			if h.churn != tc.rep {
-				t.Fatalf("report %+v, want %+v", h.churn, tc.rep)
+			// The transition counts are folds over the incidents the table logs.
+			ev := h.rec.events
+			got := elastic.Report{Joins: ev.Count("join"), Leaves: ev.Count("leave"), Evictions: ev.Count("evict"), Peak: h.churn.Peak, Final: h.churn.Final}
+			if got != tc.rep {
+				t.Fatalf("report %+v, want %+v\n%s", got, tc.rep, ev)
 			}
-			if h.churn.Churned() != (tc.rep.Joins+tc.rep.Leaves+tc.rep.Evictions > 0) {
+			if got.Churned() != (tc.rep.Joins+tc.rep.Leaves+tc.rep.Evictions > 0) {
 				t.Fatal("Churned disagrees with the counts")
 			}
 		})
@@ -207,18 +212,17 @@ func TestGuardStateRollbackAndDivergence(t *testing.T) {
 	cfg := tinyConfig(t, AlgHogbatchCPU)
 	global := cfg.Net.NewParams(nn.InitXavier, cfg.newRNG())
 	g := newGuardState(true, global)
-	report := &FaultReport{}
-	log := metrics.NewEventLog()
+	rec := &record{}
 
 	// A finite loss checkpoints and keeps the scale at 1.
-	if rb, dv := g.onEval(0.5, global, report, log, 0); rb || dv {
+	if rb, dv := g.onEval(0.5, global, rec, 0); rb || dv {
 		t.Fatal("finite loss must not roll back")
 	}
 	want := global.Clone()
 	global.Weights[0].Data[0] = math.NaN()
 
 	// First NaN: rollback, halved LR, not yet diverged.
-	rb, dv := g.onEval(math.NaN(), global, report, log, 0)
+	rb, dv := g.onEval(math.NaN(), global, rec, 0)
 	if !rb || dv {
 		t.Fatalf("rollback=%v diverged=%v after first NaN", rb, dv)
 	}
@@ -229,7 +233,7 @@ func TestGuardStateRollbackAndDivergence(t *testing.T) {
 		t.Fatalf("lr scale %v, want %v", g.scale(), guardLRBackoff)
 	}
 	// A finite loss resets the retry budget.
-	g.onEval(0.4, global, report, log, 0)
+	g.onEval(0.4, global, rec, 0)
 	if g.retries != 0 {
 		t.Fatal("retries not reset by finite loss")
 	}
@@ -238,25 +242,25 @@ func TestGuardStateRollbackAndDivergence(t *testing.T) {
 	// more than the budget declares divergence.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < guardMaxRetries; i++ {
-			if _, dv := g.onEval(math.Inf(1), global, report, log, 0); dv {
+			if _, dv := g.onEval(math.Inf(1), global, rec, 0); dv {
 				t.Fatalf("diverged too early at retry %d", i+1)
 			}
 		}
 		if round == 0 {
-			g.onEval(0.3, global, report, log, 0)
+			g.onEval(0.3, global, rec, 0)
 		}
 	}
 	if g.scale() != guardMinLRScale {
 		t.Fatalf("lr scale %v, want floor %v", g.scale(), guardMinLRScale)
 	}
-	if _, dv := g.onEval(math.Inf(1), global, report, log, 0); !dv {
+	if _, dv := g.onEval(math.Inf(1), global, rec, 0); !dv {
 		t.Fatal("retry budget exhausted but not diverged")
 	}
 	if g.scale() != guardMinLRScale {
 		t.Fatalf("lr scale %v, want floor %v", g.scale(), guardMinLRScale)
 	}
-	if want := 2 + 2*guardMaxRetries; !report.Diverged || report.Rollbacks != want || report.Checkpoints != 3 {
-		t.Fatalf("report: %+v, want %d rollbacks and 3 checkpoints", report, want)
+	if want, log := 2+2*guardMaxRetries, rec.events; log.Count("diverged") != 1 || log.Count("rollback") != want || log.Count("checkpoint") != 3 {
+		t.Fatalf("incidents:\n%s\nwant %d rollbacks, 3 checkpoints and one divergence", log, want)
 	}
 
 	// Nil guard is inert.
@@ -264,7 +268,7 @@ func TestGuardStateRollbackAndDivergence(t *testing.T) {
 	if nilG.scale() != 1 || nilG.snapshot() != nil {
 		t.Fatal("nil guard not inert")
 	}
-	if rb, dv := nilG.onEval(math.NaN(), global, report, log, 0); rb || dv {
+	if rb, dv := nilG.onEval(math.NaN(), global, rec, 0); rb || dv {
 		t.Fatal("nil guard must not act")
 	}
 }
@@ -451,7 +455,7 @@ func TestSimFaultRunsAreDeterministic(t *testing.T) {
 			t.Fatalf("point %d differs: %+v vs %+v", i, r1.Trace.Points[i], r2.Trace.Points[i])
 		}
 	}
-	e1, e2 := r1.Events.Events(), r2.Events.Events()
+	e1, e2 := r1.Events, r2.Events
 	if len(e1) != len(e2) {
 		t.Fatalf("event counts differ: %d vs %d", len(e1), len(e2))
 	}
@@ -568,10 +572,10 @@ func TestRealResultFinalAtReturn(t *testing.T) {
 	}
 	report := func() (map[string]int64, map[string][]float64) {
 		util := map[string][]float64{}
-		for _, d := range res.Utilization.Devices() {
-			util[d] = res.Utilization.Series(d, 2*hang, 4*time.Millisecond)
+		for d, busy := range res.Utilization {
+			util[d] = metrics.Series(busy, 2*hang, 4*time.Millisecond)
 		}
-		return res.Updates.Snapshot(), util
+		return maps.Clone(res.Updates), util
 	}
 	updates, util := report()
 	// The straggler's goroutine ends once its iteration is done.

@@ -115,7 +115,7 @@ func runGolden(t *testing.T, name string, cfg Config, recovery bool) goldenTrace
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	g := goldenTrace{Algorithm: name, Updates: res.Updates.Total(), FinalLoss: res.FinalLoss}
+	g := goldenTrace{Algorithm: name, Updates: res.TotalUpdates(), FinalLoss: res.FinalLoss}
 	for _, p := range res.Trace.Points {
 		g.Points = append(g.Points, goldenPoint{TimeNS: int64(p.Time), Epoch: p.Epoch, Loss: p.Loss})
 	}

@@ -99,19 +99,14 @@ type MembershipState struct {
 	// Min and Max are the elastic active-worker bounds in force at capture.
 	Min int `json:"min"`
 	Max int `json:"max"`
-	// Joins through Peak mirror elastic.Report so churn accounting
-	// survives the restart (a fixed-membership run of n workers writes
-	// no churn and Peak n).
-	Joins      int `json:"joins"`
-	Leaves     int `json:"leaves"`
-	Evictions  int `json:"evictions"`
-	Rebalances int `json:"rebalances"`
-	Peak       int `json:"peak"`
-	// Duplicates through AppliedExamples mirror TransportReport, so the
-	// exactly-once audit spans the whole trajectory, not just the last
-	// incarnation of the coordinator.
-	Duplicates      uint64 `json:"duplicates"`
-	Abandoned       uint64 `json:"abandoned"`
+	// Peak is the largest active-worker count so far (n for a
+	// fixed-membership run of n workers). The churn counts are not kept
+	// here: they are folds over the RunState's Events.
+	Peak int `json:"peak"`
+	// Partitions through AppliedExamples continue TransportReport's
+	// counters that no incident restates, so the exactly-once audit spans
+	// the whole trajectory, not just the last incarnation of the
+	// coordinator.
 	Partitions      uint64 `json:"partitions"`
 	Reconnects      uint64 `json:"reconnects"`
 	AppliedExamples int64  `json:"applied_examples"`
@@ -153,21 +148,20 @@ func (m *MembershipState) ActiveCount() int {
 }
 
 // capture writes the worker table into ms: each slot's code, the bounds and
-// the churn accounting.
+// the peak active count.
 func (h *healthTracker) capture(ms *MembershipState) {
 	for _, w := range h.report.Workers {
 		ms.States = append(ms.States, slotCode[w.State])
 	}
 	ms.Min, ms.Max = h.min, h.max
-	ms.Joins, ms.Leaves, ms.Evictions, ms.Rebalances, ms.Peak = h.churn.Joins, h.churn.Leaves, h.churn.Evictions, h.churn.Rebalances, h.churn.Peak
+	ms.Peak = h.churn.Peak
 }
 
-// restore reinstates a captured worker table grown to its width: its bounds,
-// and its churn accounting, so joins continue from the next unused id and
-// the report accumulates across the restart. A draining slot comes back
-// departed, like a departed one: its former process is gone and its
-// in-flight work rides the Flight list. A run captured mid-churn publishes
-// its report like an elastic one.
+// restore reinstates a captured worker table grown to its width, with its
+// bounds and its peak, so joins continue from the next unused id. A draining
+// slot comes back departed, like a departed one: its former process is gone
+// and its in-flight work rides the Flight list. A run captured mid-churn
+// publishes its report like an elastic one.
 func (h *healthTracker) restore(ms *MembershipState, churned bool) {
 	for id, s := range ms.States {
 		if s != slotActive {
@@ -176,7 +170,7 @@ func (h *healthTracker) restore(ms *MembershipState, churned bool) {
 	}
 	h.elastic = h.elastic || churned
 	h.min, h.max = max(ms.Min, 1), cmp.Or(ms.Max, len(ms.States))
-	h.churn = elastic.Report{Joins: ms.Joins, Leaves: ms.Leaves, Evictions: ms.Evictions, Rebalances: ms.Rebalances, Peak: ms.Peak}
+	h.churn = elastic.Report{Peak: ms.Peak}
 	h.recount()
 }
 
@@ -248,12 +242,12 @@ func (c *Config) validateResume() error {
 }
 
 // resume applies cfg.Resume to a freshly built coordinator. The
-// checkpoint's event history continues into this incarnation's log, so a
-// resumed run's report and next checkpoint audit the whole trajectory. The
-// model is replayed onto a dataset in its freshly-loaded, original order,
-// as a new process provides: the shuffle stream is the coordinator RNG's
-// only consumer, so Epoch shuffles from the seed reproduce both the
-// permutation and the restored stream position. A barrier capture leaves
+// checkpoint's event history continues into this incarnation's record, so a
+// resumed run's incident counts and next checkpoint audit the whole
+// trajectory. The model is replayed onto a dataset in its freshly-loaded,
+// original order, as a new process provides: the shuffle stream is the
+// coordinator RNG's only consumer, so Epoch shuffles from the seed reproduce
+// both the permutation and the restored stream position. A barrier capture leaves
 // the pool drained; the loop starts the next epoch before its first
 // dispatch.
 func (l *coordLoop) resume() error {
@@ -261,16 +255,15 @@ func (l *coordLoop) resume() error {
 	if st == nil {
 		return nil
 	}
-	for _, e := range st.Events {
-		l.events.AddEvent(e)
-	}
+	l.rec.events = append(l.rec.events, st.Events...)
 	// The worker set is restored before the model, whose scheduler counters
 	// need tables at checkpoint width: each slot beyond the seed set is a
-	// joiner grown as a live join grows it, and the tracker takes back the
-	// capture's slot states, bounds and churn accounting.
+	// joiner grown as a live join grows it — logged as a "restore", since
+	// its "join" is already in the history — and the tracker takes back the
+	// capture's slot states, bounds and peak.
 	ms := st.Membership
 	for id := l.initialWorkers; id < len(ms.States); id++ {
-		l.addSlot(id, 0)
+		l.addSlot(id, 0, "restore", "restored from checkpoint")
 	}
 	l.health.restore(ms, len(ms.States) > l.initialWorkers || ms.ActiveCount() < len(ms.States))
 	if len(ms.Clocks) == len(l.stale.clock) {
@@ -296,9 +289,7 @@ func (l *coordLoop) resume() error {
 	l.completed = ms.Dispatches
 	l.planCur.Fire(l.completed)
 	l.seq = ms.SeqFloor
-	l.tr.Duplicates, l.tr.Abandoned = ms.Duplicates, ms.Abandoned
-	l.tr.Partitions, l.tr.Reconnects = ms.Partitions, ms.Reconnects
-	l.tr.AppliedExamples = ms.AppliedExamples
+	*l.tr = TransportReport{Partitions: ms.Partitions, Reconnects: ms.Reconnects, AppliedExamples: ms.AppliedExamples}
 	for _, f := range ms.Flight {
 		if f.Hi > l.ds.N() {
 			return fmt.Errorf("core: resume flight entry [%d,%d) outside dataset of %d", f.Lo, f.Hi, l.ds.N())
@@ -306,7 +297,7 @@ func (l *coordLoop) resume() error {
 		l.pending = append(l.pending, l.ds.View(f.Lo, f.Hi))
 	}
 	if len(ms.Flight) > 0 {
-		l.events.Add(0, "", "resume", fmt.Sprintf("%d in-flight batches from the checkpoint re-queued", len(ms.Flight)))
+		l.rec.log(0, "", "resume", fmt.Sprintf("%d in-flight batches from the checkpoint re-queued", len(ms.Flight)))
 	}
 	return nil
 }
@@ -325,18 +316,16 @@ func (l *coordLoop) capture() (*RunState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.TotalUpdates = l.raw.Total()
+	st.TotalUpdates = l.rec.updates()
 	st.GuardLRScale = l.guard.scale()
 	st.GuardRetries = l.guard.retryCount()
 	st.Interrupted = l.interrupted
 	st.At = l.elapsed()
-	st.Events = l.events.Events()
+	st.Events = append([]metrics.Event(nil), l.rec.events...)
 	ms := &MembershipState{
 		Clocks:          append([]int64(nil), l.stale.clock...),
 		SeqFloor:        l.seq,
 		Dispatches:      l.completed,
-		Duplicates:      l.tr.Duplicates,
-		Abandoned:       l.tr.Abandoned,
 		Partitions:      l.tr.Partitions,
 		Reconnects:      l.tr.Reconnects,
 		AppliedExamples: l.tr.AppliedExamples,

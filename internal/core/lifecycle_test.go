@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"heterosgd/internal/elastic"
 	"heterosgd/internal/faults"
 	"heterosgd/internal/tensor"
 )
@@ -46,9 +47,10 @@ func (errSink) WriteState(*RunState) error { return errors.New("disk full") }
 // continue the exact trajectory of the uninterrupted run — bit-identical
 // model parameters, scheduler counters, and RNG stream at every subsequent
 // epoch barrier (and therefore bit-identical epoch losses) — and carry the
-// checkpoint's event history. The churn row resumes mid-churn, from a
-// capture whose worker set outgrew the config's seed set: the joiner's slot
-// is grown on resume the way a live join grows it.
+// checkpoint's event history, so its churn counts are the uninterrupted
+// run's. The churn row resumes mid-churn, from a capture whose worker set
+// outgrew the config's seed set: the joiner's slot is grown on resume the
+// way a live join grows it.
 func TestSimResumeEquivalence(t *testing.T) {
 	rows := []struct {
 		name  string
@@ -73,7 +75,8 @@ func simResumeEquivalence(t *testing.T, build func(t *testing.T) Config, slots [
 	golden := &memSink{}
 	cfg := build(t)
 	cfg.CheckpointSink = golden
-	if _, err := RunSim(context.Background(), cfg, simHorizon); err != nil {
+	full, err := RunSim(context.Background(), cfg, simHorizon)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Barrier captures (cursor == N) at epochs 0,1,2,...; the final drain
@@ -94,8 +97,11 @@ func simResumeEquivalence(t *testing.T, build func(t *testing.T) Config, slots [
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evs := res.Events.Events(); len(evs) < len(mid.Events) || !slices.Equal(evs[:len(mid.Events)], mid.Events) {
+	if evs := res.Events; len(evs) < len(mid.Events) || !slices.Equal(evs[:len(mid.Events)], mid.Events) {
 		t.Fatalf("resumed run's events do not begin with the checkpoint's %d: %v", len(mid.Events), evs)
+	}
+	if got, want := churnCounts(res.Elastic), churnCounts(full.Elastic); got != want {
+		t.Fatalf("resumed run reports joins, leaves, evictions, rebalances %v; the uninterrupted run %v\n%s", got, want, res.Events)
 	}
 
 	byEpoch := func(states []*RunState, epoch int) *RunState {
@@ -135,6 +141,15 @@ func simResumeEquivalence(t *testing.T, build func(t *testing.T) Config, slots [
 	t.Logf("resumed from epoch %d with %d events; %d later barriers compared", mid.Epoch, len(mid.Events), compared)
 }
 
+// churnCounts returns an elastic report's Joins, Leaves, Evictions and
+// Rebalances (zeros for a fixed-membership run's nil report).
+func churnCounts(r *elastic.Report) [4]int {
+	if r == nil {
+		return [4]int{}
+	}
+	return [4]int{r.Joins, r.Leaves, r.Evictions, r.Rebalances}
+}
+
 // TestSimCancelMidRun cancels the context from inside the first epoch-barrier
 // checkpoint — a deterministic mid-run point — and expects a drained partial
 // result plus a final drain capture flagged Interrupted.
@@ -154,7 +169,7 @@ func TestSimCancelMidRun(t *testing.T) {
 	if !math.IsInf(res.FinalLoss, 0) && math.IsNaN(res.FinalLoss) {
 		t.Fatalf("partial result has bad loss %v", res.FinalLoss)
 	}
-	if res.Updates.Total() == 0 {
+	if res.TotalUpdates() == 0 {
 		t.Fatal("partial result lost its work counters")
 	}
 	last := sink.last(t)
@@ -162,7 +177,7 @@ func TestSimCancelMidRun(t *testing.T) {
 		t.Fatal("drain capture must be flagged Interrupted")
 	}
 	found := false
-	for _, e := range res.Events.Events() {
+	for _, e := range res.Events {
 		if e.Kind == "interrupt" {
 			found = true
 		}
@@ -203,7 +218,7 @@ func TestRealCancelDrains(t *testing.T) {
 	if !res.Interrupted {
 		t.Fatal("cancelled run must report Interrupted")
 	}
-	if res.Updates.Total() == 0 {
+	if res.TotalUpdates() == 0 {
 		t.Fatal("no work recorded before cancellation")
 	}
 	q := res.Health.Queue
@@ -251,7 +266,7 @@ func TestRealCancelCheckpointResume(t *testing.T) {
 	if math.IsNaN(res2.FinalLoss) || math.IsInf(res2.FinalLoss, 0) {
 		t.Fatalf("resumed run produced loss %v", res2.FinalLoss)
 	}
-	if res2.Updates.Total() == 0 {
+	if res2.TotalUpdates() == 0 {
 		t.Fatal("resumed run did no work")
 	}
 }
@@ -278,6 +293,26 @@ func TestRealPeriodicCheckpoints(t *testing.T) {
 // checkpoint: the resumed run must accept the restored state (including the
 // crashed worker's frozen counters) and keep training on the survivors.
 func TestSimCrashCheckpointResume(t *testing.T) {
+	st := crashedCheckpoint(t)
+	cfg2 := tinyConfig(t, AlgAdaptiveHogbatch)
+	cfg2.Resume = st
+	res2, err := RunSim(context.Background(), cfg2, simHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Interrupted || res2.TotalUpdates() == 0 {
+		t.Fatal("resume after a crashed-worker run failed to train")
+	}
+	if math.IsNaN(res2.FinalLoss) || math.IsInf(res2.FinalLoss, 0) {
+		t.Fatalf("resumed run produced loss %v", res2.FinalLoss)
+	}
+}
+
+// crashedCheckpoint runs the degraded first leg: worker 1 crashes at its
+// third dispatch, the guards checkpoint every barrier, and the run is
+// interrupted a few barriers later. It returns the drain capture.
+func crashedCheckpoint(t *testing.T) *RunState {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var sink *memSink
@@ -301,19 +336,40 @@ func TestSimCrashCheckpointResume(t *testing.T) {
 	if !res.Health.Faulty() {
 		t.Fatal("fault injection did not fire before the interrupt")
 	}
-	st := sink.last(t)
+	return sink.last(t)
+}
 
-	cfg2 := tinyConfig(t, AlgAdaptiveHogbatch)
-	cfg2.Resume = st
-	res2, err := RunSim(context.Background(), cfg2, simHorizon)
+// TestSimResumedReportFoldsEveryIncarnation pins what a resumed run reports:
+// its Events carry the checkpoint's history, and every count that restates
+// an incident equals the number of those incidents in them. The first leg's
+// crash re-dispatched a batch and its guards checkpointed every barrier; the
+// resumed leg, guards on too, must count both.
+func TestSimResumedReportFoldsEveryIncarnation(t *testing.T) {
+	st := crashedCheckpoint(t)
+	cfg := tinyConfig(t, AlgAdaptiveHogbatch)
+	cfg.Guards = true
+	cfg.Resume = st
+	res, err := RunSim(context.Background(), cfg, simHorizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Interrupted || res2.Updates.Total() == 0 {
-		t.Fatal("resume after a crashed-worker run failed to train")
+	ev, h := res.Events, res.Health
+	if ev.Count("crash") == 0 || ev.Count("redispatch") == 0 {
+		t.Fatalf("the first leg's crash and re-dispatch are missing from the resumed history:\n%s", ev)
 	}
-	if math.IsNaN(res2.FinalLoss) || math.IsInf(res2.FinalLoss, 0) {
-		t.Fatalf("resumed run produced loss %v", res2.FinalLoss)
+	for _, c := range []struct {
+		kind string
+		got  int
+	}{{"redispatch", h.Redispatches}, {"checkpoint", h.Checkpoints}, {"rollback", h.Rollbacks}} {
+		if want := ev.Count(c.kind); c.got != want {
+			t.Errorf("resumed report counts %d %s incidents, its Events hold %d", c.got, c.kind, want)
+		}
+	}
+	if h.Diverged != (ev.Count("diverged") > 0) {
+		t.Errorf("Diverged %v with %d diverged incidents", h.Diverged, ev.Count("diverged"))
+	}
+	if !h.Faulty() {
+		t.Errorf("a run whose history holds a re-dispatch must report faults: %s", h)
 	}
 }
 
@@ -328,7 +384,7 @@ func TestCheckpointSinkErrorDoesNotStopRun(t *testing.T) {
 		t.Fatal("a failing sink must not stop training")
 	}
 	found := false
-	for _, e := range res.Events.Events() {
+	for _, e := range res.Events {
 		if e.Kind == "ckpt-error" {
 			found = true
 		}

@@ -119,11 +119,11 @@ func (l *coordLoop) modelLock(write bool) sync.Locker {
 
 // coordLoop is the coordinator loop and everything it owns: the model, the
 // scheduling coordinator, the health/staleness/guard trackers (the health
-// tracker is the worker lifecycle, elastic membership included), and the
-// instruments. Like the paper's coordinator thread it processes messages
-// sequentially on one goroutine, so none of its state needs locking. The
-// engines differ in how work reaches a worker and in what their clock means
-// (the executor), not in any of this.
+// tracker is the worker lifecycle, elastic membership included), the run
+// record the report is read from, and the instruments. Like the paper's
+// coordinator thread it processes messages sequentially on one goroutine, so
+// none of its state needs locking. The engines differ in how work reaches a
+// worker and in what their clock means (the executor), not in any of this.
 type coordLoop struct {
 	cfg        *Config
 	net        *nn.Network
@@ -134,10 +134,7 @@ type coordLoop struct {
 	tel        *telemetry.Tracer
 	rm         runMetrics
 	coordRing  int
-	raw        *metrics.UpdateCounter
-	util       *metrics.UtilizationTrace
-	trace      *metrics.Trace
-	events     *metrics.EventLog
+	rec        record
 	health     *healthTracker
 	stale      *staleTracker
 	guard      *guardState
@@ -153,7 +150,6 @@ type coordLoop struct {
 	completed int64
 
 	lastBatch              []int
-	batchTrace             []BatchEvent
 	converged, interrupted bool
 
 	exec   executor
@@ -216,10 +212,7 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 		tel:            cfg.Tracer,
 		rm:             newRunMetrics(cfg.Metrics),
 		coordRing:      cfg.coordRing(),
-		raw:            metrics.NewUpdateCounter(),
-		util:           metrics.NewUtilizationTrace(),
-		trace:          &metrics.Trace{Name: cfg.Algorithm.String()},
-		events:         metrics.NewEventLog(),
+		rec:            record{busy: make(map[string][]metrics.Busy), raw: make([]int64, n), trace: &metrics.Trace{Name: cfg.Algorithm.String()}},
 		initialWorkers: n,
 		lastBatch:      make([]int, n),
 		trans:          trans,
@@ -233,7 +226,7 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 		l.global.CopyFrom(cfg.InitialParams)
 	}
 	l.modelBytes = l.global.SizeBytes()
-	l.health = newHealthTracker(cfg, l.events)
+	l.health = newHealthTracker(cfg, &l.rec)
 	l.coord.tracker = l.health
 	l.stale = newStaleTracker(cfg, l.health, &l.rm)
 	l.guard = newGuardState(cfg.Guards, l.global)
@@ -271,7 +264,7 @@ func (l *coordLoop) elapsed() time.Duration { return l.exec.elapsed() }
 func (l *coordLoop) cancelled() bool {
 	if !l.interrupted && l.ctx.Err() != nil {
 		l.interrupted = true
-		l.events.Add(l.elapsed(), "", "interrupt", "context cancelled; draining in-flight work")
+		l.rec.log(l.elapsed(), "", "interrupt", "context cancelled; draining in-flight work")
 	}
 	return l.interrupted
 }
@@ -284,7 +277,7 @@ func (l *coordLoop) overBudget() bool {
 // target loss ends scheduling.
 func (l *coordLoop) point(at time.Duration, loss float64) {
 	epoch := l.coord.epochFrac()
-	l.trace.Add(at, epoch, loss)
+	l.rec.trace.Add(at, epoch, loss)
 	l.rm.loss.Set(loss)
 	l.rm.epochs.Set(epoch)
 	if l.cfg.TargetLoss > 0 && isFinite(loss) && loss <= l.cfg.TargetLoss {
@@ -371,10 +364,10 @@ func (l *coordLoop) writeCkpt(force bool) {
 		err = l.cfg.CheckpointSink.WriteState(st)
 	}
 	if err != nil {
-		l.events.Add(l.elapsed(), "", "ckpt-error", err.Error())
+		l.rec.log(l.elapsed(), "", "ckpt-error", err.Error())
 		return
 	}
-	l.tel.Span(l.coordRing, telemetry.KindCheckpoint, t0, l.now()-t0, l.raw.Total())
+	l.tel.Span(l.coordRing, telemetry.KindCheckpoint, t0, l.now()-t0, l.rec.updates())
 	l.rm.checkpoints.Inc()
 }
 
@@ -460,9 +453,8 @@ func (l *coordLoop) dispatchAll() {
 // enqueue parks a recovery batch in target's feed, split to its batch
 // ceiling.
 func (l *coordLoop) enqueue(target int, b data.Batch, from string) {
-	l.health.report.Redispatches++
 	l.rm.redispatch.Inc()
-	l.events.Add(l.elapsed(), l.name(target), "redispatch", fmt.Sprintf("%d examples from %s", b.Size(), from))
+	l.rec.log(l.elapsed(), l.name(target), "redispatch", fmt.Sprintf("%d examples from %s", b.Size(), from))
 	l.feed[target] = append(l.feed[target], splitBatch(b, l.cfg.Workers[target].MaxBatch)...)
 }
 
@@ -616,7 +608,7 @@ func (l *coordLoop) join(reason string, id int) {
 	if !l.health.join(l.elapsed(), reason, id) {
 		return
 	}
-	l.addSlot(id, l.elapsed())
+	l.addSlot(id, l.elapsed(), "join", "admitted")
 	l.rebalanced(l.rm.elasticJoins)
 	l.exec.spawn(id)
 	l.dispatch(id)
@@ -723,11 +715,12 @@ func (l *coordLoop) onLink(ev *transport.Event) {
 	}
 }
 
-// account credits a completion's updates to the run report, the live
+// account credits a completion's updates to the run record, the live
 // train_updates_total and the scheduling policy. Every engine's accept comes
-// here, and nothing else writes l.raw: the report has one writer, the loop.
+// here, and nothing else writes l.rec.raw: the record has one writer, the
+// loop.
 func (l *coordLoop) account(msg *transport.Done) {
-	l.raw.Add(l.name(msg.Worker), int64(msg.Updates))
+	l.rec.raw[msg.Worker] += int64(msg.Updates)
 	l.rm.updates.Add(int64(msg.Updates))
 	l.coord.reportUpdates(msg.Worker, int64(msg.Updates))
 	if msg.Dropped > 0 {
@@ -764,8 +757,7 @@ func (l *coordLoop) complete(msg *transport.Done) (stop bool, err error) {
 	l.writeCkpt(false)
 	fl := l.settle(msg.Seq)
 	if fl == nil {
-		l.tr.Duplicates++
-		l.events.Add(l.elapsed(), l.name(msg.Worker), "duplicate",
+		l.rec.log(l.elapsed(), l.name(msg.Worker), "duplicate",
 			fmt.Sprintf("completion for settled seq %d discarded", msg.Seq))
 		return false, nil
 	}
@@ -856,7 +848,7 @@ func (l *coordLoop) epochBarrier() (stop bool) {
 	}
 	mu := l.modelLock(true)
 	mu.Lock()
-	_, diverged := l.guard.onEval(loss, l.global, l.health.report, l.events, at)
+	_, diverged := l.guard.onEval(loss, l.global, &l.rec, at)
 	mu.Unlock()
 	if diverged {
 		return true
@@ -968,8 +960,8 @@ func (l *coordLoop) loop() (*Result, error) {
 	// in-flight large batch cannot stretch the loss curve past the
 	// configured horizon; the true overrun is reported separately.
 	stamp := min(elapsed, l.budget)
-	if n := len(l.trace.Points); n > 0 && l.trace.Points[n-1].Time > stamp {
-		stamp = l.trace.Points[n-1].Time
+	if pts := l.rec.trace.Points; len(pts) > 0 && pts[len(pts)-1].Time > stamp {
+		stamp = pts[len(pts)-1].Time
 	}
 	return l.result(elapsed, max(elapsed-l.budget, 0), stamp, final), nil
 }

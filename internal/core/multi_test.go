@@ -114,7 +114,7 @@ func TestMultiGPUSimRunAllWorkersContribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := res.Updates.Snapshot()
+	snap := res.Updates
 	for _, name := range []string{"cpu0", "cpu1", "gpu0", "gpu1"} {
 		if snap[name] == 0 {
 			t.Fatalf("worker %s never updated (counts %v)", name, snap)
@@ -186,7 +186,7 @@ func TestMultiGPURealEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Updates.Get("gpu1") == 0 {
+	if res.Updates["gpu1"] == 0 {
 		t.Fatal("second GPU idle in real engine")
 	}
 }

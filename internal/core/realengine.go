@@ -244,14 +244,14 @@ func (x *localExec) attach(context.Context) ([]int, error) {
 
 func (x *localExec) decorate(_ int, w transport.Work) transport.Work { return w }
 
-// accept books the worker's compute interval into the utilization trace and
+// accept books the worker's compute interval into the run record and
 // credits its updates. They landed in the shared model before the completion
 // was sent, so even a quarantined straggler's count (documented at-least-once
 // semantics under timeouts) — while the loop runs: one that wakes after
 // RunReal has returned still writes the model, but not the report.
 func (x *localExec) accept(msg *transport.Done, _ *inflightDispatch) {
 	w := x.l.workers[msg.Worker]
-	x.l.util.AddBusy(w.name, w.ranFrom, w.ranTo, w.ranEff)
+	x.l.rec.addBusy(w.name, w.ranFrom, w.ranTo, w.ranEff)
 	x.l.account(msg)
 }
 

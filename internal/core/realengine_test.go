@@ -30,7 +30,7 @@ func TestRealAllAlgorithmsReduceLoss(t *testing.T) {
 		if res.FinalLoss >= first*0.9 {
 			t.Fatalf("%v: loss %v → %v did not drop", alg, first, res.FinalLoss)
 		}
-		if res.Updates.Total() == 0 {
+		if res.TotalUpdates() == 0 {
 			t.Fatalf("%v: no updates recorded", alg)
 		}
 	}
@@ -95,7 +95,7 @@ func TestRealUtilizationAndUpdateShares(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Utilization.Devices()) == 0 {
+	if len(res.Utilization) == 0 {
 		t.Fatal("no utilization recorded")
 	}
 	share := res.CPUShare()
@@ -140,8 +140,8 @@ func TestRealAndSimAgreeOnUpdateAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRatio := float64(sim.Updates.Total()) / float64(sim.ExamplesProcessed)
-	realRatio := float64(real.Updates.Total()) / float64(real.ExamplesProcessed)
+	simRatio := float64(sim.TotalUpdates()) / float64(sim.ExamplesProcessed)
+	realRatio := float64(real.TotalUpdates()) / float64(real.ExamplesProcessed)
 	if simRatio <= 0 || realRatio <= 0 {
 		t.Fatal("degenerate ratios")
 	}
@@ -183,7 +183,7 @@ func TestRealLanesEndWithTheirWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Updates.Total() == 0 {
+			if res.TotalUpdates() == 0 {
 				t.Fatal("no updates recorded")
 			}
 			if name == "leave-evict" && (res.Elastic.Leaves != 1 || res.Elastic.Evictions != 1) {

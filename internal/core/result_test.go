@@ -10,17 +10,13 @@ import (
 )
 
 func resultWithUpdates(counts map[string]int64) *Result {
-	u := metrics.NewUpdateCounter()
-	for k, v := range counts {
-		u.Add(k, v)
-	}
 	tr := &metrics.Trace{Name: "x"}
 	tr.Add(0, 0, 2)
 	tr.Add(time.Second, 1, 1)
 	return &Result{
 		Algorithm: AlgCPUGPUHogbatch,
 		Trace:     tr,
-		Updates:   u,
+		Updates:   counts,
 		FinalLoss: 1,
 		Epochs:    1,
 		Duration:  time.Second,
@@ -54,7 +50,7 @@ func TestResultString(t *testing.T) {
 		}
 	}
 	// Empty-trace results must not panic.
-	empty := &Result{Algorithm: AlgHogbatchCPU, Trace: &metrics.Trace{}, Updates: metrics.NewUpdateCounter()}
+	empty := &Result{Algorithm: AlgHogbatchCPU, Trace: &metrics.Trace{}}
 	if empty.String() == "" {
 		t.Fatal("empty result summary")
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"heterosgd/internal/elastic"
 	"heterosgd/internal/opt"
 	"heterosgd/internal/telemetry"
 )
@@ -106,7 +105,7 @@ func (l *coordLoop) evalLoss() float64 {
 func (l *coordLoop) noteBatch(id int) {
 	if l.coord.batch[id] != l.lastBatch[id] {
 		l.lastBatch[id] = l.coord.batch[id]
-		l.batchTrace = append(l.batchTrace, BatchEvent{At: l.elapsed(), Worker: l.name(id), Size: l.coord.batch[id]})
+		l.rec.batches = append(l.rec.batches, BatchEvent{At: l.elapsed(), Worker: l.name(id), Size: l.coord.batch[id]})
 	}
 }
 
@@ -114,29 +113,31 @@ func (l *coordLoop) noteBatch(id int) {
 func (l *coordLoop) drop(id int, n int64, kind, detail string) {
 	l.health.report.DroppedUpdates += n
 	l.rm.dropped.Add(n)
-	l.events.Add(l.elapsed(), l.name(id), kind, detail)
+	l.rec.log(l.elapsed(), l.name(id), kind, detail)
 }
 
 // rebalanced restarts the adaptive comparators after a membership change,
 // which it counts on change.
 func (l *coordLoop) rebalanced(change *telemetry.Counter) {
 	l.coord.rebalance()
-	l.health.churn.Rebalances++
 	l.rm.elasticRebalances.Inc()
 	change.Inc()
 }
 
 // addSlot grows every per-worker table to worker id, the next slot — config,
-// health, scheduler, SSP clock, batch trace and dispatch state — for a live
-// joiner and for a joiner a mid-churn checkpoint restores alike. The joiner
-// clones the seed device mix round-robin, and its SSP clock enters at the
-// healthy minimum.
-func (l *coordLoop) addSlot(id int, at time.Duration) {
+// health, scheduler, SSP clock, update count, batch trace and dispatch state
+// — for a live joiner and for a joiner a mid-churn checkpoint restores alike,
+// and logs kind ("join" or "restore") for it. The joiner clones the seed
+// device mix round-robin, and its SSP clock enters at the healthy minimum.
+func (l *coordLoop) addSlot(id int, at time.Duration, kind, detail string) {
 	wc := l.cfg.Workers[id%l.initialWorkers]
 	l.cfg.Workers = append(l.cfg.Workers, wc)
-	l.health.addWorker(fmt.Sprintf("%s+%d", wc.Device.Name(), id), at)
+	name := fmt.Sprintf("%s+%d", wc.Device.Name(), id)
+	l.rec.log(at, name, kind, fmt.Sprintf("elastic worker %d %s", id, detail))
+	l.health.addWorker(name)
 	l.coord.addWorker()
 	l.stale.addWorker()
+	l.rec.raw = append(l.rec.raw, 0)
 	l.lastBatch = append(l.lastBatch, 0)
 	l.busy = append(l.busy, false)
 	l.feed = append(l.feed, nil)
@@ -156,36 +157,4 @@ func (l *coordLoop) costliest() (victim int, cost time.Duration) {
 		}
 	}
 	return victim, cost
-}
-
-// result stamps the final loss sample and assembles the Result.
-func (l *coordLoop) result(duration, overshoot, stamp time.Duration, final float64) *Result {
-	l.point(stamp, final)
-	var churn *elastic.Report
-	if r := l.health.churn; l.health.elastic {
-		churn = &r
-	}
-	return &Result{
-		Algorithm:         l.cfg.Algorithm,
-		Trace:             l.trace,
-		Updates:           l.raw,
-		Utilization:       l.util,
-		Epochs:            l.coord.epochFrac(),
-		Duration:          duration,
-		Overshoot:         overshoot,
-		FinalLoss:         final,
-		MinLoss:           l.trace.MinLoss(),
-		ExamplesProcessed: l.coord.examplesDone,
-		FinalBatch:        append([]int(nil), l.coord.batch...),
-		Resizes:           append([]int(nil), l.coord.resizes...),
-		BatchTrace:        l.batchTrace,
-		Converged:         l.converged,
-		Params:            l.global,
-		Health:            l.health.report,
-		Events:            l.events,
-		Checkpoint:        l.guard.snapshot(),
-		Interrupted:       l.interrupted,
-		Staleness:         l.stale.rep,
-		Elastic:           churn,
-	}
 }

@@ -122,21 +122,9 @@ func (x *simExec) elapsed() time.Duration {
 // the GPU) for its modeled duration, Figure 7's end-of-epoch bump.
 func (x *simExec) evalTime(t0 time.Duration) time.Duration {
 	d := x.evalDev.EvalTime(x.l.net.Arch, x.l.ds.N())
-	x.l.util.AddBusy(x.evalDevName(), t0, t0+d, 0.95)
+	x.l.rec.addBusy(x.evalDev.Name(), t0, t0+d, 0.95)
 	x.evalDebt, x.evalEnd = x.evalDebt+d, t0+d
 	return d
-}
-
-// evalDevName returns the utilization-trace key for the eval device: when
-// the eval device is also a worker, reuse that worker's name so the busy
-// interval lands on the right series.
-func (x *simExec) evalDevName() string {
-	for _, w := range x.l.workers {
-		if w.wc.Device == x.evalDev {
-			return w.name
-		}
-	}
-	return x.evalDev.Name()
 }
 
 // attach starts the SampleEvery ticks; the workers need no bringing up.
@@ -202,14 +190,14 @@ func (x *simExec) Send(id int, m transport.Work) error {
 	}
 	now := x.eng.Now()
 	l.tel.Span(id, telemetry.KindGradient, now, dur, int64(size))
-	l.util.AddBusy(w.name, now, now+dur, w.wc.Device.Utilization(l.net.Arch, pieceEnd(0, size, step)))
+	l.rec.addBusy(w.name, now, now+dur, w.wc.Device.Utilization(l.net.Arch, pieceEnd(0, size, step)))
 
 	if l.step.deepStep(w) {
 		// A deep step copies the model now and steps the copy's gradient into
 		// the model when the iteration completes, in accept: that gap is
 		// replica staleness (§VI-B).
 		l.step.read(w, l.global)
-		it.deferred, it.batch, it.lr, it.seen, it.corrupt = true, batch, m.LR, l.raw.Total(), fault.Corrupt
+		it.deferred, it.batch, it.lr, it.seen, it.corrupt = true, batch, m.LR, l.rec.updates(), fault.Corrupt
 	} else {
 		// A round share, or a CPU iteration whose sub-batch gradients update
 		// the shared model one after another, now — sequentialized Hogwild,
@@ -231,7 +219,7 @@ func (x *simExec) accept(msg *transport.Done, _ *inflightDispatch) {
 		it.deferred = false
 		lr := it.lr
 		if d := l.cfg.StaleDamping; d > 0 {
-			lr /= 1 + d*float64(l.raw.Total()-it.seen)
+			lr /= 1 + d*float64(l.rec.updates()-it.seen)
 		}
 		msg.Updates, msg.Dropped = l.step.steps(w, w.replica, l.global, it.batch, lr, it.corrupt)
 	}

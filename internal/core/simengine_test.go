@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"heterosgd/internal/data"
+	"heterosgd/internal/metrics"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/tensor"
 )
@@ -32,7 +33,7 @@ func TestSimAllAlgorithmsReduceLoss(t *testing.T) {
 		if res.Epochs <= 0 {
 			t.Fatalf("%v: no epochs completed", alg)
 		}
-		if res.ExamplesProcessed == 0 || res.Updates.Total() == 0 {
+		if res.ExamplesProcessed == 0 || res.TotalUpdates() == 0 {
 			t.Fatalf("%v: no work recorded", alg)
 		}
 	}
@@ -54,7 +55,7 @@ func TestSimDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("point %d differs: %+v vs %+v", i, r1.Trace.Points[i], r2.Trace.Points[i])
 		}
 	}
-	if r1.Updates.Total() != r2.Updates.Total() {
+	if r1.TotalUpdates() != r2.TotalUpdates() {
 		t.Fatal("update totals differ between identical runs")
 	}
 
@@ -99,7 +100,7 @@ func TestSimUpdateDistribution(t *testing.T) {
 	if s := hybrid.CPUShare(); s < 0.7 {
 		t.Fatalf("CPU+GPU Hogbatch CPU share %v, want dominant", s)
 	}
-	if hybrid.Updates.Get("gpu0") == 0 {
+	if hybrid.Updates["gpu0"] == 0 {
 		t.Fatal("GPU performed no updates at all")
 	}
 
@@ -146,12 +147,11 @@ func TestSimUtilizationRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devs := res.Utilization.Devices()
-	if len(devs) != 2 {
-		t.Fatalf("devices %v", devs)
+	if len(res.Utilization) != 2 {
+		t.Fatalf("devices %v", res.Utilization)
 	}
-	for _, d := range devs {
-		if m := res.Utilization.MeanUtilization(d, simHorizon); m <= 0 {
+	for d, busy := range res.Utilization {
+		if m := metrics.MeanUtilization(busy, simHorizon); m <= 0 {
 			t.Fatalf("%s mean utilization %v", d, m)
 		}
 	}
@@ -165,13 +165,7 @@ func TestSimEvalOnGPUEvenForCPUOnlyRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, d := range res.Utilization.Devices() {
-		if d == "gpu0" {
-			found = true
-		}
-	}
-	if !found {
+	if len(res.Utilization["gpu0"]) == 0 {
 		t.Fatal("no GPU eval intervals recorded")
 	}
 }
@@ -301,9 +295,9 @@ func TestSimGemmWidthInvariant(t *testing.T) {
 				t.Fatalf("%s: point %d is %v at %v on one core, %v at %v on two", tc.name, i, p.Loss, p.Time, q.Loss, q.Time)
 			}
 		}
-		if !reflect.DeepEqual(one.Updates.Snapshot(), two.Updates.Snapshot()) || !reflect.DeepEqual(one.FinalBatch, two.FinalBatch) {
+		if !reflect.DeepEqual(one.Updates, two.Updates) || !reflect.DeepEqual(one.FinalBatch, two.FinalBatch) {
 			t.Fatalf("%s: updates %v / batches %v on one core, %v / %v on two", tc.name,
-				one.Updates.Snapshot(), one.FinalBatch, two.Updates.Snapshot(), two.FinalBatch)
+				one.Updates, one.FinalBatch, two.Updates, two.FinalBatch)
 		}
 		if !bytes.Equal(oneParams, twoParams) {
 			t.Fatalf("%s: the final parameters differ between one core and two", tc.name)

@@ -45,7 +45,7 @@ func TestSimSparseRealSimFullDim(t *testing.T) {
 		if res.FinalLoss >= first*0.9 {
 			t.Fatalf("%v: loss %v → %v did not drop on sparse input", alg, first, res.FinalLoss)
 		}
-		if res.Updates.Total() == 0 {
+		if res.TotalUpdates() == 0 {
 			t.Fatalf("%v: no updates recorded", alg)
 		}
 		if w0 := res.Params.Weights[0]; w0.Cols != 20958 {
@@ -72,7 +72,7 @@ func TestRealSparseRealSimFullDim(t *testing.T) {
 	if res.FinalLoss >= first*0.9 {
 		t.Fatalf("loss %v → %v did not drop on sparse input", first, res.FinalLoss)
 	}
-	if res.Updates.Total() == 0 {
+	if res.TotalUpdates() == 0 {
 		t.Fatal("no updates recorded")
 	}
 }
@@ -115,7 +115,7 @@ func TestSimSparseMatchesDenseTrajectory(t *testing.T) {
 			t.Fatalf("point %d: sparse loss %v vs dense %v", i, ps.Loss, pd.Loss)
 		}
 	}
-	if rs.Updates.Total() != rd.Updates.Total() {
+	if rs.TotalUpdates() != rd.TotalUpdates() {
 		t.Fatal("sparse and dense runs performed different numbers of updates")
 	}
 }

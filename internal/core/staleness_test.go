@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"time"
-
-	"heterosgd/internal/metrics"
 )
 
 // sspTracker builds an SSP stale tracker over n synthetic workers with the
@@ -17,7 +15,7 @@ func sspTracker(t *testing.T, n, bound int) (*staleTracker, *healthTracker) {
 	}
 	cfg.Workers = cfg.Workers[:n]
 	cfg.StalenessBound = bound
-	health := newHealthTracker(&cfg, metrics.NewEventLog())
+	health := newHealthTracker(&cfg, &record{})
 	return newStaleTracker(&cfg, health, nil), health
 }
 
@@ -102,7 +100,7 @@ func TestStaleTrackerJoinerEntersAtMin(t *testing.T) {
 	stale.advance(0) // clocks 8 and 7
 
 	// Grow health first (the documented call order), then the clock table.
-	health.addWorker("joiner", 3*time.Millisecond)
+	health.addWorker("joiner")
 	stale.addWorker()
 	if got := stale.clock[2]; got != 7 {
 		t.Fatalf("joiner entered at clock %d, want the healthy minimum 7", got)

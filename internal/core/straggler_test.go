@@ -30,9 +30,9 @@ func TestAdaptiveReactsToRuntimeSlowdown(t *testing.T) {
 	slow := run(true)
 
 	// The throttled GPU performs fewer updates…
-	if slow.Updates.Get("gpu0") >= fast.Updates.Get("gpu0") {
+	if slow.Updates["gpu0"] >= fast.Updates["gpu0"] {
 		t.Fatalf("throttled GPU should update less: %d vs %d",
-			slow.Updates.Get("gpu0"), fast.Updates.Get("gpu0"))
+			slow.Updates["gpu0"], fast.Updates["gpu0"])
 	}
 	// …and the policy pushes its batch toward the minimum threshold to
 	// compensate (smaller batches = faster iterations = more updates).

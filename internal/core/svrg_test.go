@@ -19,8 +19,8 @@ func TestSVRGConverges(t *testing.T) {
 		t.Fatalf("SVRG failed to learn: %v → %v", first, res.FinalLoss)
 	}
 	// Both streams must be active: CPU corrected updates and GPU anchors.
-	if res.Updates.Get("cpu0") == 0 || res.Updates.Get("gpu0") == 0 {
-		t.Fatalf("missing update streams: %v", res.Updates.Snapshot())
+	if res.Updates["cpu0"] == 0 || res.Updates["gpu0"] == 0 {
+		t.Fatalf("missing update streams: %v", res.Updates)
 	}
 }
 

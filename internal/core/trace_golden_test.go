@@ -123,11 +123,11 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FinalLoss != res2.FinalLoss || res.Updates.Total() != res2.Updates.Total() {
+	if res.FinalLoss != res2.FinalLoss || res.TotalUpdates() != res2.TotalUpdates() {
 		t.Errorf("telemetry changed the run: loss %v vs %v, updates %d vs %d",
-			res.FinalLoss, res2.FinalLoss, res.Updates.Total(), res2.Updates.Total())
+			res.FinalLoss, res2.FinalLoss, res.TotalUpdates(), res2.TotalUpdates())
 	}
-	if got := traced.Metrics.Counter("train_updates_total").Value(); got != res2.Updates.Total() {
-		t.Errorf("train_updates_total = %d, want %d", got, res2.Updates.Total())
+	if got := traced.Metrics.Counter("train_updates_total").Value(); got != res2.TotalUpdates() {
+		t.Errorf("train_updates_total = %d, want %d", got, res2.TotalUpdates())
 	}
 }

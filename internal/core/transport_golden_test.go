@@ -33,7 +33,7 @@ func transportGoldenSignature(t *testing.T, res *Result) string {
 	}
 	word(math.Float64bits(res.FinalLoss))
 	word(uint64(res.ExamplesProcessed))
-	word(uint64(res.Updates.Total()))
+	word(uint64(res.TotalUpdates()))
 	for _, p := range res.Trace.Points {
 		word(math.Float64bits(p.Epoch))
 		word(math.Float64bits(p.Loss))

@@ -152,7 +152,7 @@ func TestRunAllProducesFiveAlgorithms(t *testing.T) {
 		t.Fatalf("have %d algorithms", len(rs.Results))
 	}
 	for name, res := range rs.Results {
-		if res.Updates.Total() == 0 {
+		if res.TotalUpdates() == 0 {
 			t.Fatalf("%s recorded no updates", name)
 		}
 	}

@@ -98,7 +98,7 @@ func FigElastic(ctx context.Context, p *Problem, seed uint64) ([]ElasticBenchRes
 			FinalLoss: res.FinalLoss,
 			MinLoss:   res.MinLoss,
 			Epochs:    res.Epochs,
-			Updates:   res.Updates.Total(),
+			Updates:   res.TotalUpdates(),
 		}
 		if el := res.Elastic; el != nil {
 			b.Joins, b.Leaves, b.Evictions = el.Joins, el.Leaves, el.Evictions

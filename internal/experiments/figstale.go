@@ -88,7 +88,7 @@ func FigStale(ctx context.Context, p *Problem, seed uint64) (string, error) {
 		}
 		fmt.Fprintf(&b, "%-16s %12.4g %12.4g %8.2f %8d %9s %8s %9s\n",
 			r.label, r.res.FinalLoss, r.res.MinLoss, r.res.Epochs,
-			r.res.Updates.Total(), staleMax, staleMean, blocked)
+			r.res.TotalUpdates(), staleMax, staleMean, blocked)
 	}
 	return b.String(), nil
 }

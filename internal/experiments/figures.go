@@ -133,8 +133,8 @@ func Fig7(ctx context.Context, p *Problem, seed uint64) (string, error) {
 		}
 		fmt.Fprintf(&b, "\n%s (%.1f epochs in %v):\n", alg, res.Epochs, horizon.Round(time.Microsecond))
 		for _, dev := range []string{"cpu0", "gpu0"} {
-			series := res.Utilization.Series(dev, horizon, horizon/48)
-			mean := res.Utilization.MeanUtilization(dev, horizon)
+			series := metrics.Series(res.Utilization[dev], horizon, horizon/48)
+			mean := metrics.MeanUtilization(res.Utilization[dev], horizon)
 			fmt.Fprintf(&b, "  %-5s %s  mean %4.0f%%\n", dev, sparkline(series), 100*mean)
 		}
 	}
@@ -152,9 +152,8 @@ func Fig8(rs *RunSet) string {
 		if !ok {
 			continue
 		}
-		snap := res.Updates.Snapshot()
 		var cpu, gpu int64
-		for name, n := range snap {
+		for name, n := range res.Updates {
 			if strings.HasPrefix(name, "cpu") {
 				cpu += n
 			} else {

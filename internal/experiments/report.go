@@ -33,14 +33,15 @@ func WriteRunReport(w io.Writer, res *core.Result, csv bool) {
 		fmt.Fprintln(w, res.Staleness)
 	}
 	fmt.Fprintf(w, "final batch sizes: %v (resizes %v)\n", res.FinalBatch, res.Resizes)
-	snap := res.Updates.Snapshot()
-	workers := make([]string, 0, len(snap))
-	for worker := range snap {
+	workers := make([]string, 0, len(res.Updates))
+	for worker := range res.Updates {
 		workers = append(workers, worker)
 	}
 	sort.Strings(workers)
+	total := float64(res.TotalUpdates())
 	for _, worker := range workers {
-		fmt.Fprintf(w, "  %-6s %10d updates (%.1f%%)\n", worker, snap[worker], 100*res.Updates.Share(worker))
+		n := res.Updates[worker]
+		fmt.Fprintf(w, "  %-6s %10d updates (%.1f%%)\n", worker, n, 100*(float64(n)/total))
 	}
 	if csv {
 		fmt.Fprint(w, metrics.CSV([]*metrics.Trace{res.Trace}))

@@ -16,7 +16,9 @@ import (
 // the JSON row of BENCH_sparse.json. Throughput counts full
 // forward+backward passes (the training hot path); BytesPerOp is the mean
 // heap allocation per iteration from runtime.MemStats deltas — steady-state
-// training must not allocate per batch on either representation.
+// training must not allocate per batch on either representation. The legs
+// run in Pairs adjacent dense/sparse pairs; the Sec and per-second figures
+// total every pair, and Speedup is the median of the pairs' ratios.
 type SparseBenchResult struct {
 	Dataset   string  `json:"dataset"`
 	Examples  int     `json:"examples"`
@@ -26,6 +28,7 @@ type SparseBenchResult struct {
 	Batch     int     `json:"batch"`
 	HiddenStr string  `json:"hidden"`
 
+	Pairs       int     `json:"pairs"`
 	DenseIters  int     `json:"dense_iters"`
 	SparseIters int     `json:"sparse_iters"`
 	DenseSec    float64 `json:"dense_sec"`
@@ -95,6 +98,12 @@ func benchGradient(net *nn.Network, ds *data.Dataset, batch, iters int) (float64
 	return sec, (m1.TotalAlloc - m0.TotalAlloc) / uint64(iters)
 }
 
+// sparseBenchPairs is how many adjacent dense/sparse pairs each shape runs,
+// alternating which leg goes first. Host load that varies over time slows
+// both legs of a pair alike, and one pair caught across a swing moves the
+// median ratio by at most one rank.
+const sparseBenchPairs = 3
+
 // SparseBench measures dense-vs-sparse training throughput on the paper's
 // sparse dataset shapes and renders the comparison; the same rows marshal
 // to BENCH_sparse.json via SparseBenchJSON.
@@ -115,29 +124,42 @@ func SparseBench(seed uint64) ([]SparseBenchResult, string, error) {
 			return nil, "", err
 		}
 
-		denseSec, denseBytes := benchGradient(net, dense, sh.batch, sh.denseIters)
-		sparseSec, sparseBytes := benchGradient(net, sparse, sh.batch, sh.sparseIters)
+		var denseSec, sparseSec float64
+		var denseBytes, sparseBytes uint64
+		ratios := make([]float64, sparseBenchPairs)
+		for pair := range ratios {
+			var sec [2]float64 // dense, sparse
+			for _, leg := range [2]int{pair % 2, 1 - pair%2} {
+				if leg == 0 {
+					sec[0], denseBytes = benchGradient(net, dense, sh.batch, sh.denseIters)
+				} else {
+					sec[1], sparseBytes = benchGradient(net, sparse, sh.batch, sh.sparseIters)
+				}
+			}
+			denseSec, sparseSec = denseSec+sec[0], sparseSec+sec[1]
+			ratios[pair] = sec[0] / float64(sh.denseIters) / (sec[1] / float64(sh.sparseIters))
+		}
 
 		nnz := int64(sparse.XS.NNZ())
-		densePer := denseSec / float64(sh.denseIters*sh.batch)
-		sparsePer := sparseSec / float64(sh.sparseIters*sh.batch)
+		densePer := denseSec / float64(sparseBenchPairs*sh.denseIters*sh.batch)
+		sparsePer := sparseSec / float64(sparseBenchPairs*sh.sparseIters*sh.batch)
 		nnzPerExample := float64(nnz) / float64(sparse.N())
 		rows = append(rows, SparseBenchResult{
 			Dataset: spec.Name, Examples: sparse.N(), Dim: sparse.Dim(), NNZ: nnz,
 			Density: sparse.Density(), Batch: sh.batch,
-			HiddenStr:  fmt.Sprintf("%d×%d", sh.hiddenLayers, sh.hiddenUnits),
-			DenseIters: sh.denseIters, SparseIters: sh.sparseIters,
+			HiddenStr: fmt.Sprintf("%d×%d", sh.hiddenLayers, sh.hiddenUnits),
+			Pairs:     sparseBenchPairs, DenseIters: sh.denseIters, SparseIters: sh.sparseIters,
 			DenseSec: denseSec, SparseSec: sparseSec,
 			DenseExamplesPerSec:  1 / densePer,
 			SparseExamplesPerSec: 1 / sparsePer,
 			SparseNNZPerSec:      nnzPerExample / sparsePer,
-			Speedup:              densePer / sparsePer,
+			Speedup:              median(ratios),
 			DenseBytesPerOp:      denseBytes, SparseBytesPerOp: sparseBytes,
 		})
 	}
 
 	var b strings.Builder
-	b.WriteString("Dense vs sparse gradient throughput (forward+backward, 1 worker)\n")
+	fmt.Fprintf(&b, "Dense vs sparse gradient throughput (forward+backward, 1 worker; speedup: median of %d interleaved pairs)\n", sparseBenchPairs)
 	b.WriteString("dataset     dim    nnz/ex  density   dense ex/s  sparse ex/s  speedup     nnz/s  dense B/op  sparse B/op\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-9s %6d %8.1f %8.4f %12.0f %12.0f %8.1fx %9.3g %11d %12d\n",

@@ -102,10 +102,10 @@ func TelemetryBench(seed uint64, trials int) (TelemetryBenchResult, string, erro
 		ratios[trial] = dt[1].Seconds() / dt[0].Seconds()
 	}
 	offRes, onRes := res[0], res[1]
-	if offRes.Updates.Total() != onRes.Updates.Total() || offRes.FinalLoss != onRes.FinalLoss {
+	if offRes.TotalUpdates() != onRes.TotalUpdates() || offRes.FinalLoss != onRes.FinalLoss {
 		return TelemetryBenchResult{}, "", fmt.Errorf(
 			"telemetry perturbed the run: %d updates / loss %v traced vs %d / %v untraced",
-			onRes.Updates.Total(), onRes.FinalLoss, offRes.Updates.Total(), offRes.FinalLoss)
+			onRes.TotalUpdates(), onRes.FinalLoss, offRes.TotalUpdates(), offRes.FinalLoss)
 	}
 
 	row := TelemetryBenchResult{
@@ -118,7 +118,7 @@ func TelemetryBench(seed uint64, trials int) (TelemetryBenchResult, string, erro
 		OverheadPct: 100 * (median(ratios) - 1),
 		Spans:       spans,
 		Dropped:     dropped,
-		Updates:     onRes.Updates.Total(),
+		Updates:     onRes.TotalUpdates(),
 	}
 
 	var b strings.Builder

@@ -1,15 +1,16 @@
-// Package metrics collects and post-processes the measurements behind the
-// paper's evaluation: loss-versus-time traces (Figure 5), loss-versus-epoch
-// traces (Figure 6), per-device utilization over time (Figure 7), and the
-// per-worker model-update distribution (Figure 8). It also implements the
-// paper's normalization methodology (§VII-A): every loss is divided by the
-// minimum loss achieved by any algorithm on the same workload.
+// Package metrics holds the data types of the measurements behind the
+// paper's evaluation and their post-processing: loss-versus-time traces
+// (Figure 5), loss-versus-epoch traces (Figure 6), device-busy spans binned
+// into utilization over time (Figure 7), and fault-tolerance incidents. A
+// run's coordinator records them; this package keeps no state of its own.
+// It also implements the paper's normalization methodology (§VII-A): every
+// loss is divided by the minimum loss achieved by any algorithm on the same
+// workload.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -101,100 +102,29 @@ func Normalize(traces []*Trace, base float64) []*Trace {
 	return traces
 }
 
-// UpdateCounter tracks the number of model updates performed by each worker
-// (Figure 8). It is not safe for concurrent use: a run's coordinator is its
-// only writer, and its readers come after the run.
-type UpdateCounter struct {
-	counts map[string]int64
-}
-
-// NewUpdateCounter returns an empty counter.
-func NewUpdateCounter() *UpdateCounter {
-	return &UpdateCounter{counts: make(map[string]int64)}
-}
-
-// Add credits worker with n updates.
-func (c *UpdateCounter) Add(worker string, n int64) {
-	c.counts[worker] += n
-}
-
-// Get returns worker's update count.
-func (c *UpdateCounter) Get(worker string) int64 {
-	return c.counts[worker]
-}
-
-// Total returns the sum over all workers.
-func (c *UpdateCounter) Total() int64 {
-	var sum int64
-	for _, v := range c.counts {
-		sum += v
-	}
-	return sum
-}
-
-// Snapshot returns a copy of the per-worker counts.
-func (c *UpdateCounter) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(c.counts))
-	for k, v := range c.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Share returns worker's fraction of all updates (0 when nothing recorded).
-func (c *UpdateCounter) Share(worker string) float64 {
-	sum := c.Total()
-	if sum == 0 {
-		return 0
-	}
-	return float64(c.counts[worker]) / float64(sum)
-}
-
-// Event is one timestamped fault-tolerance incident: a worker crash,
-// watchdog timeout, batch re-dispatch, quarantine readmission, dropped
-// non-finite update, checkpoint, or rollback.
+// Event is one timestamped incident of a run: a worker crash, watchdog
+// timeout, batch re-dispatch, quarantine readmission, dropped non-finite
+// update, checkpoint, rollback, or membership change.
 type Event struct {
 	// At is the elapsed (virtual or wall) time of the incident.
 	At time.Duration
 	// Worker names the device involved ("" for run-level events).
 	Worker string
 	// Kind classifies the incident ("crash", "timeout", "redispatch",
-	// "readmit", "drop", "checkpoint", "rollback", "diverged").
+	// "readmit", "drop", "checkpoint", "rollback", "diverged", "join",
+	// "leave", "evict", "depart", …).
 	Kind string
 	// Detail carries free-form context for logs.
 	Detail string
 }
 
-// EventLog records fault-tolerance incidents in occurrence order. Like
-// UpdateCounter it has one writer, the run's coordinator.
-type EventLog struct {
-	events []Event
-}
-
-// NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
-
-// Add appends an incident.
-func (l *EventLog) Add(at time.Duration, worker, kind, detail string) {
-	l.events = append(l.events, Event{At: at, Worker: worker, Kind: kind, Detail: detail})
-}
-
-// AddEvent appends a pre-built incident — resume seeds the log with the
-// checkpoint's history so a restarted run's audit trail spans every
-// incarnation.
-func (l *EventLog) AddEvent(e Event) {
-	l.events = append(l.events, e)
-}
-
-// Events returns a copy of the recorded incidents.
-func (l *EventLog) Events() []Event {
-	return append([]Event(nil), l.events...)
-}
+// Events is a run's incident log in occurrence order.
+type Events []Event
 
 // Count returns the number of incidents of the given kind.
-func (l *EventLog) Count(kind string) int {
+func (es Events) Count(kind string) int {
 	n := 0
-	for _, e := range l.events {
+	for _, e := range es {
 		if e.Kind == kind {
 			n++
 		}
@@ -203,61 +133,31 @@ func (l *EventLog) Count(kind string) int {
 }
 
 // String renders the log one incident per line.
-func (l *EventLog) String() string {
+func (es Events) String() string {
 	var b strings.Builder
-	for _, e := range l.events {
+	for _, e := range es {
 		fmt.Fprintf(&b, "%12v %-8s %-10s %s\n", e.At.Round(time.Microsecond), e.Worker, e.Kind, e.Detail)
 	}
 	return b.String()
 }
 
-// busyInterval is a device-busy span weighted by achieved efficiency.
-type busyInterval struct {
-	from, to time.Duration
-	weight   float64
+// Busy is one device-busy span [From, To) weighted by the efficiency (0–1)
+// of its peak the device achieved (Figure 7).
+type Busy struct {
+	From, To time.Duration
+	Weight   float64
 }
 
-// UtilizationTrace records weighted busy intervals per device and bins them
-// into a utilization-versus-time series (Figure 7). Like UpdateCounter it has
-// one writer, the run's coordinator.
-type UtilizationTrace struct {
-	intervals map[string][]busyInterval
-}
-
-// NewUtilizationTrace returns an empty trace.
-func NewUtilizationTrace() *UtilizationTrace {
-	return &UtilizationTrace{intervals: make(map[string][]busyInterval)}
-}
-
-// AddBusy records that device was busy on [from, to) achieving the given
-// efficiency (0–1) of its peak.
-func (u *UtilizationTrace) AddBusy(device string, from, to time.Duration, efficiency float64) {
-	if to <= from {
-		return
-	}
-	u.intervals[device] = append(u.intervals[device], busyInterval{from, to, efficiency})
-}
-
-// Devices returns the recorded device names, sorted.
-func (u *UtilizationTrace) Devices() []string {
-	names := make([]string, 0, len(u.intervals))
-	for k := range u.intervals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Series bins device's weighted busy time into bins of width bin over
+// Series bins busy's weighted time into bins of width bin over
 // [0, horizon) and returns the per-bin utilization fractions.
-func (u *UtilizationTrace) Series(device string, horizon, bin time.Duration) []float64 {
+func Series(busy []Busy, horizon, bin time.Duration) []float64 {
 	if bin <= 0 || horizon <= 0 {
 		return nil
 	}
 	n := int((horizon + bin - 1) / bin)
 	out := make([]float64, n)
-	for _, s := range u.intervals[device] {
-		lo, hi := s.from, s.to
+	for _, s := range busy {
+		lo, hi := s.From, s.To
 		if hi > horizon {
 			hi = horizon
 		}
@@ -268,7 +168,7 @@ func (u *UtilizationTrace) Series(device string, horizon, bin time.Duration) []f
 				break
 			}
 			ov := overlap(lo, hi, bStart, bEnd)
-			out[b] += s.weight * ov.Seconds() / bin.Seconds()
+			out[b] += s.Weight * ov.Seconds() / bin.Seconds()
 		}
 	}
 	for i, v := range out {
@@ -279,9 +179,9 @@ func (u *UtilizationTrace) Series(device string, horizon, bin time.Duration) []f
 	return out
 }
 
-// MeanUtilization returns device's average utilization over [0, horizon).
-func (u *UtilizationTrace) MeanUtilization(device string, horizon time.Duration) float64 {
-	series := u.Series(device, horizon, horizon/100+1)
+// MeanUtilization returns busy's average utilization over [0, horizon).
+func MeanUtilization(busy []Busy, horizon time.Duration) float64 {
+	series := Series(busy, horizon, horizon/100+1)
 	if len(series) == 0 {
 		return 0
 	}

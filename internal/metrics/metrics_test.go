@@ -59,41 +59,29 @@ func TestNormalizeToGlobalMin(t *testing.T) {
 	}
 }
 
-func TestUpdateCounter(t *testing.T) {
-	c := NewUpdateCounter()
-	for i := 0; i < 800; i++ {
-		c.Add("cpu0", 2)
-		c.Add("gpu0", 1)
+func TestEventsCountAndString(t *testing.T) {
+	es := Events{
+		{At: time.Millisecond, Worker: "gpu0", Kind: "crash", Detail: "boom"},
+		{At: 2 * time.Millisecond, Worker: "cpu0", Kind: "redispatch", Detail: "64 examples from gpu0"},
+		{At: 3 * time.Millisecond, Kind: "redispatch"},
 	}
-	if c.Get("cpu0") != 1600 || c.Get("gpu0") != 800 {
-		t.Fatalf("counts %d %d", c.Get("cpu0"), c.Get("gpu0"))
+	if es.Count("redispatch") != 2 || es.Count("crash") != 1 || es.Count("rollback") != 0 {
+		t.Fatalf("counts %d %d %d", es.Count("redispatch"), es.Count("crash"), es.Count("rollback"))
 	}
-	if c.Total() != 2400 {
-		t.Fatalf("total %d", c.Total())
+	out := es.String()
+	if strings.Count(out, "\n") != 3 || !strings.Contains(out, "gpu0     crash      boom") {
+		t.Fatalf("log rendering:\n%s", out)
 	}
-	if s := c.Share("cpu0"); math.Abs(s-2.0/3) > 1e-12 {
-		t.Fatalf("share %v", s)
-	}
-	snap := c.Snapshot()
-	if snap["gpu0"] != 800 {
-		t.Fatalf("snapshot %v", snap)
-	}
-	snap["gpu0"] = 0
-	if c.Get("gpu0") != 800 {
-		t.Fatal("snapshot must be a copy")
-	}
-	if NewUpdateCounter().Share("x") != 0 {
-		t.Fatal("empty counter share must be 0")
+	if Events(nil).String() != "" {
+		t.Fatal("empty log must render empty")
 	}
 }
 
 func TestUtilizationSeries(t *testing.T) {
-	u := NewUtilizationTrace()
 	// Device busy the whole first second at 100%, half of the second
 	// second at 50%.
-	u.AddBusy("gpu0", 0, time.Second, 1.0)
-	u.AddBusy("gpu0", time.Second, 1500*time.Millisecond, 0.5)
-	s := u.Series("gpu0", 2*time.Second, time.Second)
+	busy := []Busy{{0, time.Second, 1.0}, {time.Second, 1500 * time.Millisecond, 0.5}}
+	s := Series(busy, 2*time.Second, time.Second)
 	if len(s) != 2 {
 		t.Fatalf("series length %d", len(s))
 	}
@@ -106,9 +94,7 @@ func TestUtilizationSeries(t *testing.T) {
 }
 
 func TestUtilizationSeriesSpanningBins(t *testing.T) {
-	u := NewUtilizationTrace()
-	u.AddBusy("cpu0", 500*time.Millisecond, 2500*time.Millisecond, 0.8)
-	s := u.Series("cpu0", 3*time.Second, time.Second)
+	s := Series([]Busy{{500 * time.Millisecond, 2500 * time.Millisecond, 0.8}}, 3*time.Second, time.Second)
 	want := []float64{0.4, 0.8, 0.4}
 	for i, w := range want {
 		if math.Abs(s[i]-w) > 1e-9 {
@@ -118,38 +104,30 @@ func TestUtilizationSeriesSpanningBins(t *testing.T) {
 }
 
 func TestUtilizationClampsAndIgnoresEmpty(t *testing.T) {
-	u := NewUtilizationTrace()
-	u.AddBusy("d", 0, time.Second, 1)
-	u.AddBusy("d", 0, time.Second, 1) // overlapping → clamp at 1
-	u.AddBusy("d", time.Second, time.Second, 1)
-	s := u.Series("d", time.Second, time.Second)
+	busy := []Busy{
+		{0, time.Second, 1},
+		{0, time.Second, 1}, // overlapping → clamp at 1
+		{time.Second, time.Second, 1},
+	}
+	s := Series(busy, time.Second, time.Second)
 	if s[0] != 1 {
 		t.Fatalf("clamped bin = %v", s[0])
 	}
-	if got := u.Series("d", 0, time.Second); got != nil {
+	if got := Series(busy, 0, time.Second); got != nil {
 		t.Fatal("zero horizon must return nil")
 	}
-	if got := u.Series("missing", time.Second, time.Second); got[0] != 0 {
-		t.Fatal("unknown devices are all-idle")
+	if got := Series(nil, time.Second, time.Second); got[0] != 0 {
+		t.Fatal("a device with no spans is all-idle")
+	}
+	if got := Series([]Busy{{time.Second, time.Second, 1}}, 2*time.Second, time.Second); got[0] != 0 || got[1] != 0 {
+		t.Fatalf("an empty span must add nothing, got %v", got)
 	}
 }
 
 func TestMeanUtilization(t *testing.T) {
-	u := NewUtilizationTrace()
-	u.AddBusy("d", 0, time.Second, 1)
-	m := u.MeanUtilization("d", 2*time.Second)
+	m := MeanUtilization([]Busy{{0, time.Second, 1}}, 2*time.Second)
 	if math.Abs(m-0.5) > 0.02 {
 		t.Fatalf("mean = %v, want ≈0.5", m)
-	}
-}
-
-func TestDevicesSorted(t *testing.T) {
-	u := NewUtilizationTrace()
-	u.AddBusy("gpu0", 0, 1, 1)
-	u.AddBusy("cpu0", 0, 1, 1)
-	d := u.Devices()
-	if len(d) != 2 || d[0] != "cpu0" || d[1] != "gpu0" {
-		t.Fatalf("devices %v", d)
 	}
 }
 

@@ -29,9 +29,8 @@ import (
 // Publisher satisfies core.SnapshotSink, so a training Config can publish
 // into it directly (Config.SnapshotSink = publisher).
 type Publisher struct {
-	net       *nn.Network
-	cur       atomic.Pointer[nn.Snapshot]
-	published atomic.Uint64
+	net *nn.Network
+	cur atomic.Pointer[nn.Snapshot]
 }
 
 // NewPublisher returns a Publisher for models of net's topology. No
@@ -47,9 +46,22 @@ func (p *Publisher) Net() *nn.Network { return p.net }
 // PublishParams wraps params in a new snapshot and makes it current. It
 // takes ownership: params must be a private deep copy (the engines clone
 // mode-appropriately before calling) and must not be mutated afterwards.
+// The snapshot's version is its predecessor's plus one, fixed by the same
+// compare-and-swap that installs it, so concurrent publishers (a trainer and
+// a reload) never make the served version go backwards, and the version
+// counts the publishes.
 func (p *Publisher) PublishParams(params *nn.Params) {
-	version := p.published.Add(1)
-	p.cur.Store(&nn.Snapshot{Net: p.net, Params: params, Version: version, At: time.Now()})
+	s := &nn.Snapshot{Net: p.net, Params: params}
+	for {
+		prev := p.cur.Load()
+		s.Version, s.At = 1, time.Now()
+		if prev != nil {
+			s.Version = prev.Version + 1
+		}
+		if p.cur.CompareAndSwap(prev, s) {
+			return
+		}
+	}
 }
 
 // Load returns the current snapshot, or nil before the first publish. The

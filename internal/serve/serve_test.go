@@ -43,6 +43,67 @@ func TestPublisherRCUSemantics(t *testing.T) {
 	}
 }
 
+// TestPublisherVersionsNeverGoBackwards: publishers racing each other (a
+// trainer and a reload) while readers watch — no reader ever sees the
+// served version decrease, and the final version equals the number of
+// publishes. Each publisher also reads after every publish of its own, so a
+// publish stored behind a newer one is seen at once.
+func TestPublisherVersionsNeverGoBackwards(t *testing.T) {
+	net, params := testNet(t)
+	pub := NewPublisher(net)
+	const publishers, each = 8, 4000
+	// watch loads the current snapshot and reports whether its version is
+	// at least *last, which it then advances.
+	watch := func(last *uint64) bool {
+		s := pub.Load()
+		if s == nil {
+			return true
+		}
+		if s.Version < *last {
+			t.Errorf("served version went backwards: %d after %d", s.Version, *last)
+			return false
+		}
+		*last = s.Version
+		return true
+	}
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if !watch(&last) {
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < publishers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last uint64
+			for j := 0; j < each; j++ {
+				pub.PublishParams(params)
+				if !watch(&last) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	if got := pub.Version(); got != publishers*each {
+		t.Fatalf("version %d after %d publishes", got, publishers*each)
+	}
+}
+
 func TestBatcherMatchesDirectForward(t *testing.T) {
 	net, params := testNet(t)
 	pub := NewPublisher(net)

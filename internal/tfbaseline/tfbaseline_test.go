@@ -138,7 +138,7 @@ func TestRunConverges(t *testing.T) {
 	if res.FinalLoss >= first*0.8 {
 		t.Fatalf("loss %v → %v did not drop", first, res.FinalLoss)
 	}
-	if res.Epochs <= 0 || res.Updates.Total() == 0 {
+	if res.Epochs <= 0 || res.TotalUpdates() == 0 {
 		t.Fatal("no work recorded")
 	}
 }

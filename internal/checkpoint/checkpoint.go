@@ -7,21 +7,23 @@
 //	magic   uint32  "HGC1"
 //	version uint32  2
 //	hdrLen  uint32  length of the JSON header
-//	header  []byte  JSON: every RunState field except Membership and Params
+//	header  []byte  JSON core.RunState (all but Membership and Params)
 //	hdrCRC  uint32  CRC-32 (IEEE) of the four preceding fields
 //	memLen  uint32  length of the membership JSON
 //	member  []byte  JSON core.MembershipState
 //	memCRC  uint32  CRC-32 (IEEE) of memLen + member
 //	params  []byte  the model, in nn.WriteParams format (self-checksummed)
 //
-// The header, membership, and model sections carry independent checksums,
-// so truncation or corruption anywhere in the file yields a descriptive
-// error instead of a silently wrong resume — a flipped byte in the
-// membership block must never resurrect the wrong worker set. Version 1,
-// the pre-membership layout, is refused by name. Files are written via
-// atomicio (temp file + rename), so a kill mid-write never leaves a torn
-// checkpoint: readers see either the previous complete generation or the
-// new one.
+// The header is core.RunState marshalled as it is, so RunState's JSON tags
+// are the header's schema; Membership and Params are tagged out of it and
+// written as their own sections. The header, membership, and model sections
+// carry independent checksums, so truncation or corruption anywhere in the
+// file yields a descriptive error instead of a silently wrong resume — a
+// flipped byte in the membership block must never resurrect the wrong worker
+// set. Version 1, the pre-membership layout, is refused by name. Files are
+// written via atomicio (temp file + rename), so a kill mid-write never leaves
+// a torn checkpoint: readers see either the previous complete generation or
+// the new one.
 package checkpoint
 
 import (
@@ -33,7 +35,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"heterosgd/internal/atomicio"
 	"heterosgd/internal/core"
@@ -48,27 +49,6 @@ const (
 	fileVersion = 2
 )
 
-// header mirrors core.RunState minus Params (which is stored in the binary
-// model section). A dedicated struct keeps the on-disk schema explicit and
-// independent of incidental RunState changes.
-type header struct {
-	Algorithm    int             `json:"algorithm"`
-	Seed         uint64          `json:"seed"`
-	Epoch        int             `json:"epoch"`
-	Cursor       int             `json:"cursor"`
-	ExamplesDone int64           `json:"examples_done"`
-	TotalUpdates int64           `json:"total_updates"`
-	Batch        []int           `json:"batch"`
-	Updates      []int64         `json:"updates"`
-	LRMult       []float64       `json:"lr_mult"`
-	GuardLRScale float64         `json:"guard_lr_scale"`
-	GuardRetries int             `json:"guard_retries"`
-	RNG          []byte          `json:"rng"`
-	Interrupted  bool            `json:"interrupted"`
-	At           time.Duration   `json:"at_ns"`
-	Events       []metrics.Event `json:"events,omitempty"`
-}
-
 // Write serializes st to w.
 func Write(w io.Writer, st *core.RunState) error {
 	if st.Params == nil {
@@ -77,23 +57,7 @@ func Write(w io.Writer, st *core.RunState) error {
 	if st.Membership == nil {
 		return fmt.Errorf("checkpoint: run state has no membership section")
 	}
-	hdr, err := json.Marshal(header{
-		Algorithm:    int(st.Algorithm),
-		Seed:         st.Seed,
-		Epoch:        st.Epoch,
-		Cursor:       st.Cursor,
-		ExamplesDone: st.ExamplesDone,
-		TotalUpdates: st.TotalUpdates,
-		Batch:        st.Batch,
-		Updates:      st.Updates,
-		LRMult:       st.LRMult,
-		GuardLRScale: st.GuardLRScale,
-		GuardRetries: st.GuardRetries,
-		RNG:          st.RNG,
-		Interrupted:  st.Interrupted,
-		At:           st.At,
-		Events:       st.Events,
-	})
+	hdr, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding header: %w", err)
 	}
@@ -168,8 +132,8 @@ func Read(r io.Reader, net *nn.Network) (*core.RunState, error) {
 	if got != want {
 		return nil, fmt.Errorf("checkpoint: header checksum mismatch (stored %#x, computed %#x): file is corrupt", got, want)
 	}
-	var h header
-	if err := json.Unmarshal(hdr, &h); err != nil {
+	st := &core.RunState{}
+	if err := json.Unmarshal(hdr, st); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding header: %w", err)
 	}
 	mcrc := crc32.NewIEEE()
@@ -193,33 +157,15 @@ func Read(r io.Reader, net *nn.Network) (*core.RunState, error) {
 	if mgot != mwant {
 		return nil, fmt.Errorf("checkpoint: membership checksum mismatch (stored %#x, computed %#x): refusing to resume an unverifiable worker set", mgot, mwant)
 	}
-	membership := &core.MembershipState{}
-	if err := json.Unmarshal(mem, membership); err != nil {
+	st.Membership = &core.MembershipState{}
+	if err := json.Unmarshal(mem, st.Membership); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding membership: %w", err)
 	}
-	params, err := nn.ReadParams(r, net)
-	if err != nil {
+	var err error
+	if st.Params, err = nn.ReadParams(r, net); err != nil {
 		return nil, fmt.Errorf("checkpoint: model section: %w", err)
 	}
-	return &core.RunState{
-		Algorithm:    core.Algorithm(h.Algorithm),
-		Seed:         h.Seed,
-		Epoch:        h.Epoch,
-		Cursor:       h.Cursor,
-		ExamplesDone: h.ExamplesDone,
-		TotalUpdates: h.TotalUpdates,
-		Batch:        h.Batch,
-		Updates:      h.Updates,
-		LRMult:       h.LRMult,
-		GuardLRScale: h.GuardLRScale,
-		GuardRetries: h.GuardRetries,
-		RNG:          h.RNG,
-		Interrupted:  h.Interrupted,
-		At:           h.At,
-		Events:       h.Events,
-		Membership:   membership,
-		Params:       params,
-	}, nil
+	return st, nil
 }
 
 // Save writes st to path atomically.

@@ -30,12 +30,6 @@ type ClusterOptions struct {
 	AttachTimeout time.Duration
 }
 
-func (o *ClusterOptions) defaults() {
-	if o.AttachTimeout <= 0 {
-		o.AttachTimeout = 30 * time.Second
-	}
-}
-
 // clusterLink is what the engine asks of a networked transport beyond
 // Transport. transport.TCP provides it; over any other transport each use is
 // skipped.
@@ -109,7 +103,9 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 	if err != nil {
 		return nil, err
 	}
-	opts.defaults()
+	if opts.AttachTimeout <= 0 {
+		opts.AttachTimeout = 30 * time.Second
+	}
 	l, err := newCoordLoop(ctx, &cfg, trans, budget)
 	if err != nil {
 		return nil, err

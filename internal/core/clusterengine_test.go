@@ -656,7 +656,7 @@ func TestClusterWorkerTakesStepFromWelcome(t *testing.T) {
 	}
 
 	const lanes = 4
-	global := cfg.Net.NewParams(nn.InitXavier, cfg.newRNG())
+	global := cfg.Net.NewParams(nn.InitXavier, RunRNG(cfg.Seed))
 	done := roundTrip(1, global, lanes)
 	if done.Failed || done.Updates != lanes {
 		t.Fatalf("first completion %+v, want %d updates", done, lanes)

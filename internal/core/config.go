@@ -629,6 +629,3 @@ const rngStream = 0xda3e39cb94b95bdb
 func RunRNG(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, rngStream))
 }
-
-// newRNG returns the config's deterministic random source.
-func (c *Config) newRNG() *rand.Rand { return RunRNG(c.Seed) }

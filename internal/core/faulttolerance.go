@@ -97,10 +97,9 @@ type FaultReport struct {
 	// DroppedUpdates counts non-finite gradient updates discarded by the
 	// divergence guard before they reached the shared model.
 	DroppedUpdates int64
-	// Checkpoints and Rollbacks count divergence-guard checkpoint saves
-	// and restores: the run's "checkpoint" and "rollback" incidents.
-	Checkpoints int
-	Rollbacks   int
+	// Rollbacks counts divergence-guard restores of the last good model:
+	// the run's "rollback" incidents.
+	Rollbacks int
 	// Diverged reports that the retry budget was exhausted: the run
 	// stopped because loss stayed non-finite through MaxRetries rollbacks
 	// (a "diverged" incident).
@@ -182,8 +181,8 @@ func (r *FaultReport) String() string {
 				w.Worker, w.State, w.Crashes, w.Timeouts, w.Readmissions))
 		}
 	}
-	parts = append(parts, fmt.Sprintf("redispatches %d, dropped updates %d, checkpoints %d, rollbacks %d",
-		r.Redispatches, r.DroppedUpdates, r.Checkpoints, r.Rollbacks))
+	parts = append(parts, fmt.Sprintf("redispatches %d, dropped updates %d, rollbacks %d",
+		r.Redispatches, r.DroppedUpdates, r.Rollbacks))
 	if r.Diverged {
 		parts = append(parts, "DIVERGED")
 	}
@@ -462,11 +461,11 @@ func (g *guardState) snapshot() *nn.Params {
 	return g.checkpoint
 }
 
-// onEval processes an epoch-barrier loss. A finite loss checkpoints the
-// model and resets the retry budget; a non-finite loss restores the
-// checkpoint and backs the learning rate off. diverged reports that the
-// retry budget is exhausted and the run must stop. Each verdict is an
-// incident in rec.
+// onEval processes an epoch-barrier loss. A finite loss snapshots the
+// model and resets the retry budget, silently: a routine snapshot is not an
+// incident. A non-finite loss restores the snapshot and backs the learning
+// rate off. diverged reports that the retry budget is exhausted and the run
+// must stop. Both of those verdicts are incidents in rec.
 func (g *guardState) onEval(loss float64, global *nn.Params, rec *record, at time.Duration) (rolledBack, diverged bool) {
 	if g == nil {
 		return false, false
@@ -474,7 +473,6 @@ func (g *guardState) onEval(loss float64, global *nn.Params, rec *record, at tim
 	if isFinite(loss) {
 		g.checkpoint.CopyFrom(global)
 		g.retries = 0
-		rec.log(at, "", "checkpoint", fmt.Sprintf("loss %.6g", loss))
 		return false, false
 	}
 	g.retries++

@@ -210,7 +210,7 @@ func TestWorkerLifecycle(t *testing.T) {
 
 func TestGuardStateRollbackAndDivergence(t *testing.T) {
 	cfg := tinyConfig(t, AlgHogbatchCPU)
-	global := cfg.Net.NewParams(nn.InitXavier, cfg.newRNG())
+	global := cfg.Net.NewParams(nn.InitXavier, RunRNG(cfg.Seed))
 	g := newGuardState(true, global)
 	rec := &record{}
 
@@ -259,8 +259,8 @@ func TestGuardStateRollbackAndDivergence(t *testing.T) {
 	if g.scale() != guardMinLRScale {
 		t.Fatalf("lr scale %v, want floor %v", g.scale(), guardMinLRScale)
 	}
-	if want, log := 2+2*guardMaxRetries, rec.events; log.Count("diverged") != 1 || log.Count("rollback") != want || log.Count("checkpoint") != 3 {
-		t.Fatalf("incidents:\n%s\nwant %d rollbacks, 3 checkpoints and one divergence", log, want)
+	if want, log := 2+2*guardMaxRetries, rec.events; log.Count("diverged") != 1 || log.Count("rollback") != want {
+		t.Fatalf("incidents:\n%s\nwant %d rollbacks and one divergence", log, want)
 	}
 
 	// Nil guard is inert.

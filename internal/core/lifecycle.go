@@ -29,51 +29,56 @@ import (
 // RunState is a complete, self-contained snapshot of a training run's
 // mutable state. It is produced by the engines through Config.CheckpointSink
 // and consumed through Config.Resume; internal/checkpoint serializes it with
-// versioning and checksums.
+// versioning and checksums. The JSON tags are the checkpoint header's
+// on-disk schema: renaming one breaks every file already written.
 type RunState struct {
 	// Algorithm and Seed identify the run; resume requires both to match
 	// the resuming Config (the determinism guarantee is per-trajectory).
-	Algorithm Algorithm
-	Seed      uint64
+	Algorithm Algorithm `json:"algorithm"`
+	Seed      uint64    `json:"seed"`
 	// Epoch is the number of pool refills performed (== the number of
 	// epoch shuffles consumed from the RNG stream when Config.Shuffle is
 	// set). Cursor is the next unassigned example within the current
 	// epoch; a barrier capture has Cursor == N (pool drained).
-	Epoch  int
-	Cursor int
+	Epoch  int `json:"epoch"`
+	Cursor int `json:"cursor"`
 	// ExamplesDone accumulates assigned examples across epochs — the LR
 	// schedule position (fractional epochs = ExamplesDone/N).
-	ExamplesDone int64
+	ExamplesDone int64 `json:"examples_done"`
 	// TotalUpdates is the raw model-update count at capture (diagnostic).
-	TotalUpdates int64
+	TotalUpdates int64 `json:"total_updates"`
 	// Batch and Updates are the per-worker adaptive batch sizes b^E and
 	// β-weighted policy counters u^E (Algorithm 2's entire state). LRMult
 	// is the AdaptiveLR comparator's per-worker multiplier.
-	Batch   []int
-	Updates []int64
-	LRMult  []float64
+	Batch   []int     `json:"batch"`
+	Updates []int64   `json:"updates"`
+	LRMult  []float64 `json:"lr_mult"`
 	// GuardLRScale and GuardRetries restore the divergence guard's
 	// exponential LR backoff (1 and 0 when guards never fired).
-	GuardLRScale float64
-	GuardRetries int
+	GuardLRScale float64 `json:"guard_lr_scale"`
+	GuardRetries int     `json:"guard_retries"`
+	// DroppedUpdates continues FaultReport.DroppedUpdates: a "drop"
+	// incident does not hold its count, so no fold can rebuild it.
+	DroppedUpdates int64 `json:"dropped_updates,omitempty"`
 	// RNG is the marshaled PCG state of the coordinator's shuffle stream.
-	RNG []byte
+	RNG []byte `json:"rng"`
 	// Interrupted records that the capture came from a cancelled run's
 	// drain rather than a clean completion.
-	Interrupted bool
+	Interrupted bool `json:"interrupted"`
 	// At is the run clock at capture (virtual time in RunSim, wall time in
 	// RunReal); informational.
-	At time.Duration
+	At time.Duration `json:"at_ns"`
 	// Events carries the health/fault event log up to the capture.
-	Events []metrics.Event
+	Events []metrics.Event `json:"events,omitempty"`
 	// Membership extends the snapshot with the mid-churn worker set:
 	// elastic states, SSP clocks, the dispatch sequence floor, transport
 	// accounting, and the in-flight batch list. capture always sets it and
 	// resume requires it; internal/checkpoint serializes it as a section
 	// with its own CRC.
-	Membership *MembershipState
-	// Params is the model at capture (a private deep copy).
-	Params *nn.Params
+	Membership *MembershipState `json:"-"`
+	// Params is the model at capture (a private deep copy), stored in the
+	// checkpoint's binary model section.
+	Params *nn.Params `json:"-"`
 }
 
 // MembershipState is the membership section of a RunState: everything needed
@@ -84,6 +89,9 @@ type MembershipState struct {
 	// States holds one slot code per slot ever allocated: slotActive
 	// (healthy, quarantined or crashed), slotDraining or slotDeparted.
 	States []int `json:"states"`
+	// Faults holds each slot's WorkerHealth Crashes, Timeouts and
+	// Readmissions, so a resumed run's per-worker counts continue too.
+	Faults [][3]int `json:"faults,omitempty"`
 	// Clocks are the per-worker completed-dispatch clocks behind the SSP
 	// gate; restoring them keeps the bounded-staleness invariant meaningful
 	// across a restart instead of resetting every worker to zero.
@@ -147,26 +155,31 @@ func (m *MembershipState) ActiveCount() int {
 	return n
 }
 
-// capture writes the worker table into ms: each slot's code, the bounds and
-// the peak active count.
+// capture writes the worker table into ms: each slot's code and fault
+// counts, the bounds and the peak active count.
 func (h *healthTracker) capture(ms *MembershipState) {
 	for _, w := range h.report.Workers {
 		ms.States = append(ms.States, slotCode[w.State])
+		ms.Faults = append(ms.Faults, [3]int{w.Crashes, w.Timeouts, w.Readmissions})
 	}
 	ms.Min, ms.Max = h.min, h.max
 	ms.Peak = h.churn.Peak
 }
 
 // restore reinstates a captured worker table grown to its width, with its
-// bounds and its peak, so joins continue from the next unused id. A draining
-// slot comes back departed, like a departed one: its former process is gone
-// and its in-flight work rides the Flight list. A run captured mid-churn
+// fault counts, bounds and peak, so joins continue from the next unused id.
+// A draining slot comes back departed, like a departed one: its former
+// process is gone and its in-flight work rides the Flight list. A run captured mid-churn
 // publishes its report like an elastic one.
 func (h *healthTracker) restore(ms *MembershipState, churned bool) {
 	for id, s := range ms.States {
 		if s != slotActive {
 			h.move(id, 0, WorkerDeparted, "depart", fmt.Sprintf("restored as %s from checkpoint", []string{slotDraining: "draining", slotDeparted: "departed"}[s]))
 		}
+	}
+	for id, c := range ms.Faults {
+		w := &h.report.Workers[id]
+		w.Crashes, w.Timeouts, w.Readmissions = c[0], c[1], c[2]
 	}
 	h.elastic = h.elastic || churned
 	h.min, h.max = max(ms.Min, 1), cmp.Or(ms.Max, len(ms.States))
@@ -220,8 +233,8 @@ func (c *Config) validateResume() error {
 	if ms.ActiveCount() == 0 {
 		return fmt.Errorf("core: resume membership has no active workers")
 	}
-	if len(ms.Clocks) != 0 && len(ms.Clocks) != len(ms.States) {
-		return fmt.Errorf("core: resume membership has %d clocks for %d slots", len(ms.Clocks), len(ms.States))
+	if len(ms.Clocks) != 0 && len(ms.Clocks) != len(ms.States) || len(ms.Faults) > len(ms.States) {
+		return fmt.Errorf("core: resume membership has %d clocks and %d fault counts for %d slots", len(ms.Clocks), len(ms.Faults), len(ms.States))
 	}
 	for _, f := range ms.Flight {
 		if f.Lo < 0 || f.Hi < f.Lo || f.Seq > ms.SeqFloor {
@@ -280,6 +293,7 @@ func (l *coordLoop) resume() error {
 		}
 	}
 	l.guard.restore(st.GuardLRScale, st.GuardRetries, l.global)
+	l.health.report.DroppedUpdates = st.DroppedUpdates
 	// Scripted events triggered before the capture already mutated the
 	// restored membership; burn them off the cursor so they cannot fire
 	// twice. Dispatch numbering continues above the checkpoint's floor, and
@@ -319,6 +333,7 @@ func (l *coordLoop) capture() (*RunState, error) {
 	st.TotalUpdates = l.rec.updates()
 	st.GuardLRScale = l.guard.scale()
 	st.GuardRetries = l.guard.retryCount()
+	st.DroppedUpdates = l.health.report.DroppedUpdates
 	st.Interrupted = l.interrupted
 	st.At = l.elapsed()
 	st.Events = append([]metrics.Event(nil), l.rec.events...)

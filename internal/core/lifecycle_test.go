@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -360,7 +361,7 @@ func TestSimResumedReportFoldsEveryIncarnation(t *testing.T) {
 	for _, c := range []struct {
 		kind string
 		got  int
-	}{{"redispatch", h.Redispatches}, {"checkpoint", h.Checkpoints}, {"rollback", h.Rollbacks}} {
+	}{{"redispatch", h.Redispatches}, {"rollback", h.Rollbacks}} {
 		if want := ev.Count(c.kind); c.got != want {
 			t.Errorf("resumed report counts %d %s incidents, its Events hold %d", c.got, c.kind, want)
 		}
@@ -370,6 +371,50 @@ func TestSimResumedReportFoldsEveryIncarnation(t *testing.T) {
 	}
 	if !h.Faulty() {
 		t.Errorf("a run whose history holds a re-dispatch must report faults: %s", h)
+	}
+}
+
+// TestSimResumeCarriesFaultCounts: the counts kept beside the incidents
+// rather than folded from them continue across a resume too. After the
+// crashed first leg, each per-worker count sums to its incidents and the
+// crashed worker is named in the fault report; after a corrupting first
+// leg, a resumed run without faults still reports the updates it dropped.
+func TestSimResumeCarriesFaultCounts(t *testing.T) {
+	cfg := tinyConfig(t, AlgAdaptiveHogbatch)
+	cfg.Guards = true
+	cfg.Resume = crashedCheckpoint(t)
+	res, err := RunSim(context.Background(), cfg, simHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var crashes, timeouts, readmits int
+	for _, w := range res.Health.Workers {
+		crashes, timeouts, readmits = crashes+w.Crashes, timeouts+w.Timeouts, readmits+w.Readmissions
+	}
+	ev := res.Events
+	if crashes != ev.Count("crash") || timeouts != ev.Count("timeout")+ev.Count("partition") || readmits != ev.Count("readmit") {
+		t.Fatalf("workers count %d crashes, %d timeouts and %d readmits; the history holds:\n%s", crashes, timeouts, readmits, ev)
+	}
+	if w := res.Health.Workers[1]; w.Crashes != 1 || !strings.Contains(res.Health.String(), w.Worker+" ") {
+		t.Fatalf("the crashed worker %s (crashes %d) is missing from the report: %s", w.Worker, w.Crashes, res.Health)
+	}
+
+	sink := &memSink{}
+	cfg = tinyConfig(t, AlgCPUGPUHogbatch)
+	cfg.Faults = faults.NewPlan(7, faults.CorruptGradient(0, 0.5), faults.CorruptGradient(1, 0.5))
+	cfg.Guards = true
+	cfg.CheckpointSink = sink
+	if _, err := RunSim(context.Background(), cfg, simHorizon/2); err != nil {
+		t.Fatal(err)
+	}
+	st := sink.last(t)
+	cfg.Faults, cfg.CheckpointSink, cfg.Resume = nil, nil, st
+	res, err = RunSim(context.Background(), cfg, simHorizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Health.DroppedUpdates == 0 || res.Health.DroppedUpdates != st.DroppedUpdates {
+		t.Fatalf("the resumed run reports %d dropped updates, its checkpoint %d", res.Health.DroppedUpdates, st.DroppedUpdates)
 	}
 }
 

@@ -133,7 +133,7 @@ type coordLoop struct {
 	coord      *coordinator
 	tel        *telemetry.Tracer
 	rm         runMetrics
-	coordRing  int
+	coordRing  int // coordinator spans' tracer ring: Capacity, past every slot a join can grow
 	rec        record
 	health     *healthTracker
 	stale      *staleTracker
@@ -207,11 +207,11 @@ func newCoordLoop(ctx context.Context, cfg *Config, trans transport.Transport, b
 		cfg:            cfg,
 		net:            cfg.Net,
 		ds:             cfg.Dataset,
-		global:         cfg.Net.NewParams(nn.InitXavier, cfg.newRNG()),
+		global:         cfg.Net.NewParams(nn.InitXavier, RunRNG(cfg.Seed)),
 		coord:          newCoordinator(cfg),
 		tel:            cfg.Tracer,
 		rm:             newRunMetrics(cfg.Metrics),
-		coordRing:      cfg.coordRing(),
+		coordRing:      cfg.Capacity(),
 		rec:            record{busy: make(map[string][]metrics.Busy), raw: make([]int64, n), trace: &metrics.Trace{Name: cfg.Algorithm.String()}},
 		initialWorkers: n,
 		lastBatch:      make([]int, n),

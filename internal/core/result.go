@@ -21,13 +21,15 @@ type BatchEvent struct {
 // Result captures everything the paper measures about one training run.
 // The run's coordinator is the only writer of its report (Trace, Updates,
 // Utilization, Health, Events, Staleness), which is final when the engine
-// returns. Events, and every count that restates an incident
-// (Health.Redispatches, Checkpoints, Rollbacks, Diverged, the transport's
-// Duplicates and Abandoned, Elastic's Joins, Leaves, Evictions and
-// Rebalances), span every incarnation of a resumed run; the rest describe
-// this incarnation's fleet. Params is the shared model itself: on RunReal a
-// quarantined straggler that wakes after the return still lands its update
-// there, the documented at-least-once of shared memory.
+// returns. Events, every count that restates an incident
+// (Health.Redispatches, Rollbacks, Diverged, the transport's Duplicates and
+// Abandoned, Elastic's Joins, Leaves, Evictions and Rebalances), and the
+// counts the checkpoint carries (Health.DroppedUpdates and each worker's
+// Crashes, Timeouts and Readmissions) span every incarnation of a resumed
+// run; the rest describe this incarnation's fleet. Params is the shared
+// model itself: on RunReal a quarantined straggler that wakes after the
+// return still lands its update there, the documented at-least-once of
+// shared memory.
 type Result struct {
 	// Algorithm identifies the run.
 	Algorithm Algorithm
@@ -171,7 +173,7 @@ func (r *record) updates() (sum int64) {
 func (l *coordLoop) result(duration, overshoot, stamp time.Duration, final float64) *Result {
 	l.point(stamp, final)
 	ev, h := l.rec.events, l.health.report
-	h.Redispatches, h.Checkpoints, h.Rollbacks = ev.Count("redispatch"), ev.Count("checkpoint"), ev.Count("rollback")
+	h.Redispatches, h.Rollbacks = ev.Count("redispatch"), ev.Count("rollback")
 	h.Diverged = ev.Count("diverged") > 0
 	l.tr.Duplicates, l.tr.Abandoned = uint64(ev.Count("duplicate")), uint64(ev.Count("abandoned"))
 	var churn *elastic.Report

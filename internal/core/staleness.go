@@ -39,10 +39,6 @@ type StalenessReport struct {
 	Bound int64
 }
 
-func newStalenessReport(bound int64) *StalenessReport {
-	return &StalenessReport{Counts: make([]int64, staleHistBuckets), Bound: bound}
-}
-
 func (r *StalenessReport) observe(s int64) {
 	if s < 0 {
 		return
@@ -112,7 +108,7 @@ func newStaleTracker(cfg *Config, health *healthTracker, rm *runMetrics) *staleT
 		gated:  make([]bool, n),
 		bound:  bound,
 		health: health,
-		rep:    newStalenessReport(bound),
+		rep:    &StalenessReport{Counts: make([]int64, staleHistBuckets), Bound: bound},
 		rm:     rm,
 	}
 }

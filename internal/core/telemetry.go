@@ -24,12 +24,6 @@ func NewRunTracer(cfg *Config, perRingCap int) *telemetry.Tracer {
 	return telemetry.NewTracer(names, perRingCap)
 }
 
-// coordRing returns the tracer ring index reserved for coordinator-side
-// events (eval, checkpoint, snapshot, schedule decisions). It sits past the
-// last worker slot, so for elastic runs it is Capacity, not len(Workers) —
-// the engines capture it once at start, before any join grows Workers.
-func (c *Config) coordRing() int { return c.Capacity() }
-
 // runMetrics bundles the training instruments both engines feed, resolved
 // once at engine start so the hot path never touches the registry's lock.
 // With a nil registry every instrument is nil, and every record is a no-op

@@ -171,17 +171,6 @@ func (q *Queue[T]) PopWait(d time.Duration) (T, PopStatus) {
 	}
 }
 
-// PopTimeout dequeues like Pop but gives up after d: timedOut reports that
-// the wait expired with the queue still open and empty (ok is then false).
-//
-// Deprecated: use PopWait, whose typed PopStatus cannot be misread — with
-// two booleans, forgetting to check timedOut silently conflates "closed"
-// with "timed out".
-func (q *Queue[T]) PopTimeout(d time.Duration) (v T, ok, timedOut bool) {
-	v, st := q.PopWait(d)
-	return v, st == PopOK, st == PopTimedOut
-}
-
 // TryPop dequeues without blocking; ok is false when the queue is empty.
 func (q *Queue[T]) TryPop() (T, bool) {
 	q.mu.Lock()

@@ -217,55 +217,6 @@ func TestQuickPushBeforeCloseIsPopped(t *testing.T) {
 	}
 }
 
-func TestPopTimeoutDeliversAndExpires(t *testing.T) {
-	q := New[int]()
-	q.Push(7)
-	if v, ok, timedOut := q.PopTimeout(time.Second); !ok || timedOut || v != 7 {
-		t.Fatalf("got %v ok=%v timedOut=%v", v, ok, timedOut)
-	}
-	start := time.Now()
-	if _, ok, timedOut := q.PopTimeout(20 * time.Millisecond); ok || !timedOut {
-		t.Fatalf("empty queue: ok=%v timedOut=%v", ok, timedOut)
-	}
-	if time.Since(start) < 20*time.Millisecond {
-		t.Fatal("PopTimeout returned before the deadline")
-	}
-	// A message arriving mid-wait is delivered, not timed out.
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		q.Push(9)
-	}()
-	if v, ok, timedOut := q.PopTimeout(2 * time.Second); !ok || timedOut || v != 9 {
-		t.Fatalf("mid-wait push: got %v ok=%v timedOut=%v", v, ok, timedOut)
-	}
-}
-
-func TestPopTimeoutOnClosedQueue(t *testing.T) {
-	q := New[int]()
-	q.Push(1)
-	q.Close()
-	if v, ok, timedOut := q.PopTimeout(time.Second); !ok || timedOut || v != 1 {
-		t.Fatalf("drain: got %v ok=%v timedOut=%v", v, ok, timedOut)
-	}
-	// Fully drained and closed: reports closure, not timeout.
-	if _, ok, timedOut := q.PopTimeout(time.Second); ok || timedOut {
-		t.Fatalf("closed: ok=%v timedOut=%v", ok, timedOut)
-	}
-	// Close arriving mid-wait wakes the consumer promptly.
-	q2 := New[int]()
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		q2.Close()
-	}()
-	start := time.Now()
-	if _, ok, timedOut := q2.PopTimeout(5 * time.Second); ok || timedOut {
-		t.Fatalf("mid-wait close: ok=%v timedOut=%v", ok, timedOut)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("Close did not wake PopTimeout")
-	}
-}
-
 func TestDroppedCounter(t *testing.T) {
 	q := New[int]()
 	q.Push(1)

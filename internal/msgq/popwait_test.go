@@ -27,6 +27,44 @@ func TestPopWaitStatuses(t *testing.T) {
 	}
 }
 
+// TestPopWaitDeliversAndExpires: a timed wait on an empty queue returns no
+// sooner than its deadline, and a message pushed mid-wait is delivered, not
+// timed out.
+func TestPopWaitDeliversAndExpires(t *testing.T) {
+	q := New[int]()
+	start := time.Now()
+	if _, st := q.PopWait(20 * time.Millisecond); st != PopTimedOut {
+		t.Fatalf("empty queue: %v, want timed-out", st)
+	}
+	if time.Since(start) < 20*time.Millisecond {
+		t.Fatal("PopWait returned before the deadline")
+	}
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		q.Push(9)
+	}()
+	if v, st := q.PopWait(2 * time.Second); st != PopOK || v != 9 {
+		t.Fatalf("mid-wait push: got (%d, %v), want (9, ok)", v, st)
+	}
+}
+
+// TestPopWaitOnClosedQueue: a Close arriving during a timed wait wakes the
+// consumer promptly with closed, not at its deadline with timed-out.
+func TestPopWaitOnClosedQueue(t *testing.T) {
+	q := New[int]()
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		q.Close()
+	}()
+	start := time.Now()
+	if _, st := q.PopWait(5 * time.Second); st != PopClosed {
+		t.Fatalf("mid-wait close: %v, want closed", st)
+	}
+	if time.Since(start) > time.Second {
+		t.Fatal("Close did not wake PopWait")
+	}
+}
+
 func TestPopWaitNegativeBlocksLikePop(t *testing.T) {
 	q := New[int]()
 	go func() {

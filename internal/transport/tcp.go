@@ -121,6 +121,10 @@ type TCP struct {
 
 	stats   Stats
 	statsMu sync.Mutex
+	// delivered is each link slot's highest Done seq so far, under statsMu.
+	// A worker holds one dispatch at a time, so its seqs only rise: a Done
+	// not above its slot's mark is a retransmission or a duplicated frame.
+	delivered []uint64
 
 	// free holds the Done receive buffers the engine has handed back
 	// (Recycle) for the read loops to fill again — at most one per link slot,
@@ -155,6 +159,7 @@ func ListenTCP(addr string, n int, opts TCPOptions) (*TCP, error) {
 		initial:    n,
 		maxWorkers: maxW,
 		attachCh:   make(chan struct{}),
+		delivered:  make([]uint64, maxW),
 	}
 	t.links = t.links[:n]
 	for _, id := range opts.Departed {
@@ -377,6 +382,11 @@ func (t *TCP) readLoop(id int, conn net.Conn) {
 			t.m.done.Inc()
 			t.statsMu.Lock()
 			t.stats.Completed++
+			if d.Seq <= t.delivered[id] {
+				t.stats.Duplicates++
+			} else {
+				t.delivered[id] = d.Seq
+			}
 			t.statsMu.Unlock()
 			// Ack first (best effort): the worker may drop its retransmit
 			// copy as soon as the completion is on the coordinator's queue.

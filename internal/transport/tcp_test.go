@@ -106,7 +106,7 @@ func TestTCPDispatchComplete(t *testing.T) {
 		t.Fatalf("done = %+v, want worker 0 seq 1 updates 32", d)
 	}
 	st8 := coord.Stats()
-	if st8.Dispatched != 1 || st8.Completed != 1 {
+	if st8.Dispatched != 1 || st8.Completed != 1 || st8.Duplicates != 0 {
 		t.Fatalf("stats = %+v", st8)
 	}
 }
@@ -207,8 +207,9 @@ func TestTCPSeveredLinkRedelivers(t *testing.T) {
 	}
 }
 
-// TestTCPDuplicatedDoneKeepsSeq: a dup-injecting proxy delivers each
-// completion twice; both copies carry the same Seq (the dedupe key).
+// TestTCPDuplicatedDone: a dup-injecting proxy delivers each completion
+// twice; both copies carry the same Seq (the dedupe key), and the stats count
+// the second copy of each as a duplicate.
 func TestTCPDuplicatedDone(t *testing.T) {
 	coord, err := ListenTCP("127.0.0.1:0", 1, TCPOptions{Heartbeat: 50 * time.Millisecond})
 	if err != nil {
@@ -243,6 +244,9 @@ func TestTCPDuplicatedDone(t *testing.T) {
 			coord.Recycle(m)
 			coord.Recycle(m) // handing a message back twice lends its buffer once
 		}
+	}
+	if s := coord.Stats(); s.Completed != 4 || s.Duplicates != 2 {
+		t.Fatalf("stats = %+v, want 4 completions of which 2 duplicates", s)
 	}
 }
 

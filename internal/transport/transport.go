@@ -130,8 +130,10 @@ type Stats struct {
 	// Completed counts Done messages delivered to the coordinator,
 	// including duplicates.
 	Completed uint64 `json:"completed"`
-	// Duplicates counts Done messages whose Seq had already been applied
-	// or abandoned (at-least-once delivery collapsing to exactly-once).
+	// Duplicates counts Done messages whose Seq their link slot had already
+	// delivered: retransmissions after a reconnect and duplicated frames,
+	// which the engine discards (at-least-once delivery collapsing to
+	// exactly-once).
 	Duplicates uint64 `json:"duplicates"`
 	// Reconnects counts worker link re-establishments after a drop.
 	Reconnects uint64 `json:"reconnects"`

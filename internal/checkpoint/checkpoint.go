@@ -27,10 +27,10 @@
 package checkpoint
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -49,7 +49,8 @@ const (
 	fileVersion = 2
 )
 
-// Write serializes st to w.
+// Write serializes st to w: the header and membership sections in one
+// write, then the model.
 func Write(w io.Writer, st *core.RunState) error {
 	if st.Params == nil {
 		return fmt.Errorf("checkpoint: run state has no model parameters")
@@ -65,33 +66,13 @@ func Write(w io.Writer, st *core.RunState) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding membership: %w", err)
 	}
-	bw := bufio.NewWriter(w)
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, crc)
-	for _, v := range []uint32{fileMagic, fileVersion, uint32(len(hdr))} {
-		if err := binary.Write(mw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("checkpoint: writing header: %w", err)
-		}
-	}
-	if _, err := mw.Write(hdr); err != nil {
+	le := binary.LittleEndian
+	b := append(le.AppendUint32(le.AppendUint32(le.AppendUint32(nil, fileMagic), fileVersion), uint32(len(hdr))), hdr...)
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	m := len(b)
+	b = append(le.AppendUint32(b, uint32(len(mem))), mem...)
+	if _, err := w.Write(le.AppendUint32(b, crc32.ChecksumIEEE(b[m:]))); err != nil {
 		return fmt.Errorf("checkpoint: writing header: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, crc.Sum32()); err != nil {
-		return fmt.Errorf("checkpoint: writing header checksum: %w", err)
-	}
-	mcrc := crc32.NewIEEE()
-	mmw := io.MultiWriter(bw, mcrc)
-	if err := binary.Write(mmw, binary.LittleEndian, uint32(len(mem))); err != nil {
-		return fmt.Errorf("checkpoint: writing membership: %w", err)
-	}
-	if _, err := mmw.Write(mem); err != nil {
-		return fmt.Errorf("checkpoint: writing membership: %w", err)
-	}
-	if err := binary.Write(bw, binary.LittleEndian, mcrc.Sum32()); err != nil {
-		return fmt.Errorf("checkpoint: writing membership checksum: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return err
 	}
 	return nn.WriteParams(w, st.Params)
 }
@@ -100,10 +81,9 @@ func Write(w io.Writer, st *core.RunState) error {
 // validated against net's architecture.
 func Read(r io.Reader, net *nn.Network) (*core.RunState, error) {
 	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
-	var magic, version, hdrLen uint32
-	for _, v := range []*uint32{&magic, &version, &hdrLen} {
-		if err := binary.Read(tr, binary.LittleEndian, v); err != nil {
+	var magic, version uint32
+	for _, v := range []*uint32{&magic, &version} {
+		if err := binary.Read(io.TeeReader(r, crc), binary.LittleEndian, v); err != nil {
 			return nil, fmt.Errorf("checkpoint: reading header: %w", err)
 		}
 	}
@@ -116,56 +96,53 @@ func Read(r io.Reader, net *nn.Network) (*core.RunState, error) {
 	if version != fileVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", version)
 	}
-	const maxHeader = 64 << 20
-	if hdrLen > maxHeader {
-		return nil, fmt.Errorf("checkpoint: implausible header length %d (corrupt file?)", hdrLen)
-	}
-	hdr := make([]byte, hdrLen)
-	if _, err := io.ReadFull(tr, hdr); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading header (truncated file?): %w", err)
-	}
-	want := crc.Sum32()
-	var got uint32
-	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading header checksum (truncated file?): %w", err)
-	}
-	if got != want {
-		return nil, fmt.Errorf("checkpoint: header checksum mismatch (stored %#x, computed %#x): file is corrupt", got, want)
+	hdr, err := section(r, crc, "header", "file is corrupt")
+	if err != nil {
+		return nil, err
 	}
 	st := &core.RunState{}
 	if err := json.Unmarshal(hdr, st); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding header: %w", err)
 	}
-	mcrc := crc32.NewIEEE()
-	mtr := io.TeeReader(r, mcrc)
-	var memLen uint32
-	if err := binary.Read(mtr, binary.LittleEndian, &memLen); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading membership length (truncated file?): %w", err)
-	}
-	if memLen > maxHeader {
-		return nil, fmt.Errorf("checkpoint: implausible membership length %d (corrupt file?)", memLen)
-	}
-	mem := make([]byte, memLen)
-	if _, err := io.ReadFull(mtr, mem); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading membership (truncated file?): %w", err)
-	}
-	mwant := mcrc.Sum32()
-	var mgot uint32
-	if err := binary.Read(r, binary.LittleEndian, &mgot); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading membership checksum (truncated file?): %w", err)
-	}
-	if mgot != mwant {
-		return nil, fmt.Errorf("checkpoint: membership checksum mismatch (stored %#x, computed %#x): refusing to resume an unverifiable worker set", mgot, mwant)
+	mem, err := section(r, crc32.NewIEEE(), "membership", "refusing to resume an unverifiable worker set")
+	if err != nil {
+		return nil, err
 	}
 	st.Membership = &core.MembershipState{}
 	if err := json.Unmarshal(mem, st.Membership); err != nil {
 		return nil, fmt.Errorf("checkpoint: decoding membership: %w", err)
 	}
-	var err error
 	if st.Params, err = nn.ReadParams(r, net); err != nil {
 		return nil, fmt.Errorf("checkpoint: model section: %w", err)
 	}
 	return st, nil
+}
+
+// section reads one length-prefixed section and the CRC-32 that closes it,
+// which covers what sum has already read, the length and the section.
+func section(r io.Reader, sum hash.Hash32, what, corrupt string) ([]byte, error) {
+	tr := io.TeeReader(r, sum)
+	var n uint32
+	if err := binary.Read(tr, binary.LittleEndian, &n); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading %s length (truncated file?): %w", what, err)
+	}
+	const maxSection = 64 << 20
+	if n > maxSection {
+		return nil, fmt.Errorf("checkpoint: implausible %s length %d (corrupt file?)", what, n)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(tr, b); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading %s (truncated file?): %w", what, err)
+	}
+	want := sum.Sum32()
+	var got uint32
+	if err := binary.Read(r, binary.LittleEndian, &got); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading %s checksum (truncated file?): %w", what, err)
+	}
+	if got != want {
+		return nil, fmt.Errorf("checkpoint: %s checksum mismatch (stored %#x, computed %#x): %s", what, got, want, corrupt)
+	}
+	return b, nil
 }
 
 // Save writes st to path atomically.

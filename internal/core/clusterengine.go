@@ -45,18 +45,16 @@ type clusterLink interface {
 	Recycle(m transport.Msg)
 }
 
-// newWireBuf returns the buffer one end of the cluster wire encodes net's
-// parameters into — the blob every dispatch and every completion carries
-// whole — or an error when no frame can hold that blob. Both ends ask before
-// anything else: past the limit every Send would fail and read as a
-// partition of each worker in turn.
-func newWireBuf(net *nn.Network) ([]byte, error) {
-	n := nn.ParamsWireSize(net)
-	if n > transport.MaxBlob {
-		return nil, fmt.Errorf("core: the model's %d parameters serialize to %d bytes, over the %d a cluster frame carries (transport.MaxPayload); the cluster engine ships the whole model with every dispatch and cannot train this network",
+// checkWireSize refuses a network whose parameters no cluster frame can
+// carry: every dispatch and every completion carries the blob whole. Both
+// ends ask before anything else — past the limit every Send would fail and
+// read as a partition of each worker in turn.
+func checkWireSize(net *nn.Network) error {
+	if n := nn.ParamsWireSize(net); n > transport.MaxBlob {
+		return fmt.Errorf("core: the model's %d parameters serialize to %d bytes, over the %d a cluster frame carries (transport.MaxPayload); the cluster engine ships the whole model with every dispatch and cannot train this network",
 			net.Arch.NumParameters(), n, transport.MaxBlob)
 	}
-	return make([]byte, 0, n), nil
+	return nil
 }
 
 // RunCluster trains cfg's model for a wall-clock budget over trans: the
@@ -99,8 +97,7 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 	if trans == nil {
 		return nil, fmt.Errorf("core: RunCluster needs a transport")
 	}
-	enc, err := newWireBuf(cfg.Net)
-	if err != nil {
+	if err := checkWireSize(cfg.Net); err != nil {
 		return nil, err
 	}
 	if opts.AttachTimeout <= 0 {
@@ -111,10 +108,7 @@ func RunCluster(ctx context.Context, cfg Config, budget time.Duration, trans tra
 		return nil, err
 	}
 	l.health.report.Transport = l.tr
-	l.exec = &clusterExec{
-		wallClock: wallClock{time.Now()}, l: l, opts: opts,
-		enc: enc, delta: l.net.NewParams(nn.InitZero, nil),
-	}
+	l.exec = &clusterExec{wallClock: wallClock{time.Now()}, l: l, opts: opts}
 	return l.loop()
 }
 
@@ -126,13 +120,10 @@ type clusterExec struct {
 	wallClock
 	l    *coordLoop
 	opts ClusterOptions
-	// enc is the one buffer every dispatch's model is encoded into; a Work's
-	// Params aliases it until Send returns. delta is the scratch a
-	// completion's delta is decoded and verified in before it touches the
-	// model. Both are sized when the run is built, so it allocates the same
-	// whether or not it ever dispatches.
-	enc   []byte
-	delta *nn.Params
+	// model is the global model as its wire blob: the Parts every Work
+	// carries are views of l.global between the blob's header and shape
+	// words, which Send writes while the coordinator waits in it.
+	model nn.Gather
 }
 
 // attach waits until every live worker has linked up, so epoch-zero
@@ -180,8 +171,8 @@ func (x *clusterExec) attach(ctx context.Context) (joined []int, err error) {
 // CPU's Threads, one for any other device — which the worker process cannot
 // work out, having no device model.
 func (x *clusterExec) decorate(id int, w transport.Work) transport.Work {
-	x.enc = nn.AppendParams(x.enc[:0], x.l.global)
-	w.Params = x.enc
+	w.ParamsCRC = x.model.Of(x.l.global)
+	w.Parts = x.model.Parts
 	w.Lanes = max(cpuThreads(x.l.cfg.Workers[id]), 1)
 	if x.l.cfg.Shuffle {
 		w.Epoch = uint32(x.l.coord.epoch)
@@ -202,18 +193,18 @@ func (x *clusterExec) accept(msg *transport.Done, fl *inflightDispatch) {
 	if msg.Updates == 0 || len(msg.Delta) == 0 {
 		return
 	}
-	// Decoded and checked whole in scratch first: a corrupt blob never
-	// half-applies.
-	err := nn.ReadParamsInto(x.delta, msg.Delta)
+	// Checked whole where it lies first, then applied from there: a corrupt
+	// blob never half-applies.
+	delta, err := nn.ViewParams(l.global, msg.Delta, msg.DeltaCRC)
 	switch {
 	case err != nil:
 		// A corrupt delta is dropped like a non-finite gradient: the
 		// examples still count as processed, the update does not land.
 		l.drop(msg.Worker, int64(msg.Updates), "delta-error", err.Error())
-	case l.cfg.Guards && !x.delta.AllFinite():
+	case l.cfg.Guards && !delta.AllFinite():
 		l.drop(msg.Worker, int64(msg.Updates), "drop", "non-finite delta discarded")
 	default:
-		l.global.AddScaled(1, x.delta)
+		delta.AddTo(l.global)
 	}
 }
 

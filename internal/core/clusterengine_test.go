@@ -488,15 +488,18 @@ func TestClusterRejectsUnsupportedConfigs(t *testing.T) {
 	}
 }
 
-// TestClusterWireCycleAllocation guards the cluster wire's steady state: once
-// both ends hold their buffers, a full Work → Done → accept cycle over
-// loopback TCP with the benchmark's 54-256x6-2 network (2.7 MB serialized,
-// each way) allocates bookkeeping only. Before the in-place codec and the
-// owned buffers the same cycle allocated about 56 MB.
-func TestClusterWireCycleAllocation(t *testing.T) {
-	if raceEnabled {
-		t.Skip("heap accounting under the race detector measures the detector")
-	}
+// wireCycler drives the cluster wire by hand: a coordinator built as
+// RunCluster builds it and one RunClusterWorker over loopback TCP, on the
+// benchmark's 54-256x6-2 network (2.7 MB serialized, each way), so that
+// exactly the Work → Done → accept cycles are measured.
+type wireCycler struct {
+	l     *coordLoop
+	x     *clusterExec
+	trans *transport.TCP
+	seq   uint64
+}
+
+func newWireCycler(tb testing.TB) *wireCycler {
 	spec := data.Covtype.Scaled(0.001)
 	spec.HiddenLayers, spec.HiddenUnits = 6, 256
 	ds := data.Generate(spec, 7)
@@ -507,74 +510,98 @@ func TestClusterWireCycleAllocation(t *testing.T) {
 
 	trans, err := transport.ListenTCP("127.0.0.1:0", 1, ClusterTCPOptions(&cfg, time.Second, 0))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer trans.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	workerDone := make(chan struct{})
-	defer func() {
+	tb.Cleanup(func() {
 		cancel()
+		trans.Close()
 		<-workerDone
-	}()
+	})
 	go func() {
 		defer close(workerDone)
 		RunClusterWorker(ctx, trans.Addr(), 0, nn.MustNetwork(spec.Arch()), data.Generate(spec, 7), ClusterWorkerOptions{Threads: 1})
 	}()
 	if err := trans.WaitForWorkers(10 * time.Second); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-
-	// The coordinator's half, built as RunCluster builds it, driven by hand
-	// so that exactly the cycles are measured.
 	l, err := newCoordLoop(ctx, &cfg, trans, time.Minute)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	enc, err := newWireBuf(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := &clusterExec{wallClock: wallClock{time.Now()}, l: l, enc: enc, delta: net.NewParams(nn.InitZero, nil)}
+	x := &clusterExec{wallClock: wallClock{time.Now()}, l: l}
 	l.exec = x
-	start := l.global.Clone()
-	cycle := func(seq uint64) {
-		if err := trans.Send(0, x.decorate(0, transport.Work{Seq: seq, Lo: 0, Hi: 64, LR: 0.01})); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			m, st := trans.Recv(30 * time.Second)
-			if st != transport.RecvOK {
-				t.Fatalf("seq %d: Recv = %v", seq, st)
-			}
-			if m.Done == nil {
-				continue // the attach's LinkUp
-			}
-			if m.Done.Seq != seq || m.Done.Failed || m.Done.Updates == 0 {
-				t.Fatalf("seq %d: completion %+v", seq, m.Done)
-			}
-			x.accept(m.Done, &inflightDispatch{seq: seq})
-			trans.Recycle(m)
-			return
-		}
+	return &wireCycler{l: l, x: x, trans: trans}
+}
+
+// cycle sends the next dispatch, waits for its completion and accepts it.
+func (c *wireCycler) cycle(tb testing.TB) {
+	c.seq++
+	seq := c.seq
+	if err := c.trans.Send(0, c.x.decorate(0, transport.Work{Seq: seq, Lo: 0, Hi: 64, LR: 0.01})); err != nil {
+		tb.Fatal(err)
 	}
+	for {
+		m, st := c.trans.Recv(30 * time.Second)
+		if st != transport.RecvOK {
+			tb.Fatalf("seq %d: Recv = %v", seq, st)
+		}
+		if m.Done == nil {
+			continue // the attach's LinkUp
+		}
+		if m.Done.Seq != seq || m.Done.Failed || m.Done.Updates == 0 {
+			tb.Fatalf("seq %d: completion %+v", seq, m.Done)
+		}
+		c.x.accept(m.Done, &inflightDispatch{seq: seq})
+		c.trans.Recycle(m)
+		return
+	}
+}
+
+// TestClusterWireCycleAllocation guards the cluster wire's steady state: once
+// both ends hold their buffers, a full Work → Done → accept cycle over
+// loopback TCP with the benchmark's 54-256x6-2 network (2.7 MB serialized,
+// each way) allocates bookkeeping only. Before the in-place codec and the
+// owned buffers the same cycle allocated about 56 MB.
+func TestClusterWireCycleAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting under the race detector measures the detector")
+	}
+	c := newWireCycler(t)
+	start := c.l.global.Clone()
 	const warm, measured = 2, 20
-	seq := uint64(0)
-	for ; seq < warm; seq++ {
-		cycle(seq + 1)
+	for range warm {
+		c.cycle(t)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for ; seq < warm+measured; seq++ {
-		cycle(seq + 1)
+	for range measured {
+		c.cycle(t)
 	}
 	runtime.ReadMemStats(&after)
-	if l.global.MaxAbsDiff(start) == 0 || l.health.report.DroppedUpdates != 0 {
-		t.Fatalf("the cycles did not train: model unchanged or %d updates dropped", l.health.report.DroppedUpdates)
+	if c.l.global.MaxAbsDiff(start) == 0 || c.l.health.report.DroppedUpdates != 0 {
+		t.Fatalf("the cycles did not train: model unchanged or %d updates dropped", c.l.health.report.DroppedUpdates)
 	}
 	perCycle := (after.TotalAlloc - before.TotalAlloc) / measured
 	t.Logf("%d B allocated per cycle", perCycle)
 	if perCycle >= 64<<10 {
 		t.Fatalf("one Work→Done→accept cycle allocates %d B; the wire is meant to reuse its buffers (limit 64 KB)", perCycle)
+	}
+}
+
+// BenchmarkClusterWireCycle times one Work → Done → accept cycle of
+// TestClusterWireCycleAllocation's loopback cluster and reports the model
+// bytes it moves, both ways, as MB/s. The worker's 64-example gradient step
+// is part of every cycle.
+func BenchmarkClusterWireCycle(b *testing.B) {
+	c := newWireCycler(b)
+	c.cycle(b) // both ends size their buffers
+	b.SetBytes(2 * int64(nn.ParamsWireSize(c.l.net)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.cycle(b)
 	}
 }
 

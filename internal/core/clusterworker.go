@@ -60,14 +60,11 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// enc is the one buffer every delta is encoded into: a Done's Delta
-	// aliases it until the next dispatch, by when the Client holds its own
-	// framed copy.
-	enc, err := newWireBuf(net)
-	if err != nil {
+	if err := checkWireSize(net); err != nil {
 		return err
 	}
 	var c *transport.Client
+	var err error
 	if id < 0 {
 		c, err = transport.DialJoin(ctx, addr, opts.Client)
 	} else {
@@ -89,13 +86,13 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 		replayTo(ds, replay, &shuffled, welcome.ResumeEpoch)
 	}
 
-	// base is decoded into straight from the link's read buffer, and model
-	// — the replica the dispatch trains — starts from it. The lane's
+	// model — the replica a dispatch trains — starts from the dispatched
+	// blob, read where it lies in the link's read buffer, and the delta is
+	// built from the two straight into the Client's Done frame. The lane's
 	// workspace is sized for the largest sub-batch a lane can take: the
 	// handshake's LaneRows under the coordinator's lane counts, or the
-	// largest batch cut into opts.Threads. So like enc it costs the same
-	// whether or not a dispatch ever comes.
-	base := net.NewParams(nn.InitZero, nil)
+	// largest batch cut into opts.Threads. So it costs the same whether or
+	// not a dispatch ever comes.
 	model := net.NewParams(nn.InitZero, nil)
 	rows := welcome.LaneRows
 	if opts.Threads > 0 {
@@ -111,6 +108,7 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 			opts.OnDispatch(handled + 1)
 		}
 		var err error
+		var base nn.Blob // valid for this call: it aliases the read buffer
 		switch {
 		case wk.Lo < 0 || wk.Hi > ds.N():
 			err = fmt.Errorf("core: dispatched range [%d,%d) outside dataset of %d", wk.Lo, wk.Hi, ds.N())
@@ -118,14 +116,14 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 			err = replayTo(ds, replay, &shuffled, wk.Epoch)
 		}
 		if err == nil {
-			if err = nn.ReadParamsInto(base, wk.Params); err != nil {
+			if base, err = nn.ViewParams(model, wk.Params, wk.ParamsCRC); err != nil {
 				err = fmt.Errorf("core: decoding dispatched params: %w", err)
 			}
 		}
 		if err != nil {
 			out = transport.Done{Failed: true, Err: err.Error()}
 		} else {
-			model.CopyFrom(base)
+			base.CopyTo(model)
 			w.threads = opts.Threads
 			if w.threads <= 0 {
 				w.threads = max(wk.Lanes, 1)
@@ -136,9 +134,7 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 			// The delta — what this dispatch changed, computed against the
 			// exact parameters it started from, so the coordinator can fold
 			// it into a model other workers have meanwhile advanced.
-			model.AddScaled(-1, base)
-			enc = nn.AppendParams(enc[:0], model)
-			out.Delta = enc
+			out.Delta, out.DeltaCRC = base.AppendDiff(c.DeltaBuf(nn.ParamsWireSize(net))[:0], model)
 		}
 		handled++
 		if opts.LeaveAfter > 0 && handled == opts.LeaveAfter {

@@ -26,20 +26,17 @@ const (
 	warmupEpochs = 1
 )
 
+var scheduleNames = [...]string{
+	ScheduleConstant: "constant", ScheduleStep: "step", ScheduleInvT: "inv-t",
+	ScheduleWarmup: "warmup",
+}
+
 // String returns the schedule name.
 func (s LRSchedule) String() string {
-	switch s {
-	case ScheduleConstant:
-		return "constant"
-	case ScheduleStep:
-		return "step"
-	case ScheduleInvT:
-		return "inv-t"
-	case ScheduleWarmup:
-		return "warmup"
-	default:
-		return "unknown"
+	if s >= 0 && int(s) < len(scheduleNames) && scheduleNames[s] != "" {
+		return scheduleNames[s]
 	}
+	return "unknown"
 }
 
 // ParseLRSchedule maps a name to a schedule.

@@ -241,47 +241,32 @@ func ReadLIBSVMFile(path string, opts LIBSVMOptions) (*Dataset, error) {
 // WriteLIBSVM renders the dataset in LIBSVM format (zero features omitted;
 // indices 1-based). Multi-label datasets emit comma-separated label lists.
 func WriteLIBSVM(w io.Writer, d *Dataset) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriter(w) // its first write error sticks, and Flush returns it
 	for i := 0; i < d.N(); i++ {
 		if d.MultiLabel {
 			for k, l := range d.Y.Multi[i] {
 				if k > 0 {
-					if _, err := bw.WriteString(","); err != nil {
-						return err
-					}
+					bw.WriteByte(',')
 				}
-				if _, err := bw.WriteString(strconv.Itoa(int(l))); err != nil {
-					return err
-				}
+				bw.WriteString(strconv.Itoa(int(l)))
 			}
 		} else {
-			if _, err := bw.WriteString(strconv.Itoa(d.Y.Class[i])); err != nil {
-				return err
-			}
+			bw.WriteString(strconv.Itoa(d.Y.Class[i]))
 		}
 		if d.XS != nil {
 			for t := d.XS.RowPtr[i]; t < d.XS.RowPtr[i+1]; t++ {
-				if d.XS.Val[t] == 0 {
-					continue
-				}
-				if _, err := fmt.Fprintf(bw, " %d:%g", d.XS.ColIdx[t]+1, d.XS.Val[t]); err != nil {
-					return err
+				if d.XS.Val[t] != 0 {
+					fmt.Fprintf(bw, " %d:%g", d.XS.ColIdx[t]+1, d.XS.Val[t])
 				}
 			}
 		} else {
-			row := d.X.Row(i)
-			for j, v := range row {
-				if v == 0 {
-					continue
-				}
-				if _, err := fmt.Fprintf(bw, " %d:%g", j+1, v); err != nil {
-					return err
+			for j, v := range d.X.Row(i) {
+				if v != 0 {
+					fmt.Fprintf(bw, " %d:%g", j+1, v)
 				}
 			}
 		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+		bw.WriteByte('\n')
 	}
 	return bw.Flush()
 }

@@ -61,18 +61,14 @@ const (
 	EventEvict
 )
 
+var eventKindNames = [...]string{EventJoin: "join", EventLeave: "leave", EventEvict: "evict"}
+
 // String returns the event-kind name used by Parse.
 func (k EventKind) String() string {
-	switch k {
-	case EventJoin:
-		return "join"
-	case EventLeave:
-		return "leave"
-	case EventEvict:
-		return "evict"
-	default:
-		return "unknown"
+	if k >= 0 && int(k) < len(eventKindNames) && eventKindNames[k] != "" {
+		return eventKindNames[k]
 	}
+	return "unknown"
 }
 
 // Event is one scripted membership change. After counts completed

@@ -17,18 +17,14 @@ const (
 	Shrink
 )
 
+var decisionNames = [...]string{Hold: "hold", Grow: "grow", Shrink: "shrink"}
+
 // String returns the decision name.
 func (d Decision) String() string {
-	switch d {
-	case Hold:
-		return "hold"
-	case Grow:
-		return "grow"
-	case Shrink:
-		return "shrink"
-	default:
-		return "unknown"
+	if d >= 0 && int(d) < len(decisionNames) && decisionNames[d] != "" {
+		return decisionNames[d]
 	}
+	return "unknown"
 }
 
 // Sample is one load observation handed to a policy, aggregated by the

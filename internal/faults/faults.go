@@ -40,18 +40,14 @@ const (
 	KindCorrupt
 )
 
+var kindNames = [...]string{KindCrash: "crash", KindHang: "hang", KindCorrupt: "corrupt"}
+
 // String returns the fault-class name used by Parse.
 func (k Kind) String() string {
-	switch k {
-	case KindCrash:
-		return "crash"
-	case KindHang:
-		return "hang"
-	case KindCorrupt:
-		return "corrupt"
-	default:
-		return "unknown"
+	if k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // Fault is one injected failure bound to a worker index.

@@ -38,20 +38,14 @@ const (
 	LinkSever
 )
 
+var linkKindNames = [...]string{LinkDrop: "drop", LinkDup: "dup", LinkDelay: "delay", LinkSever: "sever"}
+
 // String returns the fault-class name used by ParseLinks.
 func (k LinkKind) String() string {
-	switch k {
-	case LinkDrop:
-		return "drop"
-	case LinkDup:
-		return "dup"
-	case LinkDelay:
-		return "delay"
-	case LinkSever:
-		return "sever"
-	default:
-		return "unknown"
+	if k >= 0 && int(k) < len(linkKindNames) && linkKindNames[k] != "" {
+		return linkKindNames[k]
 	}
+	return "unknown"
 }
 
 // LinkFault is one injected network failure bound to a worker's link.

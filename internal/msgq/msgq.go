@@ -117,18 +117,14 @@ const (
 	PopClosed
 )
 
+var popStatusNames = [...]string{PopOK: "ok", PopTimedOut: "timed-out", PopClosed: "closed"}
+
 // String returns the status name.
 func (s PopStatus) String() string {
-	switch s {
-	case PopOK:
-		return "ok"
-	case PopTimedOut:
-		return "timed-out"
-	case PopClosed:
-		return "closed"
-	default:
-		return "unknown"
+	if s >= 0 && int(s) < len(popStatusNames) && popStatusNames[s] != "" {
+		return popStatusNames[s]
 	}
+	return "unknown"
 }
 
 // PopWait dequeues like Pop but gives up after d, reporting the typed

@@ -29,36 +29,24 @@ const (
 	ActIdentity
 )
 
+var actKindNames = [...]string{ActSigmoid: "sigmoid", ActReLU: "relu", ActTanh: "tanh", ActIdentity: "identity"}
+
 // String returns the activation name.
 func (k ActKind) String() string {
-	switch k {
-	case ActSigmoid:
-		return "sigmoid"
-	case ActReLU:
-		return "relu"
-	case ActTanh:
-		return "tanh"
-	case ActIdentity:
-		return "identity"
-	default:
-		return "unknown"
+	if k >= 0 && int(k) < len(actKindNames) && actKindNames[k] != "" {
+		return actKindNames[k]
 	}
+	return "unknown"
 }
 
 // ParseActKind converts a name to an ActKind.
 func ParseActKind(name string) (ActKind, error) {
-	switch name {
-	case "sigmoid":
-		return ActSigmoid, nil
-	case "relu":
-		return ActReLU, nil
-	case "tanh":
-		return ActTanh, nil
-	case "identity":
-		return ActIdentity, nil
-	default:
-		return 0, fmt.Errorf("nn: unknown activation %q", name)
+	for k, n := range actKindNames {
+		if n == name {
+			return ActKind(k), nil
+		}
 	}
+	return 0, fmt.Errorf("nn: unknown activation %q", name)
 }
 
 // applyActivation transforms pre-activations z into activations in place.

@@ -24,18 +24,14 @@ const (
 	InitZero
 )
 
+var initModeNames = [...]string{InitXavier: "xavier", InitPaper: "paper", InitZero: "zero"}
+
 // String returns the init-mode name.
 func (m InitMode) String() string {
-	switch m {
-	case InitXavier:
-		return "xavier"
-	case InitPaper:
-		return "paper"
-	case InitZero:
-		return "zero"
-	default:
-		return "unknown"
+	if m >= 0 && int(m) < len(initModeNames) && initModeNames[m] != "" {
+		return initModeNames[m]
 	}
+	return "unknown"
 }
 
 // Params holds the model W = {W¹ … Wᴾ} plus biases as one flat vector.
@@ -233,9 +229,11 @@ func (p *Params) MaxAbsDiff(other *Params) float64 {
 // AllFinite reports whether every parameter is finite (no NaN or ±Inf) —
 // the divergence-guard predicate applied to gradients before they reach
 // the shared model.
-func (p *Params) AllFinite() bool {
-	for _, v := range p.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+func (p *Params) AllFinite() bool { return allFinite(p.Data) }
+
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return false
 		}
 	}

@@ -31,7 +31,7 @@ func TestParamsLayout(t *testing.T) {
 			if cap(view) != n || &view[0] != &p.Data[off] {
 				t.Fatalf("layer %d: a view of %d (cap %d) is not Data[%d:%d:%d]", l, n, cap(view), off, off+n, off+n)
 			}
-			if !bytes.Equal(blob[wire:wire+8*n], appendFloats(nil, p.Data[off:off+n])) {
+			if !bytes.Equal(blob[wire:wire+8*n], leFloats(p.Data[off:off+n])) {
 				t.Fatalf("layer %d: the wire payload is not Data[%d:%d]", l, off, off+n)
 			}
 			off, wire = off+n, wire+8*n

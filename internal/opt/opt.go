@@ -32,36 +32,24 @@ const (
 	KindAdam
 )
 
+var kindNames = [...]string{KindSGD: "sgd", KindMomentum: "momentum", KindAdaGrad: "adagrad", KindAdam: "adam"}
+
 // String returns the optimizer name.
 func (k Kind) String() string {
-	switch k {
-	case KindSGD:
-		return "sgd"
-	case KindMomentum:
-		return "momentum"
-	case KindAdaGrad:
-		return "adagrad"
-	case KindAdam:
-		return "adam"
-	default:
-		return "unknown"
+	if k >= 0 && int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // ParseKind maps a name to a Kind.
 func ParseKind(name string) (Kind, error) {
-	switch name {
-	case "sgd", "":
-		return KindSGD, nil
-	case "momentum":
-		return KindMomentum, nil
-	case "adagrad":
-		return KindAdaGrad, nil
-	case "adam":
-		return KindAdam, nil
-	default:
-		return 0, fmt.Errorf("opt: unknown optimizer %q", name)
+	for k, n := range kindNames {
+		if n == name || name == "" && Kind(k) == KindSGD {
+			return Kind(k), nil
+		}
 	}
+	return 0, fmt.Errorf("opt: unknown optimizer %q", name)
 }
 
 // Optimizer transforms gradients into model updates. Implementations are

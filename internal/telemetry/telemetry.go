@@ -53,26 +53,17 @@ const (
 	numKinds
 )
 
+var kindNames = [...]string{
+	KindSchedule: "schedule", KindQueueWait: "queue_wait", KindGradient: "gradient",
+	KindApply: "apply", KindCheckpoint: "checkpoint", KindEval: "eval", KindSnapshot: "snapshot",
+}
+
 // String returns the kind's Chrome-trace event name.
 func (k Kind) String() string {
-	switch k {
-	case KindSchedule:
-		return "schedule"
-	case KindQueueWait:
-		return "queue_wait"
-	case KindGradient:
-		return "gradient"
-	case KindApply:
-		return "apply"
-	case KindCheckpoint:
-		return "checkpoint"
-	case KindEval:
-		return "eval"
-	case KindSnapshot:
-		return "snapshot"
-	default:
-		return "unknown"
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // argName maps each kind to the Chrome-trace args key its Arg renders under.

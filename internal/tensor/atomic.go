@@ -29,18 +29,14 @@ const (
 	UpdateLocked
 )
 
+var updateModeNames = [...]string{UpdateAtomic: "atomic", UpdateRacy: "racy", UpdateLocked: "locked"}
+
 // String returns the mode name used in benchmark output.
 func (m UpdateMode) String() string {
-	switch m {
-	case UpdateAtomic:
-		return "atomic"
-	case UpdateRacy:
-		return "racy"
-	case UpdateLocked:
-		return "locked"
-	default:
-		return "unknown"
+	if m >= 0 && int(m) < len(updateModeNames) && updateModeNames[m] != "" {
+		return updateModeNames[m]
 	}
+	return "unknown"
 }
 
 // stripes is the lock table behind UpdateAtomic. A row of a shared matrix

@@ -64,11 +64,14 @@ type Client struct {
 	// or re-encoded while a retransmit is writing it.
 	mu sync.Mutex
 	// pending holds the sent-but-unacked completions as encoded Done frames —
-	// the Client's own copy, independent of the handler's buffers — stamped
-	// with their last transmission time. An Ack moves the frame to free for
-	// the next completion to encode into.
+	// the Client's own bytes, which the handler never touches once it has
+	// returned — stamped with their last transmission time. An Ack moves the
+	// frame's buffer to free for the next completion to be built in.
 	pending map[uint64]pendingDone
 	free    [][]byte
+	// held is the frame buffer DeltaBuf handed out for the running
+	// handler's Delta.
+	held []byte
 }
 
 type pendingDone struct {
@@ -180,17 +183,15 @@ func (c *Client) attempt(ctx context.Context) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
 	if c.id < 0 {
-		err = WriteFrame(conn, KindJoin, nil)
+		err = sendFrame(conn, KindJoin, nil)
 	} else {
-		err = WriteFrame(conn, KindHello, EncodeHello(Hello{Worker: c.id}))
+		err = sendFrame(conn, KindHello, EncodeHello(Hello{Worker: c.id}))
 	}
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	conn.SetWriteDeadline(time.Time{})
 	conn.SetReadDeadline(time.Now().Add(dialTimeout))
 	kind, payload, err := ReadFrame(conn)
 	if err != nil {
@@ -240,25 +241,55 @@ func (c *Client) write(conn net.Conn, frame []byte) error {
 func (c *Client) send(conn net.Conn, kind Kind, payload []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
-	err := WriteFrame(conn, kind, payload)
-	conn.SetWriteDeadline(time.Time{})
-	return err
+	return sendFrame(conn, kind, payload)
 }
 
-// sendDone encodes d into a frame of the Client's own, registers it for
-// retransmission until acked, and transmits it. d.Delta is not referenced
-// once sendDone returns.
+// doneAt is where a successful Done's Delta lies in its frame: behind the
+// frame header and a Done head with an empty Err. A model blob there has
+// 8-aligned float sections in any 8-aligned buffer.
+const doneAt = headerLen + 32
+
+// DeltaBuf returns n bytes for the Delta of the Done the running handler
+// returns, inside a frame buffer of the Client's own. A Done without an Err
+// whose Delta is these bytes is framed around them where they lie; any
+// other Delta is copied into a frame. Only a handler calls it, at most once
+// per call.
+func (c *Client) DeltaBuf(n int) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.held = sized(c.takeFree(), doneAt+n+4)
+	return c.held[doneAt : doneAt+n : doneAt+n]
+}
+
+// takeFree pops a frame buffer off the free list, nil when it is empty. c.mu
+// must be held.
+func (c *Client) takeFree() (buf []byte) {
+	if k := len(c.free) - 1; k >= 0 {
+		buf, c.free = c.free[k], c.free[:k]
+	}
+	return buf
+}
+
+// sendDone frames d in a buffer of the Client's own — around its Delta when
+// the handler built that in DeltaBuf's bytes, copying it otherwise —
+// registers the frame for retransmission until acked, and transmits it.
+// d.Delta is not referenced once sendDone returns.
 func (c *Client) sendDone(conn net.Conn, d Done) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var frame []byte
-	if k := len(c.free) - 1; k >= 0 {
-		frame, c.free = c.free[k][:0], c.free[:k]
-	}
-	frame, err := appendDoneFrame(frame, d)
-	if err != nil {
+	if err := checkPayloadLen(doneHeadLen(d) + len(d.Delta)); err != nil {
 		return err
+	}
+	frame := c.held
+	c.held = nil
+	if at := headerLen + doneHeadLen(d); len(d.Delta) > 0 && len(frame) == at+len(d.Delta)+4 && &d.Delta[0] == &frame[at] {
+		sealDone(frame, d)
+	} else {
+		copied, _ := appendDoneFrame(c.takeFree()[:0], d)
+		if frame != nil {
+			c.free = append(c.free, frame)
+		}
+		frame = copied
 	}
 	c.pending[d.Seq] = pendingDone{frame: frame, sentAt: time.Now()}
 	return c.write(conn, frame)
@@ -356,8 +387,10 @@ func (c *Client) session(ctx context.Context, handler func(Work) Done) error {
 		if err != nil {
 			return err
 		}
-		c.rbuf = sized(c.rbuf, n+4)
-		payload, err := readBody(conn, c.rhdr[:], c.rbuf)
+		// The body goes where a model in Work.Params has 8-aligned floats.
+		c.rbuf = sized(c.rbuf, n+4+7)
+		k := alignedAt(c.rbuf, workHeadLen+modelFloatsAt)
+		payload, sum, err := readBody(conn, c.rhdr[:], c.rbuf[k:k+n+4])
 		if err != nil {
 			return err
 		}
@@ -367,6 +400,7 @@ func (c *Client) session(ctx context.Context, handler func(Work) Done) error {
 			if err != nil {
 				return err
 			}
+			w.ParamsCRC = sum
 			done := handler(w)
 			done.Worker = c.id
 			done.Seq = w.Seq

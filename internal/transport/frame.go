@@ -19,6 +19,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"unsafe"
 )
 
 // Kind tags a frame's payload type.
@@ -50,30 +51,17 @@ const (
 	KindLeave
 )
 
+var kindNames = [...]string{
+	KindHello: "hello", KindWelcome: "welcome", KindWork: "work", KindDone: "done", KindAck: "ack",
+	KindHeartbeat: "heartbeat", KindGoodbye: "goodbye", KindJoin: "join", KindLeave: "leave",
+}
+
 // String returns the frame-kind name.
 func (k Kind) String() string {
-	switch k {
-	case KindHello:
-		return "hello"
-	case KindWelcome:
-		return "welcome"
-	case KindWork:
-		return "work"
-	case KindDone:
-		return "done"
-	case KindAck:
-		return "ack"
-	case KindHeartbeat:
-		return "heartbeat"
-	case KindGoodbye:
-		return "goodbye"
-	case KindJoin:
-		return "join"
-	case KindLeave:
-		return "leave"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
 const (
@@ -136,34 +124,111 @@ func WriteFrame(w io.Writer, kind Kind, payload []byte) error {
 }
 
 // writeWork writes w's Work frame — the bytes of WriteFrame(EncodeWork(w)) —
-// without copying w.Params: header and fixed fields, the params and the CRC
-// (folded across the parts) leave as one vectored write. On a TCP connection
+// without copying the params, on scratch of its own.
+func writeWork(conn io.Writer, w Work) error { return new(workWriter).write(conn, w) }
+
+// workWriter writes Work frames: header and fixed fields, the params (or
+// their Parts) and the CRC leave as one vectored write. On a TCP connection
 // that is a single writev under the connection's write lock, so the frame
-// cannot interleave with the acks and heartbeats its read loop writes.
-func writeWork(conn io.Writer, w Work) error {
-	n := workHeadLen + len(w.Params)
+// cannot interleave with the acks and heartbeats its read loop writes. The
+// CRC is folded from the params' own (ParamsCRC), so with it known the
+// params are not read here at all. Its scratch — the frame's head and the
+// vector of parts — is reused from one write to the next.
+type workWriter struct {
+	head [headerLen + workHeadLen + 4]byte
+	bufs net.Buffers
+}
+
+func (ww *workWriter) write(conn io.Writer, w Work) error {
+	parts, n, sum := w.Parts, workHeadLen, w.ParamsCRC
+	if parts == nil {
+		parts = [][]byte{w.Params}
+	}
+	for _, p := range parts {
+		n += len(p)
+		if w.ParamsCRC == 0 {
+			sum = crc32.Update(sum, crc32.IEEETable, p)
+		}
+	}
 	if err := checkPayloadLen(n); err != nil {
 		return err
 	}
-	head := appendWorkHead(appendHeader(make([]byte, 0, headerLen+workHeadLen+4), KindWork, n), w)
-	sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, w.Params)
-	bufs := net.Buffers{head, w.Params, appendU32(head[len(head):], sum)}
-	_, err := bufs.WriteTo(conn)
+	head := appendWorkHead(appendHeader(ww.head[:0], KindWork, n), w, n-workHeadLen)
+	bufs := append(append(ww.bufs[:0], head), parts...)
+	bufs = append(bufs, appendU32(head[len(head):], crc32Combine(crc32.ChecksumIEEE(head), sum, n-workHeadLen)))
+	ww.bufs = bufs
+	_, err := ww.bufs.WriteTo(conn) // consumes ww.bufs, not bufs
+	clear(bufs)
+	ww.bufs = bufs[:0]
 	return err
 }
 
 // appendDoneFrame appends d's complete Done frame — the bytes of
-// WriteFrame(EncodeDone(d)) — to b. The Client keeps the result until the
-// coordinator acks it, so a retransmit re-sends these bytes as they are.
+// WriteFrame(EncodeDone(d)) — to b, copying d.Delta into it.
 func appendDoneFrame(b []byte, d Done) ([]byte, error) {
 	n := doneHeadLen(d) + len(d.Delta)
 	if err := checkPayloadLen(n); err != nil {
 		return b, err
 	}
 	start := len(b)
-	b = slices.Grow(b, headerLen+n+4)
-	b = append(appendDoneHead(appendHeader(b, KindDone, n), d), d.Delta...)
-	return appendU32(b, crc32.ChecksumIEEE(b[start:])), nil
+	b = slices.Grow(b, headerLen+n+4)[:start+headerLen+n+4]
+	copy(b[start+headerLen+doneHeadLen(d):], d.Delta)
+	sealDone(b[start:], d)
+	return b, nil
+}
+
+// sealDone completes the Done frame for d around its Delta, which already
+// lies in place in frame: header and message head in front, the CRC — folded
+// from the Delta's own (DeltaCRC) when known — behind.
+func sealDone(frame []byte, d Done) {
+	head := appendDoneHead(appendHeader(frame[:0], KindDone, len(frame)-headerLen-4), d)
+	sum := d.DeltaCRC
+	if sum == 0 {
+		sum = crc32.ChecksumIEEE(d.Delta)
+	}
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32Combine(crc32.ChecksumIEEE(head), sum, len(d.Delta)))
+}
+
+// modelFloatsAt is where a model blob's first float value lies: behind its
+// 12-byte header and its first layer's 8-byte shape (nn's format). Every
+// later section keeps that offset's alignment, so a receive buffer that puts
+// it on an 8-byte boundary lets the model be read in place.
+const modelFloatsAt = 20
+
+// alignedAt returns the k in [0, 8) for which &b[k+off] is 8-aligned.
+func alignedAt(b []byte, off int) int {
+	return int(-(uintptr(unsafe.Pointer(unsafe.SliceData(b))) + uintptr(off)) & 7)
+}
+
+// multmodp returns a·b modulo the CRC-32 (IEEE) polynomial, bit-reflected.
+func multmodp(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc32.IEEE
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// crc32Combine returns the CRC-32 (IEEE) of a‖b from crcA = crc(a), crcB =
+// crc(b) and len(b) — zlib's crc32_combine: crcA times x^(8·len(b)), by
+// square and multiply, plus crcB — so a frame's CRC is folded from its
+// blob's without reading the blob again.
+func crc32Combine(crcA, crcB uint32, lenB int) uint32 {
+	p, sq := uint32(1)<<31, uint32(1)<<23 // x^0, and x^8: one byte's shift
+	for ; lenB > 0; lenB >>= 1 {
+		if lenB&1 != 0 {
+			p = multmodp(sq, p)
+		}
+		sq = multmodp(sq, sq)
+	}
+	return multmodp(p, crcA) ^ crcB
 }
 
 // ReadFrame decodes one frame from r. Truncated, corrupt, or oversized
@@ -177,7 +242,7 @@ func ReadFrame(r io.Reader) (Kind, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	payload, err := readBody(r, hdr, make([]byte, n+4))
+	payload, _, err := readBody(r, hdr, make([]byte, n+4))
 	return kind, payload, err
 }
 
@@ -214,20 +279,41 @@ func readHeader(r io.Reader, hdr []byte) (Kind, int, error) {
 
 // readBody reads the payload and CRC that follow hdr into buf — exactly
 // payload length + 4 bytes — and returns the verified payload, which aliases
-// buf.
-func readBody(r io.Reader, hdr, buf []byte) ([]byte, error) {
+// buf, with the CRC-32 of the blob that ends a Work or Done payload (0 when
+// there is none). The frame's CRC is folded from the blob's, so one pass over
+// the blob checks both.
+func readBody(r io.Reader, hdr, buf []byte) ([]byte, uint32, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return nil, err
+		return nil, 0, err
 	}
 	n := len(buf) - 4
-	sum := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, buf[:n])
-	if sum != binary.LittleEndian.Uint32(buf[n:]) {
-		return nil, ErrBadCRC
+	at := blobAt(Kind(hdr[5]), buf[:n])
+	blob := crc32.ChecksumIEEE(buf[at:n])
+	head := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, buf[:at])
+	if crc32Combine(head, blob, n-at) != binary.LittleEndian.Uint32(buf[n:]) {
+		return nil, 0, ErrBadCRC
 	}
-	return buf[:n:n], nil
+	return buf[:n:n], blob, nil
+}
+
+// blobAt returns where the blob that ends a Work or Done payload p begins —
+// when the length word in front of it says it runs to p's end — and len(p)
+// for any other payload.
+func blobAt(kind Kind, p []byte) int {
+	at := uint64(len(p))
+	switch {
+	case kind == KindWork && len(p) >= workHeadLen:
+		at = workHeadLen
+	case kind == KindDone && len(p) >= 32:
+		at = 32 + uint64(binary.LittleEndian.Uint32(p[24:]))
+	}
+	if at >= uint64(len(p)) || uint64(binary.LittleEndian.Uint32(p[at-4:])) != uint64(len(p))-at {
+		return len(p)
+	}
+	return int(at)
 }
 
 // sized returns buf resliced to n bytes, reallocating only when its capacity

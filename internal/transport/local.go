@@ -51,17 +51,7 @@ func (t *Local) Send(worker int, w Work) error {
 }
 
 // Recv waits up to d for the next completion or wakeup; negative d blocks.
-func (t *Local) Recv(d time.Duration) (Msg, RecvStatus) {
-	m, st := t.recvQ.PopWait(d)
-	switch st {
-	case msgq.PopOK:
-		return m, RecvOK
-	case msgq.PopTimedOut:
-		return Msg{}, RecvTimeout
-	default:
-		return Msg{}, RecvClosed
-	}
-}
+func (t *Local) Recv(d time.Duration) (Msg, RecvStatus) { return recv(t.recvQ, d) }
 
 // Wake unblocks a pending Recv with an empty Msg.
 func (t *Local) Wake() {

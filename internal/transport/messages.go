@@ -19,10 +19,14 @@ import (
 // returns, and on the worker it aliases the link's read buffer, valid only
 // inside the handler call.
 type Work struct {
-	Seq    uint64
-	Epoch  uint32
-	Lo, Hi int
-	LR     float64
+	Seq   uint64
+	Epoch uint32
+	// ParamsCRC is the CRC-32 (IEEE) of the params' bytes, or 0 when not
+	// known. A sender that knows it spares the link a pass over them, and on
+	// receipt the link sets it from the pass it makes to check the frame.
+	ParamsCRC uint32
+	Lo, Hi    int
+	LR        float64
 	// SentNS is the coordinator's dispatch timestamp (engine clock,
 	// nanoseconds) for queue-wait accounting.
 	SentNS int64
@@ -31,24 +35,32 @@ type Work struct {
 	// worker processes, which have no device model of their own.
 	Lanes  int
 	Params []byte
+	// Parts, when set, stand for Params in TCP.Send: the params' bytes in
+	// pieces the link writes without joining them — a model's blob as views
+	// of its own memory (nn.Gather). The frame is the same.
+	Parts [][]byte
 }
 
 // Done is one completed dispatch. Delta carries the serialized parameter
 // delta for parameter-server training (empty for in-process transports and
 // failed work). A failed dispatch reports Failed with Err, and the
 // coordinator re-dispatches the range elsewhere. Delta is borrowed like
-// Work.Params: a handler may reuse its bytes on its next call (the Client
-// has copied them into the frame it keeps for retransmission), and on the
-// coordinator it aliases a receive buffer the engine may hand back with
-// TCP.Recycle (see Msg) once it is through with the completion.
+// Work.Params: a handler may reuse its own bytes on its next call (the
+// Client has copied them into the frame it keeps for retransmission) but
+// never Client.DeltaBuf's, which are that frame; on the coordinator it
+// aliases a receive buffer the engine may hand back with TCP.Recycle (see
+// Msg) once it is through with the completion.
 type Done struct {
 	Worker  int
 	Seq     uint64
 	Updates int
 	Dropped int
 	Failed  bool
-	Err     string
-	Delta   []byte
+	// DeltaCRC is the CRC-32 (IEEE) of Delta, or 0 when not known: as
+	// Work.ParamsCRC.
+	DeltaCRC uint32
+	Err      string
+	Delta    []byte
 }
 
 // Hello is the worker's handshake, sent on every connect and reconnect.
@@ -175,8 +187,8 @@ func (c *cursor) done() error {
 // Params — everything but the blob itself.
 const workHeadLen = 52
 
-// appendWorkHead appends w's payload short of the Params bytes.
-func appendWorkHead(b []byte, w Work) []byte {
+// appendWorkHead appends w's payload short of its n params bytes.
+func appendWorkHead(b []byte, w Work, n int) []byte {
 	b = appendU64(b, w.Seq)
 	b = appendU32(b, w.Epoch)
 	b = appendU64(b, uint64(int64(w.Lo)))
@@ -184,13 +196,13 @@ func appendWorkHead(b []byte, w Work) []byte {
 	b = appendU64(b, math.Float64bits(w.LR))
 	b = appendU64(b, uint64(w.SentNS))
 	b = appendU32(b, uint32(int32(w.Lanes)))
-	return appendU32(b, uint32(len(w.Params)))
+	return appendU32(b, uint32(n))
 }
 
 // EncodeWork serializes w for a Work frame.
 func EncodeWork(w Work) []byte {
 	b := make([]byte, 0, workHeadLen+len(w.Params))
-	return append(appendWorkHead(b, w), w.Params...)
+	return append(appendWorkHead(b, w, len(w.Params)), w.Params...)
 }
 
 // DecodeWork parses a Work frame payload.

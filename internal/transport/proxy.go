@@ -183,26 +183,21 @@ func (p *Proxy) relay(down net.Conn) {
 			if err != nil {
 				return
 			}
+			copies := 1
 			if kind == KindDone && inj != nil {
 				v := inj.Done()
-				if v.Delay > 0 {
-					time.Sleep(v.Delay)
+				time.Sleep(v.Delay)
+				switch {
+				case v.Drop:
+					copies = 0
+				case v.Dup:
+					copies = 2
 				}
-				if v.Drop {
-					continue
-				}
+			}
+			for range copies {
 				if err := WriteFrame(up, kind, payload); err != nil {
 					return
 				}
-				if v.Dup {
-					if err := WriteFrame(up, kind, payload); err != nil {
-						return
-					}
-				}
-				continue
-			}
-			if err := WriteFrame(up, kind, payload); err != nil {
-				return
 			}
 		}
 	}()

@@ -49,6 +49,13 @@ func (o *TCPOptions) defaults() {
 // sendTimeout bounds each frame write, on either end of a link.
 const sendTimeout = 5 * time.Second
 
+// sendFrame writes one frame on conn within sendTimeout.
+func sendFrame(conn net.Conn, kind Kind, payload []byte) error {
+	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
+	defer conn.SetWriteDeadline(time.Time{})
+	return WriteFrame(conn, kind, payload)
+}
+
 // tcpMetrics bundles the coordinator-side transport instruments. All
 // counters are nil-safe (a nil registry leaves them nil).
 type tcpMetrics struct {
@@ -133,6 +140,11 @@ type TCP struct {
 	// next completion gets a fresh one.
 	freeMu sync.Mutex
 	free   [][]byte
+
+	// work is Send's frame writer; sendMu serializes Sends over its scratch
+	// (one coordinator goroutine sends in any case).
+	sendMu sync.Mutex
+	work   workWriter
 
 	wg sync.WaitGroup
 }
@@ -226,47 +238,32 @@ func (t *TCP) handshake(conn net.Conn) {
 	deadline := t.opts.Heartbeat * time.Duration(t.opts.MissLimit)
 	conn.SetReadDeadline(time.Now().Add(deadline))
 	kind, payload, err := ReadFrame(conn)
-	if err != nil || (kind != KindHello && kind != KindJoin) {
+	id, joining := -1, kind == KindJoin
+	t.mu.Lock()
+	switch {
+	case err != nil:
+	case joining && !t.closed && len(t.links) < t.maxWorkers:
+		// Admit a fresh worker: grow the link table under the cap. The slot
+		// is allocated before the Welcome so no two joiners share an ID.
+		id = len(t.links)
+		t.links = append(t.links, link{})
+	case kind == KindHello:
+		if hello, err := DecodeHello(payload); err == nil && hello.Worker < len(t.links) && !t.links[hello.Worker].departed {
+			id = hello.Worker
+		}
+	}
+	t.mu.Unlock()
+	if id < 0 {
 		t.m.frameErrs.Inc()
 		conn.Close()
 		return
 	}
-	var id int
-	joining := kind == KindJoin
-	if joining {
-		// Admit a fresh worker: grow the link table under the cap. The slot
-		// is allocated before the Welcome so no two joiners share an ID.
-		t.mu.Lock()
-		if t.closed || len(t.links) >= t.maxWorkers {
-			t.mu.Unlock()
-			t.m.frameErrs.Inc()
-			conn.Close()
-			return
-		}
-		id = len(t.links)
-		t.links = append(t.links, link{})
-		t.mu.Unlock()
-	} else {
-		hello, derr := DecodeHello(payload)
-		t.mu.Lock()
-		bad := derr != nil || hello.Worker >= len(t.links) ||
-			t.links[hello.Worker].departed
-		t.mu.Unlock()
-		if bad {
-			t.m.frameErrs.Inc()
-			conn.Close()
-			return
-		}
-		id = hello.Worker
-	}
 	welcome := t.opts.Welcome
 	welcome.Worker = id
-	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
-	if err := WriteFrame(conn, KindWelcome, EncodeWelcome(welcome)); err != nil {
+	if err := sendFrame(conn, KindWelcome, EncodeWelcome(welcome)); err != nil {
 		conn.Close()
 		return
 	}
-	conn.SetWriteDeadline(time.Time{})
 
 	t.mu.Lock()
 	if t.closed || t.links[id].departed {
@@ -316,16 +313,19 @@ func (t *TCP) handshake(conn net.Conn) {
 	t.readLoop(id, conn)
 }
 
-// takeBuf returns an n-byte buffer for a Done frame's body, reusing a
-// recycled one when it is large enough. n is readHeader's bounded length.
-func (t *TCP) takeBuf(n int) []byte {
+// takeBuf returns a buffer for an n-byte Done frame body, reusing a recycled
+// one when it is large enough, and the body inside it: placed so that a delta
+// behind an empty Err — a Done with a delta has none — has 8-aligned float
+// sections. n is readHeader's bounded length.
+func (t *TCP) takeBuf(n int) (buf, body []byte) {
 	t.freeMu.Lock()
-	var buf []byte
 	if k := len(t.free) - 1; k >= 0 {
 		buf, t.free = t.free[k], t.free[:k]
 	}
 	t.freeMu.Unlock()
-	return sized(buf, n)
+	buf = sized(buf, n+7)
+	k := alignedAt(buf, doneHeadLen(Done{})+modelFloatsAt)
+	return buf, buf[k : k+n]
 }
 
 // Recycle hands back the receive buffer m.Done.Delta aliases once the engine
@@ -359,14 +359,14 @@ func (t *TCP) readLoop(id int, conn net.Conn) {
 			t.linkDown(id, conn, err)
 			return
 		}
-		var buf []byte
+		var buf, body []byte
 		if kind == KindDone {
-			buf = t.takeBuf(n + 4)
+			buf, body = t.takeBuf(n + 4)
 		} else {
 			small = sized(small, n+4)
-			buf = small
+			body = small
 		}
-		payload, err := readBody(conn, hdr, buf)
+		payload, sum, err := readBody(conn, hdr, body)
 		if err != nil {
 			t.linkDown(id, conn, err)
 			return
@@ -379,6 +379,7 @@ func (t *TCP) readLoop(id int, conn net.Conn) {
 				t.linkDown(id, conn, fmt.Errorf("transport: bad done frame: %v", err))
 				return
 			}
+			d.DeltaCRC = sum
 			t.m.done.Inc()
 			t.statsMu.Lock()
 			t.stats.Completed++
@@ -390,23 +391,19 @@ func (t *TCP) readLoop(id int, conn net.Conn) {
 			t.statsMu.Unlock()
 			// Ack first (best effort): the worker may drop its retransmit
 			// copy as soon as the completion is on the coordinator's queue.
-			conn.SetWriteDeadline(time.Now().Add(sendTimeout))
-			if err := WriteFrame(conn, KindAck, EncodeAck(Ack{Seq: d.Seq})); err != nil {
+			if err := sendFrame(conn, KindAck, EncodeAck(Ack{Seq: d.Seq})); err != nil {
 				t.linkDown(id, conn, err)
 				return
 			}
-			conn.SetWriteDeadline(time.Time{})
 			t.m.acks.Inc()
 			t.recvQ.Push(Msg{Done: &d, lease: &lease{buf}})
 		case KindHeartbeat:
 			t.m.heartbeats.Inc()
 			// Pong: the echo feeds the worker's read deadline.
-			conn.SetWriteDeadline(time.Now().Add(sendTimeout))
-			if err := WriteFrame(conn, KindHeartbeat, nil); err != nil {
+			if err := sendFrame(conn, KindHeartbeat, nil); err != nil {
 				t.linkDown(id, conn, err)
 				return
 			}
-			conn.SetWriteDeadline(time.Time{})
 		case KindLeave:
 			l, err := DecodeLeave(payload)
 			if err != nil || l.Worker != id {
@@ -473,8 +470,7 @@ func (t *TCP) Retire(worker int) {
 	t.links[worker].departed = true
 	t.mu.Unlock()
 	if conn != nil {
-		conn.SetWriteDeadline(time.Now().Add(sendTimeout))
-		WriteFrame(conn, KindGoodbye, nil) // best effort
+		sendFrame(conn, KindGoodbye, nil) // best effort
 		conn.Close()
 	}
 }
@@ -489,9 +485,11 @@ func (t *TCP) Send(worker int, w Work) error {
 	if conn == nil {
 		return ErrLinkDown
 	}
+	t.sendMu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(sendTimeout))
-	err := writeWork(conn, w)
+	err := t.work.write(conn, w)
 	conn.SetWriteDeadline(time.Time{})
+	t.sendMu.Unlock()
 	if err != nil {
 		t.linkDown(worker, conn, err)
 		return fmt.Errorf("transport: send to worker %d: %w", worker, err)
@@ -505,17 +503,7 @@ func (t *TCP) Send(worker int, w Work) error {
 
 // Recv waits up to d for the next completion, event, or wakeup; negative d
 // blocks.
-func (t *TCP) Recv(d time.Duration) (Msg, RecvStatus) {
-	m, st := t.recvQ.PopWait(d)
-	switch st {
-	case msgq.PopOK:
-		return m, RecvOK
-	case msgq.PopTimedOut:
-		return Msg{}, RecvTimeout
-	default:
-		return Msg{}, RecvClosed
-	}
-}
+func (t *TCP) Recv(d time.Duration) (Msg, RecvStatus) { return recv(t.recvQ, d) }
 
 // Wake unblocks a pending Recv with an empty Msg.
 func (t *TCP) Wake() {
@@ -541,8 +529,7 @@ func (t *TCP) Close() error {
 	}
 	t.mu.Unlock()
 	for _, c := range conns {
-		c.SetWriteDeadline(time.Now().Add(sendTimeout))
-		WriteFrame(c, KindGoodbye, nil) // best effort
+		sendFrame(c, KindGoodbye, nil) // best effort
 		c.Close()
 	}
 	t.ln.Close()

@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"time"
+
+	"heterosgd/internal/msgq"
 )
 
 // RecvStatus classifies the outcome of a bounded Recv, mirroring
@@ -20,18 +22,26 @@ const (
 	RecvClosed
 )
 
+// recv pops q as a Transport's Recv: up to d, negative d blocks.
+func recv(q *msgq.Queue[Msg], d time.Duration) (Msg, RecvStatus) {
+	m, st := q.PopWait(d)
+	switch st {
+	case msgq.PopOK:
+		return m, RecvOK
+	case msgq.PopTimedOut:
+		return Msg{}, RecvTimeout
+	}
+	return Msg{}, RecvClosed
+}
+
+var recvStatusNames = [...]string{RecvOK: "ok", RecvTimeout: "timed-out", RecvClosed: "closed"}
+
 // String returns the status name.
 func (s RecvStatus) String() string {
-	switch s {
-	case RecvOK:
-		return "ok"
-	case RecvTimeout:
-		return "timed-out"
-	case RecvClosed:
-		return "closed"
-	default:
-		return "unknown"
+	if s >= 0 && int(s) < len(recvStatusNames) && recvStatusNames[s] != "" {
+		return recvStatusNames[s]
 	}
+	return "unknown"
 }
 
 // EventKind classifies link-state transitions surfaced to the coordinator.
@@ -54,20 +64,16 @@ const (
 	LinkLeave
 )
 
+var eventKindNames = [...]string{
+	LinkUp: "link-up", LinkDown: "link-down", LinkJoin: "link-join", LinkLeave: "link-leave",
+}
+
 // String returns the event-kind name.
 func (k EventKind) String() string {
-	switch k {
-	case LinkUp:
-		return "link-up"
-	case LinkDown:
-		return "link-down"
-	case LinkJoin:
-		return "link-join"
-	case LinkLeave:
-		return "link-leave"
-	default:
-		return "unknown"
+	if k >= 0 && int(k) < len(eventKindNames) && eventKindNames[k] != "" {
+		return eventKindNames[k]
 	}
+	return "unknown"
 }
 
 // Event is a link-state transition on one worker's channel.

@@ -58,7 +58,7 @@ func main() {
 	// Precision@1 — the standard extreme-classification metric.
 	ws := p.Net.NewWorkspace(p.Dataset.N())
 	fmt.Printf("adaptive P@1 on training data: %.2f\n",
-		p.Net.PrecisionAtK(res.Params, ws, p.Dataset.X, p.Dataset.Y, 1, 1))
+		p.Net.PrecisionAtKX(res.Params, ws, p.Dataset.Input(), p.Dataset.Y, 1, 1))
 }
 
 func avgLabels(p *experiments.Problem) float64 {

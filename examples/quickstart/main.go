@@ -46,6 +46,6 @@ func main() {
 
 	// The trained parameters are ordinary nn.Params:
 	ws := network.NewWorkspace(dataset.N())
-	acc := network.Accuracy(res.Params, ws, dataset.X, dataset.Y, 1)
+	acc := network.AccuracyX(res.Params, ws, dataset.Input(), dataset.Y, 1)
 	fmt.Printf("training accuracy: %.1f%%\n", 100*acc)
 }

@@ -85,5 +85,5 @@ func main() {
 	ws := net.NewWorkspace(ds.N())
 	fmt.Printf("training accuracy after %v: %.1f%%\n",
 		res.Duration.Round(time.Millisecond),
-		100*net.Accuracy(res.Params, ws, ds.X, ds.Y, 1))
+		100*net.AccuracyX(res.Params, ws, ds.Input(), ds.Y, 1))
 }

@@ -120,7 +120,7 @@ func TestClusterExactlyOnceInvariant(t *testing.T) {
 		t.Fatal("sever plan produced no partition")
 	}
 	if tr.Abandoned == 0 {
-		t.Fatal("severed dispatch was never abandoned — the stranded completion should have been discarded")
+		t.Fatalf("severed dispatch was never abandoned — the stranded completion should have been discarded\n%s", res.Events)
 	}
 	w1 := res.Health.Workers[1]
 	if w1.Timeouts == 0 || w1.Readmissions == 0 {

@@ -482,11 +482,13 @@ func TestRealCrashedWorkerSurvivorConverges(t *testing.T) {
 	}
 	target := base.FinalLoss * 1.2
 
-	// Hybrid run whose GPU worker dies early: the CPU survivor must still
-	// reach the same target.
+	// Hybrid run whose GPU worker dies on its first dispatch: the CPU
+	// survivor must still reach the same target. A later trigger could lose
+	// the race against TargetLoss — a slow GPU (say, under -race) may not
+	// reach its fourth dispatch before the survivor converges.
 	cfg := tinyConfig(t, AlgCPUGPUHogbatch)
 	cfg.UpdateMode = tensor.UpdateLocked
-	cfg.Faults = faults.NewPlan(7, faults.CrashAfter(1, 3))
+	cfg.Faults = faults.NewPlan(7, faults.CrashAfter(1, 0))
 	cfg.TargetLoss = target
 	res, err := RunReal(context.Background(), cfg, 4*realBudget)
 	if err != nil {

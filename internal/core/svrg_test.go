@@ -66,7 +66,7 @@ func TestSVRGWarmupUsesPlainGradient(t *testing.T) {
 	st.correctedGradient(net, global, ws, batch, grad, scratch)
 
 	plain := net.NewParams(nn.InitZero, nil)
-	net.Gradient(global, ws, batch.X, batch.Y, plain, 1)
+	net.GradientX(global, ws, batch.Input(), batch.Y, plain, 1)
 	if d := grad.MaxAbsDiff(plain); d != 0 {
 		t.Fatalf("warm-up gradient must be the plain gradient (diff %v)", d)
 	}
@@ -90,7 +90,7 @@ func TestSVRGVarianceReduction(t *testing.T) {
 	const samples = 32
 	for i := 0; i < samples; i++ {
 		b := cfg.Dataset.View(i, i+1)
-		net.Gradient(global, ws, b.X, b.Y, grad, 1)
+		net.GradientX(global, ws, b.Input(), b.Y, grad, 1)
 		plainVar += grad.GradNorm() * grad.GradNorm()
 		st.correctedGradient(net, global, ws, b, grad, scratch)
 		// Corrected gradient fluctuates around μ; measure deviation from μ.

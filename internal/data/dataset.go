@@ -300,23 +300,6 @@ func (d *Dataset) Subset(n int) *Dataset {
 	return &Dataset{Name: d.Name, X: v.X, XS: v.XS, Y: v.Y, NumClasses: d.NumClasses, MultiLabel: d.MultiLabel}
 }
 
-// ClassCounts returns a histogram of class labels (multiclass only).
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	if d.MultiLabel {
-		for _, ls := range d.Y.Multi {
-			for _, l := range ls {
-				counts[l]++
-			}
-		}
-		return counts
-	}
-	for _, c := range d.Y.Class {
-		counts[c]++
-	}
-	return counts
-}
-
 // String summarizes the dataset in Table II style.
 func (d *Dataset) String() string {
 	kind := "multiclass"

@@ -200,20 +200,6 @@ func TestSubsetClamps(t *testing.T) {
 	}
 }
 
-func TestClassCounts(t *testing.T) {
-	d := smallDataset(7)
-	counts := d.ClassCounts()
-	if counts[0] != 4 || counts[1] != 3 {
-		t.Fatalf("counts = %v", counts)
-	}
-	ml := &Dataset{Name: "ml", X: tensor.NewMatrix(2, 1), NumClasses: 3, MultiLabel: true,
-		Y: nn.Labels{Multi: [][]int32{{0, 1}, {1}}}}
-	c := ml.ClassCounts()
-	if c[0] != 1 || c[1] != 2 || c[2] != 0 {
-		t.Fatalf("multi counts = %v", c)
-	}
-}
-
 // sameSlice reports whether a and b are the same slice header.
 func sameSlice[T any](a, b []T) bool {
 	return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b) && cap(a) == cap(b)

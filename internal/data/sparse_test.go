@@ -105,7 +105,7 @@ func TestSparseBatchViews(t *testing.T) {
 	if b.Size() != bd.Size() || b.XS == nil || b.X != nil {
 		t.Fatalf("bad sparse batch %+v", b)
 	}
-	if !b.Input().IsSparse() {
+	if in := b.Input(); in.Sparse == nil || in.Dense != nil {
 		t.Fatal("sparse batch input must be sparse")
 	}
 	if !b.XS.ToDense().Equal(bd.X, 0) {
@@ -126,17 +126,6 @@ func TestSparseBatchViews(t *testing.T) {
 	}
 	if got := sparse.Subset(30).N(); got != 30 {
 		t.Fatalf("Subset kept %d examples", got)
-	}
-}
-
-func TestScaleToUnitNormSparse(t *testing.T) {
-	spec := RealSim.Scaled(0.002)
-	dense := Generate(spec, 5)
-	sparse := GenerateCSR(spec, 5)
-	ScaleToUnitNorm(dense)
-	ScaleToUnitNorm(sparse)
-	if !sparse.XS.ToDense().Equal(dense.X, 1e-15) {
-		t.Fatal("sparse unit-norm scaling deviates from dense")
 	}
 }
 

@@ -109,7 +109,7 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestCheapExperimentsRun(t *testing.T) {
-	opts := DefaultOptions()
+	opts := Options{Scale: Medium(), Seed: 1}
 	for _, id := range []string{"table1", "table2", "ratio"} {
 		e, err := ByID(id)
 		if err != nil {

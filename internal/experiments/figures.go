@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -236,16 +235,6 @@ func sparkline(series []float64) string {
 		b.WriteRune(glyphs[idx])
 	}
 	return b.String()
-}
-
-// sortedNames returns map keys in sorted order (test helper).
-func sortedNames[V any](m map[string]V) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // BatchEvolution runs Adaptive Hogbatch and renders each worker's batch

@@ -51,11 +51,6 @@ func (o Options) ctx() context.Context {
 	return context.Background()
 }
 
-// DefaultOptions uses the medium scale and the covtype dataset.
-func DefaultOptions() Options {
-	return Options{Scale: Medium(), Seed: 1}
-}
-
 // Experiment is one reproducible table or figure.
 type Experiment struct {
 	// ID is the CLI name ("table1", "fig5", …).

@@ -2,12 +2,12 @@
 // the heterosgd framework: dense layers, element-wise activations, and the
 // numerically-stable softmax / sigmoid cross-entropy losses from the paper
 // (§III). Forward and backward passes operate on mini-batches held in
-// tensor.Matrix values and reuse per-worker Workspace buffers so the
-// steady-state training loop performs no allocation.
+// Input values (a dense tensor.Matrix or a CSR matrix) and reuse per-worker
+// Workspace buffers so the steady-state training loop performs no
+// allocation.
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"heterosgd/internal/tensor"
@@ -37,16 +37,6 @@ func (k ActKind) String() string {
 		return actKindNames[k]
 	}
 	return "unknown"
-}
-
-// ParseActKind converts a name to an ActKind.
-func ParseActKind(name string) (ActKind, error) {
-	for k, n := range actKindNames {
-		if n == name {
-			return ActKind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("nn: unknown activation %q", name)
 }
 
 // applyActivation transforms pre-activations z into activations in place.

@@ -22,9 +22,6 @@ func DenseInput(m *tensor.Matrix) Input { return Input{Dense: m} }
 // SparseInput wraps a CSR matrix as an Input.
 func SparseInput(a *tensor.CSR) Input { return Input{Sparse: a} }
 
-// IsSparse reports whether the batch is CSR-backed.
-func (in Input) IsSparse() bool { return in.Sparse != nil }
-
 // Rows returns the number of examples.
 func (in Input) Rows() int {
 	if in.Sparse != nil {

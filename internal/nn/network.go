@@ -267,11 +267,6 @@ func (ws *Workspace) ensure(b int) {
 	}
 }
 
-// Forward computes logits for the dense batch x. See ForwardX.
-func (n *Network) Forward(p *Params, ws *Workspace, x *tensor.Matrix, workers int) *tensor.Matrix {
-	return n.ForwardX(p, ws, DenseInput(x), workers)
-}
-
 // ForwardX computes logits for the batch x (rows = examples) using parameters
 // p, with linear algebra parallelized over workers goroutines. Sparse input
 // runs the first layer through the SpMM kernel; everything downstream of
@@ -309,12 +304,6 @@ func (n *Network) ForwardX(p *Params, ws *Workspace, x Input, workers int) *tens
 		in = out
 	}
 	return ws.actView(n.Arch.NumLayers(), b)
-}
-
-// Gradient runs a forward and backward pass over the dense batch (x, y).
-// See GradientX.
-func (n *Network) Gradient(p *Params, ws *Workspace, x *tensor.Matrix, y Labels, grad *Params, workers int) float64 {
-	return n.GradientX(p, ws, DenseInput(x), y, grad, workers)
 }
 
 // GradientX runs a forward and backward pass over the batch (x, y), writes
@@ -388,11 +377,6 @@ func (n *Network) sparseInputGrad(ws *Workspace, xs *tensor.CSR, delta *tensor.M
 	grad.ActiveCols = append(grad.ActiveCols[:0], cols...)
 }
 
-// Loss computes the mean loss of the dense batch without gradients.
-func (n *Network) Loss(p *Params, ws *Workspace, x *tensor.Matrix, y Labels, workers int) float64 {
-	return n.LossX(p, ws, DenseInput(x), y, workers)
-}
-
 // LossX computes the mean loss of the batch without producing gradients.
 func (n *Network) LossX(p *Params, ws *Workspace, x Input, y Labels, workers int) float64 {
 	logits := n.ForwardX(p, ws, x, workers)
@@ -402,12 +386,7 @@ func (n *Network) LossX(p *Params, ws *Workspace, x Input, y Labels, workers int
 	return softmaxCELoss(logits, y)
 }
 
-// Predict returns the argmax class for each row of x (multiclass networks).
-func (n *Network) Predict(p *Params, ws *Workspace, x *tensor.Matrix, workers int) []int {
-	return n.PredictX(p, ws, DenseInput(x), workers)
-}
-
-// PredictX is Predict for either input representation.
+// PredictX returns the argmax class for each row of x (multiclass networks).
 func (n *Network) PredictX(p *Params, ws *Workspace, x Input, workers int) []int {
 	logits := n.ForwardX(p, ws, x, workers)
 	out := make([]int, x.Rows())
@@ -424,13 +403,8 @@ func (n *Network) PredictX(p *Params, ws *Workspace, x Input, workers int) []int
 	return out
 }
 
-// Accuracy returns the fraction of rows whose argmax prediction matches the
+// AccuracyX returns the fraction of rows whose argmax prediction matches the
 // class label.
-func (n *Network) Accuracy(p *Params, ws *Workspace, x *tensor.Matrix, y Labels, workers int) float64 {
-	return n.AccuracyX(p, ws, DenseInput(x), y, workers)
-}
-
-// AccuracyX is Accuracy for either input representation.
 func (n *Network) AccuracyX(p *Params, ws *Workspace, x Input, y Labels, workers int) float64 {
 	if x.Rows() == 0 {
 		return 0
@@ -445,18 +419,13 @@ func (n *Network) AccuracyX(p *Params, ws *Workspace, x Input, y Labels, workers
 	return float64(correct) / float64(len(pred))
 }
 
-// PrecisionAtK evaluates a multi-label model the way the extreme-
+// PrecisionAtKX evaluates a multi-label model the way the extreme-
 // classification literature evaluates delicious: for each example, take the
 // k highest-scoring labels and count how many are in the true label set.
 // Returns the mean fraction over the batch.
-func (n *Network) PrecisionAtK(p *Params, ws *Workspace, x *tensor.Matrix, y Labels, k, workers int) float64 {
-	return n.PrecisionAtKX(p, ws, DenseInput(x), y, k, workers)
-}
-
-// PrecisionAtKX is PrecisionAtK for either input representation.
 func (n *Network) PrecisionAtKX(p *Params, ws *Workspace, x Input, y Labels, k, workers int) float64 {
 	if !n.Arch.MultiLabel {
-		panic("nn: PrecisionAtK requires a multi-label network")
+		panic("nn: PrecisionAtKX requires a multi-label network")
 	}
 	if k < 1 || x.Rows() == 0 {
 		return 0

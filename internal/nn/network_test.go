@@ -87,8 +87,8 @@ func TestParamsShape(t *testing.T) {
 	net := MustNetwork(testArch(false, ActSigmoid))
 	rng := rand.New(rand.NewPCG(1, 1))
 	p := net.NewParams(InitXavier, rng)
-	if p.NumLayers() != 3 {
-		t.Fatalf("NumLayers = %d", p.NumLayers())
+	if len(p.Weights) != 3 {
+		t.Fatalf("%d weight layers, want 3", len(p.Weights))
 	}
 	if p.Weights[0].Rows != 7 || p.Weights[0].Cols != 5 {
 		t.Fatalf("W¹ shape %d×%d, want 7×5 (d₂×d₁)", p.Weights[0].Rows, p.Weights[0].Cols)
@@ -144,8 +144,8 @@ func TestForwardShapesAndDeterminism(t *testing.T) {
 	p := net.NewParams(InitXavier, rng)
 	ws := net.NewWorkspace(8)
 	x, _ := randomBatch(rng, 8, 5, 4, false)
-	out1 := net.Forward(p, ws, x, 1).Clone()
-	out2 := net.Forward(p, ws, x, 4).Clone()
+	out1 := net.ForwardX(p, ws, DenseInput(x), 1).Clone()
+	out2 := net.ForwardX(p, ws, DenseInput(x), 4).Clone()
 	if out1.Rows != 8 || out1.Cols != 4 {
 		t.Fatalf("logit shape %d×%d", out1.Rows, out1.Cols)
 	}
@@ -161,7 +161,7 @@ func TestWorkspaceGrowsForLargerBatch(t *testing.T) {
 	ws := net.NewWorkspace(2)
 	x, y := randomBatch(rng, 32, 5, 4, false)
 	grad := net.NewParams(InitZero, rng)
-	loss := net.Gradient(p, ws, x, y, grad, 1)
+	loss := net.GradientX(p, ws, DenseInput(x), y, grad, 1)
 	if math.IsNaN(loss) || loss <= 0 {
 		t.Fatalf("suspicious loss %v", loss)
 	}
@@ -177,7 +177,7 @@ func TestForwardInputMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic for wrong input dim")
 		}
 	}()
-	net.Forward(p, ws, tensor.NewMatrix(2, 9), 1)
+	net.ForwardX(p, ws, DenseInput(tensor.NewMatrix(2, 9)), 1)
 }
 
 // gradientCheck compares the analytic gradient of every parameter against a
@@ -190,16 +190,16 @@ func gradientCheck(t *testing.T, arch Arch, seed uint64) {
 	ws := net.NewWorkspace(6)
 	x, y := randomBatch(rng, 6, arch.InputDim, arch.OutputDim, arch.MultiLabel)
 	grad := net.NewParams(InitZero, rng)
-	net.Gradient(p, ws, x, y, grad, 1)
+	net.GradientX(p, ws, DenseInput(x), y, grad, 1)
 
 	const eps = 1e-6
 	checkOne := func(get func() *float64, analytic float64, what string) {
 		v := get()
 		orig := *v
 		*v = orig + eps
-		lp := net.Loss(p, ws, x, y, 1)
+		lp := net.LossX(p, ws, DenseInput(x), y, 1)
 		*v = orig - eps
-		lm := net.Loss(p, ws, x, y, 1)
+		lm := net.LossX(p, ws, DenseInput(x), y, 1)
 		*v = orig
 		numeric := (lp - lm) / (2 * eps)
 		scale := math.Max(1, math.Abs(numeric))
@@ -208,7 +208,7 @@ func gradientCheck(t *testing.T, arch Arch, seed uint64) {
 		}
 	}
 	// Spot-check a spread of weights and biases in every layer.
-	for l := 0; l < p.NumLayers(); l++ {
+	for l := range p.Weights {
 		w := p.Weights[l]
 		for _, idx := range []int{0, len(w.Data) / 2, len(w.Data) - 1} {
 			i := idx
@@ -249,9 +249,9 @@ func TestSGDStepReducesLoss(t *testing.T) {
 	ws := net.NewWorkspace(16)
 	x, y := randomBatch(rng, 16, 5, 4, false)
 	grad := net.NewParams(InitZero, rng)
-	before := net.Gradient(p, ws, x, y, grad, 1)
+	before := net.GradientX(p, ws, DenseInput(x), y, grad, 1)
 	p.AddScaled(-0.5, grad)
-	after := net.Loss(p, ws, x, y, 1)
+	after := net.LossX(p, ws, DenseInput(x), y, 1)
 	if after >= before {
 		t.Fatalf("gradient step did not reduce loss: %v → %v", before, after)
 	}
@@ -275,26 +275,14 @@ func TestAccuracyAndPredict(t *testing.T) {
 	ws := net.NewWorkspace(n)
 	grad := net.NewParams(InitZero, rng)
 	for it := 0; it < 200; it++ {
-		net.Gradient(p, ws, x, y, grad, 1)
+		net.GradientX(p, ws, DenseInput(x), y, grad, 1)
 		p.AddScaled(-0.5, grad)
 	}
-	if acc := net.Accuracy(p, ws, x, y, 1); acc < 0.95 {
+	if acc := net.AccuracyX(p, ws, DenseInput(x), y, 1); acc < 0.95 {
 		t.Fatalf("trained accuracy %v < 0.95", acc)
 	}
-	if got := len(net.Predict(p, ws, x, 1)); got != n {
+	if got := len(net.PredictX(p, ws, DenseInput(x), 1)); got != n {
 		t.Fatalf("Predict returned %d rows", got)
-	}
-}
-
-func TestActKindParseRoundTrip(t *testing.T) {
-	for _, k := range []ActKind{ActSigmoid, ActReLU, ActTanh, ActIdentity} {
-		got, err := ParseActKind(k.String())
-		if err != nil || got != k {
-			t.Fatalf("round trip failed for %v: %v %v", k, got, err)
-		}
-	}
-	if _, err := ParseActKind("bogus"); err == nil {
-		t.Fatal("expected error for unknown activation")
 	}
 }
 
@@ -333,14 +321,14 @@ func TestPrecisionAtK(t *testing.T) {
 	x := tensor.NewMatrixFrom(2, 2, []float64{5, 1, 1, 5})
 	y := Labels{Multi: [][]int32{{0}, {0, 1}}}
 	// Example 0: top-1 = label 0 ∈ truth → 1. Example 1: top-1 = label 1 ∈ truth → 1.
-	if got := net.PrecisionAtK(p, ws, x, y, 1, 1); got != 1 {
+	if got := net.PrecisionAtKX(p, ws, DenseInput(x), y, 1, 1); got != 1 {
 		t.Fatalf("P@1 = %v, want 1", got)
 	}
 	// P@2: example 0 hits {0} of {0,1} → 0.5; example 1 hits both → 1.
-	if got := net.PrecisionAtK(p, ws, x, y, 2, 1); got != 0.75 {
+	if got := net.PrecisionAtKX(p, ws, DenseInput(x), y, 2, 1); got != 0.75 {
 		t.Fatalf("P@2 = %v, want 0.75", got)
 	}
-	if got := net.PrecisionAtK(p, ws, x, y, 0, 1); got != 0 {
+	if got := net.PrecisionAtKX(p, ws, DenseInput(x), y, 0, 1); got != 0 {
 		t.Fatal("k=0 must be 0")
 	}
 }
@@ -352,7 +340,7 @@ func TestPrecisionAtKPanicsOnMulticlass(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	net.PrecisionAtK(net.NewParams(InitZero, nil), net.NewWorkspace(1), tensor.NewMatrix(1, 5), Labels{}, 1, 1)
+	net.PrecisionAtKX(net.NewParams(InitZero, nil), net.NewWorkspace(1), DenseInput(tensor.NewMatrix(1, 5)), Labels{}, 1, 1)
 }
 
 // TestGradientDoesNotAllocate pins nn.grad_allocs at zero: a gradient on a

@@ -90,9 +90,6 @@ func (p *Params) dims() []int {
 	return dims
 }
 
-// NumLayers returns the number of weight layers P.
-func (p *Params) NumLayers() int { return len(p.Weights) }
-
 // NumParameters returns the total scalar parameter count.
 func (p *Params) NumParameters() int { return len(p.Data) }
 
@@ -136,13 +133,6 @@ func (p *Params) sameShape(q *Params) bool {
 func (p *Params) Zero() {
 	clear(p.Data)
 	p.ActiveCols = nil
-}
-
-// Scale multiplies every parameter by a.
-func (p *Params) Scale(a float64) {
-	for i := range p.Data {
-		p.Data[i] *= a
-	}
 }
 
 // AddScaled performs p += a·src with plain (unsynchronized) writes. It may

@@ -147,13 +147,6 @@ var paramsOps = []struct {
 		refSpans(func(s ...[]float64) { clear(s[0]) }, p)
 		p.ActiveCols = nil
 	}},
-	{"Scale", func(p, _, _ *Params, a float64) { p.Scale(a) }, func(p, _, _ *Params, a float64) {
-		refSpans(func(s ...[]float64) {
-			for i := range s[0] {
-				s[0][i] *= a
-			}
-		}, p)
-	}},
 	{"AddScaled", func(p, q, _ *Params, a float64) { p.AddScaled(a, q) }, func(p, q, _ *Params, a float64) {
 		refUpdate(p, a, q, nil, false)
 		p.ActiveCols = nil

@@ -42,12 +42,12 @@ func TestSparseGradientMatchesDense(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		b := 1 + rng.IntN(16)
 		x, xs, y := sparseBatch(rng, b, net.Arch.InputDim, net.Arch.OutputDim, 0.05)
-		outD := net.Forward(p, wsD, x, 1)
+		outD := net.ForwardX(p, wsD, DenseInput(x), 1)
 		outS := net.ForwardX(p, wsS, SparseInput(xs), 1)
 		if !outS.Equal(outD, 1e-12) {
 			t.Fatalf("trial %d: sparse logits deviate from dense", trial)
 		}
-		lossD := net.Gradient(p, wsD, x, y, gradD, 1)
+		lossD := net.GradientX(p, wsD, DenseInput(x), y, gradD, 1)
 		lossS := net.GradientX(p, wsS, SparseInput(xs), y, gradS, 2)
 		if d := lossD - lossS; d > 1e-12 || d < -1e-12 {
 			t.Fatalf("trial %d: loss %v vs %v", trial, lossD, lossS)
@@ -67,7 +67,7 @@ func TestSparseGradientMatchesDense(t *testing.T) {
 		// Occasionally densify gradS so the next sparse call takes the
 		// full-Zero path instead of ZeroCols.
 		if trial%5 == 4 {
-			net.Gradient(p, wsS, x, y, gradS, 1)
+			net.GradientX(p, wsS, DenseInput(x), y, gradS, 1)
 			if gradS.ActiveCols != nil {
 				t.Fatal("dense gradient must clear ActiveCols")
 			}

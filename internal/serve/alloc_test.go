@@ -29,7 +29,7 @@ func allocHarness(t *testing.T, sparse bool) (*poolWorker, []*request) {
 	b := &Batcher{
 		pub:   pub,
 		opts:  Options{MaxBatch: 8, QueueCap: 8}.withDefaults(net.Arch),
-		stats: NewStats(),
+		stats: NewStatsIn(nil),
 		queue: make(chan *request, 8),
 		stop:  make(chan struct{}),
 	}

@@ -96,7 +96,6 @@ type AdaptivePolicy struct {
 	debounce elastic.Debounce
 
 	prevP99 float64
-	changes int64
 }
 
 // NewAdaptivePolicy returns a policy starting at cfg.Min — the ceiling ramps
@@ -108,9 +107,6 @@ func NewAdaptivePolicy(cfg PolicyConfig) *AdaptivePolicy {
 
 // Ceiling returns the current micro-batch ceiling.
 func (p *AdaptivePolicy) Ceiling() int { return p.ceil }
-
-// Changes returns how many times the ceiling has moved.
-func (p *AdaptivePolicy) Changes() int64 { return p.changes }
 
 // String describes the policy's configuration and current ceiling.
 func (p *AdaptivePolicy) String() string {
@@ -167,7 +163,6 @@ func (p *AdaptivePolicy) Decide(windowP99Ms float64) (ceil int, changed bool) {
 	default:
 		p.ceil = max(p.ceil/2, p.cfg.Min)
 	}
-	p.changes++
 	return p.ceil, true
 }
 

@@ -190,7 +190,7 @@ func TestBatcherAdmissionControl(t *testing.T) {
 	net, params := testNet(t)
 	pub := NewPublisher(net)
 	pub.PublishParams(params)
-	b := &Batcher{pub: pub, opts: Options{MaxBatch: 4}.withDefaults(net.Arch), stats: NewStats(), queue: make(chan *request, 2), stop: make(chan struct{})}
+	b := &Batcher{pub: pub, opts: Options{MaxBatch: 4}.withDefaults(net.Arch), stats: NewStatsIn(nil), queue: make(chan *request, 2), stop: make(chan struct{})}
 	inst := Instance{Dense: make([]float64, 6)}
 	for i := 0; i < 2; i++ {
 		if _, err := b.Submit(inst); err != nil {
@@ -266,7 +266,7 @@ func TestAutoMaxBatch(t *testing.T) {
 }
 
 func TestStatsQuantilesAndHistogram(t *testing.T) {
-	s := NewStats()
+	s := NewStatsIn(nil)
 	if s.Quantile(0.5) != 0 {
 		t.Fatal("empty stats should report 0 latency")
 	}

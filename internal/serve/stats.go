@@ -12,8 +12,8 @@ import (
 //
 // The counters and latency histogram are telemetry instruments: NewStatsIn
 // resolves them in a shared registry (surfacing them on the /metrics
-// exposition as serve_* series); NewStats keeps them private. The histogram
-// bucket layout — power-of-two microsecond buckets, [2^i, 2^(i+1)) µs —
+// exposition as serve_* series); a nil registry keeps them private. The
+// histogram bucket layout — power-of-two microsecond buckets, [2^i, 2^(i+1)) µs —
 // lived here before it was extracted into internal/telemetry;
 // TestStatszUnchangedByHistogramExtraction pins the /statsz output against
 // the original formulas.
@@ -30,13 +30,10 @@ type Stats struct {
 	lat *telemetry.Histogram // queue-to-response latency
 }
 
-// NewStats returns an empty stats accumulator with private instruments.
-func NewStats() *Stats { return NewStatsIn(nil) }
-
 // NewStatsIn returns a stats accumulator whose instruments live in reg, so
 // the serving series (serve_requests_total, serve_latency_seconds, ...)
 // appear on the registry's /metrics exposition alongside everything else.
-// A nil registry falls back to private instruments, exactly like NewStats.
+// A nil registry falls back to private instruments.
 func NewStatsIn(reg *telemetry.Registry) *Stats {
 	s := &Stats{start: time.Now()}
 	if reg == nil {

@@ -100,7 +100,7 @@ func TestServeHistogramEquivalence(t *testing.T) {
 // everything /statsz derives from the histogram — the quantiles, the
 // occupied-range histogram, and the JSON field set — is unchanged.
 func TestStatszUnchangedByHistogramExtraction(t *testing.T) {
-	s := NewStats()
+	s := NewStatsIn(nil)
 	var ref [refLatBuckets]int64
 	var refRequests, refBatches, refExamples int64
 
@@ -211,7 +211,7 @@ func TestPoolGlobalAdmissionAccounting(t *testing.T) {
 		b := &Batcher{
 			pub:   pub,
 			opts:  Options{MaxBatch: 4, QueueCap: queueCap, PoolWorkers: workers}.withDefaults(net.Arch),
-			stats: NewStats(),
+			stats: NewStatsIn(nil),
 			queue: make(chan *request, queueCap),
 			stop:  make(chan struct{}),
 		}

@@ -100,14 +100,14 @@ func TestUpdateModeString(t *testing.T) {
 	}
 }
 
-// Property: a single writer's striped add stores exactly the floats the plain
-// add does, for any sequence of deltas.
+// Property: a single writer's striped add stores exactly the floats the scalar
+// loop does, for any sequence of deltas.
 func TestQuickAtomicAddEquivalence(t *testing.T) {
 	f := func(deltas []float64) bool {
 		plain, at, d := newVector(1), newVector(1), newVector(1)
 		for _, v := range deltas {
 			d.Data[0] = v
-			plain.AddScaled(1, d)
+			refAddScaled(plain.Data, 1, d.Data)
 			ApplyUpdateVec(UpdateAtomic, at, 1, d)
 		}
 		p, a := plain.Data[0], at.Data[0]

@@ -141,19 +141,6 @@ func (m *Matrix) Equal(other *Matrix, tol float64) bool {
 	return true
 }
 
-// MaxAbs returns the maximum absolute element value (0 for empty matrices).
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			if a := math.Abs(v); a > max {
-				max = a
-			}
-		}
-	}
-	return max
-}
-
 // FrobeniusNorm returns sqrt(sum of squared elements).
 func (m *Matrix) FrobeniusNorm() float64 {
 	sum := 0.0
@@ -221,31 +208,6 @@ func (v *Vector) Scale(a float64) {
 		v.Data[i] *= a
 	}
 }
-
-// AddScaled performs v += a*src element-wise.
-func (v *Vector) AddScaled(a float64, src *Vector) {
-	if v.Len() != src.Len() {
-		panic(fmt.Sprintf("tensor: vector addScaled length mismatch %d vs %d", v.Len(), src.Len()))
-	}
-	for i := range v.Data {
-		v.Data[i] += a * src.Data[i]
-	}
-}
-
-// Dot returns the inner product of v and other.
-func (v *Vector) Dot(other *Vector) float64 {
-	if v.Len() != other.Len() {
-		panic(fmt.Sprintf("tensor: dot length mismatch %d vs %d", v.Len(), other.Len()))
-	}
-	sum := 0.0
-	for i, x := range v.Data {
-		sum += x * other.Data[i]
-	}
-	return sum
-}
-
-// Norm returns the Euclidean norm.
-func (v *Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 
 // Randomize fills v with samples from N(0, stddev²).
 func (v *Vector) Randomize(rng *rand.Rand, stddev float64) {

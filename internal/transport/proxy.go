@@ -204,7 +204,10 @@ func (p *Proxy) relay(down net.Conn) {
 	// Downstream (coordinator → worker): forward, counting Work frames
 	// toward the sever trigger. The severing frame is still delivered —
 	// the partition cuts the link *after* the dispatch, so the completion
-	// is what gets stranded.
+	// is what gets stranded. The coordinator's half closes before the
+	// worker can see that frame: cut after the write, a worker that answered
+	// before this goroutine got to the cut would have its completion relayed
+	// and applied as live, and nothing would be stranded.
 	func() {
 		defer sever()
 		for {
@@ -212,15 +215,20 @@ func (p *Proxy) relay(down net.Conn) {
 			if err != nil {
 				return
 			}
-			if err := WriteFrame(down, kind, payload); err != nil {
-				return
+			cut := kind == KindWork && inj.Work()
+			if cut {
+				up.Close()
 			}
-			if kind == KindWork && inj.Work() {
+			err = WriteFrame(down, kind, payload)
+			if cut {
 				sever()
 				select {
 				case p.severed <- hello.Worker:
 				default:
 				}
+				return
+			}
+			if err != nil {
 				return
 			}
 		}

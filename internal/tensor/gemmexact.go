@@ -1,15 +1,18 @@
 package tensor
 
-// Glue for the order-preserving AVX2 training kernels (gemmexact_amd64.s).
-// They produce exactly the bits of gemmRangeGo: they vectorise across the
-// independent outputs c[i][j], never across the reduction over p, and keep
-// multiply and add as two roundings. Only the n mod 4 columns run the Go
-// loops; the dot form's m mod 4 rows take the one-row kernel.
+// Glue for the order-preserving training kernels (gemmexact_amd64.s), four
+// lanes wide on AVX2 and eight on AVX-512F. They produce exactly the bits of
+// gemmRangeGo: they vectorise across the independent outputs c[i][j], never
+// across the reduction over p, and keep multiply and add as two roundings.
+// Only the n mod 4 columns run the Go loops; the dot form's rows that do not
+// fill a tile take the one-row kernel.
 
 // exactKernels is set by platform init when the CPU has AVX2 and the build is
 // not a race build: assembly is invisible to the race detector, so under
 // -race every GEMM and shared-model write stays in Go where it can be watched.
-var exactKernels bool
+// wideKernels is set beside it when the CPU also has AVX512F and the OS saves
+// ZMM state: axpyRangeAVX and dotRangeAVX then run the eight-lane kernels.
+var exactKernels, wideKernels bool
 
 const (
 	// axpyTerms bounds how many p terms one axpyRowAVX call accumulates.
@@ -65,7 +68,9 @@ func axpyRangeAVX(transA bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 					}
 					at += colStep
 				}
-				if cnt > 0 || zero {
+				if wideKernels && (cnt > 0 || zero) {
+					axpyRowAVX512(&c.Data[i*c.Stride], n4, &s[0], &off[0], &b.Data[0], cnt, zero)
+				} else if cnt > 0 || zero {
 					axpyRowAVX(&c.Data[i*c.Stride], n4, &s[0], &off[0], &b.Data[0], cnt, zero)
 				}
 			}
@@ -74,21 +79,34 @@ func axpyRangeAVX(transA bool, alpha float64, a, b *Matrix, beta float64, c *Mat
 }
 
 // dotRangeAVX computes rows [i0, i1) of C = alpha·A·Bᵀ + beta·C (forward and
-// every loss evaluation) in 4×4 tiles of sixteen dot products, and the rows
-// that do not come in fours one at a time (dotRowAVX). B is walked in panels
-// of rows small enough to stay in L2 while every row of A passes over them.
+// every loss evaluation): rows in eights as 8×8 tiles where the eight-lane
+// kernels run (dotTilesAVX512), the rest in fours as 4×4 tiles (dotTilesAVX),
+// and the rows that do not come in fours one at a time (dotRowAVX512 or
+// dotRowAVX). B is walked in panels of rows small enough to stay in L2 while
+// every row of A passes over them.
 func dotRangeAVX(alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
 	k, n4 := a.Cols, c.Cols&^3
-	i4 := i0 + (i1-i0)&^3
+	i8, i4 := i0, i0+(i1-i0)&^3
+	if wideKernels {
+		i8 += (i1 - i0) &^ 7
+	}
 	scaleRows(c, beta, i0, i1, c.Cols)
 	panel := max(4, dotPanel/k&^3)
 	for j0 := 0; j0 < n4; j0 += panel {
 		cols := min(panel, n4-j0)
-		for i := i0; i < i4; i += 4 {
+		for i := i0; i < i8; i += 8 {
+			dotTilesAVX512(&a.Data[i*a.Stride], a.Stride*8, &b.Data[j0*b.Stride], b.Stride*8, k,
+				&c.Data[i*c.Stride+j0], c.Stride*8, cols, alpha)
+		}
+		for i := i8; i < i4; i += 4 {
 			dotTilesAVX(&a.Data[i*a.Stride], a.Stride*8, &b.Data[j0*b.Stride], b.Stride*8, k,
 				&c.Data[i*c.Stride+j0], c.Stride*8, cols/4, alpha)
 		}
 		for i := i4; i < i1; i++ {
+			if wideKernels {
+				dotRowAVX512(&a.Data[i*a.Stride], &b.Data[j0*b.Stride], b.Stride*8, k, &c.Data[i*c.Stride+j0], cols, alpha)
+				continue
+			}
 			dotRowAVX(&a.Data[i*a.Stride], &b.Data[j0*b.Stride], b.Stride*8, k, &c.Data[i*c.Stride+j0], cols, alpha)
 		}
 	}

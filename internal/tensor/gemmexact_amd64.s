@@ -1,11 +1,11 @@
-// Order-preserving AVX2 kernels for the training GEMMs and the shared-model
-// write (see gemmexact.go and atomic.go).
+// Order-preserving AVX2 and AVX-512F kernels for the training GEMMs and the
+// shared-model write (see gemmexact.go and atomic.go).
 //
 // The exactness rule: vectorise across independent outputs, never across the
 // reduction; multiply and add are two separately rounded instructions (no
-// VFMADD anywhere in this file); every output sees the additions the scalar
-// Go loop gives it, in the same ascending-p order. Only reached after
-// runtime CPUID detection (fastKernelAvailable).
+// VFMADD in any GEMM or write kernel); every output sees the additions the
+// scalar Go loop gives it, in the same ascending-p order. Only reached after
+// runtime CPUID detection (exactKernels, and wideKernels for AVX-512F).
 
 #include "textflag.h"
 
@@ -493,6 +493,507 @@ store4:
 	JMP  row4
 
 rowDone:
+	VZEROUPPER
+	RET
+
+// The AVX-512F kernels below are the same three loops eight lanes wide, for
+// hosts whose CPUID reports AVX512F and whose OS saves ZMM state
+// (wideKernels). They use AVX512F instructions only: registers are zeroed
+// with VPXORQ (VXORPD on ZMM needs DQ), and the rule above holds lane for
+// lane — no VFMADD, every chain in ascending p.
+
+// AXPYZ(off, acc, tmp): acc += Z12 · b[off:off+8], b row at R11.
+#define AXPYZ(off, acc, tmp) \
+	VMULPD off(R11), Z12, tmp; \
+	VADDPD tmp, acc, acc
+
+// NEXTROWZ: broadcast s[q] into Z12 and point R11 at b[off[q]], q in AX.
+#define NEXTROWZ \
+	VBROADCASTSD (SI)(AX*8), Z12; \
+	MOVQ (R8)(AX*8), R11;         \
+	LEAQ (R9)(R11*8), R11
+
+// func axpyRowAVX512(c *float64, n int, s *float64, off *int, b *float64, cnt int, zero bool)
+//
+// axpyRowAVX eight lanes wide: the same contract (n a multiple of 4, the
+// s == 0 terms already dropped), with tiles of 96, then 32, then 8 columns
+// held in ZMM registers across all cnt terms, and a last 4 in a YMM.
+TEXT ·axpyRowAVX512(SB), NOSPLIT, $0-49
+	MOVQ c+0(FP), DI
+	MOVQ n+8(FP), DX
+	MOVQ s+16(FP), SI
+	MOVQ off+24(FP), R8
+	MOVQ b+32(FP), R9
+	MOVQ cnt+40(FP), CX
+	MOVBQZX zero+48(FP), R10
+
+wide96:
+	CMPQ DX, $96
+	JLT  wide32
+	TESTQ R10, R10
+	JNZ  zero96
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+	VMOVUPD 512(DI), Z8
+	VMOVUPD 576(DI), Z9
+	VMOVUPD 640(DI), Z10
+	VMOVUPD 704(DI), Z11
+	JMP  go96
+zero96:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+go96:
+	XORQ AX, AX
+	JMP  test96
+loop96:
+	NEXTROWZ
+	AXPYZ(0, Z0, Z13)
+	AXPYZ(64, Z1, Z14)
+	AXPYZ(128, Z2, Z15)
+	AXPYZ(192, Z3, Z16)
+	AXPYZ(256, Z4, Z17)
+	AXPYZ(320, Z5, Z18)
+	AXPYZ(384, Z6, Z19)
+	AXPYZ(448, Z7, Z20)
+	AXPYZ(512, Z8, Z21)
+	AXPYZ(576, Z9, Z22)
+	AXPYZ(640, Z10, Z23)
+	AXPYZ(704, Z11, Z24)
+	INCQ AX
+test96:
+	CMPQ AX, CX
+	JLT  loop96
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	VMOVUPD Z8, 512(DI)
+	VMOVUPD Z9, 576(DI)
+	VMOVUPD Z10, 640(DI)
+	VMOVUPD Z11, 704(DI)
+	ADDQ $768, DI
+	ADDQ $768, R9
+	SUBQ $96, DX
+	JMP  wide96
+
+wide32:
+	CMPQ DX, $32
+	JLT  wide8
+	TESTQ R10, R10
+	JNZ  zero32
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	JMP  go32
+zero32:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+go32:
+	XORQ AX, AX
+	JMP  test32
+loop32:
+	NEXTROWZ
+	AXPYZ(0, Z0, Z13)
+	AXPYZ(64, Z1, Z14)
+	AXPYZ(128, Z2, Z15)
+	AXPYZ(192, Z3, Z16)
+	INCQ AX
+test32:
+	CMPQ AX, CX
+	JLT  loop32
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, R9
+	SUBQ $32, DX
+	JMP  wide32
+
+wide8:
+	CMPQ DX, $8
+	JLT  wide4
+	VPXORQ Z0, Z0, Z0
+	TESTQ R10, R10
+	JNZ  go8
+	VMOVUPD 0(DI), Z0
+go8:
+	XORQ AX, AX
+	JMP  test8
+loop8:
+	NEXTROWZ
+	AXPYZ(0, Z0, Z13)
+	INCQ AX
+test8:
+	CMPQ AX, CX
+	JLT  loop8
+	VMOVUPD Z0, 0(DI)
+	ADDQ $64, DI
+	ADDQ $64, R9
+	SUBQ $8, DX
+	JMP  wide8
+
+wide4:
+	CMPQ DX, $4
+	JLT  wideDone
+	VXORPD Y0, Y0, Y0
+	TESTQ R10, R10
+	JNZ  go4w
+	VMOVUPD 0(DI), Y0
+go4w:
+	XORQ AX, AX
+	JMP  test4w
+loop4w:
+	NEXTROW
+	AXPY(0, Y0, Y13)
+	INCQ AX
+test4w:
+	CMPQ AX, CX
+	JLT  loop4w
+	VMOVUPD Y0, 0(DI)
+
+wideDone:
+	VZEROUPPER
+	RET
+
+// MACZ(off, bt): Z0..Z7 += broadcast(a_r[p]) · bt for the eight A rows at
+// R8 + r·AX (r < 4) and R9 + (r−4)·AX (R10 = 3·AX), a[p] at off past each.
+#define MACZ(off, bt) \
+	VMULPD.BCST off(R8), bt, Z8;          \
+	VADDPD Z8, Z0, Z0;                    \
+	VMULPD.BCST off(R8)(AX*1), bt, Z9;    \
+	VADDPD Z9, Z1, Z1;                    \
+	VMULPD.BCST off(R8)(AX*2), bt, Z10;   \
+	VADDPD Z10, Z2, Z2;                   \
+	VMULPD.BCST off(R8)(R10*1), bt, Z11;  \
+	VADDPD Z11, Z3, Z3;                   \
+	VMULPD.BCST off(R9), bt, Z12;         \
+	VADDPD Z12, Z4, Z4;                   \
+	VMULPD.BCST off(R9)(AX*1), bt, Z13;   \
+	VADDPD Z13, Z5, Z5;                   \
+	VMULPD.BCST off(R9)(AX*2), bt, Z14;   \
+	VADDPD Z14, Z6, Z6;                   \
+	VMULPD.BCST off(R9)(R10*1), bt, Z15;  \
+	VADDPD Z15, Z7, Z7
+
+// GATHER4(base, lo, hi): lo = b_0[p] b_1[p] and hi = b_2[p] b_3[p] for the
+// four B rows at base + q·BX (R15 = 3·BX), one p.
+#define GATHER4(base, lo, hi) \
+	VMOVSD (base), lo;               \
+	VMOVHPD (base)(BX*1), lo, lo;    \
+	VMOVSD (base)(BX*2), hi;         \
+	VMOVHPD (base)(R15*1), hi, hi
+
+// TRANSZ(lo, hi): Z24..Z31 = Bᵀ[p..p+7] for the eight B rows at lo + q·BX
+// and hi + q·BX (q < 4, R15 = 3·BX): lane q of Z24+x is b_q[p+x]. Three
+// rounds of eight shuffles — pairs of rows (VUNPCKLPD/VUNPCKHPD), then
+// 128-bit lanes twice (VSHUFF64X2) — through Z16..Z23.
+#define TRANSZ(lo, hi) \
+	VMOVUPD (lo), Z16;                \
+	VMOVUPD (lo)(BX*1), Z17;          \
+	VMOVUPD (lo)(BX*2), Z18;          \
+	VMOVUPD (lo)(R15*1), Z19;         \
+	VMOVUPD (hi), Z20;                \
+	VMOVUPD (hi)(BX*1), Z21;          \
+	VMOVUPD (hi)(BX*2), Z22;          \
+	VMOVUPD (hi)(R15*1), Z23;         \
+	VUNPCKLPD Z17, Z16, Z24;          \
+	VUNPCKHPD Z17, Z16, Z25;          \
+	VUNPCKLPD Z19, Z18, Z26;          \
+	VUNPCKHPD Z19, Z18, Z27;          \
+	VUNPCKLPD Z21, Z20, Z28;          \
+	VUNPCKHPD Z21, Z20, Z29;          \
+	VUNPCKLPD Z23, Z22, Z30;          \
+	VUNPCKHPD Z23, Z22, Z31;          \
+	VSHUFF64X2 $0x88, Z26, Z24, Z16;  \
+	VSHUFF64X2 $0xdd, Z26, Z24, Z17;  \
+	VSHUFF64X2 $0x88, Z27, Z25, Z18;  \
+	VSHUFF64X2 $0xdd, Z27, Z25, Z19;  \
+	VSHUFF64X2 $0x88, Z30, Z28, Z20;  \
+	VSHUFF64X2 $0xdd, Z30, Z28, Z21;  \
+	VSHUFF64X2 $0x88, Z31, Z29, Z22;  \
+	VSHUFF64X2 $0xdd, Z31, Z29, Z23;  \
+	VSHUFF64X2 $0x88, Z20, Z16, Z24;  \
+	VSHUFF64X2 $0x88, Z22, Z18, Z25;  \
+	VSHUFF64X2 $0x88, Z21, Z17, Z26;  \
+	VSHUFF64X2 $0x88, Z23, Z19, Z27;  \
+	VSHUFF64X2 $0xdd, Z20, Z16, Z28;  \
+	VSHUFF64X2 $0xdd, Z22, Z18, Z29;  \
+	VSHUFF64X2 $0xdd, Z21, Z17, Z30;  \
+	VSHUFF64X2 $0xdd, Z23, Z19, Z31
+
+// GATHERZ(lo, hi, dst): dst = Bᵀ[p] for one p, gathering lane q from the B
+// rows TRANSZ reads; X8..X11 are clobbered.
+#define GATHERZ(lo, hi, dst) \
+	GATHER4(lo, X8, X9);           \
+	VINSERTF128 $1, X9, Y8, Y8;    \
+	GATHER4(hi, X10, X11);         \
+	VINSERTF128 $1, X11, Y10, Y10; \
+	VINSERTF64X4 $1, Y10, Z8, dst
+
+// STOREZ(acc, addr): addr[0:8] += alpha·acc in the lanes of K1; alpha in Z8.
+#define STOREZ(acc, addr) \
+	VMULPD Z8, acc, acc;      \
+	VADDPD addr, acc, K1, acc; \
+	VMOVUPD acc, K1, addr
+
+// func dotTilesAVX512(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, cols int, alpha float64)
+//
+// c_r[j] += alpha · Σ_p a_r[p]·b_j[p] over p < k for the eight rows of A at
+// a, a+aStride, …, j < cols (a multiple of 4) over the rows of B at b,
+// b+bStride, …, and the eight rows of C at c, c+cStride, … (strides in
+// bytes). Tiles are 8×8: each 8×8 block of B is transposed in registers
+// (three rounds of eight shuffles) so that lane q of Bᵀ[p] is b_q[p], and
+// accumulator r takes broadcast(a_r[p])·Bᵀ[p] for ascending p — sixty-four
+// serial chains, each the one the scalar loop builds, from +0, scaled by
+// alpha only after the last term. A last tile of four columns repeats them
+// in lanes 4–7 and stores through the mask K1 = 0x0f.
+TEXT ·dotTilesAVX512(SB), NOSPLIT, $0-72
+	MOVQ aStride+8(FP), AX
+	LEAQ (AX)(AX*2), R10
+	MOVQ b+16(FP), SI
+	MOVQ bStride+24(FP), BX
+	LEAQ (BX)(BX*2), R15
+	MOVQ c+40(FP), DI
+	MOVQ cols+56(FP), DX
+	MOVQ $0xff, R11
+	KMOVW R11, K1
+
+tileZ:
+	MOVQ a+0(FP), R8
+	LEAQ (R8)(AX*4), R9
+	MOVQ SI, R12
+	LEAQ (R12)(BX*4), R13
+	CMPQ DX, $8
+	JGE  fullZ
+	MOVQ $0x0f, R11
+	KMOVW R11, K1
+	MOVQ R12, R13                   // lanes 4–7 repeat lanes 0–3
+fullZ:
+	LEAQ (R13)(BX*4), SI            // next tile's first B row
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ k+32(FP), CX
+	SHRQ $3, CX
+	JZ   tailZ
+
+octetZ:
+	TRANSZ(R12, R13)
+	MACZ(0, Z24)
+	MACZ(8, Z25)
+	MACZ(16, Z26)
+	MACZ(24, Z27)
+	MACZ(32, Z28)
+	MACZ(40, Z29)
+	MACZ(48, Z30)
+	MACZ(56, Z31)
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R12
+	ADDQ $64, R13
+	DECQ CX
+	JNZ  octetZ
+
+tailZ:
+	MOVQ k+32(FP), CX
+	ANDQ $7, CX
+	JZ   storeZ
+singleZ:
+	GATHERZ(R12, R13, Z16)
+	MACZ(0, Z16)
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R12
+	ADDQ $8, R13
+	DECQ CX
+	JNZ  singleZ
+
+storeZ:
+	VBROADCASTSD alpha+64(FP), Z8
+	MOVQ cStride+48(FP), R12
+	LEAQ (R12)(R12*2), R13
+	LEAQ (DI)(R12*4), R14
+	STOREZ(Z0, (DI))
+	STOREZ(Z1, (DI)(R12*1))
+	STOREZ(Z2, (DI)(R12*2))
+	STOREZ(Z3, (DI)(R13*1))
+	STOREZ(Z4, (R14))
+	STOREZ(Z5, (R14)(R12*1))
+	STOREZ(Z6, (R14)(R12*2))
+	STOREZ(Z7, (R14)(R13*1))
+	ADDQ $64, DI
+	SUBQ $8, DX
+	JG   tileZ
+	VZEROUPPER
+	RET
+
+// MACROW(acc): acc += broadcast(a[p+x])·Bᵀ[p+x] for x = 0..7, a row at R8,
+// Bᵀ in Z24..Z31 — ascending p.
+#define MACROW(acc) \
+	VMULPD.BCST 0(R8), Z24, Z2;  \
+	VADDPD Z2, acc, acc;         \
+	VMULPD.BCST 8(R8), Z25, Z3;  \
+	VADDPD Z3, acc, acc;         \
+	VMULPD.BCST 16(R8), Z26, Z4; \
+	VADDPD Z4, acc, acc;         \
+	VMULPD.BCST 24(R8), Z27, Z5; \
+	VADDPD Z5, acc, acc;         \
+	VMULPD.BCST 32(R8), Z28, Z6; \
+	VADDPD Z6, acc, acc;         \
+	VMULPD.BCST 40(R8), Z29, Z7; \
+	VADDPD Z7, acc, acc;         \
+	VMULPD.BCST 48(R8), Z30, Z2; \
+	VADDPD Z2, acc, acc;         \
+	VMULPD.BCST 56(R8), Z31, Z3; \
+	VADDPD Z3, acc, acc
+
+// func dotRowAVX512(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)
+//
+// dotRowAVX eight lanes wide: one row of A against the rows of B, columns
+// sixteen at a time — two accumulators, each fed by an 8×8 block of B
+// transposed in registers (TRANSZ) — then eight, then a last four through
+// the mask K1 = 0x0f with lanes 4–7 repeating lanes 0–3. Each lane is the
+// serial chain the scalar loop builds, from +0, scaled by alpha last.
+TEXT ·dotRowAVX512(SB), NOSPLIT, $0-56
+	MOVQ b+8(FP), SI
+	MOVQ bStride+16(FP), BX
+	LEAQ (BX)(BX*2), R15
+	MOVQ c+32(FP), R9
+	MOVQ n+40(FP), R10
+	MOVQ $0xff, R11
+	KMOVW R11, K1
+
+row16Z:
+	CMPQ R10, $16
+	JLT  row8Z
+	MOVQ a+0(FP), R8
+	MOVQ SI, R12
+	LEAQ (R12)(BX*4), R13
+	LEAQ (R13)(BX*4), R14
+	LEAQ (R14)(BX*4), DX
+	LEAQ (DX)(BX*4), SI             // next tile's first B row
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	MOVQ k+24(FP), CX
+	SHRQ $3, CX
+	JZ   tail16Z
+octet16Z:
+	TRANSZ(R12, R13)
+	MACROW(Z0)
+	TRANSZ(R14, DX)
+	MACROW(Z1)
+	ADDQ $64, R8
+	ADDQ $64, R12
+	ADDQ $64, R13
+	ADDQ $64, R14
+	ADDQ $64, DX
+	DECQ CX
+	JNZ  octet16Z
+tail16Z:
+	MOVQ k+24(FP), CX
+	ANDQ $7, CX
+	JZ   store16Z
+single16Z:
+	GATHERZ(R12, R13, Z16)
+	GATHERZ(R14, DX, Z17)
+	VMULPD.BCST (R8), Z16, Z2
+	VADDPD Z2, Z0, Z0
+	VMULPD.BCST (R8), Z17, Z3
+	VADDPD Z3, Z1, Z1
+	ADDQ $8, R8
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ $8, R14
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  single16Z
+store16Z:
+	VBROADCASTSD alpha+48(FP), Z8
+	VMULPD Z8, Z0, Z0
+	VMULPD Z8, Z1, Z1
+	VADDPD 0(R9), Z0, Z0
+	VADDPD 64(R9), Z1, Z1
+	VMOVUPD Z0, 0(R9)
+	VMOVUPD Z1, 64(R9)
+	ADDQ $128, R9
+	SUBQ $16, R10
+	JMP  row16Z
+
+row8Z:
+	CMPQ R10, $4
+	JLT  rowDoneZ
+	MOVQ a+0(FP), R8
+	MOVQ SI, R12
+	LEAQ (R12)(BX*4), R13
+	CMPQ R10, $8
+	JGE  full8Z
+	MOVQ $0x0f, R11
+	KMOVW R11, K1
+	MOVQ R12, R13                   // lanes 4–7 repeat lanes 0–3
+full8Z:
+	LEAQ (R13)(BX*4), SI
+	VPXORQ Z0, Z0, Z0
+	MOVQ k+24(FP), CX
+	SHRQ $3, CX
+	JZ   tail8Z
+octet8Z:
+	TRANSZ(R12, R13)
+	MACROW(Z0)
+	ADDQ $64, R8
+	ADDQ $64, R12
+	ADDQ $64, R13
+	DECQ CX
+	JNZ  octet8Z
+tail8Z:
+	MOVQ k+24(FP), CX
+	ANDQ $7, CX
+	JZ   store8Z
+single8Z:
+	GATHERZ(R12, R13, Z16)
+	VMULPD.BCST (R8), Z16, Z2
+	VADDPD Z2, Z0, Z0
+	ADDQ $8, R8
+	ADDQ $8, R12
+	ADDQ $8, R13
+	DECQ CX
+	JNZ  single8Z
+store8Z:
+	VBROADCASTSD alpha+48(FP), Z8
+	STOREZ(Z0, (R9))
+	ADDQ $64, R9
+	SUBQ $8, R10
+	JMP  row8Z
+
+rowDoneZ:
 	VZEROUPPER
 	RET
 

@@ -1,7 +1,5 @@
 package tensor
 
-import "fmt"
-
 // fastKernelAvailable is set by platform init when the CPU (and OS) support
 // the AVX2+FMA microkernel. Non-amd64 builds leave it false.
 var fastKernelAvailable bool
@@ -22,12 +20,7 @@ func FastKernel() bool { return fastKernelAvailable }
 // serving path the kernel is deterministic: the same inputs always produce
 // the same outputs.
 func FastGemmTB(alpha float64, a, b *Matrix, beta float64, c *Matrix, workers int) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: gemm inner dimension mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	if c.Rows != a.Rows || c.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: gemm output shape %d×%d, need %d×%d", c.Rows, c.Cols, a.Rows, b.Rows))
-	}
+	gemmShape(false, true, a, b, c)
 	// Tiny inner dimensions leave no room for a 4-wide chunk plus tail to
 	// win; hand them (and non-SIMD hosts) to the scalar path.
 	if !fastKernelAvailable || a.Cols < 8 {
@@ -42,7 +35,8 @@ func FastGemmTB(alpha float64, a, b *Matrix, beta float64, c *Matrix, workers in
 func runFastGemmTB(j job) { fastGemmTBRange(j.alpha, j.a, j.b, j.beta, j.c, j.lo, j.hi) }
 
 // fastGemmTBRange computes rows [i0, i1) of C = alpha·A·Bᵀ + beta·C with the
-// 4×2 SIMD tile; row and column remainders run the scalar kernel.
+// 4×2 SIMD tile; row and column remainders run the scalar kernel. beta is
+// applied first, as Gemm applies it (scaleRows: beta == 0 overwrites).
 func fastGemmTBRange(alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
 	k := a.Cols
 	n4 := k &^ 3
@@ -52,51 +46,26 @@ func fastGemmTBRange(alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i
 	for ; i+4 <= i1; i += 4 {
 		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
 		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
+		scaleRows(c, beta, i, i+4, c.Cols)
 		j := 0
 		for ; j+2 <= c.Cols; j += 2 {
 			b0, b1 := b.Row(j), b.Row(j+1)
 			fmaDot4x2(&a0[0], &a1[0], &a2[0], &a3[0], &b0[0], &b1[0], chunks, &out)
 			for p := n4; p < k; p++ {
-				bv0, bv1 := b0[p], b1[p]
-				out[0] += a0[p] * bv0
-				out[1] += a0[p] * bv1
-				out[2] += a1[p] * bv0
-				out[3] += a1[p] * bv1
-				out[4] += a2[p] * bv0
-				out[5] += a2[p] * bv1
-				out[6] += a3[p] * bv0
-				out[7] += a3[p] * bv1
+				for r, av := range [4]float64{a0[p], a1[p], a2[p], a3[p]} {
+					out[2*r] += av * b0[p]
+					out[2*r+1] += av * b1[p]
+				}
 			}
-			if beta == 0 {
-				c0[j], c0[j+1] = alpha*out[0], alpha*out[1]
-				c1[j], c1[j+1] = alpha*out[2], alpha*out[3]
-				c2[j], c2[j+1] = alpha*out[4], alpha*out[5]
-				c3[j], c3[j+1] = alpha*out[6], alpha*out[7]
-			} else {
-				c0[j] = beta*c0[j] + alpha*out[0]
-				c0[j+1] = beta*c0[j+1] + alpha*out[1]
-				c1[j] = beta*c1[j] + alpha*out[2]
-				c1[j+1] = beta*c1[j+1] + alpha*out[3]
-				c2[j] = beta*c2[j] + alpha*out[4]
-				c2[j+1] = beta*c2[j+1] + alpha*out[5]
-				c3[j] = beta*c3[j] + alpha*out[6]
-				c3[j+1] = beta*c3[j+1] + alpha*out[7]
-			}
+			c0[j], c0[j+1] = c0[j]+alpha*out[0], c0[j+1]+alpha*out[1]
+			c1[j], c1[j+1] = c1[j]+alpha*out[2], c1[j+1]+alpha*out[3]
+			c2[j], c2[j+1] = c2[j]+alpha*out[4], c2[j+1]+alpha*out[5]
+			c3[j], c3[j+1] = c3[j]+alpha*out[6], c3[j+1]+alpha*out[7]
 		}
-		if j < c.Cols { // odd trailing column: plain dots
-			brow := b.Row(j)
-			for r, arow := range [4][]float64{a0, a1, a2, a3} {
-				sum := 0.0
-				for p, av := range arow {
-					sum += av * brow[p]
-				}
-				crow := c.Row(i + r)
-				if beta == 0 {
-					crow[j] = alpha * sum
-				} else {
-					crow[j] = beta*crow[j] + alpha*sum
-				}
-			}
+		if j < c.Cols { // odd trailing column: plain dots, the scalar kernel's
+			bt := Matrix{Rows: 1, Cols: k, Stride: b.Stride, Data: b.Data[j*b.Stride:]}
+			ct := Matrix{Rows: c.Rows, Cols: 1, Stride: c.Stride, Data: c.Data[j:]}
+			gemmRangeGo(false, true, alpha, a, &bt, 1, &ct, i, i+4)
 		}
 	}
 	if i < i1 { // remainder rows: scalar kernel

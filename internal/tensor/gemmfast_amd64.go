@@ -1,18 +1,23 @@
 package tensor
 
-// Runtime detection and declarations for the AVX2+FMA inference microkernel.
-// The fast path is gated on CPUID: FMA + AVX (with OS-enabled YMM state via
-// XGETBV) + AVX2. Everything else falls back to the portable scalar kernels.
+// Runtime detection and declarations for the AVX2+FMA inference microkernel
+// and the training kernels. The fast path is gated on CPUID: FMA + AVX (with
+// OS-enabled YMM state via XGETBV) + AVX2; the training kernels' eight-lane
+// set also on CPUID.(7,0):EBX[16] (AVX512F) with OS-enabled ZMM state.
+// Everything else falls back to the portable scalar kernels.
 
 func init() {
-	fastKernelAvailable = detectAVX2FMA()
-	exactKernels = fastKernelAvailable && !raceEnabled
+	avx2FMA, avx512F := detectSIMD()
+	fastKernelAvailable, exactKernels = avx2FMA, avx2FMA && !raceEnabled
+	wideKernels = exactKernels && avx512F
 }
 
-func detectAVX2FMA() bool {
+// detectSIMD reports AVX2+FMA and, beside them, AVX512F with the OS saving
+// ZMM state.
+func detectSIMD() (avx2FMA, avx512F bool) {
 	maxID, _, _, _ := cpuidex(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuidex(1, 0)
 	const (
@@ -21,16 +26,17 @@ func detectAVX2FMA() bool {
 		avxBit     = 1 << 28
 	)
 	if ecx1&fmaBit == 0 || ecx1&osxsaveBit == 0 || ecx1&avxBit == 0 {
-		return false
+		return false, false
 	}
-	// OS must have enabled XMM (bit 1) and YMM (bit 2) state saving.
+	// OS must have enabled XMM (bit 1) and YMM (bit 2) state saving, and for
+	// ZMM also the opmask (5), ZMM0–15's upper halves (6) and ZMM16–31 (7).
 	xcr0, _ := xgetbv0()
 	if xcr0&0x6 != 0x6 {
-		return false
+		return false, false
 	}
 	_, ebx7, _, _ := cpuidex(7, 0)
-	const avx2Bit = 1 << 5
-	return ebx7&avx2Bit != 0
+	const avx2Bit, avx512FBit = 1 << 5, 1 << 16
+	return ebx7&avx2Bit != 0, ebx7&avx512FBit != 0 && xcr0&0xe6 == 0xe6
 }
 
 //go:noescape
@@ -41,6 +47,15 @@ func axpyRowAVX(c *float64, n int, s *float64, off *int, b *float64, cnt int, ze
 
 //go:noescape
 func dotTilesAVX(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, tiles int, alpha float64)
+
+//go:noescape
+func axpyRowAVX512(c *float64, n int, s *float64, off *int, b *float64, cnt int, zero bool)
+
+//go:noescape
+func dotTilesAVX512(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, cols int, alpha float64)
+
+//go:noescape
+func dotRowAVX512(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)
 
 //go:noescape
 func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)

@@ -17,6 +17,18 @@ func dotTilesAVX(a *float64, aStride int, b *float64, bStride int, k int, c *flo
 	panic("tensor: dotTilesAVX called without SIMD support")
 }
 
+func axpyRowAVX512(c *float64, n int, s *float64, off *int, b *float64, cnt int, zero bool) {
+	panic("tensor: axpyRowAVX512 called without SIMD support")
+}
+
+func dotTilesAVX512(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, cols int, alpha float64) {
+	panic("tensor: dotTilesAVX512 called without SIMD support")
+}
+
+func dotRowAVX512(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64) {
+	panic("tensor: dotRowAVX512 called without SIMD support")
+}
+
 func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64) {
 	panic("tensor: dotRowAVX called without SIMD support")
 }

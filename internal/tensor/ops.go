@@ -7,8 +7,8 @@ import "fmt"
 //
 // Every output element is built by the same operations in the same order on
 // every path — beta·C first, then the terms in ascending inner index p, each
-// a separately rounded multiply and add — so the AVX2 kernels
-// (gemmexact.go) and the Go loops below agree bit for bit.
+// a separately rounded multiply and add — so the AVX2 and AVX-512F kernels
+// (gemmexact.go, chosen by CPUID) and the Go loops below agree bit for bit.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	m, _ := gemmShape(transA, transB, a, b, c)
 	gemmRange(transA, transB, alpha, a, b, beta, c, 0, m)
@@ -36,9 +36,10 @@ func gemmShape(transA, transB bool, a, b, c *Matrix) (m, k int) {
 
 // gemmRange computes rows [i0, i1) of the GEMM output: the unit of work
 // ParallelGemm hands to each goroutine. The platform picks the path — the
-// AVX2 kernels where the CPU has them, the Go loops elsewhere and under the
-// race detector, which cannot see into assembly. Aᵀ·Bᵀ (no caller in nn) and
-// an empty A (nothing to accumulate, only beta to apply) stay in Go too.
+// AVX-512F or AVX2 kernels where the CPU has them (gemmexact.go picks the
+// width), the Go loops elsewhere and under the race detector, which cannot
+// see into assembly. Aᵀ·Bᵀ (no caller in nn) and an empty A (nothing to
+// accumulate, only beta to apply) stay in Go too.
 func gemmRange(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
 	switch {
 	case !exactKernels || transA && transB || a.Rows*a.Cols == 0:
@@ -68,8 +69,8 @@ func scaleRows(c *Matrix, beta float64, i0, i1, cols int) {
 	}
 }
 
-// gemmRangeGo is gemmRange in portable Go: the reference the AVX2 kernels
-// are tested against, and the path for their row and column remainders.
+// gemmRangeGo is gemmRange in portable Go: the reference the kernels are
+// tested against, and the path for their row and column remainders.
 func gemmRangeGo(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
 	k := a.Cols
 	if transA {

@@ -133,34 +133,77 @@ func sameBits(x, y []float64) bool {
 	return true
 }
 
+// forEachKernelSet runs f once under every kernel set this host has —
+// "avx512" (the eight-lane kernels), "avx2" (the four-lane ones, forced on a
+// host that has both) and "go" (the portable loops) — by flipping the
+// package's selection, and restores the detected set afterwards. A host
+// without AVX-512, or a race build, logs the legs it skips.
+func forEachKernelSet(tb testing.TB, f func(set string)) {
+	exact, wide := exactKernels, wideKernels
+	defer func() { exactKernels, wideKernels = exact, wide }()
+	if !wide {
+		tb.Logf("avx512 kernel set not available here (detected: %s): its leg is skipped", kernelSet())
+	}
+	for _, ks := range []struct {
+		name        string
+		exact, wide bool
+	}{{"avx512", true, true}, {"avx2", true, false}, {"go", false, false}} {
+		if ks.exact && !exact || ks.wide && !wide {
+			continue
+		}
+		exactKernels, wideKernels = ks.exact, ks.wide
+		f(ks.name)
+	}
+}
+
+// kernelSet names the kernel set gemmRange runs now.
+func kernelSet() string {
+	switch {
+	case wideKernels:
+		return "avx512"
+	case exactKernels:
+		return "avx2"
+	}
+	return "go"
+}
+
 // TestGemmBitExact pins the exactness rule of DESIGN.md §6: Gemm and
-// ParallelGemm, on whichever path the platform picks, equal refGemm bit for
+// ParallelGemm, under every kernel set the host has, equal refGemm bit for
 // bit — over every mod-4 remainder of m, k and n, tiny k, strided views,
 // zeros in A (the skip), -0 in C, and Inf/NaN in B (0·Inf must not appear
 // on the axpy forms, and must propagate on the dot forms). The forward's
 // rows that do not come in fours (dotRowAVX) also run at the shapes the
 // workloads use — a batch-1 layer, a two-row batch, a 54-feature input, a
 // two-class head — and with k large enough that B is walked in several
-// panels (dotPanel/k columns each).
+// panels (dotPanel/k columns each); the three forms also run at
+// dense-adaptive's 64-row batch on its 256-wide layers, in eight-row tiles.
 func TestGemmBitExact(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bit-exact trajectories are pinned for amd64; other ports may fuse multiply-add")
 	}
-	rng := rand.New(rand.NewPCG(24, 7))
-	shapes := [][3]int{{5, 130, 52}, {9, 20, 400}, {70, 3, 64}, {4, 64, 4}, {130, 300, 49}}
-	for trial := 0; trial < 400; trial++ {
-		m, k, n := 1+rng.IntN(12), 1+rng.IntN(12), 1+rng.IntN(70)
-		if trial < len(shapes) {
-			m, k, n = shapes[trial][0], shapes[trial][1], shapes[trial][2]
+	t.Logf("kernel set detected: %s", kernelSet())
+	forEachKernelSet(t, func(set string) {
+		rng := rand.New(rand.NewPCG(24, 7))
+		shapes := [][3]int{{5, 130, 52}, {9, 20, 400}, {70, 3, 64}, {4, 64, 4}, {130, 300, 49}, {16, 54, 260}, {13, 9, 100}}
+		for _, sh := range shapes {
+			for form := range 12 {
+				checkGemmBits(t, rng, fmt.Sprintf("%s shape %v", set, sh), sh[0], sh[1], sh[2], form&1 != 0, form&2 != 0, form%3 == 0)
+			}
 		}
-		checkGemmBits(t, rng, fmt.Sprintf("trial %d", trial), m, k, n, rng.IntN(2) == 0, rng.IntN(2) == 0, trial%3 == 0)
-	}
-	forward := [][3]int{{1, 300, 64}, {2, 64, 64}, {3, 54, 256}, {1, 64, 2}, {5, 300, 17}, {3, 1000, 70}, {7, 2100, 37}}
-	for _, sh := range forward {
-		for r := 0; r < 6; r++ {
-			checkGemmBits(t, rng, fmt.Sprintf("forward round %d", r), sh[0], sh[1], sh[2], false, true, r%2 == 0)
+		for trial := 0; trial < 400; trial++ {
+			m, k, n := 1+rng.IntN(12), 1+rng.IntN(12), 1+rng.IntN(70)
+			checkGemmBits(t, rng, fmt.Sprintf("%s trial %d", set, trial), m, k, n, rng.IntN(2) == 0, rng.IntN(2) == 0, trial%3 == 0)
 		}
-	}
+		forward := [][3]int{{1, 300, 64}, {2, 64, 64}, {3, 54, 256}, {1, 64, 2}, {5, 300, 17}, {3, 1000, 70}, {7, 2100, 37}, {12, 2100, 36}, {2, 9, 28}}
+		for _, sh := range forward {
+			for r := 0; r < 6; r++ {
+				checkGemmBits(t, rng, fmt.Sprintf("%s forward round %d", set, r), sh[0], sh[1], sh[2], false, true, r%2 == 0)
+			}
+		}
+		for _, form := range [][2]bool{{false, true}, {false, false}, {true, false}} {
+			checkGemmBits(t, rng, set+" dense-adaptive", 64, 256, 256, form[0], form[1], true)
+		}
+	})
 }
 
 // checkGemmBits runs one random m×k×n GEMM of the given form on strided
@@ -203,6 +246,63 @@ func checkGemmBits(t *testing.T, rng *rand.Rand, name string, m, k, n int, trans
 		t.Fatalf("%s: %d×%d×%d transA=%v transB=%v alpha=%v beta=%v differs from the reference order",
 			name, m, k, n, transA, transB, alpha, beta)
 	}
+}
+
+// gemmEdges are the operand values where an order-preserving kernel and the
+// Go loops part ways if either is wrong: signed zeros (the axpy skip, a -0
+// sum), non-finite values (0·Inf) and subnormals.
+var gemmEdges = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-310, 1}
+
+// FuzzGemmExact: gemmRange equals gemmRangeGo bit for bit under every
+// kernel set the host has, for any shape, form, row range, alpha and beta.
+// Each byte of raw picks one operand: an edge value, a raw bit pattern or a
+// small number; the operands are strided views whose padding must stay put.
+func FuzzGemmExact(f *testing.F) {
+	f.Add(uint8(15), uint8(37), uint8(100), uint8(2), 1.0, 0.0, []byte("\x00\x01\x02\x03\x04\x05\x06\x07\x40\x80\xc0\xff"))
+	f.Add(uint8(63), uint8(255), uint8(255), uint8(0xf1), -0.5, 1.0, []byte("\x03\x90\x11\xf0"))
+	f.Fuzz(func(t *testing.T, m, k, n, form uint8, alpha, beta float64, raw []byte) {
+		if len(raw) == 0 {
+			raw = []byte{0}
+		}
+		rows, inner, cols := 1+int(m%32), 1+int(k%64), 1+int(n)
+		transA, transB := form&1 != 0, form&2 != 0
+		e := 0
+		operand := func(r, c int) *Matrix {
+			x := &Matrix{Rows: r, Cols: c, Stride: c + int(form>>2)%4}
+			x.Data = make([]float64, r*x.Stride)
+			for i := range x.Data {
+				switch v := raw[e%len(raw)]; {
+				case v < 64:
+					x.Data[i] = gemmEdges[v%8]
+				case v < 96:
+					x.Data[i] = math.Float64frombits(uint64(v)*0x9e3779b97f4a7c15 ^ uint64(e)*0xbf58476d1ce4e5b9)
+				default:
+					x.Data[i] = float64(int(v)-176)/16 + float64(e%7)/8
+				}
+				e++
+			}
+			return x
+		}
+		a, b := operand(rows, inner), operand(inner, cols)
+		if transA {
+			a = operand(inner, rows)
+		}
+		if transB {
+			b = operand(cols, inner)
+		}
+		c := operand(rows, cols)
+		i0 := int(form>>4) % rows
+		want := &Matrix{Rows: rows, Cols: cols, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
+		gemmRangeGo(transA, transB, alpha, a, b, beta, want, i0, rows)
+		forEachKernelSet(t, func(set string) {
+			got := &Matrix{Rows: rows, Cols: cols, Stride: c.Stride, Data: append([]float64(nil), c.Data...)}
+			gemmRange(transA, transB, alpha, a, b, beta, got, i0, rows)
+			if !sameBits(got.Data, want.Data) {
+				t.Fatalf("%s: rows [%d, %d) of %d×%d×%d transA=%v transB=%v alpha=%v beta=%v differ from the Go loops",
+					set, i0, rows, rows, inner, cols, transA, transB, alpha, beta)
+			}
+		})
+	})
 }
 
 // TestForkJoinAllocatesNothing: a parallel GEMM, SpMM or SpMMT call hands its
@@ -315,37 +415,41 @@ func TestColSums(t *testing.T) {
 
 // BenchmarkGemm times the three forms nn uses — forward (A·Bᵀ), backward
 // data (A·B) and weight gradient (Aᵀ·B) — on a 512-wide layer at a batch of
-// 512 and of 2 rows, serial and through ParallelGemm, in GFLOP/s.
+// 512 and of 2 rows and on dense-adaptive's 256-wide layers at 64 and 128
+// rows, serial and through ParallelGemm, under every kernel set the host
+// has (named last), in GFLOP/s.
 func BenchmarkGemm(b *testing.B) {
-	const width = 512
 	forms := []struct {
 		name   string
 		ta, tb bool
 	}{{"fwd", false, true}, {"bwd", false, false}, {"wgrad", true, false}}
-	rng := rand.New(rand.NewPCG(1, 1))
-	for _, f := range forms {
-		for _, rows := range []int{512, 2} {
-			// fwd: act(rows×w)·Wᵀ; bwd: delta(rows×w)·W; wgrad: deltaᵀ(w×rows)·act.
-			x, w := randomMatrix(rng, rows, width), randomMatrix(rng, width, width)
-			out := NewMatrix(rows, width)
-			if f.ta {
-				w, out = randomMatrix(rng, rows, width), w
-			}
-			for _, workers := range []int{1, 0} {
-				mode := "Serial"
-				if workers == 0 {
-					mode = "Parallel"
+	forEachKernelSet(b, func(set string) {
+		rng := rand.New(rand.NewPCG(1, 1))
+		for _, f := range forms {
+			for _, sh := range [][2]int{{512, 512}, {512, 2}, {256, 64}, {256, 128}} {
+				width, rows := sh[0], sh[1]
+				// fwd: act(rows×w)·Wᵀ; bwd: delta(rows×w)·W; wgrad: deltaᵀ(w×rows)·act.
+				x, w := randomMatrix(rng, rows, width), randomMatrix(rng, width, width)
+				out := NewMatrix(rows, width)
+				if f.ta {
+					w, out = randomMatrix(rng, rows, width), w
 				}
-				b.Run(fmt.Sprintf("%s/rows=%d/%s", f.name, rows, mode), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						ParallelGemm(f.ta, f.tb, 1, x, w, 0, out, workers)
+				for _, workers := range []int{1, 0} {
+					mode := "Serial"
+					if workers == 0 {
+						mode = "Parallel"
 					}
-					flops := 2 * float64(rows) * width * width * float64(b.N)
-					b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
+					b.Run(fmt.Sprintf("%s/width=%d/rows=%d/%s/%s", f.name, width, rows, mode, set), func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							ParallelGemm(f.ta, f.tb, 1, x, w, 0, out, workers)
+						}
+						flops := 2 * float64(rows) * float64(width) * float64(width) * float64(b.N)
+						b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+					})
+				}
 			}
 		}
-	}
+	})
 }
 
 // Property: (A·B)·C == A·(B·C) within floating tolerance, exercised through

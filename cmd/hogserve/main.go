@@ -7,7 +7,7 @@
 // replaces the static -max-batch ceiling with a telemetry-driven controller.
 //
 // A load-generator mode measures micro-batching before/after: a
-// single-worker exact-kernel baseline sweep, a multi-worker adaptive pool
+// single-worker baseline sweep, a multi-worker adaptive pool
 // sweep, per-request allocation counts, and (with -soak) a sustained-load
 // soak — live training, SIGHUP hot reloads, and closed-loop traffic all at
 // once — written to results/BENCH_serve.json.
@@ -74,7 +74,6 @@ func main() {
 		workers   = flag.Int("workers", 1, "intra-forward parallelism")
 		poolSize  = flag.Int("serve-workers", 1, "inference pool workers, each with a private pre-allocated workspace")
 		adaptive  = flag.Bool("adaptive-batch", false, "adapt the micro-batch ceiling from telemetry instead of the static -max-batch")
-		exact     = flag.Bool("exact-kernel", false, "force training's exact forward kernels (bit-identical to training, no FMA)")
 		bench     = flag.Bool("bench", false, "run the load generator instead of serving")
 		clients   = flag.Int("clients", 64, "concurrent closed-loop clients for -bench and -soak")
 		benchTime = flag.Duration("bench-time", 2*time.Second, "measurement window per micro-batch size for -bench")
@@ -137,7 +136,7 @@ func main() {
 	opts := serve.Options{
 		MaxBatch: *maxBatch, MaxWait: *maxWait, QueueCap: *queueCap,
 		Workers: *workers, PoolWorkers: *poolSize, Adaptive: *adaptive,
-		ExactKernel: *exact, Metrics: reg,
+		Metrics: reg,
 	}
 	b := serve.NewBatcher(pub, opts)
 	defer b.Close()
@@ -332,7 +331,6 @@ type serveBenchRow struct {
 	Workers       int     `json:"workers"`
 	PoolWorkers   int     `json:"pool_workers"`
 	Adaptive      bool    `json:"adaptive"`
-	ExactKernel   bool    `json:"exact_kernel"`
 	DurationSec   float64 `json:"duration_sec"`
 	Requests      int64   `json:"requests"`
 	Rejected      int64   `json:"rejected"`
@@ -403,9 +401,9 @@ type benchSummary struct {
 }
 
 // benchDoc is the results/BENCH_serve.json document. `baseline` is the
-// pre-pool configuration (one worker, exact scalar kernels, static
-// ceiling sweep); `pool` is the same load against the worker pool with the
-// serving kernels and the adaptive controller.
+// pre-pool configuration (one worker, static ceiling sweep); `pool` is the
+// same load against the worker pool, static and with the adaptive
+// controller.
 type benchDoc struct {
 	Dataset  string          `json:"dataset"`
 	Arch     string          `json:"arch"`
@@ -454,23 +452,23 @@ func runBench(cfg benchConfig) error {
 			sweep = append(sweep, b)
 		}
 
-		// Before: the pre-pool serving path. One worker, the exact scalar
-		// kernels training uses, a static micro-batch ceiling.
-		fmt.Println("baseline (1 worker, exact kernel, static ceiling):")
-		doc.Baseline, err = benchSweep(pub, ds, cfg, sweep, serve.Options{PoolWorkers: 1, ExactKernel: true})
+		// Before: the pre-pool serving path. One worker, a static
+		// micro-batch ceiling.
+		fmt.Println("baseline (1 worker, static ceiling):")
+		doc.Baseline, err = benchSweep(pub, ds, cfg, sweep, serve.Options{PoolWorkers: 1})
 		if err != nil {
 			return err
 		}
 
-		// After: the pool with the serving kernels — same static sweep to
+		// After: the pool — same static sweep to
 		// show the ceiling response, plus the adaptive controller choosing
 		// the ceiling itself (max-batch acts as the clamp).
-		fmt.Printf("pool (%d workers, serving kernel, static ceiling):\n", cfg.Pool)
+		fmt.Printf("pool (%d workers, static ceiling):\n", cfg.Pool)
 		doc.Pool, err = benchSweep(pub, ds, cfg, sweep, serve.Options{PoolWorkers: cfg.Pool})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("pool (%d workers, serving kernel, adaptive ceiling):\n", cfg.Pool)
+		fmt.Printf("pool (%d workers, adaptive ceiling):\n", cfg.Pool)
 		adaptiveRows, err := benchSweep(pub, ds, cfg, []int{256}, serve.Options{PoolWorkers: cfg.Pool, Adaptive: true})
 		if err != nil {
 			return err
@@ -518,7 +516,7 @@ func runBench(cfg benchConfig) error {
 }
 
 // benchSweep runs one measurement window per static ceiling in sweep, with
-// the pool/kernel/adaptive shape fixed by base.
+// the pool/adaptive shape fixed by base.
 func benchSweep(pub *serve.Publisher, ds *data.Dataset, cfg benchConfig, sweep []int, base serve.Options) ([]serveBenchRow, error) {
 	var rows []serveBenchRow
 	var baseRPS float64
@@ -685,7 +683,6 @@ func benchOne(pub *serve.Publisher, ds *data.Dataset, clients int, window time.D
 		Workers:       o.Workers,
 		PoolWorkers:   o.PoolWorkers,
 		Adaptive:      o.Adaptive,
-		ExactKernel:   o.ExactKernel,
 		DurationSec:   window.Seconds(),
 		Requests:      ld.completed,
 		Rejected:      rep.Rejected,
@@ -740,18 +737,18 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	defer cancel()
 	trainc := startTraining(ctx, tcfg, baseWindow+cfg.SoakTime+time.Second)
 
-	// Before: a single-worker exact-kernel window — the pre-pool serving
-	// path — under the concurrent training load.
+	// Before: a single-worker window — the pre-pool serving path — under
+	// the concurrent training load.
 	baseRow, err := benchOne(pub, ds, cfg.Clients, baseWindow, serve.Options{
 		MaxBatch: 64, MaxWait: 500 * time.Microsecond,
-		QueueCap: max(2*cfg.Clients, 256), Workers: cfg.Workers, PoolWorkers: 1, ExactKernel: true,
+		QueueCap: max(2*cfg.Clients, 256), Workers: cfg.Workers, PoolWorkers: 1,
 	})
 	if err != nil {
 		cancel()
 		<-trainc
 		return nil, err
 	}
-	fmt.Printf("soak baseline (1 worker, exact kernel, training live): %.0f req/s\n", baseRow.ThroughputRPS)
+	fmt.Printf("soak baseline (1 worker, training live): %.0f req/s\n", baseRow.ThroughputRPS)
 
 	maxBatch := cfg.MaxBatch
 	if maxBatch <= 0 {

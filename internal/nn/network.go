@@ -168,6 +168,8 @@ func activationGain(k ActKind) float64 {
 
 // Workspace holds the per-worker forward/backward scratch buffers for
 // batches up to a capacity; Grow reallocates when a larger batch arrives.
+// Every workspace runs the training kernels, so a forward on a serving
+// (inference) workspace gives the bits a training forward gives.
 // A Workspace must not be shared between concurrent gradient computations.
 type Workspace struct {
 	net *Network
@@ -176,12 +178,6 @@ type Workspace struct {
 	// allocated, roughly halving the memory of a serving replica. Gradient
 	// computations panic on such a workspace.
 	inferOnly bool
-	// fast routes dense forward layers through the SIMD inference GEMM
-	// (tensor.FastGemmTB) when the CPU supports it. The SIMD kernel
-	// accumulates in parallel lanes, so results differ from the scalar
-	// kernels in the last ulps; training workspaces never set it (golden
-	// traces pin bit-exact trajectories), serving workspaces default to it.
-	fast bool
 	// acts[0] aliases the input batch (nil for sparse input); acts[l]
 	// holds layer-l activations.
 	acts   []*tensor.Matrix
@@ -219,18 +215,11 @@ func (n *Network) NewInferenceWorkspace(maxBatch int) *Workspace {
 	return ws
 }
 
-// NewServingWorkspace is NewInferenceWorkspace with the SIMD fast-forward
-// kernel enabled (when the CPU supports it) — the pool workers' workspace.
-// On hosts without AVX2+FMA it is identical to NewInferenceWorkspace.
+// NewServingWorkspace is NewInferenceWorkspace. Its only caller is
+// bench/replay.go.
 func (n *Network) NewServingWorkspace(maxBatch int) *Workspace {
-	ws := n.NewInferenceWorkspace(maxBatch)
-	ws.fast = tensor.FastKernel()
-	return ws
+	return n.NewInferenceWorkspace(maxBatch)
 }
-
-// FastKernel reports whether this workspace routes dense forward layers
-// through the SIMD microkernel.
-func (ws *Workspace) FastKernel() bool { return ws.fast }
 
 func (ws *Workspace) grow(batch int) {
 	n := ws.net
@@ -285,8 +274,6 @@ func (n *Network) ForwardX(p *Params, ws *Workspace, x Input, workers int) *tens
 		if l == 0 && x.Sparse != nil {
 			// out = in · Wᵀ over the nonzeros only.
 			tensor.SpMM(true, 1, x.Sparse, p.Weights[0], 0, out, workers)
-		} else if ws.fast {
-			tensor.FastGemmTB(1, in, p.Weights[l], 0, out, workers)
 		} else {
 			// out = in · Wᵀ  (+ bias broadcast)
 			tensor.ParallelGemm(false, true, 1, in, p.Weights[l], 0, out, workers)

@@ -77,12 +77,6 @@ type Options struct {
 	// and p99 telemetry. MaxBatch still sizes the workspaces (it is the
 	// ceiling's upper clamp).
 	Adaptive bool
-	// ExactKernel forces training's exact forward kernels instead of the
-	// FMA inference microkernel, making serving outputs bit-identical to
-	// training-side forward passes. Off by default: serving tolerates
-	// last-ulp differences and takes the kernel's win, about 1.1–1.3× on
-	// a 54-512×6-7 forward of 4 to 256 rows on one worker.
-	ExactKernel bool
 	// Metrics, when set, resolves the batcher's stats instruments in this
 	// registry, surfacing the serving series (serve_requests_total,
 	// serve_latency_seconds, serve_queue_depth, serve_model_version, ...)
@@ -227,11 +221,7 @@ func (b *Batcher) newPoolWorker() *poolWorker {
 	w := &poolWorker{
 		b:     b,
 		dense: tensor.NewMatrix(b.opts.MaxBatch, net.Arch.InputDim),
-	}
-	if b.opts.ExactKernel {
-		w.ws = net.NewInferenceWorkspace(b.opts.MaxBatch)
-	} else {
-		w.ws = net.NewServingWorkspace(b.opts.MaxBatch)
+		ws:    net.NewInferenceWorkspace(b.opts.MaxBatch),
 	}
 	w.csr.RowPtr = make([]int, 1, b.opts.MaxBatch+1)
 	return w
@@ -441,20 +431,6 @@ func (w *poolWorker) serveBatch(reqs []*request) {
 		return
 	}
 	n := len(reqs)
-	// Round the forward up to a multiple of the FMA kernel's 4-row tile with
-	// zero rows: a padded row costs one tile lane, while an unpadded
-	// remainder row runs the one-row dotRowAVX kernel. On a 54-512×6-7
-	// forward with one worker, padding pays when n mod 4 is 2 or 3 (n=3:
-	// about 1.5 → 1.0 ms) and costs when it is 1 (n=1: about 0.64 → 1.0 ms);
-	// the rule pads every remainder alike. Rows are independent through the
-	// whole forward, so real outputs are unaffected and the padded rows are
-	// simply never read.
-	m := n
-	if w.ws.FastKernel() {
-		if p := (n + 3) &^ 3; p <= b.opts.MaxBatch {
-			m = p
-		}
-	}
 	allSparse := true
 	for _, r := range reqs {
 		if !r.inst.Sparse() {
@@ -464,7 +440,7 @@ func (w *poolWorker) serveBatch(reqs []*request) {
 	}
 	var input nn.Input
 	if allSparse {
-		w.csr.Rows, w.csr.Cols = m, snap.Net.Arch.InputDim
+		w.csr.Rows, w.csr.Cols = n, snap.Net.Arch.InputDim
 		w.csr.RowPtr = w.csr.RowPtr[:1]
 		w.csr.ColIdx = w.csr.ColIdx[:0]
 		w.csr.Val = w.csr.Val[:0]
@@ -473,12 +449,9 @@ func (w *poolWorker) serveBatch(reqs []*request) {
 			w.csr.Val = append(w.csr.Val, r.inst.Values...)
 			w.csr.RowPtr = append(w.csr.RowPtr, len(w.csr.ColIdx))
 		}
-		for len(w.csr.RowPtr) < m+1 { // empty padding rows
-			w.csr.RowPtr = append(w.csr.RowPtr, len(w.csr.ColIdx))
-		}
 		input = nn.SparseInput(&w.csr)
 	} else {
-		x := w.dense.RowViewInto(&w.view, 0, m)
+		x := w.dense.RowViewInto(&w.view, 0, n)
 		x.Zero()
 		for i, r := range reqs {
 			if r.inst.Sparse() {

@@ -104,6 +104,12 @@ func TestPublisherVersionsNeverGoBackwards(t *testing.T) {
 	}
 }
 
+// TestBatcherMatchesDirectForward: served predictions are the network's own
+// forward. Serving runs training's forward kernels, so every response's
+// scores equal, bit for bit, the softmax (or per-label sigmoid) of a one-row
+// ForwardX on an inference workspace, whatever batch the request was
+// coalesced into, its row in that batch, and whether the batch went through
+// the dense or the sparse first layer.
 func TestBatcherMatchesDirectForward(t *testing.T) {
 	net, params := testNet(t)
 	pub := NewPublisher(net)
@@ -145,6 +151,83 @@ func TestBatcherMatchesDirectForward(t *testing.T) {
 	for j := range dense.Scores {
 		if math.Abs(dense.Scores[j]-sparse.Scores[j]) > 1e-12 {
 			t.Fatalf("score %d: dense %v vs sparse %v", j, dense.Scores[j], sparse.Scores[j])
+		}
+	}
+
+	// Every layer of the last two nets has at least 8 inputs; the last is
+	// multi-label. Rounds of 1–9 and 16 requests, submitted together, land
+	// in batches of every size mod 4 and mod 8.
+	for _, arch := range []nn.Arch{
+		net.Arch,
+		{InputDim: 24, Hidden: []int{32, 32}, OutputDim: 3, Activation: nn.ActSigmoid},
+		{InputDim: 16, Hidden: []int{24, 24}, OutputDim: 5, Activation: nn.ActReLU, MultiLabel: true},
+	} {
+		net := nn.MustNetwork(arch)
+		params := net.NewParams(nn.InitXavier, rand.New(rand.NewPCG(3, 5)))
+		pub := NewPublisher(net)
+		pub.PublishParams(params)
+		b := NewBatcher(pub, Options{MaxBatch: 16, MaxWait: 10 * time.Millisecond, QueueCap: 16})
+		ws := net.NewInferenceWorkspace(1)
+		rng := rand.New(rand.NewPCG(7, 9))
+		dim := arch.InputDim
+		served, differ := 0, 0
+		for _, mix := range []string{"dense", "sparse", "mixed"} {
+			for _, size := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
+				insts := make([]Instance, size)
+				chans := make([]<-chan Response, size)
+				for i := range insts {
+					if mix == "dense" || mix == "mixed" && i%2 == 0 {
+						insts[i].Dense = make([]float64, dim)
+						for j := range insts[i].Dense {
+							insts[i].Dense[j] = rng.Float64()*2 - 1
+						}
+					} else {
+						for j := i % 3; j < dim; j += 3 {
+							insts[i].Indices = append(insts[i].Indices, j)
+							insts[i].Values = append(insts[i].Values, rng.Float64()*2-1)
+						}
+					}
+					ch, err := b.Submit(insts[i])
+					if err != nil {
+						t.Fatalf("%v %s round of %d: submit: %v", arch, mix, size, err)
+					}
+					chans[i] = ch
+				}
+				for i, ch := range chans {
+					r := <-ch
+					if r.Err != nil {
+						t.Fatalf("%v %s round of %d: %v", arch, mix, size, r.Err)
+					}
+					x := tensor.NewMatrix(1, dim)
+					copy(x.Row(0), insts[i].Dense)
+					for k, idx := range insts[i].Indices {
+						x.Set(0, idx, insts[i].Values[k])
+					}
+					logits := net.ForwardX(params, ws, nn.DenseInput(x), 1).Row(0)
+					want := make([]float64, len(logits))
+					if arch.MultiLabel {
+						copy(want, logits)
+						tensor.SigmoidSlice(want)
+					} else {
+						softmaxInto(logits, want)
+					}
+					served++
+					for j := range want {
+						if math.Float64bits(r.Scores[j]) != math.Float64bits(want[j]) {
+							differ++
+							if differ <= 3 {
+								t.Errorf("%v %s round of %d, request %d in a batch of %d: score %d = %v, ForwardX gives %v",
+									arch, mix, size, i, r.BatchSize, j, r.Scores[j], want[j])
+							}
+							break
+						}
+					}
+				}
+			}
+		}
+		b.Close()
+		if differ > 0 {
+			t.Errorf("%v: %d of %d responses differ from ForwardX in at least one bit", arch, differ, served)
 		}
 	}
 }

@@ -1,0 +1,22 @@
+// CPUID and XGETBV for the kernel-set detection in simd_amd64.go.
+
+#include "textflag.h"
+
+// func cpuidex(op, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuidex(SB), NOSPLIT, $0-24
+	MOVL op+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() (eax, edx uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -177,6 +177,12 @@ func ParallelGemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64
 
 func runGemm(j job) { gemmRange(j.transA, j.transB, j.alpha, j.a, j.b, j.beta, j.c, j.lo, j.hi) }
 
+// FastGemmTB is ParallelGemm(false, true, …). Its only caller is
+// bench/replay.go, which names one of its timed rows after it.
+func FastGemmTB(alpha float64, a, b *Matrix, beta float64, c *Matrix, workers int) {
+	ParallelGemm(false, true, alpha, a, b, beta, c, workers)
+}
+
 // ColSums accumulates the column sums of m into out (out[j] = Σ_i m[i][j]).
 func ColSums(m *Matrix, out *Vector) {
 	if out.Len() != m.Cols {

@@ -1,14 +1,13 @@
 package tensor
 
-// Runtime detection and declarations for the AVX2+FMA inference microkernel
-// and the training kernels. The fast path is gated on CPUID: FMA + AVX (with
-// OS-enabled YMM state via XGETBV) + AVX2; the training kernels' eight-lane
-// set also on CPUID.(7,0):EBX[16] (AVX512F) with OS-enabled ZMM state.
-// Everything else falls back to the portable scalar kernels.
+// Runtime detection and declarations for the training kernels. They are
+// gated on CPUID: FMA + AVX (with OS-enabled YMM state via XGETBV) + AVX2; the
+// eight-lane set also on CPUID.(7,0):EBX[16] (AVX512F) with OS-enabled ZMM
+// state. Everything else falls back to the portable scalar kernels.
 
 func init() {
 	avx2FMA, avx512F := detectSIMD()
-	fastKernelAvailable, exactKernels = avx2FMA, avx2FMA && !raceEnabled
+	exactKernels = avx2FMA && !raceEnabled
 	wideKernels = exactKernels && avx512F
 }
 
@@ -38,9 +37,6 @@ func detectSIMD() (avx2FMA, avx512F bool) {
 	const avx2Bit, avx512FBit = 1 << 5, 1 << 16
 	return ebx7&avx2Bit != 0, ebx7&avx512FBit != 0 && xcr0&0xe6 == 0xe6
 }
-
-//go:noescape
-func fmaDot4x2(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64)
 
 //go:noescape
 func axpyRowAVX(c *float64, n int, s *float64, off *int, b *float64, cnt int, zero bool)

@@ -2,13 +2,8 @@
 
 package tensor
 
-// Non-amd64 builds have no SIMD microkernel; FastGemmTB falls back to the
-// portable scalar path and this stub is never reached (fastKernelAvailable
-// stays false).
-func fmaDot4x2(a0, a1, a2, a3, b0, b1 *float64, n int, out *[8]float64) {
-	panic("tensor: fmaDot4x2 called without SIMD support")
-}
-
+// Non-amd64 builds have no SIMD kernels; exactKernels stays false, so these
+// stubs are never reached.
 func axpyRowAVX(c *float64, n int, s *float64, off *int, b *float64, cnt int, zero bool) {
 	panic("tensor: axpyRowAVX called without SIMD support")
 }

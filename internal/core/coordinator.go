@@ -205,7 +205,7 @@ func (c *coordinator) scheduleWork(id int) (data.Batch, bool) {
 func (c *coordinator) reportUpdates(id int, n int64) {
 	w := c.cfg.Workers[id]
 	if w.Threads > 1 {
-		c.updates[id] += int64(float64(n)*c.cfg.Beta + 0.5)
+		c.updates[id] += int64(float64(float64(n)*c.cfg.Beta) + 0.5)
 		return
 	}
 	c.updates[id] += n

@@ -318,11 +318,17 @@ func (l *coordLoop) cloneModel() *nn.Params {
 	return l.global.Clone()
 }
 
-// enlist builds worker id with n lanes of rows examples each, gives it the
-// replica its dispatches read (see readsCopy), and adds it to the workers
-// table.
-func (l *coordLoop) enlist(id, n, rows int) *worker {
-	w := newWorker(l.cfg, id, l.name(id), l.cfg.Workers[id], n, rows)
+// enlist builds worker id, gives it the replica its dispatches read (see
+// readsCopy), and adds it to the workers table. A CPU outside a round gets a
+// lane per thread, up to maxLanes, each holding one sub-batch: ceil(MaxBatch
+// / threads) rows. Every other worker gets one lane of MaxBatch rows.
+func (l *coordLoop) enlist(id, maxLanes int) *worker {
+	wc := l.cfg.Workers[id]
+	n, rows := 1, wc.MaxBatch
+	if t := cpuThreads(wc); t > 0 && !l.step.rounds {
+		n, rows = min(t, maxLanes), (rows+t-1)/t
+	}
+	w := newWorker(l.cfg, id, l.name(id), wc, n, min(rows, l.ds.N()))
 	if l.step.readsCopy(w) {
 		// Under the read discipline: a live joiner is built while workers write.
 		w.replica = l.cloneModel()

@@ -123,15 +123,9 @@ type localExec struct {
 // the initial set. A CPU worker's lanes each get a goroutine; a round's local
 // steps run in turn, and every other device takes one step, on one lane.
 func (x *localExec) build(id int) *worker {
-	wc := x.l.cfg.Workers[id]
-	fan := !x.l.step.rounds && cpuThreads(wc) > 0
-	n := 1
-	if fan {
-		n = cpuThreads(wc)
-	}
-	w := x.l.enlist(id, n, min((wc.MaxBatch+n-1)/n, x.l.ds.N()))
-	if fan {
-		w.jobs = make([]chan laneJob, n)
+	w := x.l.enlist(id, cpuThreads(x.l.cfg.Workers[id]))
+	if !x.l.step.rounds && w.threads > 0 {
+		w.jobs = make([]chan laneJob, len(w.lanes))
 	}
 	return w
 }

@@ -66,7 +66,7 @@ func (c *Config) ScheduledLR(b int, epoch float64) float64 {
 			lr *= 0.5
 		}
 	case ScheduleInvT:
-		lr /= 1 + decayRate*epoch
+		lr /= 1 + float64(decayRate*epoch)
 	case ScheduleWarmup:
 		if epoch < warmupEpochs {
 			frac := epoch / warmupEpochs

@@ -145,9 +145,9 @@ func (x *simExec) attach(context.Context) ([]int, error) {
 // initial set. Nothing here draws random numbers (every init is zero or a
 // clone), so a mid-run join does not perturb the shuffle or init streams —
 // a determinism requirement. The engine runs a worker's sub-batches one
-// after another, so one lane serves them all.
+// after another, so one lane, sized for one of them, serves them all.
 func (x *simExec) spawn(id int) {
-	x.l.enlist(id, 1, min(x.l.cfg.Workers[id].MaxBatch, x.l.ds.N()))
+	x.l.enlist(id, 1)
 	x.iters = append(x.iters, simIter{deliver: func() {
 		x.out = x.iters[id].done
 		x.msg.Done = &x.out
@@ -219,7 +219,7 @@ func (x *simExec) accept(msg *transport.Done, _ *inflightDispatch) {
 		it.deferred = false
 		lr := it.lr
 		if d := l.cfg.StaleDamping; d > 0 {
-			lr /= 1 + d*float64(l.rec.updates()-it.seen)
+			lr /= 1 + float64(d*float64(l.rec.updates()-it.seen))
 		}
 		msg.Updates, msg.Dropped = l.step.steps(w, w.replica, l.global, it.batch, lr, it.corrupt)
 	}

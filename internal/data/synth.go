@@ -186,7 +186,7 @@ func generate(s SynthSpec, seed uint64) *Dataset {
 				for _, l := range labels {
 					sum += centers.At(int(l), j)
 				}
-				vals[t] = sum*inv + rng.NormFloat64()*s.Noise
+				vals[t] = float64(sum*inv) + float64(rng.NormFloat64()*s.Noise)
 			}
 			appendRow(i)
 		}
@@ -200,7 +200,7 @@ func generate(s SynthSpec, seed uint64) *Dataset {
 		d.Y.Class[i] = c
 		sampleSupport(rng, s.Dim, support)
 		for t, j := range support {
-			vals[t] = centers.At(c, j) + rng.NormFloat64()*s.Noise
+			vals[t] = centers.At(c, j) + float64(rng.NormFloat64()*s.Noise)
 		}
 		appendRow(i)
 	}

@@ -138,7 +138,7 @@ func (d *CPUDevice) threadFlops(subBatch float64) float64 {
 	// Saturating interpolation: at subBatch = GemmSaturation the thread
 	// reaches the midpoint between GEMV and GEMM throughput.
 	frac := subBatch / (subBatch + d.GemmSaturation)
-	return d.GemvFlops + (d.GemmFlops-d.GemvFlops)*frac
+	return d.GemvFlops + float64((d.GemmFlops-d.GemvFlops)*frac)
 }
 
 // IterTime implements Device. The batch is split into WorkerThreads
@@ -180,7 +180,7 @@ func effectiveModelBytes(arch nn.Arch, modelBytes int64, b float64) float64 {
 	dims := arch.LayerDims()
 	firstBytes := float64(dims[0]) * float64(dims[1]) * 8
 	union := 1 - math.Pow(1-p, b)
-	return float64(modelBytes) - firstBytes*(1-union)
+	return float64(modelBytes) - float64(firstBytes*(1-union))
 }
 
 // EvalTime implements Device: forward-only pass at GEMM throughput with all
@@ -272,12 +272,12 @@ func (d *GPUDevice) IterTime(arch nn.Arch, batchSize int, modelBytes int64) time
 	}
 	flops := float64(batchSize) * arch.FlopsPerExample()
 	compute := flops / (d.PeakFlops * d.efficiency(batchSize))
-	kernels := float64(arch.NumLayers()*6) * d.KernelLaunch.Seconds()
+	kernels := float64(float64(arch.NumLayers()*6) * d.KernelLaunch.Seconds())
 	// Sparse batches cross PCIe in CSR form (16 B per nonzero); the model
 	// replica itself stays dense either way.
-	batchBytes := float64(batchSize) * arch.InputBytesPerExample()
-	transfer := (2*float64(modelBytes) + batchBytes) / d.PCIeBandwidth
-	latency := 3 * d.PCIeLatency.Seconds() // model down, batch down, model up
+	batchBytes := float64(float64(batchSize) * arch.InputBytesPerExample())
+	transfer := (float64(2*float64(modelBytes)) + batchBytes) / d.PCIeBandwidth
+	latency := float64(3 * d.PCIeLatency.Seconds()) // model down, batch down, model up
 	return secondsToDuration(compute + kernels + transfer + latency)
 }
 
@@ -286,7 +286,7 @@ func (d *GPUDevice) IterTime(arch nn.Arch, batchSize int, modelBytes int64) time
 func (d *GPUDevice) EvalTime(arch nn.Arch, n int) time.Duration {
 	flops := float64(n) * arch.FlopsPerExample() / 3
 	compute := flops / (d.PeakFlops * d.efficiency(n))
-	kernels := float64(arch.NumLayers()*2) * d.KernelLaunch.Seconds()
+	kernels := float64(float64(arch.NumLayers()*2) * d.KernelLaunch.Seconds())
 	batchBytes := float64(n) * arch.InputBytesPerExample()
 	transfer := batchBytes/d.PCIeBandwidth + d.PCIeLatency.Seconds()
 	return secondsToDuration(compute + kernels + transfer)
@@ -326,8 +326,8 @@ func SpeedSplit(arch nn.Arch, total int, cpu, gpu Device, gpuSkew float64) (cpuB
 	modelBytes := int64(arch.NumParameters()) * 8
 	probe := max(total/2, 1)
 	cpuRate := float64(probe) / cpu.IterTime(arch, probe, modelBytes).Seconds()
-	gpuRate := float64(probe) / gpu.IterTime(arch, probe, modelBytes).Seconds() * gpuSkew
-	cpuBatch = int(cpuRate/(cpuRate+gpuRate)*float64(total) + 0.5)
+	gpuRate := float64(float64(probe) / gpu.IterTime(arch, probe, modelBytes).Seconds() * gpuSkew)
+	cpuBatch = int(float64(cpuRate/(cpuRate+gpuRate)*float64(total)) + 0.5)
 	cpuBatch = min(max(cpuBatch, 1), total-1)
 	return cpuBatch, total - cpuBatch
 }

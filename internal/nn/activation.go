@@ -75,7 +75,7 @@ func applyActivationGrad(k ActKind, activations, delta []float64) {
 		}
 	case ActTanh:
 		for i, a := range activations {
-			delta[i] *= 1 - a*a
+			delta[i] *= 1 - float64(a*a)
 		}
 	case ActIdentity:
 	}

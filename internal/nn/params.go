@@ -146,7 +146,7 @@ func (p *Params) AddScaled(a float64, src *Params) {
 func addScaled(dst []float64, a float64, src []float64) {
 	src = src[:len(dst)]
 	for i := range dst {
-		dst[i] += a * src[i]
+		dst[i] += float64(a * src[i])
 	}
 }
 
@@ -199,7 +199,7 @@ func (p *Params) DelayCompensate(lambda float64, now, then *Params) {
 	}
 	g, nw, tw := p.Data, now.Data[:len(p.Data)], then.Data[:len(p.Data)]
 	for i, gv := range g {
-		g[i] = gv + lambda*gv*gv*(nw[i]-tw[i])
+		g[i] = gv + float64(lambda*gv*gv*(nw[i]-tw[i]))
 	}
 }
 

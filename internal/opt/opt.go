@@ -149,7 +149,7 @@ func (m *momentum) Step(grad, delta *nn.Params, lr float64) {
 	v, d := m.velocity, delta.Data[:len(m.velocity)]
 	for i, g := range grad.Data[:len(v)] {
 		v[i] = float64(v[i]*m.mu) + g
-		d[i] = 0 + -lr*v[i]
+		d[i] = 0 + float64(-lr*v[i])
 	}
 	delta.ActiveCols = nil
 }
@@ -167,7 +167,7 @@ func (a *adagrad) Name() string { return "adagrad" }
 func (a *adagrad) Step(grad, delta *nn.Params, lr float64) {
 	acc, d := a.accum, delta.Data[:len(a.accum)]
 	for i, g := range grad.Data[:len(acc)] {
-		acc[i] += g * g
+		acc[i] += float64(g * g)
 		d[i] = -lr * g / (math.Sqrt(acc[i]) + a.eps)
 	}
 }
@@ -191,8 +191,8 @@ func (a *adam) Step(grad, delta *nn.Params, lr float64) {
 	b1, b2 := a.beta1, a.beta2
 	m, v, d := a.m, a.v, delta.Data[:len(a.m)]
 	for i, gi := range grad.Data[:len(m)] {
-		m[i] = b1*m[i] + (1-b1)*gi
-		v[i] = b2*v[i] + (1-b2)*gi*gi
+		m[i] = float64(b1*m[i]) + float64((1-b1)*gi)
+		v[i] = float64(b2*v[i]) + float64((1-b2)*gi*gi)
 		mHat := m[i] / c1
 		vHat := v[i] / c2
 		d[i] = -lr * mHat / (math.Sqrt(vHat) + a.eps)

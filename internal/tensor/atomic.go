@@ -85,7 +85,7 @@ func addScaledRow(mode UpdateMode, d []float64, a float64, s []float64) {
 		addScaledAVX(&d[0], a, &s[0], j)
 	}
 	for ; j < len(d); j++ {
-		if v := a * s[j]; v != 0 {
+		if v := float64(a * s[j]); v != 0 {
 			d[j] += v
 		}
 	}
@@ -141,7 +141,7 @@ func ApplyUpdateCols(mode UpdateMode, dst *Matrix, a float64, src *Matrix, cols 
 		d, s := dst.Row(i), src.Row(i)
 		mu := lockRow(mode, d)
 		for _, j := range cols {
-			if v := a * s[j]; v != 0 {
+			if v := float64(a * s[j]); v != 0 {
 				d[j] += v
 			}
 		}

@@ -3,7 +3,7 @@ package tensor
 // Glue for the order-preserving training kernels (gemmexact_amd64.s), four
 // lanes wide on AVX2 and eight on AVX-512F. They produce exactly the bits of
 // gemmRangeGo: they vectorise across the independent outputs c[i][j], never
-// across the reduction over p, and keep multiply and add as two roundings.
+// across the reduction over p, and take each term as one fused multiply-add.
 // Only the n mod 4 columns run the Go loops; the dot form's rows that do not
 // fill a tile take the one-row kernel.
 

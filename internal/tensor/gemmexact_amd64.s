@@ -2,17 +2,17 @@
 // shared-model write (see gemmexact.go and atomic.go).
 //
 // The exactness rule: vectorise across independent outputs, never across the
-// reduction; multiply and add are two separately rounded instructions (no
-// VFMADD in any GEMM or write kernel); every output sees the additions the
-// scalar Go loop gives it, in the same ascending-p order. Only reached after
-// runtime CPUID detection (exactKernels, and wideKernels for AVX-512F).
+// reduction; each GEMM term is one fused multiply-add (VFMADD231PD, one
+// rounding), as math.FMA is in the scalar Go loop, and every output sees the
+// terms in the same ascending-p order; the dot forms' alpha epilogue and the
+// shared-model write keep multiply and add as two roundings. Only reached
+// after runtime CPUID detection (exactKernels, and wideKernels for AVX-512F).
 
 #include "textflag.h"
 
-// AXPY(off, acc, tmp): acc += Y12 · b[off:off+4], b row at R11.
-#define AXPY(off, acc, tmp) \
-	VMULPD off(R11), Y12, tmp; \
-	VADDPD tmp, acc, acc
+// AXPY(off, acc): acc += Y12 · b[off:off+4], b row at R11, fused.
+#define AXPY(off, acc) \
+	VFMADD231PD off(R11), Y12, acc
 
 // NEXTROW: broadcast s[q] into Y12 and point R11 at b[off[q]], q in AX.
 #define NEXTROW \
@@ -72,18 +72,18 @@ go48:
 	JMP  test48
 loop48:
 	NEXTROW
-	AXPY(0, Y0, Y13)
-	AXPY(32, Y1, Y14)
-	AXPY(64, Y2, Y15)
-	AXPY(96, Y3, Y13)
-	AXPY(128, Y4, Y14)
-	AXPY(160, Y5, Y15)
-	AXPY(192, Y6, Y13)
-	AXPY(224, Y7, Y14)
-	AXPY(256, Y8, Y15)
-	AXPY(288, Y9, Y13)
-	AXPY(320, Y10, Y14)
-	AXPY(352, Y11, Y15)
+	AXPY(0, Y0)
+	AXPY(32, Y1)
+	AXPY(64, Y2)
+	AXPY(96, Y3)
+	AXPY(128, Y4)
+	AXPY(160, Y5)
+	AXPY(192, Y6)
+	AXPY(224, Y7)
+	AXPY(256, Y8)
+	AXPY(288, Y9)
+	AXPY(320, Y10)
+	AXPY(352, Y11)
 	INCQ AX
 test48:
 	CMPQ AX, CX
@@ -125,10 +125,10 @@ go16:
 	JMP  test16
 loop16:
 	NEXTROW
-	AXPY(0, Y0, Y13)
-	AXPY(32, Y1, Y14)
-	AXPY(64, Y2, Y15)
-	AXPY(96, Y3, Y13)
+	AXPY(0, Y0)
+	AXPY(32, Y1)
+	AXPY(64, Y2)
+	AXPY(96, Y3)
 	INCQ AX
 test16:
 	CMPQ AX, CX
@@ -154,7 +154,7 @@ go4:
 	JMP  test4
 loop4:
 	NEXTROW
-	AXPY(0, Y0, Y13)
+	AXPY(0, Y0)
 	INCQ AX
 test4:
 	CMPQ AX, CX
@@ -169,11 +169,11 @@ done:
 	VZEROUPPER
 	RET
 
-// DOT(off, bt, arow, acc, tmp): acc += broadcast(arow[off]) · bt.
+// DOT(off, bt, arow, acc, tmp): acc += broadcast(arow[off]) · bt, fused;
+// tmp holds the broadcast.
 #define DOT(off, bt, arow, acc, tmp) \
 	VBROADCASTSD off(arow), tmp; \
-	VMULPD bt, tmp, tmp;         \
-	VADDPD tmp, acc, acc
+	VFMADD231PD bt, tmp, acc
 
 // func dotTilesAVX(a *float64, aStride int, b *float64, bStride int, k int, c *float64, cStride int, tiles int, alpha float64)
 //
@@ -349,16 +349,13 @@ addDone:
 	VPERM2F128 $0x31, Y10, Y8, Y6;  \
 	VPERM2F128 $0x31, Y11, Y9, Y7
 
-// MAC4(acc): acc += a[p]·Bᵀ[p], then a[p+1]·Bᵀ[p+1], … — ascending p.
+// MAC4(acc): acc += a[p]·Bᵀ[p], then a[p+1]·Bᵀ[p+1], … — ascending p, each
+// term fused.
 #define MAC4(acc) \
-	VMULPD Y4, Y12, Y8;  \
-	VADDPD Y8, acc, acc; \
-	VMULPD Y5, Y13, Y9;  \
-	VADDPD Y9, acc, acc; \
-	VMULPD Y6, Y14, Y10; \
-	VADDPD Y10, acc, acc; \
-	VMULPD Y7, Y15, Y11; \
-	VADDPD Y11, acc, acc
+	VFMADD231PD Y4, Y12, acc; \
+	VFMADD231PD Y5, Y13, acc; \
+	VFMADD231PD Y6, Y14, acc; \
+	VFMADD231PD Y7, Y15, acc
 
 // MAC1(base, acc): acc += a[p]·Bᵀ[p] for one p, gathering lane q from the
 // B row at base + q·BX; a[p] is broadcast in Y12.
@@ -368,8 +365,7 @@ addDone:
 	VMOVSD (base)(BX*2), X5;          \
 	VMOVHPD (base)(R15*1), X5, X5;    \
 	VINSERTF128 $1, X5, Y4, Y4;       \
-	VMULPD Y4, Y12, Y8;               \
-	VADDPD Y8, acc, acc
+	VFMADD231PD Y4, Y12, acc
 
 // func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)
 //
@@ -500,12 +496,11 @@ rowDone:
 // hosts whose CPUID reports AVX512F and whose OS saves ZMM state
 // (wideKernels). They use AVX512F instructions only: registers are zeroed
 // with VPXORQ (VXORPD on ZMM needs DQ), and the rule above holds lane for
-// lane — no VFMADD, every chain in ascending p.
+// lane — one VFMADD231PD per term, every chain in ascending p.
 
-// AXPYZ(off, acc, tmp): acc += Z12 · b[off:off+8], b row at R11.
-#define AXPYZ(off, acc, tmp) \
-	VMULPD off(R11), Z12, tmp; \
-	VADDPD tmp, acc, acc
+// AXPYZ(off, acc): acc += Z12 · b[off:off+8], b row at R11, fused.
+#define AXPYZ(off, acc) \
+	VFMADD231PD off(R11), Z12, acc
 
 // NEXTROWZ: broadcast s[q] into Z12 and point R11 at b[off[q]], q in AX.
 #define NEXTROWZ \
@@ -563,18 +558,18 @@ go96:
 	JMP  test96
 loop96:
 	NEXTROWZ
-	AXPYZ(0, Z0, Z13)
-	AXPYZ(64, Z1, Z14)
-	AXPYZ(128, Z2, Z15)
-	AXPYZ(192, Z3, Z16)
-	AXPYZ(256, Z4, Z17)
-	AXPYZ(320, Z5, Z18)
-	AXPYZ(384, Z6, Z19)
-	AXPYZ(448, Z7, Z20)
-	AXPYZ(512, Z8, Z21)
-	AXPYZ(576, Z9, Z22)
-	AXPYZ(640, Z10, Z23)
-	AXPYZ(704, Z11, Z24)
+	AXPYZ(0, Z0)
+	AXPYZ(64, Z1)
+	AXPYZ(128, Z2)
+	AXPYZ(192, Z3)
+	AXPYZ(256, Z4)
+	AXPYZ(320, Z5)
+	AXPYZ(384, Z6)
+	AXPYZ(448, Z7)
+	AXPYZ(512, Z8)
+	AXPYZ(576, Z9)
+	AXPYZ(640, Z10)
+	AXPYZ(704, Z11)
 	INCQ AX
 test96:
 	CMPQ AX, CX
@@ -616,10 +611,10 @@ go32:
 	JMP  test32
 loop32:
 	NEXTROWZ
-	AXPYZ(0, Z0, Z13)
-	AXPYZ(64, Z1, Z14)
-	AXPYZ(128, Z2, Z15)
-	AXPYZ(192, Z3, Z16)
+	AXPYZ(0, Z0)
+	AXPYZ(64, Z1)
+	AXPYZ(128, Z2)
+	AXPYZ(192, Z3)
 	INCQ AX
 test32:
 	CMPQ AX, CX
@@ -645,7 +640,7 @@ go8:
 	JMP  test8
 loop8:
 	NEXTROWZ
-	AXPYZ(0, Z0, Z13)
+	AXPYZ(0, Z0)
 	INCQ AX
 test8:
 	CMPQ AX, CX
@@ -668,7 +663,7 @@ go4w:
 	JMP  test4w
 loop4w:
 	NEXTROW
-	AXPY(0, Y0, Y13)
+	AXPY(0, Y0)
 	INCQ AX
 test4w:
 	CMPQ AX, CX
@@ -680,24 +675,17 @@ wideDone:
 	RET
 
 // MACZ(off, bt): Z0..Z7 += broadcast(a_r[p]) · bt for the eight A rows at
-// R8 + r·AX (r < 4) and R9 + (r−4)·AX (R10 = 3·AX), a[p] at off past each.
+// R8 + r·AX (r < 4) and R9 + (r−4)·AX (R10 = 3·AX), a[p] at off past each,
+// each term fused.
 #define MACZ(off, bt) \
-	VMULPD.BCST off(R8), bt, Z8;          \
-	VADDPD Z8, Z0, Z0;                    \
-	VMULPD.BCST off(R8)(AX*1), bt, Z9;    \
-	VADDPD Z9, Z1, Z1;                    \
-	VMULPD.BCST off(R8)(AX*2), bt, Z10;   \
-	VADDPD Z10, Z2, Z2;                   \
-	VMULPD.BCST off(R8)(R10*1), bt, Z11;  \
-	VADDPD Z11, Z3, Z3;                   \
-	VMULPD.BCST off(R9), bt, Z12;         \
-	VADDPD Z12, Z4, Z4;                   \
-	VMULPD.BCST off(R9)(AX*1), bt, Z13;   \
-	VADDPD Z13, Z5, Z5;                   \
-	VMULPD.BCST off(R9)(AX*2), bt, Z14;   \
-	VADDPD Z14, Z6, Z6;                   \
-	VMULPD.BCST off(R9)(R10*1), bt, Z15;  \
-	VADDPD Z15, Z7, Z7
+	VFMADD231PD.BCST off(R8), bt, Z0;          \
+	VFMADD231PD.BCST off(R8)(AX*1), bt, Z1;    \
+	VFMADD231PD.BCST off(R8)(AX*2), bt, Z2;    \
+	VFMADD231PD.BCST off(R8)(R10*1), bt, Z3;   \
+	VFMADD231PD.BCST off(R9), bt, Z4;          \
+	VFMADD231PD.BCST off(R9)(AX*1), bt, Z5;    \
+	VFMADD231PD.BCST off(R9)(AX*2), bt, Z6;    \
+	VFMADD231PD.BCST off(R9)(R10*1), bt, Z7
 
 // GATHER4(base, lo, hi): lo = b_0[p] b_1[p] and hi = b_2[p] b_3[p] for the
 // four B rows at base + q·BX (R15 = 3·BX), one p.
@@ -857,24 +845,16 @@ storeZ:
 	RET
 
 // MACROW(acc): acc += broadcast(a[p+x])·Bᵀ[p+x] for x = 0..7, a row at R8,
-// Bᵀ in Z24..Z31 — ascending p.
+// Bᵀ in Z24..Z31 — ascending p, each term fused.
 #define MACROW(acc) \
-	VMULPD.BCST 0(R8), Z24, Z2;  \
-	VADDPD Z2, acc, acc;         \
-	VMULPD.BCST 8(R8), Z25, Z3;  \
-	VADDPD Z3, acc, acc;         \
-	VMULPD.BCST 16(R8), Z26, Z4; \
-	VADDPD Z4, acc, acc;         \
-	VMULPD.BCST 24(R8), Z27, Z5; \
-	VADDPD Z5, acc, acc;         \
-	VMULPD.BCST 32(R8), Z28, Z6; \
-	VADDPD Z6, acc, acc;         \
-	VMULPD.BCST 40(R8), Z29, Z7; \
-	VADDPD Z7, acc, acc;         \
-	VMULPD.BCST 48(R8), Z30, Z2; \
-	VADDPD Z2, acc, acc;         \
-	VMULPD.BCST 56(R8), Z31, Z3; \
-	VADDPD Z3, acc, acc
+	VFMADD231PD.BCST 0(R8), Z24, acc;  \
+	VFMADD231PD.BCST 8(R8), Z25, acc;  \
+	VFMADD231PD.BCST 16(R8), Z26, acc; \
+	VFMADD231PD.BCST 24(R8), Z27, acc; \
+	VFMADD231PD.BCST 32(R8), Z28, acc; \
+	VFMADD231PD.BCST 40(R8), Z29, acc; \
+	VFMADD231PD.BCST 48(R8), Z30, acc; \
+	VFMADD231PD.BCST 56(R8), Z31, acc
 
 // func dotRowAVX512(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)
 //
@@ -925,10 +905,8 @@ tail16Z:
 single16Z:
 	GATHERZ(R12, R13, Z16)
 	GATHERZ(R14, DX, Z17)
-	VMULPD.BCST (R8), Z16, Z2
-	VADDPD Z2, Z0, Z0
-	VMULPD.BCST (R8), Z17, Z3
-	VADDPD Z3, Z1, Z1
+	VFMADD231PD.BCST (R8), Z16, Z0
+	VFMADD231PD.BCST (R8), Z17, Z1
 	ADDQ $8, R8
 	ADDQ $8, R12
 	ADDQ $8, R13
@@ -979,8 +957,7 @@ tail8Z:
 	JZ   store8Z
 single8Z:
 	GATHERZ(R12, R13, Z16)
-	VMULPD.BCST (R8), Z16, Z2
-	VADDPD Z2, Z0, Z0
+	VFMADD231PD.BCST (R8), Z16, Z0
 	ADDQ $8, R8
 	ADDQ $8, R12
 	ADDQ $8, R13
@@ -1090,4 +1067,46 @@ sigmoidLoop:
 sigmoidDone:
 	MOVQ AX, ret+16(FP)
 	VZEROUPPER
+	RET
+
+// func spmmDotFMA(c *float64, cStride int, rowPtr *int, colIdx *int, val *float64, b *float64, rows int, alpha float64)
+//
+// The sparse forward for one unit: for r < rows, c[r·cStride] (stride in
+// bytes) += alpha · Σ_t val[t]·b[colIdx[t]] over t in [rowPtr[r],
+// rowPtr[r+1]), the sum from +0 with one VFMADD231SD per term in ascending t
+// and alpha after the last term, multiply and add rounded apart — what
+// spmmRange's Go loop does with math.FMA, without its per-term CPUID test.
+TEXT ·spmmDotFMA(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DI
+	MOVQ cStride+8(FP), R8
+	MOVQ rowPtr+16(FP), SI
+	MOVQ colIdx+24(FP), R9
+	MOVQ val+32(FP), R10
+	MOVQ b+40(FP), R11
+	MOVQ rows+48(FP), CX
+	VMOVSD alpha+56(FP), X1
+	TESTQ CX, CX
+	JLE  spDone
+spRow:
+	MOVQ (SI), AX
+	MOVQ 8(SI), DX
+	VXORPD X0, X0, X0
+	CMPQ AX, DX
+	JGE  spStore
+spTerm:
+	MOVQ (R9)(AX*8), BX
+	VMOVSD (R10)(AX*8), X2
+	VFMADD231SD (R11)(BX*8), X2, X0
+	INCQ AX
+	CMPQ AX, DX
+	JLT  spTerm
+spStore:
+	VMULSD X1, X0, X0
+	VADDSD (DI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ R8, DI
+	ADDQ $8, SI
+	DECQ CX
+	JNZ  spRow
+spDone:
 	RET

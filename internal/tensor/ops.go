@@ -1,14 +1,18 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Gemm computes C = alpha * op(A) * op(B) + beta * C, where op(X) is X or
 // Xᵀ according to transA/transB. It panics on shape mismatch.
 //
 // Every output element is built by the same operations in the same order on
 // every path — beta·C first, then the terms in ascending inner index p, each
-// a separately rounded multiply and add — so the AVX2 and AVX-512F kernels
-// (gemmexact.go, chosen by CPUID) and the Go loops below agree bit for bit.
+// one fused multiply-add (math.FMA, VFMADD231PD: one rounding) — so the AVX2
+// and AVX-512F kernels (gemmexact.go, chosen by CPUID) and the Go loops below
+// agree bit for bit on every platform.
 func Gemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	m, _ := gemmShape(transA, transB, a, b, c)
 	gemmRange(transA, transB, alpha, a, b, beta, c, 0, m)
@@ -72,10 +76,6 @@ func scaleRows(c *Matrix, beta float64, i0, i1, cols int) {
 // gemmRangeGo is gemmRange in portable Go: the reference the kernels are
 // tested against, and the path for their row and column remainders.
 func gemmRangeGo(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix, i0, i1 int) {
-	k := a.Cols
-	if transA {
-		k = a.Rows
-	}
 	scaleRows(c, beta, i0, i1, c.Cols)
 	switch {
 	case !transA && !transB:
@@ -89,13 +89,13 @@ func gemmRangeGo(transA, transB bool, alpha float64, a, b *Matrix, beta float64,
 					continue
 				}
 				for j, bv := range b.Row(p) {
-					crow[j] += s * bv
+					crow[j] = math.FMA(s, bv, crow[j])
 				}
 			}
 		}
 	case transA && !transB:
 		// op(A) row i is column i of A.
-		for p := 0; p < k; p++ {
+		for p := 0; p < a.Rows; p++ {
 			arow, brow := a.Row(p), b.Row(p)
 			for i := i0; i < i1; i++ {
 				s := alpha * arow[i]
@@ -104,7 +104,7 @@ func gemmRangeGo(transA, transB bool, alpha float64, a, b *Matrix, beta float64,
 				}
 				crow := c.Row(i)
 				for j, bv := range brow {
-					crow[j] += s * bv
+					crow[j] = math.FMA(s, bv, crow[j])
 				}
 			}
 		}
@@ -112,49 +112,43 @@ func gemmRangeGo(transA, transB bool, alpha float64, a, b *Matrix, beta float64,
 		// C[i][j] += alpha * dot(A row i, B row j). Rows are register-
 		// blocked in fours: each loaded B element feeds four independent
 		// accumulator chains, which amortizes B's memory traffic across
-		// rows and hides add latency (a single-row dot product is bound by
+		// rows and hides FMA latency (a single-row dot product is bound by
 		// its one serial dependency chain). Per-element accumulation order
-		// is unchanged, so results stay bit-identical to the plain loop.
-		i := i0
-		for ; i+4 <= i1; i += 4 {
+		// is unchanged, so results stay bit-identical to the plain loop. The
+		// alpha epilogue is two roundings: the conversion forbids fusing it.
+		for ; i0+4 <= i1; i0 += 4 {
+			i := i0
 			a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
 			c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
 			for j := 0; j < c.Cols; j++ {
 				brow := b.Row(j)
 				var s0, s1, s2, s3 float64
 				for p, bv := range brow {
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
+					s0 = math.FMA(a0[p], bv, s0)
+					s1 = math.FMA(a1[p], bv, s1)
+					s2 = math.FMA(a2[p], bv, s2)
+					s3 = math.FMA(a3[p], bv, s3)
 				}
-				c0[j] += alpha * s0
-				c1[j] += alpha * s1
-				c2[j] += alpha * s2
-				c3[j] += alpha * s3
+				c0[j] += float64(alpha * s0)
+				c1[j] += float64(alpha * s1)
+				c2[j] += float64(alpha * s2)
+				c3[j] += float64(alpha * s3)
 			}
 		}
-		for ; i < i1; i++ {
-			arow, crow := a.Row(i), c.Row(i)
-			for j := 0; j < c.Cols; j++ {
-				brow := b.Row(j)
-				sum := 0.0
-				for p, av := range arow {
-					sum += av * brow[p]
-				}
-				crow[j] += alpha * sum
-			}
+		fallthrough
+	default: // Aᵀ·Bᵀ, and the rows of A·Bᵀ that do not come in fours
+		rowStep, colStep := a.Stride, 1 // op(A)[i][p] = a.Data[i*rowStep+p*colStep]
+		if transA {
+			rowStep, colStep = 1, a.Stride
 		}
-	default: // transA && transB
 		for i := i0; i < i1; i++ {
 			crow := c.Row(i)
 			for j := 0; j < c.Cols; j++ {
-				brow := b.Row(j)
 				sum := 0.0
-				for p := 0; p < k; p++ {
-					sum += a.At(p, i) * brow[p]
+				for p, bv := range b.Row(j) {
+					sum = math.FMA(a.Data[i*rowStep+p*colStep], bv, sum)
 				}
-				crow[j] += alpha * sum
+				crow[j] += float64(alpha * sum)
 			}
 		}
 	}

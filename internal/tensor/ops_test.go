@@ -64,9 +64,10 @@ func TestGemmBetaZeroOverwritesNaN(t *testing.T) {
 }
 
 // refGemm is the order every Gemm path must reproduce bit for bit, as a
-// plain triple loop: beta·C first, then the terms in ascending p, multiply
-// and add rounded separately; the axpy forms (B not transposed) skip a term
-// whose alpha·a is zero, the dot forms sum first and scale by alpha after.
+// plain triple loop: beta·C first, then the terms in ascending p, each one
+// fused multiply-add; the axpy forms (B not transposed) skip a term whose
+// alpha·a is zero, the dot forms sum from +0 first and then add alpha·sum,
+// multiply and add rounded separately.
 func refGemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	at := func(m *Matrix, trans bool, i, j int) float64 {
 		if trans {
@@ -89,13 +90,13 @@ func refGemm(transA, transB bool, alpha float64, a, b *Matrix, beta float64, c *
 			if transB {
 				sum := 0.0
 				for p := 0; p < k; p++ {
-					sum += at(a, transA, i, p) * at(b, true, p, j)
+					sum = math.FMA(at(a, transA, i, p), at(b, true, p, j), sum)
 				}
-				v += alpha * sum
+				v += float64(alpha * sum)
 			} else {
 				for p := 0; p < k; p++ {
 					if s := alpha * at(a, transA, i, p); s != 0 {
-						v += s * b.At(p, j)
+						v = math.FMA(s, b.At(p, j), v)
 					}
 				}
 			}
@@ -179,7 +180,7 @@ func kernelSet() string {
 // dense-adaptive's 64-row batch on its 256-wide layers, in eight-row tiles.
 func TestGemmBitExact(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skip("bit-exact trajectories are pinned for amd64; other ports may fuse multiply-add")
+		t.Skip("bit-exact trajectories are verified on amd64 only (scripts/fused.sh pins what arm64 fuses)")
 	}
 	t.Logf("kernel set detected: %s", kernelSet())
 	forEachKernelSet(t, func(set string) {
@@ -203,7 +204,63 @@ func TestGemmBitExact(t *testing.T) {
 		for _, form := range [][2]bool{{false, true}, {false, false}, {true, false}} {
 			checkGemmBits(t, rng, set+" dense-adaptive", 64, 256, 256, form[0], form[1], true)
 		}
+		for _, sh := range append(append(shapes, forward...), [3]int{64, 256, 256}) {
+			for form := range 3 {
+				checkGemmFused(t, fmt.Sprintf("%s fused shape %v", set, sh), sh[0], sh[1], sh[2], form == 2, form == 0)
+			}
+		}
 	})
+}
+
+// checkGemmFused runs m×k×n GEMMs of one form whose every output tells a
+// fused multiply-add from a multiply and an add: op(B) is all b = 1−2⁻³⁰, and
+// row i of op(A) is zero but for −1 at p0 and 1+2⁻³⁰ at p1 > p0. The row's
+// chain reaches −b, then adds (1+2⁻³⁰)·b = 1−2⁻⁶⁰, which rounds to 1 unfused:
+// fused, each output is alpha·(2⁻³⁰−2⁻⁶⁰); unfused, alpha·2⁻³⁰. p1 takes eight
+// consecutive places per row, so every lane meets the fused term at every
+// offset of its kernel's unrolled loop and in its single-term tail.
+func checkGemmFused(t *testing.T, name string, m, k, n int, transA, transB bool) {
+	t.Helper()
+	if k < 2 {
+		return
+	}
+	const b1 = 1 - 0x1p-30
+	for shift := range 8 {
+		for _, alpha := range []float64{1, -0.5} {
+			a, b := NewMatrix(m, k), NewMatrix(k, n)
+			if transA {
+				a = NewMatrix(k, m)
+			}
+			if transB {
+				b = NewMatrix(n, k)
+			}
+			b.Fill(b1)
+			for i := 0; i < m; i++ {
+				p1 := k - 1 - (i+shift)%(k-1)
+				for p, v := range map[int]float64{p1 - 1 - (i % p1): -1, p1: 1 + 0x1p-30} {
+					if transA {
+						a.Set(p, i, v)
+					} else {
+						a.Set(i, p, v)
+					}
+				}
+			}
+			c, par := NewMatrix(m, n), NewMatrix(m, n)
+			want := NewMatrix(m, n)
+			refGemm(transA, transB, alpha, a, b, 1, want)
+			Gemm(transA, transB, alpha, a, b, 1, c)
+			ParallelGemm(transA, transB, alpha, a, b, 1, par, 3)
+			for i, v := range want.Data {
+				if v != alpha*(0x1p-30-0x1p-60) {
+					t.Fatalf("%s: reference output %d is %v, not the fused %v", name, i, v, alpha*(0x1p-30-0x1p-60))
+				}
+			}
+			if !sameBits(c.Data, want.Data) || !sameBits(par.Data, want.Data) {
+				t.Fatalf("%s: %d×%d×%d transA=%v transB=%v alpha=%v shift=%d: a term was not one fused multiply-add",
+					name, m, k, n, transA, transB, alpha, shift)
+			}
+		}
+	}
 }
 
 // checkGemmBits runs one random m×k×n GEMM of the given form on strided
@@ -250,8 +307,11 @@ func checkGemmBits(t *testing.T, rng *rand.Rand, name string, m, k, n int, trans
 
 // gemmEdges are the operand values where an order-preserving kernel and the
 // Go loops part ways if either is wrong: signed zeros (the axpy skip, a -0
-// sum), non-finite values (0·Inf) and subnormals.
-var gemmEdges = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-310, 1}
+// sum), non-finite values (0·Inf), subnormals, and 1±2⁻³⁰ and −1, whose
+// products and sums a multiply and an add round where one fused
+// multiply-add does not.
+var gemmEdges = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -2.5e-310, 1,
+	1 + 0x1p-30, 1 - 0x1p-30, -1, -1 + 0x1p-30, 0x1p-30, 1 + 0x1p-29, -0.5, 2}
 
 // FuzzGemmExact: gemmRange equals gemmRangeGo bit for bit under every
 // kernel set the host has, for any shape, form, row range, alpha and beta.
@@ -273,7 +333,7 @@ func FuzzGemmExact(f *testing.F) {
 			for i := range x.Data {
 				switch v := raw[e%len(raw)]; {
 				case v < 64:
-					x.Data[i] = gemmEdges[v%8]
+					x.Data[i] = gemmEdges[v%16]
 				case v < 96:
 					x.Data[i] = math.Float64frombits(uint64(v)*0x9e3779b97f4a7c15 ^ uint64(e)*0xbf58476d1ce4e5b9)
 				default:

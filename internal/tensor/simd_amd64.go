@@ -57,6 +57,9 @@ func dotRowAVX512(a *float64, b *float64, bStride int, k int, c *float64, n int,
 func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, alpha float64)
 
 //go:noescape
+func spmmDotFMA(c *float64, cStride int, rowPtr *int, colIdx *int, val *float64, b *float64, rows int, alpha float64)
+
+//go:noescape
 func addScaledAVX(d *float64, a float64, s *float64, n int)
 
 //go:noescape

@@ -28,6 +28,10 @@ func dotRowAVX(a *float64, b *float64, bStride int, k int, c *float64, n int, al
 	panic("tensor: dotRowAVX called without SIMD support")
 }
 
+func spmmDotFMA(c *float64, cStride int, rowPtr *int, colIdx *int, val *float64, b *float64, rows int, alpha float64) {
+	panic("tensor: spmmDotFMA called without SIMD support")
+}
+
 func addScaledAVX(d *float64, a float64, s *float64, n int) {
 	panic("tensor: addScaledAVX called without SIMD support")
 }

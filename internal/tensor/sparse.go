@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -192,17 +193,23 @@ func spmmRange(transB bool, alpha float64, a *CSR, b *Matrix, beta float64, c *M
 		// C[i][j] += alpha * Σ_t vals[t] * B[j][cols[t]] — a gather over
 		// row j of B. Units are outermost so that one row of B stays in
 		// cache while every batch row of the chunk gathers from it; each
-		// C[i][j] still sums its terms from zero in ascending t.
+		// C[i][j] still sums its terms from zero in ascending t, each term
+		// one fused multiply-add as in the dense forward, so a sparse row
+		// gets the bits of its densified twin (serving relies on it).
 		for j := 0; j < c.Cols; j++ {
 			brow := b.Row(j)
+			if exactKernels && i0 < i1 && len(a.ColIdx) > 0 {
+				spmmDotFMA(&c.Data[i0*c.Stride+j], c.Stride*8, &a.RowPtr[i0], &a.ColIdx[0], &a.Val[0], &brow[0], i1-i0, alpha)
+				continue
+			}
 			for i := i0; i < i1; i++ {
 				lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 				cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
 				sum := 0.0
 				for t, p := range cols {
-					sum += vals[t] * brow[p]
+					sum = math.FMA(vals[t], brow[p], sum)
 				}
-				c.Data[i*c.Stride+j] += alpha * sum
+				c.Data[i*c.Stride+j] += float64(alpha * sum)
 			}
 		}
 		return
@@ -219,7 +226,7 @@ func spmmRange(transB bool, alpha float64, a *CSR, b *Matrix, beta float64, c *M
 			}
 			brow := b.Row(p)
 			for j, bv := range brow {
-				crow[j] += s * bv
+				crow[j] += float64(s * bv)
 			}
 		}
 	}
@@ -261,7 +268,7 @@ func spmmtRange(alpha float64, a *CSR, d *Matrix, beta float64, c *Matrix, j0, j
 			}
 			cols, vals := a.ColIdx[lo:hi], a.Val[lo:hi]
 			for t, p := range cols {
-				crow[p] += s * vals[t]
+				crow[p] += float64(s * vals[t])
 			}
 		}
 	}
@@ -287,7 +294,7 @@ func AddScaledCols(dst *Matrix, a float64, src *Matrix, cols []int) {
 	for i := 0; i < dst.Rows; i++ {
 		d, s := dst.Row(i), src.Row(i)
 		for _, j := range cols {
-			d[j] += a * s[j]
+			d[j] += float64(a * s[j])
 		}
 	}
 }

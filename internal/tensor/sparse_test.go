@@ -277,6 +277,7 @@ func TestCSRRowViewIntoMatchesRowView(t *testing.T) {
 // refSpMM and refSpMMT are the row-major loops the unit-major
 // kernels replaced, kept as the order those kernels must reproduce bit for
 // bit: batch row outermost, scaling each output row just before filling it.
+// The forward's terms are fused multiply-adds, as in the dense forward.
 func refSpMM(alpha float64, a *CSR, b *Matrix, beta float64, c *Matrix) {
 	for i := 0; i < a.Rows; i++ {
 		crow := c.Row(i)
@@ -287,9 +288,9 @@ func refSpMM(alpha float64, a *CSR, b *Matrix, beta float64, c *Matrix) {
 			brow := b.Row(j)
 			sum := 0.0
 			for t, p := range cols {
-				sum += vals[t] * brow[p]
+				sum = math.FMA(vals[t], brow[p], sum)
 			}
-			crow[j] += alpha * sum
+			crow[j] += float64(alpha * sum)
 		}
 	}
 }

@@ -146,7 +146,7 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	sum := 0.0
 	for i := 0; i < m.Rows; i++ {
 		for _, v := range m.Row(i) {
-			sum += v * v
+			sum += float64(v * v)
 		}
 	}
 	return math.Sqrt(sum)

@@ -63,13 +63,7 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 	if err := checkWireSize(net); err != nil {
 		return err
 	}
-	var c *transport.Client
-	var err error
-	if id < 0 {
-		c, err = transport.DialJoin(ctx, addr, opts.Client)
-	} else {
-		c, err = transport.DialWorker(ctx, addr, id, opts.Client)
-	}
+	c, err := transport.DialWorker(ctx, addr, id, opts.Client)
 	if err != nil {
 		return err
 	}
@@ -91,14 +85,15 @@ func RunClusterWorker(ctx context.Context, addr string, id int, net *nn.Network,
 	// built from the two straight into the Client's Done frame. The lane's
 	// workspace is sized for the largest sub-batch a lane can take: the
 	// handshake's LaneRows under the coordinator's lane counts, or the
-	// largest batch cut into opts.Threads. So it costs the same whether or
-	// not a dispatch ever comes.
+	// largest batch cut into opts.Threads. So it, and the link's frame
+	// buffers, cost the same whether or not a dispatch ever comes.
 	model := net.NewParams(nn.InitZero, nil)
 	rows := welcome.LaneRows
 	if opts.Threads > 0 {
 		rows = (welcome.MaxBatch + opts.Threads - 1) / opts.Threads
 	}
 	w := newWorker(&Config{Net: net}, c.ID(), fmt.Sprint(c.ID()), WorkerConfig{}, 1, max(rows, 1))
+	c.Reserve(nn.ParamsWireSize(net))
 	step := laneStep{net: net, decay: welcome.WeightDecay, guard: welcome.Guards, mode: tensor.UpdateRacy, gemm: runtime.GOMAXPROCS(0)}
 
 	handled := 0
@@ -205,7 +200,8 @@ func ClusterTCPOptions(cfg *Config, heartbeat time.Duration, missLimit int) tran
 			WeightDecay: cfg.WeightDecay,
 			Guards:      cfg.Guards,
 		},
-		Metrics: cfg.Metrics,
+		Metrics:    cfg.Metrics,
+		DeltaBytes: nn.ParamsWireSize(cfg.Net),
 	}
 	if st := cfg.Resume; st != nil {
 		opts.Welcome.Resume = true

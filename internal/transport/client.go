@@ -91,24 +91,15 @@ func newClient(addr string, id int, opts ClientOptions, jitterStream uint64) *Cl
 }
 
 // DialWorker connects worker id to the coordinator at addr and completes
-// the Hello/Welcome handshake, retrying with backoff until ctx is done or
-// the attempt budget is spent.
+// the handshake, retrying with backoff until ctx is done or the attempt
+// budget is spent. A negative id attaches a fresh elastic worker to a
+// running coordinator instead: it sends a Join handshake and learns its ID
+// from the Welcome reply (see Client.ID). The run seed in the Welcome lets
+// the joiner rebuild the dataset and replay epoch shuffles like any worker;
+// the current model parameters arrive with its first dispatch. Reconnects
+// after the join use the assigned ID normally.
 func DialWorker(ctx context.Context, addr string, id int, opts ClientOptions) (*Client, error) {
-	c := newClient(addr, id, opts, 0x9e3779b97f4a7c15^uint64(id))
-	if err := c.connect(ctx); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// DialJoin attaches a fresh elastic worker to a running coordinator at
-// addr: instead of claiming a pre-assigned ID, it sends a Join handshake
-// and learns its ID from the Welcome reply (see Client.ID). The run seed in
-// the Welcome lets the joiner rebuild the dataset and replay epoch shuffles
-// like any worker; the current model parameters arrive with its first
-// dispatch. Reconnects after the join use the assigned ID normally.
-func DialJoin(ctx context.Context, addr string, opts ClientOptions) (*Client, error) {
-	c := newClient(addr, -1, opts, 0x9e3779b97f4a7c15)
+	c := newClient(addr, id, opts, 0x9e3779b97f4a7c15^uint64(max(id, 0)))
 	if err := c.connect(ctx); err != nil {
 		return nil, err
 	}
@@ -118,8 +109,8 @@ func DialJoin(ctx context.Context, addr string, opts ClientOptions) (*Client, er
 // Welcome returns the coordinator's handshake reply (run configuration).
 func (c *Client) Welcome() Welcome { return c.welcome }
 
-// ID returns the worker's ID — assigned by the coordinator for a DialJoin
-// client, configured for a DialWorker client.
+// ID returns the worker's ID — assigned by the coordinator for a joiner,
+// the one it dialled with otherwise.
 func (c *Client) ID() int { return c.id }
 
 // Leave announces a graceful departure on the live link: the coordinator
@@ -259,6 +250,16 @@ func (c *Client) DeltaBuf(n int) []byte {
 	defer c.mu.Unlock()
 	c.held = sized(c.takeFree(), doneAt+n+4)
 	return c.held[doneAt : doneAt+n : doneAt+n]
+}
+
+// Reserve sizes the Client's frame buffers for dispatches whose Params, and
+// completions whose Delta, are blob bytes: the read buffer for one Work and
+// one Done frame on the free list. Called before Run, it leaves the first
+// dispatch nothing to allocate, so the buffers cost the same whether or not
+// a dispatch ever comes.
+func (c *Client) Reserve(blob int) {
+	c.rbuf = make([]byte, workHeadLen+blob+4+7)
+	c.free = append(c.free, make([]byte, doneAt+blob+4))
 }
 
 // takeFree pops a frame buffer off the free list, nil when it is empty. c.mu

@@ -35,6 +35,11 @@ type TCPOptions struct {
 	// Metrics, when set, surfaces transport_* counters and the
 	// reconnect-latency histogram in the registry.
 	Metrics *telemetry.Registry
+	// DeltaBytes, when set, is the size of the Delta a completion carries:
+	// ListenTCP then holds a receive buffer of that size for each initial
+	// worker, so the first completions allocate none and a run's buffers
+	// cost the same whether or not a dispatch ever comes.
+	DeltaBytes int
 }
 
 func (o *TCPOptions) defaults() {
@@ -158,10 +163,7 @@ func ListenTCP(addr string, n int, opts TCPOptions) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	maxW := opts.MaxWorkers
-	if maxW < n {
-		maxW = n
-	}
+	maxW := max(opts.MaxWorkers, n)
 	t := &TCP{
 		opts:       opts,
 		ln:         ln,
@@ -174,6 +176,9 @@ func ListenTCP(addr string, n int, opts TCPOptions) (*TCP, error) {
 		delivered:  make([]uint64, maxW),
 	}
 	t.links = t.links[:n]
+	for i := 0; opts.DeltaBytes > 0 && i < n; i++ {
+		t.free = append(t.free, make([]byte, doneHeadLen(Done{})+opts.DeltaBytes+4+7))
+	}
 	for _, id := range opts.Departed {
 		if id < 0 || id >= n {
 			ln.Close()

@@ -6,6 +6,7 @@ import (
 	"net"
 	"testing"
 	"time"
+	"unsafe"
 
 	"heterosgd/internal/faults"
 )
@@ -109,6 +110,61 @@ func TestTCPDispatchComplete(t *testing.T) {
 	if st8.Dispatched != 1 || st8.Completed != 1 || st8.Duplicates != 0 {
 		t.Fatalf("stats = %+v", st8)
 	}
+}
+
+// TestReservedBuffersCarryTheFirstDispatch checks that the buffers put aside
+// before the first dispatch — TCPOptions.DeltaBytes on the coordinator,
+// Client.Reserve on the worker — are the ones its Work and Done land in, so
+// a link's wire buffers cost the same whether or not a dispatch ever comes.
+func TestReservedBuffersCarryTheFirstDispatch(t *testing.T) {
+	coord, err := ListenTCP("127.0.0.1:0", 1, TCPOptions{Heartbeat: 50 * time.Millisecond, DeltaBytes: deltaLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if len(coord.free) != 1 {
+		t.Fatalf("coordinator holds %d Done buffers before any dispatch, want 1", len(coord.free))
+	}
+	reserved := coord.free[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c, err := DialWorker(ctx, coord.Addr(), 0, ClientOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Reserve(deltaLen)
+	rbuf, frame := c.rbuf, c.free[0]
+	ranIn := make(chan bool, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		errCh <- c.Run(ctx, func(w Work) Done {
+			d := c.DeltaBuf(deltaLen)
+			ranIn <- inside(w.Params, rbuf) && inside(d, frame)
+			return Done{Seq: w.Seq, Updates: 1, Delta: fillDelta(d, w.Seq)}
+		})
+	}()
+	if err := coord.WaitForWorkers(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Send(0, Work{Seq: 1, Lo: 0, Hi: 1, Params: make([]byte, deltaLen)}); err != nil {
+		t.Fatal(err)
+	}
+	m := recvDoneMsg(t, coord, 5*time.Second)
+	checkDelta(t, m.Done)
+	if !<-ranIn {
+		t.Error("the worker read the first Work or built its Done outside the buffers Reserve sized")
+	}
+	if !inside(m.Done.Delta, reserved) {
+		t.Error("the first Done was received outside the buffer ListenTCP reserved")
+	}
+	cancel()
+	<-errCh
+}
+
+// inside reports whether b lies within buf's backing array.
+func inside(b, buf []byte) bool {
+	lo, p := uintptr(unsafe.Pointer(unsafe.SliceData(buf))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return len(b) > 0 && p >= lo && p+uintptr(len(b)) <= lo+uintptr(cap(buf))
 }
 
 func TestTCPSendToDetachedWorkerErrLinkDown(t *testing.T) {
@@ -387,7 +443,7 @@ func TestTCPElasticJoinLeaveRetire(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	joiner, err := DialJoin(ctx, coord.Addr(), ClientOptions{Seed: 2, BackoffBase: 5 * time.Millisecond})
+	joiner, err := DialWorker(ctx, coord.Addr(), -1, ClientOptions{Seed: 2, BackoffBase: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +522,7 @@ func TestTCPElasticJoinLeaveRetire(t *testing.T) {
 	// Capacity is full (2 slots): another join must be refused.
 	shortCtx, shortCancel := context.WithTimeout(context.Background(), time.Second)
 	defer shortCancel()
-	if _, err := DialJoin(shortCtx, coord.Addr(), ClientOptions{Seed: 3, MaxAttempts: 2, BackoffBase: 5 * time.Millisecond}); err == nil {
+	if _, err := DialWorker(shortCtx, coord.Addr(), -1, ClientOptions{Seed: 3, MaxAttempts: 2, BackoffBase: 5 * time.Millisecond}); err == nil {
 		t.Fatal("join beyond MaxWorkers accepted")
 	}
 }

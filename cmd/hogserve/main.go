@@ -71,7 +71,6 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 0, "micro-batch ceiling (0 = auto from the device cost model)")
 		maxWait   = flag.Duration("max-wait", 500*time.Microsecond, "max time the first request of a batch waits for company")
 		queueCap  = flag.Int("queue-cap", 0, "admission queue capacity (0 = 4×max-batch)")
-		workers   = flag.Int("workers", 1, "intra-forward parallelism")
 		poolSize  = flag.Int("serve-workers", 1, "inference pool workers, each with a private pre-allocated workspace")
 		adaptive  = flag.Bool("adaptive-batch", false, "adapt the micro-batch ceiling from telemetry instead of the static -max-batch")
 		bench     = flag.Bool("bench", false, "run the load generator instead of serving")
@@ -89,7 +88,6 @@ func main() {
 			Problem:   prob,
 			Clients:   *clients,
 			Window:    *benchTime,
-			Workers:   *workers,
 			Pool:      *poolSize,
 			MaxBatch:  *maxBatch,
 			Sweep:     *bench,
@@ -135,8 +133,7 @@ func main() {
 
 	opts := serve.Options{
 		MaxBatch: *maxBatch, MaxWait: *maxWait, QueueCap: *queueCap,
-		Workers: *workers, PoolWorkers: *poolSize, Adaptive: *adaptive,
-		Metrics: reg,
+		PoolWorkers: *poolSize, Adaptive: *adaptive, Metrics: reg,
 	}
 	b := serve.NewBatcher(pub, opts)
 	defer b.Close()
@@ -314,7 +311,6 @@ type benchConfig struct {
 	Problem   cli.Problem
 	Clients   int
 	Window    time.Duration
-	Workers   int
 	Pool      int
 	MaxBatch  int
 	Sweep     bool
@@ -328,7 +324,6 @@ type benchConfig struct {
 type serveBenchRow struct {
 	MaxBatch      int     `json:"max_batch"`
 	MaxWaitMs     float64 `json:"max_wait_ms"`
-	Workers       int     `json:"workers"`
 	PoolWorkers   int     `json:"pool_workers"`
 	Adaptive      bool    `json:"adaptive"`
 	DurationSec   float64 `json:"duration_sec"`
@@ -525,7 +520,6 @@ func benchSweep(pub *serve.Publisher, ds *data.Dataset, cfg benchConfig, sweep [
 		opts.MaxBatch = mb
 		opts.MaxWait = 500 * time.Microsecond
 		opts.QueueCap = max(2*cfg.Clients, 4*mb)
-		opts.Workers = cfg.Workers
 		row, err := benchOne(pub, ds, cfg.Clients, cfg.Window, opts)
 		if err != nil {
 			return nil, err
@@ -595,7 +589,7 @@ func summarize(baseline, pool []serveBenchRow) *benchSummary {
 func measureAllocs(pub *serve.Publisher, ds *data.Dataset, cfg benchConfig) (*allocReport, error) {
 	opts := serve.Options{
 		MaxBatch: 64, MaxWait: 500 * time.Microsecond,
-		QueueCap: max(2*cfg.Clients, 256), Workers: cfg.Workers, PoolWorkers: cfg.Pool,
+		QueueCap: max(2*cfg.Clients, 256), PoolWorkers: cfg.Pool,
 	}
 	window := min(cfg.Window, time.Second)
 	runtime.GC()
@@ -680,7 +674,6 @@ func benchOne(pub *serve.Publisher, ds *data.Dataset, clients int, window time.D
 	return serveBenchRow{
 		MaxBatch:      o.MaxBatch,
 		MaxWaitMs:     float64(o.MaxWait) / float64(time.Millisecond),
-		Workers:       o.Workers,
 		PoolWorkers:   o.PoolWorkers,
 		Adaptive:      o.Adaptive,
 		DurationSec:   window.Seconds(),
@@ -741,7 +734,7 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	// the concurrent training load.
 	baseRow, err := benchOne(pub, ds, cfg.Clients, baseWindow, serve.Options{
 		MaxBatch: 64, MaxWait: 500 * time.Microsecond,
-		QueueCap: max(2*cfg.Clients, 256), Workers: cfg.Workers, PoolWorkers: 1,
+		QueueCap: max(2*cfg.Clients, 256), PoolWorkers: 1,
 	})
 	if err != nil {
 		cancel()
@@ -756,8 +749,7 @@ func runSoak(cfg benchConfig) (*soakReport, error) {
 	}
 	b := serve.NewBatcher(pub, serve.Options{
 		MaxBatch: maxBatch, MaxWait: 500 * time.Microsecond,
-		QueueCap: max(2*cfg.Clients, 4*maxBatch), Workers: cfg.Workers,
-		PoolWorkers: cfg.Pool, Adaptive: true,
+		QueueCap: max(2*cfg.Clients, 4*maxBatch), PoolWorkers: cfg.Pool, Adaptive: true,
 	})
 	defer b.Close()
 

@@ -17,6 +17,7 @@ import (
 
 	"heterosgd/internal/cli"
 	"heterosgd/internal/core"
+	"heterosgd/internal/device"
 	"heterosgd/internal/experiments"
 )
 
@@ -84,7 +85,7 @@ func main() {
 			cfg := experiments.BaseConfig(alg, p, seed)
 			cfg.BaseLR = lr
 			for i := range cfg.Workers {
-				if cfg.Workers[i].DeepReplica {
+				if cfg.Workers[i].Device.Kind() == device.KindGPU {
 					cfg.Workers[i].MinBatch = gpuMin
 				}
 			}

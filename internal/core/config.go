@@ -537,7 +537,6 @@ func NewConfig(alg Algorithm, net *nn.Network, ds *data.Dataset, p Preset) Confi
 		}
 		return WorkerConfig{
 			Device: gpu, InitialBatch: initial, MinBatch: minB, MaxBatch: maxB,
-			DeepReplica: true,
 		}
 	}
 

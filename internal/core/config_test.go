@@ -113,8 +113,10 @@ func TestNewConfigPresets(t *testing.T) {
 	if cpuW.InitialBatch != cpuW.MinBatch || gpuW.InitialBatch != gpuW.MaxBatch {
 		t.Fatal("adaptive initial batch sizes must sit at the thresholds")
 	}
-	if !gpuW.DeepReplica {
-		t.Fatal("GPU workers must use deep replicas")
+	// A GPU steps on a private copy because it has no CPU lanes, whatever
+	// DeepReplica says (see laneStep.readsCopy).
+	if cpuThreads(gpuW) != 0 {
+		t.Fatal("GPU workers must read a private copy: no CPU lanes")
 	}
 }
 

@@ -137,7 +137,7 @@ func ReadLIBSVM(r io.Reader, opts LIBSVMOptions) (*Dataset, error) {
 	if opts.Sparse {
 		csr := &tensor.CSR{Rows: len(rows), Cols: maxDim, RowPtr: make([]int, len(rows)+1)}
 		for i, rw := range rows {
-			idx, val := sortDedupeRow(rw.idx, rw.val)
+			idx, val := SortDedupe(rw.idx, rw.val)
 			csr.ColIdx = append(csr.ColIdx, idx...)
 			csr.Val = append(csr.Val, val...)
 			csr.RowPtr[i+1] = len(csr.ColIdx)
@@ -199,14 +199,15 @@ func ParseLIBSVMFeatures(line string) ([]int, []float64, error) {
 		idxs = append(idxs, idx-1)
 		vals = append(vals, val)
 	}
-	idxs, vals = sortDedupeRow(idxs, vals)
+	idxs, vals = SortDedupe(idxs, vals)
 	return idxs, vals, nil
 }
 
-// sortDedupeRow returns the row's (index, value) pairs sorted ascending by
+// SortDedupe returns the row's (index, value) pairs sorted ascending by
 // index with duplicates collapsed to the LAST occurrence — the same value a
-// dense scatter would keep.
-func sortDedupeRow(idx []int, val []float64) ([]int, []float64) {
+// dense scatter would keep. It leaves its arguments untouched; the reader
+// and the serving path both normalise sparse rows with it.
+func SortDedupe(idx []int, val []float64) ([]int, []float64) {
 	order := make([]int, len(idx))
 	for i := range order {
 		order[i] = i

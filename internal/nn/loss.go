@@ -50,25 +50,54 @@ func softmaxCEBackward(logits *tensor.Matrix, y Labels, delta *tensor.Matrix) fl
 // softmaxRow fills drow with softmax(row) − onehot(class) and returns the
 // row's cross-entropy loss.
 func softmaxRow(row, drow []float64, class int) float64 {
-	maxv := row[0]
+	maxv, sum := softmax(row, drow)
+	drow[class] -= 1
+	return math.Log(sum) + maxv - row[class]
+}
+
+// softmax writes softmax(row) into out, stabilised by subtracting the row's
+// max, and returns that max and the sum of exponentials it divided by.
+func softmax(row, out []float64) (maxv, sum float64) {
+	maxv = row[0]
 	for _, v := range row[1:] {
 		if v > maxv {
 			maxv = v
 		}
 	}
-	sum := 0.0
 	for j, v := range row {
 		e := math.Exp(v - maxv)
-		drow[j] = e
+		out[j] = e
 		sum += e
 	}
 	inv := 1 / sum
-	for j := range drow {
-		drow[j] *= inv
+	for j := range out {
+		out[j] *= inv
 	}
-	loss := math.Log(sum) + maxv - row[class]
-	drow[class] -= 1
-	return loss
+	return maxv, sum
+}
+
+// argmax returns the index of row's largest entry, the first on a tie.
+func argmax(row []float64) int {
+	best := 0
+	for j, v := range row {
+		if v > row[best] {
+			best = j
+		}
+	}
+	return best
+}
+
+// Scores applies the output layer the loss differentiates to one row of
+// logits — the softmax into out, or the per-label sigmoid on a multi-label
+// net — and returns the row's argmax, the predicted class.
+func (a Arch) Scores(logits, out []float64) (class int) {
+	if a.MultiLabel {
+		copy(out, logits)
+		tensor.SigmoidSlice(out)
+	} else {
+		softmax(logits, out)
+	}
+	return argmax(logits)
 }
 
 // softmaxCELoss is softmaxCEBackward without the gradient.

@@ -378,14 +378,7 @@ func (n *Network) PredictX(p *Params, ws *Workspace, x Input, workers int) []int
 	logits := n.ForwardX(p, ws, x, workers)
 	out := make([]int, x.Rows())
 	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
+		out[i] = argmax(logits.Row(i))
 	}
 	return out
 }

@@ -66,7 +66,7 @@ func TestPoolWorkerForwardPathZeroAlloc(t *testing.T) {
 		for i, r := range reqs {
 			copy(x.Row(i), r.inst.Dense)
 		}
-		snap.Net.ForwardX(snap.Params, w.ws, nn.DenseInput(x), w.b.opts.Workers)
+		snap.Net.ForwardX(snap.Params, w.ws, nn.DenseInput(x), 1)
 	}
 	forward() // warm up lazily-grown state before measuring
 	if allocs := testing.AllocsPerRun(200, forward); allocs != 0 {

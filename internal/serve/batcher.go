@@ -3,12 +3,11 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"heterosgd/internal/data"
 	"heterosgd/internal/device"
 	"heterosgd/internal/nn"
 	"heterosgd/internal/telemetry"
@@ -62,10 +61,6 @@ type Options struct {
 	// QueueCap bounds the admission queue; a full queue rejects with
 	// ErrOverloaded (HTTP 429 backpressure). ≤0 defaults to 4×MaxBatch.
 	QueueCap int
-	// Workers is the intra-forward linear-algebra parallelism. ≤0
-	// defaults to 1 (concurrency comes from batching, not from splitting
-	// a single small forward).
-	Workers int
 	// PoolWorkers is the number of pool worker goroutines pulling
 	// micro-batches from the shared admission queue, each owning its own
 	// pre-allocated forward workspace and staging buffers. ≤0 defaults
@@ -93,9 +88,6 @@ func (o Options) withDefaults(arch nn.Arch) Options {
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 4 * o.MaxBatch
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	if o.PoolWorkers <= 0 {
 		o.PoolWorkers = 1
@@ -187,25 +179,23 @@ func NewBatcher(pub *Publisher, opts Options) *Batcher {
 		stop:  make(chan struct{}),
 	}
 	if opts.Adaptive {
-		// The efficiency model sees the forward's actual parallelism: one
-		// worker thread unless Options.Workers splits the GEMMs, so batch
-		// saturation is judged per serving thread, not per training fleet.
+		// The efficiency model sees the forward's actual parallelism, one
+		// thread, so batch saturation is judged per serving thread, not per
+		// training fleet.
 		b.policy = NewAdaptivePolicy(PolicyConfig{
 			Min:  1,
 			Max:  opts.MaxBatch,
-			Dev:  device.NewXeon("serve", opts.Workers),
+			Dev:  device.NewXeon("serve", 1),
 			Arch: arch,
 		})
 		b.batchCeil.Store(int64(b.policy.Ceiling()))
 	} else {
 		b.batchCeil.Store(int64(opts.MaxBatch))
 	}
-	if opts.Metrics != nil {
-		opts.Metrics.GaugeFunc("serve_queue_depth", func() float64 { return float64(b.QueueDepth()) })
-		opts.Metrics.GaugeFunc("serve_model_version", func() float64 { return float64(pub.Version()) })
-		opts.Metrics.GaugeFunc("serve_pool_workers", func() float64 { return float64(opts.PoolWorkers) })
-		opts.Metrics.GaugeFunc("serve_batch_ceiling", func() float64 { return float64(b.BatchCeiling()) })
-	}
+	opts.Metrics.GaugeFunc("serve_queue_depth", func() float64 { return float64(b.QueueDepth()) })
+	opts.Metrics.GaugeFunc("serve_model_version", func() float64 { return float64(pub.Version()) })
+	opts.Metrics.GaugeFunc("serve_pool_workers", func() float64 { return float64(opts.PoolWorkers) })
+	opts.Metrics.GaugeFunc("serve_batch_ceiling", func() float64 { return float64(b.BatchCeiling()) })
 	for i := 0; i < opts.PoolWorkers; i++ {
 		w := b.newPoolWorker()
 		b.wg.Add(1)
@@ -285,8 +275,8 @@ func (b *Batcher) Predict(inst Instance) Response {
 }
 
 // normalize validates an instance against the network's input dimension and
-// sorts/dedupes sparse pairs (last duplicate wins, matching the LIBSVM
-// reader's dense-scatter semantics).
+// sorts/dedupes sparse pairs by the LIBSVM reader's rule, data.SortDedupe
+// (last duplicate wins, as a dense scatter would).
 func (b *Batcher) normalize(inst Instance) (Instance, error) {
 	dim := b.pub.Net().Arch.InputDim
 	if !inst.Sparse() {
@@ -303,37 +293,21 @@ func (b *Batcher) normalize(inst Instance) (Instance, error) {
 			return inst, fmt.Errorf("serve: feature index %d outside [0,%d)", idx, dim)
 		}
 	}
-	if !sort.IntsAreSorted(inst.Indices) || hasDup(inst.Indices) {
-		idx := append([]int(nil), inst.Indices...)
-		val := append([]float64(nil), inst.Values...)
-		order := make([]int, len(idx))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, c int) bool { return idx[order[a]] < idx[order[c]] })
-		outI := idx[:0]
-		outV := val[:0]
-		for _, k := range order {
-			i, v := inst.Indices[k], inst.Values[k]
-			if n := len(outI); n > 0 && outI[n-1] == i {
-				outV[n-1] = v
-				continue
-			}
-			outI = append(outI, i)
-			outV = append(outV, v)
-		}
-		inst.Indices, inst.Values = outI, outV
+	if !sortedUnique(inst.Indices) {
+		inst.Indices, inst.Values = data.SortDedupe(inst.Indices, inst.Values)
 	}
 	return inst, nil
 }
 
-func hasDup(sorted []int) bool {
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return true
+// sortedUnique reports whether idx is strictly ascending, the form
+// data.SortDedupe returns, so a normalised instance is not copied again.
+func sortedUnique(idx []int) bool {
+	for i := 1; i < len(idx); i++ {
+		if idx[i] <= idx[i-1] {
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // Close stops the aggregator and fails any still-queued requests with
@@ -407,8 +381,12 @@ func (b *Batcher) observe(n int) {
 		return
 	}
 	cur := b.stats.lat.Counts()
-	p99 := deltaQuantile(&b.prevLat, &cur, 0.99)
+	window := cur
+	for i := range window {
+		window[i] -= b.prevLat[i]
+	}
 	b.prevLat = cur
+	p99 := telemetry.QuantileOf(&window, 0.99)
 	if ceil, changed := b.policy.Decide(p99); changed {
 		b.batchCeil.Store(int64(ceil))
 		b.stats.RecordPolicyChange()
@@ -465,49 +443,13 @@ func (w *poolWorker) serveBatch(reqs []*request) {
 		}
 		input = nn.DenseInput(x)
 	}
-	logits := snap.Net.ForwardX(snap.Params, w.ws, input, b.opts.Workers)
-	multiLabel := snap.Net.Arch.MultiLabel
+	logits := snap.Net.ForwardX(snap.Params, w.ws, input, 1)
 	b.stats.RecordBatch(n)
 	backing := make([]float64, n*logits.Cols) // one allocation for the batch's score slices
 	for i, r := range reqs {
-		row := logits.Row(i)
 		scores := backing[i*logits.Cols : (i+1)*logits.Cols : (i+1)*logits.Cols]
-		if multiLabel {
-			copy(scores, row)
-			tensor.SigmoidSlice(scores)
-		} else {
-			softmaxInto(row, scores)
-		}
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		r.done <- Response{Class: best, Scores: scores, Version: snap.Version, BatchSize: n}
+		class := snap.Net.Arch.Scores(logits.Row(i), scores)
+		r.done <- Response{Class: class, Scores: scores, Version: snap.Version, BatchSize: n}
 		b.stats.RecordLatency(time.Since(r.enq))
-	}
-}
-
-// softmaxInto writes the softmax of logits into out (numerically stabilized
-// by max subtraction).
-func softmaxInto(logits, out []float64) {
-	maxV := logits[0]
-	for _, v := range logits[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	sum := 0.0
-	for j, v := range logits {
-		e := math.Exp(v - maxV)
-		out[j] = e
-		sum += e
-	}
-	if sum > 0 {
-		inv := 1 / sum
-		for j := range out {
-			out[j] *= inv
-		}
 	}
 }

@@ -2,12 +2,10 @@ package serve
 
 import (
 	"fmt"
-	"math"
 
 	"heterosgd/internal/device"
 	"heterosgd/internal/elastic"
 	"heterosgd/internal/nn"
-	"heterosgd/internal/telemetry"
 )
 
 // PolicyConfig bounds an AdaptivePolicy and names the cost model it judges
@@ -193,30 +191,4 @@ func ModelOptimalBatch(dev device.Device, arch nn.Arch, minB, maxB int) int {
 		b = min(b*2, cfg.Max)
 	}
 	return b
-}
-
-// deltaQuantile computes the q-quantile over the difference of two histogram
-// snapshots (cur − prev), i.e. the quantile of observations recorded between
-// the snapshots, in milliseconds. Returns 0 for an empty window. Allocation
-// free — snapshots are fixed-size arrays on the caller's stack.
-func deltaQuantile(prev, cur *[telemetry.NumBuckets]int64, q float64) float64 {
-	var total int64
-	for i := range cur {
-		total += cur[i] - prev[i]
-	}
-	if total <= 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range cur {
-		seen += cur[i] - prev[i]
-		if seen >= rank {
-			return telemetry.BucketMidMs(i)
-		}
-	}
-	return telemetry.BucketMidMs(telemetry.NumBuckets - 1)
 }

@@ -381,3 +381,27 @@ func TestStatsQuantilesAndHistogram(t *testing.T) {
 		t.Fatalf("histogram holds %d samples", total)
 	}
 }
+
+// softmaxInto writes the softmax of logits into out (numerically stabilized
+// by max subtraction): the reference the served scores are checked against,
+// kept apart from nn's output layer so the check stays independent.
+func softmaxInto(logits, out []float64) {
+	maxV := logits[0]
+	for _, v := range logits[1:] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	sum := 0.0
+	for j, v := range logits {
+		e := math.Exp(v - maxV)
+		out[j] = e
+		sum += e
+	}
+	if sum > 0 {
+		inv := 1 / sum
+		for j := range out {
+			out[j] *= inv
+		}
+	}
+}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -99,6 +100,45 @@ func TestPredictLIBSVMEndpoint(t *testing.T) {
 	}
 	if len(out.Predictions) != 2 {
 		t.Fatalf("%d predictions", len(out.Predictions))
+	}
+}
+
+// TestJSONAndLIBSVMShareTheSparsePairRule sends one row as unsorted JSON
+// pairs and as an out-of-order LIBSVM line, each repeating index 4 (LIBSVM
+// 5), and as its normalised pairs: all three must be served the same scores,
+// bit for bit, and the same class — the last duplicate wins on both paths.
+func TestJSONAndLIBSVMShareTheSparsePairRule(t *testing.T) {
+	pub, _, ts := testServer(t)
+	publishTest(t, pub)
+	predict := func(path, body string) jsonPrediction {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out predictResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(out.Predictions) != 1 {
+			t.Fatalf("%s = %d with %d predictions", path, resp.StatusCode, len(out.Predictions))
+		}
+		return out.Predictions[0]
+	}
+	want := predict("/v1/predict", `{"instances": [{"indices": [0, 2, 4], "values": [-0.3, 0.25, -0.9]}]}`)
+	for _, got := range []jsonPrediction{
+		predict("/v1/predict", `{"instances": [{"indices": [4, 0, 2, 4], "values": [0.7, -0.3, 0.25, -0.9]}]}`),
+		predict("/v1/predict/libsvm", "5:0.7 1:-0.3 3:0.25 5:-0.9\n"),
+	} {
+		if got.Class != want.Class || len(got.Scores) != len(want.Scores) {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
+		for j := range want.Scores {
+			if math.Float64bits(got.Scores[j]) != math.Float64bits(want.Scores[j]) {
+				t.Fatalf("score %d = %v, want %v", j, got.Scores[j], want.Scores[j])
+			}
+		}
 	}
 }
 

@@ -33,18 +33,11 @@ type Stats struct {
 // NewStatsIn returns a stats accumulator whose instruments live in reg, so
 // the serving series (serve_requests_total, serve_latency_seconds, ...)
 // appear on the registry's /metrics exposition alongside everything else.
-// A nil registry falls back to private instruments.
+// A nil registry keeps them in a private one.
 func NewStatsIn(reg *telemetry.Registry) *Stats {
 	s := &Stats{start: time.Now()}
 	if reg == nil {
-		s.requests = &telemetry.Counter{}
-		s.rejected = &telemetry.Counter{}
-		s.errors = &telemetry.Counter{}
-		s.batches = &telemetry.Counter{}
-		s.examples = &telemetry.Counter{}
-		s.policy = &telemetry.Counter{}
-		s.lat = telemetry.NewHistogram()
-		return s
+		reg = telemetry.NewRegistry()
 	}
 	s.requests = reg.Counter("serve_requests_total")
 	s.rejected = reg.Counter("serve_rejected_total")

@@ -103,11 +103,19 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	counts := h.Counts()
+	return QuantileOf(&counts, q)
+}
+
+// QuantileOf returns the q-quantile (0 < q ≤ 1) in milliseconds of the
+// observations a set of bucket counts holds — a snapshot, or the difference
+// of two, which is the quantile of what was recorded between them. Returns
+// 0 when the counts are empty.
+func QuantileOf(counts *[NumBuckets]int64, q float64) float64 {
 	var total int64
 	for _, c := range counts {
 		total += c
 	}
-	if total == 0 {
+	if total <= 0 {
 		return 0
 	}
 	rank := int64(math.Ceil(q * float64(total)))

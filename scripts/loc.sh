@@ -6,7 +6,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-CEILING=14128
+CEILING=14052
 
 lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -print0 |
 	xargs -0 cat | grep -vcE '^\s*(//.*)?$')

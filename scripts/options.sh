@@ -24,4 +24,7 @@ internal/core Config WorkerConfig WatchdogConfig Preset ClusterOptions ClusterWo
 internal/serve Options PolicyConfig
 internal/elastic LoadPolicy
 internal/transport TCPOptions ClientOptions
+internal/data LIBSVMOptions
+internal/opt HyperParams
+internal/experiments Options
 LIST
